@@ -1,4 +1,4 @@
-.PHONY: check build test faultcheck lint verify-meta trace validate bounds vec serve slo bench-json bench-gate bench-regress
+.PHONY: check build test faultcheck gates trace serve slo bench-json bench-regress
 
 build:
 	dune build
@@ -12,20 +12,18 @@ faultcheck: build
 	dune exec bin/noelle_pipeline.exe -- --fuzz-seed 3 --fault-seed 8 -q
 	dune exec bin/noelle_pipeline.exe -- --fuzz-seed 3 --task-fault-seed 5 --kill-task 0 -q
 
-# static race detector + sanitizers over the pristine benchmark corpus and a
-# sweep of fuzzer outputs: zero unsuppressed errors is the gate
-lint: build
-	dune exec bin/noelle_check.exe -- --kernels -q
-	for s in 1 2 3 4 5; do \
-	  dune exec bin/noelle_check.exe -- --fuzz-seed $$s -q || exit 1; \
-	done
-
-# metadata trust gate: embed every analysis artifact over the pristine
-# corpus, round-trip through the printer/parser, transform with the
-# verify-meta pipeline gate on — zero stale/corrupt artifacts may survive
-# and every pristine reload must take the verified fast path
-verify-meta: build
-	dune exec bin/noelle_meta_verify.exe -- --kernels --roundtrip --limit 10
+# corpus gates (noelle-gate, one harness): lint = zero unsuppressed
+# noelle-check errors over every kernel and fuzz seeds 1-5; meta = the
+# metadata trust gate (embed, round-trip, fast reloads, verify-meta
+# pipeline, clean audit) over the first 10 kernels; validate = trace
+# equivalence with zero rollbacks + Psim replay validation on every
+# kernel and planted effect reorders rejected with witnesses over 50
+# seeds (DESIGN.md §12); bounds = static trips vs measured, decision
+# parity >= 80% and speedup geomean within 10% (DESIGN.md §13); vec =
+# every widened kernel verifies and clears the trace gate, with the
+# must-vectorize and if-conversion assertions (DESIGN.md §16)
+gates: build
+	dune exec bin/noelle_gate.exe -- -q
 
 # telemetry smoke: run the standard stack under tracing on a parallelizable
 # kernel; the trace must round-trip through the repo's own JSON parser and
@@ -33,30 +31,6 @@ verify-meta: build
 trace: build
 	dune exec bin/noelle_trace.exe -- --kernel histogram --check \
 	  --serve-metrics serve_metrics.json -q
-
-# translation validation (DESIGN.md §12): the full pass stack must clear
-# the trace-equivalence gate on every kernel with zero rollbacks, every
-# parallel schedule must replay-validate against its sequential trace, and
-# every planted effect reorder must be rejected with an event-diff witness
-# that the legacy output-compare gate provably misses
-validate: build
-	dune exec bin/noelle_validate.exe -- --seeds 50 --vec -q
-
-# profile-free planning gates (DESIGN.md §13): interpreter-measured trip
-# counts must never exceed the static bounds (exactly equal on affine
-# loops), profile-free technique/chunk decisions must agree with
-# profile-driven ones on >= 80% of corpus loops, and the Psim speedup
-# geomean of the two plans must stay within 10%
-bounds: build
-	dune exec bin/noelle_bounds.exe -- --seeds 50 -q
-
-# vectorizer gate (DESIGN.md §16): corpus sweep where every widened kernel
-# must verify, preserve interpreter output, and clear the observable-event
-# trace gate with no new noelle-check errors; jpeg-dct, lbm and
-# blackscholes must actually vectorize, and at least one divergent kernel
-# must vectorize via if-conversion
-vec: build
-	dune exec bin/noelle_vec.exe -- -q
 
 # analysis-as-a-service gates (DESIGN.md §14): workload replay must answer
 # from the persistent store across a process restart; the 50-seed
@@ -87,34 +61,13 @@ bench-json: build
 # bench-history regression gate: rerun the instrumented sections and diff
 # them against the checked-in BENCH_*.json baselines — counter deltas must
 # match exactly (they are deterministic functions of the seeded
-# workloads), wall/gauges within a generous ratio.  The comparator
-# self-checks by injecting a one-count counter regression that must be
-# detected.  Runs BEFORE bench-gate, which regenerates the files.
+# workloads), wall/gauges within a generous ratio, and each section's
+# required keys present with nothing degraded (bench/main.ml
+# required_keys).  The comparator self-checks by injecting a one-count
+# counter regression, dropping each required key and planting a
+# degraded counter, all of which must be detected.  The fresh rows land
+# in _bench/; the checked-in baselines are never rewritten.
 bench-regress: build
 	dune exec bench/main.exe -- --compare figure3 figure5 scaling bounds serve slo
 
-# smoke gate over the freshly regenerated bench JSON: the sparse engine
-# must actually have run (delta propagations and bucketing skips logged)
-# and no PDG build or points-to solve may have fallen back to a degraded
-# answer on the kernel corpus or the scaling modules
-bench-gate: bench-json
-	grep -q '"andersen.delta_props"' BENCH_figure3.json
-	grep -q '"pdg.pairs_skipped_bucketing"' BENCH_figure3.json
-	grep -q '"andersen.delta_props"' BENCH_scaling.json
-	grep -q '"bounds.queries"' BENCH_bounds.json
-	grep -q '"bounds.loops_exact"' BENCH_bounds.json
-	! grep -q 'degraded' BENCH_figure3.json BENCH_scaling.json BENCH_bounds.json
-	grep -q '"serve.queries"' BENCH_serve.json
-	grep -q '"serve.store.hits"' BENCH_serve.json
-	grep -q '"serve.shed"' BENCH_serve.json
-	grep -q '"serve.quarantined"' BENCH_serve.json
-	grep -q '"serve.bench.qps"' BENCH_serve.json
-	grep -q '"serve.bench.recovery_us"' BENCH_serve.json
-	grep -q 'p99_us"' BENCH_slo.json
-	grep -q '"serve.bench.trace_overhead_pct"' BENCH_slo.json
-	grep -q '"vec.loops_considered"' BENCH_figure5.json
-	grep -q '"vec.vectorized"' BENCH_figure5.json
-	grep -q '"vec.if_converted"' BENCH_figure5.json
-	grep -q '"fig5.blackscholes.vec"' BENCH_figure5.json
-
-check: build test faultcheck lint verify-meta serve trace validate bounds vec slo bench-regress bench-gate
+check: build test faultcheck gates serve trace slo bench-regress

@@ -79,17 +79,14 @@ let row_to_json (r : row) =
 (** With [--compare], sections run fresh and are diffed against the
     checked-in BENCH_<section>.json baselines instead of overwriting
     them: counters must match exactly (they are deterministic functions
-    of the seeded workloads) unless explained by the allowlist; wall
-    clock and gauges get a generous ratio tolerance (they measure the
-    machine, not the algorithm).  Any failure exits non-zero — this is
-    [make bench-regress]. *)
+    of the seeded workloads); wall clock and gauges get a generous ratio
+    tolerance (they measure the machine, not the algorithm); every
+    section's {!required_keys} must be present in both the fresh rows and
+    the baseline.  The fresh rows land in [_bench/].  Any failure exits
+    non-zero — this is [make bench-regress]. *)
 let compare_mode = ref false
 
 let compare_failures : string list ref = ref []
-
-(** Counter prefixes exempt from exact comparison: bench-derived rates
-    that older baselines recorded in the counter namespace. *)
-let explained_counters = [ "serve.bench." ]
 
 (* wall/gauge tolerances: CI machines differ, the gate is for
    asymptotics; rows/values under the floor are too small to compare *)
@@ -98,7 +95,7 @@ let wall_floor_ms = 20.0
 let gauge_ratio_tol = 8.0
 let gauge_floor = 50.0
 
-let load_baseline section : (string * (float * (string * int64) list * (string * float) list)) list option =
+let load_baseline section : row list option =
   let file = Printf.sprintf "BENCH_%s.json" section in
   if not (Sys.file_exists file) then None
   else begin
@@ -130,18 +127,16 @@ let load_baseline section : (string * (float * (string * int64) list * (string *
                    kvs
                | _ -> []
              in
-             let counters =
-               List.map (fun (k, f) -> (k, Int64.of_float f)) (nums "counters")
-             in
-             Some (name, (wall, counters, nums "gauges")))
+             Some
+               {
+                 rname = name;
+                 rwall_ms = wall;
+                 rcounters =
+                   List.map (fun (k, f) -> (k, Int64.of_float f)) (nums "counters");
+                 rgauges = nums "gauges";
+               })
          rows)
   end
-
-let is_explained k =
-  List.exists
-    (fun p ->
-      String.length k >= String.length p && String.sub k 0 (String.length p) = p)
-    explained_counters
 
 (** p999 of a few-hundred-sample histogram is literally the slowest
     request — one GC pause or disk hiccup moves it 30x.  Keep it in the
@@ -158,32 +153,28 @@ let ratio_ok ~tol ~floor a b =
   || (a > 0.0 && b > 0.0 && a /. b <= tol && b /. a <= tol)
 
 (** Diff fresh rows against a baseline; returns human-readable failures. *)
-let diff_rows ~section (fresh : row list)
-    (base : (string * (float * (string * int64) list * (string * float) list)) list)
-    : string list =
+let diff_rows ~section (fresh : row list) (base : row list) : string list =
   let fails = ref [] in
   let fail fmt =
     Printf.ksprintf (fun s -> fails := Printf.sprintf "%s: %s" section s :: !fails) fmt
   in
   List.iter
     (fun (r : row) ->
-      match List.assoc_opt r.rname base with
+      match List.find_opt (fun b -> b.rname = r.rname) base with
       | None -> fail "row %s missing from baseline (new benchmark? refresh with make bench-json)" r.rname
-      | Some (bwall, bcounters, bgauges) ->
-        (* counters: exact both directions, unless explained *)
+      | Some { rwall_ms = bwall; rcounters = bcounters; rgauges = bgauges; _ } ->
+        (* counters: exact both directions *)
         List.iter
           (fun (k, v) ->
-            if not (is_explained k) then
-              match List.assoc_opt k bcounters with
-              | Some bv when Int64.equal bv v -> ()
-              | Some bv ->
-                fail "%s counter %s: baseline %Ld, now %Ld" r.rname k bv v
-              | None -> fail "%s counter %s appeared (now %Ld)" r.rname k v)
+            match List.assoc_opt k bcounters with
+            | Some bv when Int64.equal bv v -> ()
+            | Some bv -> fail "%s counter %s: baseline %Ld, now %Ld" r.rname k bv v
+            | None -> fail "%s counter %s appeared (now %Ld)" r.rname k v)
           r.rcounters;
         List.iter
           (fun (k, bv) ->
-            if (not (is_explained k)) && List.assoc_opt k r.rcounters = None
-            then fail "%s counter %s disappeared (baseline %Ld)" r.rname k bv)
+            if List.assoc_opt k r.rcounters = None then
+              fail "%s counter %s disappeared (baseline %Ld)" r.rname k bv)
           bcounters;
         (* wall: ratio tolerance *)
         if not (ratio_ok ~tol:wall_ratio_tol ~floor:wall_floor_ms bwall r.rwall_ms)
@@ -207,60 +198,137 @@ let diff_rows ~section (fresh : row list)
           bgauges)
     fresh;
   List.iter
-    (fun (name, _) ->
-      if not (List.exists (fun (r : row) -> r.rname = name) fresh) then
-        fail "row %s in baseline but not produced by this run" name)
+    (fun b ->
+      if not (List.exists (fun r -> r.rname = b.rname) fresh) then
+        fail "row %s in baseline but not produced by this run" b.rname)
     base;
   List.rev !fails
 
+(** Keys each section must carry, as a counter or gauge of at least one
+    row, in both the fresh rows and the baseline: the sparse engine
+    actually ran (delta propagations, bucketing skips), and the bounds,
+    serving, SLO and vectorizer metrics are logged. *)
+let required_keys =
+  [ ("figure3", [ "andersen.delta_props"; "pdg.pairs_skipped_bucketing" ]);
+    ("scaling", [ "andersen.delta_props" ]);
+    ("bounds", [ "bounds.queries"; "bounds.loops_exact" ]);
+    ( "serve",
+      [ "serve.queries"; "serve.store.hits"; "serve.shed"; "serve.quarantined";
+        "serve.bench.qps"; "serve.bench.recovery_us" ] );
+    ( "slo",
+      "serve.bench.trace_overhead_pct"
+      :: List.map
+           (Printf.sprintf "serve.bench.slo.%s.p99_us")
+           [ "edit"; "deps"; "bounds"; "loops" ] );
+    ( "figure5",
+      [ "vec.loops_considered"; "vec.vectorized"; "vec.if_converted";
+        "fig5.blackscholes.vec" ] ) ]
+
+(** Sections where no PDG build or points-to solve may fall back to a
+    degraded answer: no row name or metric key may mention "degraded". *)
+let no_degraded = [ "figure3"; "scaling"; "bounds" ]
+
+let mentions_degraded k = Noelle.Pipeline.contains k "degraded"
+
+let required section =
+  Option.value ~default:[] (List.assoc_opt section required_keys)
+
+let row_keys r = List.map fst r.rcounters @ List.map fst r.rgauges
+
+(** Required-key and no-degraded failures over [rows]; [what] names the
+    rows' origin. *)
+let key_failures ~section ~what (rows : row list) =
+  let keys = List.concat_map row_keys rows in
+  List.filter_map
+    (fun k ->
+      if List.mem k keys then None
+      else Some (Printf.sprintf "%s: %s lacks required key %s" section what k))
+    (required section)
+  @
+  if not (List.mem section no_degraded) then []
+  else
+    List.filter_map
+      (fun r ->
+        Option.map
+          (Printf.sprintf "%s: %s row %s: degraded %s" section what r.rname)
+          (List.find_opt mentions_degraded (r.rname :: row_keys r)))
+      rows
+
 (** The comparator must actually be able to fail: inject a one-count
-    counter regression into the fresh rows and demand detection. *)
-let self_check ~section (fresh : row list)
-    (base : (string * (float * (string * int64) list * (string * float) list)) list)
-    : string list =
+    counter regression into the fresh rows, drop each required key, and
+    (where degraded answers are banned) plant a degraded counter — each
+    must be detected. *)
+let self_check ~section (fresh : row list) (base : row list) : string list =
   match fresh with
   | [] -> []
   | r0 :: rest ->
+    let missed what =
+      Printf.sprintf "%s: SELF-CHECK FAILED: %s not detected" section what
+    in
     (* a synthetic counter the baseline cannot contain: its appearance
        must always be flagged, and it cannot coincidentally cancel a
        real regression the way perturbing an existing counter could *)
     let perturbed =
       { r0 with rcounters = ("bench.selfcheck.injected", 1L) :: r0.rcounters }
     in
-    if diff_rows ~section (perturbed :: rest) base = [] then
-      [ Printf.sprintf
-          "%s: SELF-CHECK FAILED: injected counter regression not detected"
-          section ]
+    let keys = key_failures ~section ~what:"fresh run" in
+    let drop k r =
+      { r with
+        rcounters = List.remove_assoc k r.rcounters;
+        rgauges = List.remove_assoc k r.rgauges }
+    in
+    let degraded =
+      { r0 with rcounters = ("pdg.degraded", 1L) :: r0.rcounters } :: rest
+    in
+    (if diff_rows ~section (perturbed :: rest) base = [] then
+       [ missed "injected counter regression" ]
+     else [])
+    @ List.filter_map
+        (fun k ->
+          if keys (List.map (drop k) fresh) = [] then
+            Some (missed ("dropped required key " ^ k))
+          else None)
+        (required section)
+    @
+    if List.mem section no_degraded && keys degraded = [] then
+      [ missed "planted pdg.degraded counter" ]
     else []
+
+let write_rows file section rows =
+  let oc = open_out file in
+  Printf.fprintf oc "{\"section\":%s,\"benchmarks\":[%s]}\n" (q section)
+    (String.concat "," (List.map row_to_json rows));
+  close_out oc;
+  Printf.printf "  wrote %s (%d rows)\n" file (List.length rows)
 
 let finish_section section =
   if !json_mode then begin
     let rows = List.rev !json_rows in
     json_rows := [];
+    let file = Printf.sprintf "BENCH_%s.json" section in
     if rows <> [] then
       if !compare_mode then begin
+        if not (Sys.file_exists "_bench") then Sys.mkdir "_bench" 0o755;
+        write_rows (Filename.concat "_bench" file) section rows;
         match load_baseline section with
         | None ->
           compare_failures :=
-            Printf.sprintf "%s: no checked-in BENCH_%s.json baseline" section
-              section
+            Printf.sprintf "%s: no checked-in %s baseline" section file
             :: !compare_failures
         | Some base ->
-          let fails = diff_rows ~section rows base @ self_check ~section rows base in
+          let fails =
+            diff_rows ~section rows base
+            @ key_failures ~section ~what:"fresh run" rows
+            @ key_failures ~section ~what:"baseline" base
+            @ self_check ~section rows base
+          in
           compare_failures := List.rev_append fails !compare_failures;
-          Printf.printf "  compare %s: %d rows vs BENCH_%s.json — %s\n" section
-            (List.length rows) section
+          Printf.printf "  compare %s: %d rows vs %s — %s\n" section
+            (List.length rows) file
             (if fails = [] then "ok (self-check armed)"
              else Printf.sprintf "%d FAILURES" (List.length fails))
       end
-      else begin
-        let file = Printf.sprintf "BENCH_%s.json" section in
-        let oc = open_out file in
-        Printf.fprintf oc "{\"section\":%s,\"benchmarks\":[%s]}\n" (q section)
-          (String.concat "," (List.map row_to_json rows));
-        close_out oc;
-        Printf.printf "  wrote %s (%d rows)\n" file (List.length rows)
-      end
+      else write_rows file section rows
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1155,7 +1223,7 @@ let serve_corpus mods =
     gauges, not counters: they are remeasured each run rather than
     accumulated, and [--compare] gives them a ratio tolerance where
     counters are held exact.  They land in the row's "gauges" dict in
-    BENCH_serve.json (make bench-gate greps them there). *)
+    BENCH_serve.json, where [--compare] requires them ({!required_keys}). *)
 let serve_metric name v = Ir.Trace.set_gauge name (float_of_int (max 1 v))
 
 let serve_section () =

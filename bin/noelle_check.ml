@@ -16,7 +16,7 @@ let check_module ~checks ~json ~stats ~quiet (name : string) (m : Ir.Irmod.t) =
   end;
   List.length (Check.errors r)
 
-let run input fuzz_seed kernels checks complexity_budget flag_unbounded json
+let run input fuzz_seed checks complexity_budget flag_unbounded json
     stats list_checks quiet =
   if list_checks then begin
     List.iter
@@ -26,36 +26,24 @@ let run input fuzz_seed kernels checks complexity_budget flag_unbounded json
   end
   else begin
     let checks = match checks with [] -> None | cs -> Some cs in
-    let targets =
-      match (input, fuzz_seed, kernels) with
-      | Some f, _, _ -> [ (f, Ir.Parser.parse_file f) ]
-      | None, Some seed, _ ->
+    let name, (m : Ir.Irmod.t) =
+      match (input, fuzz_seed) with
+      | Some f, _ -> (f, Ir.Parser.parse_file f)
+      | None, Some seed ->
         let name = Printf.sprintf "fuzz%d" seed in
-        [ (name, Minic.Lower.compile ~name (Bsuite.Generator.program seed)) ]
-      | None, None, true ->
-        List.map
-          (fun (k : Bsuite.Kernels.kernel) ->
-            (k.Bsuite.Kernels.kname, Bsuite.Kernels.compile k))
-          Bsuite.Kernels.all
-      | None, None, false ->
-        prerr_endline "noelle-check: need FILE.ir, --fuzz-seed, or --kernels";
+        (name, Minic.Lower.compile ~name (Bsuite.Generator.program seed))
+      | None, None ->
+        prerr_endline "noelle-check: need FILE.ir or --fuzz-seed";
         exit 2
     in
     (* the complexity checker reads its configuration from module
-       metadata, so the flags just seed each target before the run *)
-    List.iter
-      (fun (_, (m : Ir.Irmod.t)) ->
-        (match complexity_budget with
-        | Some b -> Ir.Meta.set_int m.Ir.Irmod.meta "check.complexity.budget" b
-        | None -> ());
-        if flag_unbounded then
-          Ir.Meta.set m.Ir.Irmod.meta "check.complexity.flag-unbounded" "1")
-      targets;
-    let errors =
-      List.fold_left
-        (fun acc (name, m) -> acc + check_module ~checks ~json ~stats ~quiet name m)
-        0 targets
-    in
+       metadata, so the flags just seed the module before the run *)
+    (match complexity_budget with
+    | Some b -> Ir.Meta.set_int m.Ir.Irmod.meta "check.complexity.budget" b
+    | None -> ());
+    if flag_unbounded then
+      Ir.Meta.set m.Ir.Irmod.meta "check.complexity.flag-unbounded" "1";
+    let errors = check_module ~checks ~json ~stats ~quiet name m in
     if errors > 0 then 1 else 0
   end
 
@@ -63,9 +51,6 @@ let input = Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE.ir")
 let fuzz_seed =
   Arg.(value & opt (some int) None & info [ "fuzz-seed" ] ~docv:"N"
          ~doc:"generate the input program from fuzzer seed $(docv)")
-let kernels =
-  Arg.(value & flag & info [ "kernels" ]
-         ~doc:"check every benchmark-suite kernel module")
 let checks =
   Arg.(value & opt_all string [] & info [ "check"; "c" ] ~docv:"ID"
          ~doc:"run only checker $(docv) (repeatable; default: all)")
@@ -90,7 +75,7 @@ let cmd =
   Cmd.v
     (Cmd.info "noelle-check"
        ~doc:"Static race detector and IR sanitizer suite over NOELLE abstractions")
-    Term.(const run $ input $ fuzz_seed $ kernels $ checks $ complexity_budget
+    Term.(const run $ input $ fuzz_seed $ checks $ complexity_budget
           $ flag_unbounded $ json $ stats $ list_checks $ quiet)
 
 let () = exit (Cmd.eval' cmd)

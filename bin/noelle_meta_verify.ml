@@ -2,13 +2,8 @@
     file against the code they claim to describe (Noelle.Trust): every
     PDG / profile / architecture payload must carry a stamp whose
     fingerprint and checksum verify.  Exit status 1 when any artifact is
-    stale, corrupt or unstamped, so it can gate a build.
-
-    [--kernels] runs the self-contained trust gate instead: embed every
-    artifact over the benchmark-suite kernels, round-trip through the
-    printer/parser, demand verified fast-path reloads, push the module
-    through the transactional pipeline with the metadata gate on, and
-    require the surviving module to audit clean. *)
+    stale, corrupt or unstamped, so it can gate a build.  The corpus
+    trust gate is [noelle-gate --gate meta]. *)
 
 open Cmdliner
 module Trust = Noelle.Trust
@@ -57,107 +52,7 @@ let audit_file input quarantine json output =
   end;
   if failures = [] then 0 else 1
 
-(* ------------------------------------------------------------------ *)
-(* Kernel gate mode                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let fail fmt = Printf.ksprintf (fun s -> prerr_endline ("FAIL " ^ s); false) fmt
-
-let gate_kernel ~roundtrip ~fuel (k : Bsuite.Kernels.kernel) =
-  let name = k.Bsuite.Kernels.kname in
-  let fuel = match fuel with Some f -> f | None -> k.Bsuite.Kernels.fuel in
-  let m = Bsuite.Kernels.compile k in
-  (* embed every artifact class, stamped *)
-  let prof, _ = Noelle.Profiler.run ~fuel m in
-  Noelle.Profiler.embed prof m;
-  let n = Noelle.create m in
-  let fns = Ir.Irmod.defined_functions m in
-  List.iter (fun f -> Noelle.Pdg.embed (Noelle.pdg n f)) fns;
-  Noelle.Arch.to_meta (Noelle.Arch.measure ()) m.Ir.Irmod.meta;
-  (* round trip: stamps and payloads must survive print -> parse *)
-  let m =
-    if roundtrip then Ir.Parser.parse_module ~name (Ir.Printer.module_str m) else m
-  in
-  let pristine = Trust.audit m in
-  let all_trusted =
-    List.for_all
-      (fun (e : Trust.event) ->
-        match e.Trust.averdict with Trust.Trusted _ -> true | _ -> false)
-      pristine
-  in
-  if not all_trusted then
-    fail "%s: pristine corpus does not verify clean:\n  %s" name
-      (String.concat "\n  " (List.map Trust.event_to_string (Trust.failures pristine)))
-  else begin
-    (* a fresh manager must take the verified fast path for every PDG *)
-    let n2 = Noelle.create m in
-    List.iter (fun f -> ignore (Noelle.pdg n2 f)) (Ir.Irmod.defined_functions m);
-    if Noelle.fast_reloads n2 < List.length fns then
-      fail "%s: expected %d fast reloads, saw %d" name (List.length fns)
-        (Noelle.fast_reloads n2)
-    else if Noelle.trust_events n2 <> [] then
-      fail "%s: trust violations on a pristine module:\n  %s" name
-        (String.concat "\n  "
-           (List.map Trust.event_to_string (Noelle.trust_events n2)))
-    else begin
-      (* transform with the metadata gate on: stale artifacts must be
-         stripped at commit and fresh PDGs re-embedded at the end *)
-      let report = Ntools.Passes.run_standard ~fuel ~verify_meta:true m in
-      if not report.Noelle.Pipeline.final_ok then
-        fail "%s: pipeline final module not OK" name
-      else
-        let post = Trust.failures (Trust.audit m) in
-        if post <> [] then
-          fail "%s: stale/corrupt artifacts survived the pipeline:\n  %s" name
-            (String.concat "\n  " (List.map Trust.event_to_string post))
-        else begin
-          Printf.printf
-            "ok %-14s %d artifacts embedded, %d fast reloads, %d passes committed, \
-             clean audit\n"
-            name
-            (List.length pristine)
-            (Noelle.fast_reloads n2)
-            (List.length (Noelle.Pipeline.committed report));
-          true
-        end
-    end
-  end
-
-let gate_kernels ~roundtrip ~limit ~fuel =
-  let ks = Bsuite.Kernels.all in
-  let ks =
-    match limit with
-    | Some l -> List.filteri (fun i _ -> i < l) ks
-    | None -> ks
-  in
-  let ok = List.for_all (fun k -> gate_kernel ~roundtrip ~fuel k) ks in
-  Printf.printf "noelle-meta-verify: %d kernels %s\n" (List.length ks)
-    (if ok then "verified" else "FAILED");
-  if ok then 0 else 1
-
-let run input kernels roundtrip limit fuel quarantine json output =
-  match (input, kernels) with
-  | Some f, _ -> audit_file f quarantine json output
-  | None, true -> gate_kernels ~roundtrip ~limit ~fuel
-  | None, false ->
-    prerr_endline "noelle-meta-verify: need FILE.ir or --kernels";
-    2
-
-let input = Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE.ir")
-let kernels =
-  Arg.(value & flag & info [ "kernels" ]
-         ~doc:"run the embed/round-trip/transform trust gate over the \
-               benchmark-suite kernels")
-let roundtrip =
-  Arg.(value & flag & info [ "roundtrip" ]
-         ~doc:"with --kernels: print and re-parse each module before verifying")
-let limit =
-  Arg.(value & opt (some int) None & info [ "limit" ] ~docv:"N"
-         ~doc:"with --kernels: only the first $(docv) kernels")
-let fuel =
-  Arg.(value & opt (some int) None & info [ "fuel" ] ~docv:"N"
-         ~doc:"interpreter fuel per profiling/differential run \
-               (default: each kernel's own budget)")
+let input = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.ir")
 let quarantine =
   Arg.(value & flag & info [ "quarantine" ]
          ~doc:"move failing artifacts into the quarantine namespace and \
@@ -169,7 +64,6 @@ let cmd =
   Cmd.v
     (Cmd.info "noelle-meta-verify"
        ~doc:"Verify embedded analysis metadata against the IR it describes")
-    Term.(const run $ input $ kernels $ roundtrip $ limit $ fuel $ quarantine $ json
-          $ output)
+    Term.(const audit_file $ input $ quarantine $ json $ output)
 
 let () = exit (Cmd.eval' cmd)

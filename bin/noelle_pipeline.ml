@@ -6,8 +6,7 @@
 open Cmdliner
 
 let run input fuzz_seed inputs fuel inject_seed psim_fault_seed persistent_tid
-    analysis_budget check_races no_profile vec verify_meta legacy_differential
-    trace_diff output quiet =
+    analysis_budget check_races no_profile vec verify_meta trace_diff output quiet =
   let m =
     match (input, fuzz_seed) with
     | Some f, _ -> Ir.Parser.parse_file f
@@ -21,7 +20,7 @@ let run input fuzz_seed inputs fuel inject_seed psim_fault_seed persistent_tid
   let inputs = if inputs = [] then [ [] ] else List.map (fun n -> [ n ]) inputs in
   let report =
     Ntools.Passes.run_standard ~inputs ~fuel ?inject_seed ~check_races
-      ~no_profile ~vec ?analysis_budget ~verify_meta ~legacy_differential m
+      ~no_profile ~vec ?analysis_budget ~verify_meta m
   in
   print_string (Noelle.Pipeline.report_to_string report);
   if trace_diff then
@@ -99,10 +98,6 @@ let verify_meta =
          ~doc:"metadata trust gate: quarantine embedded analysis artifacts \
                invalidated by each committed pass, re-embed fresh ones at \
                the end, and fail unless the final module audits clean")
-let legacy_differential =
-  Arg.(value & flag & info [ "legacy-differential" ]
-         ~doc:"escape hatch: differential gate compares exit value and flat \
-               output only, ignoring observable-event traces")
 let trace_diff =
   Arg.(value & flag & info [ "trace-diff" ]
          ~doc:"print the minimal event-diff witness of every trace-gate \
@@ -116,6 +111,6 @@ let cmd =
        ~doc:"Transactional pass pipeline with verification and differential gates")
     Term.(const run $ input $ fuzz_seed $ inputs $ fuel $ inject_seed $ psim_fault_seed
           $ persistent_tid $ analysis_budget $ check_races $ no_profile $ vec
-          $ verify_meta $ legacy_differential $ trace_diff $ output $ quiet)
+          $ verify_meta $ trace_diff $ output $ quiet)
 
 let () = exit (Cmd.eval' cmd)

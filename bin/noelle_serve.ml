@@ -23,7 +23,7 @@
 
     Every mode runs under the telemetry spine, self-checks that the
     [serve.*] counters are registered, and writes a metrics dump
-    ([serve_metrics.json]) for [make bench-gate]. *)
+    ([serve_metrics.json]) for [noelle-trace --check --serve-metrics]. *)
 
 open Cmdliner
 

@@ -74,17 +74,11 @@ type config = {
   inputs : int list list; (** argument vectors for the differential gate *)
   fuel : int;             (** interpreter fuel per differential run *)
   exec : exec;
-  verify_gate : bool;
-  differential_gate : bool;
-  legacy_differential : bool;
-      (** escape hatch: compare flat output only, ignoring event traces
-          ([noelle-pipeline --legacy-differential]) *)
   verify_meta_gate : bool;
       (** reconcile embedded analysis artifacts ({!Trust}) at every
           commit — stale/corrupt ones are quarantined instead of
           surviving into the committed module — and require the final
           module to audit clean *)
-  max_diff_lines : int;
   on_change : unit -> unit;
       (** called whenever the module mutates: after a pass ran, and after
           a rollback; drivers hang analysis-cache invalidation here *)
@@ -95,11 +89,7 @@ let default_config =
     inputs = [ [] ];
     fuel = 2_000_000;
     exec = interp_exec;
-    verify_gate = true;
-    differential_gate = true;
-    legacy_differential = false;
     verify_meta_gate = false;
-    max_diff_lines = 24;
     on_change = (fun () -> ());
   }
 
@@ -153,10 +143,9 @@ let behaviours (c : config) (m : Irmod.t) =
     verdict, never a behavioural mismatch — and two runs that both
     exhausted their fuel are equal by convention (their traces are
     incomparable prefixes).  Otherwise the gate demands the legacy
-    observable (exit + output) be identical {e and}, unless
-    [legacy_differential] is set, the event traces be equivalent modulo
-    [license] ({!Ir.Obs.check}); a trace rejection carries its minimal
-    event-diff witness. *)
+    observable (exit + output) be identical {e and} the event traces be
+    equivalent modulo [license] ({!Ir.Obs.check}); a trace rejection
+    carries its minimal event-diff witness. *)
 let compare_behaviours ?(license = Obs.Exact) (c : config)
     (reference : behaviour list) (candidate : behaviour list) =
   let rec go inputs refs cands =
@@ -174,7 +163,6 @@ let compare_behaviours ?(license = Obs.Exact) (c : config)
               (describe_result r.bresult)
               (describe_result cd.bresult),
             [] )
-      else if c.legacy_differential then go is rs cs
       else (
         match Obs.check ~license ~reference:r.btrace ~candidate:cd.btrace with
         | Ok () -> go is rs cs
@@ -204,13 +192,10 @@ let compare_behaviours ?(license = Obs.Exact) (c : config)
 let starts_with pre s =
   String.length s >= String.length pre && String.sub s 0 (String.length pre) = pre
 
-let gate_tags (c : config) (e : entry) =
+let gate_tags (e : entry) =
   let outcome, verify, differential =
     match e.eoutcome with
-    | Committed _ ->
-      ( "committed",
-        (if c.verify_gate then "ok" else "off"),
-        if c.differential_gate then "ok" else "off" )
+    | Committed _ -> ("committed", "ok", "ok")
     | Timed_out _ -> ("timed-out", "ok", "timeout")
     | Rolled_back r ->
       if starts_with "pass raised" r then ("rolled-back", "skipped", "skipped")
@@ -225,9 +210,7 @@ let run ?(config = default_config) ?inject (m : Irmod.t) (passes : pass list) : 
   Trace.touch "obs.reorders_rejected";
   Trace.touch "obs.events";
   let reference =
-    if config.differential_gate then
-      Trace.span ~cat:"pipeline" "pipeline.reference" (fun () -> behaviours config m)
-    else []
+    Trace.span ~cat:"pipeline" "pipeline.reference" (fun () -> behaviours config m)
   in
   (* the license a gate must grant grows with each committed pass: the
      candidate carries every committed commutation, so the gate compares
@@ -245,7 +228,7 @@ let run ?(config = default_config) ?inject (m : Irmod.t) (passes : pass list) : 
       | Ok _ -> Option.bind inject (fun seed -> Faultgen.inject ~seed:(seed + idx) m)
     in
     let rollback ?(trace_diff = []) reason =
-      let diff = Snapshot.diff ~limit:config.max_diff_lines (Snapshot.view snap) m in
+      let diff = Snapshot.diff ~limit:24 (Snapshot.view snap) m in
       Snapshot.restore snap m;
       config.on_change ();
       {
@@ -279,31 +262,28 @@ let run ?(config = default_config) ?inject (m : Irmod.t) (passes : pass list) : 
       match applied with
       | Error exn -> rollback (Rolled_back ("pass raised: " ^ exn))
       | Ok summary -> (
-        match (if config.verify_gate then Verify.check m else Ok ()) with
+        match Verify.check m with
         | Error msg -> rollback (Rolled_back ("verifier: " ^ msg))
-        | Ok () ->
-          if not config.differential_gate then commit summary
-          else (
-            match compare_behaviours ~license config reference (behaviours config m) with
-            | `Equal -> commit summary
-            | `Timed_out msg -> rollback (Timed_out msg)
-            | `Mismatch (msg, witness) ->
-              rollback ~trace_diff:witness (Rolled_back ("differential: " ^ msg))))
+        | Ok () -> (
+          match compare_behaviours ~license config reference (behaviours config m) with
+          | `Equal -> commit summary
+          | `Timed_out msg -> rollback (Timed_out msg)
+          | `Mismatch (msg, witness) ->
+            rollback ~trace_diff:witness (Rolled_back ("differential: " ^ msg))))
     in
     (match entry.eoutcome with
     | Committed _ -> Trace.incr_m "pipeline.committed"
     | Rolled_back _ -> Trace.incr_m "pipeline.rolled_back"
     | Timed_out _ -> Trace.incr_m "pipeline.timed_out");
-    Trace.end_span ~args:(gate_tags config entry) sp;
+    Trace.end_span ~args:(gate_tags entry) sp;
     entry
   in
   let entries = List.mapi run_pass passes in
   let final_ok =
     (match Verify.check m with Ok () -> true | Error _ -> false)
-    && (not config.differential_gate
-       || compare_behaviours ~license:!committed_license config reference
-            (behaviours config m)
-          = `Equal)
+    && compare_behaviours ~license:!committed_license config reference
+         (behaviours config m)
+       = `Equal
     && (not config.verify_meta_gate || Trust.failures (Trust.audit m) = [])
   in
   { entries; final_ok }

@@ -22,8 +22,8 @@
     degrade: [Unbounded] is claimed only for structurally exitless loops,
     anything unproven is [Unknown], and either top poisons every cost that
     depends on it.  Trip bounds are the {e sound} artifact — the
-    [noelle-bounds] sweep checks interpreter-measured header counts
-    against them — while cost polynomials are planning estimates (the
+    [noelle-gate --gate bounds] sweep checks interpreter-measured header
+    counts against them — while cost polynomials are planning estimates (the
     divisor of a symbolic trip may be dropped, over-approximating by at
     most that factor, and clamps are not representable in a monomial). *)
 

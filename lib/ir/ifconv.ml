@@ -170,9 +170,8 @@ let run (f : Func.t) ~entry ~blocks ~exit_bid ~scratch_i ~scratch_f :
       | _ -> false
     in
     let preds = Func.preds f in
-    (* predicate and edge computations are appended into [entry]; while
-       entry's own terminator is still in place [Builder.add] inserts
-       before it, afterwards at the true end — both are what we want *)
+    (* predicate and edge computations are appended at the end of
+       [entry], whose own terminator is dropped before any is emitted *)
     let emit op ty = Instr.Reg (Builder.add f entry op ty).Instr.id in
     let edge_of src dst =
       match Hashtbl.find_opt epred (src, dst) with Some p -> p | None -> None
@@ -255,15 +254,23 @@ let run (f : Func.t) ~entry ~blocks ~exit_bid ~scratch_i ~scratch_f :
               i.Instr.op <- Instr.Bin (op, a, Instr.Reg d'.Instr.id)
             | _ -> ())
           (Func.insts_of_block f b);
-        (* record the edge predicates out of [b], drop its terminator,
-           then fold its remaining instructions into [entry] *)
-        (match Func.terminator f b with
-        | Some ({ Instr.op = Instr.Br _; _ } as t) ->
+        (* drop [b]'s terminator and fold its remaining instructions
+           into [entry], then record the edge predicates out of [b]: a
+           branch condition defined in [b] must precede its uses *)
+        let term = Func.terminator f b in
+        Option.iter (fun (t : Instr.inst) -> Builder.remove f t.Instr.id) term;
+        if b <> entry then begin
+          List.iter
+            (fun id -> Builder.move_to_end f id ~bid:entry)
+            (Func.block f b).Func.insts;
+          tail := b
+        end;
+        match term with
+        | Some { Instr.op = Instr.Br _ as op; _ } ->
           List.iter
             (fun s -> if s <> exit_bid then Hashtbl.replace epred (b, s) p)
-            (Instr.successors t.Instr.op);
-          Builder.remove f t.Instr.id
-        | Some ({ Instr.op = Instr.Cbr (c, tb, eb); _ } as t) ->
+            (Instr.successors op)
+        | Some { Instr.op = Instr.Cbr (c, tb, eb); _ } ->
           (* normalize the condition to 0/1 so its complement is Xor 1 *)
           let cc = emit (Instr.Icmp (Instr.Ne, c, Instr.Cint 0L)) Ty.I64 in
           let ncc = emit (Instr.Bin (Instr.Xor, cc, Instr.Cint 1L)) Ty.I64 in
@@ -273,15 +280,8 @@ let run (f : Func.t) ~entry ~blocks ~exit_bid ~scratch_i ~scratch_f :
             | Some pv -> Some (emit (Instr.Bin (Instr.And, pv, q)) Ty.I64)
           in
           Hashtbl.replace epred (b, tb) (conj cc);
-          Hashtbl.replace epred (b, eb) (conj ncc);
-          Builder.remove f t.Instr.id
-        | _ -> ());
-        if b <> entry then begin
-          List.iter
-            (fun id -> Builder.move_to_end f id ~bid:entry)
-            (Func.block f b).Func.insts;
-          tail := b
-        end)
+          Hashtbl.replace epred (b, eb) (conj ncc)
+        | _ -> ())
       order;
     ignore (Builder.set_term f entry (Instr.Br exit_bid));
     (* the back edge into [exit_bid] now comes from [entry]: retarget its

@@ -152,6 +152,9 @@ let plan_of (m : Irmod.t) (c : Parutil.candidate) ~(max_stages : int) :
                   sccs)
               best;
             let crossings = Hashtbl.create 16 in
+            (* stages pop after the header, so a header instruction cannot
+               consume another stage's value *)
+            let header_pop = ref false in
             List.iter
               (fun (i : Instr.inst) ->
                 match Hashtbl.find_opt owner i.Instr.id with
@@ -161,7 +164,10 @@ let plan_of (m : Irmod.t) (c : Parutil.candidate) ~(max_stages : int) :
                     (function
                       | Instr.Reg r -> (
                         match Hashtbl.find_opt owner r with
-                        | Some sp when sp <> si -> Hashtbl.replace crossings (r, si) ()
+                        | Some sp when sp <> si ->
+                          Hashtbl.replace crossings (r, si) ();
+                          if i.Instr.parent = c.Parutil.ls.Loopstructure.header
+                          then header_pop := true
                         | _ -> ())
                       | _ -> ())
                     (Instr.operands i.Instr.op))
@@ -176,7 +182,9 @@ let plan_of (m : Irmod.t) (c : Parutil.candidate) ~(max_stages : int) :
             let queue_overhead =
               3.0 *. float_of_int (Hashtbl.length crossings + 1) *. iters
             in
-            if bw +. queue_overhead > total then
+            if !header_pop then
+              Error "a header instruction consumes another stage's value"
+            else if bw +. queue_overhead > total then
               Error "queue traffic would eat the pipeline gain"
             else
               Ok

@@ -116,14 +116,12 @@ let standard ?ncores ?min_hotness ?min_work ?check_races ?no_profile
     artifacts through the trust layer and the final module must audit
     clean ([noelle-pipeline --verify-meta]). *)
 let config ?(inputs = [ [] ]) ?(fuel = 3_000_000) ?(verify_meta = false)
-    ?(legacy_differential = false) (n : Noelle.t) : Noelle.Pipeline.config =
+    (n : Noelle.t) : Noelle.Pipeline.config =
   {
-    Noelle.Pipeline.default_config with
     Noelle.Pipeline.inputs;
     fuel;
     exec = psim_exec;
     verify_meta_gate = verify_meta;
-    legacy_differential;
     on_change = (fun () -> Noelle.invalidate n);
   }
 
@@ -133,12 +131,12 @@ let config ?(inputs = [ [] ]) ?(fuel = 3_000_000) ?(verify_meta = false)
     module. *)
 let run_standard ?inputs ?fuel ?inject_seed ?ncores ?min_hotness ?min_work
     ?check_races ?no_profile ?vec ?analysis_budget ?(verify_meta = false)
-    ?legacy_differential (m : Irmod.t) =
+    (m : Irmod.t) =
   Trace.span ~cat:"pipeline" "pipeline.standard" @@ fun () ->
   let n = Noelle.create ?analysis_budget m in
   let report =
     Noelle.Pipeline.run
-      ~config:(config ?inputs ?fuel ~verify_meta ?legacy_differential n)
+      ~config:(config ?inputs ?fuel ~verify_meta n)
       ?inject:inject_seed m
       (standard ?ncores ?min_hotness ?min_work ?check_races ?no_profile ?vec n)
   in

@@ -8,9 +8,9 @@
     {!Parutil.profitable} over embedded profile metadata;
     [decide_static] answers them from {!Bounds} symbolic trip counts and
     cost polynomials alone.  Running both over a pristine module is the
-    head-to-head the bench harness and [noelle-bounds] report: the
-    ISSUE's bar is agreement on at least 80% of corpus loops with a Psim
-    speedup delta within 10% geomean. *)
+    head-to-head the bench harness and [noelle-gate --gate bounds]
+    report: the gate's bar is agreement on at least 80% of corpus loops
+    with a Psim speedup delta within 10% geomean. *)
 
 open Ir
 open Noelle

@@ -2,7 +2,7 @@
 
     The full soundness sweep (interpreter-measured trips vs static bounds
     over 50 fuzz seeds + the kernel corpus, decision parity, Psim
-    head-to-head) lives in [bin/noelle_bounds.ml] behind [make bounds];
+    head-to-head) is [noelle-gate --gate bounds] in [bin/noelle_gate.ml];
     these are the unit-level guarantees: exact closed forms for the
     counted-loop shapes, difference-constraint upper bounds for the
     non-affine ones, conservative tops, bottom-up cost composition,
@@ -265,7 +265,7 @@ int main() { print(work(3, 4)); return 0; }
     (Bounds.cost_degree s.Bounds.fcost)
 
 (* ------------------------------------------------------------------ *)
-(* Interpreter differential (unit-sized; the sweep is `make bounds`)   *)
+(* Interpreter differential (unit-sized; the sweep is the bounds gate) *)
 (* ------------------------------------------------------------------ *)
 
 let test_measured_matches_static () =

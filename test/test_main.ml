@@ -23,4 +23,5 @@ let () =
       ("sparse", Test_sparse.suite);
       ("bounds", Test_bounds.suite);
       ("serve", Test_serve.suite);
+      ("harness", Test_harness.suite);
     ]

@@ -616,7 +616,9 @@ int main() {
 
 let test_vec_if_converts_divergent () =
   (* dijkstra-style conditional minimum update: the body diverges, so
-     vectorization must go through if-conversion (masked store) *)
+     vectorization must go through if-conversion (masked store); the
+     last loop nests a branch in a predicated arm, whose condition the
+     folded edge predicates must follow *)
   let src =
     {|
 int d[64];
@@ -628,6 +630,12 @@ int main() {
   }
   int s = 0;
   for (int j = 0; j < 64; j++) s += d[j];
+  print(s);
+  for (int i = 0; i < 64; i++) {
+    int v = 0;
+    if (i * 9 >= 120) { v = i + i; } else { if (i % 5 != 2) { v = 43; } else { v = 8; } }
+    s = s + v;
+  }
   print(s);
   return 0;
 }
@@ -645,6 +653,18 @@ int main() {
     (List.exists (fun (s : Ntools.Vec.stats) -> s.Ntools.Vec.masked > 0) ok);
   verifies "vec if-conversion" m;
   checks "output preserved under predication" expected (output m)
+
+let test_dswp_after_vec () =
+  (* widened loops compute lane indices in their header; DSWP pops
+     cross-stage values after the header, so it must refuse a partition
+     that hands a header instruction another stage's value *)
+  let k = Option.get (Bsuite.Kernels.find "lbm") in
+  let m = Bsuite.Kernels.compile k in
+  let n = Noelle.create m in
+  ignore (Ntools.Vec.run n m ~ncores:4 ~min_work:0.0 ());
+  Noelle.invalidate n;
+  ignore (Ntools.Dswp.run n m ~min_hotness:0.0 ~min_work:0.0 ());
+  verifies "dswp over widened loops" m
 
 let test_vec_rejects_divergent_call () =
   (* a print on one arm is an observable side effect that predication
@@ -704,6 +724,7 @@ let suite_extra =
     tc "VEC corpus semantics" test_vec_corpus;
     tc "VEC widened loop + epilogue" test_vec_straightline;
     tc "VEC if-converts divergence" test_vec_if_converts_divergent;
+    tc "DSWP over widened loops verifies" test_dswp_after_vec;
     tc "VEC rejects divergent print" test_vec_rejects_divergent_call;
     tc "VEC rejects recurrences" test_vec_rejects_sequential;
     tc "VEC trace-exact" test_vec_trace_exact;
