@@ -1,4 +1,4 @@
-.PHONY: check build test faultcheck gates trace serve slo bench-json bench-regress
+.PHONY: check build test faultcheck gates trace serve slo bench-json bench-regress perfbench-smoke
 
 build:
 	dune build
@@ -69,5 +69,23 @@ bench-json: build
 # in _bench/; the checked-in baselines are never rewritten.
 bench-regress: build
 	dune exec bench/main.exe -- --compare figure3 figure5 scaling bounds serve slo
+
+# benchmark smoke (perfbench/NOTES.md): build the benchmark and run every
+# workload for 3 s untraced, each of which must report "correct": true;
+# then plant one wrong answer in compile, which the benchmark's own
+# Psim-vs-reference check must count as "failed": 1
+PERFBENCH_CHECK = python3 -c 'import json, sys; \
+  r = json.loads(sys.stdin.read().splitlines()[-1]); \
+  ok = r["failed"] == 1 if sys.argv[2] == "planted" else r["correct"] is True; \
+  print("perfbench-smoke:", sys.argv[1], "correct=%s failed=%s" % (r["correct"], r["failed"])); \
+  sys.exit(0 if ok else 1)'
+
+perfbench-smoke:
+	for w in compile analyze serve; do \
+	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 3 --trace 0 \
+	    | $(PERFBENCH_CHECK) $$w correct || exit 1; \
+	done
+	python3 perfbench/run.py --workload compile --seed 1 --seconds 3 --trace 0 --plant-error \
+	  | $(PERFBENCH_CHECK) compile planted
 
 check: build test faultcheck gates serve trace slo bench-regress

@@ -34,38 +34,94 @@ let fresh () =
 let bump tbl key by =
   Hashtbl.replace tbl key (Int64.add by (try Hashtbl.find tbl key with Not_found -> 0L))
 
-(** Run the program under the instruction/branch/loop profilers.
-    Returns the profile and the program output. *)
-let run ?(entry = "main") ?(args = []) ?fuel (m : Irmod.t) : t * string =
-  let p = fresh () in
-  let pending_branch = ref None in
-  let configure (st : Interp.state) =
-    st.Interp.hooks.Interp.on_block <-
-      Some
-        (fun f bid ->
-          let lbl = (Func.block f bid).Func.label in
-          bump p.block_counts (f.Func.fname, lbl) 1L;
-          (match !pending_branch with
-          | Some (fn, iid) when fn = f.Func.fname ->
-            bump p.edge_counts (fn, iid, lbl) 1L
-          | _ -> ());
-          pending_branch := None);
-    st.Interp.hooks.Interp.on_inst <-
-      Some
-        (fun f i ->
-          p.total_insts <- Int64.add p.total_insts 1L;
-          bump p.fn_insts f.Func.fname 1L;
-          match i.Instr.op with
-          | Instr.Cbr _ -> pending_branch := Some (f.Func.fname, i.Instr.id)
-          | _ -> pending_branch := None);
-    st.Interp.hooks.Interp.on_call <-
-      Some
-        (fun ~caller ~callee ->
-          bump p.fn_calls callee 1L;
-          bump p.call_pair (caller, callee) 1L)
+(* per-function counters of one run, keyed by [Func.t] identity *)
+type counts = {
+  fn : Func.t;
+  mutable insts : int;
+  blocks : int array;                      (** block id -> entries *)
+  edges : (int * int, int ref) Hashtbl.t;  (** (branch id, target block id) -> taken *)
+}
+
+(** Hook the instruction/branch/loop profilers into [st], replacing its
+    block, instruction and call hooks.  The hooks bump plain [int]
+    counters; the returned function folds them into a profile once the
+    run is over. *)
+let attach (st : Interp.state) : unit -> t =
+  let fns = ref [] in
+  let calls : (string * string, int ref) Hashtbl.t = Hashtbl.create 16 in
+  let fresh_counts f =
+    { fn = f; insts = 0; blocks = Array.make f.Func.next_id 0; edges = Hashtbl.create 16 }
   in
-  let _, st = Interp.run_state ~entry ~args ?fuel ~configure m in
-  (p, Buffer.contents st.Interp.output)
+  let last = ref (fresh_counts (Func.create ~name:"" ~params:[] ~ret:Ty.Void)) in
+  let counts (f : Func.t) =
+    if (!last).fn != f then
+      last :=
+        (match List.find_opt (fun c -> c.fn == f) !fns with
+        | Some c -> c
+        | None ->
+          let c = fresh_counts f in
+          fns := c :: !fns;
+          c);
+    !last
+  in
+  let bump_ref tbl key =
+    match Hashtbl.find_opt tbl key with Some r -> incr r | None -> Hashtbl.add tbl key (ref 1)
+  in
+  (* the conditional branch just executed, if the next event is its edge *)
+  let pending_in = ref !last and pending_br = ref (-1) in
+  let hooks = st.Interp.hooks in
+  hooks.Interp.on_block <-
+    Some
+      (fun f bid ->
+        let c = counts f in
+        (* block ids are below [next_id]; others are missing blocks, which
+           the interpreter fails on right after this hook *)
+        if bid >= 0 && bid < Array.length c.blocks then begin
+          c.blocks.(bid) <- c.blocks.(bid) + 1;
+          if !pending_br >= 0 && !pending_in == c then bump_ref c.edges (!pending_br, bid)
+        end;
+        pending_br := -1);
+  hooks.Interp.on_inst <-
+    Some
+      (fun f i ->
+        let c = counts f in
+        c.insts <- c.insts + 1;
+        match i.Instr.op with
+        | Instr.Cbr _ ->
+          pending_in := c;
+          pending_br := i.Instr.id
+        | _ -> pending_br := -1);
+  hooks.Interp.on_call <- Some (fun ~caller ~callee -> bump_ref calls (caller, callee));
+  fun () ->
+    let p = fresh () in
+    List.iter
+      (fun c ->
+        let fname = c.fn.Func.fname in
+        let count tbl key bid n =
+          match Hashtbl.find_opt c.fn.Func.blks bid with
+          | Some b when n > 0 -> bump tbl (key b.Func.label) (Int64.of_int n)
+          | _ -> ()
+        in
+        p.total_insts <- Int64.add p.total_insts (Int64.of_int c.insts);
+        if c.insts > 0 then bump p.fn_insts fname (Int64.of_int c.insts);
+        Array.iteri (fun bid n -> count p.block_counts (fun l -> (fname, l)) bid n) c.blocks;
+        Hashtbl.iter
+          (fun (iid, bid) n -> count p.edge_counts (fun l -> (fname, iid, l)) bid !n)
+          c.edges)
+      (List.rev !fns);
+    Hashtbl.iter
+      (fun (caller, callee) n ->
+        bump p.fn_calls callee (Int64.of_int !n);
+        bump p.call_pair (caller, callee) (Int64.of_int !n))
+      calls;
+    p
+
+(** Run the program under the profilers.  Returns the profile and the
+    program output. *)
+let run ?(entry = "main") ?(args = []) ?fuel (m : Irmod.t) : t * string =
+  let profile = ref fresh in
+  let _, st = Interp.run_state ~entry ~args ?fuel ~configure:(fun st -> profile := attach st) m in
+  (!profile (), Buffer.contents st.Interp.output)
 
 (* ------------------------------------------------------------------ *)
 (* Embedding (noelle-meta-prof-embed) and queries                      *)

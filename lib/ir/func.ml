@@ -93,7 +93,9 @@ let insts (f : t) = List.rev (fold_insts (fun acc i -> i :: acc) [] f)
 
 let num_insts (f : t) = fold_insts (fun n _ -> n + 1) 0 f
 
-(** [defs_in_block f bid] is the set of instruction ids in block [bid]. *)
+(** [insts_of_block f bid] is the instructions of block [bid], in block
+    order (terminator last).  Raises [Invalid_argument] when the block or
+    one of its listed instructions does not exist. *)
 let insts_of_block (f : t) bid = List.map (inst f) (block f bid).insts
 
 (** [find_label f l] finds the block labelled [l]. *)

@@ -10,7 +10,23 @@
 
     Addresses are plain integers (words).  Address 0 is the null pointer and
     never allocated.  Every allocation (global, alloca, malloc) is recorded
-    in an allocation table so that guard runtimes can validate accesses. *)
+    in an allocation table so that guard runtimes can validate accesses.
+
+    Execution model.  On its first call in a {!state}, a function is
+    compiled into a frame layout ({!compile}, cached in [state.layouts]):
+    one dense slot per SSA id, operands pre-resolved to a constant, slot,
+    argument or global/function address, blocks in an array with
+    successors as indices, one phi move row per predecessor, and block
+    bodies cut at the first terminator.  A call allocates a slot array
+    filled with an "undefined" sentinel and runs the single step loop in
+    {!exec_func}.  Each step counts [steps] and [clock], spends one unit
+    of [fuel] (phis count steps and clock but not fuel), calls the
+    [on_inst] hook, then executes; a trap from a non-call instruction is
+    re-raised with the function, block and instruction attached.  The loop
+    re-reads [st.hooks] at every step, because a builtin may swap a hook in
+    the middle of a frame (the parallel runtime does).  Layouts are never
+    shared across states: passes rewrite functions in place between runs,
+    and each run starts from a fresh state. *)
 
 type v = VI of int64 | VF of float | VP of int
 
@@ -43,6 +59,62 @@ type hooks = {
       (** called before a store commits, with the value being written *)
 }
 
+(** {2 Frame layouts}
+
+    A function is translated once per {!state} into a [layout]: every
+    instruction id that some block lists gets a dense frame slot, operands
+    are pre-resolved, blocks sit in an array with successors as indices,
+    and each block keeps one phi move row per predecessor.  A lookup that
+    fails at compile time is kept as a deferred failure ([Undef],
+    [Unknown_global], a block's [fault]) raised when execution reaches it,
+    with the text a lookup at that step would give. *)
+
+type opnd =
+  | Const of v
+  | Slot of int                  (** frame slot of a defined register *)
+  | Param of int                 (** argument [i] of the frame *)
+  | Undef of int                 (** register no listed instruction defines *)
+  | Unknown_global of string
+
+type callee = Direct of string | Indirect of opnd
+
+type code =
+  | Bin of Instr.bin * opnd * opnd
+  | Fbin of Instr.fbin * opnd * opnd
+  | Icmp of Instr.cmp * opnd * opnd
+  | Fcmp of Instr.cmp * opnd * opnd
+  | Cast of Instr.cast * opnd
+  | Alloca of opnd
+  | Load of opnd
+  | Store of opnd * opnd
+  | Gep of opnd * opnd
+  | Call of callee * opnd list * bool    (** [true]: the result is kept *)
+  | Select of opnd * opnd * opnd
+  | Br of int                            (** block index *)
+  | Cbr of opnd * int * int
+  | Ret of opnd option
+  | Unreachable
+
+type step = { inst : Instr.inst; dst : int; code : code }
+
+type block_code = {
+  bid : int;
+  fault : exn option;              (** [Func.insts_of_block] failed: raised on entry *)
+  phis : Instr.inst array;         (** every phi of the block, in order *)
+  phi_dst : int array;
+  phi_preds : int array;           (** predecessor block ids with a move row *)
+  phi_rows : opnd option array array;
+      (** per predecessor: one source per phi, [None] = no incoming value *)
+  no_row : opnd option array;      (** the row for any other predecessor *)
+  body : step array;               (** non-phis, cut after the first terminator *)
+}
+
+type layout = {
+  func : Func.t;
+  ids : int array;                 (** slot -> instruction id *)
+  blocks : block_code array;       (** index 0 is the entry block *)
+}
+
 type state = {
   m : Irmod.t;
   mutable mem : v array;
@@ -59,6 +131,7 @@ type state = {
   builtins : (string, builtin) Hashtbl.t;
   mutable rng : int64;                     (** state of the default rand() *)
   user : (string, int64) Hashtbl.t;        (** scratch counters for tool runtimes *)
+  layouts : (string, layout) Hashtbl.t;    (** function name -> its frame layout *)
 }
 
 and builtin = state -> v list -> v
@@ -85,11 +158,11 @@ let allocate st size =
   (match st.hooks.on_alloc with Some h -> h ~base ~size | None -> ());
   base
 
-let load_word st addr =
+let[@inline] load_word st addr =
   if addr <= 0 || addr >= st.brk then trap "load from invalid address %d" addr;
   st.mem.(addr)
 
-let store_word st addr v =
+let[@inline] store_word st addr v =
   if addr <= 0 || addr >= st.brk then trap "store to invalid address %d" addr;
   st.mem.(addr) <- v
 
@@ -101,17 +174,17 @@ let addr_is_guarded_valid st addr =
     (fun _ a ok -> ok || (a.alive && addr >= a.base && addr < a.base + a.size))
     st.allocs false
 
-let as_int = function
+let[@inline] as_int = function
   | VI n -> n
   | VP p -> Int64.of_int p
   | VF f -> trap "expected integer, got float %g" f
 
-let as_float = function
+let[@inline] as_float = function
   | VF f -> f
   | VI n -> trap "expected float, got int %Ld" n
   | VP p -> trap "expected float, got pointer %d" p
 
-let as_ptr = function
+let[@inline] as_ptr = function
   | VP p -> p
   | VI n -> Int64.to_int n
   | VF f -> trap "expected pointer, got float %g" f
@@ -229,6 +302,7 @@ let create (m : Irmod.t) : state =
       builtins = Hashtbl.create 16;
       rng = 88172645463325252L;
       user = Hashtbl.create 8;
+      layouts = Hashtbl.create 16;
     }
   in
   List.iter (fun (n, f) -> Hashtbl.replace st.builtins n f) (default_builtins ());
@@ -261,6 +335,147 @@ let create (m : Irmod.t) : state =
 let register_builtin st name fn = Hashtbl.replace st.builtins name fn
 
 (* ------------------------------------------------------------------ *)
+(* Frame layouts                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* marks a slot whose instruction has not executed in this frame; made at
+   run time so no constant [v] in this unit can be physically equal to it *)
+let undef : v = VI (Int64.of_int (Sys.opaque_identity (-1)))
+
+(** Translate [f] into its frame layout.  Never fails: every lookup that
+    would fail is deferred to the point execution reaches it, so traps and
+    exceptions happen exactly where a per-step interpreter would raise
+    them.  Blocks are indexed in layout order, then blocks the layout
+    omits, then branch targets that do not exist (entering one raises
+    [Func.block]'s error). *)
+let compile (st : state) (f : Func.t) : layout =
+  let index : (int, int) Hashtbl.t = Hashtbl.create 16 in
+  let order = ref [] in
+  let add bid =
+    if not (Hashtbl.mem index bid) then begin
+      Hashtbl.add index bid (Hashtbl.length index);
+      order := bid :: !order
+    end
+  in
+  List.iter add f.Func.blocks;
+  Hashtbl.fold (fun bid _ acc -> bid :: acc) f.Func.blks []
+  |> List.sort compare |> List.iter add;
+  let insts_of bid =
+    match Func.insts_of_block f bid with
+    | l -> Ok l
+    | exception (Invalid_argument _ as e) -> Error e
+  in
+  let listed = List.rev_map (fun bid -> (bid, insts_of bid)) !order in
+  let slot_of : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  let ids = ref [] in
+  List.iter
+    (fun (_, r) ->
+      match r with
+      | Ok l ->
+        List.iter
+          (fun (i : Instr.inst) ->
+            if not (Hashtbl.mem slot_of i.Instr.id) then begin
+              Hashtbl.add slot_of i.Instr.id (Hashtbl.length slot_of);
+              ids := i.Instr.id :: !ids
+            end)
+          l
+      | Error _ -> ())
+    listed;
+  (* a branch target no block has gets an index too; it faults on entry *)
+  let target bid = add bid; Hashtbl.find index bid in
+  let opnd = function
+    | Instr.Cint n -> Const (VI n)
+    | Instr.Cfloat x -> Const (VF x)
+    | Instr.Null -> Const (VP 0)
+    | Instr.Arg i -> Param i
+    | Instr.Reg r -> (
+      match Hashtbl.find_opt slot_of r with Some k -> Slot k | None -> Undef r)
+    | Instr.Glob g -> (
+      match Hashtbl.find_opt st.global_addr g with
+      | Some a -> Const (VP a)
+      | None -> (
+        match Hashtbl.find_opt st.fun_addr g with
+        | Some a -> Const (VP a)
+        | None -> Unknown_global g))
+  in
+  let step (i : Instr.inst) =
+    let code =
+      match i.Instr.op with
+      | Instr.Bin (op, a, b) -> Bin (op, opnd a, opnd b)
+      | Instr.Fbin (op, a, b) -> Fbin (op, opnd a, opnd b)
+      | Instr.Icmp (c, a, b) -> Icmp (c, opnd a, opnd b)
+      | Instr.Fcmp (c, a, b) -> Fcmp (c, opnd a, opnd b)
+      | Instr.Cast (k, a) -> Cast (k, opnd a)
+      | Instr.Alloca n -> Alloca (opnd n)
+      | Instr.Load p -> Load (opnd p)
+      | Instr.Store (x, p) -> Store (opnd x, opnd p)
+      | Instr.Gep (p, idx) -> Gep (opnd p, opnd idx)
+      | Instr.Call (c, args) ->
+        let c = match c with Instr.Glob g -> Direct g | v -> Indirect (opnd v) in
+        Call (c, List.map opnd args, not (Ty.equal i.Instr.ty Ty.Void))
+      | Instr.Select (c, a, b) -> Select (opnd c, opnd a, opnd b)
+      | Instr.Br t -> Br (target t)
+      | Instr.Cbr (c, t, e) -> Cbr (opnd c, target t, target e)
+      | Instr.Ret vo -> Ret (Option.map opnd vo)
+      | Instr.Unreachable -> Unreachable
+      | Instr.Phi _ -> assert false
+    in
+    { inst = i; dst = Hashtbl.find slot_of i.Instr.id; code }
+  in
+  let block (bid, r) =
+    match r with
+    | Error e ->
+      { bid; fault = Some e; phis = [||]; phi_dst = [||]; phi_preds = [||];
+        phi_rows = [||]; no_row = [||]; body = [||] }
+    | Ok l ->
+      let phis, rest =
+        List.partition (fun i -> match i.Instr.op with Instr.Phi _ -> true | _ -> false) l
+      in
+      (* executed non-phis stop at the first terminator *)
+      let rec cut = function
+        | [] -> []
+        | i :: rest -> if Instr.is_terminator i then [ i ] else i :: cut rest
+      in
+      let incs =
+        List.map (fun (i : Instr.inst) ->
+            match i.Instr.op with Instr.Phi incs -> incs | _ -> assert false) phis
+      in
+      let preds = List.sort_uniq compare (List.concat_map (List.map fst) incs) in
+      (* [List.assoc_opt]: the first entry for a predecessor wins *)
+      let row p =
+        Array.of_list (List.map (fun inc -> Option.map opnd (List.assoc_opt p inc)) incs)
+      in
+      let phis = Array.of_list phis in
+      {
+        bid;
+        fault = None;
+        phis;
+        phi_dst = Array.map (fun (i : Instr.inst) -> Hashtbl.find slot_of i.Instr.id) phis;
+        phi_preds = Array.of_list preds;
+        phi_rows = Array.of_list (List.map row preds);
+        no_row = Array.make (Array.length phis) None;
+        body = Array.of_list (List.map step (cut rest));
+      }
+  in
+  let compiled = List.map block listed in
+  let missing = List.filteri (fun k _ -> k >= List.length listed) (List.rev !order) in
+  let blocks =
+    Array.of_list (compiled @ List.map (fun bid -> block (bid, insts_of bid)) missing)
+  in
+  { func = f; ids = Array.of_list (List.rev !ids); blocks }
+
+(** The layout of [f] in [st], compiled on its first call in this state.
+    The cache is per state, never global: passes rewrite functions in place
+    between runs, and each run starts from a fresh state. *)
+let layout (st : state) (f : Func.t) =
+  match Hashtbl.find_opt st.layouts f.Func.fname with
+  | Some l when l.func == f -> l
+  | _ ->
+    let l = compile st f in
+    Hashtbl.replace st.layouts f.Func.fname l;
+    l
+
+(* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -288,7 +503,7 @@ let eval_fbin op a b =
   | Fmul -> a *. b
   | Fdiv -> a /. b
 
-let eval_cmp (cmp : Instr.cmp) c =
+let[@inline] eval_cmp (cmp : Instr.cmp) c =
   match cmp with
   | Eq -> c = 0
   | Ne -> c <> 0
@@ -296,6 +511,66 @@ let eval_cmp (cmp : Instr.cmp) c =
   | Sle -> c <= 0
   | Sgt -> c > 0
   | Sge -> c >= 0
+
+type frame = {
+  lay : layout;
+  regs : v array;                  (** one slot per instruction id *)
+  args : v array;
+  mutable allocas : int list;      (** freed when the frame returns *)
+}
+
+let[@inline] read (fr : frame) = function
+  | Slot k ->
+    let v = Array.unsafe_get fr.regs k in
+    if v == undef then
+      trap "%s: register %%%d read before definition" fr.lay.func.Func.fname fr.lay.ids.(k)
+    else v
+  | Const v -> v
+  | Param i -> fr.args.(i)
+  | Undef r -> trap "%s: register %%%d read before definition" fr.lay.func.Func.fname r
+  | Unknown_global g -> trap "%s: unknown global @%s" fr.lay.func.Func.fname g
+
+(* rollback reports need actionable traps: re-raise with the faulting
+   function/block/instruction attached (calls excepted — the callee frame
+   already annotated, and builtin messages keep their own prefix) *)
+let ctx_trap (f : Func.t) (i : Instr.inst) msg =
+  let lbl =
+    match Hashtbl.find_opt f.Func.blks i.Instr.parent with
+    | Some b -> b.Func.label
+    | None -> "?"
+  in
+  trap "%s/%s: inst %d: %s" f.Func.fname lbl i.Instr.id msg
+
+(* evaluate a block's phis against the incoming edge from [prev], then
+   count them, then commit: phis read the values live on entry *)
+let enter_phis (st : state) (fr : frame) (b : block_code) prev =
+  let f = fr.lay.func in
+  let row =
+    let rec find k =
+      if k = Array.length b.phi_preds then b.no_row
+      else if b.phi_preds.(k) = prev then b.phi_rows.(k)
+      else find (k + 1)
+    in
+    find 0
+  in
+  let n = Array.length b.phis in
+  let vals = Array.make n undef in
+  for j = 0 to n - 1 do
+    let i = b.phis.(j) in
+    match row.(j) with
+    | Some o -> vals.(j) <- (try read fr o with Trap msg -> ctx_trap f i msg)
+    | None ->
+      ctx_trap f i
+        (Printf.sprintf "phi %%%d has no incoming value for block %d" i.Instr.id prev)
+  done;
+  for j = 0 to n - 1 do
+    st.steps <- st.steps + 1;
+    st.clock <- Int64.add st.clock 1L;
+    match st.hooks.on_inst with Some h -> h f b.phis.(j) | None -> ()
+  done;
+  for j = 0 to n - 1 do
+    fr.regs.(b.phi_dst.(j)) <- vals.(j)
+  done
 
 (** Call the function named [fname] with [args].  Returns its return value
     ([VI 0L] for void).  Builtins, defined functions and declarations that
@@ -311,158 +586,113 @@ let rec call (st : state) (fname : string) (args : v list) : v =
     | Some _ -> trap "call to declaration %s with no builtin" fname
     | None -> trap "call to unknown function %s" fname)
 
+(** Run [f] on [args] in a fresh frame.  The step loop reads [st.hooks]
+    at every step: a builtin may swap a hook in the middle of a frame (the
+    parallel runtime does), and the change takes effect at the next step. *)
 and exec_func (st : state) (f : Func.t) (args : v array) : v =
   if Array.length args <> Array.length f.Func.params then
     trap "%s: expected %d arguments, got %d" f.Func.fname
       (Array.length f.Func.params) (Array.length args);
-  (* rollback reports need actionable traps: re-raise with the faulting
-     function/block/instruction attached (calls excepted — the callee frame
-     already annotated, and builtin messages keep their own prefix) *)
-  let ctx_trap (i : Instr.inst) msg =
-    let lbl =
-      match Hashtbl.find_opt f.Func.blks i.Instr.parent with
-      | Some b -> b.Func.label
-      | None -> "?"
-    in
-    trap "%s/%s: inst %d: %s" f.Func.fname lbl i.Instr.id msg
-  in
-  let regs : (int, v) Hashtbl.t = Hashtbl.create 64 in
-  let frame_allocs = ref [] in
-  let eval = function
-    | Instr.Cint n -> VI n
-    | Instr.Cfloat x -> VF x
-    | Instr.Null -> VP 0
-    | Instr.Arg i -> args.(i)
-    | Instr.Reg r -> (
-      match Hashtbl.find_opt regs r with
-      | Some v -> v
-      | None -> trap "%s: register %%%d read before definition" f.Func.fname r)
-    | Instr.Glob g -> (
-      match Hashtbl.find_opt st.global_addr g with
-      | Some a -> VP a
-      | None -> (
-        match Hashtbl.find_opt st.fun_addr g with
-        | Some a -> VP a
-        | None -> trap "%s: unknown global @%s" f.Func.fname g))
-  in
+  let lay = layout st f in
+  if Array.length lay.blocks = 0 then ignore (Func.entry f);
+  let fr = { lay; regs = Array.make (Array.length lay.ids) undef; args; allocas = [] } in
   let result = ref (VI 0L) in
   let finished = ref false in
-  let cur = ref (Func.entry f) in
+  let cur = ref 0 in
   let prev = ref (-1) in
   while not !finished do
-    (match st.hooks.on_block with Some h -> h f !cur | None -> ());
-    let insts = Func.insts_of_block f !cur in
-    (* phis evaluate atomically against the incoming edge *)
-    let phis, rest =
-      List.partition (fun i -> match i.Instr.op with Instr.Phi _ -> true | _ -> false) insts
-    in
-    let phi_vals =
-      List.map
-        (fun (i : Instr.inst) ->
-          match i.Instr.op with
-          | Instr.Phi incs -> (
-            match List.assoc_opt !prev incs with
-            | Some v -> (
-              try (i.Instr.id, eval v) with Trap msg -> ctx_trap i msg)
-            | None ->
-              ctx_trap i
-                (Printf.sprintf "phi %%%d has no incoming value for block %d"
-                   i.Instr.id !prev))
-          | _ -> assert false)
-        phis
-    in
-    List.iter
-      (fun (i : Instr.inst) ->
-        st.steps <- st.steps + 1;
-        st.clock <- Int64.add st.clock 1L;
-        match st.hooks.on_inst with Some h -> h f i | None -> ())
-      phis;
-    List.iter (fun (id, v) -> Hashtbl.replace regs id v) phi_vals;
-    let terminated = ref false in
-    List.iter
-      (fun (i : Instr.inst) ->
-        if not !terminated then begin
-          st.steps <- st.steps + 1;
-          st.clock <- Int64.add st.clock 1L;
-          st.fuel <- st.fuel - 1;
-          if st.fuel <= 0 then ctx_trap i "out of fuel (infinite loop?)";
-          (match st.hooks.on_inst with Some h -> h f i | None -> ());
-          let exec () =
-            match i.Instr.op with
-          | Instr.Bin (op, a, b) ->
-            Hashtbl.replace regs i.Instr.id (VI (eval_bin op (as_int (eval a)) (as_int (eval b))))
-          | Instr.Fbin (op, a, b) ->
-            Hashtbl.replace regs i.Instr.id
-              (VF (eval_fbin op (as_float (eval a)) (as_float (eval b))))
-          | Instr.Icmp (c, a, b) ->
-            let x = as_int (eval a) and y = as_int (eval b) in
-            Hashtbl.replace regs i.Instr.id
-              (VI (if eval_cmp c (Int64.compare x y) then 1L else 0L))
-          | Instr.Fcmp (c, a, b) ->
-            let x = as_float (eval a) and y = as_float (eval b) in
-            Hashtbl.replace regs i.Instr.id
-              (VI (if eval_cmp c (Float.compare x y) then 1L else 0L))
-          | Instr.Cast (k, a) ->
-            let v = eval a in
-            Hashtbl.replace regs i.Instr.id
-              (match k with
+    let blk = lay.blocks.(!cur) in
+    (match st.hooks.on_block with Some h -> h f blk.bid | None -> ());
+    (match blk.fault with Some e -> raise e | None -> ());
+    if Array.length blk.phis > 0 then enter_phis st fr blk !prev;
+    let body = blk.body in
+    let n = Array.length body in
+    let k = ref 0 in
+    while !k < n do
+      let s = body.(!k) in
+      incr k;
+      st.steps <- st.steps + 1;
+      st.clock <- Int64.add st.clock 1L;
+      st.fuel <- st.fuel - 1;
+      if st.fuel <= 0 then ctx_trap f s.inst "out of fuel (infinite loop?)";
+      (match st.hooks.on_inst with Some h -> h f s.inst | None -> ());
+      match s.code with
+      | Call (callee, cargs, keep) ->
+        let name =
+          match callee with
+          | Direct g -> g
+          | Indirect v -> (
+            let addr = as_ptr (read fr v) in
+            match Hashtbl.find_opt st.addr_fun addr with
+            | Some n -> n
+            | None -> trap "%s: indirect call to non-function address %d" f.Func.fname addr)
+        in
+        (match st.hooks.on_call with
+        | Some h -> h ~caller:f.Func.fname ~callee:name
+        | None -> ());
+        let r = call st name (List.map (read fr) cargs) in
+        if keep then fr.regs.(s.dst) <- r
+      | Br t ->
+        prev := blk.bid;
+        cur := t;
+        k := n
+      | Cbr (c, t, e) ->
+        prev := blk.bid;
+        (cur :=
+           try if Int64.equal (as_int (read fr c)) 0L then e else t
+           with Trap msg -> ctx_trap f s.inst msg);
+        k := n
+      | Ret vo ->
+        (result :=
+           try match vo with Some v -> read fr v | None -> VI 0L
+           with Trap msg -> ctx_trap f s.inst msg);
+        finished := true;
+        k := n
+      | code -> (
+        let i = s.inst in
+        try
+          match code with
+          | Bin (op, a, b) ->
+            fr.regs.(s.dst) <- VI (eval_bin op (as_int (read fr a)) (as_int (read fr b)))
+          | Fbin (op, a, b) ->
+            fr.regs.(s.dst) <- VF (eval_fbin op (as_float (read fr a)) (as_float (read fr b)))
+          | Icmp (c, a, b) ->
+            let x = as_int (read fr a) and y = as_int (read fr b) in
+            fr.regs.(s.dst) <- VI (if eval_cmp c (Int64.compare x y) then 1L else 0L)
+          | Fcmp (c, a, b) ->
+            let x = as_float (read fr a) and y = as_float (read fr b) in
+            fr.regs.(s.dst) <- VI (if eval_cmp c (Float.compare x y) then 1L else 0L)
+          | Cast (kind, a) ->
+            let v = read fr a in
+            fr.regs.(s.dst) <-
+              (match kind with
               | Instr.Sitofp -> VF (Int64.to_float (as_int v))
               | Instr.Fptosi -> VI (Int64.of_float (as_float v))
               | Instr.Ptrtoint -> VI (Int64.of_int (as_ptr v))
               | Instr.Inttoptr -> VP (Int64.to_int (as_int v)))
-          | Instr.Alloca n ->
-            let base = allocate st (Int64.to_int (as_int (eval n))) in
-            frame_allocs := base :: !frame_allocs;
-            Hashtbl.replace regs i.Instr.id (VP base)
-          | Instr.Load p ->
-            let addr = as_ptr (eval p) in
+          | Alloca n ->
+            let base = allocate st (Int64.to_int (as_int (read fr n))) in
+            fr.allocas <- base :: fr.allocas;
+            fr.regs.(s.dst) <- VP base
+          | Load p ->
+            let addr = as_ptr (read fr p) in
             (match st.hooks.on_mem with Some h -> h f i ~addr ~write:false | None -> ());
-            Hashtbl.replace regs i.Instr.id (load_word st addr)
-          | Instr.Store (x, p) ->
-            let addr = as_ptr (eval p) in
+            fr.regs.(s.dst) <- load_word st addr
+          | Store (x, p) ->
+            let addr = as_ptr (read fr p) in
             (match st.hooks.on_mem with Some h -> h f i ~addr ~write:true | None -> ());
-            let v = eval x in
+            let v = read fr x in
             (match st.hooks.on_store with Some h -> h f i ~addr ~value:v | None -> ());
             store_word st addr v
-          | Instr.Gep (p, idx) ->
-            Hashtbl.replace regs i.Instr.id
-              (VP (as_ptr (eval p) + Int64.to_int (as_int (eval idx))))
-          | Instr.Call (callee, cargs) ->
-            let name =
-              match callee with
-              | Instr.Glob g -> g
-              | v -> (
-                let addr = as_ptr (eval v) in
-                match Hashtbl.find_opt st.addr_fun addr with
-                | Some n -> n
-                | None -> trap "%s: indirect call to non-function address %d" f.Func.fname addr)
-            in
-            (match st.hooks.on_call with
-            | Some h -> h ~caller:f.Func.fname ~callee:name
-            | None -> ());
-            let r = call st name (List.map eval cargs) in
-            if not (Ty.equal i.Instr.ty Ty.Void) then Hashtbl.replace regs i.Instr.id r
-          | Instr.Phi _ -> ()  (* handled above *)
-          | Instr.Select (c, a, b) ->
-            Hashtbl.replace regs i.Instr.id
-              (if Int64.equal (as_int (eval c)) 0L then eval b else eval a)
-          | Instr.Br b ->
-            prev := !cur; cur := b; terminated := true
-          | Instr.Cbr (c, t, e) ->
-            prev := !cur;
-            cur := (if Int64.equal (as_int (eval c)) 0L then e else t);
-            terminated := true
-          | Instr.Ret vo ->
-            result := (match vo with Some v -> eval v | None -> VI 0L);
-            finished := true;
-            terminated := true
-            | Instr.Unreachable -> trap "reached unreachable"
-          in
-          match i.Instr.op with
-          | Instr.Call _ -> exec ()
-          | _ -> ( try exec () with Trap msg -> ctx_trap i msg)
-        end)
-      rest
+          | Gep (p, idx) ->
+            fr.regs.(s.dst) <- VP (as_ptr (read fr p) + Int64.to_int (as_int (read fr idx)))
+          | Select (c, a, b) ->
+            fr.regs.(s.dst) <- (if Int64.equal (as_int (read fr c)) 0L then read fr b else read fr a)
+          | Unreachable -> trap "reached unreachable"
+          | Call _ | Br _ | Cbr _ | Ret _ -> assert false
+        with Trap msg -> ctx_trap f i msg)
+    done
+    (* a block with no terminator falls back into itself, [prev] unchanged *)
   done;
   (* free frame allocas *)
   List.iter
@@ -470,7 +700,7 @@ and exec_func (st : state) (f : Func.t) (args : v array) : v =
       match Hashtbl.find_opt st.allocs base with
       | Some a -> a.alive <- false
       | None -> ())
-    !frame_allocs;
+    fr.allocas;
   !result
 
 (** Run [main] (or [entry]) with integer arguments; returns (exit value,

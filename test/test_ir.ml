@@ -414,6 +414,86 @@ int fib(int n) { if (n < 2) return n; return fib(n-1) + fib(n-2); }
 int main() { print(fib(10)); return 0; }
 |})
 
+(* a builtin swaps [on_inst] in the middle of main's frame: the new hook
+   must fire at every later step of that frame, and none after restore *)
+let test_interp_hook_swap_mid_frame () =
+  let m =
+    compile
+      {|
+int main() {
+  int s = 0;
+  for (int i = 0; i < 5; i++) { s += i; }
+  srand(1);
+  for (int i = 0; i < 7; i++) { s += i * 2; }
+  srand(0);
+  for (int i = 0; i < 3; i++) { s += i; }
+  print(s);
+  return 0;
+}
+|}
+  in
+  let fired = ref 0 and on_at = ref (-1) and off_at = ref (-1) and fns = ref [] in
+  let hook f _ =
+    incr fired;
+    if not (List.mem f.Func.fname !fns) then fns := f.Func.fname :: !fns
+  in
+  let _, st =
+    Interp.run_state m ~configure:(fun st ->
+        Interp.register_builtin st "srand" (fun st args ->
+            (match args with
+            | [ Interp.VI 1L ] ->
+              on_at := st.Interp.steps;
+              st.Interp.hooks.Interp.on_inst <- Some hook
+            | _ ->
+              off_at := st.Interp.steps;
+              st.Interp.hooks.Interp.on_inst <- None);
+            Interp.VI 0L))
+  in
+  checks "output" "55" (String.trim (Buffer.contents st.Interp.output));
+  checkb "hook was on" (!on_at > 0 && !off_at > !on_at);
+  (* every step from the one after srand(1) through the srand(0) call *)
+  checki "fired for the rest of the frame" (!off_at - !on_at) !fired;
+  checkb "steps ran after restore" (st.Interp.steps > !off_at);
+  Alcotest.(check (list string)) "only main's steps" [ "main" ] !fns
+
+(* layouts are compiled per state: a body edited between two runs, in place
+   or by a snapshot restore, must run as edited *)
+let test_interp_no_stale_layout () =
+  let m = compile "int inc(int x) { return x + 1; } int main() { print(inc(41)); return 0; }" in
+  checks "original" "42" (output m);
+  let snap = Snapshot.capture m in
+  let f = Irmod.func m "inc" in
+  Func.iter_insts
+    (fun (i : Instr.inst) ->
+      match i.Instr.op with
+      | Instr.Bin (Instr.Add, a, Instr.Cint 1L) -> i.Instr.op <- Instr.Bin (Instr.Add, a, Instr.Cint 5L)
+      | _ -> ())
+    f;
+  checks "edited in place" "46" (output m);
+  Snapshot.restore snap m;
+  checks "restored" "42" (output m)
+
+(* each frame has its own slots: values computed before a recursive call
+   must read back unchanged after it returns *)
+let test_interp_recursive_slots () =
+  let src =
+    {|
+int f(int n) {
+  int a = n * 3 + 1;
+  if (n == 0) return 1;
+  int b = f(n - 1);
+  return a * 100 + b + n;
+}
+int main() { print(f(6)); return 0; }
+|}
+  in
+  let rec f n = if n = 0 then 1 else ((n * 3) + 1) * 100 + f (n - 1) + n in
+  checks "own slots after inner calls" (string_of_int (f 6)) (run_src src);
+  let m = compile src in
+  let st = Interp.create m in
+  ignore (Interp_oracle.call st "main" []);
+  checks "oracle agrees" (string_of_int (f 6)) (String.trim (Buffer.contents st.Interp.output))
+
 (* ------------------------------------------------------------------ *)
 (* Alias analysis                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -660,6 +740,9 @@ let suite =
     tc "interp traps" test_interp_traps;
     tc "interp memory" test_interp_memory;
     tc "interp recursion" test_interp_recursion;
+    tc "interp hook swap mid-frame" test_interp_hook_swap_mid_frame;
+    tc "interp no stale layout" test_interp_no_stale_layout;
+    tc "interp recursive slots" test_interp_recursive_slots;
     tc "alias baseline" test_alias_baseline;
     tc "alias structural must" test_alias_structural_must;
     tc "andersen indirect calls" test_andersen_resolves_indirect;

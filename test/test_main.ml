@@ -24,4 +24,5 @@ let () =
       ("bounds", Test_bounds.suite);
       ("serve", Test_serve.suite);
       ("harness", Test_harness.suite);
+      ("interp", Test_interp.suite);
     ]
