@@ -82,15 +82,16 @@ let trace_cmd input fuzz_seed kernel inputs fuel out metrics_out check
      been exercised: their counters are registered
      (possibly at zero) whenever the worklist solver, the bucketed PDG
      builder, fingerprint-keyed invalidation, the trace-equivalence gate
-     and the Psim replay protocol actually ran, so a missing counter
-     means a silent fallback to a slow, stale or weaker path *)
+     (with its executed-once reuse) and the Psim replay protocol actually
+     ran, so a missing counter means a silent fallback to a slow, stale or
+     weaker path *)
   let metric_names = List.map fst (Noelle.Telemetry.metrics ()) in
   let missing =
     List.filter
       (fun c -> not (List.mem c metric_names))
       [ "andersen.delta_props"; "andersen.cycles_collapsed";
         "pdg.pairs_skipped_bucketing"; "pdg.alias_memo_hits";
-        "noelle.invalidate.kept";
+        "noelle.invalidate.kept"; "pipeline.exec_reused";
         "obs.events"; "obs.trace_compares"; "obs.reorders_rejected";
         "psim.replay_validated";
         "bounds.queries"; "bounds.loops_exact";

@@ -9,6 +9,17 @@
     back in place, with a structural diff of the rejected change recorded
     for diagnosis, and the pipeline carries on from the last good module.
 
+    Each distinct module is executed once.  The pipeline keeps the last
+    accepted module's exact printed text ({!Ir.Printer.module_str},
+    metadata included) next to its behaviours; a candidate (or the final
+    module) that prints byte-identical reuses them instead of running
+    again, and is still compared against the reference under the pass's
+    license, so every verdict is the one a re-execution would give.  This
+    is sound because the executors are deterministic in module, inputs and
+    fuel and read nothing the printed text leaves out.  The key is the
+    full text, never a fingerprint: {!Ir.Fingerprint} makes no collision
+    guarantee, and a collision would skip a real check.
+
     A seeded fault injector ({!Ir.Faultgen}) can corrupt pass output on
     purpose, to demonstrate that the gates catch the canonical compiler
     bugs: structural corruptions die at the verifier, semantic ones at the
@@ -41,6 +52,8 @@ type entry = {
 type report = {
   entries : entry list;
   final_ok : bool; (** the surviving module still clears both gates *)
+  runs : int;      (** differential runs the gates asked for *)
+  executed : int;  (** of those, the ones that executed a module *)
 }
 
 (** One observed execution: the legacy observable (exit value + program
@@ -180,19 +193,14 @@ let compare_behaviours ?(license = Obs.Exact) (c : config)
 (* The transaction loop                                                *)
 (* ------------------------------------------------------------------ *)
 
-(** Run [passes] over [m] transactionally.  [m] is mutated in place; after
-    the call it holds the composition of every {e committed} pass and none
-    of the rolled-back ones.  When [inject] is given, a deterministic fault
-    drawn from seed [inject + pass_index] corrupts each pass's output
-    before the gates run.  The reference behaviour for every differential
-    check is the pristine input module, so the final module is guaranteed
-    behaviourally equal to the original on the configured inputs. *)
-(* span tags for one transaction: the outcome plus what each gate said,
-   recovered from the entry (gate attributions live in the outcome text) *)
 let starts_with pre s =
   String.length s >= String.length pre && String.sub s 0 (String.length pre) = pre
 
-let gate_tags (e : entry) =
+(* span tags for one transaction: the outcome plus what each gate said,
+   recovered from the entry (gate attributions live in the outcome text),
+   and whether the differential run executed the candidate ([ran]),
+   reused the accepted behaviours ([reused]) or never happened *)
+let gate_tags ~exec (e : entry) =
   let outcome, verify, differential =
     match e.eoutcome with
     | Committed _ -> ("committed", "ok", "ok")
@@ -202,16 +210,52 @@ let gate_tags (e : entry) =
       else if starts_with "verifier:" r then ("rolled-back", "fail", "skipped")
       else ("rolled-back", "ok", "mismatch")
   in
-  [ ("outcome", outcome); ("verify", verify); ("differential", differential) ]
+  [ ("outcome", outcome); ("verify", verify); ("differential", differential);
+    ("exec", exec) ]
   @ (match e.einjected with Some d -> [ ("injected", d) ] | None -> [])
 
+(** Run [passes] over [m] transactionally.  [m] is mutated in place; after
+    the call it holds the composition of every {e committed} pass and none
+    of the rolled-back ones.  When [inject] is given, a deterministic fault
+    drawn from seed [inject + pass_index] corrupts each pass's output
+    before the gates run.  The reference behaviour for every differential
+    check is the pristine input module, so the final module is guaranteed
+    behaviourally equal to the original on the configured inputs.
+
+    Reuse rule: the accepted module starts as the pristine one with the
+    reference behaviours, and each commit replaces it with the committed
+    candidate and its behaviours.  A candidate, or the final module, whose
+    {!Ir.Printer.module_str} text equals the accepted text is not executed
+    again; the accepted behaviours go through {!compare_behaviours} with
+    the pass's license in its place.  [runs] and [executed] in the report
+    count the runs asked for and the ones executed; every reused run adds
+    to the [pipeline.exec_reused] counter. *)
 let run ?(config = default_config) ?inject (m : Irmod.t) (passes : pass list) : report =
   Trace.touch "obs.trace_compares";
   Trace.touch "obs.reorders_rejected";
   Trace.touch "obs.events";
-  let reference =
-    Trace.span ~cat:"pipeline" "pipeline.reference" (fun () -> behaviours config m)
+  Trace.touch "pipeline.exec_reused";
+  let runs = ref 0 and executed = ref 0 in
+  (* the behaviours of [m] as it stands, with its text and whether they
+     were executed or reused from the accepted module [(text, behaviours)] *)
+  let observe (accepted_text, accepted) =
+    let text = Printer.module_str m in
+    let n = List.length config.inputs in
+    runs := !runs + n;
+    if String.equal text accepted_text then begin
+      Trace.add "pipeline.exec_reused" n;
+      (text, accepted, "reused")
+    end
+    else begin
+      executed := !executed + n;
+      (text, behaviours config m, "ran")
+    end
   in
+  let reference_text, reference, _ =
+    (* nothing is accepted yet, and no module prints as the empty text *)
+    Trace.span ~cat:"pipeline" "pipeline.reference" (fun () -> observe ("", []))
+  in
+  let accepted = ref (reference_text, reference) in
   (* the license a gate must grant grows with each committed pass: the
      candidate carries every committed commutation, so the gate compares
      under the join of those licenses and the current pass's own *)
@@ -240,7 +284,8 @@ let run ?(config = default_config) ?inject (m : Irmod.t) (passes : pass list) : 
         emeta = [];
       }
     in
-    let commit summary =
+    let commit summary candidate =
+      accepted := candidate;
       (* the change is in: strip embedded artifacts it invalidated, so no
          consumer downstream of this commit can reload stale analysis *)
       let emeta =
@@ -258,35 +303,36 @@ let run ?(config = default_config) ?inject (m : Irmod.t) (passes : pass list) : 
         emeta;
       }
     in
-    let entry =
+    let entry, exec =
       match applied with
-      | Error exn -> rollback (Rolled_back ("pass raised: " ^ exn))
+      | Error exn -> (rollback (Rolled_back ("pass raised: " ^ exn)), "skipped")
       | Ok summary -> (
         match Verify.check m with
-        | Error msg -> rollback (Rolled_back ("verifier: " ^ msg))
-        | Ok () -> (
-          match compare_behaviours ~license config reference (behaviours config m) with
-          | `Equal -> commit summary
-          | `Timed_out msg -> rollback (Timed_out msg)
-          | `Mismatch (msg, witness) ->
-            rollback ~trace_diff:witness (Rolled_back ("differential: " ^ msg))))
+        | Error msg -> (rollback (Rolled_back ("verifier: " ^ msg)), "skipped")
+        | Ok () ->
+          let text, cand, exec = observe !accepted in
+          ( (match compare_behaviours ~license config reference cand with
+            | `Equal -> commit summary (text, cand)
+            | `Timed_out msg -> rollback (Timed_out msg)
+            | `Mismatch (msg, witness) ->
+              rollback ~trace_diff:witness (Rolled_back ("differential: " ^ msg))),
+            exec ))
     in
     (match entry.eoutcome with
     | Committed _ -> Trace.incr_m "pipeline.committed"
     | Rolled_back _ -> Trace.incr_m "pipeline.rolled_back"
     | Timed_out _ -> Trace.incr_m "pipeline.timed_out");
-    Trace.end_span ~args:(gate_tags entry) sp;
+    Trace.end_span ~args:(gate_tags ~exec entry) sp;
     entry
   in
   let entries = List.mapi run_pass passes in
   let final_ok =
     (match Verify.check m with Ok () -> true | Error _ -> false)
-    && compare_behaviours ~license:!committed_license config reference
-         (behaviours config m)
-       = `Equal
+    && (let _, final, _ = observe !accepted in
+        compare_behaviours ~license:!committed_license config reference final = `Equal)
     && (not config.verify_meta_gate || Trust.failures (Trust.audit m) = [])
   in
-  { entries; final_ok }
+  { entries; final_ok; runs = !runs; executed = !executed }
 
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                           *)
@@ -319,8 +365,11 @@ let report_to_string (r : report) =
       List.iter (fun l -> Buffer.add_string b ("    " ^ l ^ "\n")) e.ediff)
     r.entries;
   Buffer.add_string b
-    (Printf.sprintf "pipeline: %d committed, %d rolled back; final module %s\n"
+    (Printf.sprintf
+       "pipeline: %d committed, %d rolled back; %d of %d differential runs \
+        executed; final module %s\n"
        (List.length (committed r))
        (List.length (rolled_back r))
+       r.executed r.runs
        (if r.final_ok then "OK (verified, behaviour preserved)" else "NOT OK"));
   Buffer.contents b

@@ -112,6 +112,18 @@ let escape_sites ?(entry = "main") (m : Irmod.t) : sites =
 (* Recorder                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(** Escaped objects keyed by base address: [(name, size in words)].  The
+    interpreter allocates with a bump pointer, so each object starts at or
+    past the end of every object below it, and the greatest base at or
+    below an address is the only object that can cover it. *)
+module Objects = Map.Make (Int)
+
+(** The object covering [addr], as [(base, name)]: O(log n) per query. *)
+let covering objs addr =
+  match Objects.find_last_opt (fun base -> base <= addr) objs with
+  | Some (base, (name, size)) when addr < base + size -> Some (base, name)
+  | _ -> None
+
 type recorder = {
   mutable rev : event list;   (** newest first *)
   mutable count : int;
@@ -121,7 +133,7 @@ type recorder = {
   mutable section : int;
   seq_tasks : (int, unit) Hashtbl.t;
       (** tasks currently inside a Helix sequential segment *)
-  escaped : (int, string * int) Hashtbl.t;  (** base -> (name, size) *)
+  mutable escaped : (string * int) Objects.t;  (** base -> (name, size) *)
   mutable heap_ordinal : int;
   observable : (string, unit) Hashtbl.t;    (** builtins that count as I/O *)
 }
@@ -150,14 +162,6 @@ let emit r act =
     r.count <- r.count + 1
   end
 
-let covering r addr =
-  Hashtbl.fold
-    (fun base (name, size) acc ->
-      match acc with
-      | Some _ -> acc
-      | None -> if addr >= base && addr < base + size then Some (base, name) else None)
-    r.escaped None
-
 (** Render a value for an event.  Pointers are object-relative so traces
     compare across modules with different allocation order. *)
 let render r (v : Interp.v) =
@@ -166,7 +170,7 @@ let render r (v : Interp.v) =
   | Interp.VF f -> Printf.sprintf "%.6g" f
   | Interp.VP 0 -> "null"
   | Interp.VP p -> (
-    match covering r p with
+    match covering r.escaped p with
     | Some (base, name) ->
       if p = base then "&" ^ name else Printf.sprintf "&%s+%d" name (p - base)
     | None -> "&_")
@@ -186,7 +190,7 @@ let attach ?(observable = default_observable) ?sites (st : Interp.state) :
       task = -1;
       section = -1;
       seq_tasks = Hashtbl.create 4;
-      escaped = Hashtbl.create 16;
+      escaped = Objects.empty;
       heap_ordinal = 0;
       observable = Hashtbl.create 4;
     }
@@ -200,7 +204,7 @@ let attach ?(observable = default_observable) ?sites (st : Interp.state) :
         | Some (a : Interp.alloc) -> a.Interp.size
         | None -> 1
       in
-      Hashtbl.replace r.escaped base ("@" ^ g, size))
+      r.escaped <- Objects.add base ("@" ^ g, size) r.escaped)
     st.Interp.global_addr;
   let sites = match sites with Some s -> s | None -> (Hashtbl.create 1 : sites) in
   let h = st.Interp.hooks in
@@ -225,7 +229,7 @@ let attach ?(observable = default_observable) ?sites (st : Interp.state) :
         | Some site when Hashtbl.mem sites site ->
           let name = Printf.sprintf "heap#%d" r.heap_ordinal in
           r.heap_ordinal <- r.heap_ordinal + 1;
-          Hashtbl.replace r.escaped base (name, size)
+          r.escaped <- Objects.add base (name, size) r.escaped
         | _ -> ());
         last_site := None);
   let prev_store = h.Interp.on_store in
@@ -233,7 +237,7 @@ let attach ?(observable = default_observable) ?sites (st : Interp.state) :
     Some
       (fun f i ~addr ~value ->
         (match prev_store with Some g -> g f i ~addr ~value | None -> ());
-        match covering r addr with
+        match covering r.escaped addr with
         | Some (base, name) ->
           emit r
             (Store { sobj = name; soff = addr - base; svalue = render r value })

@@ -12,10 +12,15 @@ let verify_func ?(m : Irmod.t option) (f : Func.t) =
   if f.Func.is_declaration then ()
   else begin
     if f.Func.blocks = [] then failv "%s: no blocks" f.Func.fname;
-    (* block structure *)
+    (* block structure; labels are unique, so the printed text names every
+       branch target unambiguously *)
+    let labels = Hashtbl.create 16 in
     List.iter
       (fun bid ->
         let b = Func.block f bid in
+        if Hashtbl.mem labels b.Func.label then
+          failv "%s: duplicate block label %s" f.Func.fname b.Func.label;
+        Hashtbl.replace labels b.Func.label ();
         (match List.rev b.Func.insts with
         | [] -> failv "%s/%s: empty block" f.Func.fname b.Func.label
         | last :: _ ->

@@ -315,6 +315,61 @@ let test_counters_registered () =
     (fun c -> checkb (c ^ " registered") (List.mem c names))
     [ "obs.events"; "obs.trace_compares" ]
 
+(* The recorder's escaped-object lookup against the linear scan it
+   replaced: a hash table of base -> (name, size), folded over in full.  On
+   bump-allocated objects (each starts at or past the end of the one
+   below) both must agree at every address, zero-size objects included. *)
+let linear_covering tbl addr =
+  Hashtbl.fold
+    (fun base (name, size) acc ->
+      match acc with
+      | Some _ -> acc
+      | None -> if addr >= base && addr < base + size then Some (base, name) else None)
+    tbl None
+
+let check_lookup label objs =
+  let tbl = Hashtbl.create 16 in
+  let map =
+    List.fold_left
+      (fun map (base, name, size) ->
+        Hashtbl.replace tbl base (name, size);
+        Obs.Objects.add base (name, size) map)
+      Obs.Objects.empty objs
+  in
+  let top = List.fold_left (fun t (b, _, s) -> max t (b + s)) 0 objs in
+  let probes =
+    List.concat_map (fun (b, _, s) -> [ b - 1; b; b + s - 1; b + s ]) objs
+    @ List.init (top + 3) Fun.id
+  in
+  List.iter
+    (fun addr ->
+      if Obs.covering map addr <> linear_covering tbl addr then
+        Alcotest.failf "%s: lookups disagree at address %d" label addr)
+    probes
+
+let test_object_lookup () =
+  check_lookup "empty" [];
+  check_lookup "one object" [ (16, "a", 4) ];
+  check_lookup "zero-size objects"
+    [ (16, "z0", 0); (17, "a", 3); (20, "z1", 0); (21, "z2", 0); (22, "b", 1) ];
+  check_lookup "zero-size object replaces" [ (16, "a", 4); (16, "z", 0); (20, "b", 2) ];
+  (* randomized: bump-allocated bases with gaps, sizes 0-5, inserted in
+     shuffled order *)
+  for seed = 1 to 200 do
+    let rng = Random.State.make [| seed |] in
+    let base = ref (16 + Random.State.int rng 4) in
+    let objs =
+      List.init (Random.State.int rng 12) (fun k ->
+          let size = Random.State.int rng 6 in
+          let o = (!base, Printf.sprintf "o%d" k, size) in
+          base := !base + max size 1 + Random.State.int rng 3;
+          o)
+      |> List.map (fun o -> (Random.State.bits rng, o))
+      |> List.sort compare |> List.map snd
+    in
+    check_lookup (Printf.sprintf "seed %d" seed) objs
+  done
+
 let suite =
   [
     tc "obs: trace shape and escape filtering" test_trace_shape;
@@ -330,4 +385,5 @@ let suite =
     tc "obs: parallelizers clear the trace gate" test_parallelizers_pass_trace_gate;
     tc "obs: psim replay validation" test_psim_replay_validation;
     tc "obs: telemetry counters registered" test_counters_registered;
+    tc "obs: ordered object lookup matches the linear scan" test_object_lookup;
   ]

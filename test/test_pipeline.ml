@@ -145,6 +145,14 @@ entry:
   in
   expect_invalid ~frag:"not dominated by its def" m2
 
+let test_verifier_duplicate_label () =
+  (* two blocks may not print under one label: the text would no longer
+     say which of them a branch targets *)
+  let m = parse loop_ir in
+  let f = Irmod.func m "main" in
+  (Func.block f (List.nth f.Func.blocks 2)).Func.label <- "loop";
+  expect_invalid ~frag:"duplicate block label loop" m
+
 (* ------------------------------------------------------------------ *)
 (* Transactional pipeline                                              *)
 (* ------------------------------------------------------------------ *)
@@ -267,6 +275,151 @@ let test_pipeline_injected_sweep () =
   checkb "the sweep exercised at least one rollback" (!rollbacks > 0)
 
 (* ------------------------------------------------------------------ *)
+(* One execution per distinct module                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* [config] with an executor that counts its calls *)
+let counting ?(config = small_config) () =
+  let count = ref 0 in
+  let exec m ~args ~fuel =
+    incr count;
+    config.Noelle.Pipeline.exec m ~args ~fuel
+  in
+  ({ config with Noelle.Pipeline.exec }, count)
+
+let noop name : Noelle.Pipeline.pass =
+  { Noelle.Pipeline.pname = name; papply = (fun _ -> "no change"); plicense = Obs.Exact }
+
+let outcome_is what (e : Noelle.Pipeline.entry) =
+  match (what, e.Noelle.Pipeline.eoutcome) with
+  | `Committed, Noelle.Pipeline.Committed _ -> true
+  | `Differential, Noelle.Pipeline.Rolled_back r -> contains r "differential"
+  | _ -> false
+
+let test_noops_execute_once () =
+  let m = compile loopy_src in
+  let config, count = counting () in
+  Noelle.Telemetry.install ();
+  let r, reused =
+    Fun.protect
+      ~finally:(fun () ->
+        Noelle.Telemetry.uninstall ();
+        Noelle.Telemetry.reset ())
+      (fun () ->
+        let r = Noelle.Pipeline.run ~config m [ noop "a"; noop "b" ] in
+        (r, Noelle.Telemetry.counter "pipeline.exec_reused"))
+  in
+  checki "pipeline.exec_reused counts the skipped runs" 3 (Int64.to_int reused);
+  checkb "both no-ops committed"
+    (List.for_all (outcome_is `Committed) r.Noelle.Pipeline.entries);
+  checkb "final ok" r.Noelle.Pipeline.final_ok;
+  checki "only the reference executed, final check included" 1 !count;
+  checki "report: executed" 1 r.Noelle.Pipeline.executed;
+  checki "report: runs asked for" 4 r.Noelle.Pipeline.runs;
+  checkb "summary line counts the runs"
+    (contains (Noelle.Pipeline.report_to_string r) "1 of 4 differential runs executed")
+
+(* renames the last block: a new text, the same behaviour *)
+let relabel : Noelle.Pipeline.pass =
+  {
+    Noelle.Pipeline.pname = "relabel";
+    papply =
+      (fun m ->
+        let f = Irmod.func m "main" in
+        let b = Func.block f (List.nth f.Func.blocks (List.length f.Func.blocks - 1)) in
+        b.Func.label <- b.Func.label ^ ".renamed";
+        "renamed " ^ b.Func.label);
+    plicense = Obs.Exact;
+  }
+
+let test_rollback_then_noop_reuses_accepted () =
+  let m = compile loopy_src in
+  let config, count = counting () in
+  let r =
+    Noelle.Pipeline.run ~config m
+      [ relabel; corrupting_pass Faultgen.Drop_store; noop "after" ]
+  in
+  (match r.Noelle.Pipeline.entries with
+  | [ a; b; c ] ->
+    checkb "relabel committed" (outcome_is `Committed a);
+    checkb "dropped store rolled back by the differential gate"
+      (outcome_is `Differential b);
+    (* reusing the rejected candidate's behaviours would roll this back;
+       re-executing it, or keying on the pristine text, would count 4 *)
+    checkb "no-op committed" (outcome_is `Committed c)
+  | es -> Alcotest.failf "expected 3 entries, got %d" (List.length es));
+  checkb "final ok" r.Noelle.Pipeline.final_ok;
+  checki "reference, relabel and the rejected candidate executed" 3 !count
+
+let test_one_ulp_change_reexecutes () =
+  let m =
+    parse
+      {|
+define i64 @main() {
+entry:
+  %1 = fadd 1.5, 0.25
+  call.void @print_float(%1)
+  ret 0
+}
+declare void @print_float(f64 %x)
+|}
+  in
+  let nudge : Noelle.Pipeline.pass =
+    {
+      Noelle.Pipeline.pname = "nudge";
+      papply =
+        (fun m ->
+          Func.iter_insts
+            (fun i ->
+              match i.Instr.op with
+              | Instr.Fbin (o, Instr.Cfloat x, b) ->
+                i.Instr.op <- Instr.Fbin (o, Instr.Cfloat (Float.succ x), b)
+              | _ -> ())
+            (Irmod.func m "main");
+          "moved a constant by one ulp");
+      plicense = Obs.Exact;
+    }
+  in
+  let config, count = counting () in
+  let r = Noelle.Pipeline.run ~config m [ nudge ] in
+  checki "the nudged module executed too" 2 !count;
+  checki "report agrees" 2 r.Noelle.Pipeline.executed;
+  checkb "final ok" r.Noelle.Pipeline.final_ok
+
+let test_injected_noop_still_executes () =
+  let differential = ref 0 in
+  List.iter
+    (fun seed ->
+      let m = compile loopy_src in
+      let config, count = counting () in
+      let r = Noelle.Pipeline.run ~config ~inject:seed m [ noop "victim" ] in
+      checkb (Printf.sprintf "seed %d: final ok" seed) r.Noelle.Pipeline.final_ok;
+      match r.Noelle.Pipeline.entries with
+      | [ e ] when outcome_is `Differential e ->
+        incr differential;
+        checki (Printf.sprintf "seed %d: the corrupted no-op executed" seed) 2 !count
+      | [ e ] when e.Noelle.Pipeline.einjected = None ->
+        checki (Printf.sprintf "seed %d: nothing injected, nothing run" seed) 1 !count
+      | _ -> ())
+    [ 1; 2; 3; 4; 5; 6; 7; 8 ];
+  checkb "a fault reached the differential gate" (!differential > 0)
+
+let test_standard_stack_exec_counts () =
+  List.iter
+    (fun (name, expected) ->
+      let k = Option.get (Bsuite.Kernels.find name) in
+      let m = Bsuite.Kernels.compile k in
+      let p, _ = Noelle.Profiler.run ~fuel:k.Bsuite.Kernels.fuel m in
+      Noelle.Profiler.embed p m;
+      let r =
+        Ntools.Passes.run_standard ~fuel:(4 * k.Bsuite.Kernels.fuel) ~vec:true m
+      in
+      checkb (name ^ ": final ok") r.Noelle.Pipeline.final_ok;
+      checki (name ^ ": differential runs asked for") 8 r.Noelle.Pipeline.runs;
+      checki (name ^ ": differential runs executed") expected r.Noelle.Pipeline.executed)
+    [ ("patricia", 1); ("blackscholes", 4) ]
+
+(* ------------------------------------------------------------------ *)
 (* Analysis budgets                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -378,11 +531,17 @@ let suite =
     tc "verifier rejects mid-block terminator" test_verifier_mid_terminator;
     tc "verifier rejects phi mismatch" test_verifier_phi_mismatch;
     tc "verifier rejects use-before-def" test_verifier_use_before_def;
+    tc "verifier rejects duplicate labels" test_verifier_duplicate_label;
     tc "pipeline rolls back structural faults" test_pipeline_rolls_back_structural;
     tc "pipeline rolls back semantic faults" test_pipeline_rolls_back_semantic;
     tc "pipeline commits good passes" test_pipeline_commits_good_pass;
     tc "pipeline times out runaway passes" test_pipeline_times_out;
     tc "pipeline injected-fault sweep" test_pipeline_injected_sweep;
+    tc "pipeline no-ops execute once" test_noops_execute_once;
+    tc "pipeline rollback then no-op reuses accepted" test_rollback_then_noop_reuses_accepted;
+    tc "pipeline one-ulp change re-executes" test_one_ulp_change_reexecutes;
+    tc "pipeline injected no-op still executes" test_injected_noop_still_executes;
+    tc "pipeline standard stack exec counts" test_standard_stack_exec_counts;
     tc "analysis budget degrades gracefully" test_analysis_budget_degrades;
     tc "budgeted pipeline stays correct" test_budgeted_pipeline_still_correct;
     tc "psim fault-free resilient run" test_psim_no_fault;
