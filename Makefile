@@ -1,4 +1,4 @@
-.PHONY: check build test faultcheck gates trace serve slo bench-json bench-regress perfbench-smoke
+.PHONY: check build test faultcheck gates trace serve bench-json bench-regress perfbench-smoke
 
 build:
 	dune build
@@ -29,28 +29,30 @@ gates: build
 # kernel; the trace must round-trip through the repo's own JSON parser and
 # carry spans from at least 3 layers (analyses, pipeline passes, psim tasks)
 trace: build
-	dune exec bin/noelle_trace.exe -- --kernel histogram --check \
-	  --serve-metrics serve_metrics.json -q
+	dune exec bin/noelle_trace.exe -- --kernel histogram --check -q
 
-# analysis-as-a-service gates (DESIGN.md §14): workload replay must answer
-# from the persistent store across a process restart; the 50-seed
+# analysis-as-a-service gates (DESIGN.md §14, §15).  Replay (seed 0, 3
+# modules, 150 requests) must answer from the persistent store across a
+# process restart, and the same two runs are the SLO gate: their per-kind
+# p50/p95/p99/p999 request latencies are printed, written to
+# slo_report.txt and slo.prom, and checked against the budgets in slo.json
+# (plus max shed % and deadline misses).  The negative leg proves the SLO
+# can fail for its own reason: with a 1us budget the replay must exit
+# exactly 1 with VIOLATION lines on stderr.  Overload must shed to
+# conservative (never wrong) degraded answers; the 50-seed
 # kill-and-recover soak must produce answers identical to cold runs with
-# every corrupt artifact quarantined; overload must shed to conservative
-# (never wrong) degraded answers.  The final run leaves serve_metrics.json
-# for noelle-trace --check.
+# every corrupt artifact quarantined.  Each run self-checks its serve.*
+# counters and leaves serve_metrics.json and _serve/flight.json.
 serve: build
-	dune exec bin/noelle_serve.exe -- -q
+	dune exec bin/noelle_serve.exe -- --requests 150 --report slo_report.txt --prom slo.prom
+	@st=0; dune exec bin/noelle_serve.exe -- --requests 150 --p99-budget-us 1 -q \
+	  2>_serve/slo_negative.err || st=$$?; \
+	if [ $$st -ne 1 ] || ! grep -q VIOLATION _serve/slo_negative.err; then \
+	  echo "serve: a 1us p99 budget must exit 1 with VIOLATION lines (exit $$st)"; \
+	  cat _serve/slo_negative.err; exit 1; \
+	fi
 	dune exec bin/noelle_serve.exe -- --overload --requests 200 -q
 	dune exec bin/noelle_serve.exe -- --faults --seeds 50 -q
-
-# SLO gate (DESIGN.md §15): serve a seeded workload under tracing, report
-# p50/p95/p99/p999 request latency per kind, and fail on any violated
-# budget from slo.json (plus max shed % and deadline misses).  The
-# negative leg proves the gate can actually fail: a 1us budget must
-# exit non-zero.  Leaves slo_report.txt and slo.prom for CI artifacts.
-slo: build
-	dune exec bin/noelle_slo.exe -- --report slo_report.txt --prom slo.prom
-	! dune exec bin/noelle_slo.exe -- --p99-budget-us 1 -q 2>/dev/null
 
 # machine-readable benchmark rows (wall ms, counter deltas, derived
 # gauges per kernel), plus the synthetic scaling comparison of the sparse
@@ -88,4 +90,4 @@ perfbench-smoke:
 	python3 perfbench/run.py --workload compile --seed 1 --seconds 3 --trace 0 --plant-error \
 	  | $(PERFBENCH_CHECK) compile planted
 
-check: build test faultcheck gates serve trace slo bench-regress
+check: build test faultcheck gates serve trace bench-regress

@@ -1211,14 +1211,6 @@ let bounds_section () =
 (* Serve: analysis-as-a-service store, recovery, shedding (§14)         *)
 (* ------------------------------------------------------------------ *)
 
-let serve_corpus mods =
-  List.filter_map
-    (fun name ->
-      match Bsuite.Kernels.find name with
-      | Some k when List.mem name mods -> Some (name, Bsuite.Kernels.compile k)
-      | _ -> None)
-    Serve.Workload.default_pool
-
 (** Derived service metrics (rates, percentages, percentiles) are
     gauges, not counters: they are remeasured each run rather than
     accumulated, and [--compare] gives them a ratio tolerance where
@@ -1235,13 +1227,11 @@ let serve_section () =
   bench_row "serve-replay" (fun () ->
       let mods = Serve.Workload.pick_modules ~seed:0 ~count:4 in
       let w = Serve.Workload.generate ~seed:0 ~mods ~requests:150 in
-      let rroot = Filename.concat root "replay" in
-      let sv = Serve.create ~root:rroot (serve_corpus mods) in
-      let r1 = Serve.run sv w () in
-      Serve.Store.close sv.Serve.store;
-      let sv2 = Serve.create ~root:rroot (serve_corpus mods) in
-      let r2 = Serve.run sv2 w () in
-      Serve.Store.close sv2.Serve.store;
+      let r1, r2 =
+        Serve.replay
+          ~corpus_of:(fun () -> Bsuite.Kernels.corpus mods)
+          ~root:(Filename.concat root "replay") w
+      in
       let qps =
         if r2.Serve.rwall_ms <= 0. then 0
         else
@@ -1259,7 +1249,7 @@ let serve_section () =
   bench_row "serve-overload" (fun () ->
       let ok, r =
         Serve.overload
-          ~corpus_of:(fun () -> serve_corpus Serve.Workload.default_pool)
+          ~corpus_of:(fun () -> Bsuite.Kernels.corpus Serve.Workload.default_pool)
           ~root ~seed:0 ~modules:3 ~requests:200 ()
       in
       serve_metric "serve.bench.shed_pct" (100 * r.Serve.rshed / max 1 r.Serve.rqueries);
@@ -1273,7 +1263,7 @@ let serve_section () =
   bench_row "serve-recovery" (fun () ->
       let _, stats, _ =
         Serve.soak
-          ~corpus_of:(fun () -> serve_corpus Serve.Workload.default_pool)
+          ~corpus_of:(fun () -> Bsuite.Kernels.corpus Serve.Workload.default_pool)
           ~root:(Filename.concat root "soak") ~seeds:10 ~modules:3
           ~requests:40
           ~progress:(fun _ -> ())
@@ -1296,45 +1286,39 @@ let serve_section () =
 (* SLO: request latency percentiles and tracing overhead (§15)          *)
 (* ------------------------------------------------------------------ *)
 
-let slo_kinds = [ "edit"; "deps"; "bounds"; "loops" ]
-
 let slo_section () =
   banner "SLO: request latency percentiles and tracing overhead";
   let root = "_serve/benchslo" in
   Serve.Store.remove_tree root;
   let mods = Serve.Workload.pick_modules ~seed:0 ~count:3 in
   let w = Serve.Workload.generate ~seed:0 ~mods ~requests:150 in
-  (* cold run then warm restart, same shape as noelle-slo: the measured
+  (* cold run then warm restart, noelle-serve's replay: the measured
      distribution covers both the recompute-heavy and store-hit regimes *)
   let run_once sub =
-    let rroot = Filename.concat root sub in
-    Serve.Store.remove_tree rroot;
-    let sv = Serve.create ~root:rroot (serve_corpus mods) in
-    let r1 = Serve.run sv w () in
-    Serve.Store.close sv.Serve.store;
-    let sv2 = Serve.create ~root:rroot (serve_corpus mods) in
-    let r2 = Serve.run sv2 w () in
-    Serve.Store.close sv2.Serve.store;
+    let r1, r2 =
+      Serve.replay
+        ~corpus_of:(fun () -> Bsuite.Kernels.corpus mods)
+        ~root:(Filename.concat root sub) w
+    in
     r1.Serve.rwall_ms +. r2.Serve.rwall_ms
   in
   bench_row "slo-replay" (fun () ->
-      ignore (run_once "measure");
+      (* percentiles of this replay alone, not of earlier sections' traffic *)
+      let _, window = Serve.Slo.measure (fun () -> run_once "measure") in
+      if window.rows = [] then
+        Printf.printf "  (no samples: tracing off)\n";
       List.iter
-        (fun kind ->
-          match Ir.Trace.histogram ("serve.latency_us." ^ kind) with
-          | Some h when h.Ir.Trace.hcount > 0 ->
-            List.iter
-              (fun (qn, qv) ->
-                serve_metric
-                  (Printf.sprintf "serve.bench.slo.%s.%s" kind qn)
-                  (Int64.to_int (Ir.Trace.quantile h qv)))
-              [ ("p50_us", 0.5); ("p95_us", 0.95); ("p99_us", 0.99);
-                ("p999_us", 0.999) ];
-            Printf.printf "  %-8s count=%-5d p50=%Ldus p99=%Ldus p999=%Ldus\n"
-              kind h.Ir.Trace.hcount (Ir.Trace.quantile h 0.5)
-              (Ir.Trace.quantile h 0.99) (Ir.Trace.quantile h 0.999)
-          | _ -> Printf.printf "  %-8s (no samples: tracing off)\n" kind)
-        slo_kinds);
+        (fun (r : Serve.Slo.row) ->
+          List.iter
+            (fun (qn, qv) ->
+              serve_metric
+                (Printf.sprintf "serve.bench.slo.%s.%s" r.kind qn)
+                (Int64.to_int qv))
+            [ ("p50_us", r.p50); ("p95_us", r.p95); ("p99_us", r.p99);
+              ("p999_us", r.p999) ];
+          Printf.printf "  %-8s count=%-5d p50=%Ldus p99=%Ldus p999=%Ldus\n"
+            r.kind r.count r.p50 r.p99 r.p999)
+        window.rows);
   (* the SLO story only holds if observability itself is cheap: replay
      the workload with the trace sink on vs off and gauge the delta *)
   bench_row "slo-overhead" (fun () ->

@@ -385,10 +385,10 @@ let must_vectorize = [ "jpeg-dct"; "lbm"; "blackscholes" ]
 
 let vec_kernel (ctx : H.ctx) (k : H.kernel) =
   let m = H.compile k in
-  let before = Noelle.Telemetry.counter "vec.vectorized" in
+  let before = Ir.Trace.counter "vec.vectorized" in
   let outcomes = Ntools.Vec.run (Noelle.create m) m ~only_best:false () in
   let stats = List.filter_map (fun (_, r) -> Result.to_option r) outcomes in
-  let delta = Int64.sub (Noelle.Telemetry.counter "vec.vectorized") before in
+  let delta = Int64.sub (Ir.Trace.counter "vec.vectorized") before in
   if stats <> [] then begin
     (match Ir.Verify.check m with
     | Ok () -> ()

@@ -1,5 +1,5 @@
 (** noelle-serve — the analysis service loop over a kernel corpus
-    (DESIGN.md §14).
+    (DESIGN.md §14, §15).
 
     Three modes, all driven by deterministic generated workloads of
     interleaved module edits and analysis queries:
@@ -8,7 +8,13 @@
       (fresh managers, pristine corpus, same store) and serve it again —
       the second run must answer partly from the persistent store, and
       never stale: functions edited in run 1 fingerprint-miss and are
-      recomputed.
+      recomputed.  The replay is also the SLO gate: the per-kind
+      [serve.latency_us.*] percentiles of exactly these two runs are
+      printed as a table (optionally written as text and as a
+      Prometheus exposition) and checked against the spec ([--slo]:
+      per-kind p99 budgets, max shed %, max deadline misses).
+      [--p99-budget-us N] overrides every kind's budget, which is how the
+      negative leg deliberately violates the SLO.
     - [--faults]: the kill-and-recover soak gate.  For each of
       [--seeds] seeds, a fault plan ({!Ir.Faultgen.serve_plan}) arms
       kills-mid-write, artifact truncation, bit flips and shard stalls
@@ -23,22 +29,17 @@
 
     Every mode runs under the telemetry spine, self-checks that the
     [serve.*] counters are registered, and writes a metrics dump
-    ([serve_metrics.json]) for [noelle-trace --check --serve-metrics]. *)
+    ([serve_metrics.json]) and the flight ring ([<store-root>/flight.json]).
+    Exit 0 when every gate holds, 1 when one fails (an SLO violation
+    prints [VIOLATION] lines on stderr), 2 on an unreadable or malformed
+    SLO spec. *)
 
 open Cmdliner
 
 let say quiet fmt =
   Printf.ksprintf (fun s -> if not quiet then print_string s) fmt
 
-let corpus_of () =
-  List.map
-    (fun name ->
-      match Bsuite.Kernels.find name with
-      | Some k -> (name, Bsuite.Kernels.compile k)
-      | None ->
-        Printf.eprintf "noelle-serve: pool kernel %S missing\n" name;
-        exit 2)
-    Serve.Workload.default_pool
+let corpus_of () = Bsuite.Kernels.corpus Serve.Workload.default_pool
 
 let required_counters =
   [ "serve.requests"; "serve.queries"; "serve.edits"; "serve.store.hits";
@@ -46,7 +47,7 @@ let required_counters =
     "serve.recoveries"; "serve.quarantined"; "serve.flight.replayed" ]
 
 let check_counters () =
-  let names = List.map fst (Noelle.Telemetry.metrics ()) in
+  let names = List.map fst (Ir.Trace.metrics ()) in
   let missing = List.filter (fun c -> not (List.mem c names)) required_counters in
   if missing <> [] then begin
     Printf.eprintf "noelle-serve: serve.* counters missing: %s\n"
@@ -71,15 +72,17 @@ let print_report quiet tag (r : Serve.report) =
 (* Default mode: replay + warm restart                                 *)
 (* ------------------------------------------------------------------ *)
 
-let replay ~root ~seed ~modules ~requests ~quiet =
+let replay ~root ~seed ~modules ~requests ~spec ~report_out ~prom_out ~quiet =
   let mods = Serve.Workload.pick_modules ~seed ~count:modules in
   let w = Serve.Workload.generate ~seed ~mods ~requests in
-  let run_root = Filename.concat root (Printf.sprintf "replay%d" seed) in
-  Serve.Store.remove_tree run_root;
   say quiet "corpus: %s | %d requests (seed %d)\n" (String.concat ", " mods)
     requests seed;
-  let sv = Serve.create ~root:run_root (List.filter (fun (n, _) -> List.mem n mods) (corpus_of ())) in
-  let r1 = Serve.run sv w () in
+  let (r1, r2), window =
+    Serve.Slo.measure (fun () ->
+        Serve.replay ~corpus_of
+          ~root:(Filename.concat root (Printf.sprintf "replay%d" seed))
+          w)
+  in
   (* transcript of the first few requests *)
   List.iteri
     (fun i (a : Serve.answer) ->
@@ -87,15 +90,7 @@ let replay ~root ~seed ~modules ~requests ~quiet =
       else if i = 12 then say quiet "  ... (%d more)\n" (requests - 12))
     r1.Serve.ranswers;
   print_report quiet "run 1 (cold store)" r1;
-  Serve.Store.close sv.Serve.store;
-  (* "process restart": fresh managers, pristine corpus, same store *)
-  let sv2 =
-    Serve.create ~root:run_root
-      (List.filter (fun (n, _) -> List.mem n mods) (corpus_of ()))
-  in
-  let r2 = Serve.run sv2 w () in
   print_report quiet "run 2 (warm store)" r2;
-  Serve.Store.close sv2.Serve.store;
   let ok =
     r1.Serve.rserved = requests && r2.Serve.rserved = requests
     && r2.Serve.rhits > r1.Serve.rhits
@@ -106,7 +101,21 @@ let replay ~root ~seed ~modules ~requests ~quiet =
       "noelle-serve: replay gate failed (run2 hits %d must exceed run1 hits \
        %d, no shedding)\n"
       r2.Serve.rhits r1.Serve.rhits;
-  ok
+  let tbl = Serve.Slo.table window in
+  say quiet "%s" tbl;
+  say quiet "shed=%.1f%% deadline-misses=%d\n" window.Serve.Slo.shed_pct
+    window.Serve.Slo.deadline_misses;
+  Option.iter (fun p -> Noelle.Telemetry.write_file p tbl) report_out;
+  Option.iter
+    (fun p -> Noelle.Telemetry.write_file p (Serve.Slo.prometheus window))
+    prom_out;
+  match Serve.Slo.evaluate spec window with
+  | [] ->
+    say quiet "slo: ok (%d kinds within budget)\n" (List.length window.Serve.Slo.rows);
+    ok
+  | violations ->
+    List.iter (Printf.eprintf "noelle-serve: VIOLATION: %s\n") violations;
+    false
 
 (* ------------------------------------------------------------------ *)
 (* Soak and overload gates                                             *)
@@ -153,13 +162,12 @@ let overload ~root ~seed ~modules ~requests ~quiet =
 
 (* ------------------------------------------------------------------ *)
 
-let run faults over seeds seed modules requests root metrics_out quiet =
-  Noelle.Telemetry.install ();
+(** Run one gate under the telemetry spine, then check the counters and
+    leave the metrics dump and the flight ring behind. *)
+let under_telemetry ~root ~metrics_out ~quiet (gate : unit -> bool) =
+  Ir.Trace.enable ();
   let ok =
-    try
-      if faults then soak ~root ~seeds ~modules ~requests ~quiet
-      else if over then overload ~root ~seed ~modules ~requests ~quiet
-      else replay ~root ~seed ~modules ~requests ~quiet
+    try gate ()
     with e ->
       (* trap: preserve the flight ring for post-mortem before dying *)
       let p = Serve.dump_flight root in
@@ -174,8 +182,31 @@ let run faults over seeds seed modules requests root metrics_out quiet =
   let flight = Serve.dump_flight root in
   say quiet "wrote %s and %s (%d flight events)\n" metrics_out flight
     (List.length (Ir.Trace.flight_events ()));
-  Noelle.Telemetry.uninstall ();
+  Ir.Trace.disable ();
   if ok && counters_ok then 0 else 1
+
+let run faults over seeds seed modules requests root metrics_out slo_path
+    report_out prom_out budget_override quiet =
+  let gate = under_telemetry ~root ~metrics_out ~quiet in
+  if faults then gate (fun () -> soak ~root ~seeds ~modules ~requests ~quiet)
+  else if over then gate (fun () -> overload ~root ~seed ~modules ~requests ~quiet)
+  else
+    (* the spec is read, and a malformed one refused, before serving *)
+    match Serve.Slo.load slo_path with
+    | Error e ->
+      Printf.eprintf "noelle-serve: SLO spec %s\n" e;
+      2
+    | Ok spec ->
+      let spec =
+        match budget_override with
+        | Some us ->
+          { spec with
+            Serve.Slo.p99_us =
+              List.map (fun (k, _) -> (k, Int64.of_int us)) spec.Serve.Slo.p99_us }
+        | None -> spec
+      in
+      gate (fun () ->
+          replay ~root ~seed ~modules ~requests ~spec ~report_out ~prom_out ~quiet)
 
 let faults =
   Arg.(value & flag & info [ "faults" ]
@@ -203,14 +234,29 @@ let root =
 let metrics_out =
   Arg.(value & opt string "serve_metrics.json" & info [ "metrics" ]
          ~docv:"OUT.json" ~doc:"where to write the metrics-registry dump")
+let slo_path =
+  Arg.(value & opt string "slo.json" & info [ "slo" ] ~docv:"FILE.json"
+         ~doc:"replay mode: the SLO spec (per-kind p99 budgets, max shed %, \
+               max deadline misses)")
+let report_out =
+  Arg.(value & opt (some string) None & info [ "report" ] ~docv:"OUT.txt"
+         ~doc:"replay mode: write the percentile table here")
+let prom_out =
+  Arg.(value & opt (some string) None & info [ "prom" ] ~docv:"OUT.prom"
+         ~doc:"replay mode: write a Prometheus text exposition of the \
+               percentiles here")
+let budget_override =
+  Arg.(value & opt (some int) None & info [ "p99-budget-us" ] ~docv:"US"
+         ~doc:"replay mode: override every kind's p99 budget (negative testing)")
 let quiet = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"only report failures")
 
 let cmd =
   Cmd.v
     (Cmd.info "noelle-serve"
        ~doc:"Analysis-as-a-service loop: crash-consistent artifact store, \
-             kill-and-recover soak, overload shedding")
+             latency SLO, kill-and-recover soak, overload shedding")
     Term.(const run $ faults $ over $ seeds $ seed $ modules $ requests $ root
-          $ metrics_out $ quiet)
+          $ metrics_out $ slo_path $ report_out $ prom_out $ budget_override
+          $ quiet)
 
 let () = exit (Cmd.eval' cmd)

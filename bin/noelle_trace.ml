@@ -30,33 +30,10 @@ let compare_cmd a b =
   if differing = 0 then print_endline "no metric changed";
   0
 
-(** The serve loop runs in its own process (noelle-serve), so its
-    counters cannot appear in this process's registry — [--check]
-    validates them from the metrics dump noelle-serve wrote ([make
-    serve] runs before [make trace] in [make check]).  A missing dump is
-    only an error when the path was given explicitly. *)
-let check_serve_metrics ~explicit path : string list =
-  if not (Sys.file_exists path) then
-    if explicit then [ Printf.sprintf "serve metrics dump %s missing" path ]
-    else []
-  else
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    let names = List.map fst (Noelle.Telemetry.parse_metrics s) in
-    List.filter_map
-      (fun c ->
-        if List.mem c names then None
-        else Some (Printf.sprintf "%s (in %s)" c path))
-      [ "serve.requests"; "serve.queries"; "serve.store.hits";
-        "serve.store.writes"; "serve.shed"; "serve.recoveries";
-        "serve.quarantined"; "serve.flight.replayed" ]
-
-let trace_cmd input fuzz_seed kernel inputs fuel out metrics_out check
-    serve_metrics quiet =
+let trace_cmd input fuzz_seed kernel inputs fuel out metrics_out check quiet =
   let m = load input fuzz_seed kernel in
   let inputs = if inputs = [] then [ [] ] else List.map (fun n -> [ n ]) inputs in
-  Noelle.Telemetry.install ();
+  Ir.Trace.enable ();
   let report = Ntools.Passes.run_standard ~inputs ~fuel ~vec:true m in
   if not quiet then print_string (Noelle.Pipeline.report_to_string report);
   Noelle.Telemetry.save_trace out;
@@ -72,11 +49,11 @@ let trace_cmd input fuzz_seed kernel inputs fuel out metrics_out check
   let layers = Noelle.Telemetry.layers_of triples in
   Printf.printf "wrote %s (%d events) and %s (%d metrics)\n" out (List.length triples)
     metrics_out
-    (List.length (Noelle.Telemetry.metrics ()));
+    (List.length (Ir.Trace.metrics ()));
   List.iter (fun (cat, n) -> Printf.printf "  layer %-10s %d spans\n" cat n) layers;
   (* buffer truncation is observable, not silent: say how many events the
      capped buffer dropped (0 in any healthy run) *)
-  Printf.printf "  events dropped: %Ld\n" (Noelle.Telemetry.counter "trace.dropped");
+  Printf.printf "  events dropped: %Ld\n" (Ir.Trace.counter "trace.dropped");
   (* the sparse analysis engine (DESIGN.md §11), the observable-event
      oracle (§12) and the profile-free bounds analysis (§13) must have
      been exercised: their counters are registered
@@ -85,7 +62,7 @@ let trace_cmd input fuzz_seed kernel inputs fuel out metrics_out check
      (with its executed-once reuse) and the Psim replay protocol actually
      ran, so a missing counter means a silent fallback to a slow, stale or
      weaker path *)
-  let metric_names = List.map fst (Noelle.Telemetry.metrics ()) in
+  let metric_names = List.map fst (Ir.Trace.metrics ()) in
   let missing =
     List.filter
       (fun c -> not (List.mem c metric_names))
@@ -99,13 +76,7 @@ let trace_cmd input fuzz_seed kernel inputs fuel out metrics_out check
         "vec.rejected";
         "trace.dropped" ]
   in
-  Noelle.Telemetry.uninstall ();
-  let serve_missing =
-    if check then
-      check_serve_metrics ~explicit:(serve_metrics <> None)
-        (Option.value ~default:"serve_metrics.json" serve_metrics)
-    else []
-  in
+  Ir.Trace.disable ();
   if check && List.length layers < 3 then begin
     Printf.eprintf
       "noelle-trace: expected spans from at least 3 layers, got %d (%s)\n"
@@ -118,16 +89,11 @@ let trace_cmd input fuzz_seed kernel inputs fuel out metrics_out check
       (String.concat ", " missing);
     1
   end
-  else if check && serve_missing <> [] then begin
-    Printf.eprintf "noelle-trace: serve counters missing: %s\n"
-      (String.concat ", " serve_missing);
-    1
-  end
   else if check && not report.Noelle.Pipeline.final_ok then 1
   else 0
 
 let run input pos1 fuzz_seed kernel inputs fuel out metrics_out compare check
-    serve_metrics quiet =
+    quiet =
   if compare then
     match (input, pos1) with
     | Some a, Some b -> compare_cmd a b
@@ -135,8 +101,7 @@ let run input pos1 fuzz_seed kernel inputs fuel out metrics_out compare check
       prerr_endline "noelle-trace: --compare needs two metrics files: A.json B.json";
       2
   else
-    trace_cmd input fuzz_seed kernel inputs fuel out metrics_out check
-      serve_metrics quiet
+    trace_cmd input fuzz_seed kernel inputs fuel out metrics_out check quiet
 
 let input = Arg.(value & pos 0 (some string) None & info [] ~docv:"FILE.ir")
 let pos1 = Arg.(value & pos 1 (some string) None & info [] ~docv:"B.json")
@@ -166,11 +131,6 @@ let check =
          ~doc:"fail unless spans from at least 3 layers are present, the \
                sparse-engine counters are registered, and the pipeline \
                survived its gates (CI smoke mode)")
-let serve_metrics =
-  Arg.(value & opt (some string) None & info [ "serve-metrics" ] ~docv:"FILE.json"
-         ~doc:"with --check, also validate the serve.* counters from this \
-               noelle-serve metrics dump (default serve_metrics.json, \
-               skipped when absent unless given explicitly)")
 let quiet = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"suppress the pipeline report")
 
 let cmd =
@@ -178,6 +138,6 @@ let cmd =
     (Cmd.info "noelle-trace"
        ~doc:"Run the standard pass stack under tracing; export Chrome trace + metrics")
     Term.(const run $ input $ pos1 $ fuzz_seed $ kernel $ inputs $ fuel $ out
-          $ metrics_out $ compare $ check $ serve_metrics $ quiet)
+          $ metrics_out $ compare $ check $ quiet)
 
 let () = exit (Cmd.eval' cmd)

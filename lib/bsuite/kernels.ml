@@ -1008,4 +1008,15 @@ let find name = List.find_opt (fun k -> String.equal k.kname name) all
 (** Compile a kernel to a fresh verified module. *)
 let compile (k : kernel) : Ir.Irmod.t = Minic.Lower.compile ~name:k.kname k.src
 
+(** Compile the named kernels, in order, to fresh [(name, module)] pairs —
+    the corpus shape the serve loop takes.  Raises [Invalid_argument] on
+    a name that is not in {!all}. *)
+let corpus (names : string list) : (string * Ir.Irmod.t) list =
+  List.map
+    (fun name ->
+      match find name with
+      | Some k -> (name, compile k)
+      | None -> invalid_arg ("Kernels.corpus: unknown kernel " ^ name))
+    names
+
 let by_suite s = List.filter (fun k -> k.suite = s) all

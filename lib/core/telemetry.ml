@@ -1,61 +1,20 @@
-(** Noelle.Telemetry — the unified tracing / metrics / profiling facade
-    (DESIGN.md §10).
+(** Noelle.Telemetry — saving, validating and diffing what the tracing /
+    metrics spine recorded (DESIGN.md §10).
 
-    The recording machinery lives in {!Ir.Trace} (so the IR-layer solvers
-    can report without a dependency cycle); this module is the surface
-    tools and drivers use: installing the sink, wrapping work in spans,
-    exporting the Chrome trace-event JSON and the metrics dump, and
-    diffing two metric dumps for regressions ([noelle-trace --compare]).
+    The recording machinery itself lives in {!Ir.Trace} (so the IR-layer
+    solvers can report without a dependency cycle), and tools and drivers
+    call it directly: [Ir.Trace.enable] installs the sink, [Ir.Trace.span]
+    wraps work in a span, and so on.  This module adds the file-level
+    surface on top: writing the Chrome trace-event JSON and the metrics
+    dump, round-tripping a trace through the JSON parser, and diffing two
+    metric dumps for regressions ([noelle-trace --compare]).
 
-    Tracing is off by default; {!install} (or the [NOELLE_TRACE]
+    Tracing is off by default; [Ir.Trace.enable] (or the [NOELLE_TRACE]
     environment variable) turns it on.  When off, every probe in the
     codebase is one load-and-branch. *)
 
 module Trace = Ir.Trace
 module Json = Ir.Trace.Json
-
-(* -- lifecycle -- *)
-
-let install ?keep () = Trace.enable ?keep ()
-let uninstall () = Trace.disable ()
-let installed () = Trace.enabled ()
-let reset () = Trace.reset ()
-
-(* -- recording (re-exports, so clients write [Telemetry.span ...]) -- *)
-
-let span = Trace.span
-let timed_span = Trace.timed_span
-let instant = Trace.instant
-let begin_span = Trace.begin_span
-let end_span = Trace.end_span
-let tag = Trace.tag
-let add = Trace.add
-let incr = Trace.incr_m
-let set_gauge = Trace.set_gauge
-let observe = Trace.observe
-let counter = Trace.counter
-let events = Trace.events
-let metrics = Trace.metrics
-let quantile = Trace.quantile
-let histogram = Trace.histogram
-
-(* -- request context (correlation ids) -- *)
-
-let with_request = Trace.with_request
-let current_request = Trace.current_request
-
-(* -- flight recorder (always-on crash forensics ring) -- *)
-
-let flight = Trace.flight
-let flight_reset = Trace.flight_reset
-let flight_events = Trace.flight_events
-let flight_to_json = Trace.flight_to_json
-
-(* -- export -- *)
-
-let to_chrome_json = Trace.to_chrome_json
-let metrics_to_json = Trace.metrics_to_json
-let metrics_to_text = Trace.metrics_to_text
 
 let write_file path contents =
   let oc = open_out path in
@@ -63,10 +22,10 @@ let write_file path contents =
   close_out oc
 
 (** Write the event buffer to [path] as Chrome trace-event JSON. *)
-let save_trace path = write_file path (to_chrome_json ())
+let save_trace path = write_file path (Trace.to_chrome_json ())
 
 (** Write the metrics registry to [path] as JSON. *)
-let save_metrics path = write_file path (metrics_to_json ())
+let save_metrics path = write_file path (Trace.metrics_to_json ())
 
 (* ------------------------------------------------------------------ *)
 (* Trace validation                                                    *)

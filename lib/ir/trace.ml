@@ -4,15 +4,16 @@
     shared by every layer: the {!Noelle} manager's demand-driven entry
     points, the transactional pipeline, the checkers, the Andersen / DFE /
     SCEV solver loops and the Psim runtime all report through this module,
-    and {!Noelle.Telemetry} (the public facade) turns the buffer into a
-    Chrome trace-event JSON and the registry into a metrics dump.
+    and clients call it directly; {!Noelle.Telemetry} saves the buffer as
+    a Chrome trace-event JSON and the registry as a metrics dump, and
+    diffs two dumps.
 
     Overhead contract: when tracing is disabled (the default) every entry
     point is a single load-and-branch on {!on} — no allocation, no clock
     read, no table lookup — so instrumented hot loops cost nothing in
     ordinary runs, and [dune runtest] with [NOELLE_TRACE] unset leaves the
     buffer and the registry empty.  Enabling is explicit
-    ({!enable} / [Telemetry.install]) or via the [NOELLE_TRACE]
+    ({!enable}) or via the [NOELLE_TRACE]
     environment variable, read once at program start.
 
     Metric naming scheme: dot-separated [layer.object.verb] keys, e.g.

@@ -24,6 +24,7 @@ module Callgraph = Noelle.Callgraph
 module Trust = Noelle.Trust
 module Store = Store
 module Workload = Workload
+module Slo = Slo
 
 (* ------------------------------------------------------------------ *)
 (* Answers                                                             *)
@@ -501,12 +502,9 @@ let handle_request (sv : server) (idx : int) (req : Workload.req) : answer =
           ];
       let t_req = Trace.now_us () in
       let a = serve_request sv idx req in
-      Trace.observe
-        ("serve.latency_us." ^ kind)
+      Trace.observe (Slo.hist_name kind)
         (Int64.of_float (Trace.now_us () -. t_req));
       a)
-
-let handle = handle_request
 
 (* ------------------------------------------------------------------ *)
 (* Rate-driven run loop: backlog, circuit breaker                      *)
@@ -575,11 +573,31 @@ let run (sv : server) (w : Workload.t) ?(rate = 0.) () : report =
     end
     else if sv.breaker_open && backlog <= sv.cfg.low_water then
       sv.breaker_open <- false;
-    answers := handle sv i reqs.(i) :: !answers
+    answers := handle_request sv i reqs.(i) :: !answers
   done;
   summarize sv (List.rev !answers)
     ~wall_ms:((Unix.gettimeofday () -. t0) *. 1000.)
     ~max_backlog:!max_backlog ~breaker_opens:!breaker_opens
+
+(** Cold run then a "process restart": remove [root], serve [w] over a
+    pristine corpus with an empty store, close it, then serve [w] again
+    over a second pristine corpus (fresh managers) against the same,
+    now warm, store.  [corpus_of] is filtered to [w]'s modules.  Returns
+    the cold and the warm report. *)
+let replay ~(corpus_of : unit -> (string * Irmod.t) list) ~(root : string)
+    (w : Workload.t) : report * report =
+  Store.remove_tree root;
+  let serve_once () =
+    let sv =
+      create ~root
+        (List.filter (fun (n, _) -> List.mem n w.Workload.wmods) (corpus_of ()))
+    in
+    let r = run sv w () in
+    Store.close sv.store;
+    r
+  in
+  let cold = serve_once () in
+  (cold, serve_once ())
 
 (* ------------------------------------------------------------------ *)
 (* Kill-and-recover soak gate                                          *)
@@ -647,7 +665,7 @@ let soak_one ~(corpus_of : unit -> (string * Irmod.t) list) ~(root : string)
          Store.arm (!sv).store k ~seed:((seed * 131) + !i) ~now:(!sv).now
            ~stall_ticks:8
        | _ -> ());
-       match handle !sv !i reqs.(!i) with
+       match handle_request !sv !i reqs.(!i) with
        | a ->
          answers := a :: !answers;
          incr i
@@ -697,7 +715,7 @@ let soak_one ~(corpus_of : unit -> (string * Irmod.t) list) ~(root : string)
   Store.remove_tree cold_root;
   let cv = create ~root:cold_root (select (corpus_of ())) in
   let cold = ref [] in
-  Array.iteri (fun i r -> cold := handle cv i r :: !cold) reqs;
+  Array.iteri (fun i r -> cold := handle_request cv i r :: !cold) reqs;
   let cold = List.rev !cold in
   Store.close cv.store;
   let mismatch = compare_answers live cold in

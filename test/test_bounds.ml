@@ -345,9 +345,9 @@ int main() {
     (Builder.add main (Func.entry main)
        (Instr.Bin (Instr.Add, Instr.Cint 1L, Instr.Cint 2L))
        Ty.I64);
-  Noelle.Telemetry.install ();
+  Ir.Trace.enable ();
   let kept =
-    Fun.protect ~finally:Noelle.Telemetry.uninstall (fun () ->
+    Fun.protect ~finally:Ir.Trace.disable (fun () ->
         Noelle.invalidate n1;
         Option.value ~default:0L
           (List.assoc_opt "noelle.invalidate.kept" (Trace.counters ())))

@@ -299,17 +299,17 @@ let test_psim_replay_validation () =
   | Error _ -> ()
 
 let test_counters_registered () =
-  Noelle.Telemetry.install ();
+  Ir.Trace.enable ();
   let names =
     Fun.protect
       ~finally:(fun () ->
-        Noelle.Telemetry.uninstall ();
-        Noelle.Telemetry.reset ())
+        Ir.Trace.disable ();
+        Ir.Trace.reset ())
       (fun () ->
         ignore (Obs.run ~fuel:100_000 (compile private_heap_src));
         let reference = [ ev (st "a" 1) ] in
         ignore (Obs.check ~license:Obs.Exact ~reference ~candidate:reference);
-        List.map fst (Noelle.Telemetry.metrics ()))
+        List.map fst (Ir.Trace.metrics ()))
   in
   List.iter
     (fun c -> checkb (c ^ " registered") (List.mem c names))

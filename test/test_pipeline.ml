@@ -299,15 +299,15 @@ let outcome_is what (e : Noelle.Pipeline.entry) =
 let test_noops_execute_once () =
   let m = compile loopy_src in
   let config, count = counting () in
-  Noelle.Telemetry.install ();
+  Ir.Trace.enable ();
   let r, reused =
     Fun.protect
       ~finally:(fun () ->
-        Noelle.Telemetry.uninstall ();
-        Noelle.Telemetry.reset ())
+        Ir.Trace.disable ();
+        Ir.Trace.reset ())
       (fun () ->
         let r = Noelle.Pipeline.run ~config m [ noop "a"; noop "b" ] in
-        (r, Noelle.Telemetry.counter "pipeline.exec_reused"))
+        (r, Ir.Trace.counter "pipeline.exec_reused"))
   in
   checki "pipeline.exec_reused counts the skipped runs" 3 (Int64.to_int reused);
   checkb "both no-ops committed"

@@ -189,15 +189,9 @@ let test_workload_deterministic () =
 (* ------------------------------------------------------------------ *)
 
 let test_warm_store_hits () =
-  let root = fresh_root "warm" in
   let w = Workload.generate ~seed:3 ~mods:[ "m" ] ~requests:30 in
-  let sv = Serve.create ~root (mini_corpus ()) in
-  let r1 = Serve.run sv w () in
-  Serve.Store.close sv.Serve.store;
-  (* fresh process, pristine corpus, warm store *)
-  let sv2 = Serve.create ~root (mini_corpus ()) in
-  let r2 = Serve.run sv2 w () in
-  Serve.Store.close sv2.Serve.store;
+  (* cold store, then a fresh process: pristine corpus, warm store *)
+  let r1, r2 = Serve.replay ~corpus_of:mini_corpus ~root:(tmp_root "warm") w in
   checki "all served (cold)" 30 r1.Serve.rserved;
   checki "all served (warm)" 30 r2.Serve.rserved;
   checkb "warm store answers more from disk" (r2.Serve.rhits > r1.Serve.rhits);
@@ -210,13 +204,13 @@ let test_edit_invalidates () =
   let root = fresh_root "edit" in
   let sv = Serve.create ~root (mini_corpus ()) in
   let q = Workload.Query { qmod = "m"; qfn = 0; qkind = Workload.Qdeps } in
-  let a1 = Serve.handle sv 0 q in
-  let a2 = Serve.handle sv 1 q in
+  let a1 = Serve.handle_request sv 0 q in
+  let a2 = Serve.handle_request sv 1 q in
   checks "repeat query hits the store" "hit" a2.Serve.asource;
   checks "hit digest matches computed" a1.Serve.atext a2.Serve.atext;
   let e = Workload.Edit { emod = "m"; efn = 0; eseed = 42 } in
-  ignore (Serve.handle sv 2 e);
-  let a3 = Serve.handle sv 3 q in
+  ignore (Serve.handle_request sv 2 e);
+  let a3 = Serve.handle_request sv 3 q in
   checks "post-edit query recomputes" "computed" a3.Serve.asource;
   checkb "post-edit digest moved" (a3.Serve.atext <> a1.Serve.atext);
   Serve.Store.close sv.Serve.store
@@ -228,14 +222,14 @@ let test_shed_not_persisted () =
   let sv = Serve.create ~root (mini_corpus ()) in
   sv.Serve.breaker_open <- true;
   let q = Workload.Query { qmod = "m"; qfn = 0; qkind = Workload.Qdeps } in
-  let a = Serve.handle sv 0 q in
+  let a = Serve.handle_request sv 0 q in
   checkb "shed answer marked degraded" a.Serve.adegraded;
   checks "source" "degraded" a.Serve.asource;
   checki "nothing written to the store" 0 (Store.artifact_count sv.Serve.store);
   (* breaker closed again: the exact answer is computed, persisted, and
      its dependences are a subset of the degraded superset *)
   sv.Serve.breaker_open <- false;
-  let e = Serve.handle sv 1 q in
+  let e = Serve.handle_request sv 1 q in
   checks "exact afterwards" "computed" e.Serve.asource;
   let sub = Noelle.Pdg.payload_deps e.Serve.apayload in
   let sup = Noelle.Pdg.payload_deps a.Serve.apayload in
@@ -301,9 +295,9 @@ let test_overload_gate () =
     while serving — store phases, manager demand entry points, Andersen /
     PDG / Bounds spans — must carry its request's correlation id. *)
 let test_correlation_ids () =
-  let module T = Noelle.Telemetry in
-  T.install ();
-  Fun.protect ~finally:(fun () -> T.uninstall (); T.reset ())
+  let module T = Ir.Trace in
+  T.enable ();
+  Fun.protect ~finally:(fun () -> T.disable (); T.reset ())
   @@ fun () ->
   let root = fresh_root "rid" in
   let w = Workload.generate ~seed:5 ~mods:[ "m" ] ~requests:25 in
@@ -354,7 +348,7 @@ let test_flight_dump_replay () =
   Ir.Trace.flight_reset ();
   let sv = Serve.create ~root (mini_corpus ()) in
   checkb "fresh root: nothing to replay" (sv.Serve.flight_replay = None);
-  let q i k = Serve.handle sv i (Workload.Query { qmod = "m"; qfn = i; qkind = k }) in
+  let q i k = Serve.handle_request sv i (Workload.Query { qmod = "m"; qfn = i; qkind = k }) in
   ignore (q 0 Workload.Qdeps);
   ignore (q 1 Workload.Qbounds);
   ignore (q 2 Workload.Qloops);
@@ -380,7 +374,7 @@ let test_flight_kill_forensics () =
       Store.arm (!sv).Serve.store Faultgen.Kill_mid_write ~seed:point ~now:0
         ~stall_ticks:0;
       let q = Workload.Query { qmod = "m"; qfn = 1; qkind = Workload.Qdeps } in
-      (match Serve.handle !sv 7 q with
+      (match Serve.handle_request !sv 7 q with
       | _ -> Alcotest.fail "armed kill did not fire"
       | exception Store.Killed msg ->
         checkb "kill names its point"
@@ -400,18 +394,113 @@ let test_flight_kill_forensics () =
     [ 0; 1; 2 ]
 
 let test_counters_registered () =
-  Noelle.Telemetry.install ();
+  Ir.Trace.enable ();
   let root = fresh_root "counters" in
   let sv = Serve.create ~root (mini_corpus ()) in
   ignore (Serve.run sv (Workload.generate ~seed:0 ~mods:[ "m" ] ~requests:10) ());
   Serve.Store.close sv.Serve.store;
-  let names = List.map fst (Noelle.Telemetry.metrics ()) in
+  let names = List.map fst (Ir.Trace.metrics ()) in
   List.iter
     (fun c -> checkb (c ^ " registered") (List.mem c names))
     [ "serve.requests"; "serve.queries"; "serve.edits"; "serve.store.hits";
       "serve.store.writes"; "serve.shed"; "serve.recoveries";
       "serve.quarantined" ];
-  Noelle.Telemetry.uninstall ()
+  Ir.Trace.disable ()
+
+
+(* ------------------------------------------------------------------ *)
+(* SLO spec, measurement and evaluation                                *)
+(* ------------------------------------------------------------------ *)
+
+module Slo = Serve.Slo
+
+let spec_file name contents =
+  let path = Filename.concat (Filename.get_temp_dir_name ()) ("noelle_slo_" ^ name) in
+  Out_channel.with_open_text path (fun oc -> output_string oc contents);
+  path
+
+(** A malformed spec is an error naming the file and the key, never a
+    spec with the offending budget silently dropped. *)
+let slo_spec_error ~file ~contents ~key () =
+  let path =
+    match contents with
+    | Some c -> spec_file file c
+    | None -> Filename.concat (Filename.get_temp_dir_name ()) file
+  in
+  match Slo.load path with
+  | Ok _ -> Alcotest.failf "%s accepted" file
+  | Error e ->
+    List.iter
+      (fun m ->
+        checkb (Printf.sprintf "error %S names %S" e m) (Noelle.Pipeline.contains e m))
+      (path :: Option.to_list key)
+
+let slo_spec_error_cases =
+  [ ("misspelled budget key", "typo.json",
+     Some {|{"kinds":{"edit":{"p99us":1}}}|}, Some "kinds.edit.p99us");
+    ("string budget", "string.json",
+     Some {|{"kinds":{"deps":{"p99_us":"1"}}}|}, Some "kinds.deps.p99_us");
+    ("non-object kinds", "kinds.json", Some {|{"kinds":[1,2]}|}, Some "kinds");
+    ("missing file", "noelle_slo_missing.json", None, None) ]
+
+let test_slo_spec_ok () =
+  match
+    Slo.load (spec_file "ok.json" {|{"kinds":{"edit":{"p99_us":7}},"max_shed_pct":2.5}|})
+  with
+  | Error e -> Alcotest.failf "well-formed spec refused: %s" e
+  | Ok spec ->
+    checkb "budget read" (spec.Slo.p99_us = [ ("edit", 7L) ]);
+    checkb "shed max read" (spec.Slo.max_shed_pct = 2.5);
+    checki "absent deadline max is unconstrained" max_int
+      spec.Slo.max_deadline_misses
+
+let row kind p99 =
+  { Slo.kind; count = 10; sum = 0L; p50 = 1L; p95 = 1L; p99; p999 = p99 }
+
+let test_slo_evaluate () =
+  let spec =
+    { Slo.p99_us = [ ("edit", 100L); ("deps", 100L) ]; max_shed_pct = 5.0;
+      max_deadline_misses = 2 }
+  in
+  let clean =
+    { Slo.rows = [ row "edit" 100L; row "deps" 50L; row "loops" 9999L ];
+      shed_pct = 5.0; deadline_misses = 2 }
+  in
+  checki "clean window: no violations" 0 (List.length (Slo.evaluate spec clean));
+  let only w = match Slo.evaluate spec w with [ v ] -> v | vs ->
+    Alcotest.failf "expected one violation, got %d" (List.length vs) in
+  let has v m = checkb (Printf.sprintf "%S mentions %S" v m) (Noelle.Pipeline.contains v m) in
+  has (only { clean with rows = [ row "edit" 101L; row "deps" 50L ] }) "edit: p99 101us exceeds";
+  has (only { clean with rows = [ row "edit" 100L ] }) "deps: budgeted but never measured";
+  has (only { clean with shed_pct = 5.1 }) "shed";
+  has (only { clean with deadline_misses = 3 }) "deadline misses 3"
+
+(** Samples observed before the measured call — another bench section,
+    an earlier run — stay out of the window. *)
+let test_slo_measure_window () =
+  Ir.Trace.enable ();
+  Fun.protect ~finally:(fun () -> Ir.Trace.disable (); Ir.Trace.reset ())
+  @@ fun () ->
+  for _ = 1 to 50 do Ir.Trace.observe (Slo.hist_name "edit") 1_000_000L done;
+  Ir.Trace.observe (Slo.hist_name "deps") 5L;
+  Ir.Trace.add "serve.queries" 10;
+  Ir.Trace.add "serve.shed" 10;
+  let x, w =
+    Slo.measure (fun () ->
+        for _ = 1 to 4 do Ir.Trace.observe (Slo.hist_name "edit") 100L done;
+        Ir.Trace.add "serve.queries" 4;
+        Ir.Trace.add "serve.shed" 1;
+        42)
+  in
+  checki "result passed through" 42 x;
+  match w.Slo.rows with
+  | [ r ] ->
+    checks "only the kind observed inside" "edit" r.Slo.kind;
+    checki "count of this window" 4 r.Slo.count;
+    checkb "sum of this window" (r.Slo.sum = 400L);
+    checkb "p99 from this window" (Int64.compare r.Slo.p999 1000L < 0);
+    checkb "shed share of this window" (w.Slo.shed_pct = 25.0)
+  | rows -> Alcotest.failf "expected one row, got %d" (List.length rows)
 
 let suite =
   [
@@ -449,4 +538,14 @@ let suite =
       test_flight_kill_forensics;
     Alcotest.test_case "serve: telemetry counters registered" `Quick
       test_counters_registered;
+    Alcotest.test_case "slo: well-formed spec loads" `Quick test_slo_spec_ok;
+    Alcotest.test_case "slo: evaluate flags each objective" `Quick
+      test_slo_evaluate;
+    Alcotest.test_case "slo: measure ignores earlier samples" `Quick
+      test_slo_measure_window;
   ]
+  @ List.map
+      (fun (what, file, contents, key) ->
+        Alcotest.test_case ("slo: malformed spec refused: " ^ what) `Quick
+          (slo_spec_error ~file ~contents ~key))
+      slo_spec_error_cases

@@ -108,8 +108,8 @@ let test_cycle_collapse () =
   ignore (Ir.Builder.set_term f exit_.Ir.Func.bid (Ret (Some (Reg v.id))));
   Ir.Irmod.add_func m f;
   Ir.Verify.verify_module m;
-  Noelle.Telemetry.install ();
-  Fun.protect ~finally:Noelle.Telemetry.uninstall (fun () ->
+  Ir.Trace.enable ();
+  Fun.protect ~finally:Ir.Trace.disable (fun () ->
       let slow = Ir.Andersen.solve_naive m in
       let fast = Ir.Andersen.analyze m in
       Alcotest.(check (list string))
@@ -177,8 +177,8 @@ let test_query_memoization () =
   Ir.Verify.verify_module m;
   let a = Ir.Andersen.analyze m in
   let stack = [ Ir.Alias.baseline; Ir.Andersen.analysis a ] in
-  Noelle.Telemetry.install ();
-  Fun.protect ~finally:Noelle.Telemetry.uninstall (fun () ->
+  Ir.Trace.enable ();
+  Fun.protect ~finally:Ir.Trace.disable (fun () ->
       let p = Noelle.Pdg.build ~pts:a ~stack m (Ir.Irmod.func m "main") in
       checkb "memoization saved at least one query"
         (p.Noelle.Pdg.mem_queries < p.Noelle.Pdg.mem_pairs_total);
@@ -210,9 +210,9 @@ let test_incremental_matches_scratch () =
           (Ir.Builder.add f0 (Ir.Func.entry f0)
              (Ir.Instr.Bin (Ir.Instr.Add, Ir.Instr.Cint 1L, Ir.Instr.Cint 2L))
              Ir.Ty.I64);
-        Noelle.Telemetry.install ();
+        Ir.Trace.enable ();
         let kept =
-          Fun.protect ~finally:Noelle.Telemetry.uninstall (fun () ->
+          Fun.protect ~finally:Ir.Trace.disable (fun () ->
               Noelle.invalidate n1;
               Option.value ~default:0L
                 (List.assoc_opt "noelle.invalidate.kept" (Ir.Trace.counters ())))

@@ -11,11 +11,11 @@ module Trace = Ir.Trace
 (** Run [f] with the sink installed, always disabling and resetting after,
     so telemetry state never leaks between tests (or into the no-op ones). *)
 let traced f =
-  T.install ();
+  Trace.enable ();
   Fun.protect
     ~finally:(fun () ->
-      T.uninstall ();
-      T.reset ())
+      Trace.disable ();
+      Trace.reset ())
     f
 
 (* a DOALL-parallelizable program: two independent counted loops *)
@@ -36,7 +36,7 @@ int main() {
 |}
 
 let find_event name =
-  List.find_opt (fun (e : Trace.event) -> e.Trace.ename = name) (T.events ())
+  List.find_opt (fun (e : Trace.event) -> e.Trace.ename = name) (Trace.events ())
 
 (* ------------------------------------------------------------------ *)
 (* Core recording                                                      *)
@@ -44,28 +44,28 @@ let find_event name =
 
 let test_noop_path () =
   (* NOELLE_TRACE unset in the test environment: everything must be off *)
-  checkb "sink off by default" (not (T.installed ()));
-  T.incr "noop.counter";
-  T.add "noop.counter" 7;
-  T.observe "noop.hist" 5L;
-  let v = T.span ~cat:"t" "noop.span" (fun () -> 41 + 1) in
+  checkb "sink off by default" (not (Trace.enabled ()));
+  Trace.incr_m "noop.counter";
+  Trace.add "noop.counter" 7;
+  Trace.observe "noop.hist" 5L;
+  let v = Trace.span ~cat:"t" "noop.span" (fun () -> 41 + 1) in
   checki "span still runs its body" 42 v;
-  T.instant "noop.instant";
-  checki "no events recorded" 0 (List.length (T.events ()));
-  checki "registry stays empty" 0 (List.length (T.metrics ()));
-  checkb "counter reads back 0" (Int64.equal 0L (T.counter "noop.counter"))
+  Trace.instant "noop.instant";
+  checki "no events recorded" 0 (List.length (Trace.events ()));
+  checki "registry stays empty" 0 (List.length (Trace.metrics ()));
+  checkb "counter reads back 0" (Int64.equal 0L (Trace.counter "noop.counter"))
 
 let test_span_nesting () =
   traced @@ fun () ->
   let r =
-    T.span ~cat:"outer" "a" (fun () ->
-        let x = T.span ~cat:"inner" "b" (fun () -> 1) in
-        let y = T.span ~cat:"inner" "c" (fun () -> 2) in
+    Trace.span ~cat:"outer" "a" (fun () ->
+        let x = Trace.span ~cat:"inner" "b" (fun () -> 1) in
+        let y = Trace.span ~cat:"inner" "c" (fun () -> 2) in
         x + y)
   in
   checki "value" 3 r;
   (* events close innermost-first: b, c, then a *)
-  let names = List.map (fun (e : Trace.event) -> e.Trace.ename) (T.events ()) in
+  let names = List.map (fun (e : Trace.event) -> e.Trace.ename) (Trace.events ()) in
   checkb "close order b,c,a" (names = [ "b"; "c"; "a" ]);
   let get n = Option.get (find_event n) in
   checki "outer depth" 0 (get "a").Trace.edepth;
@@ -79,7 +79,7 @@ let test_span_nesting () =
 
 let test_span_exception_safe () =
   traced @@ fun () ->
-  (match T.span "boom" (fun () -> failwith "kaput") with
+  (match Trace.span "boom" (fun () -> failwith "kaput") with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "exception swallowed");
   match find_event "boom" with
@@ -94,18 +94,18 @@ let test_span_exception_safe () =
 
 let test_counter_monotonic () =
   traced @@ fun () ->
-  T.incr "m.c";
-  T.add "m.c" 4;
-  T.add "m.c" 0;
-  T.add "m.c" (-3);
-  checkb "adds accumulate, <=0 ignored" (Int64.equal 5L (T.counter "m.c"));
-  T.set_gauge "m.g" 2.5;
+  Trace.incr_m "m.c";
+  Trace.add "m.c" 4;
+  Trace.add "m.c" 0;
+  Trace.add "m.c" (-3);
+  checkb "adds accumulate, <=0 ignored" (Int64.equal 5L (Trace.counter "m.c"));
+  Trace.set_gauge "m.g" 2.5;
   (match Trace.gauge "m.g" with
   | Some v -> checkb "gauge holds last value" (v = 2.5)
   | None -> Alcotest.fail "gauge missing");
-  T.observe "m.h" 5L;
-  T.observe "m.h" 1000L;
-  T.observe "m.h" (-7L);
+  Trace.observe "m.h" 5L;
+  Trace.observe "m.h" 1000L;
+  Trace.observe "m.h" (-7L);
   match Trace.histogram "m.h" with
   | None -> Alcotest.fail "histogram missing"
   | Some h ->
@@ -151,7 +151,7 @@ let test_quantile_accuracy () =
           Int64.add (Int64.mul !s 6364136223846793005L) 1442695040888963407L;
         Int64.rem (Int64.shift_right_logical !s 33) 1_000_000L)
   in
-  Array.iter (fun v -> T.observe "q.hist" v) vals;
+  Array.iter (fun v -> Trace.observe "q.hist" v) vals;
   let sorted = Array.copy vals in
   Array.sort Int64.compare sorted;
   let h = Option.get (Trace.histogram "q.hist") in
@@ -160,7 +160,7 @@ let test_quantile_accuracy () =
       let exact =
         sorted.(max 0 (int_of_float (ceil (q *. float_of_int n)) - 1))
       in
-      let est = T.quantile h q in
+      let est = Trace.quantile h q in
       let rel =
         Float.abs (Int64.to_float est -. Int64.to_float exact)
         /. Float.max 1.0 (Int64.to_float exact)
@@ -172,7 +172,7 @@ let test_quantile_accuracy () =
     [ 0.5; 0.95; 0.99; 0.999 ];
   (* degenerate cases *)
   let e = { Trace.hcount = 0; hsum = 0L; hbuckets = Array.make Trace.nbuckets 0 } in
-  checkb "empty histogram quantile is 0" (T.quantile e 0.99 = 0L)
+  checkb "empty histogram quantile is 0" (Trace.quantile e 0.99 = 0L)
 
 (* ------------------------------------------------------------------ *)
 (* Exporters                                                           *)
@@ -180,10 +180,10 @@ let test_quantile_accuracy () =
 
 let test_chrome_json_roundtrip () =
   traced @@ fun () ->
-  T.span ~cat:"analysis" ~args:[ ("k", "v\"quoted\"\n") ] "weird \"name\"\ttab"
+  Trace.span ~cat:"analysis" ~args:[ ("k", "v\"quoted\"\n") ] "weird \"name\"\ttab"
     (fun () -> ());
-  T.instant ~cat:"mark" "i1";
-  let s = T.to_chrome_json () in
+  Trace.instant ~cat:"mark" "i1";
+  let s = Trace.to_chrome_json () in
   (* parse back with the repo's own JSON parser, not string matching *)
   let triples = T.validate_chrome_json s in
   checki "two events survive" 2 (List.length triples);
@@ -197,20 +197,20 @@ let test_chrome_json_roundtrip () =
 
 let test_metrics_roundtrip () =
   traced @@ fun () ->
-  T.add "r.alpha" 3;
-  T.add "r.beta" 10;
-  T.observe "r.hist" 6L;
-  let a = T.parse_metrics (T.metrics_to_json ()) in
+  Trace.add "r.alpha" 3;
+  Trace.add "r.beta" 10;
+  Trace.observe "r.hist" 6L;
+  let a = T.parse_metrics (Trace.metrics_to_json ()) in
   checkb "counter value parses" (List.assoc_opt "r.alpha" a = Some 3.0);
   checkb "histogram expands to .sum" (List.assoc_opt "r.hist.sum" a = Some 6.0);
   checkb "histogram expands to .count" (List.assoc_opt "r.hist.count" a = Some 1.0);
   checkb "histogram expands to .p99" (List.assoc_opt "r.hist.p99" a = Some 6.0);
   (* now diff against a second dump with one changed, one new, one gone *)
-  T.reset ();
-  T.install ();
-  T.add "r.alpha" 9;
-  T.add "r.gamma" 1;
-  let b = T.parse_metrics (T.metrics_to_json ()) in
+  Trace.reset ();
+  Trace.enable ();
+  Trace.add "r.alpha" 9;
+  Trace.add "r.gamma" 1;
+  let b = T.parse_metrics (Trace.metrics_to_json ()) in
   let deltas = T.diff_metrics a b in
   let find n = List.find (fun (d : T.delta) -> d.T.dname = n) deltas in
   checkb "changed" ((find "r.alpha").T.dafter = Some 9.0);
@@ -221,19 +221,19 @@ let test_hist_json_roundtrip () =
   traced @@ fun () ->
   (* empty histogram: registered (via a 0-observation? not possible) —
      emulate by observing then checking a sparse spread round-trips *)
-  T.observe "h.sparse" 0L;
-  T.observe "h.sparse" 7L;
-  T.observe "h.sparse" 1_000_000L;
-  let doc = T.Json.parse (T.metrics_to_json ()) in
-  let h = Option.get (T.Json.member "h.sparse" doc) in
+  Trace.observe "h.sparse" 0L;
+  Trace.observe "h.sparse" 7L;
+  Trace.observe "h.sparse" 1_000_000L;
+  let doc = Trace.Json.parse (Trace.metrics_to_json ()) in
+  let h = Option.get (Trace.Json.member "h.sparse" doc) in
   checkb "type histogram"
-    (Option.bind (T.Json.member "type" h) T.Json.to_string = Some "histogram");
-  checkb "count" (Option.bind (T.Json.member "count" h) T.Json.to_num = Some 3.0);
+    (Option.bind (Trace.Json.member "type" h) Trace.Json.to_string = Some "histogram");
+  checkb "count" (Option.bind (Trace.Json.member "count" h) Trace.Json.to_num = Some 3.0);
   checkb "sum"
-    (Option.bind (T.Json.member "sum" h) T.Json.to_num = Some 1_000_007.0);
+    (Option.bind (Trace.Json.member "sum" h) Trace.Json.to_num = Some 1_000_007.0);
   (* buckets keyed by lower bound; only populated ones serialized *)
   let buckets =
-    match T.Json.member "buckets" h with Some (T.Json.Obj kvs) -> kvs | _ -> []
+    match Trace.Json.member "buckets" h with Some (Trace.Json.Obj kvs) -> kvs | _ -> []
   in
   checki "exactly three sparse buckets" 3 (List.length buckets);
   checkb "unit bucket 0 present" (List.mem_assoc "0" buckets);
@@ -244,32 +244,32 @@ let test_hist_json_roundtrip () =
       let b = Ir.Trace.bucket_of lo in
       checkb ("key is its bucket's lower bound: " ^ k)
         (Ir.Trace.bucket_lower b = lo);
-      checkb ("bucket count 1: " ^ k) (T.Json.to_num v = Some 1.0))
+      checkb ("bucket count 1: " ^ k) (Trace.Json.to_num v = Some 1.0))
     buckets;
   (* percentile members present and inside the value range *)
-  (match Option.bind (T.Json.member "p999" h) T.Json.to_num with
+  (match Option.bind (Trace.Json.member "p999" h) Trace.Json.to_num with
   | Some p -> checkb "p999 near max" (p >= 900_000.0 && p <= 1_100_000.0)
   | None -> Alcotest.fail "p999 missing");
   (* a histogram-free dump still parses (no histogram members emitted) *)
-  T.reset ();
-  T.install ();
-  T.add "h.only.counter" 1;
-  let doc2 = T.Json.parse (T.metrics_to_json ()) in
-  checkb "no stray histogram" (T.Json.member "h.sparse" doc2 = None)
+  Trace.reset ();
+  Trace.enable ();
+  Trace.add "h.only.counter" 1;
+  let doc2 = Trace.Json.parse (Trace.metrics_to_json ()) in
+  checkb "no stray histogram" (Trace.Json.member "h.sparse" doc2 = None)
 
 let test_diff_metrics_histograms () =
   (* diff_metrics on histogram-bearing snapshots: count/sum deltas and
      quantile shifts must surface, not be skipped *)
   traced @@ fun () ->
-  T.observe "d.lat" 100L;
-  T.observe "d.lat" 100L;
-  let a = T.parse_metrics (T.metrics_to_json ()) in
-  T.reset ();
-  T.install ();
-  T.observe "d.lat" 100L;
-  T.observe "d.lat" 100L;
-  T.observe "d.lat" 100_000L;
-  let b = T.parse_metrics (T.metrics_to_json ()) in
+  Trace.observe "d.lat" 100L;
+  Trace.observe "d.lat" 100L;
+  let a = T.parse_metrics (Trace.metrics_to_json ()) in
+  Trace.reset ();
+  Trace.enable ();
+  Trace.observe "d.lat" 100L;
+  Trace.observe "d.lat" 100L;
+  Trace.observe "d.lat" 100_000L;
+  let b = T.parse_metrics (Trace.metrics_to_json ()) in
   let deltas = T.diff_metrics a b in
   let find n = List.find_opt (fun (d : T.delta) -> d.T.dname = n) deltas in
   (match find "d.lat.count" with
@@ -293,14 +293,14 @@ let test_diff_metrics_histograms () =
 
 let test_request_context () =
   traced @@ fun () ->
-  checkb "no ambient rid" (T.current_request () = None);
-  T.with_request "req-7" (fun () ->
-      checkb "rid ambient" (T.current_request () = Some "req-7");
-      T.instant "inner.mark";
-      T.span ~cat:"analysis" "inner.span" (fun () ->
-          T.with_request "req-8" (fun () -> T.instant "nested.mark")));
-  checkb "rid restored" (T.current_request () = None);
-  T.instant "outer.mark";
+  checkb "no ambient rid" (Trace.current_request () = None);
+  Trace.with_request "req-7" (fun () ->
+      checkb "rid ambient" (Trace.current_request () = Some "req-7");
+      Trace.instant "inner.mark";
+      Trace.span ~cat:"analysis" "inner.span" (fun () ->
+          Trace.with_request "req-8" (fun () -> Trace.instant "nested.mark")));
+  checkb "rid restored" (Trace.current_request () = None);
+  Trace.instant "outer.mark";
   let rid name =
     Option.bind (find_event name) (fun e ->
         List.assoc_opt "rid" e.Trace.eargs)
@@ -313,10 +313,10 @@ let test_request_context () =
 let test_flight_recorder () =
   (* always-on: works with the trace sink off *)
   Trace.flight_reset ();
-  checkb "sink off" (not (T.installed ()));
-  T.flight "f.a" ~args:[ ("k", "v") ];
-  T.with_request "req-3" (fun () -> T.flight "f.b");
-  let evs = T.flight_events () in
+  checkb "sink off" (not (Trace.enabled ()));
+  Trace.flight "f.a" ~args:[ ("k", "v") ];
+  Trace.with_request "req-3" (fun () -> Trace.flight "f.b");
+  let evs = Trace.flight_events () in
   checki "two waypoints" 2 (List.length evs);
   checkb "chronological" ((List.nth evs 0).Trace.fname = "f.a");
   checkb "rid captured" ((List.nth evs 1).Trace.frid = Some "req-3");
@@ -324,24 +324,24 @@ let test_flight_recorder () =
   (* ring wraps at the cap, keeping the newest *)
   Trace.flight_reset ();
   for i = 0 to Trace.flight_cap + 9 do
-    T.flight (Printf.sprintf "w%d" i)
+    Trace.flight (Printf.sprintf "w%d" i)
   done;
-  let evs = T.flight_events () in
+  let evs = Trace.flight_events () in
   checki "capped" Trace.flight_cap (List.length evs);
   checkb "oldest evicted" ((List.hd evs).Trace.fname = "w10");
   checkb "newest kept"
     ((List.nth evs (Trace.flight_cap - 1)).Trace.fname
     = Printf.sprintf "w%d" (Trace.flight_cap + 9));
   (* JSON dump parses and reports the drop count *)
-  let doc = T.Json.parse (T.flight_to_json ()) in
+  let doc = Trace.Json.parse (Trace.flight_to_json ()) in
   checkb "dropped counted"
-    (Option.bind (T.Json.member "dropped" doc) T.Json.to_num = Some 10.0);
+    (Option.bind (Trace.Json.member "dropped" doc) Trace.Json.to_num = Some 10.0);
   checki "events serialized" Trace.flight_cap
     (List.length
        (Option.get
-          (Option.bind (T.Json.member "flightEvents" doc) T.Json.to_list)));
+          (Option.bind (Trace.Json.member "flightEvents" doc) Trace.Json.to_list)));
   Trace.flight_reset ();
-  checki "reset empties" 0 (List.length (T.flight_events ()))
+  checki "reset empties" 0 (List.length (Trace.flight_events ()))
 
 (* ------------------------------------------------------------------ *)
 (* Instrumented layers                                                 *)
@@ -354,15 +354,15 @@ let test_manager_hit_miss () =
   let f = Ir.Irmod.func m "main" in
   ignore (Noelle.pdg n f);
   ignore (Noelle.pdg n f);
-  checkb "two queries" (Int64.equal 2L (T.counter "noelle.pdg.queries"));
-  checkb "first query misses" (Int64.equal 1L (T.counter "noelle.pdg.miss"));
-  checkb "second query hits" (Int64.equal 1L (T.counter "noelle.pdg.hit"));
+  checkb "two queries" (Int64.equal 2L (Trace.counter "noelle.pdg.queries"));
+  checkb "first query misses" (Int64.equal 1L (Trace.counter "noelle.pdg.miss"));
+  checkb "second query hits" (Int64.equal 1L (Trace.counter "noelle.pdg.hit"));
   checkb "pdg span recorded with source tag"
     (List.exists
        (fun (e : Trace.event) ->
          e.Trace.ename = "noelle.pdg:main"
          && List.assoc_opt "source" e.Trace.eargs = Some "computed")
-       (T.events ()))
+       (Trace.events ()))
 
 let test_pipeline_span_per_pass () =
   traced @@ fun () ->
@@ -390,7 +390,7 @@ let test_pipeline_span_per_pass () =
                   | Noelle.Pipeline.Committed _ -> true
                   | _ -> false)
                 report.Noelle.Pipeline.entries)))
-       (T.counter "pipeline.committed"))
+       (Trace.counter "pipeline.committed"))
 
 let test_psim_events () =
   (* pure render round-trip: the structured events must reproduce the old
@@ -418,13 +418,13 @@ let test_psim_events () =
     (List.exists
        (function Psim.Runtime.Task_ok _ -> true | _ -> false)
        r.Psim.Runtime.rtask_log);
-  checkb "psim sections counted" (Int64.compare (T.counter "psim.sections") 0L > 0);
+  checkb "psim sections counted" (Int64.compare (Trace.counter "psim.sections") 0L > 0);
   let task_events =
     List.filter
       (fun (e : Trace.event) ->
         e.Trace.ecat = "psim" && String.length e.Trace.ename > 5
         && String.sub e.Trace.ename 0 5 = "task:")
-      (T.events ())
+      (Trace.events ())
   in
   checkb "per-task swimlane events present" (task_events <> []);
   checkb "tasks ride their own tid rows"
