@@ -7,18 +7,27 @@ test:
 	dune runtest
 
 # one seeded fault-injection pipeline run: every injected corruption must be
-# caught by the verify/differential gates (exit 0 = final module ok)
+# caught by the verify/differential gates (exit 0 = final module ok); then
+# noelle-fuzz checks DOALL and HELIX as one gated pipeline pass over five
+# generated programs (any rollback fails), and an unknown tool must be a
+# usage error (exit exactly 124)
 faultcheck: build
 	dune exec bin/noelle_pipeline.exe -- --fuzz-seed 3 --fault-seed 8 -q
 	dune exec bin/noelle_pipeline.exe -- --fuzz-seed 3 --task-fault-seed 5 --kill-task 0 -q
+	dune exec bin/noelle_fuzz.exe -- --seed 1 -n 5 -o _fuzz --check doall
+	dune exec bin/noelle_fuzz.exe -- --seed 1 -n 5 -o _fuzz --check helix
+	@st=0; dune exec bin/noelle_fuzz.exe -- --check bogus 2>/dev/null || st=$$?; \
+	if [ $$st -ne 124 ]; then \
+	  echo "faultcheck: noelle-fuzz --check bogus must exit 124 (exit $$st)"; exit 1; \
+	fi
 
 # corpus gates (noelle-gate, one harness): lint = zero unsuppressed
 # noelle-check errors over every kernel and fuzz seeds 1-5; meta = the
 # metadata trust gate (embed, round-trip, fast reloads, verify-meta
 # pipeline, clean audit) over the first 10 kernels; validate = trace
-# equivalence with zero rollbacks + Psim replay validation on every
-# kernel and planted effect reorders rejected with witnesses over 50
-# seeds (DESIGN.md §12); bounds = static trips vs measured, decision
+# equivalence with zero rollbacks on every kernel (the final check is the
+# Psim replay) and planted effect reorders rejected with witnesses over
+# 50 seeds (DESIGN.md §12); bounds = static trips vs measured, decision
 # parity >= 80% and speedup geomean within 10% (DESIGN.md §13); vec =
 # every widened kernel verifies and clears the trace gate, with the
 # must-vectorize and if-conversion assertions (DESIGN.md §16)

@@ -26,16 +26,7 @@ let run input fuzz_seed checks complexity_budget flag_unbounded json
   end
   else begin
     let checks = match checks with [] -> None | cs -> Some cs in
-    let name, (m : Ir.Irmod.t) =
-      match (input, fuzz_seed) with
-      | Some f, _ -> (f, Ir.Parser.parse_file f)
-      | None, Some seed ->
-        let name = Printf.sprintf "fuzz%d" seed in
-        (name, Minic.Lower.compile ~name (Bsuite.Generator.program seed))
-      | None, None ->
-        prerr_endline "noelle-check: need FILE.ir or --fuzz-seed";
-        exit 2
-    in
+    let name, m = Input_program.load ~tool:"noelle-check" input fuzz_seed in
     (* the complexity checker reads its configuration from module
        metadata, so the flags just seed the module before the run *)
     (match complexity_budget with
@@ -47,10 +38,6 @@ let run input fuzz_seed checks complexity_budget flag_unbounded json
     if errors > 0 then 1 else 0
   end
 
-let input = Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE.ir")
-let fuzz_seed =
-  Arg.(value & opt (some int) None & info [ "fuzz-seed" ] ~docv:"N"
-         ~doc:"generate the input program from fuzzer seed $(docv)")
 let checks =
   Arg.(value & opt_all string [] & info [ "check"; "c" ] ~docv:"ID"
          ~doc:"run only checker $(docv) (repeatable; default: all)")
@@ -75,7 +62,8 @@ let cmd =
   Cmd.v
     (Cmd.info "noelle-check"
        ~doc:"Static race detector and IR sanitizer suite over NOELLE abstractions")
-    Term.(const run $ input $ fuzz_seed $ checks $ complexity_budget
-          $ flag_unbounded $ json $ stats $ list_checks $ quiet)
+    Term.(const run $ Input_program.file $ Input_program.fuzz_seed $ checks
+          $ complexity_budget $ flag_unbounded $ json $ stats $ list_checks
+          $ quiet)
 
 let () = exit (Cmd.eval' cmd)

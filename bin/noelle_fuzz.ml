@@ -4,25 +4,51 @@
     tests that stress a specific aspect of a specific code transformation";
     this tool exposes the deterministic program generator: pick a seed and
     the pattern knobs, get a Mini-C file (or its compiled IR), optionally
-    run a named tool over it and check the output is preserved. *)
+    run a named tool over it as one transactional pipeline pass and count
+    every rollback (verifier or behaviour gate) as a failure. *)
 
 open Cmdliner
 
-let run seed count out_dir emit_ir check_tool knobs =
-  let cfg =
-    List.fold_left
-      (fun (c : Bsuite.Generator.cfg) k ->
-        match k with
-        | "no-ifs" -> { c with allow_ifs = false }
-        | "no-recurrences" -> { c with allow_recurrences = false }
-        | "no-helpers" -> { c with allow_helpers = false }
-        | "no-indirect" -> { c with allow_indirect = false }
-        | "deep" -> { c with max_depth = 3; iters = 8 }
-        | k ->
-          Printf.eprintf "unknown knob %s\n" k;
-          c)
-      Bsuite.Generator.default_cfg knobs
+let knobs : (string * (Bsuite.Generator.cfg -> Bsuite.Generator.cfg)) list =
+  [ ("no-ifs", fun c -> { c with allow_ifs = false });
+    ("no-recurrences", fun c -> { c with allow_recurrences = false });
+    ("no-helpers", fun c -> { c with allow_helpers = false });
+    ("no-indirect", fun c -> { c with allow_indirect = false });
+    ("deep", fun c -> { c with max_depth = 3; iters = 8 }) ]
+
+(* each tool as a pipeline pass: its license is the one its
+   Ntools.Passes constructor grants *)
+let tools : (string * (Noelle.t -> Noelle.Pipeline.pass)) list =
+  [ ("licm", Ntools.Passes.licm);
+    ("doall", fun n -> Ntools.Passes.doall n);
+    ("helix", fun n -> Ntools.Passes.helix n);
+    ("dswp", fun n -> Ntools.Passes.dswp n);
+    ("time", fun n ->
+        Ntools.Passes.mk "time" (fun m ->
+            let s = Ntools.Timesqueezer.run n m in
+            Printf.sprintf "swapped %d compares" s.Ntools.Timesqueezer.cmps_swapped)) ]
+
+let fuel = 12_000_000
+
+(* run [pass] over [m] behind the verifier and the behaviour gate; the
+   profile it plans from is embedded first *)
+let check_seed seed pass (m : Ir.Irmod.t) =
+  let p, _ = Noelle.Profiler.run ~fuel:3_000_000 m in
+  Noelle.Profiler.embed p m;
+  let n = Noelle.create m in
+  let report =
+    Noelle.Pipeline.run ~config:(Ntools.Passes.config ~fuel n) m [ pass n ]
   in
+  List.iter
+    (fun (e : Noelle.Pipeline.entry) ->
+      Printf.printf "seed %d: %s\n" seed
+        (Noelle.Pipeline.outcome_to_string e.Noelle.Pipeline.eoutcome);
+      List.iter print_endline e.Noelle.Pipeline.etrace_diff)
+    (Noelle.Pipeline.rolled_back report);
+  Noelle.Pipeline.rolled_back report = [] && report.Noelle.Pipeline.final_ok
+
+let run seed count out_dir emit_ir check knobs =
+  let cfg = List.fold_left (fun c k -> k c) Bsuite.Generator.default_cfg knobs in
   (try Unix.mkdir out_dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   let failures = ref 0 in
   for s = seed to seed + count - 1 do
@@ -34,52 +60,34 @@ let run seed count out_dir emit_ir check_tool knobs =
     let m = Minic.Lower.compile ~name:(Printf.sprintf "fuzz%04d" s) src in
     if emit_ir then
       Ir.Printer.to_file m (Filename.concat out_dir (Printf.sprintf "fuzz%04d.ir" s));
-    match check_tool with
+    match check with
+    | Some (_, pass) -> if not (check_seed s pass m) then incr failures
     | None -> ()
-    | Some tool -> (
-      let _, expected = Ir.Interp.run ~fuel:3_000_000 m in
-      let m2 = Minic.Lower.compile ~name:"check" src in
-      let p, _ = Noelle.Profiler.run ~fuel:3_000_000 m2 in
-      Noelle.Profiler.embed p m2;
-      let n = Noelle.create m2 in
-      (match tool with
-      | "licm" -> ignore (Ntools.Licm.run n m2)
-      | "doall" -> ignore (Ntools.Doall.run n m2 ~min_hotness:0.0 ~min_work:0.0 ())
-      | "helix" -> ignore (Ntools.Helix.run n m2 ~min_hotness:0.0 ~min_work:0.0 ())
-      | "dswp" -> ignore (Ntools.Dswp.run n m2 ~min_hotness:0.0 ~min_work:0.0 ())
-      | "time" -> ignore (Ntools.Timesqueezer.run n m2)
-      | t -> Printf.eprintf "unknown tool %s\n" t);
-      match Ir.Verify.check m2 with
-      | Error e ->
-        incr failures;
-        Printf.printf "seed %d: VERIFIER: %s\n" s e
-      | Ok () ->
-        let _, got, _, _ = Psim.Runtime.run ~fuel:12_000_000 m2 in
-        if not (String.equal expected got) then begin
-          incr failures;
-          Printf.printf "seed %d: OUTPUT CHANGED\n" s
-        end)
   done;
   Printf.printf "noelle-fuzz: wrote %d programs to %s%s\n" count out_dir
-    (match check_tool with
-    | Some t -> Printf.sprintf "; checked %s: %d failures" t !failures
+    (match check with
+    | Some (t, _) -> Printf.sprintf "; checked %s: %d failures" t !failures
     | None -> "");
   if !failures > 0 then 1 else 0
+
+let names table = String.concat "|" (List.map fst table)
 
 let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N")
 let count = Arg.(value & opt int 10 & info [ "count"; "n" ] ~docv:"N")
 let out_dir = Arg.(value & opt string "fuzz-out" & info [ "o" ] ~docv:"DIR")
 let emit_ir = Arg.(value & flag & info [ "ir" ] ~doc:"also emit compiled IR")
-let check_tool =
-  Arg.(value & opt (some string) None & info [ "check" ] ~docv:"TOOL"
-         ~doc:"differentially check a tool (licm|doall|helix|dswp|time)")
+let check =
+  Arg.(value
+       & opt (some (enum (List.map (fun ((name, _) as t) -> (name, t)) tools))) None
+       & info [ "check" ] ~docv:"TOOL"
+           ~doc:(Printf.sprintf "differentially check a tool (%s)" (names tools)))
 let knobs =
-  Arg.(value & opt_all string [] & info [ "knob" ] ~docv:"K"
-         ~doc:"pattern knobs: no-ifs no-recurrences no-helpers no-indirect deep")
+  Arg.(value & opt_all (enum knobs) [] & info [ "knob" ] ~docv:"K"
+         ~doc:(Printf.sprintf "pattern knobs (%s)" (names knobs)))
 
 let cmd =
   Cmd.v
     (Cmd.info "noelle-fuzz" ~doc:"Generate micro test programs (testing infrastructure)")
-    Term.(const run $ seed $ count $ out_dir $ emit_ir $ check_tool $ knobs)
+    Term.(const run $ seed $ count $ out_dir $ emit_ir $ check $ knobs)
 
 let () = exit (Cmd.eval' cmd)

@@ -7,15 +7,7 @@ open Cmdliner
 
 let run input fuzz_seed inputs fuel inject_seed psim_fault_seed persistent_tid
     analysis_budget check_races no_profile vec verify_meta trace_diff output quiet =
-  let m =
-    match (input, fuzz_seed) with
-    | Some f, _ -> Ir.Parser.parse_file f
-    | None, Some seed ->
-      Minic.Lower.compile ~name:(Printf.sprintf "fuzz%d" seed)
-        (Bsuite.Generator.program seed)
-    | None, None ->
-      prerr_endline "noelle-pipeline: need FILE.ir or --fuzz-seed"; exit 2
-  in
+  let _, m = Input_program.load ~tool:"noelle-pipeline" input fuzz_seed in
   let pristine = Ir.Snapshot.capture m in
   let inputs = if inputs = [] then [ [] ] else List.map (fun n -> [ n ]) inputs in
   let report =
@@ -55,10 +47,6 @@ let run input fuzz_seed inputs fuel inject_seed psim_fault_seed persistent_tid
   (match output with Some o -> Ir.Printer.to_file m o | None -> ());
   if report.Noelle.Pipeline.final_ok then 0 else 1
 
-let input = Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE.ir")
-let fuzz_seed =
-  Arg.(value & opt (some int) None & info [ "fuzz-seed" ] ~docv:"N"
-         ~doc:"generate the input program from fuzzer seed $(docv)")
 let inputs =
   Arg.(value & opt_all int [] & info [ "input"; "i" ] ~docv:"N"
          ~doc:"argument for a differential run (repeatable)")
@@ -109,8 +97,9 @@ let cmd =
   Cmd.v
     (Cmd.info "noelle-pipeline"
        ~doc:"Transactional pass pipeline with verification and differential gates")
-    Term.(const run $ input $ fuzz_seed $ inputs $ fuel $ inject_seed $ psim_fault_seed
-          $ persistent_tid $ analysis_budget $ check_races $ no_profile $ vec
-          $ verify_meta $ trace_diff $ output $ quiet)
+    Term.(const run $ Input_program.file $ Input_program.fuzz_seed $ inputs
+          $ fuel $ inject_seed $ psim_fault_seed $ persistent_tid
+          $ analysis_budget $ check_races $ no_profile $ vec $ verify_meta
+          $ trace_diff $ output $ quiet)
 
 let () = exit (Cmd.eval' cmd)

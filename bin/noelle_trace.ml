@@ -6,24 +6,6 @@
 
 open Cmdliner
 
-let load input fuzz_seed kernel =
-  match (input, kernel, fuzz_seed) with
-  | Some f, _, _ -> Ir.Parser.parse_file f
-  | None, Some name, _ -> (
-    match Bsuite.Kernels.find name with
-    | Some k -> Bsuite.Kernels.compile k
-    | None ->
-      Printf.eprintf "noelle-trace: unknown kernel %S (try: %s)\n" name
-        (String.concat ", "
-           (List.map (fun k -> k.Bsuite.Kernels.kname) Bsuite.Kernels.all));
-      exit 2)
-  | None, None, Some seed ->
-    Minic.Lower.compile ~name:(Printf.sprintf "fuzz%d" seed)
-      (Bsuite.Generator.program seed)
-  | None, None, None ->
-    prerr_endline "noelle-trace: need FILE.ir, --kernel NAME or --fuzz-seed N";
-    exit 2
-
 let compare_cmd a b =
   let report, differing = Noelle.Telemetry.compare_files a b in
   print_string report;
@@ -31,7 +13,7 @@ let compare_cmd a b =
   0
 
 let trace_cmd input fuzz_seed kernel inputs fuel out metrics_out check quiet =
-  let m = load input fuzz_seed kernel in
+  let _, m = Input_program.load ~tool:"noelle-trace" ~kernel input fuzz_seed in
   let inputs = if inputs = [] then [ [] ] else List.map (fun n -> [ n ]) inputs in
   Ir.Trace.enable ();
   let report = Ntools.Passes.run_standard ~inputs ~fuel ~vec:true m in
@@ -58,10 +40,9 @@ let trace_cmd input fuzz_seed kernel inputs fuel out metrics_out check quiet =
      oracle (§12) and the profile-free bounds analysis (§13) must have
      been exercised: their counters are registered
      (possibly at zero) whenever the worklist solver, the bucketed PDG
-     builder, fingerprint-keyed invalidation, the trace-equivalence gate
-     (with its executed-once reuse) and the Psim replay protocol actually
-     ran, so a missing counter means a silent fallback to a slow, stale or
-     weaker path *)
+     builder, fingerprint-keyed invalidation and the trace-equivalence
+     gate (with its executed-once reuse) actually ran, so a missing
+     counter means a silent fallback to a slow, stale or weaker path *)
   let metric_names = List.map fst (Ir.Trace.metrics ()) in
   let missing =
     List.filter
@@ -70,7 +51,6 @@ let trace_cmd input fuzz_seed kernel inputs fuel out metrics_out check quiet =
         "pdg.pairs_skipped_bucketing"; "pdg.alias_memo_hits";
         "noelle.invalidate.kept"; "pipeline.exec_reused";
         "obs.events"; "obs.trace_compares"; "obs.reorders_rejected";
-        "psim.replay_validated";
         "bounds.queries"; "bounds.loops_exact";
         "vec.loops_considered"; "vec.vectorized"; "vec.if_converted";
         "vec.rejected";
@@ -103,14 +83,7 @@ let run input pos1 fuzz_seed kernel inputs fuel out metrics_out compare check
   else
     trace_cmd input fuzz_seed kernel inputs fuel out metrics_out check quiet
 
-let input = Arg.(value & pos 0 (some string) None & info [] ~docv:"FILE.ir")
-let pos1 = Arg.(value & pos 1 (some string) None & info [] ~docv:"B.json")
-let fuzz_seed =
-  Arg.(value & opt (some int) None & info [ "fuzz-seed" ] ~docv:"N"
-         ~doc:"generate the input program from fuzzer seed $(docv)")
-let kernel =
-  Arg.(value & opt (some string) None & info [ "kernel" ] ~docv:"NAME"
-         ~doc:"trace a named benchmark kernel (e.g. histogram, blackscholes)")
+let pos1 = Arg.(value & pos 1 (some file) None & info [] ~docv:"B.json")
 let inputs =
   Arg.(value & opt_all int [] & info [ "input"; "i" ] ~docv:"N"
          ~doc:"argument for a differential run (repeatable)")
@@ -137,7 +110,8 @@ let cmd =
   Cmd.v
     (Cmd.info "noelle-trace"
        ~doc:"Run the standard pass stack under tracing; export Chrome trace + metrics")
-    Term.(const run $ input $ pos1 $ fuzz_seed $ kernel $ inputs $ fuel $ out
+    Term.(const run $ Input_program.file $ pos1 $ Input_program.fuzz_seed
+          $ Input_program.kernel $ inputs $ fuel $ out
           $ metrics_out $ compare $ check $ quiet)
 
 let () = exit (Cmd.eval' cmd)

@@ -16,48 +16,23 @@
 
 open Ir
 
-(** The pristine kernel's behaviour at the gate fuel. *)
-type reference = {
-  result : (Interp.v, string) result;
-  output : string;
-  trace : Obs.trace;
-  seq_cycles : int64;  (** dynamic instructions = sequential Psim cycles *)
-}
-
 type kernel = {
   kernel : Kernels.kernel;
   name : string;
   fuel : int;
       (** 4x the kernel's own budget: widened bodies and parallel runs
           burn more fuel than the sequential program *)
-  reference : reference Lazy.t;
+  reference : Obs.behaviour Lazy.t;
+      (** the pristine kernel's behaviour at the gate fuel; its [clock]
+          is the dynamic instruction count = sequential Psim cycles *)
 }
 
 (** A fresh mutable copy of the kernel's module. *)
 let compile k = Kernels.compile k.kernel
 
-(* Obs.run, keeping the interpreter clock *)
 let run_reference m ~fuel =
   Trace.incr_m "harness.reference_runs";
-  let sites = Obs.escape_sites m in
-  let st = Interp.create m in
-  st.Interp.fuel <- fuel;
-  let rc = Obs.attach ~sites st in
-  let result =
-    match Interp.call st "main" [] with
-    | v ->
-      Obs.finish rc (Obs.Exit (Obs.render rc v));
-      Ok v
-    | exception Interp.Trap msg ->
-      Obs.finish rc (Obs.terminal_of_trap msg);
-      Error msg
-  in
-  {
-    result;
-    output = Buffer.contents st.Interp.output;
-    trace = Obs.events rc;
-    seq_cycles = st.Interp.clock;
-  }
+  Obs.run ~fuel m
 
 let kernel (k : Kernels.kernel) =
   let fuel = 4 * k.Kernels.fuel in

@@ -56,32 +56,24 @@ type report = {
   executed : int;  (** of those, the ones that executed a module *)
 }
 
-(** One observed execution: the legacy observable (exit value + program
-    output rendered as one string, or the trap message) plus the
-    observable-event trace ({!Ir.Obs}) the run emitted.  The trace gate
-    checks both — trace equivalence subsumes nothing the output compare
-    sees (float printing rounds differently in events), so "strictly
-    stronger" is by construction. *)
-type behaviour = {
-  bresult : (string, string) result;
-  btrace : Obs.trace;
-}
+(** One observed execution ({!Ir.Obs.behaviour}): the legacy observable
+    (exit value + program output as one string, or the trap message) plus
+    the observable-event trace.  The gate checks both halves.  The output
+    half stays because events render floats with [%.6g] while
+    [print_float] writes [%.6f], so the output sees digits the events
+    round away.  Rendering event floats exactly would not let it go
+    either: DOALL combines per-core [Fsum]/[Fprod] partial sums
+    ({!Reduction}), which reassociates float adds, and exact events would
+    compare the reassociated results bit for bit.  Dropping the output
+    half needs a reassociation license first. *)
+type behaviour = Obs.behaviour
 
 (** How the differential gate executes a module.  The default is the
     sequential interpreter under an event recorder; drivers whose passes
     produce parallel modules plug in a Psim-backed executor instead. *)
 type exec = Irmod.t -> args:int list -> fuel:int -> behaviour
 
-let interp_exec : exec =
- fun m ~args ~fuel ->
-  let res, out, tr = Obs.run ~args ~fuel m in
-  {
-    bresult =
-      (match res with
-      | Ok v -> Ok (Printf.sprintf "exit=%s\n%s" (Interp.v_to_string v) out)
-      | Error msg -> Error msg);
-    btrace = tr;
-  }
+let interp_exec : exec = fun m ~args ~fuel -> Obs.run ~args ~fuel m
 
 type config = {
   inputs : int list list; (** argument vectors for the differential gate *)
@@ -116,75 +108,27 @@ type pass = { pname : string; papply : Irmod.t -> string; plicense : Obs.license
 (* Behaviour comparison                                                *)
 (* ------------------------------------------------------------------ *)
 
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
-
-let is_fuel_exhaustion = function
-  | Error msg -> contains msg "out of fuel"
-  | Ok _ -> false
-
-let fuel_exhausted (b : behaviour) = is_fuel_exhaustion b.bresult
-
-(* Trap messages carry instruction ids and labels that legitimately shift
-   under transformation, so equivalence of trapping runs is by trap class
-   (genuine trap vs fuel exhaustion), not by message text. *)
-let equiv r c =
-  match (r, c) with
-  | Ok a, Ok b -> String.equal a b
-  | (Error _ as a), (Error _ as b) -> is_fuel_exhaustion a = is_fuel_exhaustion b
-  | _ -> false
-
-let truncate_for_msg s =
-  let s = String.map (function '\n' -> ' ' | c -> c) s in
-  if String.length s <= 80 then s else String.sub s 0 77 ^ "..."
-
-let describe_result = function
-  | Ok s -> Printf.sprintf "ok %S" (truncate_for_msg s)
-  | Error msg -> Printf.sprintf "trap %S" (truncate_for_msg msg)
+let contains = Obs.has_sub
 
 let args_str args = "(" ^ String.concat ", " (List.map string_of_int args) ^ ")"
 
 let behaviours (c : config) (m : Irmod.t) =
   List.map (fun args -> c.exec m ~args ~fuel:c.fuel) c.inputs
 
-(** Compare candidate behaviours against the reference, input by input.
-
-    Fuel exhaustion is handled before anything else: a candidate that ran
-    out of fuel where the reference did not is [`Timed_out] — a resource
-    verdict, never a behavioural mismatch — and two runs that both
-    exhausted their fuel are equal by convention (their traces are
-    incomparable prefixes).  Otherwise the gate demands the legacy
-    observable (exit + output) be identical {e and} the event traces be
-    equivalent modulo [license] ({!Ir.Obs.check}); a trace rejection
-    carries its minimal event-diff witness. *)
+(** Compare candidate behaviours against the reference, input by input,
+    with {!Ir.Obs.compare} under [license]: the first input whose run is
+    not [`Equal] decides the verdict. *)
 let compare_behaviours ?(license = Obs.Exact) (c : config)
     (reference : behaviour list) (candidate : behaviour list) =
   let rec go inputs refs cands =
     match (inputs, refs, cands) with
     | [], [], [] -> `Equal
-    | args :: is, r :: rs, cd :: cs ->
-      if fuel_exhausted cd && not (fuel_exhausted r) then
-        `Timed_out
-          (Printf.sprintf "on input %s: ran out of fuel (reference %s)"
-             (args_str args) (describe_result r.bresult))
-      else if fuel_exhausted r && fuel_exhausted cd then go is rs cs
-      else if not (equiv r.bresult cd.bresult) then
-        `Mismatch
-          ( Printf.sprintf "on input %s: expected %s, got %s" (args_str args)
-              (describe_result r.bresult)
-              (describe_result cd.bresult),
-            [] )
-      else (
-        match Obs.check ~license ~reference:r.btrace ~candidate:cd.btrace with
-        | Ok () -> go is rs cs
-        | Error (reason, witness) ->
-          `Mismatch
-            ( Printf.sprintf "on input %s: %s (license: %s)" (args_str args)
-                reason
-                (Obs.license_to_string license),
-              witness ))
+    | args :: is, r :: rs, cd :: cs -> (
+      let on_input msg = Printf.sprintf "on input %s: %s" (args_str args) msg in
+      match Obs.compare ~license r cd with
+      | `Equal -> go is rs cs
+      | `Timed_out msg -> `Timed_out (on_input msg)
+      | `Mismatch (msg, witness) -> `Mismatch (on_input msg, witness))
     | _ -> `Mismatch ("behaviour vectors have different lengths", [])
   in
   go c.inputs reference candidate

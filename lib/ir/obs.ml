@@ -5,13 +5,16 @@
     external/builtin calls with their arguments, stores to *escaping*
     memory (objects reachable from globals or the entry's return value,
     per {!Andersen}), and a distinct terminal event (normal exit, trap,
-    fuel exhaustion).  Two runs are then compared not by their flat text
-    output but by trace equivalence modulo a {!license}: the commutations
-    a transformation is entitled to make.  DOALL may permute whole
-    independent iterations' event blocks, DSWP may buffer events across
-    stages but must keep per-stage program order, Helix must keep its
-    sequential segments in sequential order; cleanups get no license at
-    all.  An unlicensed reorder yields a minimal event-diff witness.
+    fuel exhaustion).  {!run} is the one function that runs a module
+    under a recorder, and {!compare} the one comparator every
+    differential check uses: it demands the same legacy result (exit
+    value and text output) and trace equivalence modulo a {!license}:
+    the commutations a transformation is entitled to make.  DOALL may
+    permute whole independent iterations' event blocks, DSWP may buffer
+    events across stages but must keep per-stage program order, Helix
+    must keep its sequential segments in sequential order; cleanups get
+    no license at all.  An unlicensed reorder yields a minimal event-diff
+    witness.
 
     Values inside events are rendered abstractly: pointers are shown
     relative to the escaped object they fall in ([&heap#0+3], [&@g]) or
@@ -285,23 +288,6 @@ let finish r (term : action) =
   emit r term;
   Trace.add "obs.events" r.count
 
-(** Run [m] under a fresh recorder: result, text output, trace. *)
-let run ?(entry = "main") ?(args = []) ?fuel ?sites (m : Irmod.t) :
-    (Interp.v, string) result * string * trace =
-  let sites = match sites with Some s -> s | None -> escape_sites ~entry m in
-  let st = Interp.create m in
-  (match fuel with Some f -> st.Interp.fuel <- f | None -> ());
-  let r = attach ~sites st in
-  match
-    Interp.call st entry (List.map (fun n -> Interp.VI (Int64.of_int n)) args)
-  with
-  | v ->
-    finish r (Exit (render r v));
-    (Ok v, Buffer.contents st.Interp.output, events r)
-  | exception Interp.Trap msg ->
-    finish r (terminal_of_trap msg);
-    (Error msg, Buffer.contents st.Interp.output, events r)
-
 (* ------------------------------------------------------------------ *)
 (* Commutation licenses                                                *)
 (* ------------------------------------------------------------------ *)
@@ -362,7 +348,7 @@ let check_exact (reference : trace) (candidate : trace) :
       addl (Printf.sprintf "  + [%d] %s" i (event_display ca.(i)))
     else addl (Printf.sprintf "  + [%d] <end of candidate trace>" i);
     Error
-      (Printf.sprintf "trace diverges at event %d (license: exact)" i,
+      (Printf.sprintf "trace diverges at event %d" i,
        List.rev !lines)
 
 let multiset (t : trace) =
@@ -483,3 +469,90 @@ let check ~license ~(reference : trace) ~(candidate : trace) :
   | Error _ -> Trace.incr_m "obs.reorders_rejected"
   | Ok () -> ());
   res
+
+(* ------------------------------------------------------------------ *)
+(* The behaviour oracle                                                *)
+(* ------------------------------------------------------------------ *)
+
+(** One observed run: what every differential check compares.  [result]
+    is the legacy observable, [Ok "exit=<v>\n<output>"] or the trap
+    message; [trace] is the event stream; [clock] is the interpreter's
+    virtual clock at the end (dynamic instructions sequentially, cycles
+    under the Psim runtime). *)
+type behaviour = {
+  result : (string, string) result;
+  trace : trace;
+  clock : int64;
+}
+
+(** Run [m]'s [entry] under a fresh recorder.  [install] sees the fresh
+    state and its recorder before the call: the Psim runtime registers its
+    builtins there and keeps the recorder to tag events with their task. *)
+let run ?(entry = "main") ?(args = []) ?fuel ?(install = fun _ _ -> ())
+    (m : Irmod.t) : behaviour =
+  let sites = escape_sites ~entry m in
+  let st = Interp.create m in
+  (match fuel with Some f -> st.Interp.fuel <- f | None -> ());
+  let r = attach ~sites st in
+  install st r;
+  let result =
+    match
+      Interp.call st entry (List.map (fun n -> Interp.VI (Int64.of_int n)) args)
+    with
+    | v ->
+      finish r (Exit (render r v));
+      Ok
+        (Printf.sprintf "exit=%s\n%s" (Interp.v_to_string v)
+           (Buffer.contents st.Interp.output))
+    | exception Interp.Trap msg ->
+      finish r (terminal_of_trap msg);
+      Error msg
+  in
+  { result; trace = events r; clock = st.Interp.clock }
+
+let fuel_exhausted b =
+  match b.result with Error msg -> has_sub msg "out of fuel" | Ok _ -> false
+
+let describe_result res =
+  let clip s =
+    let s = String.map (function '\n' -> ' ' | c -> c) s in
+    if String.length s <= 80 then s else String.sub s 0 77 ^ "..."
+  in
+  match res with
+  | Ok s -> Printf.sprintf "ok %S" (clip s)
+  | Error msg -> Printf.sprintf "trap %S" (clip msg)
+
+(** Compare a candidate run against the reference run on the same input.
+
+    Fuel exhaustion is decided first: a candidate that ran out of fuel
+    where the reference did not is [`Timed_out], a resource verdict and
+    never a behavioural mismatch, and two runs that both ran out are
+    equal by convention (their traces are incomparable prefixes).
+    Otherwise the legacy results must be identical (trapping runs compare
+    by trap class, since messages carry instruction ids that shift under
+    transformation) {e and} the traces equivalent modulo [license]
+    ({!check}); a trace rejection carries its minimal event-diff
+    witness. *)
+let compare ~license (reference : behaviour) (candidate : behaviour) =
+  if fuel_exhausted candidate && not (fuel_exhausted reference) then
+    `Timed_out
+      (Printf.sprintf "ran out of fuel (reference %s)"
+         (describe_result reference.result))
+  else if fuel_exhausted reference && fuel_exhausted candidate then `Equal
+  else if
+    match (reference.result, candidate.result) with
+    | Ok a, Ok b -> not (String.equal a b)
+    | Error _, Error _ -> fuel_exhausted reference
+    | _ -> true
+  then
+    `Mismatch
+      ( Printf.sprintf "expected %s, got %s"
+          (describe_result reference.result)
+          (describe_result candidate.result),
+        [] )
+  else
+    match check ~license ~reference:reference.trace ~candidate:candidate.trace with
+    | Ok () -> `Equal
+    | Error (reason, witness) ->
+      `Mismatch
+        (Printf.sprintf "%s (license: %s)" reason (license_to_string license), witness)

@@ -127,7 +127,7 @@ type t = {
   mutable recorder : Obs.recorder option;
       (** when set, the scheduler tags every observable event with the
           running task / section, and {!sig_wait}/{!sig_set} bracket
-          Helix sequential segments (DESIGN.md §12 replay protocol) *)
+          Helix sequential segments (DESIGN.md §12) *)
 }
 
 let stats_sections (t : t) = t.sections
@@ -435,7 +435,6 @@ let install ?(arch : Noelle.Arch.t option) (st : Interp.state) : t =
       recorder = None;
     }
   in
-  Trace.touch "psim.replay_validated";
   let reg name fn = Interp.register_builtin st name fn in
   reg "task_submit" (fun st args ->
       match args with
@@ -553,42 +552,12 @@ let run ?(entry = "main") ?(args = []) ?fuel ?arch (m : Irmod.t) =
   let v = Interp.call st entry (List.map (fun n -> Interp.VI (Int64.of_int n)) args) in
   (v, Buffer.contents st.Interp.output, st.Interp.clock, r)
 
-(** Run [m]'s entry under the parallel runtime with an observable-event
-    recorder attached: every event is tagged with its task and parallel
-    section.  Returns (result, output, trace, simulated cycles). *)
-let run_traced ?(entry = "main") ?(args = []) ?fuel ?arch ?sites (m : Irmod.t) :
-    (Interp.v, string) result * string * Obs.trace * int64 =
-  let sites = match sites with Some s -> s | None -> Obs.escape_sites ~entry m in
-  let st = Interp.create m in
-  (match fuel with Some f -> st.Interp.fuel <- f | None -> ());
-  let r = install ?arch st in
-  let rc = Obs.attach ~sites st in
-  r.recorder <- Some rc;
-  match
-    Interp.call st entry (List.map (fun n -> Interp.VI (Int64.of_int n)) args)
-  with
-  | v ->
-    Obs.finish rc (Obs.Exit (Obs.render rc v));
-    (Ok v, Buffer.contents st.Interp.output, Obs.events rc, st.Interp.clock)
-  | exception Interp.Trap msg ->
-    Obs.finish rc (Obs.terminal_of_trap msg);
-    (Error msg, Buffer.contents st.Interp.output, Obs.events rc, st.Interp.clock)
-
-(** Replay protocol (DESIGN.md §12): execute the parallelized module [m]
-    under the runtime with a recorder, then validate its tagged schedule
-    against the sequential trace of [original] under [license].  [Ok ()]
-    counts into [psim.replay_validated]; a violation carries the minimal
-    event-diff witness. *)
-let replay_validate ?(entry = "main") ?(args = []) ?fuel ?arch
-    ?(license = Obs.Permute_iterations) ~(original : Irmod.t) (m : Irmod.t) :
-    (unit, Obs.mismatch) result =
-  let _, _, reference = Obs.run ~entry ~args ?fuel original in
-  let _, _, candidate, _ = run_traced ~entry ~args ?fuel ?arch m in
-  let res = Obs.check ~license ~reference ~candidate in
-  (match res with
-  | Ok () -> Trace.incr_m "psim.replay_validated"
-  | Error _ -> ());
-  res
+(** Run [m]'s entry under the parallel runtime through {!Obs.run}: the
+    recorder tags every event with its task and parallel section, and the
+    behaviour's [clock] is the simulated cycle count. *)
+let run_traced ?entry ?args ?fuel ?arch (m : Irmod.t) : Obs.behaviour =
+  Obs.run ?entry ?args ?fuel m ~install:(fun st rc ->
+      (install ?arch st).recorder <- Some rc)
 
 (** Sequential reference run: simulated cycles = dynamic instructions. *)
 let run_sequential ?(entry = "main") ?(args = []) ?fuel (m : Irmod.t) =

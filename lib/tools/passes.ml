@@ -16,15 +16,7 @@ open Ir
     so the trace gate can validate the parallel schedule against the
     sequential reference. *)
 let psim_exec : Noelle.Pipeline.exec =
- fun m ~args ~fuel ->
-  let res, out, tr, _cycles = Psim.Runtime.run_traced ~args ~fuel m in
-  {
-    Noelle.Pipeline.bresult =
-      (match res with
-      | Ok v -> Ok (Printf.sprintf "exit=%s\n%s" (Interp.v_to_string v) out)
-      | Error msg -> Error msg);
-    btrace = tr;
-  }
+ fun m ~args ~fuel -> Psim.Runtime.run_traced ~args ~fuel m
 
 let mk ?(license = Obs.Exact) name apply : Noelle.Pipeline.pass =
   { Noelle.Pipeline.pname = name; papply = apply; plicense = license }

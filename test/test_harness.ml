@@ -2,8 +2,9 @@
 
     Toy gates over a kernel prefix pin down what the harness owns:
     failures name their gate and kernel and make the sweep fail, a
-    kernel's pristine reference runs once however many gates read it,
-    and sweep-end assertions see only their own gate's counter deltas. *)
+    kernel's pristine reference is one {!Ir.Obs.run} and runs once
+    however many gates read it, and sweep-end assertions see only their
+    own gate's counter deltas. *)
 
 open Helpers
 module H = Bsuite.Harness
@@ -65,9 +66,19 @@ let test_per_gate_deltas () =
   check Alcotest.(list string) "another gate's increments do not count"
     [ "reads: never if-converted" ] fails
 
+let test_reference_is_obs_run () =
+  let k = List.hd Bsuite.Kernels.all in
+  let hk = H.kernel k in
+  let r = Lazy.force hk.H.reference in
+  checkb "the reference is Obs.run at the gate fuel"
+    (r = Ir.Obs.run ~fuel:hk.H.fuel (Bsuite.Kernels.compile k));
+  let _, _, seq = Psim.Runtime.run_sequential ~fuel:hk.H.fuel (H.compile hk) in
+  check Alcotest.int64 "its clock is the sequential cycle count" seq r.Ir.Obs.clock
+
 let suite =
   [
     tc "harness: failure names gate and kernel" test_failure_names_kernel;
     tc "harness: one reference run per kernel" test_reference_shared;
     tc "harness: sweep-end reads per-gate deltas" test_per_gate_deltas;
+    tc "harness: reference equals Obs.run" test_reference_is_obs_run;
   ]

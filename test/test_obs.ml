@@ -3,7 +3,8 @@
     concurrent equivalence checkers with their minimal witnesses, the
     Effect_reorder fault class that only a trace gate can catch, a fuzz
     sweep showing the trace gate strictly stronger than the legacy output
-    compare, and the Psim replay-validation protocol. *)
+    compare, the Psim replay protocol, and the behaviour comparator
+    ({!Obs.compare}) every differential check goes through. *)
 
 open Helpers
 open Ir
@@ -57,28 +58,32 @@ int main() {
 let keys t = List.map (fun (e : Obs.event) -> Obs.action_key e.Obs.eact) t
 
 let test_trace_shape () =
-  let _, out, t = Obs.run ~fuel:100_000 (compile private_heap_src) in
-  checks "output" "9" (String.trim out);
+  let b = Obs.run ~fuel:100_000 (compile private_heap_src) in
+  let t = b.Obs.trace in
+  checkb "result" (b.Obs.result = Ok "exit=0\n9\n");
   checks "trace"
     "store @g[0] = 25 | call print(9) | exit 0"
     (String.concat " | " (keys t))
 
 let test_exact_identity () =
   (* the gate must never reject the identity transformation *)
-  let _, _, a = Obs.run ~fuel:100_000 (compile two_stores_src) in
-  let _, _, b = Obs.run ~fuel:100_000 (compile two_stores_src) in
-  match Obs.check ~license:Obs.Exact ~reference:a ~candidate:b with
+  let a = Obs.run ~fuel:100_000 (compile two_stores_src) in
+  let b = Obs.run ~fuel:100_000 (compile two_stores_src) in
+  match
+    Obs.check ~license:Obs.Exact ~reference:a.Obs.trace ~candidate:b.Obs.trace
+  with
   | Ok () -> ()
   | Error (msg, _) -> Alcotest.failf "identity rejected: %s" msg
 
 let test_exact_witness () =
-  let ra, oa, a = Obs.run ~fuel:100_000 (compile two_stores_src) in
-  let rb, ob, b = Obs.run ~fuel:100_000 (compile two_stores_swapped_src) in
+  let a = Obs.run ~fuel:100_000 (compile two_stores_src) in
+  let b = Obs.run ~fuel:100_000 (compile two_stores_swapped_src) in
   (* the legacy oracle sees nothing... *)
-  checkb "results agree" (ra = rb);
-  checks "outputs agree" oa ob;
+  checkb "results agree" (a.Obs.result = b.Obs.result);
   (* ...the trace oracle produces a minimal witness *)
-  match Obs.check ~license:Obs.Exact ~reference:a ~candidate:b with
+  match
+    Obs.check ~license:Obs.Exact ~reference:a.Obs.trace ~candidate:b.Obs.trace
+  with
   | Ok () -> Alcotest.fail "swapped stores accepted under the exact license"
   | Error (msg, witness) ->
     checkb "reason names the divergence point" (contains msg "diverges at event 0");
@@ -90,9 +95,10 @@ let test_exact_witness () =
 let test_trap_class_and_fuel_terminal () =
   checks "traps compare by class" (Obs.action_key (Obs.Trapped "inst 3: bad"))
     (Obs.action_key (Obs.Trapped "inst 9: worse"));
-  let r, _, t = Obs.run ~fuel:40 (compile private_heap_src) in
-  checkb "run reports the trap" (Result.is_error r);
-  match List.rev t with
+  let b = Obs.run ~fuel:40 (compile private_heap_src) in
+  checkb "run reports the trap" (Result.is_error b.Obs.result);
+  checkb "fuel exhausted" (Obs.fuel_exhausted b);
+  match List.rev b.Obs.trace with
   | last :: _ -> checks "terminal" "out-of-fuel" (Obs.action_key last.Obs.eact)
   | [] -> Alcotest.fail "empty trace"
 
@@ -204,8 +210,7 @@ let test_effect_reorder_old_gate_misses () =
   let m' = compile two_stores_src in
   ignore ((reorder_pass 1).Noelle.Pipeline.papply m');
   checkb "legacy oracle blind to the reorder"
-    ((run (compile two_stores_src)).Noelle.Pipeline.bresult
-    = (run m').Noelle.Pipeline.bresult)
+    ((run (compile two_stores_src)).Obs.result = (run m').Obs.result)
 
 let test_fuzz_sweep_strictly_stronger () =
   (* over 50 generated programs: (a) the trace gate never rejects the
@@ -217,25 +222,27 @@ let test_fuzz_sweep_strictly_stronger () =
     let name = Printf.sprintf "fuzz%d" seed in
     let src = Bsuite.Generator.program seed in
     let m = Minic.Lower.compile ~name src in
-    let ra, oa, reference = Obs.run ~fuel m in
-    let _, _, again = Obs.run ~fuel (Minic.Lower.compile ~name src) in
-    (match Obs.check ~license:Obs.Exact ~reference ~candidate:again with
+    let ra = Obs.run ~fuel m in
+    let again = Obs.run ~fuel (Minic.Lower.compile ~name src) in
+    let reference = ra.Obs.trace in
+    (match
+       Obs.check ~license:Obs.Exact ~reference ~candidate:again.Obs.trace
+     with
     | Ok () -> ()
     | Error (msg, _) -> Alcotest.failf "seed %d: identity rejected: %s" seed msg);
-    if Result.is_ok ra then begin
+    if Result.is_ok ra.Obs.result then begin
       let m' = Minic.Lower.compile ~name src in
       match Faultgen.inject ~kinds:Faultgen.observable_kinds ~seed m' with
       | None -> ()
       | Some desc ->
         incr planted;
-        let rb, ob, candidate = Obs.run ~fuel m' in
+        let rb = Obs.run ~fuel m' in
         checkb
-          (Printf.sprintf "seed %d: %s: legacy oracle blind (result)" seed desc)
-          (ra = rb);
-        checks
-          (Printf.sprintf "seed %d: %s: legacy oracle blind (output)" seed desc)
-          oa ob;
-        match Obs.check ~license:Obs.Exact ~reference ~candidate with
+          (Printf.sprintf "seed %d: %s: legacy oracle blind" seed desc)
+          (ra.Obs.result = rb.Obs.result);
+        match
+          Obs.check ~license:Obs.Exact ~reference ~candidate:rb.Obs.trace
+        with
         | Ok () ->
           Alcotest.failf "seed %d: %s: trace oracle also blind" seed desc
         | Error (_, witness) ->
@@ -271,6 +278,8 @@ let test_parallelizers_pass_trace_gate () =
     report.Noelle.Pipeline.entries;
   checkb "final ok" report.Noelle.Pipeline.final_ok
 
+(* the replay protocol is the pipeline's final check: a parallel module's
+   tagged schedule, run under Psim, against the pristine sequential run *)
 let test_psim_replay_validation () =
   let k =
     match Bsuite.Kernels.find "histogram" with
@@ -278,12 +287,16 @@ let test_psim_replay_validation () =
     | None -> Alcotest.fail "histogram kernel missing"
   in
   let fuel = 4 * k.Bsuite.Kernels.fuel in
-  let original = Bsuite.Kernels.compile k in
+  let reference = Obs.run ~fuel (Bsuite.Kernels.compile k) in
   let m = Bsuite.Kernels.compile k in
   ignore (Ntools.Passes.run_standard ~fuel m);
-  (match Psim.Runtime.replay_validate ~fuel ~original m with
-  | Ok () -> ()
-  | Error (msg, witness) ->
+  (match
+     Obs.compare ~license:Obs.Permute_iterations reference
+       (Psim.Runtime.run_traced ~fuel m)
+   with
+  | `Equal -> ()
+  | `Timed_out msg -> Alcotest.failf "replay ran out of fuel: %s" msg
+  | `Mismatch (msg, witness) ->
     Alcotest.failf "replay rejected: %s\n%s" msg (String.concat "\n" witness));
   (* and the negative: replaying against an original whose effects were
      reordered must fail even under the DOALL license, because both
@@ -292,11 +305,33 @@ let test_psim_replay_validation () =
   ignore
     (Faultgen.inject ~kinds:Faultgen.observable_kinds ~seed:1 bad_original);
   match
-    Psim.Runtime.replay_validate ~fuel:100_000 ~original:bad_original
-      (compile two_stores_src)
+    Obs.compare ~license:Obs.Permute_iterations
+      (Obs.run ~fuel:100_000 bad_original)
+      (Psim.Runtime.run_traced ~fuel:100_000 (compile two_stores_src))
   with
-  | Ok () -> Alcotest.fail "replay accepted a reordered original"
-  | Error _ -> ()
+  | `Mismatch (_, _ :: _) -> ()
+  | _ -> Alcotest.fail "replay accepted a reordered original"
+
+let print_then_return ret = Printf.sprintf "int main() { print(3); return %s; }" ret
+
+let test_compare_sees_exit_value () =
+  (* an output-only check passes this candidate: same text, other exit *)
+  let reference = Obs.run ~fuel:10_000 (compile (print_then_return "0")) in
+  let candidate = Obs.run ~fuel:10_000 (compile (print_then_return "1")) in
+  match Obs.compare ~license:Obs.Permute_iterations reference candidate with
+  | `Mismatch (msg, _) -> checkb "names both exits" (contains msg "exit=1")
+  | _ -> Alcotest.fail "a changed exit value was accepted"
+
+let test_compare_trapping_candidate () =
+  let reference = Obs.run ~fuel:10_000 (compile (print_then_return "0")) in
+  let candidate =
+    Obs.run ~fuel:10_000 (compile ("int g[1];\n" ^ print_then_return "5 / g[0]"))
+  in
+  checkb "the candidate trapped" (Result.is_error candidate.Obs.result);
+  match Obs.compare ~license:Obs.Exact reference candidate with
+  | `Mismatch (msg, _) -> checkb "reports the trap" (contains msg "division by zero")
+  | `Timed_out _ -> Alcotest.fail "a genuine trap is not fuel exhaustion"
+  | `Equal -> Alcotest.fail "a trapping candidate was accepted"
 
 let test_counters_registered () =
   Ir.Trace.enable ();
@@ -384,6 +419,8 @@ let suite =
       test_fuzz_sweep_strictly_stronger;
     tc "obs: parallelizers clear the trace gate" test_parallelizers_pass_trace_gate;
     tc "obs: psim replay validation" test_psim_replay_validation;
+    tc "obs: compare sees the exit value" test_compare_sees_exit_value;
+    tc "obs: compare reports a trapping candidate" test_compare_trapping_candidate;
     tc "obs: telemetry counters registered" test_counters_registered;
     tc "obs: ordered object lookup matches the linear scan" test_object_lookup;
   ]

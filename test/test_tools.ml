@@ -708,11 +708,11 @@ let test_vec_trace_exact () =
      event stream exact — not merely equivalent under a reorder license *)
   let k = Option.get (Bsuite.Kernels.find "dijkstra") in
   let m_ref = Bsuite.Kernels.compile k in
-  let _, _, reference = Obs.run ~fuel:k.Bsuite.Kernels.fuel m_ref in
+  let reference = (Obs.run ~fuel:k.Bsuite.Kernels.fuel m_ref).Obs.trace in
   let m = Bsuite.Kernels.compile k in
   let n = Noelle.create m in
   ignore (Ntools.Vec.run n m ~only_best:false ~min_work:0.0 ());
-  let _, _, candidate = Obs.run ~fuel:(4 * k.Bsuite.Kernels.fuel) m in
+  let candidate = (Obs.run ~fuel:(4 * k.Bsuite.Kernels.fuel) m).Obs.trace in
   match Obs.check ~license:Obs.Exact ~reference ~candidate with
   | Ok () -> ()
   | Error (msg, _) -> Alcotest.failf "vec trace not exact: %s" msg
