@@ -8,14 +8,17 @@ test:
 
 # one seeded fault-injection pipeline run: every injected corruption must be
 # caught by the verify/differential gates (exit 0 = final module ok); then
-# noelle-fuzz checks DOALL and HELIX as one gated pipeline pass over five
-# generated programs (any rollback fails), and an unknown tool must be a
-# usage error (exit exactly 124)
+# noelle-fuzz checks DOALL, HELIX, DSWP, LICM and TimeSqueezer each as one
+# gated pipeline pass over five generated programs (any rollback fails),
+# and an unknown tool must be a usage error (exit exactly 124)
 faultcheck: build
 	dune exec bin/noelle_pipeline.exe -- --fuzz-seed 3 --fault-seed 8 -q
 	dune exec bin/noelle_pipeline.exe -- --fuzz-seed 3 --task-fault-seed 5 --kill-task 0 -q
 	dune exec bin/noelle_fuzz.exe -- --seed 1 -n 5 -o _fuzz --check doall
 	dune exec bin/noelle_fuzz.exe -- --seed 1 -n 5 -o _fuzz --check helix
+	dune exec bin/noelle_fuzz.exe -- --seed 1 -n 5 -o _fuzz --check dswp
+	dune exec bin/noelle_fuzz.exe -- --seed 1 -n 5 -o _fuzz --check licm
+	dune exec bin/noelle_fuzz.exe -- --seed 1 -n 5 -o _fuzz --check time
 	@st=0; dune exec bin/noelle_fuzz.exe -- --check bogus 2>/dev/null || st=$$?; \
 	if [ $$st -ne 124 ]; then \
 	  echo "faultcheck: noelle-fuzz --check bogus must exit 124 (exit $$st)"; exit 1; \

@@ -780,43 +780,28 @@ let report_to_text ?(stats = false) (r : report) =
        (List.length (errors r)) (List.length (warnings r)) nsup);
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (** JSON rendering of a report (schema documented in the README). *)
 let report_to_json ~mname (r : report) =
   let diag d =
     Printf.sprintf
       "{\"check\":\"%s\",\"severity\":\"%s\",\"function\":\"%s\",\"block\":\"%s\",\
        \"inst\":%d,\"message\":\"%s\",\"notes\":[%s],\"suppressed\":%b}"
-      (json_escape d.did)
+      (Trace.json_escape d.did)
       (severity_to_string d.dsev)
-      (json_escape d.dloc.lfunc) (json_escape d.dloc.lblock) d.dloc.linst
-      (json_escape d.dmsg)
+      (Trace.json_escape d.dloc.lfunc) (Trace.json_escape d.dloc.lblock) d.dloc.linst
+      (Trace.json_escape d.dmsg)
       (String.concat ","
-         (List.map (fun n -> "\"" ^ json_escape n ^ "\"") d.dnotes))
+         (List.map (fun n -> "\"" ^ Trace.json_escape n ^ "\"") d.dnotes))
       d.dsuppressed
   in
   let stat s =
     Printf.sprintf
       "{\"checker\":\"%s\",\"diagnostics\":%d,\"iterations\":%d,\"ms\":%.3f}"
-      (json_escape s.sname) s.sdiags s.siters s.stime_ms
+      (Trace.json_escape s.sname) s.sdiags s.siters s.stime_ms
   in
   Printf.sprintf
     "{\"module\":\"%s\",\"errors\":%d,\"warnings\":%d,\"diagnostics\":[%s],\"stats\":[%s]}"
-    (json_escape mname)
+    (Trace.json_escape mname)
     (List.length (errors r))
     (List.length (warnings r))
     (String.concat "," (List.map diag r.diags))

@@ -88,12 +88,24 @@ let schedule_block (t : t) bid ~(priority : Instr.inst -> int) =
   in
   let orig_pos = Hashtbl.create 16 in
   List.iteri (fun k x -> Hashtbl.replace orig_pos x k) mid;
-  (* intra-block dependence edges among mid *)
+  (* side effects keep their program order: the PDG may prove two stores
+     independent, yet both are observable (escaping memory), so every
+     store or call also depends on each earlier one in the block *)
+  let prior_effects = Hashtbl.create 16 in
+  ignore
+    (List.fold_left
+       (fun earlier x ->
+         match (Func.inst t.f x).Instr.op with
+         | Instr.Store _ | Instr.Call _ ->
+           Hashtbl.replace prior_effects x earlier;
+           x :: earlier
+         | _ -> earlier)
+       [] mid);
+  (* intra-block dependence edges among mid; control deps within a block
+     do not exist and memory edges are in data_preds *)
   let deps_of x =
     List.filter (fun y -> y <> x && List.mem y mid) (data_preds t x)
-    @ (* control deps within a block do not exist; memory edges are in
-         data_preds *)
-    []
+    @ Option.value (Hashtbl.find_opt prior_effects x) ~default:[]
   in
   let placed = Hashtbl.create 16 in
   let out = ref [] in

@@ -235,75 +235,20 @@ let transform (n : Noelle.t) (m : Irmod.t) (plan : plan) ~(ncores : int) :
 let run (n : Noelle.t) (m : Irmod.t) ?(ncores = 12) ?(min_hotness = 0.05) ?(min_work = 20000.0)
     ?(profile_free = false) ?(skip = fun (_ : string) -> false) () :
     (string * (stats, string) result) list =
-  Noelle.set_tool n "DOALL";
-  let results = ref [] in
-  let attempted : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-  (* Transforming a loop mutates its function, so analyses are recomputed
-     after every success; loops already attempted (by stable id) are
-     skipped.  Iterate until a full round makes no progress. *)
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    List.iter
-      (fun (f : Func.t) ->
-        if not (String.contains f.Func.fname '.') then begin
-          Noelle.profiler n;
-          (* static bounds are queried unconditionally: planning telemetry
-             stays observable even on the profile-driven path *)
-          ignore (Noelle.bounds n f);
-          let loops = Noelle.loops n f in
-          let selected lp =
+  Parutil.drive n m ~tool:"DOALL" ~skip
+    ~prelude:(fun f ->
+      Noelle.profiler n;
+      (* static bounds are queried unconditionally: planning telemetry
+         stays observable even on the profile-driven path *)
+      ignore (Noelle.bounds n f))
+    ~select:(Parutil.hot n m ~profile_free ~min_hotness ~min_work)
+    (fun c ->
+      Result.map
+        (fun plan ->
+          let ncores =
             if profile_free then
-              Parutil.profitable_static n f (Loop.structure lp) ~min_work
-            else Parutil.profitable m (Loop.structure lp) ~min_hotness ~min_work
+              Parutil.static_chunk n c.Parutil.f c.Parutil.ls ~ncores
+            else ncores
           in
-          let eligible =
-            List.filter
-              (fun lp ->
-                (not (Hashtbl.mem attempted (Loop.id lp))) && selected lp)
-              loops
-          in
-          (* prefer outermost hot loops *)
-          let ordered =
-            List.sort
-              (fun a b ->
-                compare
-                  (Loop.structure a).Loopstructure.depth
-                  (Loop.structure b).Loopstructure.depth)
-              eligible
-          in
-          let rec try_loops = function
-            | [] -> ()
-            | lp :: rest -> (
-              let id = Loop.id lp in
-              Hashtbl.replace attempted id ();
-              if skip id then begin
-                results := (id, Error "skipped: loop flagged by race detector") :: !results;
-                try_loops rest
-              end
-              else
-              match Parutil.candidate_of n f lp with
-              | Error e ->
-                results := (id, Error e) :: !results;
-                try_loops rest
-              | Ok c -> (
-                match plan_of c with
-                | Error e ->
-                  results := (id, Error e) :: !results;
-                  try_loops rest
-                | Ok plan ->
-                  let loop_cores =
-                    if profile_free then
-                      Parutil.static_chunk n f (Loop.structure lp) ~ncores
-                    else ncores
-                  in
-                  let s = transform n m plan ~ncores:loop_cores in
-                  results := (id, Ok s) :: !results;
-                  (* analyses for this function are stale: next round *)
-                  progress := true))
-          in
-          try_loops ordered
-        end)
-      (Irmod.defined_functions m)
-  done;
-  List.rev !results
+          transform n m plan ~ncores)
+        (plan_of c))

@@ -516,58 +516,7 @@ let run (n : Noelle.t) (m : Irmod.t) ?(max_stages = 3) ?(min_hotness = 0.05)
     ?(min_work = 20000.0) ?(profile_free = false)
     ?(skip = fun (_ : string) -> false) () :
     (string * (stats, string) result) list =
-  Noelle.set_tool n "DSWP";
-  let results = ref [] in
-  let attempted : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    List.iter
-      (fun (f : Func.t) ->
-        if not (String.contains f.Func.fname '.') then begin
-          Noelle.profiler n;
-          let selected lp =
-            if profile_free then
-              Parutil.profitable_static n f (Loop.structure lp) ~min_work
-            else Parutil.profitable m (Loop.structure lp) ~min_hotness ~min_work
-          in
-          let eligible =
-            List.filter
-              (fun lp ->
-                (not (Hashtbl.mem attempted (Loop.id lp))) && selected lp)
-              (Noelle.loops n f)
-            |> List.sort
-                 (fun a b ->
-                   compare
-                     (Loop.structure a).Loopstructure.depth
-                     (Loop.structure b).Loopstructure.depth)
-          in
-          let rec try_loops = function
-            | [] -> ()
-            | lp :: rest -> (
-              let id = Loop.id lp in
-              Hashtbl.replace attempted id ();
-              if skip id then begin
-                results := (id, Error "skipped: loop flagged by race detector") :: !results;
-                try_loops rest
-              end
-              else
-              match Parutil.candidate_of n f lp with
-              | Error e ->
-                results := (id, Error e) :: !results;
-                try_loops rest
-              | Ok c -> (
-                match plan_of m c ~max_stages with
-                | Error e ->
-                  results := (id, Error e) :: !results;
-                  try_loops rest
-                | Ok plan ->
-                  let s = transform n m plan in
-                  results := (id, Ok s) :: !results;
-                  progress := true))
-          in
-          try_loops eligible
-        end)
-      (Irmod.defined_functions m)
-  done;
-  List.rev !results
+  Parutil.drive n m ~tool:"DSWP" ~skip
+    ~prelude:(fun _ -> Noelle.profiler n)
+    ~select:(Parutil.hot n m ~profile_free ~min_hotness ~min_work)
+    (fun c -> Result.map (transform n m) (plan_of m c ~max_stages))

@@ -1,12 +1,16 @@
-(** Shared machinery of the parallelizing custom tools (DOALL / HELIX /
-    DSWP).
+(** Shared machinery of the loop transforms (DOALL / HELIX / DSWP / VEC,
+    and Perspective on top of DOALL).
 
     Everything here is a thin composition of NOELLE abstractions: candidate
     selection reads L / aSCCDAG / IV, live-ins come from the PDG, the task
     bodies are produced with LB's cloning, the iteration-space changes go
-    through IVS, and value forwarding uses ENV + T.  The per-technique
-    modules only add their scheduling policy, which is why they fit in a
-    few hundred lines each (Table 3). *)
+    through IVS, and value forwarding uses ENV + T.  {!drive} is the one
+    loop driver: it walks the module to a fixpoint, orders and filters the
+    loops, applies the race-detector refusal and {!candidate_of}, and
+    records every loop's outcome.  The per-technique modules only add
+    their policy — which analyses to warm per function, which loops to
+    select, in which order, and how to plan and transform a candidate —
+    which is why they fit in a few hundred lines each (Table 3). *)
 
 open Ir
 open Noelle
@@ -131,6 +135,68 @@ let candidate_of (n : Noelle.t) (f : Func.t) (lp : Loop.t) : (candidate, string)
             | _ -> Error "header has multiple in-loop successors")
         | _ -> Error "step is not a nonzero constant"))
     | _ -> Error "loop must have a single exit edge leaving the header"
+
+(** Profile-driven selection of DOALL / HELIX / DSWP: {!profitable}, or
+    {!profitable_static} when [profile_free]. *)
+let hot (n : Noelle.t) (m : Irmod.t) ~profile_free ~min_hotness ~min_work
+    (f : Func.t) (lp : Loop.t) =
+  if profile_free then profitable_static n f (Loop.structure lp) ~min_work
+  else profitable m (Loop.structure lp) ~min_hotness ~min_work
+
+(** The loop driver every transform runs under.  Transforming a loop
+    mutates its function, so analyses are recomputed after every success:
+    rounds over the module repeat until one transforms nothing, and a loop
+    is attempted at most once (by stable id).  Outlined task functions
+    (names containing ['.']) are never entered.  Per function and round,
+    [prelude f] runs first, then the loops admitted by [select f] are
+    tried outermost first ([~innermost_first] reverses that) until one
+    transforms.  Each attempted loop yields exactly one outcome: the
+    [skip] refusal, a {!candidate_of} rejection, or [attempt]'s result,
+    where [Ok] means "transformed".  Outcomes are in attempt order. *)
+let drive (n : Noelle.t) (m : Irmod.t) ~tool ?(prelude = fun _ -> ())
+    ~(select : Func.t -> Loop.t -> bool) ?(innermost_first = false)
+    ?(skip = fun (_ : string) -> false)
+    (attempt : candidate -> ('s, string) result) :
+    (string * ('s, string) result) list =
+  Noelle.set_tool n tool;
+  let results = ref [] in
+  let attempted : (string, unit) Hashtbl.t = Hashtbl.create 16 in
+  let depth lp = (Loop.structure lp).Loopstructure.depth in
+  let order a b =
+    if innermost_first then compare (depth b) (depth a)
+    else compare (depth a) (depth b)
+  in
+  (* true once a loop of [f] transforms: [f]'s analyses are now stale *)
+  let rec try_loops f = function
+    | [] -> false
+    | lp :: rest ->
+      let id = Loop.id lp in
+      Hashtbl.replace attempted id ();
+      let r =
+        if skip id then Error "skipped: loop flagged by race detector"
+        else Result.bind (candidate_of n f lp) attempt
+      in
+      results := (id, r) :: !results;
+      Result.is_ok r || try_loops f rest
+  in
+  let round () =
+    List.fold_left
+      (fun progress (f : Func.t) ->
+        if String.contains f.Func.fname '.' then progress
+        else begin
+          prelude f;
+          let selected = select f in
+          let eligible =
+            List.filter
+              (fun lp -> (not (Hashtbl.mem attempted (Loop.id lp))) && selected lp)
+              (Noelle.loops n f)
+          in
+          try_loops f (List.sort order eligible) || progress
+        end)
+      false (Irmod.defined_functions m)
+  in
+  while round () do () done;
+  List.rev !results
 
 (** Emit, in block [bid] of [f], the trip count of the candidate:
     [max(0, ceil((bound - start + adj) / step))]. *)

@@ -197,139 +197,101 @@ let loop_is_clean (m : Irmod.t) (ls : Loopstructure.t) =
 (* Planning: drop only the apparent loop-carried memory edges           *)
 (* ------------------------------------------------------------------ *)
 
-let speculative_plan (n : Noelle.t) (m : Irmod.t) (f : Func.t) (lp : Loop.t) :
+let speculative_plan (m : Irmod.t) (c : Parutil.candidate) :
     (Doall.plan * int * string list, string) result =
-  match Parutil.candidate_of n f lp with
-  | Error e -> Error e
-  | Ok c ->
-    let ls = Loop.structure lp in
-    (match loop_conflicts m ls with
-    | None -> Error "no memory profile for this loop (run profile_conflicts)"
-    | Some conflicts ->
-      let privatizable = loop_privatizable m ls in
-      let blocking =
-        List.filter (fun o -> not (List.mem o privatizable)) conflicts
-      in
-      if blocking <> [] then
-        Error
-          (Printf.sprintf
-             "actual cross-iteration conflicts on non-privatizable objects (%s)"
-             (String.concat " " blocking))
-      else begin
-        let ldg = Loop.dep_graph lp in
-        (* drop blocking carried may edges: edges on privatizable objects
-           are privatized (the object gets cloned per task); the rest are
-           speculated (the profile saw no actual conflict) *)
-        let speculated = ref 0 in
-        let cloned : (string, unit) Hashtbl.t = Hashtbl.create 4 in
-        let edge_object (e : Depgraph.edge) =
-          let base_of_inst id =
-            match Func.inst_opt f id with
-            | Some i -> (
-              match Alias.pointer_operand i with
-              | Some p -> (
-                match Alias.base_of f p with
-                | Alias.Bglobal g -> Some g
-                | _ -> None)
-              | None -> None)
-            | None -> None
-          in
-          match (base_of_inst e.Depgraph.esrc, base_of_inst e.Depgraph.edst) with
-          | Some a, Some b when String.equal a b -> Some a
-          | _ -> None
+  let f = c.Parutil.f and lp = c.Parutil.lp in
+  let ls = Loop.structure lp in
+  match loop_conflicts m ls with
+  | None -> Error "no memory profile for this loop (run profile_conflicts)"
+  | Some conflicts ->
+    let privatizable = loop_privatizable m ls in
+    let blocking =
+      List.filter (fun o -> not (List.mem o privatizable)) conflicts
+    in
+    if blocking <> [] then
+      Error
+        (Printf.sprintf
+           "actual cross-iteration conflicts on non-privatizable objects (%s)"
+           (String.concat " " blocking))
+    else begin
+      let ldg = Loop.dep_graph lp in
+      (* drop blocking carried may edges: edges on privatizable objects
+         are privatized (the object gets cloned per task); the rest are
+         speculated (the profile saw no actual conflict) *)
+      let speculated = ref 0 in
+      let cloned : (string, unit) Hashtbl.t = Hashtbl.create 4 in
+      let edge_object (e : Depgraph.edge) =
+        let base_of_inst id =
+          match Func.inst_opt f id with
+          | Some i -> (
+            match Alias.pointer_operand i with
+            | Some p -> (
+              match Alias.base_of f p with
+              | Alias.Bglobal g -> Some g
+              | _ -> None)
+            | None -> None)
+          | None -> None
         in
-        (* two regimes:
-           - pure speculation (no actual conflicts anywhere): every carried
-             may edge can go, calls included;
-           - privatization (conflicts exist, all on privatizable objects):
-             only edges attributed to a specific object may go — attributed
-             to a privatizable object = privatize, to a conflict-free
-             object = speculate; unattributable edges (calls, unknown
-             bases) must stay, so a callee sneaking accesses to a cloned
-             object keeps the loop sequential rather than miscompiling *)
-        let pure_speculation = conflicts = [] in
-        Depgraph.filter_edges ldg.Pdg.ldg ~keep_edge:(fun e ->
-            match e.Depgraph.kind with
-            | Depgraph.Memory _ when e.Depgraph.loop_carried && not e.Depgraph.must
-              -> (
-              match edge_object e with
-              | Some g when List.mem g privatizable ->
-                Hashtbl.replace cloned g ();
-                false
-              | Some _ ->
-                (* a named object with no observed conflict *)
+        match (base_of_inst e.Depgraph.esrc, base_of_inst e.Depgraph.edst) with
+        | Some a, Some b when String.equal a b -> Some a
+        | _ -> None
+      in
+      (* two regimes:
+         - pure speculation (no actual conflicts anywhere): every carried
+           may edge can go, calls included;
+         - privatization (conflicts exist, all on privatizable objects):
+           only edges attributed to a specific object may go — attributed
+           to a privatizable object = privatize, to a conflict-free
+           object = speculate; unattributable edges (calls, unknown
+           bases) must stay, so a callee sneaking accesses to a cloned
+           object keeps the loop sequential rather than miscompiling *)
+      let pure_speculation = conflicts = [] in
+      Depgraph.filter_edges ldg.Pdg.ldg ~keep_edge:(fun e ->
+          match e.Depgraph.kind with
+          | Depgraph.Memory _ when e.Depgraph.loop_carried && not e.Depgraph.must
+            -> (
+            match edge_object e with
+            | Some g when List.mem g privatizable ->
+              Hashtbl.replace cloned g ();
+              false
+            | Some _ ->
+              (* a named object with no observed conflict *)
+              incr speculated;
+              false
+            | None ->
+              if pure_speculation then begin
                 incr speculated;
                 false
-              | None ->
-                if pure_speculation then begin
-                  incr speculated;
-                  false
-                end
-                else true)
-            | _ -> true);
-        let dag = Sccdag.build ldg in
-        let ascc = Ascc.build ls dag in
-        let c = { c with Parutil.ascc } in
-        let cloned = Hashtbl.fold (fun k () acc -> k :: acc) cloned [] in
-        if !speculated = 0 && cloned = [] then Error "nothing to speculate (use DOALL)"
-        else
-          match Doall.plan_of c with
-          | Error e -> Error ("even after speculation: " ^ e)
-          | Ok plan ->
-            Ok ({ plan with Doall.privatized = List.sort compare cloned },
-                !speculated, List.sort compare cloned)
-      end)
+              end
+              else true)
+          | _ -> true);
+      let dag = Sccdag.build ldg in
+      let ascc = Ascc.build ls dag in
+      let c = { c with Parutil.ascc } in
+      let cloned = Hashtbl.fold (fun k () acc -> k :: acc) cloned [] in
+      if !speculated = 0 && cloned = [] then Error "nothing to speculate (use DOALL)"
+      else
+        match Doall.plan_of c with
+        | Error e -> Error ("even after speculation: " ^ e)
+        | Ok plan ->
+          Ok ({ plan with Doall.privatized = List.sort compare cloned },
+              !speculated, List.sort compare cloned)
+    end
 
 (** Run Perspective over hot loops that plain DOALL rejected. *)
 let run (n : Noelle.t) (m : Irmod.t) ?(ncores = 12) ?(min_hotness = 0.05)
     ?(min_work = 20000.0) () : (string * (stats, string) result) list =
-  Noelle.set_tool n "PERS";
-  let results = ref [] in
-  let attempted : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    List.iter
-      (fun (f : Func.t) ->
-        if not (String.contains f.Func.fname '.') then begin
-          let eligible =
-            List.filter
-              (fun lp ->
-                (not (Hashtbl.mem attempted (Loop.id lp)))
-                && Parutil.profitable m (Loop.structure lp) ~min_hotness ~min_work)
-              (Noelle.loops n f)
-            |> List.sort
-                 (fun a b ->
-                   compare
-                     (Loop.structure a).Loopstructure.depth
-                     (Loop.structure b).Loopstructure.depth)
-          in
-          let rec try_loops = function
-            | [] -> ()
-            | lp :: rest -> (
-              let id = Loop.id lp in
-              Hashtbl.replace attempted id ();
-              match speculative_plan n m f lp with
-              | Error e ->
-                results := (id, Error e) :: !results;
-                try_loops rest
-              | Ok (plan, dropped, cloned) ->
-                let s = Doall.transform n m plan ~ncores in
-                results :=
-                  (id,
-                   Ok
-                     {
-                       loop_id = s.Doall.loop_id;
-                       speculated_edges = dropped;
-                       privatized = s.Doall.nreductions;
-                       cloned_objects = cloned;
-                       ncores;
-                     })
-                  :: !results;
-                progress := true)
-          in
-          try_loops eligible
-        end)
-      (Irmod.defined_functions m)
-  done;
-  List.rev !results
+  Parutil.drive n m ~tool:"PERS"
+    ~select:(Parutil.hot n m ~profile_free:false ~min_hotness ~min_work)
+    (fun c ->
+      Result.map
+        (fun (plan, dropped, cloned) ->
+          let s = Doall.transform n m plan ~ncores in
+          {
+            loop_id = s.Doall.loop_id;
+            speculated_edges = dropped;
+            privatized = s.Doall.nreductions;
+            cloned_objects = cloned;
+            ncores;
+          })
+        (speculative_plan m c))

@@ -75,18 +75,12 @@ let decide_profiled (n : Noelle.t) (m : Irmod.t) (f : Func.t) (lp : Loop.t)
     {!Bounds} trip count) pick W and arbitrate vectorize-vs-parallelize.
     [None] means "leave it to the parallelizers". *)
 let vec_probe (n : Noelle.t) (f : Func.t) (lp : Loop.t) ~ncores : int option =
-  match Parutil.candidate_of n f lp with
+  match
+    Result.bind (Parutil.candidate_of n f lp) (fun c ->
+        Vec.arbitrate n c ~ncores ~only_best:true ())
+  with
+  | Ok (_, a) -> Some a.Vec.a_width
   | Error _ -> None
-  | Ok c -> (
-    match Vec.plan_of c with
-    | Error _ -> None
-    | Ok plan ->
-      let a = Vec.appraise n c plan ~ncores () in
-      let too_small = match a.Vec.a_trip with Some t -> t < 4 | None -> false in
-      let doall_beats =
-        Result.is_ok (Doall.plan_of c) && a.Vec.a_doall_time < a.Vec.a_vec_time
-      in
-      if too_small || doall_beats then None else Some a.Vec.a_width)
 
 (** The profile-free decision: gate from {!Parutil.profitable_static},
     DOALL chunk clamped by the static trip bound.  With [vec] set the

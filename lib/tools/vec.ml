@@ -512,8 +512,29 @@ let appraise (n : Noelle.t) (c : Parutil.candidate) (plan : plan)
         ~iters ~work:body_cost;
   }
 
+(** VEC's whole decision on a candidate: the legality {!plan_of}, the
+    {!appraise}al, then the arbitration — a static trip count below one
+    lane group is refused, and with [only_best] so is a loop DOALL could
+    take where the models say core parallelism is faster.  Shared by
+    {!run} and the profile-free planner's vec arm. *)
+let arbitrate (n : Noelle.t) (c : Parutil.candidate) ?ncores ?params
+    ~only_best () : (plan * appraisal, string) result =
+  Result.bind (plan_of c) (fun plan ->
+      let a = appraise n c plan ?ncores ?params () in
+      let too_small = match a.a_trip with Some t -> t < 4 | None -> false in
+      let doall_preferred =
+        only_best
+        && Result.is_ok (Doall.plan_of c)
+        && a.a_doall_time < a.a_vec_time
+      in
+      if too_small then Error "trip count too small to vectorize"
+      else if doall_preferred then
+        Error "DOALL preferred: core parallelism models faster"
+      else Ok (plan, a))
+
 (** Try to vectorize every eligible loop of each function (skipping
-    generated task functions and already-widened [vec.*] regions).
+    generated task functions and already-widened [vec.*] regions),
+    innermost first: vectorization targets leaf loops.
     [only_best] leaves a loop to DOALL when the models say core
     parallelism beats lane parallelism on it; the standalone gates and
     the bench's per-technique comparison pass [~only_best:false] to get
@@ -522,109 +543,42 @@ let run (n : Noelle.t) (m : Irmod.t) ?(ncores = 12) ?(min_work = 512.0)
     ?(only_best = true) ?(params = Psim.Models.default_vec_params)
     ?(skip = fun (_ : string) -> false) () :
     (string * (stats, string) result) list =
-  Noelle.set_tool n "VEC";
   List.iter Trace.touch counters;
-  let results = ref [] in
-  let attempted : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-  let record id r =
-    (match r with
-    | Ok (s : stats) ->
-      Trace.incr_m "vec.vectorized";
-      if s.if_converted then Trace.incr_m "vec.if_converted"
-    | Error _ -> Trace.incr_m "vec.rejected");
-    results := (id, r) :: !results
+  let results =
+    Parutil.drive n m ~tool:"VEC" ~skip ~innermost_first:true
+      ~prelude:(fun f -> ignore (Noelle.bounds n f))
+      ~select:(fun f ->
+        let preds = Func.preds f in
+        (* never re-enter an already-widened region: both the widened
+           loop and its epilogue are reached through vec.* blocks *)
+        let in_vec_region (ls : Loopstructure.t) =
+          let starts_vec b =
+            let s = (Func.block f b).Func.label in
+            String.length s >= 4 && String.equal (String.sub s 0 4) "vec."
+          in
+          starts_vec ls.Loopstructure.header
+          || List.exists starts_vec
+               (try Hashtbl.find preds ls.Loopstructure.header
+                with Not_found -> [])
+        in
+        fun lp ->
+          let ls = Loop.structure lp in
+          (not (in_vec_region ls)) && Parutil.profitable_static n f ls ~min_work)
+      (fun c ->
+        Result.map
+          (fun (plan, a) ->
+            transform n m plan ~width:a.a_width ~trip:a.a_trip
+              ~body_cost:a.a_body_cost ~strided_mem_ops:a.a_strided_mem_ops
+              ~stride:a.a_stride)
+          (arbitrate n c ~ncores ~params ~only_best ()))
   in
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    List.iter
-      (fun (f : Func.t) ->
-        if not (String.contains f.Func.fname '.') then begin
-          ignore (Noelle.bounds n f);
-          let loops = Noelle.loops n f in
-          let preds = Func.preds f in
-          (* never re-enter an already-widened region: both the widened
-             loop and its epilogue are reached through vec.* blocks *)
-          let in_vec_region (ls : Loopstructure.t) =
-            let starts_vec b =
-              let s = (Func.block f b).Func.label in
-              String.length s >= 4 && String.equal (String.sub s 0 4) "vec."
-            in
-            starts_vec ls.Loopstructure.header
-            || List.exists starts_vec
-                 (try Hashtbl.find preds ls.Loopstructure.header
-                  with Not_found -> [])
-          in
-          let eligible =
-            List.filter
-              (fun lp ->
-                let ls = Loop.structure lp in
-                (not (Hashtbl.mem attempted (Loop.id lp)))
-                && (not (in_vec_region ls))
-                && Parutil.profitable_static n f ls ~min_work)
-              loops
-          in
-          (* innermost first: vectorization targets leaf loops *)
-          let ordered =
-            List.sort
-              (fun a b ->
-                compare
-                  (Loop.structure b).Loopstructure.depth
-                  (Loop.structure a).Loopstructure.depth)
-              eligible
-          in
-          let rec try_loops = function
-            | [] -> ()
-            | lp :: rest -> (
-              let id = Loop.id lp in
-              Hashtbl.replace attempted id ();
-              Trace.incr_m "vec.loops_considered";
-              if skip id then begin
-                record id (Error "skipped: loop flagged by race detector");
-                try_loops rest
-              end
-              else
-                match Parutil.candidate_of n f lp with
-                | Error e ->
-                  record id (Error e);
-                  try_loops rest
-                | Ok c -> (
-                  match plan_of c with
-                  | Error e ->
-                    record id (Error e);
-                    try_loops rest
-                  | Ok plan ->
-                    let a = appraise n c plan ~ncores ~params () in
-                    let too_small =
-                      match a.a_trip with Some t -> t < 4 | None -> false
-                    in
-                    let doall_preferred =
-                      only_best
-                      && Result.is_ok (Doall.plan_of c)
-                      && a.a_doall_time < a.a_vec_time
-                    in
-                    if too_small then begin
-                      record id (Error "trip count too small to vectorize");
-                      try_loops rest
-                    end
-                    else if doall_preferred then begin
-                      record id
-                        (Error "DOALL preferred: core parallelism models faster");
-                      try_loops rest
-                    end
-                    else begin
-                      let st =
-                        transform n m plan ~width:a.a_width ~trip:a.a_trip
-                          ~body_cost:a.a_body_cost
-                          ~strided_mem_ops:a.a_strided_mem_ops
-                          ~stride:a.a_stride
-                      in
-                      record id (Ok st);
-                      progress := true
-                    end))
-          in
-          try_loops ordered
-        end)
-      (Irmod.defined_functions m)
-  done;
-  List.rev !results
+  List.iter
+    (fun (_, r) ->
+      Trace.incr_m "vec.loops_considered";
+      match r with
+      | Ok (s : stats) ->
+        Trace.incr_m "vec.vectorized";
+        if s.if_converted then Trace.incr_m "vec.if_converted"
+      | Error _ -> Trace.incr_m "vec.rejected")
+    results;
+  results

@@ -622,6 +622,46 @@ let test_schedule_block_preserves () =
         (output ~fuel:k.Bsuite.Kernels.fuel m))
     [ Bsuite.Kernels.sha_lite; Bsuite.Kernels.adpcm_lite; Bsuite.Kernels.dedup_lite ]
 
+let test_schedule_block_keeps_effect_order () =
+  (* the PDG proves the two stores independent (distinct globals) and the
+     later one's operands are ready first, yet a store-favouring priority
+     must not swap them: both writes escape, and the exact trace gate
+     observes them in program order *)
+  let m =
+    compile
+      {|
+int ga[4];
+int gb[4];
+int main() {
+  int x = ga[2] + 5;
+  ga[0] = x * 3;
+  gb[0] = 7;
+  return 0;
+}
+|}
+  in
+  let reference = Obs.run m in
+  let n = Noelle.create m in
+  let main = Irmod.func m "main" in
+  let sched = Noelle.scheduler n main in
+  let stores bid =
+    List.filter
+      (fun id ->
+        match (Func.inst main id).Instr.op with Instr.Store _ -> true | _ -> false)
+      (Func.block main bid).Func.insts
+  in
+  checkb "a block holds both stores"
+    (List.exists (fun bid -> List.length (stores bid) >= 2) main.Func.blocks);
+  List.iter
+    (fun bid ->
+      let before = stores bid in
+      Noelle.Scheduler.schedule_block sched bid ~priority:(fun i ->
+          match i.Instr.op with Instr.Store _ -> 0 | _ -> 1);
+      checkb "stores keep program order" (before = stores bid))
+    main.Func.blocks;
+  checkb "exact trace unchanged"
+    (Obs.compare ~license:Obs.Exact reference (Obs.run m) = `Equal)
+
 let test_shrink_header () =
   with_loop
     {|
@@ -817,6 +857,7 @@ let suite =
     tc "loopbuilder peel" test_peel_semantics;
     tc "loopbuilder hoist" test_hoist;
     tc "scheduler block" test_schedule_block_preserves;
+    tc "scheduler keeps effect order" test_schedule_block_keeps_effect_order;
     tc "scheduler shrink header" test_shrink_header;
     tc "env" test_env;
     tc "arch" test_arch;

@@ -717,6 +717,60 @@ let test_vec_trace_exact () =
   | Ok () -> ()
   | Error (msg, _) -> Alcotest.failf "vec trace not exact: %s" msg
 
+let test_driver_skip_all () =
+  (* the shared loop driver (Parutil.drive) under a skip-everything race
+     gate: every technique must leave the module byte-identical and report
+     exactly one refusal per eligible loop, none twice *)
+  let k = Option.get (Bsuite.Kernels.find "x264") in
+  let skip _ = true in
+  let refused = Error "skipped: loop flagged by race detector" in
+  let expect_refusals name run =
+    let m = Bsuite.Kernels.compile k in
+    let before = Printer.module_str m in
+    let n = Noelle.create m in
+    let loops =
+      List.concat_map
+        (fun f -> List.map Noelle.Loop.id (Noelle.loops n f))
+        (Irmod.defined_functions m)
+    in
+    let results = run n m in
+    checks (name ^ ": module untouched") before (Printer.module_str m);
+    checkb (name ^ ": one refusal per loop")
+      (List.for_all (fun (_, r) -> r = refused) results);
+    let ids = List.map fst results in
+    checkb (name ^ ": no loop attempted twice")
+      (List.length (List.sort_uniq compare ids) = List.length ids);
+    checkb (name ^ ": every loop attempted")
+      (loops <> [] && List.sort compare ids = List.sort compare loops);
+    List.length results
+  in
+  let min_hotness = 0.0 and min_work = 0.0 in
+  ignore
+    (expect_refusals "DOALL" (fun n m ->
+         Ntools.Doall.run n m ~min_hotness ~min_work ~skip ()));
+  ignore
+    (expect_refusals "HELIX" (fun n m ->
+         Ntools.Helix.run n m ~min_hotness ~min_work ~skip ()));
+  ignore
+    (expect_refusals "DSWP" (fun n m ->
+         Ntools.Dswp.run n m ~min_hotness ~min_work ~skip ()));
+  (* enabling the trace starts every counter from zero *)
+  Ir.Trace.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Ir.Trace.disable ();
+      Ir.Trace.reset ())
+    (fun () ->
+      let outcomes =
+        expect_refusals "VEC" (fun n m ->
+            Ntools.Vec.run n m ~only_best:false ~min_work ~skip ())
+      in
+      let count name = Int64.to_int (Ir.Trace.counter name) in
+      checki "VEC: loops_considered = outcomes" outcomes
+        (count "vec.loops_considered");
+      checki "VEC: vectorized + rejected = outcomes" outcomes
+        (count "vec.vectorized" + count "vec.rejected"))
+
 let suite_extra =
   [
     tc "PERS memory-object cloning" test_perspective_privatization;
@@ -728,4 +782,5 @@ let suite_extra =
     tc "VEC rejects divergent print" test_vec_rejects_divergent_call;
     tc "VEC rejects recurrences" test_vec_rejects_sequential;
     tc "VEC trace-exact" test_vec_trace_exact;
+    tc "loop driver: skip-all refusals" test_driver_skip_all;
   ]
