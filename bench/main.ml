@@ -841,7 +841,7 @@ let bechamel_section () =
         Test.make ~name:"loop-dg+sccdag"
           (Staged.stage (fun () ->
                let l = List.hd nest.Ir.Loopnest.loops in
-               Noelle.Sccdag.build (Noelle.Pdg.loop_dg pdg l)));
+               Noelle.Sccdag.build (Noelle.Pdg.loop_dg pdg nest l)));
         Test.make ~name:"callgraph"
           (Staged.stage (fun () -> Noelle.Callgraph.build ~pts:andersen m));
       ]

@@ -153,9 +153,9 @@ let alias_chain (ctx : ctx) (f : Func.t) (i1 : Instr.inst) (i2 : Instr.inst) =
 
 (** Loop-carried memory dependences of one loop, deduplicated to unordered
     instruction pairs. *)
-let loop_races (ctx : ctx) (f : Func.t) (pdg : Pdg.t) (l : Loopnest.loop) :
-    diag list =
-  let ldg = Pdg.loop_dg pdg l in
+let loop_races (ctx : ctx) (f : Func.t) (pdg : Pdg.t) (nest : Loopnest.t)
+    (l : Loopnest.loop) : diag list =
+  let ldg = Pdg.loop_dg pdg nest l in
   let g = ldg.Pdg.ldg in
   let lkey = Ids.loop_key f l in
   let seen = Hashtbl.create 8 in
@@ -197,7 +197,7 @@ let race : checker =
             if nest.Loopnest.loops = [] then []
             else
               let pdg = Pdg.build ~stack:ctx.cstack ctx.cm f in
-              List.concat_map (loop_races ctx f pdg) nest.Loopnest.loops)
+              List.concat_map (loop_races ctx f pdg nest) nest.Loopnest.loops)
           (Irmod.defined_functions ctx.cm));
   }
 

@@ -117,18 +117,15 @@ let slice (g : t) ~keep =
     g.nodes;
   out
 
-(** Remove every edge that fails [keep_edge] (used by loop-centric
-    refinement to drop disproved dependences). *)
+(** Remove every edge that fails [keep_edge] (used by speculative
+    refinement to drop dependences a profile says never occur).
+    [keep_edge] is asked once for each edge's successor-list entry and
+    once for its predecessor-list entry. *)
 let filter_edges (g : t) ~keep_edge =
-  let rebuild tbl pick =
-    Hashtbl.iter
-      (fun n es -> Hashtbl.replace tbl n (List.filter keep_edge es))
-      (Hashtbl.copy tbl);
-    ignore pick
-  in
-  rebuild g.succ `Src;
-  rebuild g.pred `Dst;
-  g.nedges <- List.length (edges g)
+  let filter tbl = Hashtbl.filter_map_inplace (fun _ es -> Some (List.filter keep_edge es)) tbl in
+  filter g.succ;
+  g.nedges <- Hashtbl.fold (fun _ es n -> n + List.length es) g.succ 0;
+  filter g.pred
 
 (** Strongly connected components (Tarjan), internal nodes only.
     Returned in reverse topological order (callees of the DAG first). *)

@@ -15,10 +15,12 @@ type t = {
   invariants : Invariants.t Lazy.t;
 }
 
-let make (pdg : Pdg.t) (ls : Loopstructure.t) : t =
-  let ldg = lazy (Pdg.loop_dg pdg ls.Loopstructure.raw) in
-  let dag = lazy (Sccdag.build (Lazy.force ldg)) in
-  let ascc = lazy (Ascc.build ls (Lazy.force dag)) in
+(** The loop [ls] of the loop nest [nest], over the function graph [pdg]. *)
+let make (pdg : Pdg.t) (nest : Ir.Loopnest.t) (ls : Loopstructure.t) : t =
+  let span name f = Ir.Trace.span ~cat:"analysis" name f in
+  let ldg = lazy (span "loop.ldg" (fun () -> Pdg.loop_dg pdg nest ls.Loopstructure.raw)) in
+  let dag = lazy (span "loop.sccdag" (fun () -> Sccdag.build (Lazy.force ldg))) in
+  let ascc = lazy (span "loop.ascc" (fun () -> Ascc.build ls (Lazy.force dag))) in
   let invariants = lazy (Invariants.compute pdg ls) in
   { ls; pdg; ldg; dag; ascc; invariants }
 

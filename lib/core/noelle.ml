@@ -400,16 +400,22 @@ let bounds (t : t) (f : Func.t) : Bounds.summary =
       ~payload:(Bounds.summary_payload s);
     s
 
+(* the loop nest of [f] and the loop structure of each of its loops *)
+let nest_structures (t : t) (f : Func.t) =
+  record t "LS";
+  let nest = loopnest t f in
+  (nest, List.map (Loopstructure.of_loop f) nest.Loopnest.loops)
+
 (** Loop structures (LS) of every loop in [f]. *)
 let loop_structures (t : t) (f : Func.t) : Loopstructure.t list =
-  record t "LS";
-  List.map (Loopstructure.of_loop f) (loopnest t f).Loopnest.loops
+  snd (nest_structures t f)
 
 (** Canonical loops (L) of [f], everything beyond LS computed lazily. *)
 let loops (t : t) (f : Func.t) : Loop.t list =
   record t "L";
   let p = pdg t f in
-  List.map (Loop.make p) (loop_structures t f)
+  let nest, structures = nest_structures t f in
+  List.map (Loop.make p nest) structures
 
 (** The loop-nesting forest of [f] (FR). *)
 let loop_forest (t : t) (f : Func.t) =

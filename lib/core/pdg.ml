@@ -350,21 +350,28 @@ let refinement_phi (f : Func.t) (l : Loopnest.loop) =
       | _ -> false)
     header_phis
 
-(** Build the dependence graph of loop [l], refining memory dependences
-    with loop-centric analyses exactly when the graph is requested (the
-    demand-driven refinement of §2.2). *)
-let loop_dg (t : t) (l : Loopnest.loop) : loop_dg =
+(** Build the dependence graph of loop [l] of the loop nest [nest],
+    refining memory dependences with loop-centric analyses exactly when
+    the graph is requested (the demand-driven refinement of §2.2).
+
+    The cost is proportional to the loop: only the successor lists of the
+    loop's nodes and of the outside nodes feeding them are walked, and each
+    edge is refined as it is copied, so a disproved dependence is never
+    added. *)
+let loop_dg (t : t) (nest : Loopnest.t) (l : Loopnest.loop) : loop_dg =
   let f = t.f in
-  let in_loop id =
-    match Func.inst_opt f id with
-    | Some i -> Loopnest.contains l i.Instr.parent
-    | None -> false
-  in
-  let g = Depgraph.slice t.fdg ~keep:in_loop in
+  let fdg = t.fdg in
+  let g = Depgraph.create () in
+  List.iter
+    (fun n ->
+      match Func.inst_opt f n with
+      | Some i when Loopnest.contains l i.Instr.parent -> Depgraph.add_node g n
+      | _ -> ())
+    fdg.Depgraph.nodes;
+  let in_loop = Depgraph.is_internal g in
   let iv_phi = refinement_phi f l in
   (* inner-loop phis with bounded spans become extra address symbols, so
      the outer loops of nested kernels (c[i*N+j]) can be disambiguated *)
-  let nest = Loopnest.compute f in
   let inner_syms =
     List.concat_map
       (fun (sl : Loopnest.loop) ->
@@ -385,58 +392,83 @@ let loop_dg (t : t) (l : Loopnest.loop) : loop_dg =
     (match iv_phi with Some p -> [ p.Instr.id ] | None -> [])
     @ List.map fst inner_syms
   in
-  (* classify / refine every edge *)
-  let keep (e : Depgraph.edge) =
+  let polys = Hashtbl.create 16 in
+  let poly_of p =
+    match Hashtbl.find_opt polys p with
+    | Some a -> a
+    | None ->
+      let a = Scev.poly_of f l ~symbols p in
+      Hashtbl.replace polys p a;
+      a
+  in
+  (* the loop-carried flag of a kept edge, [None] for a disproved one *)
+  let refine (e : Depgraph.edge) =
     match e.Depgraph.kind with
-    | Depgraph.Control ->
-      e.Depgraph.loop_carried <- false;
-      true
+    | Depgraph.Control -> Some false
     | Depgraph.Register _ ->
       (* a register dep is loop-carried iff it feeds a header phi from
          inside the loop (the back-edge value) *)
-      let carried =
-        Depgraph.is_internal g e.Depgraph.esrc
+      Some
+        (in_loop e.Depgraph.esrc
         &&
         match Func.inst_opt f e.Depgraph.edst with
         | Some { Instr.op = Instr.Phi _; parent; _ } -> parent = l.Loopnest.header
-        | _ -> false
-      in
-      e.Depgraph.loop_carried <- carried;
-      true
+        | _ -> false)
     | Depgraph.Memory _ -> (
-      if not (Depgraph.is_internal g e.Depgraph.esrc && Depgraph.is_internal g e.Depgraph.edst)
-      then begin
-        e.Depgraph.loop_carried <- false;
-        true
-      end
+      if not (in_loop e.Depgraph.esrc && in_loop e.Depgraph.edst) then Some false
       else
         let addr_of id =
           Option.bind (Func.inst_opt f id) Alias.pointer_operand
         in
         match (iv_phi, addr_of e.Depgraph.esrc, addr_of e.Depgraph.edst) with
         | Some phi, Some p1, Some p2 -> (
-          let a1 = Scev.poly_of f l ~symbols p1 in
-          let a2 = Scev.poly_of f l ~symbols p2 in
-          match (a1, a2) with
+          match (poly_of p1, poly_of p2) with
           | Some a1, Some a2 -> (
             match
               Scev.classify_pair ~outer:phi.Instr.id ~spans:inner_syms a1 a2
             with
-            | `No_dep -> false (* fully disproved: drop edge *)
-            | `Intra ->
-              e.Depgraph.loop_carried <- false;
-              true
-            | `Unknown ->
-              e.Depgraph.loop_carried <- true;
-              true)
-          | _ ->
-            e.Depgraph.loop_carried <- true;
-            true)
-        | _ ->
-          e.Depgraph.loop_carried <- true;
-          true)
+            | `No_dep -> None
+            | `Intra -> Some false
+            | `Unknown -> Some true)
+          | _ -> Some true)
+        | _ -> Some true)
   in
-  Depgraph.filter_edges g ~keep_edge:keep;
+  let copy (e : Depgraph.edge) =
+    match refine e with
+    | Some loop_carried ->
+      ignore
+        (Depgraph.add_edge g ~must:e.Depgraph.must ~loop_carried ~kind:e.Depgraph.kind
+           e.Depgraph.esrc e.Depgraph.edst)
+    | None -> ()
+  in
+  (* the outside nodes with an edge into the loop *)
+  let feeders = Hashtbl.create 16 in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun (e : Depgraph.edge) ->
+          if not (in_loop e.Depgraph.esrc) then Hashtbl.replace feeders e.Depgraph.esrc ())
+        (Depgraph.preds fdg n))
+    g.Depgraph.nodes;
+  (* copy in the node and edge order of [Depgraph.slice] over [fdg] *)
+  List.iter
+    (fun n ->
+      if in_loop n then
+        List.iter
+          (fun (e : Depgraph.edge) ->
+            if not (in_loop e.Depgraph.edst) then
+              Depgraph.add_node g ~internal:false e.Depgraph.edst;
+            copy e)
+          (Depgraph.succs fdg n)
+      else if Hashtbl.mem feeders n then
+        List.iter
+          (fun (e : Depgraph.edge) ->
+            if in_loop e.Depgraph.edst then begin
+              Depgraph.add_node g ~internal:false n;
+              copy e
+            end)
+          (Depgraph.succs fdg n))
+    fdg.Depgraph.nodes;
   { ldg = g; loop = l; pdg = t }
 
 (** Live-in values of loop [l]: values defined outside (or arguments /

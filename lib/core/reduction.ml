@@ -72,6 +72,7 @@ let emit_combine (f : Func.t) bid kind a b : Instr.value =
 let find (ls : Loopstructure.t) : t list =
   let f = ls.Loopstructure.f in
   let l = ls.Loopstructure.raw in
+  let body = Loopnest.insts f l in
   List.filter_map
     (fun (phi : Instr.inst) ->
       match phi.Instr.op with
@@ -136,13 +137,12 @@ let find (ls : Loopstructure.t) : t list =
             while !ok && not (Instr.value_equal !cur (Instr.Reg upd_id)) && !steps < 8 do
               incr steps;
               let users =
-                Func.fold_insts
-                  (fun acc i ->
-                    if Loopnest.contains l i.Instr.parent
-                       && List.exists (Instr.value_equal !cur) (Instr.operands i.Instr.op)
+                List.fold_left
+                  (fun acc (i : Instr.inst) ->
+                    if List.exists (Instr.value_equal !cur) (Instr.operands i.Instr.op)
                     then i :: acc
                     else acc)
-                  [] f
+                  [] body
               in
               (* a min/max select pattern has the cmp as an extra user *)
               let users =

@@ -108,6 +108,32 @@ let replace_uses (f : Func.t) ~old ~by =
         Instr.map_operands (function Reg r when r = old -> by | v -> v) i.op)
     f
 
+(** [resolve subst v] follows [v] through a table of pending
+    {!replace_uses} rewrites (register -> replacement value) until it
+    reaches a value the table leaves alone. *)
+let rec resolve subst v =
+  match v with
+  | Reg r -> (
+    match Hashtbl.find_opt subst r with Some by -> resolve subst by | None -> v)
+  | v -> v
+
+(** Apply every pending rewrite of [subst] to the operands of [f] in one
+    pass: the batched form of one {!replace_uses} call per entry. *)
+let apply_subst (f : Func.t) subst =
+  if Hashtbl.length subst > 0 then
+    Func.iter_insts (fun i -> i.op <- Instr.map_operands (resolve subst) i.op) f
+
+(** Delete every instruction satisfying [dead] with one filter per block.
+    The caller must ensure none of them has remaining users. *)
+let remove_all (f : Func.t) dead =
+  Func.iter_blocks
+    (fun b ->
+      b.Func.insts <-
+        List.filter
+          (fun id -> if dead id then (Hashtbl.remove f.Func.body id; false) else true)
+          b.Func.insts)
+    f
+
 (** Move instruction [id] so it becomes the last non-terminator of block
     [bid]. *)
 let move_to_end (f : Func.t) id ~bid =

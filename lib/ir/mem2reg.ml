@@ -5,36 +5,49 @@
     phi nodes placed at iterated dominance frontiers (Cytron et al.),
     mirroring LLVM's mem2reg.  An alloca is promotable when its address is
     only ever used directly as the pointer of a [Load] or the pointer
-    operand of a [Store] (never stored itself, indexed, or passed away). *)
+    operand of a [Store] (never stored itself, indexed, or passed away).
+
+    The work is linear in the function, like the [AllocaInfo] use census
+    of LLVM's PromoteMemToReg: one pass over the instructions finds the
+    escaping registers, each alloca's element type and its store blocks;
+    renaming records each promoted load's value in a substitution table
+    that is applied to the whole function once at the end. *)
 
 open Instr
 
-let promotable (f : Func.t) (a : inst) =
-  match a.op with
-  | Alloca (Cint 1L) ->
-    let ok = ref true in
-    Func.iter_insts
-      (fun i ->
-        match i.op with
-        | Load (Reg r) when r = a.id -> ()
-        | Store (v, Reg r) when r = a.id ->
-          (* storing the alloca's own address somewhere else is an escape *)
-          (match v with Reg r2 when r2 = a.id -> ok := false | _ -> ())
-        | op -> if Instr.uses_reg op a.id then ok := false)
-      f;
-    !ok
-  | _ -> false
+(** Per-function use census of the registers used as load/store
+    pointers. *)
+type census = {
+  escaped : (int, unit) Hashtbl.t;
+      (** registers used other than as a load/store pointer *)
+  elt_ty : (int, Ty.t) Hashtbl.t;
+      (** pointer register -> type of its last non-i64 load *)
+  stores : (int, int list) Hashtbl.t;
+      (** pointer register -> blocks storing through it (reversed, with
+          repeats) *)
+}
 
-(** Element type of a promotable alloca, inferred from its loads/stores. *)
-let alloca_ty (f : Func.t) (a : inst) =
-  let ty = ref Ty.I64 in
+let census (f : Func.t) =
+  let c =
+    { escaped = Hashtbl.create 16; elt_ty = Hashtbl.create 16; stores = Hashtbl.create 16 }
+  in
+  let escape = function Reg r -> Hashtbl.replace c.escaped r () | _ -> () in
   Func.iter_insts
     (fun i ->
       match i.op with
-      | Load (Reg r) when r = a.id && not (Ty.equal i.ty Ty.I64) -> ty := i.ty
-      | _ -> ())
+      | Load (Reg r) -> if not (Ty.equal i.ty Ty.I64) then Hashtbl.replace c.elt_ty r i.ty
+      | Load _ -> ()
+      | Store (v, p) ->
+        (* storing an address anywhere, even through itself, escapes it *)
+        escape v;
+        (match p with
+        | Reg r ->
+          Hashtbl.replace c.stores r
+            (i.parent :: Option.value ~default:[] (Hashtbl.find_opt c.stores r))
+        | _ -> ())
+      | op -> List.iter escape (Instr.operands op))
     f;
-  !ty
+  c
 
 let zero_of = function
   | Ty.F64 -> Cfloat 0.0
@@ -46,9 +59,13 @@ let run (f : Func.t) =
   if f.Func.is_declaration then 0
   else begin
     ignore (Cfg.prune_unreachable f);
+    let c = census f in
     let allocas =
       Func.fold_insts
-        (fun acc i -> if promotable f i then i :: acc else acc)
+        (fun acc i ->
+          match i.op with
+          | Alloca (Cint 1L) when not (Hashtbl.mem c.escaped i.id) -> i :: acc
+          | _ -> acc)
         [] f
       |> List.rev
     in
@@ -57,20 +74,21 @@ let run (f : Func.t) =
       let dt = Dom.compute f in
       let df = Dom.frontiers f dt in
       let preds = Func.preds f in
+      let alloca_tys = Hashtbl.create 8 in
+      List.iter
+        (fun (a : inst) ->
+          Hashtbl.replace alloca_tys a.id
+            (Option.value ~default:Ty.I64 (Hashtbl.find_opt c.elt_ty a.id)))
+        allocas;
       (* phi placement *)
       let phi_owner : (int, int) Hashtbl.t = Hashtbl.create 16 in
       (* phi inst id -> alloca id *)
       List.iter
         (fun (a : inst) ->
-          let ty = alloca_ty f a in
+          let ty = Hashtbl.find alloca_tys a.id in
           let def_blocks =
-            Func.fold_insts
-              (fun acc i ->
-                match i.op with
-                | Store (_, Reg r) when r = a.id -> i.parent :: acc
-                | _ -> acc)
-              [] f
-            |> List.sort_uniq compare
+            List.sort_uniq compare
+              (Option.value ~default:[] (Hashtbl.find_opt c.stores a.id))
           in
           let has_phi = Hashtbl.create 8 in
           let work = Queue.create () in
@@ -89,40 +107,43 @@ let run (f : Func.t) =
           done)
         allocas;
       (* renaming over the dominator tree *)
-      let alloca_tys = Hashtbl.create 8 in
-      List.iter (fun a -> Hashtbl.replace alloca_tys a.id (alloca_ty f a)) allocas;
       let dom_children = Hashtbl.create 16 in
       List.iter
         (fun b ->
           match Dom.idom_of dt b with
           | Some p ->
             let cur = try Hashtbl.find dom_children p with Not_found -> [] in
-            Hashtbl.replace dom_children p (cur @ [ b ])
+            Hashtbl.replace dom_children p (b :: cur)
           | None -> ())
-        f.Func.blocks;
+        (List.rev f.Func.blocks);
       let cur : (int, Instr.value) Hashtbl.t = Hashtbl.create 8 in
       let value_of aid =
         match Hashtbl.find_opt cur aid with
         | Some v -> v
         | None -> zero_of (Hashtbl.find alloca_tys aid)
       in
-      let to_delete = ref [] in
-      let rec rename bid (saved : (int * Instr.value option) list) =
-        ignore saved;
-        let snapshot =
-          List.map (fun a -> (a.id, Hashtbl.find_opt cur a.id)) allocas
+      (* promoted load -> the value it reads; allocas and their loads and
+         stores are deleted at the end *)
+      let subst : (int, Instr.value) Hashtbl.t = Hashtbl.create 64 in
+      let dead : (int, unit) Hashtbl.t = Hashtbl.create 64 in
+      let rec rename bid =
+        (* undo log: the value each alloca had before this block set it *)
+        let undo = ref [] in
+        let set aid v =
+          undo := (aid, Hashtbl.find_opt cur aid) :: !undo;
+          Hashtbl.replace cur aid v
         in
         List.iter
           (fun (i : inst) ->
             match i.op with
             | Phi _ when Hashtbl.mem phi_owner i.id ->
-              Hashtbl.replace cur (Hashtbl.find phi_owner i.id) (Reg i.id)
+              set (Hashtbl.find phi_owner i.id) (Reg i.id)
             | Load (Reg r) when Hashtbl.mem alloca_tys r ->
-              Builder.replace_uses f ~old:i.id ~by:(value_of r);
-              to_delete := i.id :: !to_delete
+              Hashtbl.replace subst i.id (value_of r);
+              Hashtbl.replace dead i.id ()
             | Store (v, Reg r) when Hashtbl.mem alloca_tys r ->
-              Hashtbl.replace cur r v;
-              to_delete := i.id :: !to_delete
+              set r (Builder.resolve subst v);
+              Hashtbl.replace dead i.id ()
             | _ -> ())
           (Func.insts_of_block f bid);
         (* fill phi operands in successors *)
@@ -137,24 +158,25 @@ let run (f : Func.t) =
                 | _ -> ())
               (Func.insts_of_block f s))
           (Func.successors f bid);
-        List.iter
-          (fun c -> rename c [])
-          (try Hashtbl.find dom_children bid with Not_found -> []);
-        (* restore *)
+        List.iter rename (try Hashtbl.find dom_children bid with Not_found -> []);
         List.iter
           (fun (aid, v) ->
             match v with
             | Some v -> Hashtbl.replace cur aid v
             | None -> Hashtbl.remove cur aid)
-          snapshot
+          !undo
       in
-      rename (Func.entry f) [];
+      rename (Func.entry f);
+      List.iter (fun (a : inst) -> Hashtbl.replace dead a.id ()) allocas;
+      Builder.remove_all f (Hashtbl.mem dead);
+      Builder.apply_subst f subst;
       (* deduplicate phi incoming entries from identical preds (can happen
          with cbr to the same target) *)
-      Func.iter_insts
-        (fun i ->
+      Hashtbl.iter
+        (fun pid _ ->
+          let i = Func.inst f pid in
           match i.op with
-          | Phi incs when Hashtbl.mem phi_owner i.id ->
+          | Phi incs ->
             let seen = Hashtbl.create 4 in
             i.op <-
               Phi
@@ -164,9 +186,7 @@ let run (f : Func.t) =
                      else (Hashtbl.replace seen p (); true))
                    incs)
           | _ -> ())
-        f;
-      List.iter (fun id -> Builder.remove f id) !to_delete;
-      List.iter (fun (a : inst) -> Builder.remove f a.id) allocas;
+        phi_owner;
       (* phis in unreachable-from-def paths may reference preds missing
          entries; verifier-level fix: ensure each owned phi has one entry per
          pred *)

@@ -19,7 +19,8 @@
     Metric naming scheme: dot-separated [layer.object.verb] keys, e.g.
     [noelle.pdg.queries], [noelle.cache.hit], [andersen.constraints],
     [dfe.iterations], [psim.task.restarts].  Span categories name the
-    layer: ["analysis"], ["pipeline"], ["check"], ["psim"]. *)
+    layer: ["frontend"], ["analysis"], ["pipeline"], ["check"], ["psim"],
+    ["serve"]. *)
 
 (* ------------------------------------------------------------------ *)
 (* Clock                                                               *)

@@ -563,8 +563,8 @@ let lower_program ?(name = "module") (prog : program) : Irmod.t =
 let compile ?(name = "module") (src : string) : Irmod.t =
   let prog = Cparser.parse_program src in
   let m = lower_program ~name prog in
-  ignore (Mem2reg.run_module m);
-  ignore (Simplify.run_module m);
+  Trace.span ~cat:"frontend" "ssa.mem2reg" (fun () -> ignore (Mem2reg.run_module m));
+  Trace.span ~cat:"frontend" "ssa.simplify" (fun () -> ignore (Simplify.run_module m));
   List.iter
     (fun f ->
       ignore (Builder.dce_phis f);

@@ -1,0 +1,204 @@
+(** Differential tests of the linear-time analyze path against its
+    quadratic predecessors kept in {!Ssa_oracle} and {!Ldg_oracle}:
+    printed IR must be byte-identical from both frontends, and every loop
+    dependence graph identical node for node and edge for edge, in order,
+    with the same flags.  Plus unit cases for mem2reg's use census. *)
+
+open Ir
+open Helpers
+
+(* the size classes of the analyze workload's generated modules *)
+let large_cfg =
+  { Bsuite.Generator.default_cfg with max_depth = 3; max_stmts = 18; arrays = 6 }
+
+let small_seeds = List.init 40 (fun i -> i + 1)
+let large_seeds = List.init 6 (fun i -> i + 1)
+
+(** Every corpus kernel plus the seeded generator programs, by name. *)
+let sources () =
+  List.map (fun (k : Bsuite.Kernels.kernel) -> (k.kname, k.src)) Bsuite.Kernels.all
+  @ List.map
+      (fun s -> (Printf.sprintf "small-%d" s, Bsuite.Generator.program s))
+      small_seeds
+  @ List.map
+      (fun s -> (Printf.sprintf "large-%d" s, Bsuite.Generator.program ~cfg:large_cfg s))
+      large_seeds
+
+(* ------------------------------------------------------------------ *)
+(* Frontend                                                            *)
+(* ------------------------------------------------------------------ *)
+
+let test_frontend_identical () =
+  List.iter
+    (fun (name, src) ->
+      checks (name ^ ": printed IR")
+        (Printer.module_str (Ssa_oracle.compile ~name src))
+        (Printer.module_str (Minic.Lower.compile ~name src)))
+    (sources ())
+
+(** Run the census mem2reg and the oracle on two parses of [src]; both
+    must print the same function, which is returned. *)
+let promote src =
+  let m = Parser.parse_module src and m' = Parser.parse_module src in
+  let f = Irmod.func m "f" and f' = Irmod.func m' "f" in
+  ignore (Mem2reg.run f);
+  ignore (Ssa_oracle.Mem2reg.run f');
+  checks "same as the oracle" (Printer.func_str f') (Printer.func_str f);
+  Verify.verify_func f;
+  f
+
+let allocas f =
+  Func.fold_insts
+    (fun n i -> match i.Instr.op with Instr.Alloca _ -> n + 1 | _ -> n)
+    0 f
+
+let phis f =
+  List.filter
+    (fun (i : Instr.inst) -> match i.Instr.op with Instr.Phi _ -> true | _ -> false)
+    (Func.insts f)
+
+let test_stored_address_escapes () =
+  let f =
+    promote
+      {|
+define i64 @f() {
+entry:
+  %1 = alloca 1
+  %2 = alloca 1
+  %3 = alloca 1
+  store %1, %2
+  store %3, %3
+  store 5, %1
+  %4 = load.i64 %1
+  ret %4
+}
+|}
+  in
+  (* %1 is stored as a value and %3 through itself; only %2 promotes *)
+  checki "two allocas stay" 2 (allocas f)
+
+let test_gep_escapes () =
+  let f =
+    promote
+      {|
+define i64 @f() {
+entry:
+  %1 = alloca 1
+  %2 = gep %1, 0
+  store 7, %2
+  %3 = load.i64 %1
+  ret %3
+}
+|}
+  in
+  checki "indexed alloca stays" 1 (allocas f)
+
+(* loads of one alloca typed i64, ptr, f64, i64 in layout order: the
+   promoted value is an f64, the type of the last non-i64 load *)
+let test_last_non_i64_load_types () =
+  let f =
+    promote
+      {|
+define f64 @f(i64 %c) {
+entry:
+  %1 = alloca 1
+  %2 = load.i64 %1
+  %5 = load.ptr %1
+  cbr %c, then, join
+then:
+  store 2.5, %1
+  br join
+join:
+  %3 = load.f64 %1
+  %4 = load.i64 %1
+  ret %3
+}
+|}
+  in
+  checki "promoted" 0 (allocas f);
+  match phis f with
+  | [ p ] ->
+    checkb "phi typed by the f64 load" (Ty.equal p.Instr.ty Ty.F64);
+    checkb "undefined path reads 0.0"
+      (match p.Instr.op with
+      | Instr.Phi incs -> List.exists (fun (_, v) -> v = Instr.Cfloat 0.0) incs
+      | _ -> false)
+  | ps -> Alcotest.failf "expected one phi, got %d" (List.length ps)
+
+let test_cbr_same_target () =
+  let f =
+    promote
+      {|
+define i64 @f(i64 %c) {
+entry:
+  %1 = alloca 1
+  store 1, %1
+  cbr %c, left, join
+left:
+  store 2, %1
+  cbr %c, join, join
+join:
+  %2 = load.i64 %1
+  ret %2
+}
+|}
+  in
+  match phis f with
+  | [ { Instr.op = Instr.Phi incs; _ } ] ->
+    checki "one incoming per predecessor" 2 (List.length incs)
+  | ps -> Alcotest.failf "expected one phi, got %d" (List.length ps)
+
+(* ------------------------------------------------------------------ *)
+(* Loop dependence graphs                                              *)
+(* ------------------------------------------------------------------ *)
+
+let edge_str (e : Noelle.Depgraph.edge) =
+  Printf.sprintf "%d->%d %s must=%b lc=%b" e.Noelle.Depgraph.esrc e.Noelle.Depgraph.edst
+    (Noelle.Depgraph.kind_to_string e.Noelle.Depgraph.kind)
+    e.Noelle.Depgraph.must e.Noelle.Depgraph.loop_carried
+
+(** Everything observable of a graph, in order: nodes with their
+    internal flag, then each node's successor and predecessor lists. *)
+let graph_str (g : Noelle.Depgraph.t) =
+  let module D = Noelle.Depgraph in
+  let b = Buffer.create 1024 in
+  Printf.bprintf b "edges=%d\n" (D.num_edges g);
+  List.iter
+    (fun n ->
+      Printf.bprintf b "%d %b\n  succ %s\n  pred %s\n" n (D.is_internal g n)
+        (String.concat "; " (List.map edge_str (D.succs g n)))
+        (String.concat "; " (List.map edge_str (D.preds g n))))
+    g.D.nodes;
+  Buffer.contents b
+
+let test_loop_graphs_identical () =
+  let loops = ref 0 in
+  List.iter
+    (fun (name, src) ->
+      let m = Minic.Lower.compile ~name src in
+      let n = Noelle.create m in
+      List.iter
+        (fun f ->
+          let pdg = Noelle.pdg n f in
+          List.iter
+            (fun l ->
+              incr loops;
+              let old = Ldg_oracle.loop_dg pdg (Noelle.Loop.structure l).Noelle.Loopstructure.raw in
+              checks
+                (Printf.sprintf "%s: loop %s" name (Noelle.Loop.id l))
+                (graph_str old.Noelle.Pdg.ldg)
+                (graph_str (Noelle.Loop.dep_graph l).Noelle.Pdg.ldg))
+            (Noelle.loops n f))
+        (Irmod.defined_functions m))
+    (sources ());
+  checkb "loops compared" (!loops > 100)
+
+let suite =
+  [
+    tc "mem2reg: stored address escapes" test_stored_address_escapes;
+    tc "mem2reg: gep use escapes" test_gep_escapes;
+    tc "mem2reg: last non-i64 load sets the type" test_last_non_i64_load_types;
+    tc "mem2reg: cbr to the same target" test_cbr_same_target;
+    tc "frontend: printed IR matches the oracle" test_frontend_identical;
+    tc "loop graphs match the oracle" test_loop_graphs_identical;
+  ]

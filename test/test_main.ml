@@ -25,4 +25,5 @@ let () =
       ("serve", Test_serve.suite);
       ("harness", Test_harness.suite);
       ("interp", Test_interp.suite);
+      ("analyze", Test_analyze.suite);
     ]

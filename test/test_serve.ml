@@ -293,15 +293,18 @@ let test_overload_gate () =
 
 (** Walk the trace of a multi-request workload: every span/event emitted
     while serving — store phases, manager demand entry points, Andersen /
-    PDG / Bounds spans — must carry its request's correlation id. *)
+    PDG / Bounds spans — must carry its request's correlation id.  The
+    corpus is compiled before tracing starts: its frontend spans are set-up,
+    not serving. *)
 let test_correlation_ids () =
   let module T = Ir.Trace in
+  let corpus = mini_corpus () in
   T.enable ();
   Fun.protect ~finally:(fun () -> T.disable (); T.reset ())
   @@ fun () ->
   let root = fresh_root "rid" in
   let w = Workload.generate ~seed:5 ~mods:[ "m" ] ~requests:25 in
-  let sv = Serve.create ~root (mini_corpus ()) in
+  let sv = Serve.create ~root corpus in
   let r = Serve.run sv w () in
   Serve.Store.close sv.Serve.store;
   checki "all served" 25 r.Serve.rserved;
