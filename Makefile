@@ -86,8 +86,10 @@ bench-regress: build
 
 # benchmark smoke (perfbench/NOTES.md): build the benchmark and run every
 # workload for 3 s untraced, each of which must report "correct": true;
-# then plant one wrong answer in compile, which the benchmark's own
-# Psim-vs-reference check must count as "failed": 1
+# then plant one wrong answer in each workload, which the benchmark's
+# own answer check (Psim against the reference run in compile, the
+# answer digest in analyze, the store-free replay in serve) must count
+# as "failed": 1
 PERFBENCH_CHECK = python3 -c 'import json, sys; \
   r = json.loads(sys.stdin.read().splitlines()[-1]); \
   ok = r["failed"] == 1 if sys.argv[2] == "planted" else r["correct"] is True; \
@@ -99,7 +101,9 @@ perfbench-smoke:
 	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 3 --trace 0 \
 	    | $(PERFBENCH_CHECK) $$w correct || exit 1; \
 	done
-	python3 perfbench/run.py --workload compile --seed 1 --seconds 3 --trace 0 --plant-error \
-	  | $(PERFBENCH_CHECK) compile planted
+	for w in compile analyze serve; do \
+	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 3 --trace 0 --plant-error \
+	    | $(PERFBENCH_CHECK) $$w planted || exit 1; \
+	done
 
 check: build test faultcheck gates serve trace bench-regress

@@ -68,19 +68,16 @@ let build (ls : Loopstructure.t) (dag : Sccdag.t) : t =
         { scc = s; attr })
       dag.Sccdag.sccs
   in
-  let cross_carried =
-    List.filter
-      (fun (e : Depgraph.edge) ->
-        e.Depgraph.loop_carried
-        &&
+  let cross_carried = ref [] in
+  Depgraph.iter_edges dag.Sccdag.ldg.Pdg.ldg (fun (e : Depgraph.edge) ->
+      if e.Depgraph.loop_carried then
         match
           ( Sccdag.scc_of_inst dag e.Depgraph.esrc,
             Sccdag.scc_of_inst dag e.Depgraph.edst )
         with
-        | Some a, Some b -> a <> b
-        | _ -> false)
-      (Depgraph.edges dag.Sccdag.ldg.Pdg.ldg)
-  in
+        | Some a, Some b when a <> b -> cross_carried := e :: !cross_carried
+        | _ -> ());
+  let cross_carried = List.rev !cross_carried in
   { nodes; dag; ivs; reductions; ls; cross_carried }
 
 let has_cross_carried (t : t) = t.cross_carried <> []

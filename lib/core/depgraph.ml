@@ -24,51 +24,99 @@ type edge = {
   esrc : int;
   edst : int;
   kind : kind;
-  must : bool;                         (** proved to hold vs may *)
-  mutable loop_carried : bool;         (** meaningful in loop graphs *)
+  must : bool;                 (** proved to hold vs may *)
+  loop_carried : bool;
+      (** meaningful in loop graphs; immutable, so a loop graph can hold
+          the function graph's own record for every edge whose flags the
+          loop refinement leaves unchanged *)
 }
 
+(** Dense storage indexed by node id.  Node ids are instruction ids, which
+    are dense below [Func.next_id], so the owner sizes the arrays once at
+    {!create}; an id past the end grows them.  [state] holds one byte per
+    id: {!absent}, {!internal_node} or {!external_node}. *)
 type t = {
-  mutable nodes : int list;
-  internal : (int, bool) Hashtbl.t;    (** node -> is internal *)
-  succ : (int, edge list) Hashtbl.t;
-  pred : (int, edge list) Hashtbl.t;
+  mutable nodes : int list;            (** newest first *)
+  mutable state : Bytes.t;
+  mutable succ : edge list array;      (** node -> out-edges, newest first *)
+  mutable pred : edge list array;      (** node -> in-edges, newest first *)
   mutable nedges : int;
 }
 
-let create () =
+let absent = '\000'
+let internal_node = '\001'
+let external_node = '\002'
+
+(** An empty graph with room for node ids below [size]. *)
+let create ?(size = 64) () =
   {
     nodes = [];
-    internal = Hashtbl.create 64;
-    succ = Hashtbl.create 64;
-    pred = Hashtbl.create 64;
+    state = Bytes.make size absent;
+    succ = Array.make size [];
+    pred = Array.make size [];
     nedges = 0;
   }
 
-let add_node (g : t) ?(internal = true) n =
-  if not (Hashtbl.mem g.internal n) then begin
-    g.nodes <- n :: g.nodes;
-    Hashtbl.replace g.internal n internal
+(** Every node id of [g] is below [bound g]. *)
+let bound (g : t) = Bytes.length g.state
+
+(* make [n] a valid index of the arrays *)
+let reserve (g : t) n =
+  if n < 0 then invalid_arg (Printf.sprintf "Depgraph: negative node id %d" n);
+  let len = bound g in
+  if n >= len then begin
+    let len' = max (n + 1) (2 * len) in
+    let state = Bytes.make len' absent in
+    Bytes.blit g.state 0 state 0 len;
+    g.state <- state;
+    let grow a = Array.append a (Array.make (len' - len) []) in
+    g.succ <- grow g.succ;
+    g.pred <- grow g.pred
   end
 
-let mem (g : t) n = Hashtbl.mem g.internal n
-let is_internal (g : t) n = try Hashtbl.find g.internal n with Not_found -> false
+let node_state (g : t) n = if n >= 0 && n < bound g then Bytes.unsafe_get g.state n else absent
+
+let add_node (g : t) ?(internal = true) n =
+  reserve g n;
+  if Bytes.get g.state n = absent then begin
+    g.nodes <- n :: g.nodes;
+    Bytes.set g.state n (if internal then internal_node else external_node)
+  end
+
+let mem (g : t) n = node_state g n <> absent
+let is_internal (g : t) n = node_state g n = internal_node
+
+(** Add the record [e] itself (adding its endpoints as internal nodes if
+    they are new); graphs may share records since they are immutable. *)
+let add (g : t) (e : edge) =
+  add_node g e.esrc;
+  add_node g e.edst;
+  g.succ.(e.esrc) <- e :: g.succ.(e.esrc);
+  g.pred.(e.edst) <- e :: g.pred.(e.edst);
+  g.nedges <- g.nedges + 1
 
 let add_edge (g : t) ?(must = false) ?(loop_carried = false) ~kind esrc edst =
-  add_node g esrc;
-  add_node g edst;
   let e = { esrc; edst; kind; must; loop_carried } in
-  Hashtbl.replace g.succ esrc (e :: (try Hashtbl.find g.succ esrc with Not_found -> []));
-  Hashtbl.replace g.pred edst (e :: (try Hashtbl.find g.pred edst with Not_found -> []));
-  g.nedges <- g.nedges + 1;
+  add g e;
   e
 
-let succs (g : t) n = try Hashtbl.find g.succ n with Not_found -> []
-let preds (g : t) n = try Hashtbl.find g.pred n with Not_found -> []
+let succs (g : t) n = if n >= 0 && n < bound g then g.succ.(n) else []
+let preds (g : t) n = if n >= 0 && n < bound g then g.pred.(n) else []
+
+(** Apply [f] to every edge, in the order of {!edges}. *)
+let iter_edges (g : t) f =
+  (* a successor list is newest first: visit its tail before its head *)
+  let rec oldest_first = function
+    | [] -> ()
+    | e :: rest ->
+      oldest_first rest;
+      f e
+  in
+  List.iter (fun n -> oldest_first g.succ.(n)) (List.rev g.nodes)
 
 (** All edges, in an unspecified but deterministic order. *)
 let edges (g : t) =
-  List.concat_map (fun n -> List.rev (succs g n)) (List.rev g.nodes)
+  List.concat_map (fun n -> List.rev g.succ.(n)) (List.rev g.nodes)
 
 let internal_nodes (g : t) = List.rev (List.filter (is_internal g) g.nodes)
 let external_nodes (g : t) =
@@ -84,103 +132,92 @@ let internal_preds (g : t) n =
 (** Restrict [g] to the nodes satisfying [keep]; nodes not kept but adjacent
     to kept nodes become external (the live-in/live-out sets of the region,
     computed exactly as the paper describes for loop and function dependence
-    graphs). *)
+    graphs).  The slice holds [g]'s own edge records. *)
 let slice (g : t) ~keep =
-  let out = create () in
+  let out = create ~size:(bound g) () in
   List.iter (fun n -> if keep n then add_node out ~internal:true n) g.nodes;
   List.iter
     (fun n ->
       if keep n then
         List.iter
           (fun e ->
-            if keep e.edst then
-              ignore
-                (add_edge out ~must:e.must ~loop_carried:e.loop_carried
-                   ~kind:e.kind e.esrc e.edst)
-            else begin
-              add_node out ~internal:false e.edst;
-              ignore
-                (add_edge out ~must:e.must ~loop_carried:e.loop_carried
-                   ~kind:e.kind e.esrc e.edst)
-            end)
-          (succs g n)
+            if not (keep e.edst) then add_node out ~internal:false e.edst;
+            add out e)
+          g.succ.(n)
       else
         List.iter
           (fun e ->
             if keep e.edst then begin
               add_node out ~internal:false n;
-              ignore
-                (add_edge out ~must:e.must ~loop_carried:e.loop_carried
-                   ~kind:e.kind n e.edst)
+              add out e
             end)
-          (succs g n))
+          g.succ.(n))
     g.nodes;
   out
+
+(** Replace every edge [e] by [f e], dropping it when that is [None].
+    [f] is asked once for each edge's successor-list entry and once for
+    its predecessor-list entry. *)
+let filter_map_edges (g : t) ~f =
+  let nedges = ref 0 in
+  List.iter
+    (fun n ->
+      let es = List.filter_map f g.succ.(n) in
+      nedges := !nedges + List.length es;
+      g.succ.(n) <- es)
+    g.nodes;
+  g.nedges <- !nedges;
+  List.iter (fun n -> g.pred.(n) <- List.filter_map f g.pred.(n)) g.nodes
 
 (** Remove every edge that fails [keep_edge] (used by speculative
     refinement to drop dependences a profile says never occur).
     [keep_edge] is asked once for each edge's successor-list entry and
     once for its predecessor-list entry. *)
 let filter_edges (g : t) ~keep_edge =
-  let filter tbl = Hashtbl.filter_map_inplace (fun _ es -> Some (List.filter keep_edge es)) tbl in
-  filter g.succ;
-  g.nedges <- Hashtbl.fold (fun _ es n -> n + List.length es) g.succ 0;
-  filter g.pred
+  filter_map_edges g ~f:(fun e -> if keep_edge e then Some e else None)
 
-(** Strongly connected components (Tarjan), internal nodes only.
-    Returned in reverse topological order (callees of the DAG first). *)
-let sccs (g : t) =
-  let index = Hashtbl.create 64 in
-  let lowlink = Hashtbl.create 64 in
-  let on_stack = Hashtbl.create 64 in
-  let stack = ref [] in
-  let counter = ref 0 in
-  let out = ref [] in
-  let rec strongconnect v =
-    Hashtbl.replace index v !counter;
-    Hashtbl.replace lowlink v !counter;
+(** Strongly connected components (Tarjan), internal nodes only, in
+    reverse topological order (callees of the DAG first), and an array
+    mapping each node id below {!bound} to the position of its component
+    in that list ([-1] for an external or absent node). *)
+let scc_index (g : t) =
+  let n = bound g in
+  (* one array serves the search and then the result: [-1] unvisited, an
+     index below [n] while on the stack, [n + k] once in component [k] —
+     never below an index, so a finished node lowers no lowlink *)
+  let num = Array.make n (-1) in
+  let stack = ref [] and counter = ref 0 and finished = ref 0 and out = ref [] in
+  let rec visit v =
+    num.(v) <- !counter;
+    let low = ref !counter in
     incr counter;
     stack := v :: !stack;
-    Hashtbl.replace on_stack v ();
     List.iter
       (fun e ->
         let w = e.edst in
-        if is_internal g w then begin
-          if not (Hashtbl.mem index w) then begin
-            strongconnect w;
-            Hashtbl.replace lowlink v
-              (min (Hashtbl.find lowlink v) (Hashtbl.find lowlink w))
-          end
-          else if Hashtbl.mem on_stack w then
-            Hashtbl.replace lowlink v
-              (min (Hashtbl.find lowlink v) (Hashtbl.find index w))
-        end)
-      (succs g v);
-    if Hashtbl.find lowlink v = Hashtbl.find index v then begin
+        if is_internal g w then
+          low := min !low (if num.(w) < 0 then visit w else num.(w)))
+      g.succ.(v);
+    if !low = num.(v) then begin
       let comp = ref [] in
-      let continue_ = ref true in
-      while !continue_ do
+      let rec pop () =
         match !stack with
         | w :: rest ->
           stack := rest;
-          Hashtbl.remove on_stack w;
+          num.(w) <- n + !finished;
           comp := w :: !comp;
-          if w = v then continue_ := false
-        | [] -> continue_ := false
-      done;
+          if w <> v then pop ()
+        | [] -> ()
+      in
+      pop ();
+      incr finished;
       out := !comp :: !out
-    end
+    end;
+    !low
   in
-  List.iter
-    (fun v -> if is_internal g v && not (Hashtbl.mem index v) then strongconnect v)
-    (List.rev g.nodes);
-  List.rev !out
-
-(** Does the graph contain a cycle among internal nodes passing through
-    [n]?  (Self edges count.) *)
-let in_cycle (g : t) n =
-  List.exists (fun e -> e.edst = n) (succs g n)
-  || List.exists (fun comp -> List.length comp > 1 && List.mem n comp) (sccs g)
+  List.iter (fun v -> if is_internal g v && num.(v) < 0 then ignore (visit v)) (List.rev g.nodes);
+  Array.iteri (fun i x -> if x >= n then num.(i) <- x - n) num;
+  (List.rev !out, num)
 
 let kind_to_string = function
   | Control -> "ctrl"

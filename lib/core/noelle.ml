@@ -116,9 +116,10 @@ let create ?(use_noelle_aa = true) ?analysis_budget ?(trust_mode = Trust.Degrade
 (** Install (or clear) the artifact store hook; see {!field-artifact_sink}. *)
 let set_artifact_sink (t : t) sink = t.artifact_sink <- sink
 
+(* [payload] renders the artifact only when a sink is installed *)
 let sink_artifact (t : t) ~kind ~fn ~fp ~payload =
   match t.artifact_sink with
-  | Some sink -> sink ~kind ~fn ~fp ~payload
+  | Some sink -> sink ~kind ~fn ~fp ~payload:(payload ())
   | None -> ()
 
 (** Set the name of the tool issuing subsequent requests (Table 4 rows). *)
@@ -358,14 +359,14 @@ let pdg (t : t) (f : Func.t) : Pdg.t =
        keyed on the function fingerprint alone, exactly like a
        from-scratch manager would reload them *)
     let pafp = if !reloaded then "" else andersen_fp t in
-    Hashtbl.replace t.pdgs f.Func.fname
-      { pfp = Fingerprint.func_fp f; pafp; psuspect = false; pval = p };
+    let pfp = Fingerprint.func_fp f in
+    Hashtbl.replace t.pdgs f.Func.fname { pfp; pafp; psuspect = false; pval = p };
     (* store hook: only exact from-scratch results may be persisted — a
        degraded graph would poison the store with a coarser answer, and a
        metadata reload is already persisted where it came from *)
     if (not p.Pdg.degraded) && not !reloaded then
-      sink_artifact t ~kind:"pdg" ~fn:f.Func.fname ~fp:(Fingerprint.func_fp f)
-        ~payload:(Pdg.payload p);
+      sink_artifact t ~kind:"pdg" ~fn:f.Func.fname ~fp:pfp ~payload:(fun () ->
+          Pdg.payload p);
     p
 
 (** Raw natural-loop information of [f] (cached). *)
@@ -395,9 +396,10 @@ let bounds (t : t) (f : Func.t) : Bounds.summary =
   | None ->
     miss "bounds";
     let s = Bounds.analyze f in
-    Hashtbl.replace t.bounds_ f.Func.fname (Fingerprint.func_fp f, s);
-    sink_artifact t ~kind:"bounds" ~fn:f.Func.fname ~fp:(Fingerprint.func_fp f)
-      ~payload:(Bounds.summary_payload s);
+    let fp = Fingerprint.func_fp f in
+    Hashtbl.replace t.bounds_ f.Func.fname (fp, s);
+    sink_artifact t ~kind:"bounds" ~fn:f.Func.fname ~fp ~payload:(fun () ->
+        Bounds.summary_payload s);
     s
 
 (* the loop nest of [f] and the loop structure of each of its loops *)

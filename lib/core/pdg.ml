@@ -46,7 +46,7 @@ type t = {
     budget every remaining candidate pair is treated as a may dependence
     and the result is marked {!field-degraded}. *)
 let build ?budget ?(stack : Alias.stack = [ Alias.baseline ]) ?pts (m : Irmod.t) (f : Func.t) : t =
-  let g = Depgraph.create () in
+  let g = Depgraph.create ~size:f.Func.next_id () in
   Func.iter_insts (fun i -> Depgraph.add_node g i.Instr.id) f;
   (* register dependences (SSA def-use): always must, RAW *)
   Func.iter_insts
@@ -356,12 +356,13 @@ let refinement_phi (f : Func.t) (l : Loopnest.loop) =
 
     The cost is proportional to the loop: only the successor lists of the
     loop's nodes and of the outside nodes feeding them are walked, and each
-    edge is refined as it is copied, so a disproved dependence is never
-    added. *)
+    edge is refined as it is added, so a disproved dependence never is.
+    An edge whose refined flags equal the function graph's shares its
+    record; only loop-carried edges get a new one. *)
 let loop_dg (t : t) (nest : Loopnest.t) (l : Loopnest.loop) : loop_dg =
   let f = t.f in
   let fdg = t.fdg in
-  let g = Depgraph.create () in
+  let g = Depgraph.create ~size:f.Func.next_id () in
   List.iter
     (fun n ->
       match Func.inst_opt f n with
@@ -435,19 +436,17 @@ let loop_dg (t : t) (nest : Loopnest.t) (l : Loopnest.loop) : loop_dg =
   in
   let copy (e : Depgraph.edge) =
     match refine e with
-    | Some loop_carried ->
-      ignore
-        (Depgraph.add_edge g ~must:e.Depgraph.must ~loop_carried ~kind:e.Depgraph.kind
-           e.Depgraph.esrc e.Depgraph.edst)
+    | Some loop_carried when loop_carried = e.Depgraph.loop_carried -> Depgraph.add g e
+    | Some loop_carried -> Depgraph.add g { e with Depgraph.loop_carried }
     | None -> ()
   in
   (* the outside nodes with an edge into the loop *)
-  let feeders = Hashtbl.create 16 in
+  let feeders = Bytes.make (Depgraph.bound fdg) '\000' in
   List.iter
     (fun n ->
       List.iter
         (fun (e : Depgraph.edge) ->
-          if not (in_loop e.Depgraph.esrc) then Hashtbl.replace feeders e.Depgraph.esrc ())
+          if not (in_loop e.Depgraph.esrc) then Bytes.set feeders e.Depgraph.esrc '\001')
         (Depgraph.preds fdg n))
     g.Depgraph.nodes;
   (* copy in the node and edge order of [Depgraph.slice] over [fdg] *)
@@ -460,7 +459,7 @@ let loop_dg (t : t) (nest : Loopnest.t) (l : Loopnest.loop) : loop_dg =
               Depgraph.add_node g ~internal:false e.Depgraph.edst;
             copy e)
           (Depgraph.succs fdg n)
-      else if Hashtbl.mem feeders n then
+      else if Bytes.get feeders n = '\001' then
         List.iter
           (fun (e : Depgraph.edge) ->
             if in_loop e.Depgraph.edst then begin
@@ -556,7 +555,7 @@ let of_embedded (m : Irmod.t) (f : Func.t) : t option =
   match Meta.get_int meta (Printf.sprintf "pdg.%s.count" f.Func.fname) with
   | None -> None
   | Some n ->
-    let g = Depgraph.create () in
+    let g = Depgraph.create ~size:f.Func.next_id () in
     Func.iter_insts (fun i -> Depgraph.add_node g i.Instr.id) f;
     let ok = ref true in
     (* plain concatenation: this loop is the verified-reload hot path and

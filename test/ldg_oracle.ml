@@ -2,8 +2,9 @@
 
     The {!Noelle.Pdg.loop_dg} that recomputed the loop nest, sliced every
     edge of the function graph with {!Noelle.Depgraph.slice} and then
-    refined the copy with {!Noelle.Depgraph.filter_edges}, kept as a test
-    oracle.  The library builds the same graph in one pass over the loop's
+    refined the slice edge by edge, kept as a test oracle.  Edge records
+    are immutable, so the refinement replaces each one with a copy that
+    carries its loop-carried flag.  The library builds the same graph in one pass over the loop's
     edges; a test compares the two node for node and edge for edge, in
     order, with the same flags. *)
 
@@ -45,30 +46,23 @@ let loop_dg (t : Pdg.t) (l : Loopnest.loop) : Pdg.loop_dg =
     (match iv_phi with Some p -> [ p.Instr.id ] | None -> [])
     @ List.map fst inner_syms
   in
-  (* classify / refine every edge *)
-  let keep (e : Depgraph.edge) =
+  (* classify / refine every edge into a copy with its loop-carried flag *)
+  let carried (e : Depgraph.edge) c = Some { e with Depgraph.loop_carried = c } in
+  let refine (e : Depgraph.edge) =
     match e.Depgraph.kind with
-    | Depgraph.Control ->
-      e.Depgraph.loop_carried <- false;
-      true
+    | Depgraph.Control -> carried e false
     | Depgraph.Register _ ->
       (* a register dep is loop-carried iff it feeds a header phi from
          inside the loop (the back-edge value) *)
-      let carried =
-        Depgraph.is_internal g e.Depgraph.esrc
+      carried e
+        (Depgraph.is_internal g e.Depgraph.esrc
         &&
         match Func.inst_opt f e.Depgraph.edst with
         | Some { Instr.op = Instr.Phi _; parent; _ } -> parent = l.Loopnest.header
-        | _ -> false
-      in
-      e.Depgraph.loop_carried <- carried;
-      true
+        | _ -> false)
     | Depgraph.Memory _ -> (
       if not (Depgraph.is_internal g e.Depgraph.esrc && Depgraph.is_internal g e.Depgraph.edst)
-      then begin
-        e.Depgraph.loop_carried <- false;
-        true
-      end
+      then carried e false
       else
         let addr_of id =
           Option.bind (Func.inst_opt f id) Alias.pointer_operand
@@ -82,19 +76,11 @@ let loop_dg (t : Pdg.t) (l : Loopnest.loop) : Pdg.loop_dg =
             match
               Scev.classify_pair ~outer:phi.Instr.id ~spans:inner_syms a1 a2
             with
-            | `No_dep -> false (* fully disproved: drop edge *)
-            | `Intra ->
-              e.Depgraph.loop_carried <- false;
-              true
-            | `Unknown ->
-              e.Depgraph.loop_carried <- true;
-              true)
-          | _ ->
-            e.Depgraph.loop_carried <- true;
-            true)
-        | _ ->
-          e.Depgraph.loop_carried <- true;
-          true)
+            | `No_dep -> None (* fully disproved: drop edge *)
+            | `Intra -> carried e false
+            | `Unknown -> carried e true)
+          | _ -> carried e true)
+        | _ -> carried e true)
   in
-  Depgraph.filter_edges g ~keep_edge:keep;
+  Depgraph.filter_map_edges g ~f:refine;
   { Pdg.ldg = g; loop = l; pdg = t }

@@ -2,7 +2,8 @@
     quadratic predecessors kept in {!Ssa_oracle} and {!Ldg_oracle}:
     printed IR must be byte-identical from both frontends, and every loop
     dependence graph identical node for node and edge for edge, in order,
-    with the same flags.  Plus unit cases for mem2reg's use census. *)
+    with the same flags.  Every SCCDAG must match the hash-table one kept
+    in {!Sccdag_oracle}.  Plus unit cases for mem2reg's use census. *)
 
 open Ir
 open Helpers
@@ -171,8 +172,8 @@ let graph_str (g : Noelle.Depgraph.t) =
     g.D.nodes;
   Buffer.contents b
 
-let test_loop_graphs_identical () =
-  let loops = ref 0 in
+(** Every loop of every source, with the function graph it came from. *)
+let iter_loops k =
   List.iter
     (fun (name, src) ->
       let m = Minic.Lower.compile ~name src in
@@ -180,17 +181,89 @@ let test_loop_graphs_identical () =
       List.iter
         (fun f ->
           let pdg = Noelle.pdg n f in
-          List.iter
-            (fun l ->
-              incr loops;
-              let old = Ldg_oracle.loop_dg pdg (Noelle.Loop.structure l).Noelle.Loopstructure.raw in
-              checks
-                (Printf.sprintf "%s: loop %s" name (Noelle.Loop.id l))
-                (graph_str old.Noelle.Pdg.ldg)
-                (graph_str (Noelle.Loop.dep_graph l).Noelle.Pdg.ldg))
-            (Noelle.loops n f))
+          List.iter (fun l -> k name pdg l) (Noelle.loops n f))
         (Irmod.defined_functions m))
-    (sources ());
+    (sources ())
+
+let test_loop_graphs_identical () =
+  let loops = ref 0 in
+  iter_loops (fun name pdg l ->
+      incr loops;
+      let old = Ldg_oracle.loop_dg pdg (Noelle.Loop.structure l).Noelle.Loopstructure.raw in
+      checks
+        (Printf.sprintf "%s: loop %s" name (Noelle.Loop.id l))
+        (graph_str old.Noelle.Pdg.ldg)
+        (graph_str (Noelle.Loop.dep_graph l).Noelle.Pdg.ldg));
+  checkb "loops compared" (!loops > 100)
+
+let test_loop_graphs_share_edges () =
+  let shared = ref 0 and carried = ref 0 in
+  iter_loops (fun name pdg l ->
+      let fdg = pdg.Noelle.Pdg.fdg in
+      Noelle.Depgraph.iter_edges (Noelle.Loop.dep_graph l).Noelle.Pdg.ldg (fun e ->
+          let own = List.memq e (Noelle.Depgraph.succs fdg e.Noelle.Depgraph.esrc) in
+          if e.Noelle.Depgraph.loop_carried then begin
+            incr carried;
+            checkb (Printf.sprintf "%s: carried %s has its own record" name (edge_str e))
+              (not own)
+          end
+          else begin
+            incr shared;
+            checkb (Printf.sprintf "%s: %s shares the function graph's record" name
+                      (edge_str e)) own
+          end));
+  checkb "shared edges seen" (!shared > 1000);
+  checkb "carried edges seen" (!carried > 100)
+
+(** Everything observable of an SCCDAG and its cross-SCC carried edges,
+    from the library and from {!Sccdag_oracle}. *)
+let sccdag_str l =
+  let module S = Noelle.Sccdag in
+  let dag = Noelle.Loop.sccdag l in
+  let g = dag.S.ldg.Noelle.Pdg.ldg in
+  let b = Buffer.create 1024 in
+  List.iter
+    (fun (s : S.scc) ->
+      Printf.bprintf b "scc %d carried=%b [%s] -> [%s]\n" s.S.sid (S.is_carried s)
+        (String.concat " " (List.map string_of_int s.S.members))
+        (String.concat " " (List.map string_of_int (S.successors dag s.S.sid))))
+    dag.S.sccs;
+  for id = -1 to Noelle.Depgraph.bound g do
+    Printf.bprintf b "%d:%s " id
+      (match S.scc_of_inst dag id with Some s -> string_of_int s | None -> "-")
+  done;
+  Printf.bprintf b "\ncross %s\n"
+    (String.concat "; " (List.map edge_str (Noelle.Loop.ascc l).Noelle.Ascc.cross_carried));
+  Buffer.contents b
+
+let oracle_sccdag_str l =
+  let g = (Noelle.Loop.dep_graph l).Noelle.Pdg.ldg in
+  let o = Sccdag_oracle.build (Noelle.Loop.dep_graph l) in
+  let b = Buffer.create 1024 in
+  List.iteri
+    (fun sid (ms, carried) ->
+      Printf.bprintf b "scc %d carried=%b [%s] -> [%s]\n" sid carried
+        (String.concat " " (List.map string_of_int ms))
+        (String.concat " "
+           (List.map string_of_int (Hashtbl.find o.Sccdag_oracle.dag_succ sid))))
+    (List.combine o.Sccdag_oracle.members o.Sccdag_oracle.carried);
+  for id = -1 to Noelle.Depgraph.bound g do
+    Printf.bprintf b "%d:%s " id
+      (match Hashtbl.find_opt o.Sccdag_oracle.node_scc id with
+      | Some s -> string_of_int s
+      | None -> "-")
+  done;
+  Printf.bprintf b "\ncross %s\n"
+    (String.concat "; " (List.map edge_str o.Sccdag_oracle.cross_carried));
+  Buffer.contents b
+
+let test_sccdags_identical () =
+  let loops = ref 0 in
+  iter_loops (fun name _ l ->
+      incr loops;
+      checks
+        (Printf.sprintf "%s: loop %s" name (Noelle.Loop.id l))
+        (oracle_sccdag_str l) (sccdag_str l));
   checkb "loops compared" (!loops > 100)
 
 let suite =
@@ -201,4 +274,6 @@ let suite =
     tc "mem2reg: cbr to the same target" test_cbr_same_target;
     tc "frontend: printed IR matches the oracle" test_frontend_identical;
     tc "loop graphs match the oracle" test_loop_graphs_identical;
+    tc "loop graphs share the function graph's edges" test_loop_graphs_share_edges;
+    tc "SCCDAGs match the oracle" test_sccdags_identical;
   ]

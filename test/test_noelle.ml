@@ -39,7 +39,7 @@ let test_depgraph_generic () =
   checki "edges" 2 (Noelle.Depgraph.num_edges g);
   checki "internal nodes" 1 (List.length (Noelle.Depgraph.internal_nodes g));
   checki "external nodes" 1 (List.length (Noelle.Depgraph.external_nodes g));
-  let sccs = Noelle.Depgraph.sccs g in
+  let sccs, _ = Noelle.Depgraph.scc_index g in
   checki "sccs over internals only" 1 (List.length sccs)
 
 let test_depgraph_slice () =
@@ -51,6 +51,57 @@ let test_depgraph_slice () =
   checki "one internal" 1 (List.length (Noelle.Depgraph.internal_nodes s));
   (* 1 and 3 appear as externals: the live-in and live-out *)
   checki "two externals" 2 (List.length (Noelle.Depgraph.external_nodes s))
+
+let test_depgraph_dense_ids () =
+  let module D = Noelle.Depgraph in
+  let g = D.create ~size:4 () in
+  (* ids past the initial size grow the arrays; the ids between stay absent *)
+  ignore (D.add_edge g ~kind:D.Control 2 1000);
+  ignore (D.add_edge g ~kind:D.Control 1000 50_000);
+  ignore (D.add_edge g ~kind:D.Control 50_000 1000);
+  D.add_node g ~internal:false 7;
+  checkb "bound covers every id" (D.bound g > 50_000);
+  checki "nodes" 4 (D.num_nodes g);
+  checkb "members" (List.for_all (D.mem g) [ 2; 7; 1000; 50_000 ]);
+  checkb "absent ids" (not (List.exists (D.mem g) [ -1; 0; 3; 999; 1001; 49_999; 1_000_000 ]));
+  checkb "external" (not (D.is_internal g 7));
+  checki "succs of 1000" 1 (List.length (D.succs g 1000));
+  checki "preds of 1000" 2 (List.length (D.preds g 1000));
+  checki "no succs past the end" 0 (List.length (D.succs g 1_000_000));
+  checki "no preds below zero" 0 (List.length (D.preds g (-3)));
+  checks "sccs" "[2] [1000 50000]"
+    (String.concat " "
+       (List.map
+          (fun c -> "[" ^ String.concat " " (List.map string_of_int (List.sort compare c)) ^ "]")
+          (List.rev (fst (D.scc_index g)))))
+
+let test_depgraph_negative_id () =
+  let module D = Noelle.Depgraph in
+  let g = D.create () in
+  let raises what f =
+    match f () with
+    | () -> Alcotest.failf "%s: no Invalid_argument" what
+    | exception Invalid_argument _ -> ()
+  in
+  raises "add_node" (fun () -> D.add_node g (-1));
+  raises "add_edge" (fun () -> ignore (D.add_edge g ~kind:D.Control 0 (-2)));
+  checkb "-1 absent" (not (D.mem g (-1)))
+
+let test_depgraph_filter_count () =
+  let module D = Noelle.Depgraph in
+  let g = D.create ~size:8 () in
+  for i = 0 to 9 do
+    for j = 0 to 9 do
+      if (i + j) mod 3 = 0 then ignore (D.add_edge g ~kind:(D.Memory D.RAW) i j)
+    done
+  done;
+  let before = D.num_edges g in
+  checki "edges listed" before (List.length (D.edges g));
+  D.filter_edges g ~keep_edge:(fun e -> e.D.esrc < e.D.edst);
+  checkb "some dropped" (D.num_edges g < before);
+  checki "num_edges = edges listed" (List.length (D.edges g)) (D.num_edges g);
+  checki "pred lists agree" (D.num_edges g)
+    (List.fold_left (fun n v -> n + List.length (D.preds g v)) 0 g.D.nodes)
 
 let test_pdg_register_deps () =
   with_loop simple_loop_src (fun _m n main _lp ->
@@ -827,6 +878,9 @@ let suite =
   [
     tc "depgraph generic" test_depgraph_generic;
     tc "depgraph slice" test_depgraph_slice;
+    tc "depgraph: ids past the size, sparse ids" test_depgraph_dense_ids;
+    tc "depgraph: negative id refused" test_depgraph_negative_id;
+    tc "depgraph: filter keeps the edge count" test_depgraph_filter_count;
     tc "pdg register deps" test_pdg_register_deps;
     tc "pdg control deps" test_pdg_control_deps;
     tc "pdg precision gap (fig 3)" test_pdg_precision_gap;

@@ -252,6 +252,29 @@ let test_sink_skips_degraded () =
   ignore (Noelle.bounds mgr f);
   checki "bounds reach the sink" 1 !fired
 
+(* the sink renders payloads only when installed; what it receives is
+   the (kind, fn, fp, payload) of each artifact, as computed directly *)
+let test_sink_tuples () =
+  let k = Option.get (Bsuite.Kernels.find "deadcalls") in
+  let m = compile ~name:k.Bsuite.Kernels.kname k.Bsuite.Kernels.src in
+  let mgr = Noelle.create m in
+  let got = ref [] in
+  Noelle.set_artifact_sink mgr
+    (Some (fun ~kind ~fn ~fp ~payload -> got := (kind, fn, fp, payload) :: !got));
+  let plain = Noelle.create m in
+  let want =
+    List.concat_map
+      (fun f ->
+        ignore (Noelle.pdg mgr f);
+        ignore (Noelle.bounds mgr f);
+        let fn = f.Func.fname and fp = Fingerprint.func_fp f in
+        [ ("pdg", fn, fp, Noelle.Pdg.payload (Noelle.pdg plain f));
+          ("bounds", fn, fp, Bounds.summary_payload (Noelle.bounds plain f)) ])
+      (Irmod.defined_functions m)
+  in
+  checkb "several functions" (List.length want > 8);
+  checkb "same tuples, in order" (want = List.rev !got)
+
 let test_soak_mini () =
   let ok, stats, results =
     Serve.soak
@@ -529,6 +552,8 @@ let suite =
       `Quick test_shed_not_persisted;
     Alcotest.test_case "serve: manager sink skips degraded results" `Quick
       test_sink_skips_degraded;
+    Alcotest.test_case "serve: sink receives each artifact's tuple" `Quick
+      test_sink_tuples;
     Alcotest.test_case "serve: mini soak — recovered ≡ cold" `Quick
       test_soak_mini;
     Alcotest.test_case "serve: overload sheds, never wrong" `Quick
