@@ -1010,7 +1010,7 @@ let trust_section () =
       failwith (name ^ ": stamped artifacts did not fast-reload");
     (* bare: same module minus the embedded artifacts, so every query
        misses and rebuilds — both arms run the exact manager path *)
-    let bare = Ir.Snapshot.copy_module m in
+    let bare = Ir.Irmod.copy m in
     Ir.Meta.clear_prefix bare.Ir.Irmod.meta "pdg.";
     let reload_ms = time_queries m fns in
     let recompute_ms = time_queries bare (Ir.Irmod.defined_functions bare) in
@@ -1093,8 +1093,8 @@ let synth_module ~name ~nfuncs ~chunk =
       acc := Reg s.id
     end;
     let next = Ir.Builder.add f loop.Ir.Func.bid (Bin (Add, Reg iv.id, Cint 1L)) Ir.Ty.I64 in
-    iv.op <- Phi [ (entry.Ir.Func.bid, Cint 0L); (loop.Ir.Func.bid, Reg next.id) ];
-    acc0.op <- Phi [ (entry.Ir.Func.bid, Cint 0L); (loop.Ir.Func.bid, !acc) ];
+    Ir.Builder.set_op f iv (Phi [ (entry.Ir.Func.bid, Cint 0L); (loop.Ir.Func.bid, Reg next.id) ]);
+    Ir.Builder.set_op f acc0 (Phi [ (entry.Ir.Func.bid, Cint 0L); (loop.Ir.Func.bid, !acc) ]);
     let cond = Ir.Builder.add f loop.Ir.Func.bid (Icmp (Slt, Reg next.id, Arg 2)) Ir.Ty.I64 in
     ignore (Ir.Builder.set_term f loop.Ir.Func.bid (Cbr (Reg cond.id, loop.Ir.Func.bid, exit_.Ir.Func.bid)));
     ignore (Ir.Builder.set_term f exit_.Ir.Func.bid (Ret (Some !acc)));

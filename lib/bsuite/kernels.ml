@@ -1018,5 +1018,3 @@ let corpus (names : string list) : (string * Ir.Irmod.t) list =
       | Some k -> (name, compile k)
       | None -> invalid_arg ("Kernels.corpus: unknown kernel " ^ name))
     names
-
-let by_suite s = List.filter (fun k -> k.suite = s) all

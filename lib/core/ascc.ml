@@ -35,12 +35,6 @@ type t = {
           iteration-distributing parallelization, harmless for DSWP *)
 }
 
-let attr_to_string = function
-  | Independent -> "independent"
-  | Sequential -> "sequential"
-  | Reducible r -> "reducible(" ^ Reduction.kind_to_string r.Reduction.kind ^ ")"
-  | Induction _ -> "induction"
-
 (** Classify every SCC of the loop. *)
 let build (ls : Loopstructure.t) (dag : Sccdag.t) : t =
   let ivs = Indvars.analyze ls dag in
@@ -86,13 +80,3 @@ let sequential_nodes (t : t) =
   List.filter (fun n -> n.attr = Sequential) t.nodes
 
 let has_sequential (t : t) = sequential_nodes t <> []
-
-(** The attribute of the SCC containing instruction [id]. *)
-let attr_of_inst (t : t) id =
-  Option.map
-    (fun sid -> (List.find (fun n -> n.scc.Sccdag.sid = sid) t.nodes).attr)
-    (Sccdag.scc_of_inst t.dag id)
-
-(** Instruction count weight of a node (used by DSWP stage balancing and
-    HELIX segment scheduling, optionally scaled by profile hotness). *)
-let weight (n : node) = Sccdag.size n.scc

@@ -77,9 +77,6 @@ let build ?(pts : Andersen.t option) (m : Irmod.t) : t =
 let callees (t : t) fname =
   try Hashtbl.find t.callees_of fname with Not_found -> []
 
-let callers (t : t) fname =
-  try Hashtbl.find t.callers_of fname with Not_found -> []
-
 (** Functions transitively reachable from the given roots.  When the graph
     has unresolved call sites, every address-taken function is added as a
     root (soundness fallback). *)

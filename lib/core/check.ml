@@ -75,13 +75,9 @@ let suppressed (m : Irmod.t) ~did ~fname ~inst =
   || Meta.mem meta (Printf.sprintf "check.suppress.%s.%s" did fname)
   || Meta.mem meta (Printf.sprintf "check.suppress.%s" did)
 
-(** Record an instruction-granular suppression in the module metadata. *)
-let suppress (m : Irmod.t) ~did ~fname ~inst =
-  Meta.set m.Irmod.meta (Printf.sprintf "check.suppress.%s.%s.%d" did fname inst) "1"
-
 let loc_of (f : Func.t) (i : Instr.inst) =
   let lblock =
-    match Hashtbl.find_opt f.Func.blks i.Instr.parent with
+    match Func.block_opt f i.Instr.parent with
     | Some b -> b.Func.label
     | None -> "?"
   in
@@ -676,7 +672,6 @@ let meta_verify : checker =
 (* ------------------------------------------------------------------ *)
 
 let all : checker list = [ race; uninit; dead_store; heap; oob; complexity; meta_verify ]
-let checker_ids = List.map (fun c -> c.cid) all
 
 (** Run the selected checkers (all by default) over [m].  Each checker is
     timed and its DFE iterations are accounted; suppressions are resolved

@@ -125,10 +125,6 @@ let external_nodes (g : t) =
 let num_nodes (g : t) = List.length g.nodes
 let num_edges (g : t) = g.nedges
 
-(** Dependences into internal node [n] from internal nodes only. *)
-let internal_preds (g : t) n =
-  List.filter (fun e -> is_internal g e.esrc) (preds g n)
-
 (** Restrict [g] to the nodes satisfying [keep]; nodes not kept but adjacent
     to kept nodes become external (the live-in/live-out sets of the region,
     computed exactly as the paper describes for loop and function dependence

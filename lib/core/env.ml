@@ -65,16 +65,3 @@ let emit_load (f : Func.t) bid ~env_ptr ~index ty : Instr.value =
           .Instr.id
   in
   Instr.Reg (Builder.add f bid (Instr.Load addr) ty).Instr.id
-
-(** Like {!emit_load} but inserting before instruction [before]. *)
-let emit_load_before (f : Func.t) ~before ~env_ptr ~index ty : Instr.value =
-  let addr =
-    if index = 0 then env_ptr
-    else
-      Instr.Reg
-        (Builder.insert_before f ~before
-           (Instr.Gep (env_ptr, Instr.Cint (Int64.of_int index)))
-           Ty.Ptr)
-          .Instr.id
-  in
-  Instr.Reg (Builder.insert_before f ~before (Instr.Load addr) ty).Instr.id

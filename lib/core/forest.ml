@@ -71,10 +71,6 @@ let size (t : 'a t) =
   iter_preorder (fun _ -> incr n) t;
   !n
 
-let depth (n : 'a node) =
-  let rec go acc = function None -> acc | Some p -> go (acc + 1) p.parent in
-  go 1 n.parent
-
 (** Build the loop nesting forest of a function from {!Ir.Loopnest}. *)
 let of_loopnest (nest : Ir.Loopnest.t) : Ir.Loopnest.loop t =
   let t = create () in

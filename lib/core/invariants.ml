@@ -75,9 +75,3 @@ let invariants (t : t) =
     (Loopstructure.insts t.ls)
 
 let count (t : t) = List.length (invariants t)
-
-(** Is a {e value} invariant in the loop (constants and values defined
-    outside trivially are)? *)
-let value_invariant (t : t) (v : Instr.value) =
-  Scev.is_invariant_value t.ls.Loopstructure.f t.ls.Loopstructure.raw v
-  || match v with Instr.Reg r -> is_invariant t r | _ -> false

@@ -18,9 +18,9 @@ let set_step (f : Func.t) ~update_id ~phi_id ~(new_step : Instr.value) =
   let upd = Func.inst f update_id in
   match upd.Instr.op with
   | Instr.Bin (Instr.Add, a, _b) when Instr.value_equal a (Instr.Reg phi_id) ->
-    upd.Instr.op <- Instr.Bin (Instr.Add, a, new_step)
+    Builder.set_op f upd (Instr.Bin (Instr.Add, a, new_step))
   | Instr.Bin (Instr.Add, _a, b) when Instr.value_equal b (Instr.Reg phi_id) ->
-    upd.Instr.op <- Instr.Bin (Instr.Add, new_step, b)
+    Builder.set_op f upd (Instr.Bin (Instr.Add, new_step, b))
   | Instr.Bin (Instr.Sub, a, _b) when Instr.value_equal a (Instr.Reg phi_id) ->
     (* keep the subtraction shape: step is the subtrahend *)
     let neg =
@@ -28,7 +28,7 @@ let set_step (f : Func.t) ~update_id ~phi_id ~(new_step : Instr.value) =
         (Instr.Bin (Instr.Sub, Instr.Cint 0L, new_step))
         Ty.I64
     in
-    upd.Instr.op <- Instr.Bin (Instr.Sub, a, Instr.Reg neg.Instr.id)
+    Builder.set_op f upd (Instr.Bin (Instr.Sub, a, Instr.Reg neg.Instr.id))
   | _ ->
     raise
       (Not_steppable
@@ -46,11 +46,11 @@ let scale_step (f : Func.t) ~update_id ~phi_id ~(factor : Instr.value) =
   in
   match upd.Instr.op with
   | Instr.Bin (Instr.Add, a, b) when Instr.value_equal a (Instr.Reg phi_id) ->
-    upd.Instr.op <- Instr.Bin (Instr.Add, a, scaled b)
+    Builder.set_op f upd (Instr.Bin (Instr.Add, a, scaled b))
   | Instr.Bin (Instr.Add, a, b) when Instr.value_equal b (Instr.Reg phi_id) ->
-    upd.Instr.op <- Instr.Bin (Instr.Add, scaled a, b)
+    Builder.set_op f upd (Instr.Bin (Instr.Add, scaled a, b))
   | Instr.Bin (Instr.Sub, a, b) when Instr.value_equal a (Instr.Reg phi_id) ->
-    upd.Instr.op <- Instr.Bin (Instr.Sub, a, scaled b)
+    Builder.set_op f upd (Instr.Bin (Instr.Sub, a, scaled b))
   | _ ->
     raise
       (Not_steppable
@@ -73,9 +73,9 @@ let offset_start (f : Func.t) ~phi_id ~pred ~(delta : Instr.value) =
             Ty.I64
         | None -> Builder.add f pred (Instr.Bin (Instr.Add, init, delta)) Ty.I64
       in
-      phi.Instr.op <-
-        Instr.Phi
+      Builder.set_op f phi
+        (Instr.Phi
           (List.map
              (fun (p, v) -> if p = pred then (p, Instr.Reg add.Instr.id) else (p, v))
-             incs))
+             incs)))
   | _ -> raise (Not_steppable (Printf.sprintf "instruction %d is not a phi" phi_id))

@@ -31,7 +31,6 @@ let ascc (t : t) = Lazy.force t.ascc
 let invariants (t : t) = Lazy.force t.invariants
 let induction_variables (t : t) = (ascc t).Ascc.ivs
 let reductions (t : t) = (ascc t).Ascc.reductions
-let governing_iv (t : t) = Indvars.governing_iv (induction_variables t)
 let live_ins (t : t) = Pdg.live_ins t.pdg t.ls.Loopstructure.raw
 let live_outs (t : t) = Pdg.live_outs t.pdg t.ls.Loopstructure.raw
 

@@ -32,14 +32,14 @@ let ensure_preheader (f : Func.t) (l : Loopnest.loop) : int =
           in
           (match from_outside with
           | [] -> ()
-          | [ (_, v) ] -> i.Instr.op <- Instr.Phi ((ph.Func.bid, v) :: from_inside)
+          | [ (_, v) ] -> Builder.set_op f i (Instr.Phi ((ph.Func.bid, v) :: from_inside))
           | multi ->
             (* merge multiple outside values with a phi in the preheader *)
             let merged =
               Builder.insert_front f ph.Func.bid (Instr.Phi multi) i.Instr.ty
             in
-            i.Instr.op <-
-              Instr.Phi ((ph.Func.bid, Instr.Reg merged.Instr.id) :: from_inside))
+            Builder.set_op f i
+              (Instr.Phi ((ph.Func.bid, Instr.Reg merged.Instr.id) :: from_inside)))
         | _ -> ())
       (Func.insts_of_block f header);
     List.iter
@@ -48,9 +48,7 @@ let ensure_preheader (f : Func.t) (l : Loopnest.loop) : int =
     ignore (Builder.set_term f ph.Func.bid (Instr.Br header));
     (* entry function header: if the loop header was the function entry,
        the preheader must become the entry block *)
-    if Func.entry f = header then
-      f.Func.blocks <-
-        ph.Func.bid :: List.filter (fun b -> b <> ph.Func.bid) f.Func.blocks;
+    if Func.entry f = header then Builder.make_entry f ph.Func.bid;
     ph.Func.bid
 
 (** Hoist instruction [id] to the end of the loop's preheader (creating
@@ -99,8 +97,8 @@ let build_counted_loop (f : Func.t) ~(after : int) ~(start : Instr.value)
       Ty.I64
   in
   ignore (Builder.set_term f latch.Func.bid (Instr.Br header.Func.bid));
-  phi.Instr.op <-
-    Instr.Phi [ (ph.Func.bid, start); (latch.Func.bid, Instr.Reg next.Instr.id) ];
+  Builder.set_op f phi
+    (Instr.Phi [ (ph.Func.bid, start); (latch.Func.bid, Instr.Reg next.Instr.id) ]);
   (exit, body, Instr.Reg phi.Instr.id)
 
 (* ------------------------------------------------------------------ *)
@@ -135,9 +133,7 @@ let clone_blocks ~(src : Func.t) ~(blocks : int list) ~(dst : Func.t)
       List.iter
         (fun iid ->
           let i = Func.inst src iid in
-          let ni = Builder.mk_inst dst i.Instr.op i.Instr.ty in
-          ni.Instr.parent <- nb.Func.bid;
-          nb.Func.insts <- nb.Func.insts @ [ ni.Instr.id ];
+          let ni = Builder.add dst nb.Func.bid i.Instr.op i.Instr.ty in
           Hashtbl.replace imap iid ni.Instr.id)
         b.Func.insts)
     ordered;
@@ -158,7 +154,7 @@ let clone_blocks ~(src : Func.t) ~(blocks : int list) ~(dst : Func.t)
             | Instr.Glob _ -> map_value v
             | v -> v
           in
-          ni.Instr.op <-
+          Builder.set_op dst ni
             (match ni.Instr.op with
             | Instr.Phi incs ->
               Instr.Phi
@@ -281,14 +277,7 @@ let rotate (f : Func.t) (ls : Loopstructure.t) : bool =
        change: preheader keeps its value, latch values stay *)
     List.iter
       (fun pid ->
-        let p = Func.inst f pid in
-        let incs = phi_incs pid in
-        let bb = Func.block f header in
-        bb.Func.insts <- List.filter (fun x -> x <> pid) bb.Func.insts;
-        let nb = Func.block f body_succ in
-        nb.Func.insts <- pid :: nb.Func.insts;
-        p.Instr.parent <- body_succ;
-        ignore incs)
+        Builder.move_before f pid ~before:(List.hd (Func.block f body_succ).Func.insts))
       phis;
     (* merge values for header computations used elsewhere, and for phis
        used outside the loop: build exit phis in the exit block *)
@@ -342,10 +331,10 @@ let rotate (f : Func.t) (ls : Loopstructure.t) : bool =
               let by =
                 if inside then Instr.Reg hphi.Instr.id else Lazy.force ephi
               in
-              u.Instr.op <-
-                Instr.map_operands
+              Builder.set_op f u
+                (Instr.map_operands
                   (function Instr.Reg r when r = cid -> by | v -> v)
-                  u.Instr.op)
+                  u.Instr.op))
             outside_users
         end)
       comp;
@@ -371,10 +360,10 @@ let rotate (f : Func.t) (ls : Loopstructure.t) : bool =
           in
           List.iter
             (fun (u : Instr.inst) ->
-              u.Instr.op <-
-                Instr.map_operands
+              Builder.set_op f u
+                (Instr.map_operands
                   (function Instr.Reg r when r = pid -> ephi | v -> v)
-                  u.Instr.op)
+                  u.Instr.op))
             outside_users
         end)
       phis;
@@ -397,15 +386,12 @@ let rotate (f : Func.t) (ls : Loopstructure.t) : bool =
               if p = ph then List.assoc ph (phi_incs r) else List.assoc p (phi_incs r)
             | v -> v
           in
-          i.Instr.op <-
-            Instr.Phi (others @ List.map (fun p -> (p, subst_for p v)) all_new_preds)
+          Builder.set_op f i
+            (Instr.Phi (others @ List.map (fun p -> (p, subst_for p v)) all_new_preds))
         | _ -> ())
       (Func.insts_of_block f exit_succ);
     (* the old header is now bypassed: erase it *)
-    let hb = Func.block f header in
-    List.iter (fun id -> Hashtbl.remove f.Func.body id) hb.Func.insts;
-    Hashtbl.remove f.Func.blks header;
-    f.Func.blocks <- List.filter (fun b -> b <> header) f.Func.blocks;
+    Builder.erase_block f header;
     ignore (Cfg.prune_unreachable f);
     ignore (Builder.simplify_phis f);
     true
@@ -449,7 +435,7 @@ let peel_first (f : Func.t) (ls : Loopstructure.t) : bool =
     (fun _src cbid ->
       match Func.terminator f cbid with
       | Some t ->
-        t.Instr.op <-
+        Builder.set_op f t
           (match t.Instr.op with
           | Instr.Br s when s = cheader -> Instr.Br header
           | Instr.Cbr (c, a, b) ->
@@ -505,7 +491,7 @@ let peel_first (f : Func.t) (ls : Loopstructure.t) : bool =
               else [ (p, v) ])
             incs
         in
-        i.Instr.op <- Instr.Phi updated
+        Builder.set_op f i (Instr.Phi updated)
       | _ -> ())
     (Func.insts_of_block f header);
   (* exit-target phis: add one incoming per cloned exiting predecessor *)
@@ -533,7 +519,7 @@ let peel_first (f : Func.t) (ls : Loopstructure.t) : bool =
               | None -> None)
             incs
         in
-        i.Instr.op <- Instr.Phi (incs @ extra)
+        Builder.set_op f i (Instr.Phi (incs @ extra))
       | _ -> ())
     (Func.insts_of_block f exit_t);
   (* SSA live-outs used beyond the exit block without a merge phi: create
@@ -565,12 +551,12 @@ let peel_first (f : Func.t) (ls : Loopstructure.t) : bool =
           in
           List.iter
             (fun (u : Instr.inst) ->
-              u.Instr.op <-
-                Instr.map_operands
+              Builder.set_op f u
+                (Instr.map_operands
                   (function
                     | Instr.Reg r when r = d.Instr.id -> Instr.Reg phi.Instr.id
                     | v -> v)
-                  u.Instr.op)
+                  u.Instr.op))
             outside_users
         end
       end)

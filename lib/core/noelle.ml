@@ -63,7 +63,7 @@ type t = {
   mutable tool : string;
   usage : (string * string, unit) Hashtbl.t;    (** (tool, abstraction) *)
   mutable use_noelle_aa : bool;                 (** full stack vs baseline *)
-  mutable analysis_budget : int option;
+  analysis_budget : int option;
       (** step budget for demand-driven analyses: past it Andersen degrades
           to a conservative points-to result and the PDG stops issuing
           alias queries, emitting may-deps instead (sound, less precise) *)
@@ -124,10 +124,6 @@ let sink_artifact (t : t) ~kind ~fn ~fp ~payload =
 
 (** Set the name of the tool issuing subsequent requests (Table 4 rows). *)
 let set_tool (t : t) name = t.tool <- name
-
-(** Bound (or unbound, with [None]) the analysis step budget; takes effect
-    on the next demand-driven computation. *)
-let set_analysis_budget (t : t) b = t.analysis_budget <- b
 
 (** Did any cached analysis hit its budget and degrade to a conservative
     result? *)
@@ -407,10 +403,6 @@ let nest_structures (t : t) (f : Func.t) =
   record t "LS";
   let nest = loopnest t f in
   (nest, List.map (Loopstructure.of_loop f) nest.Loopnest.loops)
-
-(** Loop structures (LS) of every loop in [f]. *)
-let loop_structures (t : t) (f : Func.t) : Loopstructure.t list =
-  snd (nest_structures t f)
 
 (** Canonical loops (L) of [f], everything beyond LS computed lazily. *)
 let loops (t : t) (f : Func.t) : Loop.t list =

@@ -97,7 +97,7 @@ let build ?budget ?(stack : Alias.stack = [ Alias.baseline ]) ?pts (m : Irmod.t)
       | Some t ->
         List.iter
           (fun x ->
-            if x >= 0 && Hashtbl.mem f.Func.blks x then
+            if x >= 0 && Func.block_opt f x <> None then
               List.iter
                 (fun (i : Instr.inst) ->
                   ignore
@@ -575,7 +575,7 @@ let of_embedded (m : Irmod.t) (f : Func.t) : t option =
             (* an edge endpoint that is not an instruction of the current
                body is a ghost: the artifact describes different code, so
                reject it rather than silently wiring dangling edges *)
-            if Hashtbl.mem f.Func.body s && Hashtbl.mem f.Func.body d then
+            if Func.mem_inst f s && Func.mem_inst f d then
               ignore (Depgraph.add_edge g ~must ~kind s d)
             else ok := false
           | _ -> ok := false)

@@ -98,7 +98,7 @@ let attach (st : Interp.state) : unit -> t =
       (fun c ->
         let fname = c.fn.Func.fname in
         let count tbl key bid n =
-          match Hashtbl.find_opt c.fn.Func.blks bid with
+          match Func.block_opt c.fn bid with
           | Some b when n > 0 -> bump tbl (key b.Func.label) (Int64.of_int n)
           | _ -> ()
         in

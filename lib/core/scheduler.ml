@@ -38,42 +38,12 @@ let data_succs (t : t) i =
       | _ -> Some e.Depgraph.edst)
     (Depgraph.succs t.pdg.Pdg.fdg i)
 
-(** Can [id] legally move to just before [before] within the same block?
-    Legal iff no instruction strictly between the two positions depends on
-    [id] or is depended on by [id]. *)
-let can_move_before (t : t) ~id ~before =
-  let i = Func.inst t.f id and anchor = Func.inst t.f before in
-  if Instr.is_terminator i then false
-  else if i.Instr.parent <> anchor.Instr.parent then false
-  else begin
-    let b = Func.block t.f i.Instr.parent in
-    let rec between acc started = function
-      | [] -> List.rev acc
-      | x :: rest ->
-        if x = id || x = before then
-          if started then List.rev acc else between acc true rest
-        else if started then between (x :: acc) started rest
-        else between acc started rest
-    in
-    let mids = between [] false b.Func.insts in
-    not (List.exists (fun x -> depend t id x) mids)
-  end
-
-(** Move [id] before [before] if legal.  Returns whether it moved. *)
-let move_before (t : t) ~id ~before =
-  if can_move_before t ~id ~before then begin
-    Builder.move_before t.f id ~before;
-    true
-  end
-  else false
-
 (** Within-basic-block scheduler: topologically order the instructions of
     block [bid] by their intra-block dependences, breaking ties with
     [priority] (lower first) and then original order.  Phis stay at the
     front and the terminator stays last. *)
 let schedule_block (t : t) bid ~(priority : Instr.inst -> int) =
-  let b = Func.block t.f bid in
-  let ids = b.Func.insts in
+  let ids = (Func.block t.f bid).Func.insts in
   let is_phi x =
     match (Func.inst t.f x).Instr.op with Instr.Phi _ -> true | _ -> false
   in
@@ -130,7 +100,7 @@ let schedule_block (t : t) bid ~(priority : Instr.inst -> int) =
     out := pick :: !out;
     remaining := List.filter (fun x -> x <> pick) !remaining
   done;
-  b.Func.insts <- phis @ List.rev !out @ term
+  Builder.set_order t.f bid (phis @ List.rev !out @ term)
 
 (** Loop scheduler: shrink the loop header by sinking instructions that
     are only used in the body into the body's entry block.  Returns how

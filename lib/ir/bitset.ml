@@ -46,8 +46,6 @@ let popcount x =
   let rec go x acc = if x = 0 then acc else go (x land (x - 1)) (acc + 1) in
   go x 0
 
-let cardinal (s : t) = Array.fold_left (fun acc w -> acc + popcount w) 0 s.words
-
 (** Union [src] into [into]; returns the number of bits newly set.  When
     [track] is given the fresh bits are also or-ed into it — this is the
     difference-propagation hook: [track] accumulates the delta a worklist
@@ -75,17 +73,6 @@ let union_into ?track ~(into : t) (src : t) =
   done;
   !added
 
-(** Do [a] and [b] share no bit?  (The alias-disproval test.) *)
-let is_empty_inter (a : t) (b : t) =
-  let n = min (Array.length a.words) (Array.length b.words) in
-  let rec go w = w >= n || (a.words.(w) land b.words.(w) = 0 && go (w + 1)) in
-  go 0
-
-let inter (a : t) (b : t) =
-  let n = min (Array.length a.words) (Array.length b.words) in
-  let words = Array.init n (fun w -> a.words.(w) land b.words.(w)) in
-  { words }
-
 let equal (a : t) (b : t) =
   let na = Array.length a.words and nb = Array.length b.words in
   let n = min na nb in
@@ -108,5 +95,3 @@ let fold f (s : t) init =
   let acc = ref init in
   iter (fun i -> acc := f i !acc) s;
   !acc
-
-let elements (s : t) = List.rev (fold (fun i acc -> i :: acc) s [])

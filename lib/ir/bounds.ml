@@ -152,12 +152,6 @@ let trip_to_string = function
   | Unknown -> "unknown"
   | Unbounded -> "unbounded"
 
-let mono_to_string = function
-  | Increasing -> "increasing"
-  | Decreasing -> "decreasing"
-  | Steady -> "steady"
-  | Unordered -> "unordered"
-
 (* ------------------------------------------------------------------ *)
 (* Polynomial arithmetic                                               *)
 (* ------------------------------------------------------------------ *)
@@ -215,11 +209,6 @@ let cost_mul_trip c trip =
   | Cunbounded, _ | _, Unbounded -> Cunbounded
   | Cunknown, _ | _, Unknown -> Cunknown
   | Poly ts, (Exact s | Upper s) -> Poly (mul_sym ts s)
-
-(** Degree of the cost polynomial, [None] at a lattice top. *)
-let cost_degree = function
-  | Poly ts -> Some (List.fold_left (fun d t -> max d (List.length t.vars)) 0 ts)
-  | Cunknown | Cunbounded -> None
 
 (** Constant value of a symbol-free cost polynomial. *)
 let cost_const = function
@@ -691,14 +680,6 @@ let analyze (f : Func.t) : summary =
 (** The bound of the loop headed at [header], if analyzed. *)
 let find (s : summary) ~header =
   List.find_opt (fun lb -> lb.lheader = header) s.floops
-
-let loop_bound_to_string (lb : loop_bound) =
-  Printf.sprintf "%s: depth %d, trips %s, cost %s [%s]" lb.lkey lb.ldepth
-    (trip_to_string lb.lheadx) (cost_to_string lb.lcost)
-    (match lb.lorigin with
-    | Affine -> "affine"
-    | Diffcon -> "diffcon"
-    | Structural -> "structural")
 
 (** Canonical textual payload of a summary — the serialization the serve
     layer's artifact store persists (DESIGN.md §14).  One sorted line per

@@ -1,28 +1,60 @@
 (** Mutation API for the IR.
 
-    All structural edits to functions go through this module so that block
-    instruction lists, parent pointers and phi incoming lists stay
-    consistent.  It plays the role of LLVM's IRBuilder plus the handful of
+    All edits to functions go through this module: it is the one place
+    outside {!Func} that writes the IR records (their types are [private]
+    everywhere else), and every edit takes the owning function.  It keeps
+    block instruction lists, parent pointers and phi incoming lists
+    consistent, playing the role of LLVM's IRBuilder plus the handful of
     low-level CFG update utilities passes need. *)
 
-open Instr
+open Raw.Instr
+open Raw.Func
 
 (** [add_block f ~label] appends a fresh empty block to [f]. *)
 let add_block (f : Func.t) ~label =
   let bid = Func.fresh_id f in
   let lbl = if Func.find_label f label = None then label
     else Printf.sprintf "%s.%d" label bid in
-  let b = { Func.bid; label = lbl; insts = [] } in
-  Hashtbl.replace f.Func.blks bid b;
-  f.Func.blocks <- f.Func.blocks @ [ bid ];
+  let b = { bid; label = lbl; insts = [] } in
+  Hashtbl.replace f.blks bid b;
+  f.blocks <- f.blocks @ [ bid ];
   b
+
+(** Rename block [bid]; the caller keeps labels unique. *)
+let set_label (f : Func.t) bid label = (Func.block f bid).label <- label
+
+(** Move block [bid] to the head of the layout, making it the entry. *)
+let make_entry (f : Func.t) bid =
+  f.blocks <- bid :: List.filter (fun b -> b <> bid) f.blocks
+
+(** Replace the operation of instruction [i] of [f]. *)
+let set_op (_ : Func.t) (i : Instr.inst) op = i.op <- op
+
+(** Lay out block [bid]'s instructions as [ids], which must be a
+    permutation of the instructions it holds. *)
+let set_order (f : Func.t) bid ids =
+  let b = Func.block f bid in
+  assert (List.sort compare ids = List.sort compare b.insts);
+  b.insts <- ids
 
 (** Create an instruction record owned by [f] without inserting it. *)
 let mk_inst (f : Func.t) op ty =
   let id = Func.fresh_id f in
   let i = { id; op; ty; parent = -1 } in
-  Hashtbl.replace f.Func.body id i;
+  Hashtbl.replace f.body id i;
   i
+
+(** The parser's form of {!add}: append an instruction whose [id] the
+    caller chose (unused, and below the counter that {!reserve_ids} set)
+    at the very end of block [bid]. *)
+let append_with_id (f : Func.t) bid ~id op ty =
+  let i = { id; op; ty; parent = bid } in
+  Hashtbl.replace f.body id i;
+  let b = Func.block f bid in
+  b.insts <- b.insts @ [ id ]
+
+(** Make every id below [n] unavailable to {!Func.fresh_id}. *)
+let reserve_ids (f : Func.t) n = f.next_id <- max f.next_id n
 
 (** Append an instruction at the end of block [bid] and return its value.
     If the block is already terminated the instruction goes just before the
@@ -63,7 +95,7 @@ let replace_term (f : Func.t) bid op =
   (match Func.terminator f bid with
   | Some t ->
     b.insts <- List.filter (fun id -> id <> t.id) b.insts;
-    Hashtbl.remove f.Func.body t.id
+    Hashtbl.remove f.body t.id
   | None -> ());
   ignore (set_term f bid op)
 
@@ -97,7 +129,7 @@ let remove (f : Func.t) id =
     let b = Func.block f i.parent in
     b.insts <- List.filter (fun x -> x <> id) b.insts
   end;
-  Hashtbl.remove f.Func.body id
+  Hashtbl.remove f.body id
 
 (** Replace every use of SSA register [old] with value [by], everywhere in
     [f]. *)
@@ -128,10 +160,10 @@ let apply_subst (f : Func.t) subst =
 let remove_all (f : Func.t) dead =
   Func.iter_blocks
     (fun b ->
-      b.Func.insts <-
+      b.insts <-
         List.filter
-          (fun id -> if dead id then (Hashtbl.remove f.Func.body id; false) else true)
-          b.Func.insts)
+          (fun id -> if dead id then (Hashtbl.remove f.body id; false) else true)
+          b.insts)
     f
 
 (** Move instruction [id] so it becomes the last non-terminator of block
@@ -202,54 +234,17 @@ let redirect (f : Func.t) bid ~old_succ ~new_succ =
              if b = old_succ then new_succ else b)
       | op -> op)
 
-(** Split block [bid] before instruction [at]: instructions from [at] to the
-    terminator move into a fresh block; [bid] falls through with a [Br].
-    Phis in successors are updated to the new block.  Returns the new block. *)
-let split_block (f : Func.t) bid ~at ~label =
-  let b = Func.block f bid in
-  let rec cut acc = function
-    | x :: rest when x = at -> (List.rev acc, x :: rest)
-    | x :: rest -> cut (x :: acc) rest
-    | [] -> (List.rev acc, [])
-  in
-  let before, after = cut [] b.insts in
-  let nb = add_block f ~label in
-  b.insts <- before;
-  nb.insts <- after;
-  List.iter (fun id -> (Func.inst f id).parent <- nb.bid) after;
-  (* successors' phis must now name the new block *)
-  List.iter
-    (fun s -> rewrite_phi_pred f s ~old_pred:bid ~new_pred:nb.bid)
-    (Func.successors f nb.bid);
-  ignore (set_term f bid (Br nb.bid));
-  nb
-
-(** Delete block [bid] (must be unreachable: no predecessors). *)
+(** Delete block [bid] (must be unreachable: no predecessors).  Phis of
+    its successors lose their incoming from [bid]; a successor already
+    erased is skipped. *)
 let erase_block (f : Func.t) bid =
   let b = Func.block f bid in
-  List.iter (fun s -> remove_phi_incoming f s ~pred:bid) (Func.successors f bid);
-  List.iter (fun id -> Hashtbl.remove f.Func.body id) b.insts;
-  Hashtbl.remove f.Func.blks bid;
-  f.Func.blocks <- List.filter (fun x -> x <> bid) f.Func.blocks
-
-(** Deep-copy a function under a new name.  Returns the clone. *)
-let clone_func (f : Func.t) ~name =
-  let g =
-    Func.create ~name
-      ~params:(Array.to_list f.Func.params)
-      ~ret:f.Func.ret
-  in
-  g.Func.next_id <- f.Func.next_id;
-  g.Func.blocks <- f.Func.blocks;
-  Hashtbl.iter
-    (fun id (i : inst) ->
-      Hashtbl.replace g.Func.body id { i with op = i.op })
-    f.Func.body;
-  Hashtbl.iter
-    (fun id (b : Func.block) ->
-      Hashtbl.replace g.Func.blks id { b with insts = b.insts })
-    f.Func.blks;
-  g
+  List.iter
+    (fun s -> if Func.block_opt f s <> None then remove_phi_incoming f s ~pred:bid)
+    (Func.successors f bid);
+  List.iter (fun id -> Hashtbl.remove f.body id) b.insts;
+  Hashtbl.remove f.blks bid;
+  f.blocks <- List.filter (fun x -> x <> bid) f.blocks
 
 (** Simplify trivial phis ([Phi [(p, v)]] or all-same-value phis) away.
     Returns the number of phis removed.  Used after CFG surgery. *)

@@ -25,19 +25,7 @@ let reachable (f : Func.t) =
 let prune_unreachable (f : Func.t) =
   let live = reachable f in
   let dead = List.filter (fun b -> not (Hashtbl.mem live b)) f.Func.blocks in
-  List.iter
-    (fun bid ->
-      List.iter
-        (fun s -> if Hashtbl.mem live s then Builder.remove_phi_incoming f s ~pred:bid)
-        (Func.successors f bid))
-    dead;
-  List.iter
-    (fun bid ->
-      let b = Func.block f bid in
-      List.iter (fun id -> Hashtbl.remove f.Func.body id) b.Func.insts;
-      Hashtbl.remove f.Func.blks bid)
-    dead;
-  f.Func.blocks <- List.filter (fun b -> Hashtbl.mem live b) f.Func.blocks;
+  List.iter (Builder.erase_block f) dead;
   List.length dead
 
 (** Exit blocks: blocks whose terminator is [Ret] or [Unreachable]. *)

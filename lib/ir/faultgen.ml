@@ -41,25 +41,12 @@ let kind_to_string = function
   | Garble_prof -> "garble-prof"
   | Effect_reorder -> "effect-reorder"
 
-(** Is the fault class one the verifier alone must catch? *)
-let structural = function
-  | Corrupt_phi_edge | Undef_operand | Mid_terminator -> true
-  | Drop_store | Swap_operands | Corrupt_phi_value | Uninit_load | Wild_store
-  | Stale_stamp | Drop_meta_edge | Flip_meta_edge | Garble_prof
-  | Effect_reorder ->
-    false
-
 (** The fault classes a broken transformation produces; the default draw of
     {!inject} (deliberately excludes the sanitizer plants below, whose
     corruptions are invisible to a differential run). *)
 let transform_kinds =
   [ Drop_store; Swap_operands; Corrupt_phi_value; Corrupt_phi_edge;
     Undef_operand; Mid_terminator ]
-
-(** The semantic memory bugs a sanitizer must catch: planted code whose
-    behaviour only a memory-state oracle (static checker or instrumented
-    interpreter) can distinguish from a healthy module. *)
-let sanitizer_kinds = [ Uninit_load; Wild_store ]
 
 (** Corruptions of {e embedded analysis metadata} rather than code: the
     program's behaviour is untouched, so neither the verifier nor a
@@ -94,12 +81,6 @@ type serve_kind =
   | Truncate_artifact   (** an artifact file truncated (possibly to zero bytes) *)
   | Bitflip_artifact    (** one byte of a shard file flipped *)
   | Stall_shard         (** one shard's reads stall past the deadline *)
-
-let serve_kind_to_string = function
-  | Kill_mid_write -> "kill-mid-write"
-  | Truncate_artifact -> "truncate-artifact"
-  | Bitflip_artifact -> "bitflip-artifact"
-  | Stall_shard -> "stall-shard"
 
 let serve_kinds = [ Kill_mid_write; Truncate_artifact; Bitflip_artifact; Stall_shard ]
 
@@ -349,46 +330,44 @@ let apply_info (r : rng) (m : Irmod.t) (k : kind) (f : Func.t) (i : Instr.inst) 
   (match (k, i.Instr.op) with
   | (Uninit_load | Wild_store), _ -> () (* planted above *)
   | Drop_store, Instr.Store _ -> Builder.remove f i.Instr.id
-  | Swap_operands, Instr.Bin (op, a, b) -> i.Instr.op <- Instr.Bin (op, b, a)
+  | Swap_operands, Instr.Bin (op, a, b) -> Builder.set_op f i (Instr.Bin (op, b, a))
   | Corrupt_phi_value, Instr.Phi incs ->
     let k' = next r (List.length incs) in
-    i.Instr.op <-
-      Instr.Phi (List.mapi (fun j (p, v) -> if j = k' then (p, Instr.Cint 1234567L) else (p, v)) incs)
+    Builder.set_op f i
+      (Instr.Phi (List.mapi (fun j (p, v) -> if j = k' then (p, Instr.Cint 1234567L) else (p, v)) incs))
   | Corrupt_phi_edge, Instr.Phi incs ->
     let k' = next r (List.length incs) in
-    i.Instr.op <-
-      Instr.Phi (List.mapi (fun j (p, v) -> if j = k' then (-7, v) else (p, v)) incs)
+    Builder.set_op f i
+      (Instr.Phi (List.mapi (fun j (p, v) -> if j = k' then (-7, v) else (p, v)) incs))
   | Undef_operand, op ->
     let undef = Instr.Reg (f.Func.next_id + 9999) in
     let hit = ref false in
-    i.Instr.op <-
-      Instr.map_operands
+    Builder.set_op f i
+      (Instr.map_operands
         (fun v ->
           match v with
           | Instr.Reg _ when not !hit ->
             hit := true;
             undef
           | v -> v)
-        op
+        op)
   | Mid_terminator, _ ->
-    let b = Func.block f i.Instr.parent in
-    let t = Builder.mk_inst f (Instr.Ret None) Ty.Void in
-    t.Instr.parent <- b.Func.bid;
+    let bid = i.Instr.parent in
+    let order = (Func.block f bid).Func.insts in
+    let t = Builder.add f bid (Instr.Ret None) Ty.Void in
     (* splice after the first instruction: never last, so always mid-block *)
-    (match b.Func.insts with
-    | x :: rest -> b.Func.insts <- x :: t.Instr.id :: rest
-    | [] -> ())
+    Builder.set_order f bid (List.hd order :: t.Instr.id :: List.tl order)
   | Effect_reorder, _ -> (
     match reorder_partner f i with
     | Some j ->
       (* migrate the first effect to just after its partner; the
          instructions in between are pure, so their operands stay defined *)
-      let b = Func.block f i.Instr.parent in
-      let without = List.filter (fun x -> x <> i.Instr.id) b.Func.insts in
-      b.Func.insts <-
-        List.concat_map
-          (fun x -> if x = j.Instr.id then [ x; i.Instr.id ] else [ x ])
-          without
+      let bid = i.Instr.parent in
+      let without = List.filter (fun x -> x <> i.Instr.id) (Func.block f bid).Func.insts in
+      Builder.set_order f bid
+        (List.concat_map
+           (fun x -> if x = j.Instr.id then [ x; i.Instr.id ] else [ x ])
+           without)
     | None -> ())
   | _ -> ());
   {

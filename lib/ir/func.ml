@@ -1,29 +1,6 @@
-(** Functions and basic blocks.
+include Raw.Func
 
-    A function owns two id-indexed tables: one for instructions and one for
-    basic blocks.  Instruction ids and block ids are drawn from the same
-    per-function counter, so every id is unique within the function and is
-    deterministic (creation order).  Blocks keep their instructions as an
-    ordered id list whose last element is the terminator. *)
-
-type block = {
-  bid : int;
-  mutable label : string;          (** printable label, unique per function *)
-  mutable insts : int list;        (** instruction ids, terminator last *)
-}
-
-type t = {
-  fname : string;
-  params : (string * Ty.t) array;
-  ret : Ty.t;
-  mutable blocks : int list;       (** block ids in layout order; head = entry *)
-  body : (int, Instr.inst) Hashtbl.t;
-  blks : (int, block) Hashtbl.t;
-  mutable next_id : int;
-  mutable is_declaration : bool;   (** true for external/builtin declarations *)
-}
-
-let create ~name ~params ~ret =
+let make ~name ~params ~ret ~is_declaration =
   {
     fname = name;
     params = Array.of_list params;
@@ -32,13 +9,20 @@ let create ~name ~params ~ret =
     body = Hashtbl.create 64;
     blks = Hashtbl.create 16;
     next_id = 0;
-    is_declaration = false;
+    is_declaration;
   }
 
-let declare ~name ~params ~ret =
-  let f = create ~name ~params ~ret in
-  f.is_declaration <- true;
-  f
+let create = make ~is_declaration:false
+let declare = make ~is_declaration:true
+
+let copy ?name (f : t) =
+  let g = make ~name:(Option.value name ~default:f.fname)
+      ~params:(Array.to_list f.params) ~ret:f.ret ~is_declaration:f.is_declaration in
+  g.next_id <- f.next_id;
+  g.blocks <- f.blocks;
+  Hashtbl.iter (fun id (i : Instr.inst) -> Hashtbl.replace g.body id { i with Raw.Instr.op = i.op }) f.body;
+  Hashtbl.iter (fun id b -> Hashtbl.replace g.blks id { b with insts = b.insts }) f.blks;
+  g
 
 let fresh_id (f : t) =
   let id = f.next_id in
@@ -61,8 +45,12 @@ let inst (f : t) id =
   | None -> invalid_arg (Printf.sprintf "Func.inst: no inst %d in %s" id f.fname)
 
 let inst_opt (f : t) id = Hashtbl.find_opt f.body id
+let block_opt (f : t) bid = Hashtbl.find_opt f.blks bid
+let mem_inst (f : t) id = Hashtbl.mem f.body id
 
-(** Terminator of a block, if the block is already terminated. *)
+let block_ids (f : t) =
+  List.sort compare (Hashtbl.fold (fun bid _ acc -> bid :: acc) f.blks [])
+
 let terminator (f : t) bid =
   let b = block f bid in
   match List.rev b.insts with
@@ -76,10 +64,8 @@ let successors (f : t) bid =
   | Some i -> Instr.successors i.op
   | None -> []
 
-(** Iterate blocks in layout order. *)
 let iter_blocks fn (f : t) = List.iter (fun bid -> fn (block f bid)) f.blocks
 
-(** Iterate instructions in layout order (blocks in order, insts in order). *)
 let iter_insts fn (f : t) =
   iter_blocks (fun b -> List.iter (fun id -> fn (inst f id)) b.insts) f
 
@@ -88,30 +74,21 @@ let fold_insts fn acc (f : t) =
   iter_insts (fun i -> r := fn !r i) f;
   !r
 
-(** All instructions in layout order. *)
 let insts (f : t) = List.rev (fold_insts (fun acc i -> i :: acc) [] f)
 
 let num_insts (f : t) = fold_insts (fun n _ -> n + 1) 0 f
 
-(** [insts_of_block f bid] is the instructions of block [bid], in block
-    order (terminator last).  Raises [Invalid_argument] when the block or
-    one of its listed instructions does not exist. *)
 let insts_of_block (f : t) bid = List.map (inst f) (block f bid).insts
 
-(** [find_label f l] finds the block labelled [l]. *)
 let find_label (f : t) l =
   let found = ref None in
   iter_blocks (fun b -> if String.equal b.label l then found := Some b) f;
   !found
 
-(** [users f r] lists instructions whose operands mention SSA register [r].
-    Recomputed on demand; the IR does not maintain use lists. *)
 let users (f : t) r =
   fold_insts (fun acc i -> if Instr.uses_reg i.op r then i :: acc else acc) [] f
   |> List.rev
 
-(** Predecessor map of the CFG: block id -> predecessor block ids (in layout
-    order of the predecessors). *)
 let preds (f : t) =
   let tbl = Hashtbl.create 16 in
   List.iter (fun bid -> Hashtbl.replace tbl bid []) f.blocks;

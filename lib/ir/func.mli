@@ -1,0 +1,92 @@
+(** Functions and basic blocks.
+
+    A function owns two id-indexed tables: one for instructions and one for
+    basic blocks.  Instruction ids and block ids are drawn from the same
+    per-function counter, so every id is unique within the function and is
+    deterministic (creation order).  Blocks keep their instructions as an
+    ordered id list whose last element is the terminator.
+
+    The records are [private]: outside [lib/ir] they can be read but not
+    written.  Structural edits go through {!Builder}; the tables are read
+    through {!inst}, {!block} and their [_opt]/[mem_] forms. *)
+
+type block = Raw.Func.block = private {
+  bid : int;
+  mutable label : string;          (** printable label, unique per function *)
+  mutable insts : int list;        (** instruction ids, terminator last *)
+}
+
+type t = Raw.Func.t = private {
+  fname : string;
+  params : (string * Ty.t) array;
+  ret : Ty.t;
+  mutable blocks : int list;       (** block ids in layout order; head = entry *)
+  body : (int, Instr.inst) Hashtbl.t;
+  blks : (int, block) Hashtbl.t;
+  mutable next_id : int;
+  is_declaration : bool;           (** true for external/builtin declarations *)
+}
+
+(** A function with no blocks yet; {!Builder} fills it in. *)
+val create : name:string -> params:(string * Ty.t) list -> ret:Ty.t -> t
+
+(** An external or builtin declaration (no body). *)
+val declare : name:string -> params:(string * Ty.t) list -> ret:Ty.t -> t
+
+(** [copy ?name f] deep-copies [f]: fresh instruction and block records
+    with the same ids, labels and layout, under [name] (default: [f]'s
+    own).  Operand values and labels are immutable and stay shared. *)
+val copy : ?name:string -> t -> t
+
+(** Draw the next id from [f]'s counter. *)
+val fresh_id : t -> int
+
+(** The entry block id; raises [Invalid_argument] on a function without
+    blocks. *)
+val entry : t -> int
+
+(** [block f bid] and [inst f id] raise [Invalid_argument] when [f] has no
+    such block or instruction. *)
+val block : t -> int -> block
+
+val inst : t -> int -> Instr.inst
+val inst_opt : t -> int -> Instr.inst option
+val block_opt : t -> int -> block option
+val mem_inst : t -> int -> bool
+
+(** Every block id [f] holds, in the layout or not, in increasing order. *)
+val block_ids : t -> int list
+
+(** Terminator of a block, if the block is already terminated. *)
+val terminator : t -> int -> Instr.inst option
+
+val successors : t -> int -> int list
+
+(** Iterate blocks in layout order. *)
+val iter_blocks : (block -> unit) -> t -> unit
+
+(** Iterate instructions in layout order (blocks in order, insts in order). *)
+val iter_insts : (Instr.inst -> unit) -> t -> unit
+
+val fold_insts : ('a -> Instr.inst -> 'a) -> 'a -> t -> 'a
+
+(** All instructions in layout order. *)
+val insts : t -> Instr.inst list
+
+val num_insts : t -> int
+
+(** [insts_of_block f bid] is the instructions of block [bid], in block
+    order (terminator last).  Raises [Invalid_argument] when the block or
+    one of its listed instructions does not exist. *)
+val insts_of_block : t -> int -> Instr.inst list
+
+(** [find_label f l] finds the block labelled [l]. *)
+val find_label : t -> string -> block option
+
+(** [users f r] lists instructions whose operands mention SSA register [r].
+    Recomputed on demand; the IR does not maintain use lists. *)
+val users : t -> int -> Instr.inst list
+
+(** Predecessor map of the CFG: block id -> predecessor block ids (in layout
+    order of the predecessors). *)
+val preds : t -> (int, int list) Hashtbl.t

@@ -4,30 +4,10 @@
     loops, and functions so that analysis results embedded as metadata (the
     PDG, profiles) can be re-associated after the IR file is written and
     re-read.  In this IR, instruction ids and block labels are already
-    stable across print/parse round trips ({!Parser}); this module defines
-    the canonical string keys used in metadata. *)
-
-let inst_key (f : Func.t) (i : Instr.inst) =
-  Printf.sprintf "%s.%d" f.Func.fname i.Instr.id
-
-let inst_key' ~fname ~id = Printf.sprintf "%s.%d" fname id
-
-let block_key (f : Func.t) (b : Func.block) =
-  Printf.sprintf "%s.%s" f.Func.fname b.Func.label
-
-let block_key_of_id (f : Func.t) bid = block_key f (Func.block f bid)
-
-let func_key (f : Func.t) = f.Func.fname
+    stable across print/parse round trips ({!Parser}), so instructions and
+    blocks are keyed by their ids and labels; this module defines the
+    string key of a loop used in metadata. *)
 
 (** Loops are identified by function plus header label, which is stable. *)
 let loop_key (f : Func.t) (l : Loopnest.loop) =
   Printf.sprintf "%s.%s" f.Func.fname (Func.block f l.Loopnest.header).Func.label
-
-(** Parse an instruction key back into (function name, instruction id). *)
-let parse_inst_key s =
-  match String.rindex_opt s '.' with
-  | Some i ->
-    let fname = String.sub s 0 i in
-    let id = String.sub s (i + 1) (String.length s - i - 1) in
-    Option.map (fun id -> (fname, id)) (int_of_string_opt id)
-  | None -> None

@@ -234,7 +234,7 @@ let run (f : Func.t) ~entry ~blocks ~exit_bid ~scratch_i ~scratch_f :
                 Builder.insert_before f ~before:i.Instr.id
                   (Instr.Select (pv, ptr, slot)) Ty.Ptr
               in
-              i.Instr.op <- Instr.Load (Instr.Reg a.Instr.id)
+              Builder.set_op f i (Instr.Load (Instr.Reg a.Instr.id))
             | Instr.Store (v, ptr), Some pv ->
               incr masked;
               let slot =
@@ -244,14 +244,14 @@ let run (f : Func.t) ~entry ~blocks ~exit_bid ~scratch_i ~scratch_f :
                 Builder.insert_before f ~before:i.Instr.id
                   (Instr.Select (pv, ptr, slot)) Ty.Ptr
               in
-              i.Instr.op <- Instr.Store (v, Instr.Reg a.Instr.id)
+              Builder.set_op f i (Instr.Store (v, Instr.Reg a.Instr.id))
             | Instr.Bin ((Instr.Sdiv | Instr.Srem) as op, a, d), Some pv ->
               incr masked;
               let d' =
                 Builder.insert_before f ~before:i.Instr.id
                   (Instr.Select (pv, d, Instr.Cint 1L)) Ty.I64
               in
-              i.Instr.op <- Instr.Bin (op, a, Instr.Reg d'.Instr.id)
+              Builder.set_op f i (Instr.Bin (op, a, Instr.Reg d'.Instr.id))
             | _ -> ())
           (Func.insts_of_block f b);
         (* drop [b]'s terminator and fold its remaining instructions

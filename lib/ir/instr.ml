@@ -1,56 +1,4 @@
-(** Instructions and SSA values.
-
-    An SSA value ({!type:value}) is either a constant, a function argument,
-    the result of an instruction (referenced by the instruction's
-    function-unique id), or the address of a global/function.  Instructions
-    ({!type:inst}) are mutable records owned by a {!Func.t}; passes rewrite
-    the [op] field in place and {!Builder} keeps block instruction lists
-    consistent. *)
-
-(** Integer binary operators.  Shifts mask their amount to 0..63. *)
-type bin = Add | Sub | Mul | Sdiv | Srem | And | Or | Xor | Shl | Ashr
-
-(** Floating-point binary operators. *)
-type fbin = Fadd | Fsub | Fmul | Fdiv
-
-(** Comparison predicates (shared between integer and float compares). *)
-type cmp = Eq | Ne | Slt | Sle | Sgt | Sge
-
-(** Casts between the three first-class types. *)
-type cast = Sitofp | Fptosi | Ptrtoint | Inttoptr
-
-type value =
-  | Cint of int64       (** integer literal *)
-  | Cfloat of float     (** float literal *)
-  | Null                (** the null pointer *)
-  | Arg of int          (** argument [i] of the enclosing function *)
-  | Reg of int          (** result of the instruction with this id *)
-  | Glob of string      (** address of a global variable or function *)
-
-type op =
-  | Bin of bin * value * value
-  | Fbin of fbin * value * value
-  | Icmp of cmp * value * value           (** result is i64 0/1 *)
-  | Fcmp of cmp * value * value
-  | Cast of cast * value
-  | Alloca of value                       (** stack-allocate [n] words; result ptr *)
-  | Load of value                         (** load one word from ptr *)
-  | Store of value * value                (** [Store (v, ptr)] stores [v] to [ptr] *)
-  | Gep of value * value                  (** [Gep (base, idx)] = base + idx words *)
-  | Call of value * value list            (** callee ([Glob f] if direct) and arguments *)
-  | Phi of (int * value) list             (** incoming (predecessor block id, value) *)
-  | Select of value * value * value       (** [Select (c, t, f)] *)
-  | Br of int                             (** unconditional branch to block id *)
-  | Cbr of value * int * int              (** conditional branch: nonzero -> first *)
-  | Ret of value option
-  | Unreachable
-
-type inst = {
-  id : int;                (** function-unique, deterministic id *)
-  mutable op : op;
-  mutable ty : Ty.t;       (** type of the produced value ([Void] if none) *)
-  mutable parent : int;    (** id of the owning basic block *)
-}
+include Raw.Instr
 
 let is_terminator_op = function
   | Br _ | Cbr _ | Ret _ | Unreachable -> true
@@ -58,7 +6,6 @@ let is_terminator_op = function
 
 let is_terminator i = is_terminator_op i.op
 
-(** [operands op] lists the value operands of [op] in a fixed order. *)
 let operands = function
   | Bin (_, a, b) | Fbin (_, a, b) | Icmp (_, a, b) | Fcmp (_, a, b)
   | Store (a, b) | Gep (a, b) -> [ a; b ]
@@ -70,7 +17,6 @@ let operands = function
   | Ret (Some v) -> [ v ]
   | Br _ | Ret None | Unreachable -> []
 
-(** [map_operands f op] rewrites every value operand of [op] with [f]. *)
 let map_operands f = function
   | Bin (o, a, b) -> Bin (o, f a, f b)
   | Fbin (o, a, b) -> Fbin (o, f a, f b)
@@ -88,22 +34,13 @@ let map_operands f = function
   | Ret (Some v) -> Ret (Some (f v))
   | (Br _ | Ret None | Unreachable) as t -> t
 
-(** Block successors of a terminator ([[]] for non-terminators). *)
 let successors = function
   | Br b -> [ b ]
   | Cbr (_, t, e) -> if t = e then [ t ] else [ t; e ]
   | _ -> []
 
-(** [uses_reg op r] is true when [op] mentions the SSA register [r]. *)
 let uses_reg op r = List.exists (function Reg x -> x = r | _ -> false) (operands op)
 
-(** Does this operation read memory? (Calls are handled separately.) *)
-let reads_memory = function Load _ -> true | _ -> false
-
-(** Does this operation write memory? (Calls are handled separately.) *)
-let writes_memory = function Store _ -> true | _ -> false
-
-(** Memory-touching instructions relevant to dependence analysis. *)
 let is_memory_op = function Load _ | Store _ | Call _ -> true | _ -> false
 
 let value_equal (a : value) (b : value) =

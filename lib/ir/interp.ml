@@ -358,8 +358,7 @@ let compile (st : state) (f : Func.t) : layout =
     end
   in
   List.iter add f.Func.blocks;
-  Hashtbl.fold (fun bid _ acc -> bid :: acc) f.Func.blks []
-  |> List.sort compare |> List.iter add;
+  List.iter add (Func.block_ids f);
   let insts_of bid =
     match Func.insts_of_block f bid with
     | l -> Ok l
@@ -535,7 +534,7 @@ let[@inline] read (fr : frame) = function
    already annotated, and builtin messages keep their own prefix) *)
 let ctx_trap (f : Func.t) (i : Instr.inst) msg =
   let lbl =
-    match Hashtbl.find_opt f.Func.blks i.Instr.parent with
+    match Func.block_opt f i.Instr.parent with
     | Some b -> b.Func.label
     | None -> "?"
   in

@@ -1,21 +1,15 @@
-(** IR modules (compilation units).
-
-    A module owns named globals and functions plus a metadata table
-    ({!Meta}).  Function order is tracked so printing is deterministic.
-    [noelle-whole-IR] and [noelle-linker] (see {!Linker}) merge modules. *)
-
 type global = {
   gname : string;
-  size : int;                          (** size in words *)
-  init : Instr.value array option;     (** constant initializer (Cint/Cfloat) *)
+  size : int;
+  init : Instr.value array option;
 }
 
 type t = {
   mname : string;
   globals : (string, global) Hashtbl.t;
   funcs : (string, Func.t) Hashtbl.t;
-  mutable gorder : string list;        (** globals in declaration order *)
-  mutable forder : string list;        (** functions in declaration order *)
+  mutable gorder : string list;
+  mutable forder : string list;
   meta : Meta.t;
 }
 
@@ -49,19 +43,30 @@ let func (m : t) name =
 let func_opt (m : t) name = Hashtbl.find_opt m.funcs name
 let global_opt (m : t) name = Hashtbl.find_opt m.globals name
 
-(** Functions in declaration order. *)
 let functions (m : t) = List.map (func m) m.forder
 
-(** Functions that have a body, in declaration order. *)
 let defined_functions (m : t) =
   List.filter (fun f -> not f.Func.is_declaration) (functions m)
 
 let globals (m : t) =
   List.map (fun n -> Hashtbl.find m.globals n) m.gorder
 
-let iter_funcs fn (m : t) = List.iter fn (functions m)
-
-(** Total number of instructions across all function bodies; the stand-in
-    for "binary size" in the Dead Function Elimination experiment. *)
 let total_insts (m : t) =
   List.fold_left (fun n f -> n + Func.num_insts f) 0 (defined_functions m)
+
+let assign (m : t) ~from =
+  Hashtbl.reset m.globals;
+  Hashtbl.reset m.funcs;
+  m.gorder <- [];
+  m.forder <- [];
+  Hashtbl.reset m.meta;
+  List.iter
+    (fun g -> add_global m { g with init = Option.map Array.copy g.init })
+    (globals from);
+  List.iter (fun f -> add_func m (Func.copy f)) (functions from);
+  Hashtbl.iter (fun k v -> Meta.set m.meta k v) from.meta
+
+let copy (m : t) =
+  let c = create ~name:m.mname () in
+  assign c ~from:m;
+  c

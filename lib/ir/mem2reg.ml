@@ -154,7 +154,7 @@ let run (f : Func.t) =
                 match i.op with
                 | Phi incs when Hashtbl.mem phi_owner i.id ->
                   let aid = Hashtbl.find phi_owner i.id in
-                  i.op <- Phi (incs @ [ (bid, value_of aid) ])
+                  Builder.set_op f i (Phi (incs @ [ (bid, value_of aid) ]))
                 | _ -> ())
               (Func.insts_of_block f s))
           (Func.successors f bid);
@@ -178,13 +178,13 @@ let run (f : Func.t) =
           match i.op with
           | Phi incs ->
             let seen = Hashtbl.create 4 in
-            i.op <-
-              Phi
+            Builder.set_op f i
+              (Phi
                 (List.filter
                    (fun (p, _) ->
                      if Hashtbl.mem seen p then false
                      else (Hashtbl.replace seen p (); true))
-                   incs)
+                   incs))
           | _ -> ())
         phi_owner;
       (* phis in unreachable-from-def paths may reference preds missing
@@ -203,7 +203,7 @@ let run (f : Func.t) =
                 let aid = Hashtbl.find phi_owner i.id in
                 let z = zero_of (Hashtbl.find alloca_tys aid) in
                 if missing <> [] then
-                  i.op <- Phi (incs @ List.map (fun p -> (p, z)) missing)
+                  Builder.set_op f i (Phi (incs @ List.map (fun p -> (p, z)) missing))
               | _ -> ())
             (Func.insts_of_block f bid))
         f.Func.blocks;

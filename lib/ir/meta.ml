@@ -13,9 +13,7 @@ let create () : t = Hashtbl.create 64
 let set (t : t) k v = Hashtbl.replace t k v
 let get (t : t) k = Hashtbl.find_opt t k
 let get_int (t : t) k = Option.bind (get t k) int_of_string_opt
-let get_float (t : t) k = Option.bind (get t k) float_of_string_opt
 let set_int (t : t) k v = set t k (string_of_int v)
-let set_float (t : t) k v = set t k (Printf.sprintf "%.17g" v)
 let remove (t : t) k = Hashtbl.remove t k
 let mem (t : t) k = Hashtbl.mem t k
 
@@ -56,7 +54,3 @@ let iter_sorted fn (t : t) =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) t []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   |> List.iter (fun (k, v) -> fn k v)
-
-let cardinal (t : t) = Hashtbl.length t
-
-let copy (t : t) : t = Hashtbl.copy t

@@ -68,9 +68,6 @@ let event_display e =
       (if e.eseq then " seq" else "")
       (action_display e.eact)
 
-let trace_to_lines (t : trace) =
-  List.mapi (fun i e -> Printf.sprintf "%4d  %s" i (event_display e)) t
-
 (* ------------------------------------------------------------------ *)
 (* Escape analysis: which allocation sites are observable?             *)
 (* ------------------------------------------------------------------ *)

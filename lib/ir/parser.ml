@@ -294,12 +294,12 @@ let parse_module ?(name = "module") (src : string) : Irmod.t =
       | _ -> ());
       incr j
     done;
-    f.Func.next_id <- !max_id + 1;
+    Builder.reserve_ids f (!max_id + 1);
     let label_tbl = Hashtbl.create 8 in
     List.iter
       (fun l ->
         let b = Builder.add_block f ~label:l in
-        b.Func.label <- l;
+        Builder.set_label f b.Func.bid l;
         Hashtbl.replace label_tbl l b.Func.bid)
       (List.rev !labels);
     let bid_of_label l =
@@ -408,12 +408,7 @@ let parse_module ?(name = "module") (src : string) : Irmod.t =
         | s -> fail l (Printf.sprintf "unknown instruction %s" s))
     in
     let cur_block = ref (-1) in
-    let append_inst id op ty =
-      let i = { Instr.id; op; ty; parent = !cur_block } in
-      Hashtbl.replace f.Func.body id i;
-      let b = Func.block f !cur_block in
-      b.Func.insts <- b.Func.insts @ [ id ]
-    in
+    let append_inst id op ty = Builder.append_with_id f !cur_block ~id op ty in
     let fin = ref false in
     while not !fin do
       match peek st with

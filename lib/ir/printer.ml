@@ -33,7 +33,7 @@ let inst_str (f : Func.t) (i : inst) =
   let v = value_str f in
   (* total, so diagnostics can print modules with dangling block refs *)
   let lbl bid =
-    match Hashtbl.find_opt f.Func.blks bid with
+    match Func.block_opt f bid with
     | Some b -> b.Func.label
     | None -> Printf.sprintf "?%d" bid
   in

@@ -94,24 +94,6 @@ let affine_of f l ~iv_phi v =
   Trace.incr_m "scev.queries";
   affine_of_rec f l ~iv_phi v
 
-(** Can two addresses with affine forms [a1], [a2] (w.r.t. the same phi)
-    refer to the same location *within one iteration*?  Returns [Some false]
-    when provably distinct in-iteration, [Some true] when provably equal,
-    [None] when unknown. *)
-let same_iteration_alias a1 a2 =
-  let base_eq =
-    match (a1.base, a2.base) with
-    | None, None -> Some true
-    | Some x, Some y -> if Instr.value_equal x y then Some true else None
-    | _ -> None
-  in
-  match base_eq with
-  | Some true ->
-    if Int64.equal a1.scale a2.scale then
-      Some (Int64.equal a1.offset a2.offset)
-    else None
-  | _ -> None
-
 (* ------------------------------------------------------------------ *)
 (* Multivariate affine forms: base + Σ coeff_k * phi_k + offset        *)
 (* ------------------------------------------------------------------ *)
@@ -407,27 +389,3 @@ let phi_range (f : Func.t) (nest : Loopnest.t) (phi : Instr.inst) :
         | _ -> None)
       | _ -> None)
     | _ -> None)
-
-(** Is the dependence between two affine accesses loop-carried?  With equal
-    bases and equal scales, the accesses collide across iterations iff the
-    offset difference is a nonzero multiple of the scale; distance 0 means
-    intra-iteration only.  Returns [Some false] (not carried), [Some true]
-    (carried with some distance), or [None] (unknown). *)
-let loop_carried a1 a2 =
-  let bases_equal =
-    match (a1.base, a2.base) with
-    | None, None -> true
-    | Some x, Some y -> Instr.value_equal x y
-    | _ -> false
-  in
-  if not bases_equal then None
-  else if Int64.equal a1.scale a2.scale && not (Int64.equal a1.scale 0L) then begin
-    let d = Int64.sub a1.offset a2.offset in
-    if Int64.equal d 0L then Some false
-    else if Int64.equal (Int64.rem d a1.scale) 0L then Some true
-    else Some false (* offsets never coincide on the iteration lattice *)
-  end
-  else if Int64.equal a1.scale 0L && Int64.equal a2.scale 0L then
-    (* both invariant addresses: carried iff they are the same address *)
-    Some (Int64.equal a1.offset a2.offset)
-  else None

@@ -1,66 +1,29 @@
 (** Module checkpoints for the transactional pass pipeline.
 
-    A snapshot is a cheap deep copy of an {!Irmod.t}: fresh instruction and
-    block records (generalizing {!Builder.clone_func}), fresh global
-    initializers and a fresh metadata table, while the immutable payloads
-    (operand values, labels, strings) stay shared.  {!restore} rolls a
-    module back to a captured state in place, so every handle to the module
-    (a {e Noelle} manager, a driver) keeps working across a rollback.
-    {!diff} renders a compact structural diff between two modules for
-    rollback diagnostics. *)
-
-(** Deep-copy a function, keeping its name, ids and labels. *)
-let copy_func (f : Func.t) : Func.t =
-  let g =
-    Func.create ~name:f.Func.fname
-      ~params:(Array.to_list f.Func.params)
-      ~ret:f.Func.ret
-  in
-  g.Func.next_id <- f.Func.next_id;
-  g.Func.blocks <- f.Func.blocks;
-  g.Func.is_declaration <- f.Func.is_declaration;
-  Hashtbl.iter
-    (fun id (i : Instr.inst) -> Hashtbl.replace g.Func.body id { i with Instr.op = i.Instr.op })
-    f.Func.body;
-  Hashtbl.iter
-    (fun id (b : Func.block) -> Hashtbl.replace g.Func.blks id { b with Func.insts = b.Func.insts })
-    f.Func.blks;
-  g
-
-let copy_global (g : Irmod.global) : Irmod.global =
-  { g with Irmod.init = Option.map Array.copy g.Irmod.init }
-
-(** Deep-copy a whole module. *)
-let copy_module (m : Irmod.t) : Irmod.t =
-  let c = Irmod.create ~name:m.Irmod.mname () in
-  List.iter (fun g -> Irmod.add_global c (copy_global g)) (Irmod.globals m);
-  List.iter (fun f -> Irmod.add_func c (copy_func f)) (Irmod.functions m);
-  Hashtbl.iter (fun k v -> Meta.set c.Irmod.meta k v) m.Irmod.meta;
-  c
+    A snapshot is a cheap deep copy of an {!Irmod.t} ({!Irmod.copy}): fresh
+    instruction and block records, fresh global initializers and a fresh
+    metadata table, while the immutable payloads (operand values, labels,
+    strings) stay shared.  {!restore} rolls a module back to a captured
+    state in place ({!Irmod.assign}), so every handle to the module (a
+    {e Noelle} manager, a driver) keeps working across a rollback.  {!diff}
+    renders a compact structural diff between two modules for rollback
+    diagnostics. *)
 
 type t = { smod : Irmod.t (** private deep copy; never handed out mutable *) }
 
 (** Checkpoint the current state of [m]. *)
-let capture (m : Irmod.t) : t = { smod = copy_module m }
+let capture (m : Irmod.t) : t = { smod = Irmod.copy m }
 
 (** Read-only view of the captured module (for diffing). *)
 let view (s : t) : Irmod.t = s.smod
 
 (** A fresh mutable module equal to the captured state (e.g. the pristine
     original kept around for sequential fallback). *)
-let to_module (s : t) : Irmod.t = copy_module s.smod
+let to_module (s : t) : Irmod.t = Irmod.copy s.smod
 
 (** Roll [m] back to the captured state, in place.  The snapshot remains
     valid and can be restored again. *)
-let restore (s : t) (m : Irmod.t) =
-  Hashtbl.reset m.Irmod.globals;
-  Hashtbl.reset m.Irmod.funcs;
-  m.Irmod.gorder <- [];
-  m.Irmod.forder <- [];
-  Hashtbl.reset m.Irmod.meta;
-  List.iter (fun g -> Irmod.add_global m (copy_global g)) (Irmod.globals s.smod);
-  List.iter (fun f -> Irmod.add_func m (copy_func f)) (Irmod.functions s.smod);
-  Hashtbl.iter (fun k v -> Meta.set m.Irmod.meta k v) s.smod.Irmod.meta
+let restore (s : t) (m : Irmod.t) = Irmod.assign m ~from:s.smod
 
 (* ------------------------------------------------------------------ *)
 (* Structural diff                                                     *)
@@ -131,8 +94,3 @@ let diff ?(limit = 24) (a : Irmod.t) (b : Irmod.t) : string list =
   let shown = List.rev !out in
   if !n > limit then shown @ [ Printf.sprintf "... (%d more diff lines)" (!n - limit) ]
   else shown
-
-(** [equal a b] is true when the two modules print identically (used by
-    tests and by no-op detection). *)
-let equal (a : Irmod.t) (b : Irmod.t) =
-  String.equal (Printer.module_str a) (Printer.module_str b)

@@ -85,8 +85,6 @@ let depth = ref 0
     crashed request's trace rows can be grepped out by id. *)
 let cur_rid : string option ref = ref None
 
-let current_request () = !cur_rid
-
 (** Run [f] with [rid] as the ambient correlation id (exception-safe,
     restores the previous id; works whether or not tracing is on, since
     the flight recorder below is always-on). *)
@@ -138,8 +136,6 @@ let flight_events () =
       match flight_ring.((!flight_head - n + i + flight_cap * 2) mod flight_cap) with
       | Some e -> e
       | None -> assert false)
-
-let flight_count () = !flight_total
 
 (* ------------------------------------------------------------------ *)
 (* Metrics registry                                                    *)
@@ -215,8 +211,6 @@ let record (e : event) =
 (** Buffered events, chronological by close time. *)
 let events () = List.rev !buf
 
-let event_count () = !buf_len
-
 (* -- counters -- *)
 
 let counter_ref name =
@@ -258,11 +252,6 @@ let set_gauge name v =
     | Some (Gauge r) -> r := v
     | Some _ -> invalid_arg (name ^ " is not a gauge")
     | None -> Hashtbl.replace registry name (Gauge (ref v))
-
-let gauge name =
-  match Hashtbl.find_opt registry name with
-  | Some (Gauge r) -> Some !r
-  | _ -> None
 
 (* -- histograms -- *)
 
@@ -451,13 +440,6 @@ let timed_span ?cat ?args name f =
       raise e
   end
 
-(** Record an instant event. *)
-let instant ?(cat = "") ?(args = []) name =
-  if !on then
-    record
-      { ename = name; ecat = cat; eph = Instant; ets = now_us () -. !t0;
-        edur = 0.0; etid = !cur_tid; edepth = !depth; eargs = args }
-
 (** Record a complete event whose opening time was captured earlier with
     {!now_us} (used by Psim for per-task swimlanes, where fibers
     interleave and a stack discipline does not hold). *)
@@ -474,16 +456,6 @@ let complete ?(cat = "") ?(args = []) ?tid ~start_us name =
         edepth = !depth;
         eargs = args;
       }
-
-(** Run [f] with events attributed to virtual thread [tid] (Chrome trace
-    rows). *)
-let with_tid tid f =
-  if not !on then f ()
-  else begin
-    let old = !cur_tid in
-    cur_tid := tid;
-    Fun.protect ~finally:(fun () -> cur_tid := old) f
-  end
 
 (* ------------------------------------------------------------------ *)
 (* JSON (emission and parsing)                                         *)
@@ -742,20 +714,6 @@ let metrics_to_json () =
     Printf.sprintf "\"%s\":%s" (json_escape name) v
   in
   "{" ^ String.concat "," (List.map entry (metrics ())) ^ "}"
-
-(** The metrics registry as aligned text. *)
-let metrics_to_text () =
-  let b = Buffer.create 256 in
-  List.iter
-    (fun (name, m) ->
-      match m with
-      | Counter r -> Buffer.add_string b (Printf.sprintf "%-40s %12Ld\n" name !r)
-      | Gauge r -> Buffer.add_string b (Printf.sprintf "%-40s %12.3f\n" name !r)
-      | Histogram h ->
-        Buffer.add_string b
-          (Printf.sprintf "%-40s count %d sum %Ld\n" name h.hcount h.hsum))
-    (metrics ());
-  Buffer.contents b
 
 (* read NOELLE_TRACE once at program start: any non-empty value other
    than "0" turns the sink on *)

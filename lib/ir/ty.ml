@@ -23,14 +23,9 @@ let rec to_string = function
     Printf.sprintf "%s(%s)" (to_string r)
       (String.concat ", " (List.map to_string ps))
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-
 let rec equal a b =
   match (a, b) with
   | I64, I64 | F64, F64 | Ptr, Ptr | Void, Void -> true
   | Fun (p1, r1), Fun (p2, r2) ->
     List.length p1 = List.length p2 && List.for_all2 equal p1 p2 && equal r1 r2
   | _ -> false
-
-(** [is_first_class t] is true for types that SSA values may carry. *)
-let is_first_class = function I64 | F64 | Ptr -> true | Void | Fun _ -> false

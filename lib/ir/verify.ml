@@ -79,7 +79,7 @@ let verify_func ?(m : Irmod.t option) (f : Func.t) =
           (Instr.operands i.Instr.op);
         List.iter
           (fun s ->
-            if Hashtbl.find_opt f.Func.blks s = None then
+            if Func.block_opt f s = None then
               failv "%s: inst %d branches to unknown block %d" f.Func.fname
                 i.Instr.id s)
           (Instr.successors i.Instr.op))

@@ -35,22 +35,6 @@ let helix_time (p : params) ~iters ~work ~seq =
   let overlap = iters *. par /. c in
   Float.max chain overlap +. (p.spawn *. c) +. p.join
 
-(** DSWP with stage weights [stages] (cycles/iteration each): throughput
-    is bounded by the heaviest stage; each cross-stage value pays queue
-    latency once (pipelined, so it adds to the fill time not the steady
-    state). *)
-let dswp_time (p : params) ~iters ~stages =
-  match stages with
-  | [] -> p.join
-  | _ ->
-    let bottleneck = List.fold_left Float.max 0.0 stages in
-    let fill =
-      float_of_int (List.length stages - 1) *. (p.latency +. bottleneck)
-    in
-    (iters *. bottleneck) +. fill
-    +. (p.spawn *. float_of_int (List.length stages))
-    +. p.join
-
 type vec_params = {
   width : int;            (** lane-group factor W (lanes per vector issue) *)
   vissue : float;         (** per-group issue overhead, cycles *)
@@ -111,10 +95,3 @@ let best_vec_width (p : vec_params) ~max_width ~iters ~work ~divergence
 
 (** Speedup of a technique time vs the sequential time [iters * work]. *)
 let speedup ~seq_time ~par_time = if par_time <= 0.0 then 1.0 else seq_time /. par_time
-
-(** Minimum iteration count for DOALL to be profitable (speedup > 1). *)
-let doall_min_iters (p : params) ~work =
-  let overhead = (p.spawn *. float_of_int p.cores) +. p.join in
-  let c = float_of_int p.cores in
-  (* iters * work > iters * work / c + overhead *)
-  overhead /. (work -. (work /. c)) |> ceil

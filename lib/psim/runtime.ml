@@ -90,14 +90,6 @@ type task_event =
   | Section_abandoned of { reason : string }
       (** the whole section exhausted its restart budget *)
 
-let event_tid = function
-  | Task_ok { tid; _ } | Task_died { tid; _ } -> tid
-  | Section_abandoned _ -> -1
-
-let event_attempt = function
-  | Task_ok { attempt; _ } | Task_died { attempt; _ } -> attempt
-  | Section_abandoned _ -> 0
-
 (** The old text form of one disposition, byte-compatible with the string
     log this type replaced. *)
 let render_event = function
@@ -130,9 +122,6 @@ type t = {
           Helix sequential segments (DESIGN.md §12) *)
 }
 
-let stats_sections (t : t) = t.sections
-let stats_par_cycles (t : t) = t.par_cycles
-let stats_restarts (t : t) = t.restarts
 
 (** Per-task disposition log in chronological order. *)
 let dispositions (t : t) = List.rev t.task_log

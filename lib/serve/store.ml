@@ -446,4 +446,3 @@ let write (t : t) (k : key) ~(fp : string) ~(afp : string)
     Trace.incr_m "serve.store.writes"
   end
 
-let artifact_count t = List.length (artifact_files t)

@@ -208,7 +208,7 @@ let run (n : Noelle.t) (m : Irmod.t) : stats =
                  | Some { Instr.op = Instr.Call (Instr.Glob "free", _); _ } ->
                    avail_here := Dfe.IntSet.empty
                  | _ -> ());
-                 Hashtbl.mem f.Func.body id)
+                 Func.mem_inst f id)
                b.Func.insts))
         f)
     (Irmod.defined_functions m);

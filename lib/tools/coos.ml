@@ -134,7 +134,7 @@ let run (n : Noelle.t) (m : Irmod.t) ?(budget = 500) () : stats =
             let dist = ref 0 in
             List.iter
               (fun id ->
-                if Hashtbl.mem f.Func.body id then begin
+                if Func.mem_inst f id then begin
                   let i = Func.inst f id in
                   let cost =
                     1

@@ -140,13 +140,13 @@ let transform (n : Noelle.t) (m : Irmod.t) (plan : plan) ~(ncores : int) :
       let phi' = Func.inst tf (Hashtbl.find imap rd.Reduction.phi.Instr.id) in
       (match phi'.Instr.op with
       | Instr.Phi incs ->
-        phi'.Instr.op <-
-          Instr.Phi
+        Builder.set_op tf phi'
+          (Instr.Phi
             (List.map
                (fun (p, v) ->
                  if p = entry.Func.bid then (p, Reduction.identity rd.Reduction.kind)
                  else (p, v))
-               incs)
+               incs))
       | _ -> ());
       (* dynamic slot index = base + core *)
       let base = red_base ri in

@@ -432,7 +432,7 @@ let transform (n : Noelle.t) (m : Irmod.t) (plan : plan) : stats =
       List.iter
         (fun p ->
           let ci = Hashtbl.find imap p in
-          (Func.inst tf ci).Instr.op <- Instr.Phi [])
+          Builder.set_op tf (Func.inst tf ci) (Instr.Phi []))
         !deleted;
       List.iter (fun p -> Builder.remove tf (Hashtbl.find imap p)) !deleted;
       ignore (Builder.set_term tf entry.Func.bid (Instr.Br (Hashtbl.find bmap header)));

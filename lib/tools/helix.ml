@@ -239,13 +239,13 @@ let transform (n : Noelle.t) (m : Irmod.t) (plan : plan) ~(ncores : int) : stats
       let phi' = Func.inst tf (Hashtbl.find imap rd.Reduction.phi.Instr.id) in
       (match phi'.Instr.op with
       | Instr.Phi incs ->
-        phi'.Instr.op <-
-          Instr.Phi
+        Builder.set_op tf phi'
+          (Instr.Phi
             (List.map
                (fun (p, v) ->
                  if p = entry.Func.bid then (p, Reduction.identity rd.Reduction.kind)
                  else (p, v))
-               incs)
+               incs))
       | _ -> ());
       let base = red_base ri in
       let off =
@@ -272,8 +272,8 @@ let transform (n : Noelle.t) (m : Irmod.t) (plan : plan) ~(ncores : int) : stats
         Ty.I64
     | None -> assert false
   in
-  nphi.Instr.op <-
-    Instr.Phi [ (entry.Func.bid, Instr.Cint 0L); (clatch, Instr.Reg nupd.Instr.id) ];
+  Builder.set_op tf nphi
+    (Instr.Phi [ (entry.Func.bid, Instr.Cint 0L); (clatch, Instr.Reg nupd.Instr.id) ]);
   (* segments live in a dedicated block between the cloned header and the
      cloned body, so instruction moves cannot disturb block terminators *)
   let segb = Builder.add_block tf ~label:"helix.segments" in

@@ -34,7 +34,7 @@ let rec hoist_nest (m : Irmod.t) (f : Func.t) (nest : Loopnest.t)
     List.iter
       (fun (i : Instr.inst) ->
         if
-          Hashtbl.mem f.Func.body i.Instr.id
+          Func.mem_inst f i.Instr.id
           && Loopstructure.contains_inst ls i
           && Invariants_llvm.is_invariant m ls i
           &&

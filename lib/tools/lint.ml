@@ -1,113 +1,11 @@
-(** Driver layer for noelle-check.
-
-    {!Noelle.Check} is the static side: diagnostics composed from the PDG,
-    DFE, Andersen, and SCEV.  This module adds the dynamic side — a
-    sanitizer oracle built on the interpreter's [on_mem] hook that observes
-    which memory bugs actually happen at runtime — and the glue the CLI and
-    the pipeline gate need.
-
-    The dynamic oracle exists to keep the static checkers honest: the
-    differential test plants a fault with {!Ir.Faultgen.sanitizer_kinds},
-    asks {!Noelle.Check.run} to find it, and then executes the module under
-    this oracle to prove the planted bug is real, not an artifact of the
-    checker's imagination. *)
+(** Driver layer for noelle-check: the glue the pipeline gate needs on top
+    of {!Noelle.Check}, the static side (diagnostics composed from the PDG,
+    DFE, Andersen, and SCEV).  The dynamic side that keeps the static
+    checkers honest, an interpreter-backed sanitizer, is a test oracle and
+    lives in [test/sanitizer_oracle.ml]. *)
 
 open Ir
 module Check = Noelle.Check
-
-(* ------------------------------------------------------------------ *)
-(* Dynamic sanitizer: interpreter-level memory-state oracle            *)
-(* ------------------------------------------------------------------ *)
-
-type event_kind = Uninit_read | Use_after_free | Out_of_bounds
-
-let event_kind_to_string = function
-  | Uninit_read -> "uninit-read"
-  | Use_after_free -> "use-after-free"
-  | Out_of_bounds -> "out-of-bounds"
-
-type event = {
-  ekind : event_kind;
-  efunc : string;
-  einst : int;
-  eaddr : int;
-}
-
-let event_to_string (e : event) =
-  Printf.sprintf "%s at %s/inst %d (addr %d)" (event_kind_to_string e.ekind)
-    e.efunc e.einst e.eaddr
-
-(** Execute [m] under a word-granularity memory-state oracle and report
-    every sanitizer-visible event: reads of never-written allocation words,
-    accesses to freed allocations, and accesses outside every allocation.
-    Execution continues past events (the interpreter's own trap ends it for
-    genuinely wild addresses); a trap is reported alongside the events. *)
-let sanitize ?(entry = "main") ?(args = []) ?fuel (m : Irmod.t) :
-    event list * string option =
-  let events = ref [] in
-  let record ekind (f : Func.t) (i : Instr.inst) addr =
-    events := { ekind; efunc = f.Func.fname; einst = i.Instr.id; eaddr = addr } :: !events
-  in
-  let trap_msg = ref None in
-  (try
-     ignore
-       (Interp.run_state ~entry ~args ?fuel m ~configure:(fun st ->
-            (* globals are initialized by [create]; mark their words *)
-            let written = Hashtbl.create 256 in
-            Hashtbl.iter
-              (fun _ base ->
-                match Hashtbl.find_opt st.Interp.allocs base with
-                | Some a ->
-                  for w = a.Interp.base to a.Interp.base + a.Interp.size - 1 do
-                    Hashtbl.replace written w ()
-                  done
-                | None -> ())
-              st.Interp.global_addr;
-            let covering addr =
-              Hashtbl.fold
-                (fun _ (a : Interp.alloc) acc ->
-                  match acc with
-                  | Some _ -> acc
-                  | None ->
-                    if addr >= a.Interp.base && addr < a.Interp.base + a.Interp.size
-                    then Some a
-                    else None)
-                st.Interp.allocs None
-            in
-            st.Interp.hooks.Interp.on_mem <-
-              Some
-                (fun f i ~addr ~write ->
-                  (match covering addr with
-                  | Some a when not a.Interp.alive -> record Use_after_free f i addr
-                  | Some _ ->
-                    if not write && not (Hashtbl.mem written addr) then
-                      record Uninit_read f i addr
-                  | None -> record Out_of_bounds f i addr);
-                  if write then Hashtbl.replace written addr ())))
-   with Interp.Trap msg -> trap_msg := Some msg);
-  (List.rev !events, !trap_msg)
-
-(** Does the dynamic oracle confirm a sanitizer-visible bug at instruction
-    [inst] of [func]?  (A trap while executing that instruction counts: the
-    wildest accesses die inside the interpreter itself.) *)
-let confirms (events, trap) ~func ~inst =
-  List.exists (fun e -> e.efunc = func && e.einst = inst) events
-  || (match trap with
-     | Some msg ->
-       (* interpreter trap messages carry "fname/label: inst N:" context *)
-       let contains needle =
-         let nl = String.length needle and ml = String.length msg in
-         let rec find k =
-           k + nl <= ml && (String.sub msg k nl = needle || find (k + 1))
-         in
-         nl > 0 && find 0
-       in
-       contains (func ^ "/") && contains (Printf.sprintf "inst %d:" inst)
-     | None -> false)
-
-(* ------------------------------------------------------------------ *)
-(* Pipeline race gate                                                  *)
-(* ------------------------------------------------------------------ *)
 
 (** Loop-skip predicate for the parallelizers: flag every loop the static
     race detector reports a loop-carried memory dependence for, so

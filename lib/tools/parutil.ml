@@ -291,8 +291,8 @@ let replace_loop (c : candidate) ~(ph : int) ~(join_bid : int)
     (fun (i : Instr.inst) ->
       match i.Instr.op with
       | Instr.Phi incs ->
-        i.Instr.op <-
-          Instr.Phi
+        Builder.set_op f i
+          (Instr.Phi
             (List.map
                (fun (p, v) ->
                  if p = header then
@@ -301,7 +301,7 @@ let replace_loop (c : candidate) ~(ph : int) ~(join_bid : int)
                      | Instr.Reg r when List.mem r c.live_out_regs -> map_live_out r
                      | v -> v )
                  else (p, v))
-               incs)
+               incs))
       | _ -> ())
     (Func.insts_of_block f c.exit_dst);
   (* direct uses of live-outs outside the loop (exit phis already done) *)
@@ -316,10 +316,10 @@ let replace_loop (c : candidate) ~(ph : int) ~(join_bid : int)
             && match u.Instr.op with Instr.Phi _ -> true | _ -> false
           in
           if (not in_loop) && not is_exit_phi then
-            u.Instr.op <-
-              Instr.map_operands
+            Builder.set_op f u
+              (Instr.map_operands
                 (function Instr.Reg x when x = r -> by | v -> v)
-                u.Instr.op)
+                u.Instr.op))
         f)
     c.live_out_regs;
   ignore (Builder.set_term f join_bid (Instr.Br c.exit_dst));

@@ -152,7 +152,7 @@ let profile_conflicts ?(entry = "main") ?(args = []) ?fuel (m : Irmod.t) =
   Hashtbl.iter
     (fun (fn, header) (s : lprof) ->
       match Irmod.func_opt m fn with
-      | Some f when Hashtbl.mem f.Func.blks header ->
+      | Some f when Func.block_opt f header <> None ->
         let lbl = (Func.block f header).Func.label in
         let conflicts =
           Hashtbl.fold (fun k () acc -> k :: acc) s.conflict_bases []
@@ -188,10 +188,6 @@ let loop_conflicts m ls = get_list m "memconf" ls
 (** Conflicting objects that the profile proves privatizable. *)
 let loop_privatizable m ls =
   Option.value (get_list m "mempriv" ls) ~default:[]
-
-(** No actual conflicts at all (the pure speculation case). *)
-let loop_is_clean (m : Irmod.t) (ls : Loopstructure.t) =
-  loop_conflicts m ls = Some []
 
 (* ------------------------------------------------------------------ *)
 (* Planning: drop only the apparent loop-carried memory edges           *)

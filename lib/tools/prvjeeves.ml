@@ -115,10 +115,10 @@ let run (n : Noelle.t) (m : Irmod.t) ?(hot_threshold = 0.01) () : stats =
               (match chosen with
               | Keep -> ()
               | Xorshift ->
-                i.Instr.op <- Instr.Call (Instr.Glob "prv_xorshift", []);
+                Builder.set_op f i (Instr.Call (Instr.Glob "prv_xorshift", []));
                 incr changed
               | Lcg ->
-                i.Instr.op <- Instr.Call (Instr.Glob "prv_lcg", []);
+                Builder.set_op f i (Instr.Call (Instr.Glob "prv_lcg", []));
                 incr changed);
               sites :=
                 { fname = f.Func.fname; inst_id = i.Instr.id; hot; chosen } :: !sites

@@ -91,7 +91,7 @@ let run (n : Noelle.t) (m : Irmod.t) : stats =
         (fun i ->
           match i.Instr.op with
           | Instr.Icmp (pred, Instr.Cint c, b) ->
-            i.Instr.op <- Instr.Icmp (Indvars.swap_pred pred, b, Instr.Cint c);
+            Builder.set_op f i (Instr.Icmp (Indvars.swap_pred pred, b, Instr.Cint c));
             incr swapped
           | _ -> ())
         f;
@@ -120,7 +120,7 @@ let run (n : Noelle.t) (m : Irmod.t) : stats =
           Scheduler.schedule_block sched bid ~priority:(fun i ->
               match class_of i with Fast -> 0 | Slow -> 1);
           if block_cost bid > before_cost then
-            (Func.block f bid).Func.insts <- before_order)
+            Builder.set_order f bid before_order)
         f.Func.blocks;
       let s1, c1 = eval m f in
       sw_after := !sw_after + s1;

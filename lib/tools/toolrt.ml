@@ -88,11 +88,3 @@ let install (st : Interp.state) : stats =
       | _ -> Interp.trap "prv_lcg: expected no arguments");
   s
 
-(** Run a module with the tool runtimes installed; returns (exit, output,
-    simulated cycles, tool-runtime stats). *)
-let run ?(entry = "main") ?(args = []) ?fuel (m : Irmod.t) =
-  let st = Interp.create m in
-  (match fuel with Some f -> st.Interp.fuel <- f | None -> ());
-  let s = install st in
-  let v = Interp.call st entry (List.map (fun x -> Interp.VI (Int64.of_int x)) args) in
-  (v, Buffer.contents st.Interp.output, st.Interp.clock, s)

@@ -393,16 +393,16 @@ let transform (n : Noelle.t) (m : Irmod.t) (plan : plan) ~(width : int)
   in
   ignore (Builder.set_term f glatch.Func.bid (Instr.Br vheader.Func.bid));
   ignore (Builder.set_term f vexit.Func.bid (Instr.Br header));
-  cnt.Instr.op <-
-    Instr.Phi
-      [ (ph, Instr.Cint 0L); (glatch.Func.bid, Instr.Reg cnt_next.Instr.id) ];
+  Builder.set_op f cnt
+    (Instr.Phi
+      [ (ph, Instr.Cint 0L); (glatch.Func.bid, Instr.Reg cnt_next.Instr.id) ]);
   List.iter
     (fun ((rd : Reduction.t), (racc : Instr.inst)) ->
-      racc.Instr.op <-
-        Instr.Phi
+      Builder.set_op f racc
+        (Instr.Phi
           [ (ph, rd.Reduction.init);
             (glatch.Func.bid, List.assoc rd.Reduction.phi.Instr.id !red_carry)
-          ])
+          ]))
     raccs;
   (* route the preheader through the widened loop; the original loop
      becomes the epilogue, entered with post-widened IV and accumulator
@@ -428,11 +428,11 @@ let transform (n : Noelle.t) (m : Irmod.t) (plan : plan) ~(width : int)
         in
         match repl with
         | Some v ->
-          i.Instr.op <-
-            Instr.Phi
+          Builder.set_op f i
+            (Instr.Phi
               (List.map
                  (fun (p, x) -> if p = vexit.Func.bid then (p, v) else (p, x))
-                 incs)
+                 incs))
         | None -> ())
       | _ -> ())
     (Func.insts_of_block f header);

@@ -49,3 +49,15 @@ let each_kernel f =
   List.iter
     (fun (k : Bsuite.Kernels.kernel) -> f k (Bsuite.Kernels.compile k))
     Bsuite.Kernels.all
+
+(** Do the two modules print identically? *)
+let same_ir a b = String.equal (Ir.Printer.module_str a) (Ir.Printer.module_str b)
+
+(** Run [m] from [main] with the tool runtimes installed; returns (exit,
+    output, simulated cycles, tool-runtime stats). *)
+let run_toolrt ?fuel (m : Ir.Irmod.t) =
+  let st = Ir.Interp.create m in
+  Option.iter (fun f -> st.Ir.Interp.fuel <- f) fuel;
+  let s = Ntools.Toolrt.install st in
+  let v = Ir.Interp.call st "main" [] in
+  (v, Buffer.contents st.Ir.Interp.output, st.Ir.Interp.clock, s)

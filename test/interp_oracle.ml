@@ -35,7 +35,7 @@ and exec_func (st : state) (f : Func.t) (args : v array) : v =
      already annotated, and builtin messages keep their own prefix) *)
   let ctx_trap (i : Instr.inst) msg =
     let lbl =
-      match Hashtbl.find_opt f.Func.blks i.Instr.parent with
+      match Func.block_opt f i.Instr.parent with
       | Some b -> b.Func.label
       | None -> "?"
     in

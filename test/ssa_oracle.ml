@@ -137,7 +137,7 @@ module Mem2reg = struct
                   match i.op with
                   | Phi incs when Hashtbl.mem phi_owner i.id ->
                     let aid = Hashtbl.find phi_owner i.id in
-                    i.op <- Phi (incs @ [ (bid, value_of aid) ])
+                    Builder.set_op f i (Phi (incs @ [ (bid, value_of aid) ]))
                   | _ -> ())
                 (Func.insts_of_block f s))
             (Func.successors f bid);
@@ -160,13 +160,13 @@ module Mem2reg = struct
             match i.op with
             | Phi incs when Hashtbl.mem phi_owner i.id ->
               let seen = Hashtbl.create 4 in
-              i.op <-
-                Phi
+              Builder.set_op f i
+                (Phi
                   (List.filter
                      (fun (p, _) ->
                        if Hashtbl.mem seen p then false
                        else (Hashtbl.replace seen p (); true))
-                     incs)
+                     incs))
             | _ -> ())
           f;
         List.iter (fun id -> Builder.remove f id) !to_delete;
@@ -187,7 +187,7 @@ module Mem2reg = struct
                   let aid = Hashtbl.find phi_owner i.id in
                   let z = zero_of (Hashtbl.find alloca_tys aid) in
                   if missing <> [] then
-                    i.op <- Phi (incs @ List.map (fun p -> (p, z)) missing)
+                    Builder.set_op f i (Phi (incs @ List.map (fun p -> (p, z)) missing))
                 | _ -> ())
               (Func.insts_of_block f bid))
           f.Func.blocks;
@@ -231,7 +231,7 @@ module Simplify = struct
         in
         List.iter
           (fun (i : inst) ->
-            if Hashtbl.mem f.Func.body i.id then
+            if Func.mem_inst f i.id then
               match i.op with
               (* icmp ne (bool), 0  ->  bool *)
               | Icmp (Ne, b, Cint 0L) when is_boolean f b -> replace i.id b

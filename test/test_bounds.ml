@@ -12,6 +12,20 @@
 open Helpers
 open Ir
 
+(** Degree of the cost polynomial, [None] at a lattice top. *)
+let cost_degree = function
+  | Bounds.Poly ts ->
+    Some (List.fold_left (fun d t -> max d (List.length t.Bounds.vars)) 0 ts)
+  | Bounds.Cunknown | Bounds.Cunbounded -> None
+
+let loop_bound_to_string (lb : Bounds.loop_bound) =
+  Printf.sprintf "%s: depth %d, trips %s, cost %s [%s]" lb.Bounds.lkey lb.Bounds.ldepth
+    (Bounds.trip_to_string lb.Bounds.lheadx) (Bounds.cost_to_string lb.Bounds.lcost)
+    (match lb.Bounds.lorigin with
+    | Bounds.Affine -> "affine"
+    | Bounds.Diffcon -> "diffcon"
+    | Bounds.Structural -> "structural")
+
 (** The single analyzed loop of [fname] in [src]. *)
 let one_loop ?(fname = "main") src =
   let m = compile src in
@@ -50,7 +64,7 @@ int main() {
   | Some c -> checkb "fcost covers the loop body" (Int64.compare c 100L >= 0)
   | None -> Alcotest.fail "fcost should be constant");
   check (Alcotest.option Alcotest.int) "cost degree 0" (Some 0)
-    (Bounds.cost_degree s.Bounds.fcost)
+    (cost_degree s.Bounds.fcost)
 
 let test_exact_downward_and_step () =
   let _, _, lb =
@@ -88,7 +102,7 @@ int main() { print(work(8)); return 0; }
     checkb "but has no constant value"
       (Bounds.trip_const lb.Bounds.liters = None);
     checkb "cost is a degree-1 polynomial in n"
-      (Bounds.cost_degree s.Bounds.fcost = Some 1)
+      (cost_degree s.Bounds.fcost = Some 1)
   | l -> Alcotest.failf "expected one loop in work, got %d" (List.length l)
 
 let test_dowhile_latch_test () =
@@ -262,7 +276,7 @@ int main() { print(work(3, 4)); return 0; }
   let s = Bounds.analyze (Irmod.func m "work") in
   check (Alcotest.option Alcotest.int) "n*m nest is a degree-2 polynomial"
     (Some 2)
-    (Bounds.cost_degree s.Bounds.fcost)
+    (cost_degree s.Bounds.fcost)
 
 (* ------------------------------------------------------------------ *)
 (* Interpreter differential (unit-sized; the sweep is the bounds gate) *)
@@ -316,7 +330,7 @@ int main() {
 (* ------------------------------------------------------------------ *)
 
 let render (s : Bounds.summary) =
-  String.concat "\n" (List.map Bounds.loop_bound_to_string s.Bounds.floops)
+  String.concat "\n" (List.map loop_bound_to_string s.Bounds.floops)
   ^ "\n" ^ Bounds.cost_to_string s.Bounds.fcost
 
 let test_cache_invalidate () =

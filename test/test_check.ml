@@ -416,12 +416,16 @@ int main() {
 }
 |}
 
+(** Record an instruction-granular suppression in the module metadata. *)
+let suppress (m : Irmod.t) ~did ~fname ~inst =
+  Meta.set m.Irmod.meta (Printf.sprintf "check.suppress.%s.%s.%d" did fname inst) "1"
+
 let test_suppression () =
   let m = uninit_module () in
   let r = Check.run ~checks:[ "san.uninit-load" ] m in
   (match Check.errors r with
   | [ d ] ->
-    Check.suppress m ~did:d.Check.did ~fname:d.Check.dloc.Check.lfunc
+    suppress m ~did:d.Check.did ~fname:d.Check.dloc.Check.lfunc
       ~inst:d.Check.dloc.Check.linst;
     let r2 = Check.run ~checks:[ "san.uninit-load" ] m in
     checki "suppressed error no longer gates" 0 (List.length (Check.errors r2));
@@ -439,7 +443,7 @@ let test_suppression_roundtrip () =
   let m = uninit_module () in
   let r = Check.run ~checks:[ "san.uninit-load" ] m in
   let d = List.hd (Check.errors r) in
-  Check.suppress m ~did:d.Check.did ~fname:d.Check.dloc.Check.lfunc
+  suppress m ~did:d.Check.did ~fname:d.Check.dloc.Check.lfunc
     ~inst:d.Check.dloc.Check.linst;
   let m' = Ir.Parser.parse_module ~name:"t" (Ir.Printer.module_str m) in
   checki "suppression survives print/parse" 0
@@ -477,7 +481,7 @@ let test_planted_faults_detected () =
       Minic.Lower.compile ~name:(Printf.sprintf "fuzz%d" seed)
         (Bsuite.Generator.program seed)
     in
-    match Faultgen.inject_info ~kinds:Faultgen.sanitizer_kinds ~seed m with
+    match Faultgen.inject_info ~kinds:[ Faultgen.Uninit_load; Faultgen.Wild_store ] ~seed m with
     | None -> Alcotest.failf "seed %d: no plant site" seed
     | Some info ->
       (* static: a diagnostic at exactly the faulted instruction *)
@@ -490,10 +494,10 @@ let test_planted_faults_detected () =
              && d.Check.dloc.Check.linst = info.Faultgen.iinst)
            r.Check.diags);
       (* dynamic: the interpreter's memory oracle confirms the bug is real *)
-      let ev = Ntools.Lint.sanitize ~fuel:300_000 m in
+      let ev = Sanitizer_oracle.sanitize ~fuel:300_000 m in
       checkb
         (Printf.sprintf "seed %d: %s confirmed dynamically" seed info.Faultgen.idesc)
-        (Ntools.Lint.confirms ev ~func:info.Faultgen.ifunc ~inst:info.Faultgen.iinst)
+        (Sanitizer_oracle.confirms ev ~func:info.Faultgen.ifunc ~inst:info.Faultgen.iinst)
   done
 
 let test_pristine_modules_clean () =

@@ -126,7 +126,7 @@ let test_coos () =
       (match Ir.Verify.check m with
       | Ok () -> ()
       | Error e -> Alcotest.failf "seed %d: coos broke verifier: %s\n%s" seed e src);
-      let _, out, _, rt = Ntools.Toolrt.run ~fuel m in
+      let _, out, _, rt = run_toolrt ~fuel m in
       checks (Printf.sprintf "seed %d: coos output" seed) expected (String.trim out);
       checkb "callbacks fired" (rt.Ntools.Toolrt.callbacks >= 0L))
     (seeds 20)
@@ -142,7 +142,7 @@ let test_carat () =
       (match Ir.Verify.check m with
       | Ok () -> ()
       | Error e -> Alcotest.failf "seed %d: carat broke verifier: %s\n%s" seed e src);
-      let _, out, _, rt = Ntools.Toolrt.run ~fuel m in
+      let _, out, _, rt = run_toolrt ~fuel m in
       checks (Printf.sprintf "seed %d: carat output" seed) expected (String.trim out);
       checkb "no faults" (Int64.equal rt.Ntools.Toolrt.guard_faults 0L))
     (seeds 20)

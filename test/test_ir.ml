@@ -17,8 +17,10 @@ let test_ty () =
   checkb "fun arity matters"
     (not (Ty.equal (Ty.Fun ([], Ty.I64)) (Ty.Fun ([ Ty.I64 ], Ty.I64))));
   checks "ptr prints" "ptr" (Ty.to_string Ty.Ptr);
-  checkb "first-class" (Ty.is_first_class Ty.Ptr);
-  checkb "void not first-class" (not (Ty.is_first_class Ty.Void))
+  (* the types SSA values may carry *)
+  let is_first_class = function Ty.I64 | Ty.F64 | Ty.Ptr -> true | Ty.Void | Ty.Fun _ -> false in
+  checkb "first-class" (is_first_class Ty.Ptr);
+  checkb "void not first-class" (not (is_first_class Ty.Void))
 
 let test_instr_operands () =
   let open Instr in
@@ -62,18 +64,57 @@ let test_builder_basic () =
   Builder.remove f a.Instr.id;
   checki "removed" 2 (Func.num_insts f)
 
+(** Split block [bid] before instruction [at]: instructions from [at] to the
+    terminator move into a fresh block; [bid] falls through with a [Br], and
+    phis in successors name the new block.  Returns the new block. *)
+let split_block (f : Func.t) bid ~at ~label =
+  let rec from_at = function x :: rest when x <> at -> from_at rest | l -> l in
+  let after = from_at (Func.block f bid).Func.insts in
+  let nb = Builder.add_block f ~label in
+  List.iter (fun id -> Builder.move_to_end f id ~bid:nb.Func.bid) after;
+  List.iter
+    (fun s -> Builder.rewrite_phi_pred f s ~old_pred:bid ~new_pred:nb.Func.bid)
+    (Func.successors f nb.Func.bid);
+  ignore (Builder.set_term f bid (Instr.Br nb.Func.bid));
+  nb
+
 let test_builder_split () =
   let f = Func.create ~name:"f" ~params:[] ~ret:Ty.I64 in
   let b = Builder.add_block f ~label:"entry" in
   let i1 = Builder.add f b.Func.bid (Instr.Bin (Instr.Add, Instr.Cint 1L, Instr.Cint 2L)) Ty.I64 in
   let i2 = Builder.add f b.Func.bid (Instr.Bin (Instr.Mul, Instr.Reg i1.Instr.id, Instr.Cint 3L)) Ty.I64 in
   ignore (Builder.set_term f b.Func.bid (Instr.Ret (Some (Instr.Reg i2.Instr.id))));
-  let nb = Builder.split_block f b.Func.bid ~at:i2.Instr.id ~label:"tail" in
+  let nb = split_block f b.Func.bid ~at:i2.Instr.id ~label:"tail" in
   checki "two blocks now" 2 (List.length f.Func.blocks);
   (match Func.terminator f b.Func.bid with
   | Some { Instr.op = Instr.Br t; _ } -> checki "falls through" nb.Func.bid t
   | _ -> Alcotest.fail "no fallthrough");
   Verify.verify_func f
+
+let test_prune_dead_chain () =
+  (* entry -> join is live; the dead chain head -> tail -> join feeds the
+     join's phi.  [tail] is laid out before [head], so by the time [head]
+     is erased its successor is already gone. *)
+  let m = Irmod.create ~name:"prune" () in
+  let f = Func.create ~name:"main" ~params:[] ~ret:Ty.I64 in
+  Irmod.add_func m f;
+  let bid label = (Builder.add_block f ~label).Func.bid in
+  let entry = bid "entry" and tail = bid "tail" and head = bid "head" and join = bid "join" in
+  ignore (Builder.set_term f entry (Instr.Br join));
+  ignore (Builder.set_term f head (Instr.Br tail));
+  ignore (Builder.set_term f tail (Instr.Br join));
+  let phi = Builder.add f join (Instr.Phi [ (entry, Instr.Cint 7L); (tail, Instr.Cint 9L) ]) Ty.I64 in
+  ignore (Builder.set_term f join (Instr.Ret (Some (Instr.Reg phi.Instr.id))));
+  verifies "before pruning" m;
+  let before = Interp.run m in
+  checki "both dead blocks pruned" 2 (Cfg.prune_unreachable f);
+  checkb "live layout kept" (f.Func.blocks = [ entry; join ]);
+  checkb "dead blocks erased" (Func.block_opt f head = None && Func.block_opt f tail = None);
+  (match (Func.inst f phi.Instr.id).Instr.op with
+  | Instr.Phi incs -> checkb "no incoming from an erased block" (List.map fst incs = [ entry ])
+  | _ -> Alcotest.fail "phi lost");
+  verifies "after pruning" m;
+  checkb "same result" (Interp.run m = before)
 
 let test_dce_phis () =
   (* dead phi cycles rotating a value around nested loops get removed *)
@@ -192,13 +233,10 @@ let test_verifier_catches () =
       ignore (Builder.set_term f b.Func.bid (Instr.Ret (Some (Instr.Arg 3)))));
   expect_invalid "use before def in same block" (fun f ->
       let b = Builder.add_block f ~label:"entry" in
-      let a = Builder.mk_inst f (Instr.Bin (Instr.Add, Instr.Reg 99, Instr.Cint 0L)) Ty.I64 in
-      let d = Builder.mk_inst f (Instr.Bin (Instr.Add, Instr.Cint 1L, Instr.Cint 1L)) Ty.I64 in
-      (* manually place use before def *)
-      a.Instr.op <- Instr.Bin (Instr.Add, Instr.Reg d.Instr.id, Instr.Cint 0L);
-      a.Instr.parent <- b.Func.bid;
-      d.Instr.parent <- b.Func.bid;
-      b.Func.insts <- [ a.Instr.id; d.Instr.id ];
+      let a = Builder.add f b.Func.bid (Instr.Bin (Instr.Add, Instr.Reg 99, Instr.Cint 0L)) Ty.I64 in
+      let d = Builder.add f b.Func.bid (Instr.Bin (Instr.Add, Instr.Cint 1L, Instr.Cint 1L)) Ty.I64 in
+      (* point the first instruction at the second: use before def *)
+      Builder.set_op f a (Instr.Bin (Instr.Add, Instr.Reg d.Instr.id, Instr.Cint 0L));
       ignore (Builder.set_term f b.Func.bid (Instr.Ret (Some (Instr.Reg a.Instr.id)))))
 
 (* ------------------------------------------------------------------ *)
@@ -466,7 +504,7 @@ let test_interp_no_stale_layout () =
   Func.iter_insts
     (fun (i : Instr.inst) ->
       match i.Instr.op with
-      | Instr.Bin (Instr.Add, a, Instr.Cint 1L) -> i.Instr.op <- Instr.Bin (Instr.Add, a, Instr.Cint 5L)
+      | Instr.Bin (Instr.Add, a, Instr.Cint 1L) -> Builder.set_op f i (Instr.Bin (Instr.Add, a, Instr.Cint 5L))
       | _ -> ())
     f;
   checks "edited in place" "46" (output m);
@@ -723,6 +761,7 @@ let suite =
     tc "instr operands" test_instr_operands;
     tc "builder basics" test_builder_basic;
     tc "builder split" test_builder_split;
+    tc "cfg prune: dead chain into a phi" test_prune_dead_chain;
     tc "dead phi cycles" test_dce_phis;
     tc "round-trip all kernels" test_roundtrip_kernels;
     tc "reparse preserves semantics" test_roundtrip_preserves_semantics;

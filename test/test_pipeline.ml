@@ -67,9 +67,9 @@ let test_snapshot_restore () =
       | Some _ -> ()
       | None -> Alcotest.fail "no fault site found");
       checkb "corruption changed the module"
-        (not (Snapshot.equal (Snapshot.view snap) m));
+        (not (same_ir (Snapshot.view snap) m));
       Snapshot.restore snap m;
-      checkb "restore rolled the module back" (Snapshot.equal (Snapshot.view snap) m))
+      checkb "restore rolled the module back" (same_ir (Snapshot.view snap) m))
     [ 1; 2; 3; 4 ];
   verifies "restored module" m;
   checks "restored module behaves identically" expected (output m)
@@ -150,7 +150,7 @@ let test_verifier_duplicate_label () =
      say which of them a branch targets *)
   let m = parse loop_ir in
   let f = Irmod.func m "main" in
-  (Func.block f (List.nth f.Func.blocks 2)).Func.label <- "loop";
+  Builder.set_label f (List.nth f.Func.blocks 2) "loop";
   expect_invalid ~frag:"duplicate block label loop" m
 
 (* ------------------------------------------------------------------ *)
@@ -185,7 +185,7 @@ let test_pipeline_rolls_back_structural () =
       | _ -> Alcotest.failf "%s: expected rollback" (Faultgen.kind_to_string kind));
       checkb "rollback recorded a diff" (e.Noelle.Pipeline.ediff <> []);
       checkb "module rolled back to the pristine state"
-        (Snapshot.equal (Snapshot.view pristine) m);
+        (same_ir (Snapshot.view pristine) m);
       checkb "final module ok" r.Noelle.Pipeline.final_ok)
     [ Faultgen.Mid_terminator; Faultgen.Corrupt_phi_edge; Faultgen.Undef_operand ]
 
@@ -203,7 +203,7 @@ let test_pipeline_rolls_back_semantic () =
              (Faultgen.kind_to_string kind) reason)
           (contains reason "differential")
       | _ -> Alcotest.failf "%s: expected rollback" (Faultgen.kind_to_string kind));
-      checkb "module rolled back" (Snapshot.equal (Snapshot.view pristine) m);
+      checkb "module rolled back" (same_ir (Snapshot.view pristine) m);
       checkb "final module ok" r.Noelle.Pipeline.final_ok)
     [ Faultgen.Drop_store; Faultgen.Swap_operands ]
 
@@ -240,7 +240,7 @@ let test_pipeline_times_out () =
           Func.iter_insts
             (fun i ->
               match i.Instr.op with
-              | Instr.Cbr (_, t, _) when t = i.Instr.parent -> i.Instr.op <- Instr.Br t
+              | Instr.Cbr (_, t, _) when t = i.Instr.parent -> Builder.set_op f i (Instr.Br t)
               | _ -> ())
             f;
           "made the loop infinite");
@@ -252,7 +252,7 @@ let test_pipeline_times_out () =
   (match e.Noelle.Pipeline.eoutcome with
   | Noelle.Pipeline.Timed_out _ -> ()
   | o -> Alcotest.failf "expected timeout, got %s" (Noelle.Pipeline.outcome_to_string o));
-  checkb "module rolled back" (Snapshot.equal (Snapshot.view pristine) m);
+  checkb "module rolled back" (same_ir (Snapshot.view pristine) m);
   checkb "final ok" r.Noelle.Pipeline.final_ok
 
 let test_pipeline_injected_sweep () =
@@ -327,7 +327,7 @@ let relabel : Noelle.Pipeline.pass =
       (fun m ->
         let f = Irmod.func m "main" in
         let b = Func.block f (List.nth f.Func.blocks (List.length f.Func.blocks - 1)) in
-        b.Func.label <- b.Func.label ^ ".renamed";
+        Builder.set_label f b.Func.bid (b.Func.label ^ ".renamed");
         "renamed " ^ b.Func.label);
     plicense = Obs.Exact;
   }
@@ -369,13 +369,14 @@ declare void @print_float(f64 %x)
       Noelle.Pipeline.pname = "nudge";
       papply =
         (fun m ->
+          let f = Irmod.func m "main" in
           Func.iter_insts
             (fun i ->
               match i.Instr.op with
               | Instr.Fbin (o, Instr.Cfloat x, b) ->
-                i.Instr.op <- Instr.Fbin (o, Instr.Cfloat (Float.succ x), b)
+                Builder.set_op f i (Instr.Fbin (o, Instr.Cfloat (Float.succ x), b))
               | _ -> ())
-            (Irmod.func m "main");
+            f;
           "moved a constant by one ulp");
       plicense = Obs.Exact;
     }

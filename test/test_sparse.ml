@@ -28,6 +28,18 @@ let corpus () =
 (* Bitset units                                                         *)
 (* ------------------------------------------------------------------ *)
 
+let elements s = List.rev (Ir.Bitset.fold (fun i acc -> i :: acc) s [])
+
+(** Do [a] and [b] share no bit? *)
+let is_empty_inter (a : Ir.Bitset.t) (b : Ir.Bitset.t) =
+  let n = min (Array.length a.words) (Array.length b.words) in
+  let rec go w = w >= n || (a.words.(w) land b.words.(w) = 0 && go (w + 1)) in
+  go 0
+
+let inter (a : Ir.Bitset.t) (b : Ir.Bitset.t) =
+  let n = min (Array.length a.words) (Array.length b.words) in
+  { Ir.Bitset.words = Array.init n (fun w -> a.words.(w) land b.words.(w)) }
+
 let test_bitset () =
   let s = Ir.Bitset.create () in
   checkb "fresh set is empty" (Ir.Bitset.is_empty s);
@@ -37,15 +49,15 @@ let test_bitset () =
   checkb "add 200 is new" (Ir.Bitset.add s 200);
   checkb "mem 200" (Ir.Bitset.mem s 200);
   checkb "not mem 199" (not (Ir.Bitset.mem s 199));
-  checki "cardinal" 2 (Ir.Bitset.cardinal s);
-  checkb "elements sorted" (Ir.Bitset.elements s = [ 3; 200 ]);
+  checki "cardinal" 2 (List.length (elements s));
+  checkb "elements sorted" (elements s = [ 3; 200 ]);
   let t = Ir.Bitset.create () in
   ignore (Ir.Bitset.add t 3);
   ignore (Ir.Bitset.add t 7);
   let delta = Ir.Bitset.create () in
   let added = Ir.Bitset.union_into ~track:delta ~into:t s in
   checki "union adds only the fresh bit" 1 added;
-  checkb "track mirrors exactly the fresh bits" (Ir.Bitset.elements delta = [ 200 ]);
+  checkb "track mirrors exactly the fresh bits" (elements delta = [ 200 ]);
   checkb "7 not disturbed" (Ir.Bitset.mem t 7);
   (* equality must ignore trailing zero words *)
   let a = Ir.Bitset.create () and b = Ir.Bitset.create () in
@@ -57,7 +69,7 @@ let test_bitset () =
   checkb "copy equal" (Ir.Bitset.equal b c);
   ignore (Ir.Bitset.add a 500);
   checkb "equal after catching up" (Ir.Bitset.equal a b);
-  checkb "disjointness" (Ir.Bitset.is_empty_inter (Ir.Bitset.inter a (Ir.Bitset.create ())) a)
+  checkb "disjointness" (is_empty_inter (inter a (Ir.Bitset.create ())) a)
 
 (* ------------------------------------------------------------------ *)
 (* Worklist Andersen vs the naive fixpoint                              *)
@@ -100,7 +112,7 @@ let test_cycle_collapse () =
   ignore (Ir.Builder.set_term f entry.Ir.Func.bid (Br loop.Ir.Func.bid));
   let p = Ir.Builder.add f loop.Ir.Func.bid (Phi [ (entry.Ir.Func.bid, Glob "g") ]) Ir.Ty.Ptr in
   let q = Ir.Builder.add f loop.Ir.Func.bid (Gep (Reg p.id, Cint 1L)) Ir.Ty.Ptr in
-  p.op <- Phi [ (entry.Ir.Func.bid, Glob "g"); (loop.Ir.Func.bid, Reg q.id) ];
+  Ir.Builder.set_op f p (Phi [ (entry.Ir.Func.bid, Glob "g"); (loop.Ir.Func.bid, Reg q.id) ]);
   let v = Ir.Builder.add f loop.Ir.Func.bid (Load (Reg q.id)) Ir.Ty.I64 in
   let c = Ir.Builder.add f loop.Ir.Func.bid (Icmp (Slt, Reg v.id, Cint 10L)) Ir.Ty.I64 in
   ignore

@@ -8,6 +8,14 @@ open Helpers
 module T = Noelle.Telemetry
 module Trace = Ir.Trace
 
+(** Record an instant event (the program itself emits none). *)
+let instant ?(cat = "") name =
+  let open Trace in
+  if !on then
+    record
+      { ename = name; ecat = cat; eph = Instant; ets = now_us () -. !t0;
+        edur = 0.0; etid = !cur_tid; edepth = !depth; eargs = [] }
+
 (** Run [f] with the sink installed, always disabling and resetting after,
     so telemetry state never leaks between tests (or into the no-op ones). *)
 let traced f =
@@ -50,7 +58,7 @@ let test_noop_path () =
   Trace.observe "noop.hist" 5L;
   let v = Trace.span ~cat:"t" "noop.span" (fun () -> 41 + 1) in
   checki "span still runs its body" 42 v;
-  Trace.instant "noop.instant";
+  instant "noop.instant";
   checki "no events recorded" 0 (List.length (Trace.events ()));
   checki "registry stays empty" 0 (List.length (Trace.metrics ()));
   checkb "counter reads back 0" (Int64.equal 0L (Trace.counter "noop.counter"))
@@ -100,7 +108,7 @@ let test_counter_monotonic () =
   Trace.add "m.c" (-3);
   checkb "adds accumulate, <=0 ignored" (Int64.equal 5L (Trace.counter "m.c"));
   Trace.set_gauge "m.g" 2.5;
-  (match Trace.gauge "m.g" with
+  (match List.assoc_opt "m.g" (Trace.gauges ()) with
   | Some v -> checkb "gauge holds last value" (v = 2.5)
   | None -> Alcotest.fail "gauge missing");
   Trace.observe "m.h" 5L;
@@ -182,7 +190,7 @@ let test_chrome_json_roundtrip () =
   traced @@ fun () ->
   Trace.span ~cat:"analysis" ~args:[ ("k", "v\"quoted\"\n") ] "weird \"name\"\ttab"
     (fun () -> ());
-  Trace.instant ~cat:"mark" "i1";
+  instant ~cat:"mark" "i1";
   let s = Trace.to_chrome_json () in
   (* parse back with the repo's own JSON parser, not string matching *)
   let triples = T.validate_chrome_json s in
@@ -293,14 +301,14 @@ let test_diff_metrics_histograms () =
 
 let test_request_context () =
   traced @@ fun () ->
-  checkb "no ambient rid" (Trace.current_request () = None);
+  checkb "no ambient rid" (!Trace.cur_rid = None);
   Trace.with_request "req-7" (fun () ->
-      checkb "rid ambient" (Trace.current_request () = Some "req-7");
-      Trace.instant "inner.mark";
+      checkb "rid ambient" (!Trace.cur_rid = Some "req-7");
+      instant "inner.mark";
       Trace.span ~cat:"analysis" "inner.span" (fun () ->
-          Trace.with_request "req-8" (fun () -> Trace.instant "nested.mark")));
-  checkb "rid restored" (Trace.current_request () = None);
-  Trace.instant "outer.mark";
+          Trace.with_request "req-8" (fun () -> instant "nested.mark")));
+  checkb "rid restored" (!Trace.cur_rid = None);
+  instant "outer.mark";
   let rid name =
     Option.bind (find_event name) (fun e ->
         List.assoc_opt "rid" e.Trace.eargs)

@@ -240,7 +240,7 @@ int main() {
       (Noelle.loops n (Irmod.func m "main"))
   in
   checkb "recurrence loop flagged as conflicting"
-    (not (Ntools.Perspective.loop_is_clean m (Noelle.Loop.structure lp)))
+    (Ntools.Perspective.loop_conflicts m (Noelle.Loop.structure lp) <> Some [])
 
 (* ------------------------------------------------------------------ *)
 (* Baseline auto-parallelizer                                          *)
@@ -294,7 +294,7 @@ let test_carat_preserves_and_guards () =
   checkb "some accesses guarded"
     (s.Ntools.Carat.guards_inserted + s.Ntools.Carat.range_guards > 0);
   checkb "some accesses proven safe" (s.Ntools.Carat.proven_safe > 0);
-  let _, out, _, rt = Ntools.Toolrt.run ~fuel:(3 * k.Bsuite.Kernels.fuel) m in
+  let _, out, _, rt = run_toolrt ~fuel:(3 * k.Bsuite.Kernels.fuel) m in
   checks "guarded program output" expected (String.trim out);
   checkb "guards executed dynamically" (rt.Ntools.Toolrt.guards_executed > 0L);
   checkb "no faults on a correct program" (Int64.equal rt.Ntools.Toolrt.guard_faults 0L)
@@ -314,7 +314,7 @@ int main() {
   in
   let n = Noelle.create m in
   ignore (Ntools.Carat.run n m);
-  match Ntools.Toolrt.run m with
+  match run_toolrt m with
   | exception Interp.Trap msg ->
     checkb "CARAT guard caught the bad access"
       (String.length msg >= 5 && String.sub msg 0 5 = "CARAT")
@@ -341,7 +341,7 @@ int main() {
   let n = Noelle.create m in
   let s = Ntools.Carat.run n m in
   checkb "loop guards merged into range guards" (s.Ntools.Carat.range_guards >= 2);
-  let _, out, _, rt = Ntools.Toolrt.run m in
+  let _, out, _, rt = run_toolrt m in
   checks "output" "499500" (String.trim out);
   (* merged guards: dynamic count should be tiny compared to 2000 accesses *)
   checkb "few dynamic guards" (rt.Ntools.Toolrt.guards_executed < 100L)
@@ -358,7 +358,7 @@ let test_coos_bounds_gap () =
   let s = Ntools.Coos.run n m ~budget:400 () in
   verifies "coos" m;
   checkb "callbacks inserted" (s.Ntools.Coos.callbacks_inserted > 0);
-  let _, out, _, rt = Ntools.Toolrt.run ~fuel:(3 * k.Bsuite.Kernels.fuel) m in
+  let _, out, _, rt = run_toolrt ~fuel:(3 * k.Bsuite.Kernels.fuel) m in
   checks "COOS preserves output" expected (String.trim out);
   checkb "callbacks fired" (rt.Ntools.Toolrt.callbacks > 0L);
   (* the max gap must be bounded: generously, budget * 4 accounts for
@@ -370,7 +370,7 @@ let test_coos_bounds_gap () =
 let test_coos_uninstrumented_has_big_gaps () =
   let k = Option.get (Bsuite.Kernels.find "susan") in
   let m = Bsuite.Kernels.compile k in
-  let _, _, _, rt = Ntools.Toolrt.run ~fuel:k.Bsuite.Kernels.fuel m in
+  let _, _, _, rt = run_toolrt ~fuel:k.Bsuite.Kernels.fuel m in
   (* without instrumentation no callback ever fires *)
   checkb "no callbacks" (Int64.equal rt.Ntools.Toolrt.callbacks 0L)
 
@@ -421,7 +421,7 @@ let test_prvjeeves () =
   let k = Option.get (Bsuite.Kernels.find "montecarlo") in
   (* reference run with the costed runtime *)
   let m_ref = Bsuite.Kernels.compile k in
-  let _, _, ref_cycles, _ = Ntools.Toolrt.run ~fuel:k.Bsuite.Kernels.fuel m_ref in
+  let _, _, ref_cycles, _ = run_toolrt ~fuel:k.Bsuite.Kernels.fuel m_ref in
   let m = Bsuite.Kernels.compile k in
   let p, _ = Noelle.Profiler.run ~fuel:k.Bsuite.Kernels.fuel m in
   Noelle.Profiler.embed p m;
@@ -430,7 +430,7 @@ let test_prvjeeves () =
   verifies "prvj" m;
   checkb "found the rand sites" (List.length s.Ntools.Prvjeeves.sites = 2);
   checkb "replaced hot masked sites" (s.Ntools.Prvjeeves.changed >= 1);
-  let _, _, new_cycles, _ = Ntools.Toolrt.run ~fuel:k.Bsuite.Kernels.fuel m in
+  let _, _, new_cycles, _ = run_toolrt ~fuel:k.Bsuite.Kernels.fuel m in
   checkb
     (Printf.sprintf "cheaper generator saves cycles (%Ld -> %Ld)" ref_cycles new_cycles)
     (new_cycles < ref_cycles)

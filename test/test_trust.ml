@@ -373,7 +373,7 @@ let test_metadata_sweep () =
       (Printf.sprintf "seed %d: no trust events on pristine corpus" seed)
       (Noelle.trust_events n0 = []);
     (* plant one metadata corruption *)
-    let clean = Snapshot.copy_module m in
+    let clean = Irmod.copy m in
     match Faultgen.inject_info ~kinds:Faultgen.metadata_kinds ~seed m with
     | None -> Alcotest.failf "seed %d: no metadata fault site" seed
     | Some info ->
