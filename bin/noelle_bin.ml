@@ -19,7 +19,7 @@ let run input args fuel cores =
   with
   | v ->
     print_string (Buffer.contents st.Ir.Interp.output);
-    Printf.printf "[noelle-bin] exit=%s cycles=%Ld\n" (Ir.Interp.v_to_string v)
+    Printf.printf "[noelle-bin] exit=%s cycles=%d\n" (Ir.Interp.v_to_string v)
       st.Ir.Interp.clock;
     0
   | exception Ir.Interp.Trap e ->

@@ -4,8 +4,9 @@
     NOELLE ships an instruction profiler, a branch profiler, and a loop
     profiler, embeds their results into the IR file as metadata, and
     offers high-level queries (hotness of a code region, loop iteration
-    counts, function invocation counts).  Here the profilers hook the IR
-    interpreter; the queries read the embedded metadata, so they work on a
+    counts, function invocation counts).  Here the profilers read the
+    counters the IR interpreter keeps in its frame layouts, plus a call
+    hook; the queries read the embedded metadata, so they work on a
     freshly parsed module exactly as in the paper's pipeline. *)
 
 open Ir
@@ -34,81 +35,52 @@ let fresh () =
 let bump tbl key by =
   Hashtbl.replace tbl key (Int64.add by (try Hashtbl.find tbl key with Not_found -> 0L))
 
-(* per-function counters of one run, keyed by [Func.t] identity *)
-type counts = {
-  fn : Func.t;
-  mutable insts : int;
-  blocks : int array;                      (** block id -> entries *)
-  edges : (int * int, int ref) Hashtbl.t;  (** (branch id, target block id) -> taken *)
-}
-
-(** Hook the instruction/branch/loop profilers into [st], replacing its
-    block, instruction and call hooks.  The hooks bump plain [int]
-    counters; the returned function folds them into a profile once the
-    run is over. *)
+(** Install the instruction/branch/loop profilers on [st]: the
+    interpreter already counts steps per function, block entries and
+    conditional-branch outcomes in its frame layouts, so only the call
+    hook is set (replacing any other).  The returned function folds those
+    counters, from the state's creation on, into a profile once the run
+    is over. *)
 let attach (st : Interp.state) : unit -> t =
-  let fns = ref [] in
   let calls : (string * string, int ref) Hashtbl.t = Hashtbl.create 16 in
-  let fresh_counts f =
-    { fn = f; insts = 0; blocks = Array.make f.Func.next_id 0; edges = Hashtbl.create 16 }
-  in
-  let last = ref (fresh_counts (Func.create ~name:"" ~params:[] ~ret:Ty.Void)) in
-  let counts (f : Func.t) =
-    if (!last).fn != f then
-      last :=
-        (match List.find_opt (fun c -> c.fn == f) !fns with
-        | Some c -> c
-        | None ->
-          let c = fresh_counts f in
-          fns := c :: !fns;
-          c);
-    !last
-  in
-  let bump_ref tbl key =
-    match Hashtbl.find_opt tbl key with Some r -> incr r | None -> Hashtbl.add tbl key (ref 1)
-  in
-  (* the conditional branch just executed, if the next event is its edge *)
-  let pending_in = ref !last and pending_br = ref (-1) in
-  let hooks = st.Interp.hooks in
-  hooks.Interp.on_block <-
+  st.Interp.hooks.Interp.on_call <-
     Some
-      (fun f bid ->
-        let c = counts f in
-        (* block ids are below [next_id]; others are missing blocks, which
-           the interpreter fails on right after this hook *)
-        if bid >= 0 && bid < Array.length c.blocks then begin
-          c.blocks.(bid) <- c.blocks.(bid) + 1;
-          if !pending_br >= 0 && !pending_in == c then bump_ref c.edges (!pending_br, bid)
-        end;
-        pending_br := -1);
-  hooks.Interp.on_inst <-
-    Some
-      (fun f i ->
-        let c = counts f in
-        c.insts <- c.insts + 1;
-        match i.Instr.op with
-        | Instr.Cbr _ ->
-          pending_in := c;
-          pending_br := i.Instr.id
-        | _ -> pending_br := -1);
-  hooks.Interp.on_call <- Some (fun ~caller ~callee -> bump_ref calls (caller, callee));
+      (fun ~caller ~callee ->
+        match Hashtbl.find_opt calls (caller, callee) with
+        | Some r -> incr r
+        | None -> Hashtbl.add calls (caller, callee) (ref 1));
   fun () ->
     let p = fresh () in
-    List.iter
-      (fun c ->
-        let fname = c.fn.Func.fname in
+    Hashtbl.iter
+      (fun _ (lay : Interp.layout) ->
+        let f = lay.Interp.func in
+        let fname = f.Func.fname in
         let count tbl key bid n =
-          match Func.block_opt c.fn bid with
+          match Func.block_opt f bid with
           | Some b when n > 0 -> bump tbl (key b.Func.label) (Int64.of_int n)
           | _ -> ()
         in
-        p.total_insts <- Int64.add p.total_insts (Int64.of_int c.insts);
-        if c.insts > 0 then bump p.fn_insts fname (Int64.of_int c.insts);
-        Array.iteri (fun bid n -> count p.block_counts (fun l -> (fname, l)) bid n) c.blocks;
-        Hashtbl.iter
-          (fun (iid, bid) n -> count p.edge_counts (fun l -> (fname, iid, l)) bid !n)
-          c.edges)
-      (List.rev !fns);
+        let n = lay.Interp.executed in
+        p.total_insts <- Int64.add p.total_insts (Int64.of_int n);
+        if n > 0 then bump p.fn_insts fname (Int64.of_int n);
+        Array.iter
+          (fun (b : Interp.block_code) ->
+            count p.block_counts (fun l -> (fname, l)) b.Interp.bid b.Interp.entries;
+            let body = b.Interp.body in
+            if Array.length body > 0 then
+              let last = body.(Array.length body - 1) in
+              match last.Interp.code with
+              | Interp.Cbr (_, t, e) ->
+                let edge target n =
+                  count p.edge_counts
+                    (fun l -> (fname, last.Interp.inst.Instr.id, l))
+                    lay.Interp.blocks.(target).Interp.bid n
+                in
+                edge t b.Interp.taken;
+                edge e b.Interp.not_taken
+              | _ -> ())
+          lay.Interp.blocks)
+      st.Interp.layouts;
     Hashtbl.iter
       (fun (caller, callee) n ->
         bump p.fn_calls callee (Int64.of_int !n);

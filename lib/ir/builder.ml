@@ -44,17 +44,30 @@ let mk_inst (f : Func.t) op ty =
   Hashtbl.replace f.body id i;
   i
 
-(** The parser's form of {!add}: append an instruction whose [id] the
-    caller chose (unused, and below the counter that {!reserve_ids} set)
-    at the very end of block [bid]. *)
-let append_with_id (f : Func.t) bid ~id op ty =
-  let i = { id; op; ty; parent = bid } in
-  Hashtbl.replace f.body id i;
+(** The parser's form of {!add}, in two halves so that a block's list is
+    built once: [define_with_id] registers an instruction of block [bid]
+    whose [id] the caller chose (unused, and below the counter that
+    {!reserve_ids} set) without laying it out, and {!fill_block} then
+    lays out the block's instructions in order. *)
+let define_with_id (f : Func.t) bid ~id op ty =
+  ignore (Func.block f bid);
+  Hashtbl.replace f.body id { id; op; ty; parent = bid }
+
+(** Lay out block [bid], which must be empty, as [ids]. *)
+let fill_block (f : Func.t) bid ids =
   let b = Func.block f bid in
-  b.insts <- b.insts @ [ id ]
+  assert (b.insts = []);
+  b.insts <- ids
 
 (** Make every id below [n] unavailable to {!Func.fresh_id}. *)
 let reserve_ids (f : Func.t) n = f.next_id <- max f.next_id n
+
+(* [ids] with [id] at the end, or just before the last id if that is a
+   terminator: one pass *)
+let rec before_term (f : Func.t) id = function
+  | [] -> [ id ]
+  | [ last ] when Instr.is_terminator (Func.inst f last) -> [ id; last ]
+  | x :: rest -> x :: before_term f id rest
 
 (** Append an instruction at the end of block [bid] and return its value.
     If the block is already terminated the instruction goes just before the
@@ -63,29 +76,30 @@ let add (f : Func.t) bid op ty =
   let i = mk_inst f op ty in
   i.parent <- bid;
   let b = Func.block f bid in
-  (match List.rev b.insts with
-  | last :: _ when Instr.is_terminator (Func.inst f last) ->
-    let rec ins = function
-      | [ t ] -> [ i.id; t ]
-      | x :: rest -> x :: ins rest
-      | [] -> [ i.id ]
-    in
-    b.insts <- ins b.insts
-  | _ -> b.insts <- b.insts @ [ i.id ]);
+  b.insts <- before_term f i.id b.insts;
   i
 
 (** Append a terminator to block [bid]; fails if already terminated. *)
 let set_term (f : Func.t) bid op =
   assert (Instr.is_terminator_op op);
-  (match Func.terminator f bid with
-  | Some t ->
-    invalid_arg
-      (Printf.sprintf "Builder.set_term: block %d already terminated (inst %d)" bid t.id)
-  | None -> ());
+  let b = Func.block f bid in
+  (* one pass: check the last instruction while appending the id that
+     [mk_inst] draws next *)
+  let id = f.next_id in
+  let rec append = function
+    | [] -> [ id ]
+    | [ last ] ->
+      let t = Func.inst f last in
+      if Instr.is_terminator t then
+        invalid_arg
+          (Printf.sprintf "Builder.set_term: block %d already terminated (inst %d)" bid t.id);
+      [ last; id ]
+    | x :: rest -> x :: append rest
+  in
+  let insts = append b.insts in
   let i = mk_inst f op Ty.Void in
   i.parent <- bid;
-  let b = Func.block f bid in
-  b.insts <- b.insts @ [ i.id ];
+  b.insts <- insts;
   i
 
 (** Replace the terminator of [bid] (or install one if missing). *)
@@ -174,15 +188,7 @@ let move_to_end (f : Func.t) id ~bid =
   src.insts <- List.filter (fun x -> x <> id) src.insts;
   i.parent <- bid;
   let b = Func.block f bid in
-  (match List.rev b.insts with
-  | last :: _ when Instr.is_terminator (Func.inst f last) ->
-    let rec ins = function
-      | [ t ] -> [ id; t ]
-      | x :: rest -> x :: ins rest
-      | [] -> [ id ]
-    in
-    b.insts <- ins b.insts
-  | _ -> b.insts <- b.insts @ [ id ])
+  b.insts <- before_term f id b.insts
 
 (** Move instruction [id] immediately before instruction [before] (possibly
     in a different block). *)

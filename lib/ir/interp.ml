@@ -20,13 +20,24 @@
     bodies cut at the first terminator.  A call allocates a slot array
     filled with an "undefined" sentinel and runs the single step loop in
     {!exec_func}.  Each step counts [steps] and [clock], spends one unit
-    of [fuel] (phis count steps and clock but not fuel), calls the
-    [on_inst] hook, then executes; a trap from a non-call instruction is
-    re-raised with the function, block and instruction attached.  The loop
-    re-reads [st.hooks] at every step, because a builtin may swap a hook in
-    the middle of a frame (the parallel runtime does).  Layouts are never
+    of [fuel] (phis count steps and clock but not fuel), counts itself in
+    the layout's [executed], calls the [on_inst] hook if one is installed,
+    then executes; a trap from a non-call instruction is re-raised with
+    the function, block and instruction attached.  Entering a block bumps
+    its [entries] counter, and a conditional branch its [taken] or
+    [not_taken] counter: the profiler ({!Noelle.Profiler}) reads these
+    after the run instead of hooking every step.  The loop re-reads
+    [st.hooks] at every step, because a builtin may swap a hook in the
+    middle of a frame (the parallel runtime does).  Layouts are never
     shared across states: passes rewrite functions in place between runs,
-    and each run starts from a fresh state. *)
+    and each run starts from a fresh state.
+
+    A step allocates nothing unless its instruction produces a value:
+    [clock] is an [int] (the parallel runtime and the tool runtimes
+    convert at their edges), and an [alloca] or a direct call to [malloc]
+    records its allocation site in [site_fn]/[site_id] for {!allocate},
+    which clears it once the [on_alloc] hook has seen it.  The recorder
+    ({!Obs}) names escaping heap objects from that site. *)
 
 type v = VI of int64 | VF of float | VP of int
 
@@ -54,7 +65,8 @@ type hooks = {
       (** called before a builtin executes, with its evaluated arguments;
           the observable-event layer ({!Obs}) records external calls here *)
   mutable on_alloc : (base:int -> size:int -> unit) option;
-      (** called after every allocation (global, alloca, malloc) *)
+      (** called after every allocation (global, alloca, malloc); the
+          state's [site_fn]/[site_id] name the instruction that made it *)
   mutable on_store : (Func.t -> Instr.inst -> addr:int -> value:v -> unit) option;
       (** called before a store commits, with the value being written *)
 }
@@ -76,7 +88,10 @@ type opnd =
   | Undef of int                 (** register no listed instruction defines *)
   | Unknown_global of string
 
-type callee = Direct of string | Indirect of opnd
+type callee =
+  | Direct of string
+  | Malloc                         (** direct call to [malloc]: an allocation site *)
+  | Indirect of opnd
 
 type code =
   | Bin of Instr.bin * opnd * opnd
@@ -99,6 +114,9 @@ type step = { inst : Instr.inst; dst : int; code : code }
 
 type block_code = {
   bid : int;
+  mutable entries : int;           (** times control entered the block *)
+  mutable taken : int;             (** executions of its [cbr] to the true target *)
+  mutable not_taken : int;         (** ... and to the false target *)
   fault : exn option;              (** [Func.insts_of_block] failed: raised on entry *)
   phis : Instr.inst array;         (** every phi of the block, in order *)
   phi_dst : int array;
@@ -113,6 +131,7 @@ type layout = {
   func : Func.t;
   ids : int array;                 (** slot -> instruction id *)
   blocks : block_code array;       (** index 0 is the entry block *)
+  mutable executed : int;          (** steps run in this function, phis included *)
 }
 
 type state = {
@@ -126,12 +145,14 @@ type state = {
   output : Buffer.t;                       (** text written by print builtins *)
   mutable steps : int;                     (** executed instructions (global) *)
   mutable fuel : int;                      (** remaining instruction budget *)
-  mutable clock : int64;                   (** per-task virtual cycles (swappable) *)
+  mutable clock : int;                     (** per-task virtual cycles (swappable) *)
   hooks : hooks;
   builtins : (string, builtin) Hashtbl.t;
   mutable rng : int64;                     (** state of the default rand() *)
   user : (string, int64) Hashtbl.t;        (** scratch counters for tool runtimes *)
   layouts : (string, layout) Hashtbl.t;    (** function name -> its frame layout *)
+  mutable site_fn : string;                (** function of the pending allocation site *)
+  mutable site_id : int;                   (** its instruction id; [-1]: none pending *)
 }
 
 and builtin = state -> v list -> v
@@ -156,6 +177,7 @@ let allocate st size =
   ensure_capacity st st.brk;
   Hashtbl.replace st.allocs base { base; size; alive = true };
   (match st.hooks.on_alloc with Some h -> h ~base ~size | None -> ());
+  st.site_id <- -1;
   base
 
 let[@inline] load_word st addr =
@@ -288,7 +310,7 @@ let create (m : Irmod.t) : state =
       output = Buffer.create 256;
       steps = 0;
       fuel = 200_000_000;
-      clock = 0L;
+      clock = 0;
       hooks =
         {
           on_block = None;
@@ -303,6 +325,8 @@ let create (m : Irmod.t) : state =
       rng = 88172645463325252L;
       user = Hashtbl.create 8;
       layouts = Hashtbl.create 16;
+      site_fn = "";
+      site_id = -1;
     }
   in
   List.iter (fun (n, f) -> Hashtbl.replace st.builtins n f) (default_builtins ());
@@ -410,7 +434,12 @@ let compile (st : state) (f : Func.t) : layout =
       | Instr.Store (x, p) -> Store (opnd x, opnd p)
       | Instr.Gep (p, idx) -> Gep (opnd p, opnd idx)
       | Instr.Call (c, args) ->
-        let c = match c with Instr.Glob g -> Direct g | v -> Indirect (opnd v) in
+        let c =
+          match c with
+          | Instr.Glob "malloc" -> Malloc
+          | Instr.Glob g -> Direct g
+          | v -> Indirect (opnd v)
+        in
         Call (c, List.map opnd args, not (Ty.equal i.Instr.ty Ty.Void))
       | Instr.Select (c, a, b) -> Select (opnd c, opnd a, opnd b)
       | Instr.Br t -> Br (target t)
@@ -424,8 +453,8 @@ let compile (st : state) (f : Func.t) : layout =
   let block (bid, r) =
     match r with
     | Error e ->
-      { bid; fault = Some e; phis = [||]; phi_dst = [||]; phi_preds = [||];
-        phi_rows = [||]; no_row = [||]; body = [||] }
+      { bid; entries = 0; taken = 0; not_taken = 0; fault = Some e; phis = [||];
+        phi_dst = [||]; phi_preds = [||]; phi_rows = [||]; no_row = [||]; body = [||] }
     | Ok l ->
       let phis, rest =
         List.partition (fun i -> match i.Instr.op with Instr.Phi _ -> true | _ -> false) l
@@ -447,6 +476,9 @@ let compile (st : state) (f : Func.t) : layout =
       let phis = Array.of_list phis in
       {
         bid;
+        entries = 0;
+        taken = 0;
+        not_taken = 0;
         fault = None;
         phis;
         phi_dst = Array.map (fun (i : Instr.inst) -> Hashtbl.find slot_of i.Instr.id) phis;
@@ -461,7 +493,7 @@ let compile (st : state) (f : Func.t) : layout =
   let blocks =
     Array.of_list (compiled @ List.map (fun bid -> block (bid, insts_of bid)) missing)
   in
-  { func = f; ids = Array.of_list (List.rev !ids); blocks }
+  { func = f; ids = Array.of_list (List.rev !ids); blocks; executed = 0 }
 
 (** The layout of [f] in [st], compiled on its first call in this state.
     The cache is per state, never global: passes rewrite functions in place
@@ -564,7 +596,8 @@ let enter_phis (st : state) (fr : frame) (b : block_code) prev =
   done;
   for j = 0 to n - 1 do
     st.steps <- st.steps + 1;
-    st.clock <- Int64.add st.clock 1L;
+    fr.lay.executed <- fr.lay.executed + 1;
+    st.clock <- st.clock + 1;
     match st.hooks.on_inst with Some h -> h f b.phis.(j) | None -> ()
   done;
   for j = 0 to n - 1 do
@@ -601,6 +634,7 @@ and exec_func (st : state) (f : Func.t) (args : v array) : v =
   let prev = ref (-1) in
   while not !finished do
     let blk = lay.blocks.(!cur) in
+    blk.entries <- blk.entries + 1;
     (match st.hooks.on_block with Some h -> h f blk.bid | None -> ());
     (match blk.fault with Some e -> raise e | None -> ());
     if Array.length blk.phis > 0 then enter_phis st fr blk !prev;
@@ -611,15 +645,20 @@ and exec_func (st : state) (f : Func.t) (args : v array) : v =
       let s = body.(!k) in
       incr k;
       st.steps <- st.steps + 1;
-      st.clock <- Int64.add st.clock 1L;
+      st.clock <- st.clock + 1;
       st.fuel <- st.fuel - 1;
       if st.fuel <= 0 then ctx_trap f s.inst "out of fuel (infinite loop?)";
+      lay.executed <- lay.executed + 1;
       (match st.hooks.on_inst with Some h -> h f s.inst | None -> ());
       match s.code with
       | Call (callee, cargs, keep) ->
         let name =
           match callee with
           | Direct g -> g
+          | Malloc ->
+            st.site_fn <- f.Func.fname;
+            st.site_id <- s.inst.Instr.id;
+            "malloc"
           | Indirect v -> (
             let addr = as_ptr (read fr v) in
             match Hashtbl.find_opt st.addr_fun addr with
@@ -637,9 +676,14 @@ and exec_func (st : state) (f : Func.t) (args : v array) : v =
         k := n
       | Cbr (c, t, e) ->
         prev := blk.bid;
-        (cur :=
-           try if Int64.equal (as_int (read fr c)) 0L then e else t
-           with Trap msg -> ctx_trap f s.inst msg);
+        (match Int64.equal (as_int (read fr c)) 0L with
+        | true ->
+          blk.not_taken <- blk.not_taken + 1;
+          cur := e
+        | false ->
+          blk.taken <- blk.taken + 1;
+          cur := t
+        | exception Trap msg -> ctx_trap f s.inst msg);
         k := n
       | Ret vo ->
         (result :=
@@ -670,6 +714,8 @@ and exec_func (st : state) (f : Func.t) (args : v array) : v =
               | Instr.Ptrtoint -> VI (Int64.of_int (as_ptr v))
               | Instr.Inttoptr -> VP (Int64.to_int (as_int v)))
           | Alloca n ->
+            st.site_fn <- f.Func.fname;
+            st.site_id <- i.Instr.id;
             let base = allocate st (Int64.to_int (as_int (read fr n))) in
             fr.allocas <- base :: fr.allocas;
             fr.regs.(s.dst) <- VP base

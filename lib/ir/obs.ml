@@ -112,17 +112,67 @@ let escape_sites ?(entry = "main") (m : Irmod.t) : sites =
 (* Recorder                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(** Escaped objects keyed by base address: [(name, size in words)].  The
+(** Escaped objects in increasing base order: [(base, end, name)] in
+    three parallel arrays, of which the first [n] entries are live.  The
     interpreter allocates with a bump pointer, so each object starts at or
-    past the end of every object below it, and the greatest base at or
-    below an address is the only object that can cover it. *)
-module Objects = Map.Make (Int)
+    past the end of every object below it, the greatest base at or below
+    an address is the only object that can cover it, and a new heap object
+    normally lands at the end.  A base at or below the last one (a
+    Psim section retry rewinds the bump pointer) is inserted in order, or
+    replaces the object with that base. *)
+type objects = {
+  mutable n : int;
+  mutable bases : int array;
+  mutable ends : int array;
+  mutable names : string array;
+}
 
-(** The object covering [addr], as [(base, name)]: O(log n) per query. *)
-let covering objs addr =
-  match Objects.find_last_opt (fun base -> base <= addr) objs with
-  | Some (base, (name, size)) when addr < base + size -> Some (base, name)
-  | _ -> None
+let no_objects () = { n = 0; bases = [||]; ends = [||]; names = [||] }
+
+(* index of the greatest base <= addr, or -1 *)
+let floor_index o addr =
+  let lo = ref 0 and hi = ref (o.n - 1) in
+  while !lo <= !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if Array.unsafe_get o.bases mid <= addr then lo := mid + 1 else hi := mid - 1
+  done;
+  !hi
+
+let add_object o ~base ~size name =
+  let k = floor_index o base in
+  if k >= 0 && o.bases.(k) = base then begin
+    o.ends.(k) <- base + size;
+    o.names.(k) <- name
+  end
+  else begin
+    if o.n = Array.length o.bases then begin
+      let cap = max 16 (2 * o.n) in
+      let grow a fill = Array.append a (Array.make (cap - o.n) fill) in
+      o.bases <- grow o.bases 0;
+      o.ends <- grow o.ends 0;
+      o.names <- grow o.names ""
+    end;
+    let at = k + 1 in
+    let shift a = Array.blit a at a (at + 1) (o.n - at) in
+    shift o.bases;
+    shift o.ends;
+    shift o.names;
+    o.bases.(at) <- base;
+    o.ends.(at) <- base + size;
+    o.names.(at) <- name;
+    o.n <- o.n + 1
+  end
+
+(** The index of the object covering [addr], or [-1]: an address below
+    the lowest base or at or past the last object's end is rejected
+    without a search, any other costs one binary search.  Allocates
+    nothing. *)
+let covering o addr =
+  if o.n = 0 || addr < Array.unsafe_get o.bases 0 || addr >= Array.unsafe_get o.ends (o.n - 1)
+  then -1
+  else
+    let k = floor_index o addr in
+    if addr < Array.unsafe_get o.ends k then k else -1
 
 type recorder = {
   mutable rev : event list;   (** newest first *)
@@ -133,7 +183,7 @@ type recorder = {
   mutable section : int;
   seq_tasks : (int, unit) Hashtbl.t;
       (** tasks currently inside a Helix sequential segment *)
-  mutable escaped : (string * int) Objects.t;  (** base -> (name, size) *)
+  escaped : objects;
   mutable heap_ordinal : int;
   observable : (string, unit) Hashtbl.t;    (** builtins that count as I/O *)
 }
@@ -169,16 +219,19 @@ let render r (v : Interp.v) =
   | Interp.VI n -> Int64.to_string n
   | Interp.VF f -> Printf.sprintf "%.6g" f
   | Interp.VP 0 -> "null"
-  | Interp.VP p -> (
-    match covering r.escaped p with
-    | Some (base, name) ->
+  | Interp.VP p ->
+    let k = covering r.escaped p in
+    if k < 0 then "&_"
+    else
+      let base = r.escaped.bases.(k) and name = r.escaped.names.(k) in
       if p = base then "&" ^ name else Printf.sprintf "&%s+%d" name (p - base)
-    | None -> "&_")
 
-(** Hook a recorder into an interpreter state.  Existing hooks are
-    chained, not replaced.  [sites] are the escaping allocation sites of
-    the module being run ({!escape_sites}); globals are picked up from
-    the state directly. *)
+(** Hook a recorder into an interpreter state: it chains the existing
+    [on_alloc], [on_store] and [on_builtin] hooks and installs no
+    per-instruction hook.  [sites] are the escaping allocation sites of
+    the module being run ({!escape_sites}); an allocation is attributed to
+    the site the interpreter recorded for it ([site_fn]/[site_id]).
+    Globals are picked up from the state directly. *)
 let attach ?(observable = default_observable) ?sites (st : Interp.state) :
     recorder =
   let r =
@@ -190,7 +243,7 @@ let attach ?(observable = default_observable) ?sites (st : Interp.state) :
       task = -1;
       section = -1;
       seq_tasks = Hashtbl.create 4;
-      escaped = Objects.empty;
+      escaped = no_objects ();
       heap_ordinal = 0;
       observable = Hashtbl.create 4;
     }
@@ -204,44 +257,32 @@ let attach ?(observable = default_observable) ?sites (st : Interp.state) :
         | Some (a : Interp.alloc) -> a.Interp.size
         | None -> 1
       in
-      r.escaped <- Objects.add base ("@" ^ g, size) r.escaped)
+      add_object r.escaped ~base ~size ("@" ^ g))
     st.Interp.global_addr;
   let sites = match sites with Some s -> s | None -> (Hashtbl.create 1 : sites) in
   let h = st.Interp.hooks in
-  (* attribute each allocation to the instruction that made it, so
-     escaping heap objects get stable ordinal names *)
-  let last_site = ref None in
-  let prev_inst = h.Interp.on_inst in
-  h.Interp.on_inst <-
-    Some
-      (fun f i ->
-        (match prev_inst with Some g -> g f i | None -> ());
-        match i.Instr.op with
-        | Instr.Alloca _ | Instr.Call (Instr.Glob "malloc", _) ->
-          last_site := Some (f.Func.fname, i.Instr.id)
-        | _ -> ());
+  (* escaping heap objects get stable ordinal names *)
   let prev_alloc = h.Interp.on_alloc in
   h.Interp.on_alloc <-
     Some
       (fun ~base ~size ->
         (match prev_alloc with Some g -> g ~base ~size | None -> ());
-        (match !last_site with
-        | Some site when Hashtbl.mem sites site ->
+        if st.Interp.site_id >= 0 && Hashtbl.mem sites (st.Interp.site_fn, st.Interp.site_id)
+        then begin
           let name = Printf.sprintf "heap#%d" r.heap_ordinal in
           r.heap_ordinal <- r.heap_ordinal + 1;
-          r.escaped <- Objects.add base (name, size) r.escaped
-        | _ -> ());
-        last_site := None);
+          add_object r.escaped ~base ~size name
+        end);
   let prev_store = h.Interp.on_store in
   h.Interp.on_store <-
     Some
       (fun f i ~addr ~value ->
         (match prev_store with Some g -> g f i ~addr ~value | None -> ());
-        match covering r.escaped addr with
-        | Some (base, name) ->
+        let k = covering r.escaped addr in
+        if k >= 0 then
+          let base = r.escaped.bases.(k) in
           emit r
-            (Store { sobj = name; soff = addr - base; svalue = render r value })
-        | None -> ());
+            (Store { sobj = r.escaped.names.(k); soff = addr - base; svalue = render r value }));
   let prev_builtin = h.Interp.on_builtin in
   h.Interp.on_builtin <-
     Some
@@ -505,7 +546,7 @@ let run ?(entry = "main") ?(args = []) ?fuel ?(install = fun _ _ -> ())
       finish r (terminal_of_trap msg);
       Error msg
   in
-  { result; trace = events r; clock = st.Interp.clock }
+  { result; trace = events r; clock = Int64.of_int st.Interp.clock }
 
 let fuel_exhausted b =
   match b.result with Error msg -> has_sub msg "out of fuel" | Ok _ -> false

@@ -408,11 +408,21 @@ let parse_module ?(name = "module") (src : string) : Irmod.t =
         | s -> fail l (Printf.sprintf "unknown instruction %s" s))
     in
     let cur_block = ref (-1) in
-    let append_inst id op ty = Builder.append_with_id f !cur_block ~id op ty in
+    (* each block's ids, newest first, laid out once the body is read *)
+    let pending = Hashtbl.create 8 in
+    let append_inst id op ty =
+      Builder.define_with_id f !cur_block ~id op ty;
+      match Hashtbl.find_opt pending !cur_block with
+      | Some ids -> ids := id :: !ids
+      | None -> Hashtbl.add pending !cur_block (ref [ id ])
+    in
     let fin = ref false in
     while not !fin do
       match peek st with
-      | RBRACE -> ignore (next st); fin := true
+      | RBRACE ->
+        ignore (next st);
+        Hashtbl.iter (fun bid ids -> Builder.fill_block f bid (List.rev !ids)) pending;
+        fin := true
       | ID l when fst st.toks.(st.pos + 1) = COLON ->
         ignore (next st); ignore (next st);
         cur_block := bid_of_label l

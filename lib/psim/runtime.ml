@@ -15,22 +15,30 @@
     The result is a discrete-event simulation whose sequential semantics
     are exact (the tests compare program outputs against the unparallelized
     original) and whose timing reproduces the cost trade-offs each
-    technique makes, which is what Figure 5 measures. *)
+    technique makes, which is what Figure 5 measures.
+
+    Cycles are [int]s inside the runtime, as the interpreter's clock is;
+    the measurement entry points return them as [int64]. *)
 
 open Ir
 
 type _ Effect.t += Block : (unit -> bool) -> unit Effect.t
 
 (** Cost model (cycles). *)
-let spawn_cost = 400L
-let join_cost = 400L
+let spawn_cost = 400
+let join_cost = 400
 
 type task = {
   tid : int;
   fname : string;
   targs : Interp.v list;
-  mutable clock : int64;
+  mutable clock : int;
+  mutable ran : int;       (** steps executed in the current attempt *)
+  mutable dies_at : int;   (** step count at which a fault plan kills it *)
 }
+
+(* the scheduler's "no task running" context *)
+let no_task = { tid = -1; fname = ""; targs = []; clock = 0; ran = 0; dies_at = max_int }
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection                                                     *)
@@ -101,15 +109,15 @@ let render_event = function
 
 type t = {
   st : Interp.state;
-  mutable latency : int64;           (** core-to-core latency *)
+  mutable latency : int;             (** core-to-core latency *)
   mutable pending : task list;       (** submitted, not yet run *)
-  queues : (int, (int64 * Interp.v) Queue.t) Hashtbl.t;
-  sigs : (int, int64 ref * int64 ref) Hashtbl.t;  (** value, availability stamp *)
+  queues : (int, (int * Interp.v) Queue.t) Hashtbl.t;
+  sigs : (int, int64 ref * int ref) Hashtbl.t;  (** value, availability stamp *)
   mutable next_handle : int;
   mutable next_tid : int;
   (* statistics *)
   mutable sections : int;            (** parallel sections executed *)
-  mutable par_cycles : int64;        (** cycles spent inside parallel sections *)
+  mutable par_cycles : int;          (** cycles spent inside parallel sections *)
   mutable tasks_executed : int;
   (* resilience *)
   mutable fault : fault option;
@@ -147,11 +155,11 @@ type section_snap = {
   s_out_len : int;
   s_steps : int;
   s_fuel : int;
-  s_clock : int64;
+  s_clock : int;
   s_rng : int64;
   s_user : (string, int64) Hashtbl.t;
-  s_queues : (int, (int64 * Interp.v) Queue.t) Hashtbl.t;
-  s_sigs : (int, int64 * int64) Hashtbl.t;
+  s_queues : (int, (int * Interp.v) Queue.t) Hashtbl.t;
+  s_sigs : (int, int64 * int) Hashtbl.t;
   s_next_handle : int;
   s_next_tid : int;
   s_obs_len : int;  (** recorder length: retries roll events back too *)
@@ -211,9 +219,10 @@ let restore_section (r : t) (s : section_snap) =
   | Some rc -> Obs.truncate rc s.s_obs_len
   | None -> ()
 
-(** Run one parallel section to completion.  When [death] is given, a
-    per-task instruction counter drives injected failures: the doomed
-    fiber raises {!Task_failure} mid-flight. *)
+(** Run one parallel section to completion.  When [death] is given, each
+    task's death point is drawn once, and an [int] step counter per task
+    drives injected failures: the doomed fiber raises {!Task_failure}
+    mid-flight. *)
 let run_section (r : t) ?death ?(attempt = 1) (tasks : task list) =
   let caller_clock = r.st.Interp.clock in
   let sp =
@@ -224,17 +233,16 @@ let run_section (r : t) ?death ?(attempt = 1) (tasks : task list) =
   in
   (* per-task wall start and starting virtual clock, for Chrome complete
      events; fibers interleave so the span stack cannot express them *)
-  let task_start : (int, float * int64) Hashtbl.t = Hashtbl.create 8 in
+  let task_start : (int, float * int) Hashtbl.t = Hashtbl.create 8 in
   (* seed task clocks: the pool pays a spawn cost per task *)
-  List.iteri
-    (fun i t -> t.clock <- Int64.add caller_clock (Int64.mul spawn_cost (Int64.of_int (i + 1))))
-    tasks;
-  let current = ref (-1) in
+  List.iteri (fun i t -> t.clock <- caller_clock + (spawn_cost * (i + 1))) tasks;
+  let current = ref no_task in
   (* tag observable events with the running task and this section's
      ordinal (stable across retries: completed sections only) *)
   let sec = r.sections in
-  let set_ctx tid =
-    current := tid;
+  let set_ctx (t : task) =
+    current := t;
+    let tid = t.tid in
     match r.recorder with
     | Some rc ->
       rc.Obs.task <- tid;
@@ -246,18 +254,20 @@ let run_section (r : t) ?death ?(attempt = 1) (tasks : task list) =
   (match death with
   | None -> ()
   | Some death ->
-    let counters = Hashtbl.create 8 in
+    List.iter
+      (fun t ->
+        t.ran <- 0;
+        t.dies_at <-
+          (match death ~tid:t.tid with Some n -> Int64.to_int n | None -> max_int))
+      tasks;
     r.st.Interp.hooks.Interp.on_inst <-
       Some
         (fun f i ->
           (match old_inst with Some h -> h f i | None -> ());
-          if !current >= 0 then begin
-            let tid = !current in
-            let c = Int64.add 1L (Option.value ~default:0L (Hashtbl.find_opt counters tid)) in
-            Hashtbl.replace counters tid c;
-            match death ~tid with
-            | Some n when c >= n -> raise (Task_failure tid)
-            | _ -> ()
+          let t = !current in
+          if t.tid >= 0 then begin
+            t.ran <- t.ran + 1;
+            if t.ran >= t.dies_at then raise (Task_failure t.tid)
           end));
   let start (t : task) : status =
     Effect.Deep.match_with
@@ -296,18 +306,18 @@ let run_section (r : t) ?death ?(attempt = 1) (tasks : task list) =
             if Trace.enabled () then
               Hashtbl.replace task_start t.tid (Trace.now_us (), t.clock);
             r.st.Interp.clock <- t.clock;
-            set_ctx t.tid;
+            set_ctx t;
             let st' = start t in
-            set_ctx (-1);
+            set_ctx no_task;
             t.clock <- r.st.Interp.clock;
             s := Some st';
             progressed := true
           | Some (Blocked (cond, k)) ->
             if cond () then begin
               r.st.Interp.clock <- t.clock;
-              set_ctx t.tid;
+              set_ctx t;
               let st' = Effect.Deep.continue k () in
-              set_ctx (-1);
+              set_ctx no_task;
               t.clock <- r.st.Interp.clock;
               s := Some st';
               progressed := true
@@ -318,12 +328,10 @@ let run_section (r : t) ?death ?(attempt = 1) (tasks : task list) =
           (List.length (List.filter (fun (_, s) -> !s <> Some Done) states))
     done;
     restore_hook ();
-    let finish =
-      List.fold_left (fun acc (t : task) -> Int64.max acc t.clock) caller_clock tasks
-    in
-    r.st.Interp.clock <- Int64.add finish join_cost;
+    let finish = List.fold_left (fun acc (t : task) -> max acc t.clock) caller_clock tasks in
+    r.st.Interp.clock <- finish + join_cost;
     r.sections <- r.sections + 1;
-    r.par_cycles <- Int64.add r.par_cycles (Int64.sub r.st.Interp.clock caller_clock);
+    r.par_cycles <- r.par_cycles + (r.st.Interp.clock - caller_clock);
     r.tasks_executed <- r.tasks_executed + List.length tasks;
     (* task_start is only populated under tracing, so this is free when off *)
     List.iter
@@ -331,13 +339,13 @@ let run_section (r : t) ?death ?(attempt = 1) (tasks : task list) =
         match Hashtbl.find_opt task_start t.tid with
         | None -> ()
         | Some (start_us, clock0) ->
-          let cycles = Int64.sub t.clock clock0 in
-          Trace.add "psim.task.cycles" (Int64.to_int cycles);
+          let cycles = t.clock - clock0 in
+          Trace.add "psim.task.cycles" cycles;
           Trace.complete ~cat:"psim" ~tid:(1 + t.tid) ~start_us
             ~args:
               [ ("fname", t.fname);
                 ("attempt", string_of_int attempt);
-                ("cycles", Int64.to_string cycles);
+                ("cycles", string_of_int cycles);
               ]
             ("task:" ^ t.fname))
       tasks;
@@ -346,14 +354,14 @@ let run_section (r : t) ?death ?(attempt = 1) (tasks : task list) =
     Trace.end_span
       ~args:
         [ ("outcome", "ok");
-          ("section_cycles", Int64.to_string (Int64.sub r.st.Interp.clock caller_clock));
+          ("section_cycles", string_of_int (r.st.Interp.clock - caller_clock));
         ]
       sp
   with Task_failure tid ->
     Trace.incr_m "psim.task.deaths";
     Trace.end_span ~args:[ ("outcome", "died"); ("task", string_of_int tid) ] sp;
     restore_hook ();
-    set_ctx (-1);
+    set_ctx no_task;
     (* unwind every still-suspended fiber so its frames are discarded *)
     List.iter
       (fun (_, s) ->
@@ -381,7 +389,7 @@ let run_tasks (r : t) (tasks : task list) =
           tasks
       | exception Task_failure tid ->
         r.task_log <-
-          Task_died { tid; attempt; cycle = r.st.Interp.clock } :: r.task_log;
+          Task_died { tid; attempt; cycle = Int64.of_int r.st.Interp.clock } :: r.task_log;
         restore_section r snap;
         if attempt >= 1 + fault.max_restarts then
           raise
@@ -403,8 +411,8 @@ let run_tasks (r : t) (tasks : task list) =
 let install ?(arch : Noelle.Arch.t option) (st : Interp.state) : t =
   let latency =
     match arch with
-    | Some a -> Int64.of_int (max 1 (Noelle.Arch.max_latency a))
-    | None -> 60L
+    | Some a -> max 1 (Noelle.Arch.max_latency a)
+    | None -> 60
   in
   let r =
     {
@@ -416,7 +424,7 @@ let install ?(arch : Noelle.Arch.t option) (st : Interp.state) : t =
       next_handle = 1;
       next_tid = 0;
       sections = 0;
-      par_cycles = 0L;
+      par_cycles = 0;
       tasks_executed = 0;
       fault = None;
       restarts = 0;
@@ -437,7 +445,8 @@ let install ?(arch : Noelle.Arch.t option) (st : Interp.state) : t =
           | _ -> Interp.trap "task_submit: expected function pointer"
         in
         let t =
-          { tid = r.next_tid; fname; targs = [ core; ncores; env ]; clock = 0L }
+          { tid = r.next_tid; fname; targs = [ core; ncores; env ]; clock = 0; ran = 0;
+            dies_at = max_int }
         in
         r.next_tid <- r.next_tid + 1;
         r.pending <- r.pending @ [ t ];
@@ -463,7 +472,7 @@ let install ?(arch : Noelle.Arch.t option) (st : Interp.state) : t =
   let push st args =
     match args with
     | [ q; v ] ->
-      Queue.add (Int64.add st.Interp.clock r.latency, v) (q_of q);
+      Queue.add (st.Interp.clock + r.latency, v) (q_of q);
       Interp.VI 0L
     | _ -> Interp.trap "q_push: expected 2 arguments"
   in
@@ -475,7 +484,7 @@ let install ?(arch : Noelle.Arch.t option) (st : Interp.state) : t =
         Effect.perform (Block (fun () -> not (Queue.is_empty q)))
       done;
       let stamp, v = Queue.pop q in
-      st.Interp.clock <- Int64.max st.Interp.clock stamp;
+      st.Interp.clock <- max st.Interp.clock stamp;
       v
     | _ -> Interp.trap "q_pop: expected 1 argument"
   in
@@ -486,7 +495,7 @@ let install ?(arch : Noelle.Arch.t option) (st : Interp.state) : t =
   reg "sig_new" (fun _ _ ->
       let h = r.next_handle in
       r.next_handle <- h + 1;
-      Hashtbl.replace r.sigs h (ref 0L, ref 0L);
+      Hashtbl.replace r.sigs h (ref 0L, ref 0);
       Interp.VI (Int64.of_int h));
   let sig_of v =
     let h = Int64.to_int (Interp.as_int v) in
@@ -502,7 +511,7 @@ let install ?(arch : Noelle.Arch.t option) (st : Interp.state) : t =
         while !value < k do
           Effect.perform (Block (fun () -> !value >= k))
         done;
-        st.Interp.clock <- Int64.max st.Interp.clock !stamp;
+        st.Interp.clock <- max st.Interp.clock !stamp;
         (* Helix brackets a sequential segment with sig_wait ... sig_set:
            events until the matching sig_set carry the seq tag *)
         (match r.recorder with
@@ -518,7 +527,7 @@ let install ?(arch : Noelle.Arch.t option) (st : Interp.state) : t =
         let k = Interp.as_int kv in
         if k > !value then begin
           value := k;
-          stamp := Int64.add st.Interp.clock r.latency
+          stamp := st.Interp.clock + r.latency
         end;
         (match r.recorder with
         | Some rc when rc.Obs.task >= 0 ->
@@ -539,7 +548,7 @@ let run ?(entry = "main") ?(args = []) ?fuel ?arch (m : Irmod.t) =
   (match fuel with Some f -> st.Interp.fuel <- f | None -> ());
   let r = install ?arch st in
   let v = Interp.call st entry (List.map (fun n -> Interp.VI (Int64.of_int n)) args) in
-  (v, Buffer.contents st.Interp.output, st.Interp.clock, r)
+  (v, Buffer.contents st.Interp.output, Int64.of_int st.Interp.clock, r)
 
 (** Run [m]'s entry under the parallel runtime through {!Obs.run}: the
     recorder tags every event with its task and parallel section, and the
@@ -553,7 +562,7 @@ let run_sequential ?(entry = "main") ?(args = []) ?fuel (m : Irmod.t) =
   let st = Interp.create m in
   (match fuel with Some f -> st.Interp.fuel <- f | None -> ());
   let v = Interp.call st entry (List.map (fun n -> Interp.VI (Int64.of_int n)) args) in
-  (v, Buffer.contents st.Interp.output, st.Interp.clock)
+  (v, Buffer.contents st.Interp.output, Int64.of_int st.Interp.clock)
 
 (* ------------------------------------------------------------------ *)
 (* Degraded-mode execution                                             *)
@@ -589,7 +598,7 @@ let run_resilient ?(entry = "main") ?(args = []) ?fuel ?arch ?fault ~(original :
     {
       rvalue = v;
       routput = Buffer.contents st.Interp.output;
-      rcycles = st.Interp.clock;
+      rcycles = Int64.of_int st.Interp.clock;
       rmode = `Parallel;
       rtask_log = dispositions r;
       rrestarts = r.restarts;

@@ -11,9 +11,9 @@
 
 open Ir
 
-let rand_cost = 40L
-let xorshift_cost = 8L
-let lcg_cost = 2L
+let rand_cost = 40
+let xorshift_cost = 8
+let lcg_cost = 2
 
 type stats = {
   mutable guards_executed : int64;
@@ -63,14 +63,14 @@ let install (st : Interp.state) : stats =
   (match base_rand with
   | Some f ->
     Interp.register_builtin st "rand" (fun st args ->
-        st.Interp.clock <- Int64.add st.Interp.clock rand_cost;
+        st.Interp.clock <- st.Interp.clock + rand_cost;
         f st args)
   | None -> ());
   let xs = ref 2463534242L in
   Interp.register_builtin st "prv_xorshift" (fun st args ->
       match args with
       | [] ->
-        st.Interp.clock <- Int64.add st.Interp.clock xorshift_cost;
+        st.Interp.clock <- st.Interp.clock + xorshift_cost;
         let x = !xs in
         let x = Int64.logxor x (Int64.shift_left x 13) in
         let x = Int64.logxor x (Int64.shift_right_logical x 7) in
@@ -82,7 +82,7 @@ let install (st : Interp.state) : stats =
   Interp.register_builtin st "prv_lcg" (fun st args ->
       match args with
       | [] ->
-        st.Interp.clock <- Int64.add st.Interp.clock lcg_cost;
+        st.Interp.clock <- st.Interp.clock + lcg_cost;
         lc := Int64.add (Int64.mul !lc 1103515245L) 12345L;
         Interp.VI (Int64.logand (Int64.shift_right_logical !lc 16) 0x7fffffffL)
       | _ -> Interp.trap "prv_lcg: expected no arguments");

@@ -60,4 +60,4 @@ let run_toolrt ?fuel (m : Ir.Irmod.t) =
   Option.iter (fun f -> st.Ir.Interp.fuel <- f) fuel;
   let s = Ntools.Toolrt.install st in
   let v = Ir.Interp.call st "main" [] in
-  (v, Buffer.contents st.Ir.Interp.output, st.Ir.Interp.clock, s)
+  (v, Buffer.contents st.Ir.Interp.output, Int64.of_int st.Ir.Interp.clock, s)

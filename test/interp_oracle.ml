@@ -7,7 +7,8 @@
     (builtins, hooks, memory), so a test can run the same module through
     both loops and compare everything observable.  {!attach_profile}
     installs the profiler's former hook set (string-keyed [Int64] tables
-    bumped on every event). *)
+    bumped on every event), and {!attach_sites} the recorder's former
+    allocation-site tracking. *)
 
 open Ir
 open Interp
@@ -89,7 +90,7 @@ and exec_func (st : state) (f : Func.t) (args : v array) : v =
     List.iter
       (fun (i : Instr.inst) ->
         st.steps <- st.steps + 1;
-        st.clock <- Int64.add st.clock 1L;
+        st.clock <- st.clock + 1;
         match st.hooks.on_inst with Some h -> h f i | None -> ())
       phis;
     List.iter (fun (id, v) -> Hashtbl.replace regs id v) phi_vals;
@@ -98,7 +99,7 @@ and exec_func (st : state) (f : Func.t) (args : v array) : v =
       (fun (i : Instr.inst) ->
         if not !terminated then begin
           st.steps <- st.steps + 1;
-          st.clock <- Int64.add st.clock 1L;
+          st.clock <- st.clock + 1;
           st.fuel <- st.fuel - 1;
           if st.fuel <= 0 then ctx_trap i "out of fuel (infinite loop?)";
           (match st.hooks.on_inst with Some h -> h f i | None -> ());
@@ -217,3 +218,19 @@ let attach_profile (st : Interp.state) : Noelle.Profiler.t =
         Noelle.Profiler.bump p.fn_calls callee 1L;
         Noelle.Profiler.bump p.call_pair (caller, callee) 1L);
   p
+
+(** The {!Ir.Obs} recorder's former allocation-site tracking, chained
+    after [st]'s [on_inst] hook: every [alloca] and direct [malloc] call
+    records its site in the state before it executes, which the compiled
+    step loop now does itself and this loop does not. *)
+let attach_sites (st : Interp.state) =
+  let prev = st.hooks.on_inst in
+  st.hooks.on_inst <-
+    Some
+      (fun f i ->
+        (match prev with Some g -> g f i | None -> ());
+        match i.Instr.op with
+        | Instr.Alloca _ | Instr.Call (Instr.Glob "malloc", _) ->
+          st.site_fn <- f.Func.fname;
+          st.site_id <- i.Instr.id
+        | _ -> ())

@@ -2,10 +2,12 @@
 
     {!Interp_oracle} is the per-step loop the layouts replaced.  Each input
     runs through both on a fresh state with the {!Ir.Obs} recorder and the
-    profiler attached (the fast loop with {!Noelle.Profiler.attach}, the
-    oracle with the profiler's former hooks), and everything observable
-    must agree: exit value or exact trap text, output, steps, virtual
-    clock, remaining fuel, the event trace and the profile tables. *)
+    profiler attached (the fast loop with {!Noelle.Profiler.attach} and the
+    allocation sites its steps record, the oracle with the profiler's
+    former hooks and the recorder's former site hook), and everything
+    observable must agree: exit value or exact trap text, output, steps,
+    virtual clock, remaining fuel, the event trace and the profile
+    tables. *)
 
 open Helpers
 open Ir
@@ -41,12 +43,17 @@ let observe (call, attach_profile) ~fuel m =
     | exception e -> "raised " ^ Printexc.to_string e
   in
   [ outcome;
-    Printf.sprintf "steps=%d clock=%Ld fuel=%d" st.Interp.steps st.Interp.clock st.Interp.fuel;
+    Printf.sprintf "steps=%d clock=%d fuel=%d" st.Interp.steps st.Interp.clock st.Interp.fuel;
     "output:"; Buffer.contents st.Interp.output; "trace:" ]
   @ List.map Obs.event_display (Obs.events rc)
   @ ("profile:" :: profile_lines (profile ()))
 
-let oracle = (Interp_oracle.call, fun st -> let p = Interp_oracle.attach_profile st in fun () -> p)
+let oracle =
+  ( Interp_oracle.call,
+    fun st ->
+      let p = Interp_oracle.attach_profile st in
+      Interp_oracle.attach_sites st;
+      fun () -> p )
 let fast = (Interp.call, Noelle.Profiler.attach)
 
 (* [fresh ()] gives each run its own copy of the module *)
@@ -147,6 +154,37 @@ let test_trap_paths () =
          | Instr.Phi incs -> Some (Instr.Phi (List.map (fun (p, v) -> (p + 1000, v)) incs))
          | _ -> None))
 
+(* an escaping malloc reached through a helper, after a non-escaping
+   alloca, a non-escaping malloc and a builtin call: every allocation
+   before it must leave no site behind, so the escaping objects are
+   heap#0 and heap#1 in both loops *)
+let test_helper_malloc_site () =
+  let src =
+    {|
+int *g;
+int *h;
+int *mk(int n) { int *p = malloc(n); return p; }
+int main() {
+  int local[4];
+  int *tmp = malloc(3);
+  for (int i = 0; i < 4; i++) { local[i] = i; tmp[i % 3] = i; }
+  print(local[3] + tmp[0]);
+  g = mk(4);
+  h = mk(2);
+  for (int i = 0; i < 4; i++) { g[i] = local[i] * 2; }
+  h[1] = 7;
+  print(g[3]);
+  return 0;
+}
+|}
+  in
+  let observed = observe fast ~fuel:100_000 (compile src) in
+  List.iter
+    (fun event -> checkb (event ^ " in the trace") (List.mem event observed))
+    [ "store @g[0] = &heap#0"; "store heap#0[3] = 6"; "store @h[0] = &heap#1";
+      "store heap#1[1] = 7" ];
+  same "helper malloc" ~fuel:100_000 (fun () -> compile src)
+
 let test_fuel_exhaustion () =
   let k = List.hd Bsuite.Kernels.all in
   let m () = Bsuite.Kernels.compile k in
@@ -160,4 +198,5 @@ let suite =
     tc "oracle: fault plants" test_fault_plants;
     tc "oracle: trap paths" test_trap_paths;
     tc "oracle: fuel exhaustion" test_fuel_exhaustion;
+    tc "oracle: malloc through a helper" test_helper_malloc_site;
   ]

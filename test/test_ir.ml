@@ -162,6 +162,22 @@ let test_roundtrip_preserves_semantics () =
       checks (k.Bsuite.Kernels.kname ^ " reparse runs identically") expected
         (output ~fuel:k.Bsuite.Kernels.fuel m2))
 
+(* one block of 20k instructions: the parser lays a block out once, so
+   this costs linear time (the test asserts no timing) *)
+let test_roundtrip_long_block () =
+  let n = 20_000 in
+  let b = Buffer.create (n * 24) in
+  Buffer.add_string b "module \"long\"\ndefine i64 @main() {\nentry:\n  %0 = add 1, 2\n";
+  for i = 1 to n - 2 do
+    Buffer.add_string b (Printf.sprintf "  %%%d = add %%%d, %d\n" i (i - 1) (i mod 7))
+  done;
+  Buffer.add_string b (Printf.sprintf "  %%%d = ret %%%d\n}\n" (n - 1) (n - 2));
+  let src = Buffer.contents b in
+  let m = Parser.parse_module src in
+  Verify.verify_module m;
+  checki "instructions" n (Irmod.total_insts m);
+  checks "the printer round-trips it" src (Printer.module_str m)
+
 let test_metadata_roundtrip () =
   let m = compile "int main() { print(1); return 0; }" in
   Meta.set m.Irmod.meta "key.with \"quotes\"" "value\nwith\nnewlines";
@@ -453,17 +469,23 @@ int main() { print(fib(10)); return 0; }
 |})
 
 (* a builtin swaps [on_inst] in the middle of main's frame: the new hook
-   must fire at every later step of that frame, and none after restore *)
+   must fire at every later step of that frame, and none after restore.
+   The run is an observed one ({!Obs.run}): the recorder installs no
+   per-instruction hook, so the swap cannot disturb it, and the object
+   malloc'd after the restore is still named *)
 let test_interp_hook_swap_mid_frame () =
   let m =
     compile
       {|
+int *g;
 int main() {
   int s = 0;
   for (int i = 0; i < 5; i++) { s += i; }
   srand(1);
   for (int i = 0; i < 7; i++) { s += i * 2; }
   srand(0);
+  g = malloc(2);
+  g[1] = s;
   for (int i = 0; i < 3; i++) { s += i; }
   print(s);
   return 0;
@@ -475,8 +497,9 @@ int main() {
     incr fired;
     if not (List.mem f.Func.fname !fns) then fns := f.Func.fname :: !fns
   in
-  let _, st =
-    Interp.run_state m ~configure:(fun st ->
+  let steps = ref 0 in
+  let b =
+    Obs.run m ~install:(fun st _ ->
         Interp.register_builtin st "srand" (fun st args ->
             (match args with
             | [ Interp.VI 1L ] ->
@@ -485,14 +508,23 @@ int main() {
             | _ ->
               off_at := st.Interp.steps;
               st.Interp.hooks.Interp.on_inst <- None);
-            Interp.VI 0L))
+            steps := st.Interp.steps;
+            Interp.VI 0L);
+        let print = Hashtbl.find st.Interp.builtins "print" in
+        Interp.register_builtin st "print" (fun st args ->
+            steps := st.Interp.steps;
+            print st args))
   in
-  checks "output" "55" (String.trim (Buffer.contents st.Interp.output));
+  checkb "output" (b.Obs.result = Ok "exit=0\n55\n");
   checkb "hook was on" (!on_at > 0 && !off_at > !on_at);
   (* every step from the one after srand(1) through the srand(0) call *)
   checki "fired for the rest of the frame" (!off_at - !on_at) !fired;
-  checkb "steps ran after restore" (st.Interp.steps > !off_at);
-  Alcotest.(check (list string)) "only main's steps" [ "main" ] !fns
+  checkb "steps ran after restore" (!steps > !off_at);
+  Alcotest.(check (list string)) "only main's steps" [ "main" ] !fns;
+  Alcotest.(check (list string))
+    "the recorder named the object"
+    [ "store @g[0] = &heap#0"; "store heap#0[1] = 52"; "call print(55)"; "exit 0" ]
+    (List.map Obs.event_display b.Obs.trace)
 
 (* layouts are compiled per state: a body edited between two runs, in place
    or by a snapshot restore, must run as edited *)
@@ -765,6 +797,7 @@ let suite =
     tc "dead phi cycles" test_dce_phis;
     tc "round-trip all kernels" test_roundtrip_kernels;
     tc "reparse preserves semantics" test_roundtrip_preserves_semantics;
+    tc "round-trip a 20k-instruction block" test_roundtrip_long_block;
     tc "metadata round-trip" test_metadata_roundtrip;
     tc "parser errors" test_parser_errors;
     tc "float literals" test_float_literals;

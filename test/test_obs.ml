@@ -364,12 +364,16 @@ let linear_covering tbl addr =
 
 let check_lookup label objs =
   let tbl = Hashtbl.create 16 in
-  let map =
-    List.fold_left
-      (fun map (base, name, size) ->
-        Hashtbl.replace tbl base (name, size);
-        Obs.Objects.add base (name, size) map)
-      Obs.Objects.empty objs
+  let o = Obs.no_objects () in
+  List.iter
+    (fun (base, name, size) ->
+      Hashtbl.replace tbl base (name, size);
+      Obs.add_object o ~base ~size name)
+    objs;
+  let covering addr =
+    match Obs.covering o addr with
+    | -1 -> None
+    | k -> Some (o.Obs.bases.(k), o.Obs.names.(k))
   in
   let top = List.fold_left (fun t (b, _, s) -> max t (b + s)) 0 objs in
   let probes =
@@ -378,7 +382,7 @@ let check_lookup label objs =
   in
   List.iter
     (fun addr ->
-      if Obs.covering map addr <> linear_covering tbl addr then
+      if covering addr <> linear_covering tbl addr then
         Alcotest.failf "%s: lookups disagree at address %d" label addr)
     probes
 
