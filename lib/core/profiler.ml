@@ -5,8 +5,8 @@
     profiler, embeds their results into the IR file as metadata, and
     offers high-level queries (hotness of a code region, loop iteration
     counts, function invocation counts).  Here the profilers read the
-    counters the IR interpreter keeps in its frame layouts, plus a call
-    hook; the queries read the embedded metadata, so they work on a
+    counters the IR interpreter keeps in its frame layouts; the queries
+    read the embedded metadata, so they work on a
     freshly parsed module exactly as in the paper's pipeline. *)
 
 open Ir
@@ -35,58 +35,54 @@ let fresh () =
 let bump tbl key by =
   Hashtbl.replace tbl key (Int64.add by (try Hashtbl.find tbl key with Not_found -> 0L))
 
-(** Install the instruction/branch/loop profilers on [st]: the
-    interpreter already counts steps per function, block entries and
-    conditional-branch outcomes in its frame layouts, so only the call
-    hook is set (replacing any other).  The returned function folds those
-    counters, from the state's creation on, into a profile once the run
-    is over. *)
-let attach (st : Interp.state) : unit -> t =
-  let calls : (string * string, int ref) Hashtbl.t = Hashtbl.create 16 in
-  st.Interp.hooks.Interp.on_call <-
-    Some
-      (fun ~caller ~callee ->
-        match Hashtbl.find_opt calls (caller, callee) with
-        | Some r -> incr r
-        | None -> Hashtbl.add calls (caller, callee) (ref 1));
-  fun () ->
-    let p = fresh () in
-    Hashtbl.iter
-      (fun _ (lay : Interp.layout) ->
-        let f = lay.Interp.func in
-        let fname = f.Func.fname in
-        let count tbl key bid n =
-          match Func.block_opt f bid with
-          | Some b when n > 0 -> bump tbl (key b.Func.label) (Int64.of_int n)
-          | _ -> ()
-        in
-        let n = lay.Interp.executed in
-        p.total_insts <- Int64.add p.total_insts (Int64.of_int n);
-        if n > 0 then bump p.fn_insts fname (Int64.of_int n);
-        Array.iter
-          (fun (b : Interp.block_code) ->
-            count p.block_counts (fun l -> (fname, l)) b.Interp.bid b.Interp.entries;
-            let body = b.Interp.body in
-            if Array.length body > 0 then
-              let last = body.(Array.length body - 1) in
-              match last.Interp.code with
+(** The instruction/branch/loop/call profilers of [st]: the interpreter
+    already counts steps per function, block entries, conditional-branch
+    outcomes and calls per call step in its frame layouts, so no hook is
+    set.  [attach st] is the function that folds those counters, from
+    the state's creation on, into a profile once the run is over. *)
+let attach (st : Interp.state) () : t =
+  let p = fresh () in
+  Hashtbl.iter
+    (fun _ (lay : Interp.layout) ->
+      let f = lay.Interp.func in
+      let fname = f.Func.fname in
+      let count tbl key bid n =
+        match Func.block_opt f bid with
+        | Some b when n > 0 -> bump tbl (key b.Func.label) (Int64.of_int n)
+        | _ -> ()
+      in
+      let calls callee n =
+        if n > 0 then begin
+          bump p.fn_calls callee (Int64.of_int n);
+          bump p.call_pair (fname, callee) (Int64.of_int n)
+        end
+      in
+      let n = lay.Interp.executed in
+      p.total_insts <- Int64.add p.total_insts (Int64.of_int n);
+      if n > 0 then bump p.fn_insts fname (Int64.of_int n);
+      Array.iter
+        (fun (b : Interp.block_code) ->
+          count p.block_counts (fun l -> (fname, l)) b.Interp.bid b.Interp.entries;
+          Array.iter
+            (fun (s : Interp.step) ->
+              match s.Interp.code with
+              | Interp.Call { callee = Interp.Direct g; calls = n; _ } -> calls g n
+              | Interp.Call { callee = Interp.Malloc; calls = n; _ } -> calls "malloc" n
+              | Interp.Call { callee = Interp.Indirect (_, targets); _ } ->
+                Hashtbl.iter (fun g n -> calls g !n) targets
               | Interp.Cbr (_, t, e) ->
                 let edge target n =
                   count p.edge_counts
-                    (fun l -> (fname, last.Interp.inst.Instr.id, l))
+                    (fun l -> (fname, s.Interp.inst.Instr.id, l))
                     lay.Interp.blocks.(target).Interp.bid n
                 in
                 edge t b.Interp.taken;
                 edge e b.Interp.not_taken
               | _ -> ())
-          lay.Interp.blocks)
-      st.Interp.layouts;
-    Hashtbl.iter
-      (fun (caller, callee) n ->
-        bump p.fn_calls callee (Int64.of_int !n);
-        bump p.call_pair (caller, callee) (Int64.of_int !n))
-      calls;
-    p
+            b.Interp.body)
+        lay.Interp.blocks)
+    st.Interp.layouts;
+  p
 
 (** Run the program under the profilers.  Returns the profile and the
     program output. *)

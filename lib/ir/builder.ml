@@ -44,20 +44,21 @@ let mk_inst (f : Func.t) op ty =
   Hashtbl.replace f.body id i;
   i
 
-(** The parser's form of {!add}, in two halves so that a block's list is
-    built once: [define_with_id] registers an instruction of block [bid]
-    whose [id] the caller chose (unused, and below the counter that
-    {!reserve_ids} set) without laying it out, and {!fill_block} then
-    lays out the block's instructions in order. *)
+(** The parser's and the Mini-C lowering's form of {!add}, in two halves
+    so that a block's list is built once: [define_with_id] registers an
+    instruction of block [bid] whose [id] the caller chose (unused, and
+    below the counter: set by {!reserve_ids}, or drawn with
+    [Func.fresh_id]) without laying it out, and {!fill_block} then lays
+    out the block's instructions in order. *)
 let define_with_id (f : Func.t) bid ~id op ty =
   ignore (Func.block f bid);
   Hashtbl.replace f.body id { id; op; ty; parent = bid }
 
-(** Lay out block [bid], which must be empty, as [ids]. *)
+(** Lay out [ids] at the end of block [bid]: in one step when the block
+    is empty, by a copy of its list otherwise. *)
 let fill_block (f : Func.t) bid ids =
   let b = Func.block f bid in
-  assert (b.insts = []);
-  b.insts <- ids
+  b.insts <- (match b.insts with [] -> ids | l -> l @ ids)
 
 (** Make every id below [n] unavailable to {!Func.fresh_id}. *)
 let reserve_ids (f : Func.t) n = f.next_id <- max f.next_id n

@@ -17,27 +17,38 @@
     one dense slot per SSA id, operands pre-resolved to a constant, slot,
     argument or global/function address, blocks in an array with
     successors as indices, one phi move row per predecessor, and block
-    bodies cut at the first terminator.  A call allocates a slot array
-    filled with an "undefined" sentinel and runs the single step loop in
-    {!exec_func}.  Each step counts [steps] and [clock], spends one unit
+    bodies cut at the first terminator.  A call takes a frame of
+    {!words} whose registers are all undefined (a copy of the layout's
+    template, or a frame a returned call left in the layout's pool) and
+    runs the single step loop in {!exec_func}.  Each step counts [steps] and [clock], spends one unit
     of [fuel] (phis count steps and clock but not fuel), counts itself in
     the layout's [executed], calls the [on_inst] hook if one is installed,
     then executes; a trap from a non-call instruction is re-raised with
     the function, block and instruction attached.  Entering a block bumps
-    its [entries] counter, and a conditional branch its [taken] or
-    [not_taken] counter: the profiler ({!Noelle.Profiler}) reads these
-    after the run instead of hooking every step.  The loop re-reads
-    [st.hooks] at every step, because a builtin may swap a hook in the
-    middle of a frame (the parallel runtime does).  Layouts are never
-    shared across states: passes rewrite functions in place between runs,
-    and each run starts from a fresh state.
+    its [entries] counter, a conditional branch its [taken] or
+    [not_taken] counter, and a call step its own call count: the profiler
+    ({!Noelle.Profiler}) reads these after the run instead of hooking
+    every step.  The loop re-reads [st.hooks] at every step, because a
+    builtin may swap a hook in the middle of a frame (the parallel runtime
+    does).  Layouts are never shared across states: passes rewrite
+    functions in place between runs, and each run starts from a fresh
+    state.
 
-    A step allocates nothing unless its instruction produces a value:
-    [clock] is an [int] (the parallel runtime and the tool runtimes
-    convert at their edges), and an [alloca] or a direct call to [malloc]
-    records its allocation site in [site_fn]/[site_id] for {!allocate},
-    which clears it once the [on_alloc] hook has seen it.  The recorder
-    ({!Obs}) names escaping heap objects from that site. *)
+    Values are unboxed inside the loop.  Frames and memory are {!words}:
+    a tag byte per word (0 undefined, 1 int, 2 float, 3 pointer), the
+    int64 bits of ints and pointers in a [Bytes], and floats in a
+    [Float.Array].  Typed readers ({!rd_int}, {!rd_flt}, {!rd_ptr}) read
+    an operand straight into an unboxed number and raise the conversion
+    traps of {!as_int}/{!as_float}/{!as_ptr}; [load], [store], [select]
+    and phis copy a word (tag and bits) without looking at it.  The boxed
+    {!v} is the type at the boundary only: {!call} arguments and results,
+    builtins, hooks, {!load_word}/{!store_word}.  So a step allocates
+    nothing unless it calls: [clock] is an [int] (the parallel runtime
+    and the tool runtimes convert at their edges), and an [alloca] or a
+    direct call to [malloc] records its allocation site in
+    [site_fn]/[site_id] for {!allocate}, which clears it once the
+    [on_alloc] hook has seen it.  The recorder ({!Obs}) names escaping
+    heap objects from that site. *)
 
 type v = VI of int64 | VF of float | VP of int
 
@@ -52,13 +63,66 @@ let v_to_string = function
 
 type alloc = { base : int; size : int; mutable alive : bool }
 
+(** {2 Words}
+
+    Frames and memory hold unboxed words in three parallel arrays: a tag
+    byte per word, 8 bytes of int64 bits per word for ints and pointers
+    (a pointer [p] is stored as [Int64.of_int p]), and a float per word.
+    A word's bits or float is meaningless unless its tag says so; a word
+    copy moves all three, so it never looks at the tag. *)
+
+type words = {
+  tags : Bytes.t;          (** 0 undefined, 1 int, 2 float, 3 pointer *)
+  bits : Bytes.t;
+  flts : Float.Array.t;
+}
+
+let tag_undef = '\000'
+let tag_int = '\001'
+let tag_flt = '\002'
+let tag_ptr = '\003'
+
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* [n] words tagged [tag] with zero bits; floats are left uninitialised
+   where the tag is not a float, since no read looks at them *)
+let make_words n tag =
+  { tags = Bytes.make n tag; bits = Bytes.make (8 * n) '\000'; flts = Float.Array.create n }
+
+let copy_words w =
+  { tags = Bytes.copy w.tags; bits = Bytes.copy w.bits; flts = Float.Array.copy w.flts }
+
+(** Write boxed [v] into word [j]. *)
+let[@inline] put w j = function
+  | VI n ->
+    Bytes.unsafe_set w.tags j tag_int;
+    set64u w.bits (j lsl 3) n
+  | VF x ->
+    Bytes.unsafe_set w.tags j tag_flt;
+    Float.Array.unsafe_set w.flts j x
+  | VP p ->
+    Bytes.unsafe_set w.tags j tag_ptr;
+    set64u w.bits (j lsl 3) (Int64.of_int p)
+
+(** Box word [j]; an undefined word reads as [VI] of its bits. *)
+let get w j =
+  match Bytes.unsafe_get w.tags j with
+  | '\002' -> VF (Float.Array.unsafe_get w.flts j)
+  | '\003' -> VP (Int64.to_int (get64u w.bits (j lsl 3)))
+  | _ -> VI (get64u w.bits (j lsl 3))
+
+(** Copy word [i] of [src] to word [j] of [dst]. *)
+let[@inline] blit src i dst j =
+  Bytes.unsafe_set dst.tags j (Bytes.unsafe_get src.tags i);
+  set64u dst.bits (j lsl 3) (get64u src.bits (i lsl 3));
+  Float.Array.unsafe_set dst.flts j (Float.Array.unsafe_get src.flts i)
+
 type hooks = {
   mutable on_block : (Func.t -> int -> unit) option;
       (** called when control enters a basic block *)
   mutable on_inst : (Func.t -> Instr.inst -> unit) option;
       (** called before each executed instruction *)
-  mutable on_call : (caller:string -> callee:string -> unit) option;
-      (** called for every direct/indirect/builtin call *)
   mutable on_mem : (Func.t -> Instr.inst -> addr:int -> write:bool -> unit) option;
       (** called for every load/store with its resolved address *)
   mutable on_builtin : (string -> v list -> unit) option;
@@ -67,31 +131,43 @@ type hooks = {
   mutable on_alloc : (base:int -> size:int -> unit) option;
       (** called after every allocation (global, alloca, malloc); the
           state's [site_fn]/[site_id] name the instruction that made it *)
-  mutable on_store : (Func.t -> Instr.inst -> addr:int -> value:v -> unit) option;
-      (** called before a store commits, with the value being written *)
+  mutable on_store : (Func.t -> Instr.inst -> addr:int -> unit) option;
+      (** called after a store commits; {!load_word} reads the value *)
 }
 
 (** {2 Frame layouts}
 
     A function is translated once per {!state} into a [layout]: every
     instruction id that some block lists gets a dense frame slot, operands
-    are pre-resolved, blocks sit in an array with successors as indices,
-    and each block keeps one phi move row per predecessor.  A lookup that
-    fails at compile time is kept as a deferred failure ([Undef],
-    [Unknown_global], a block's [fault]) raised when execution reaches it,
-    with the text a lookup at that step would give. *)
+    are pre-resolved to frame slots, blocks sit in an array with
+    successors as indices, and each block keeps one phi move row per
+    predecessor.  A frame holds every operand a step can name: the
+    register slots, then one slot per parameter (filled from the
+    arguments on entry), then, in order of first use, a slot per
+    distinct constant or global/function address (set in the layout's
+    [template]) and per failed lookup.  So every operand read is a read
+    of a frame word.  A lookup that fails at compile time is kept as a
+    deferred failure (a register no listed instruction defines, an
+    unknown global, a block's [fault]) raised when execution reaches
+    it, with the text a lookup at that step would give: an undefined
+    register gets a slot that is never written, and any other failure a
+    fault slot, whose tag stays 0 too. *)
 
-type opnd =
-  | Const of v
-  | Slot of int                  (** frame slot of a defined register *)
-  | Param of int                 (** argument [i] of the frame *)
-  | Undef of int                 (** register no listed instruction defines *)
-  | Unknown_global of string
+(** An operand: the index of a frame slot. *)
+type opnd = int
 
 type callee =
   | Direct of string
   | Malloc                         (** direct call to [malloc]: an allocation site *)
-  | Indirect of opnd
+  | Indirect of opnd * (string, int ref) Hashtbl.t
+      (** the table counts the calls made through this step per callee *)
+
+type call_site = {
+  callee : callee;
+  cargs : opnd list;
+  keep : bool;                     (** the result is kept *)
+  mutable calls : int;             (** executions of a direct call, counted before it runs *)
+}
 
 type code =
   | Bin of Instr.bin * opnd * opnd
@@ -103,7 +179,7 @@ type code =
   | Load of opnd
   | Store of opnd * opnd
   | Gep of opnd * opnd
-  | Call of callee * opnd list * bool    (** [true]: the result is kept *)
+  | Call of call_site
   | Select of opnd * opnd * opnd
   | Br of int                            (** block index *)
   | Cbr of opnd * int * int
@@ -121,22 +197,32 @@ type block_code = {
   phis : Instr.inst array;         (** every phi of the block, in order *)
   phi_dst : int array;
   phi_preds : int array;           (** predecessor block ids with a move row *)
-  phi_rows : opnd option array array;
-      (** per predecessor: one source per phi, [None] = no incoming value *)
-  no_row : opnd option array;      (** the row for any other predecessor *)
+  phi_rows : opnd array array;
+      (** per predecessor: one source per phi, [-1] = no incoming value *)
+  no_row : opnd array;             (** the row for any other predecessor *)
+  scratch : words;
+      (** the phis' values between their reads and their commit; no call
+          runs in between, so one row per block serves every frame *)
   body : step array;               (** non-phis, cut after the first terminator *)
 }
 
 type layout = {
   func : Func.t;
-  ids : int array;                 (** slot -> instruction id *)
+  ids : int array;                 (** slot -> the register it holds, or [-1] *)
+  params : int;                    (** slot of parameter 0 *)
+  faults : (int * exn) list;       (** fault slot -> what reading it raises *)
+  template : words;                (** a fresh frame: constants in place, the rest undefined *)
+  mutable pool : words list;
+      (** frames of returned calls, for reuse: only a register or
+          parameter slot is ever written, so a frame is fresh again once
+          its register tags are cleared *)
   blocks : block_code array;       (** index 0 is the entry block *)
   mutable executed : int;          (** steps run in this function, phis included *)
 }
 
 type state = {
   m : Irmod.t;
-  mutable mem : v array;
+  mutable mem : words;
   mutable brk : int;                       (** bump pointer: next free word *)
   allocs : (int, alloc) Hashtbl.t;         (** base address -> allocation *)
   global_addr : (string, int) Hashtbl.t;
@@ -160,12 +246,15 @@ and builtin = state -> v list -> v
 (* function addresses live far above data so they can never collide *)
 let fun_addr_base = 1 lsl 40
 
+(* memory words start as [VI 0L] *)
 let ensure_capacity st n =
-  let cap = Array.length st.mem in
+  let cap = Bytes.length st.mem.tags in
   if n > cap then begin
     let ncap = max (2 * cap) (n + 1024) in
-    let nm = Array.make ncap (VI 0L) in
-    Array.blit st.mem 0 nm 0 cap;
+    let nm = make_words ncap tag_int in
+    Bytes.blit st.mem.tags 0 nm.tags 0 cap;
+    Bytes.blit st.mem.bits 0 nm.bits 0 (8 * cap);
+    Float.Array.blit st.mem.flts 0 nm.flts 0 cap;
     st.mem <- nm
   end
 
@@ -180,13 +269,14 @@ let allocate st size =
   st.site_id <- -1;
   base
 
-let[@inline] load_word st addr =
+(** The word at [addr], boxed. *)
+let load_word st addr =
   if addr <= 0 || addr >= st.brk then trap "load from invalid address %d" addr;
-  st.mem.(addr)
+  get st.mem addr
 
-let[@inline] store_word st addr v =
+let store_word st addr v =
   if addr <= 0 || addr >= st.brk then trap "store to invalid address %d" addr;
-  st.mem.(addr) <- v
+  put st.mem addr v
 
 (** Does [addr] fall inside a live allocation?  Used by the CARAT runtime. *)
 let addr_is_guarded_valid st addr =
@@ -301,7 +391,7 @@ let create (m : Irmod.t) : state =
   let st =
     {
       m;
-      mem = Array.make 4096 (VI 0L);
+      mem = make_words 4096 tag_int;
       brk = 16;
       allocs = Hashtbl.create 64;
       global_addr = Hashtbl.create 16;
@@ -315,7 +405,6 @@ let create (m : Irmod.t) : state =
         {
           on_block = None;
           on_inst = None;
-          on_call = None;
           on_mem = None;
           on_builtin = None;
           on_alloc = None;
@@ -340,7 +429,7 @@ let create (m : Irmod.t) : state =
         Array.iteri
           (fun i v ->
             if i < g.size then
-              st.mem.(base + i) <-
+              put st.mem (base + i)
                 (match v with
                 | Instr.Cint n -> VI n
                 | Instr.Cfloat f -> VF f
@@ -361,10 +450,6 @@ let register_builtin st name fn = Hashtbl.replace st.builtins name fn
 (* ------------------------------------------------------------------ *)
 (* Frame layouts                                                       *)
 (* ------------------------------------------------------------------ *)
-
-(* marks a slot whose instruction has not executed in this frame; made at
-   run time so no constant [v] in this unit can be physically equal to it *)
-let undef : v = VI (Int64.of_int (Sys.opaque_identity (-1)))
 
 (** Translate [f] into its frame layout.  Never fails: every lookup that
     would fail is deferred to the point execution reaches it, so traps and
@@ -390,7 +475,7 @@ let compile (st : state) (f : Func.t) : layout =
   in
   let listed = List.rev_map (fun bid -> (bid, insts_of bid)) !order in
   let slot_of : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let ids = ref [] in
+  let ids_rev = ref [] in
   List.iter
     (fun (_, r) ->
       match r with
@@ -399,27 +484,72 @@ let compile (st : state) (f : Func.t) : layout =
           (fun (i : Instr.inst) ->
             if not (Hashtbl.mem slot_of i.Instr.id) then begin
               Hashtbl.add slot_of i.Instr.id (Hashtbl.length slot_of);
-              ids := i.Instr.id :: !ids
+              ids_rev := i.Instr.id :: !ids_rev
             end)
           l
       | Error _ -> ())
     listed;
   (* a branch target no block has gets an index too; it faults on entry *)
   let target bid = add bid; Hashtbl.find index bid in
+  (* the parameter slots follow the registers; every other slot is made
+     on its operand's first use *)
+  let nparams = Array.length f.Func.params in
+  let params = Hashtbl.length slot_of in
+  let nslots = ref (params + nparams) in
+  let fresh () =
+    let k = !nslots in
+    incr nslots;
+    k
+  in
+  let consts = ref [] and faults = ref [] and undefs = ref [] in
+  let interned = Hashtbl.create 16 in
+  let intern key make =
+    match Hashtbl.find_opt interned key with
+    | Some k -> k
+    | None ->
+      let k = make () in
+      Hashtbl.add interned key k;
+      k
+  in
+  (* constants are keyed by their bits, so [-0.0] and each NaN payload
+     keep their own slot *)
+  let const key v =
+    intern key (fun () ->
+        let k = fresh () in
+        consts := (k, v) :: !consts;
+        k)
+  in
+  let fault key e =
+    intern key (fun () ->
+        let k = fresh () in
+        faults := (k, e) :: !faults;
+        k)
+  in
   let opnd = function
-    | Instr.Cint n -> Const (VI n)
-    | Instr.Cfloat x -> Const (VF x)
-    | Instr.Null -> Const (VP 0)
-    | Instr.Arg i -> Param i
+    | Instr.Cint n -> const (`I n) (VI n)
+    | Instr.Cfloat x -> const (`F (Int64.bits_of_float x)) (VF x)
+    | Instr.Null -> const (`P 0) (VP 0)
+    | Instr.Arg i when i >= 0 && i < nparams -> params + i
+    | Instr.Arg i -> fault (`A i) (Invalid_argument "index out of bounds")
     | Instr.Reg r -> (
-      match Hashtbl.find_opt slot_of r with Some k -> Slot k | None -> Undef r)
+      match Hashtbl.find_opt slot_of r with
+      | Some k -> k
+      | None ->
+        intern (`R r) (fun () ->
+            let k = fresh () in
+            undefs := (k, r) :: !undefs;
+            k))
     | Instr.Glob g -> (
-      match Hashtbl.find_opt st.global_addr g with
-      | Some a -> Const (VP a)
-      | None -> (
-        match Hashtbl.find_opt st.fun_addr g with
-        | Some a -> Const (VP a)
-        | None -> Unknown_global g))
+      let addr =
+        match Hashtbl.find_opt st.global_addr g with
+        | Some a -> Some a
+        | None -> Hashtbl.find_opt st.fun_addr g
+      in
+      match addr with
+      | Some a -> const (`P a) (VP a)
+      | None ->
+        fault (`G g)
+          (Trap (Printf.sprintf "%s: unknown global @%s" f.Func.fname g)))
   in
   let step (i : Instr.inst) =
     let code =
@@ -438,9 +568,10 @@ let compile (st : state) (f : Func.t) : layout =
           match c with
           | Instr.Glob "malloc" -> Malloc
           | Instr.Glob g -> Direct g
-          | v -> Indirect (opnd v)
+          | v -> Indirect (opnd v, Hashtbl.create 1)
         in
-        Call (c, List.map opnd args, not (Ty.equal i.Instr.ty Ty.Void))
+        Call { callee = c; cargs = List.map opnd args;
+               keep = not (Ty.equal i.Instr.ty Ty.Void); calls = 0 }
       | Instr.Select (c, a, b) -> Select (opnd c, opnd a, opnd b)
       | Instr.Br t -> Br (target t)
       | Instr.Cbr (c, t, e) -> Cbr (opnd c, target t, target e)
@@ -454,7 +585,8 @@ let compile (st : state) (f : Func.t) : layout =
     match r with
     | Error e ->
       { bid; entries = 0; taken = 0; not_taken = 0; fault = Some e; phis = [||];
-        phi_dst = [||]; phi_preds = [||]; phi_rows = [||]; no_row = [||]; body = [||] }
+        phi_dst = [||]; phi_preds = [||]; phi_rows = [||]; no_row = [||];
+        scratch = make_words 0 tag_undef; body = [||] }
     | Ok l ->
       let phis, rest =
         List.partition (fun i -> match i.Instr.op with Instr.Phi _ -> true | _ -> false) l
@@ -471,7 +603,10 @@ let compile (st : state) (f : Func.t) : layout =
       let preds = List.sort_uniq compare (List.concat_map (List.map fst) incs) in
       (* [List.assoc_opt]: the first entry for a predecessor wins *)
       let row p =
-        Array.of_list (List.map (fun inc -> Option.map opnd (List.assoc_opt p inc)) incs)
+        Array.of_list
+          (List.map
+             (fun inc -> match List.assoc_opt p inc with Some v -> opnd v | None -> -1)
+             incs)
       in
       let phis = Array.of_list phis in
       {
@@ -484,7 +619,8 @@ let compile (st : state) (f : Func.t) : layout =
         phi_dst = Array.map (fun (i : Instr.inst) -> Hashtbl.find slot_of i.Instr.id) phis;
         phi_preds = Array.of_list preds;
         phi_rows = Array.of_list (List.map row preds);
-        no_row = Array.make (Array.length phis) None;
+        no_row = Array.make (Array.length phis) (-1);
+        scratch = make_words (Array.length phis) tag_undef;
         body = Array.of_list (List.map step (cut rest));
       }
   in
@@ -493,7 +629,12 @@ let compile (st : state) (f : Func.t) : layout =
   let blocks =
     Array.of_list (compiled @ List.map (fun bid -> block (bid, insts_of bid)) missing)
   in
-  { func = f; ids = Array.of_list (List.rev !ids); blocks; executed = 0 }
+  let ids = Array.make !nslots (-1) in
+  List.iteri (fun k id -> ids.(k) <- id) (List.rev !ids_rev);
+  List.iter (fun (k, r) -> ids.(k) <- r) !undefs;
+  let template = make_words !nslots tag_undef in
+  List.iter (fun (k, v) -> put template k v) !consts;
+  { func = f; ids; params; faults = !faults; template; pool = []; blocks; executed = 0 }
 
 (** The layout of [f] in [st], compiled on its first call in this state.
     The cache is per state, never global: passes rewrite functions in place
@@ -512,21 +653,22 @@ let layout (st : state) (f : Func.t) =
 
 let shift_mask n = Int64.to_int (Int64.logand n 63L)
 
-let eval_bin op a b =
+(* [raise], not {!trap}: see the typed readers below *)
+let[@inline] eval_bin op a b =
   let open Instr in
   match op with
   | Add -> Int64.add a b
   | Sub -> Int64.sub a b
   | Mul -> Int64.mul a b
-  | Sdiv -> if Int64.equal b 0L then trap "division by zero" else Int64.div a b
-  | Srem -> if Int64.equal b 0L then trap "remainder by zero" else Int64.rem a b
+  | Sdiv -> if Int64.equal b 0L then raise (Trap "division by zero") else Int64.div a b
+  | Srem -> if Int64.equal b 0L then raise (Trap "remainder by zero") else Int64.rem a b
   | And -> Int64.logand a b
   | Or -> Int64.logor a b
   | Xor -> Int64.logxor a b
   | Shl -> Int64.shift_left a (shift_mask b)
   | Ashr -> Int64.shift_right a (shift_mask b)
 
-let eval_fbin op a b =
+let[@inline] eval_fbin op a b =
   let open Instr in
   match op with
   | Fadd -> a +. b
@@ -545,21 +687,65 @@ let[@inline] eval_cmp (cmp : Instr.cmp) c =
 
 type frame = {
   lay : layout;
-  regs : v array;                  (** one slot per instruction id *)
-  args : v array;
+  w : words;                       (** one word per slot *)
   mutable allocas : int list;      (** freed when the frame returns *)
 }
 
-let[@inline] read (fr : frame) = function
-  | Slot k ->
-    let v = Array.unsafe_get fr.regs k in
-    if v == undef then
-      trap "%s: register %%%d read before definition" fr.lay.func.Func.fname fr.lay.ids.(k)
-    else v
-  | Const v -> v
-  | Param i -> fr.args.(i)
-  | Undef r -> trap "%s: register %%%d read before definition" fr.lay.func.Func.fname r
-  | Unknown_global g -> trap "%s: unknown global @%s" fr.lay.func.Func.fname g
+(* The readers raise an exception that they build with these functions,
+   rather than call {!trap}: a branch that raises keeps the read's
+   result an unboxed number, a function call in its place would not. *)
+
+(** What reading slot [k] with tag 0 raises. *)
+let undefined (fr : frame) k =
+  match List.assoc_opt k fr.lay.faults with
+  | Some e -> e
+  | None ->
+    Trap
+      (Printf.sprintf "%s: register %%%d read before definition" fr.lay.func.Func.fname
+         fr.lay.ids.(k))
+
+(* the trap of reading slot [k] as [conv] when its tag does not fit:
+   the boxed conversion raises exactly what a boxed read raised *)
+let mistyped conv (fr : frame) k =
+  if Bytes.unsafe_get fr.w.tags k = tag_undef then undefined fr k
+  else try ignore (conv (get fr.w k)); assert false with Trap _ as e -> e
+
+(** Slot [k], boxed: the boundary read, for call arguments and results. *)
+let operand (fr : frame) k =
+  if Bytes.unsafe_get fr.w.tags k = tag_undef then raise (undefined fr k);
+  get fr.w k
+
+(* The typed readers: tags 1 (int) and 3 (pointer) both read as an
+   integer or a pointer, as [as_int] and [as_ptr] convert. *)
+
+let[@inline] rd_int (fr : frame) k =
+  if Char.code (Bytes.unsafe_get fr.w.tags k) land 1 = 0 then raise (mistyped as_int fr k);
+  get64u fr.w.bits (k lsl 3)
+
+let[@inline] rd_flt (fr : frame) k =
+  if Bytes.unsafe_get fr.w.tags k <> tag_flt then raise (mistyped as_float fr k);
+  Float.Array.unsafe_get fr.w.flts k
+
+let[@inline] rd_ptr (fr : frame) k =
+  if Char.code (Bytes.unsafe_get fr.w.tags k) land 1 = 0 then raise (mistyped as_ptr fr k);
+  Int64.to_int (get64u fr.w.bits (k lsl 3))
+
+(** Copy slot [k] into word [j] of [dst]. *)
+let[@inline] copy (fr : frame) k dst j =
+  if Bytes.unsafe_get fr.w.tags k = tag_undef then raise (undefined fr k);
+  blit fr.w k dst j
+
+let[@inline] set_int (fr : frame) k n =
+  Bytes.unsafe_set fr.w.tags k tag_int;
+  set64u fr.w.bits (k lsl 3) n
+
+let[@inline] set_flt (fr : frame) k x =
+  Bytes.unsafe_set fr.w.tags k tag_flt;
+  Float.Array.unsafe_set fr.w.flts k x
+
+let[@inline] set_ptr (fr : frame) k p =
+  Bytes.unsafe_set fr.w.tags k tag_ptr;
+  set64u fr.w.bits (k lsl 3) (Int64.of_int p)
 
 (* rollback reports need actionable traps: re-raise with the faulting
    function/block/instruction attached (calls excepted — the callee frame
@@ -572,8 +758,9 @@ let ctx_trap (f : Func.t) (i : Instr.inst) msg =
   in
   trap "%s/%s: inst %d: %s" f.Func.fname lbl i.Instr.id msg
 
-(* evaluate a block's phis against the incoming edge from [prev], then
-   count them, then commit: phis read the values live on entry *)
+(* evaluate a block's phis against the incoming edge from [prev] into its
+   scratch row, then count them, then commit: phis read the values live
+   on entry *)
 let enter_phis (st : state) (fr : frame) (b : block_code) prev =
   let f = fr.lay.func in
   let row =
@@ -585,12 +772,11 @@ let enter_phis (st : state) (fr : frame) (b : block_code) prev =
     find 0
   in
   let n = Array.length b.phis in
-  let vals = Array.make n undef in
   for j = 0 to n - 1 do
-    let i = b.phis.(j) in
-    match row.(j) with
-    | Some o -> vals.(j) <- (try read fr o with Trap msg -> ctx_trap f i msg)
-    | None ->
+    let o = row.(j) in
+    if o >= 0 then (try copy fr o b.scratch j with Trap msg -> ctx_trap f b.phis.(j) msg)
+    else
+      let i = b.phis.(j) in
       ctx_trap f i
         (Printf.sprintf "phi %%%d has no incoming value for block %d" i.Instr.id prev)
   done;
@@ -601,8 +787,13 @@ let enter_phis (st : state) (fr : frame) (b : block_code) prev =
     match st.hooks.on_inst with Some h -> h f b.phis.(j) | None -> ()
   done;
   for j = 0 to n - 1 do
-    fr.regs.(b.phi_dst.(j)) <- vals.(j)
+    blit b.scratch j fr.w (Array.unsafe_get b.phi_dst j)
   done
+
+let count_target targets name =
+  match Hashtbl.find_opt targets name with
+  | Some r -> incr r
+  | None -> Hashtbl.add targets name (ref 1)
 
 (** Call the function named [fname] with [args].  Returns its return value
     ([VI 0L] for void).  Builtins, defined functions and declarations that
@@ -620,14 +811,24 @@ let rec call (st : state) (fname : string) (args : v list) : v =
 
 (** Run [f] on [args] in a fresh frame.  The step loop reads [st.hooks]
     at every step: a builtin may swap a hook in the middle of a frame (the
-    parallel runtime does), and the change takes effect at the next step. *)
+    parallel runtime does), and the change takes effect at the next step.
+    Binary operands are read right to left. *)
 and exec_func (st : state) (f : Func.t) (args : v array) : v =
   if Array.length args <> Array.length f.Func.params then
     trap "%s: expected %d arguments, got %d" f.Func.fname
       (Array.length f.Func.params) (Array.length args);
   let lay = layout st f in
   if Array.length lay.blocks = 0 then ignore (Func.entry f);
-  let fr = { lay; regs = Array.make (Array.length lay.ids) undef; args; allocas = [] } in
+  let w =
+    match lay.pool with
+    | w :: rest ->
+      lay.pool <- rest;
+      Bytes.fill w.tags 0 lay.params tag_undef;
+      w
+    | [] -> copy_words lay.template
+  in
+  Array.iteri (fun i v -> put w (lay.params + i) v) args;
+  let fr = { lay; w; allocas = [] } in
   let result = ref (VI 0L) in
   let finished = ref false in
   let cur = ref 0 in
@@ -651,32 +852,34 @@ and exec_func (st : state) (f : Func.t) (args : v array) : v =
       lay.executed <- lay.executed + 1;
       (match st.hooks.on_inst with Some h -> h f s.inst | None -> ());
       match s.code with
-      | Call (callee, cargs, keep) ->
+      | Call c ->
         let name =
-          match callee with
-          | Direct g -> g
+          match c.callee with
+          | Direct g ->
+            c.calls <- c.calls + 1;
+            g
           | Malloc ->
             st.site_fn <- f.Func.fname;
             st.site_id <- s.inst.Instr.id;
+            c.calls <- c.calls + 1;
             "malloc"
-          | Indirect v -> (
-            let addr = as_ptr (read fr v) in
+          | Indirect (v, targets) -> (
+            let addr = rd_ptr fr v in
             match Hashtbl.find_opt st.addr_fun addr with
-            | Some n -> n
+            | Some n ->
+              count_target targets n;
+              n
             | None -> trap "%s: indirect call to non-function address %d" f.Func.fname addr)
         in
-        (match st.hooks.on_call with
-        | Some h -> h ~caller:f.Func.fname ~callee:name
-        | None -> ());
-        let r = call st name (List.map (read fr) cargs) in
-        if keep then fr.regs.(s.dst) <- r
+        let r = call st name (List.map (operand fr) c.cargs) in
+        if c.keep then put w s.dst r
       | Br t ->
         prev := blk.bid;
         cur := t;
         k := n
       | Cbr (c, t, e) ->
         prev := blk.bid;
-        (match Int64.equal (as_int (read fr c)) 0L with
+        (match Int64.equal (rd_int fr c) 0L with
         | true ->
           blk.not_taken <- blk.not_taken + 1;
           cur := e
@@ -687,7 +890,7 @@ and exec_func (st : state) (f : Func.t) (args : v array) : v =
         k := n
       | Ret vo ->
         (result :=
-           try match vo with Some v -> read fr v | None -> VI 0L
+           try match vo with Some v -> operand fr v | None -> VI 0L
            with Trap msg -> ctx_trap f s.inst msg);
         finished := true;
         k := n
@@ -695,44 +898,41 @@ and exec_func (st : state) (f : Func.t) (args : v array) : v =
         let i = s.inst in
         try
           match code with
-          | Bin (op, a, b) ->
-            fr.regs.(s.dst) <- VI (eval_bin op (as_int (read fr a)) (as_int (read fr b)))
-          | Fbin (op, a, b) ->
-            fr.regs.(s.dst) <- VF (eval_fbin op (as_float (read fr a)) (as_float (read fr b)))
+          | Bin (op, a, b) -> set_int fr s.dst (eval_bin op (rd_int fr a) (rd_int fr b))
+          | Fbin (op, a, b) -> set_flt fr s.dst (eval_fbin op (rd_flt fr a) (rd_flt fr b))
           | Icmp (c, a, b) ->
-            let x = as_int (read fr a) and y = as_int (read fr b) in
-            fr.regs.(s.dst) <- VI (if eval_cmp c (Int64.compare x y) then 1L else 0L)
+            let x = rd_int fr a and y = rd_int fr b in
+            set_int fr s.dst (if eval_cmp c (Int64.compare x y) then 1L else 0L)
           | Fcmp (c, a, b) ->
-            let x = as_float (read fr a) and y = as_float (read fr b) in
-            fr.regs.(s.dst) <- VI (if eval_cmp c (Float.compare x y) then 1L else 0L)
-          | Cast (kind, a) ->
-            let v = read fr a in
-            fr.regs.(s.dst) <-
-              (match kind with
-              | Instr.Sitofp -> VF (Int64.to_float (as_int v))
-              | Instr.Fptosi -> VI (Int64.of_float (as_float v))
-              | Instr.Ptrtoint -> VI (Int64.of_int (as_ptr v))
-              | Instr.Inttoptr -> VP (Int64.to_int (as_int v)))
+            let x = rd_flt fr a and y = rd_flt fr b in
+            set_int fr s.dst (if eval_cmp c (Float.compare x y) then 1L else 0L)
+          | Cast (kind, a) -> (
+            match kind with
+            | Instr.Sitofp -> set_flt fr s.dst (Int64.to_float (rd_int fr a))
+            | Instr.Fptosi -> set_int fr s.dst (Int64.of_float (rd_flt fr a))
+            | Instr.Ptrtoint -> set_int fr s.dst (Int64.of_int (rd_ptr fr a))
+            | Instr.Inttoptr -> set_ptr fr s.dst (Int64.to_int (rd_int fr a)))
           | Alloca n ->
             st.site_fn <- f.Func.fname;
             st.site_id <- i.Instr.id;
-            let base = allocate st (Int64.to_int (as_int (read fr n))) in
+            let base = allocate st (Int64.to_int (rd_int fr n)) in
             fr.allocas <- base :: fr.allocas;
-            fr.regs.(s.dst) <- VP base
+            set_ptr fr s.dst base
           | Load p ->
-            let addr = as_ptr (read fr p) in
+            let addr = rd_ptr fr p in
             (match st.hooks.on_mem with Some h -> h f i ~addr ~write:false | None -> ());
-            fr.regs.(s.dst) <- load_word st addr
+            if addr <= 0 || addr >= st.brk then trap "load from invalid address %d" addr;
+            blit st.mem addr w s.dst
           | Store (x, p) ->
-            let addr = as_ptr (read fr p) in
+            let addr = rd_ptr fr p in
             (match st.hooks.on_mem with Some h -> h f i ~addr ~write:true | None -> ());
-            let v = read fr x in
-            (match st.hooks.on_store with Some h -> h f i ~addr ~value:v | None -> ());
-            store_word st addr v
-          | Gep (p, idx) ->
-            fr.regs.(s.dst) <- VP (as_ptr (read fr p) + Int64.to_int (as_int (read fr idx)))
+            if Bytes.unsafe_get w.tags x = tag_undef then raise (undefined fr x);
+            if addr <= 0 || addr >= st.brk then trap "store to invalid address %d" addr;
+            blit w x st.mem addr;
+            (match st.hooks.on_store with Some h -> h f i ~addr | None -> ())
+          | Gep (p, idx) -> set_ptr fr s.dst (rd_ptr fr p + Int64.to_int (rd_int fr idx))
           | Select (c, a, b) ->
-            fr.regs.(s.dst) <- (if Int64.equal (as_int (read fr c)) 0L then read fr b else read fr a)
+            if Int64.equal (rd_int fr c) 0L then copy fr b w s.dst else copy fr a w s.dst
           | Unreachable -> trap "reached unreachable"
           | Call _ | Br _ | Cbr _ | Ret _ -> assert false
         with Trap msg -> ctx_trap f i msg)
@@ -746,6 +946,7 @@ and exec_func (st : state) (f : Func.t) (args : v array) : v =
       | Some a -> a.alive <- false
       | None -> ())
     fr.allocas;
+  lay.pool <- w :: lay.pool;
   !result
 
 (** Run [main] (or [entry]) with integer arguments; returns (exit value,

@@ -276,13 +276,15 @@ let attach ?(observable = default_observable) ?sites (st : Interp.state) :
   let prev_store = h.Interp.on_store in
   h.Interp.on_store <-
     Some
-      (fun f i ~addr ~value ->
-        (match prev_store with Some g -> g f i ~addr ~value | None -> ());
+      (fun f i ~addr ->
+        (match prev_store with Some g -> g f i ~addr | None -> ());
         let k = covering r.escaped addr in
         if k >= 0 then
           let base = r.escaped.bases.(k) in
           emit r
-            (Store { sobj = r.escaped.names.(k); soff = addr - base; svalue = render r value }));
+            (Store
+               { sobj = r.escaped.names.(k); soff = addr - base;
+                 svalue = render r (Interp.load_word st addr) }));
   let prev_builtin = h.Interp.on_builtin in
   h.Interp.on_builtin <-
     Some

@@ -53,6 +53,9 @@ type ctx = {
   m : Irmod.t;
   f : Func.t;
   mutable cur : int;                    (** current block id *)
+  mutable pending : int list;
+      (** the current block's instructions not laid out yet, last first *)
+  mutable term : bool;                  (** the current block is terminated *)
   mutable scopes : (string * entry) list list;
   mutable loop_stack : (int * int) list;  (** (break target, continue target) *)
   sigs : (string, fnsig) Hashtbl.t;
@@ -75,11 +78,38 @@ let lookup ctx name =
 
 let new_block ctx label = (Builder.add_block ctx.f ~label).Func.bid
 
-let terminated ctx =
-  match Func.terminator ctx.f ctx.cur with Some _ -> true | None -> false
+(* The current block's instructions are laid out when control leaves it
+   ({!switch}), so a block of n instructions costs O(n), not one list
+   copy per instruction. *)
 
-let emit ctx op ty = Instr.Reg (Builder.add ctx.f ctx.cur op ty).Instr.id
-let emit_void ctx op = ignore (Builder.add ctx.f ctx.cur op Ty.Void)
+(** A new instruction at the end of the current block.  Nothing follows
+    a terminator: a statement after one opens a fresh block. *)
+let define ctx op ty =
+  if ctx.term then
+    invalid_arg (Printf.sprintf "Lower.define: block %d already terminated" ctx.cur);
+  let id = Func.fresh_id ctx.f in
+  Builder.define_with_id ctx.f ctx.cur ~id op ty;
+  ctx.pending <- id :: ctx.pending;
+  id
+
+let emit ctx op ty = Instr.Reg (define ctx op ty)
+let emit_void ctx op = ignore (define ctx op Ty.Void)
+
+(** Terminate the current block with [op]. *)
+let terminate ctx op =
+  ignore (define ctx op Ty.Void);
+  ctx.term <- true
+
+(** Lay out the current block's pending instructions. *)
+let flush ctx =
+  if ctx.pending <> [] then Builder.fill_block ctx.f ctx.cur (List.rev ctx.pending);
+  ctx.pending <- []
+
+(** Lay out the current block and make [bid] current. *)
+let switch ctx bid =
+  flush ctx;
+  ctx.cur <- bid;
+  ctx.term <- Func.terminator ctx.f bid <> None
 
 let coerce ctx (v, from_t) to_t : Instr.value =
   match (from_t, to_t) with
@@ -173,13 +203,13 @@ let rec lower_expr ctx (e : expr) : Instr.value * ty =
     let a_end = ctx.cur in
     let rhs = new_block ctx "sc.rhs" in
     let done_ = new_block ctx "sc.done" in
-    if op = "&&" then ignore (Builder.set_term ctx.f a_end (Instr.Cbr (av, rhs, done_)))
-    else ignore (Builder.set_term ctx.f a_end (Instr.Cbr (av, done_, rhs)));
-    ctx.cur <- rhs;
+    if op = "&&" then terminate ctx (Instr.Cbr (av, rhs, done_))
+    else terminate ctx (Instr.Cbr (av, done_, rhs));
+    switch ctx rhs;
     let bv = boolify ctx (lower_expr ctx b) in
     let b_end = ctx.cur in
-    ignore (Builder.set_term ctx.f b_end (Instr.Br done_));
-    ctx.cur <- done_;
+    terminate ctx (Instr.Br done_);
+    switch ctx done_;
     let short = if op = "&&" then Instr.Cint 0L else Instr.Cint 1L in
     let phi =
       Builder.insert_front ctx.f done_ (Instr.Phi [ (a_end, short); (b_end, bv) ]) Ty.I64
@@ -214,15 +244,14 @@ let rec lower_expr ctx (e : expr) : Instr.value * ty =
     | _ -> faill "invalid operands of %s" op)
   | Eternary (c, a, b) ->
     let cv = boolify ctx (lower_expr ctx c) in
-    let c_end = ctx.cur in
     let tb = new_block ctx "sel.t" in
     let eb = new_block ctx "sel.e" in
     let done_ = new_block ctx "sel.done" in
-    ignore (Builder.set_term ctx.f c_end (Instr.Cbr (cv, tb, eb)));
-    ctx.cur <- tb;
+    terminate ctx (Instr.Cbr (cv, tb, eb));
+    switch ctx tb;
     let va, ta = lower_expr ctx a in
     let t_end = ctx.cur in
-    ctx.cur <- eb;
+    switch ctx eb;
     let vb, tbt = lower_expr ctx b in
     let e_end = ctx.cur in
     let ty =
@@ -230,13 +259,13 @@ let rec lower_expr ctx (e : expr) : Instr.value * ty =
       | Tfloat, _ | _, Tfloat -> Tfloat
       | _ -> ta
     in
-    ctx.cur <- t_end;
+    switch ctx t_end;
     let va = coerce ctx (va, ta) ty in
-    ignore (Builder.set_term ctx.f t_end (Instr.Br done_));
-    ctx.cur <- e_end;
+    terminate ctx (Instr.Br done_);
+    switch ctx e_end;
     let vb = coerce ctx (vb, tbt) ty in
-    ignore (Builder.set_term ctx.f e_end (Instr.Br done_));
-    ctx.cur <- done_;
+    terminate ctx (Instr.Br done_);
+    switch ctx done_;
     let phi =
       Builder.insert_front ctx.f done_
         (Instr.Phi [ (t_end, va); (e_end, vb) ])
@@ -310,10 +339,10 @@ and lower_indirect_call ctx fv args =
 (* ------------------------------------------------------------------ *)
 
 let rec lower_stmt ctx (s : stmt) : unit =
-  if terminated ctx then begin
+  if ctx.term then begin
     (* unreachable trailing code goes into a fresh dangling block that
        Cfg.prune_unreachable removes *)
-    ctx.cur <- new_block ctx "dead"
+    switch ctx (new_block ctx "dead")
   end;
   match s with
   | Sblock ss ->
@@ -367,60 +396,56 @@ let rec lower_stmt ctx (s : stmt) : unit =
     emit_void ctx (Instr.Store (result, addr))
   | Sif (c, then_, else_) ->
     let cv = boolify ctx (lower_expr ctx c) in
-    let c_end = ctx.cur in
     let tb = new_block ctx "if.then" in
     let eb = if else_ = [] then None else Some (new_block ctx "if.else") in
     let merge = new_block ctx "if.end" in
-    ignore
-      (Builder.set_term ctx.f c_end
-         (Instr.Cbr (cv, tb, match eb with Some e -> e | None -> merge)));
-    ctx.cur <- tb;
+    terminate ctx (Instr.Cbr (cv, tb, match eb with Some e -> e | None -> merge));
+    switch ctx tb;
     push_scope ctx;
     List.iter (lower_stmt ctx) then_;
     pop_scope ctx;
-    if not (terminated ctx) then ignore (Builder.set_term ctx.f ctx.cur (Instr.Br merge));
+    if not ctx.term then terminate ctx (Instr.Br merge);
     (match eb with
     | Some e ->
-      ctx.cur <- e;
+      switch ctx e;
       push_scope ctx;
       List.iter (lower_stmt ctx) else_;
       pop_scope ctx;
-      if not (terminated ctx) then
-        ignore (Builder.set_term ctx.f ctx.cur (Instr.Br merge))
+      if not ctx.term then terminate ctx (Instr.Br merge)
     | None -> ());
-    ctx.cur <- merge
+    switch ctx merge
   | Swhile (c, body) ->
     let header = new_block ctx "while.header" in
     let bodyb = new_block ctx "while.body" in
     let exit = new_block ctx "while.end" in
-    ignore (Builder.set_term ctx.f ctx.cur (Instr.Br header));
-    ctx.cur <- header;
+    terminate ctx (Instr.Br header);
+    switch ctx header;
     let cv = boolify ctx (lower_expr ctx c) in
-    ignore (Builder.set_term ctx.f ctx.cur (Instr.Cbr (cv, bodyb, exit)));
-    ctx.cur <- bodyb;
+    terminate ctx (Instr.Cbr (cv, bodyb, exit));
+    switch ctx bodyb;
     ctx.loop_stack <- (exit, header) :: ctx.loop_stack;
     push_scope ctx;
     List.iter (lower_stmt ctx) body;
     pop_scope ctx;
     ctx.loop_stack <- List.tl ctx.loop_stack;
-    if not (terminated ctx) then ignore (Builder.set_term ctx.f ctx.cur (Instr.Br header));
-    ctx.cur <- exit
+    if not ctx.term then terminate ctx (Instr.Br header);
+    switch ctx exit
   | Sdo (body, c) ->
     let bodyb = new_block ctx "do.body" in
     let condb = new_block ctx "do.cond" in
     let exit = new_block ctx "do.end" in
-    ignore (Builder.set_term ctx.f ctx.cur (Instr.Br bodyb));
-    ctx.cur <- bodyb;
+    terminate ctx (Instr.Br bodyb);
+    switch ctx bodyb;
     ctx.loop_stack <- (exit, condb) :: ctx.loop_stack;
     push_scope ctx;
     List.iter (lower_stmt ctx) body;
     pop_scope ctx;
     ctx.loop_stack <- List.tl ctx.loop_stack;
-    if not (terminated ctx) then ignore (Builder.set_term ctx.f ctx.cur (Instr.Br condb));
-    ctx.cur <- condb;
+    if not ctx.term then terminate ctx (Instr.Br condb);
+    switch ctx condb;
     let cv = boolify ctx (lower_expr ctx c) in
-    ignore (Builder.set_term ctx.f ctx.cur (Instr.Cbr (cv, bodyb, exit)));
-    ctx.cur <- exit
+    terminate ctx (Instr.Cbr (cv, bodyb, exit));
+    switch ctx exit
   | Sfor (init, cond, step, body) ->
     push_scope ctx;
     (match init with Some s -> lower_stmt ctx s | None -> ());
@@ -428,38 +453,38 @@ let rec lower_stmt ctx (s : stmt) : unit =
     let bodyb = new_block ctx "for.body" in
     let stepb = new_block ctx "for.step" in
     let exit = new_block ctx "for.end" in
-    ignore (Builder.set_term ctx.f ctx.cur (Instr.Br header));
-    ctx.cur <- header;
+    terminate ctx (Instr.Br header);
+    switch ctx header;
     (match cond with
     | Some c ->
       let cv = boolify ctx (lower_expr ctx c) in
-      ignore (Builder.set_term ctx.f ctx.cur (Instr.Cbr (cv, bodyb, exit)))
-    | None -> ignore (Builder.set_term ctx.f ctx.cur (Instr.Br bodyb)));
-    ctx.cur <- bodyb;
+      terminate ctx (Instr.Cbr (cv, bodyb, exit))
+    | None -> terminate ctx (Instr.Br bodyb));
+    switch ctx bodyb;
     ctx.loop_stack <- (exit, stepb) :: ctx.loop_stack;
     push_scope ctx;
     List.iter (lower_stmt ctx) body;
     pop_scope ctx;
     ctx.loop_stack <- List.tl ctx.loop_stack;
-    if not (terminated ctx) then ignore (Builder.set_term ctx.f ctx.cur (Instr.Br stepb));
-    ctx.cur <- stepb;
+    if not ctx.term then terminate ctx (Instr.Br stepb);
+    switch ctx stepb;
     (match step with Some s -> lower_stmt ctx s | None -> ());
-    if not (terminated ctx) then ignore (Builder.set_term ctx.f ctx.cur (Instr.Br header));
+    if not ctx.term then terminate ctx (Instr.Br header);
     pop_scope ctx;
-    ctx.cur <- exit
+    switch ctx exit
   | Sreturn e -> (
     match (e, ctx.ret_ty) with
-    | None, _ -> ignore (Builder.set_term ctx.f ctx.cur (Instr.Ret None))
+    | None, _ -> terminate ctx (Instr.Ret None)
     | Some e, rt ->
       let v = coerce ctx (lower_expr ctx e) rt in
-      ignore (Builder.set_term ctx.f ctx.cur (Instr.Ret (Some v))))
+      terminate ctx (Instr.Ret (Some v)))
   | Sbreak -> (
     match ctx.loop_stack with
-    | (brk, _) :: _ -> ignore (Builder.set_term ctx.f ctx.cur (Instr.Br brk))
+    | (brk, _) :: _ -> terminate ctx (Instr.Br brk)
     | [] -> faill "break outside loop")
   | Scontinue -> (
     match ctx.loop_stack with
-    | (_, cont) :: _ -> ignore (Builder.set_term ctx.f ctx.cur (Instr.Br cont))
+    | (_, cont) :: _ -> terminate ctx (Instr.Br cont)
     | [] -> faill "continue outside loop")
   | Sexpr e -> ignore (lower_expr ctx e)
 
@@ -512,6 +537,8 @@ let lower_program ?(name = "module") (prog : program) : Irmod.t =
           {
             m; f;
             cur = entry.Func.bid;
+            pending = [];
+            term = false;
             scopes = [ [] ; !global_env ];
             loop_stack = [];
             sigs;
@@ -528,13 +555,14 @@ let lower_program ?(name = "module") (prog : program) : Irmod.t =
             bind ctx pn (Elocal (addr, pt, false)))
           params;
         List.iter (lower_stmt ctx) body;
-        if not (terminated ctx) then begin
+        if not ctx.term then begin
           match ret with
-          | Tvoid -> ignore (Builder.set_term f ctx.cur (Instr.Ret None))
+          | Tvoid -> terminate ctx (Instr.Ret None)
           | Tfloat ->
-            ignore (Builder.set_term f ctx.cur (Instr.Ret (Some (Instr.Cfloat 0.0))))
-          | _ -> ignore (Builder.set_term f ctx.cur (Instr.Ret (Some (Instr.Cint 0L))))
-        end)
+            terminate ctx (Instr.Ret (Some (Instr.Cfloat 0.0)))
+          | _ -> terminate ctx (Instr.Ret (Some (Instr.Cint 0L)))
+        end;
+        flush ctx)
     prog;
   (* declare prototypes that no unit in this module defines *)
   List.iter

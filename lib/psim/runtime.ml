@@ -149,7 +149,7 @@ type status =
    whose task died can be re-executed from scratch (retry-with-re-execution
    needs a clean slate: DSWP queue pops are destructive). *)
 type section_snap = {
-  s_mem : Interp.v array;
+  s_mem : Interp.words;
   s_brk : int;
   s_allocs : (int, Interp.alloc) Hashtbl.t;
   s_out_len : int;
@@ -177,7 +177,7 @@ let snapshot_section (r : t) : section_snap =
   let sigs = Hashtbl.create (Hashtbl.length r.sigs) in
   Hashtbl.iter (fun k (v, stamp) -> Hashtbl.replace sigs k (!v, !stamp)) r.sigs;
   {
-    s_mem = Array.copy st.Interp.mem;
+    s_mem = Interp.copy_words st.Interp.mem;
     s_brk = st.Interp.brk;
     s_allocs = allocs;
     s_out_len = Buffer.length st.Interp.output;
@@ -195,7 +195,7 @@ let snapshot_section (r : t) : section_snap =
 
 let restore_section (r : t) (s : section_snap) =
   let st = r.st in
-  st.Interp.mem <- Array.copy s.s_mem;
+  st.Interp.mem <- Interp.copy_words s.s_mem;
   st.Interp.brk <- s.s_brk;
   Hashtbl.reset st.Interp.allocs;
   Hashtbl.iter

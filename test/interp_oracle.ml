@@ -1,17 +1,24 @@
 (** Differential oracle for the interpreter and the profiler.
 
     The per-step interpreter that {!Ir.Interp} replaced with compiled
-    frame layouts, kept verbatim as a test oracle: registers in a
-    [Hashtbl] per frame, blocks re-read from the function at every entry,
-    phis partitioned per entry.  It runs on an ordinary {!Ir.Interp.state}
-    (builtins, hooks, memory), so a test can run the same module through
-    both loops and compare everything observable.  {!attach_profile}
-    installs the profiler's former hook set (string-keyed [Int64] tables
-    bumped on every event), and {!attach_sites} the recorder's former
-    allocation-site tracking. *)
+    frame layouts and unboxed words, kept as a test oracle: boxed
+    values, registers in a [Hashtbl] per frame, blocks re-read from the
+    function at every entry, phis partitioned per entry.  It runs on an
+    ordinary {!Ir.Interp.state} (builtins, hooks, memory through
+    {!Ir.Interp.load_word}/[store_word]), so a test can run the same
+    module through both loops and compare everything observable.
+    {!attach_profile} installs the profiler's former hook set
+    (string-keyed [Int64] tables bumped on every event, calls through
+    this loop's own {!on_call}), and {!attach_sites} the recorder's
+    former allocation-site tracking. *)
 
 open Ir
 open Interp
+
+(** The interpreter's former call hook, called for every
+    direct/indirect/builtin call this loop makes; the profiler now counts
+    calls in the frame layouts instead. *)
+let on_call : (caller:string -> callee:string -> unit) option ref = ref None
 
 (** Call the function named [fname] with [args].  Returns its return value
     ([VI 0L] for void).  Builtins, defined functions and declarations that
@@ -137,9 +144,8 @@ and exec_func (st : state) (f : Func.t) (args : v array) : v =
           | Instr.Store (x, p) ->
             let addr = as_ptr (eval p) in
             (match st.hooks.on_mem with Some h -> h f i ~addr ~write:true | None -> ());
-            let v = eval x in
-            (match st.hooks.on_store with Some h -> h f i ~addr ~value:v | None -> ());
-            store_word st addr v
+            store_word st addr (eval x);
+            (match st.hooks.on_store with Some h -> h f i ~addr | None -> ())
           | Instr.Gep (p, idx) ->
             Hashtbl.replace regs i.Instr.id
               (VP (as_ptr (eval p) + Int64.to_int (as_int (eval idx))))
@@ -153,7 +159,7 @@ and exec_func (st : state) (f : Func.t) (args : v array) : v =
                 | Some n -> n
                 | None -> trap "%s: indirect call to non-function address %d" f.Func.fname addr)
             in
-            (match st.hooks.on_call with
+            (match !on_call with
             | Some h -> h ~caller:f.Func.fname ~callee:name
             | None -> ());
             let r = call st name (List.map eval cargs) in
@@ -212,7 +218,7 @@ let attach_profile (st : Interp.state) : Noelle.Profiler.t =
         match i.Instr.op with
         | Instr.Cbr _ -> pending_branch := Some (f.Func.fname, i.Instr.id)
         | _ -> pending_branch := None);
-  st.Interp.hooks.Interp.on_call <-
+  on_call :=
     Some
       (fun ~caller ~callee ->
         Noelle.Profiler.bump p.fn_calls callee 1L;

@@ -37,6 +37,29 @@ let test_frontend_identical () =
         (Printer.module_str (Minic.Lower.compile ~name src)))
     (sources ())
 
+(* One block of 20k statements: the lowering lays a block out once, so
+   this takes well under a second (laying out per instruction took minutes). *)
+let test_long_block () =
+  let n = 20_000 in
+  let b = Buffer.create (n * 16) in
+  Buffer.add_string b "int main() {\n  int s = 0;\n";
+  for k = 1 to n do Printf.bprintf b "  s = s + %d;\n" k done;
+  Buffer.add_string b "  print(s);\n  return 0;\n}\n";
+  let src = Buffer.contents b in
+  let t0 = Unix.gettimeofday () in
+  let m = Minic.Lower.lower_program ~name:"long" (Minic.Parser.parse_program src) in
+  let secs = Unix.gettimeofday () -. t0 in
+  checkb (Printf.sprintf "lowered in %.2f s (bound 10 s)" secs) (secs < 10.);
+  let f = Irmod.func m "main" in
+  let ids = (Func.block f (Func.entry f)).Func.insts in
+  (* alloca and store of [s]; load, add, store per statement; load, print, ret *)
+  checki "one block" 1 (List.length f.Func.blocks);
+  checki "instructions" (3 * n + 5) (List.length ids);
+  checkb "laid out in creation order" (ids = List.sort compare ids);
+  checkb "terminator last"
+    (Instr.is_terminator (Func.inst f (List.nth ids (List.length ids - 1))));
+  checks "runs" (string_of_int (n * (n + 1) / 2)) (run_src src)
+
 (** Run the census mem2reg and the oracle on two parses of [src]; both
     must print the same function, which is returned. *)
 let promote src =
@@ -273,6 +296,7 @@ let suite =
     tc "mem2reg: last non-i64 load sets the type" test_last_non_i64_load_types;
     tc "mem2reg: cbr to the same target" test_cbr_same_target;
     tc "frontend: printed IR matches the oracle" test_frontend_identical;
+    tc "lower a 20k-statement block" test_long_block;
     tc "loop graphs match the oracle" test_loop_graphs_identical;
     tc "loop graphs share the function graph's edges" test_loop_graphs_share_edges;
     tc "SCCDAGs match the oracle" test_sccdags_identical;

@@ -191,6 +191,159 @@ let test_fuel_exhaustion () =
   checkb "runs out" (String.starts_with ~prefix:"trap" (List.hd (observe fast ~fuel:5_000 (m ()))));
   same "fuel 5000" ~fuel:5_000 m
 
+(* ------------------------------------------------------------------ *)
+(* Unboxed words                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let ir body =
+  Printf.sprintf
+    "module \"t\"\nglobal @g = 4\nglobal @p = 1\n%s\n\
+     declare ptr @malloc(i64 %%a0)\ndeclare void @print(i64 %%a0)\n\
+     declare void @print_float(f64 %%a0)\n"
+    body
+
+(* [main]'s float result, as bits, from each loop *)
+let result_bits m =
+  List.map
+    (fun (call, _) ->
+      match call (Interp.create (m ())) "main" [] with
+      | Interp.VF x -> Int64.bits_of_float x
+      | v -> Alcotest.failf "main returned %s" (Interp.v_to_string v))
+    [ oracle; fast ]
+
+(* a float stored, loaded, sent through a phi and a select, and returned *)
+let test_float_bits () =
+  let src =
+    ir
+      "define f64 @main() {\nentry:\n  %1 = store 0.5, @g\n  %2 = load.f64 @g\n\
+      \  %3 = br next\nnext:\n  %4 = phi.f64 [entry: %2]\n\
+      \  %5 = select.f64 1, %4, 0.0\n  %6 = ret %5\n}"
+  in
+  List.iter
+    (fun (what, bits) ->
+      let m () =
+        let m = Parser.parse_module src in
+        let f = Irmod.func m "main" in
+        Func.iter_insts
+          (fun i ->
+            match i.Instr.op with
+            | Instr.Store (_, p) ->
+              Builder.set_op f i (Instr.Store (Instr.Cfloat (Int64.float_of_bits bits), p))
+            | _ -> ())
+          f;
+        m
+      in
+      List.iter
+        (fun got -> check Alcotest.int64 (what ^ ": same bits") bits got)
+        (result_bits m);
+      same what ~fuel:100 m)
+    [ ("NaN payload", 0x7ff8_0000_dead_beefL); ("-0.0", Int64.bits_of_float (-0.0));
+      ("subnormal", 1L) ]
+
+(* a pointer through memory and a select prints as one *)
+let test_pointer_stays_pointer () =
+  let m () =
+    Parser.parse_module
+      (ir
+         "define ptr @main() {\nentry:\n  %1 = call.ptr @malloc(2)\n\
+         \  %2 = store %1, @p\n  %3 = load.ptr @p\n  %4 = select.ptr 1, %3, null\n\
+         \  %5 = call.void @print(%4)\n  %6 = ret %4\n}")
+  in
+  let observed = observe fast ~fuel:100 (m ()) in
+  checkb "returns a pointer" (String.starts_with ~prefix:"exit &" (List.hd observed));
+  checkb "prints a pointer" (String.starts_with ~prefix:"&" (List.nth observed 3));
+  same "pointer" ~fuel:100 m
+
+(* a word changes type when a store of the other type overwrites it *)
+let test_retyped_words () =
+  let m () =
+    Parser.parse_module
+      (ir
+         "define i64 @main() {\nentry:\n  %1 = store 2.5, @g\n  %2 = store 7, @g\n\
+         \  %3 = load.i64 @g\n  %4 = call.void @print(%3)\n  %5 = gep @g, 1\n\
+         \  %6 = store 9, %5\n  %7 = store 1.25, %5\n  %8 = load.f64 %5\n\
+         \  %9 = call.void @print_float(%8)\n  %10 = ret 0\n}")
+  in
+  checks "output" "7\n1.250000\n" (List.nth (observe fast ~fuel:100 (m ())) 3);
+  same "retyped words" ~fuel:100 m
+
+(* the typed readers' traps on frame words, operands read right to left *)
+let test_mistyped_slots () =
+  List.iter
+    (fun (body, expected) ->
+      let m () =
+        Parser.parse_module
+          (ir
+             (Printf.sprintf
+                "define i64 @main() {\nentry:\n  %%1 = fadd 1.5, 0.0\n  %%2 = fadd 2.5, 0.0\n\
+                 \  %%3 = gep @g, 1\n  %%4 = gep @g, 2\n  %%5 = add 3, 0\n  %s\n  %%20 = ret 0\n}"
+                body))
+      in
+      let outcome = List.hd (observe fast ~fuel:100 (m ())) in
+      checkb (Printf.sprintf "%s: %s in %S" body expected outcome) (Obs.has_sub outcome expected);
+      same body ~fuel:100 m)
+    [ ("%10 = add %1, %2", "expected integer, got float 2.5");
+      ("%10 = add %5, %1", "expected integer, got float 1.5");
+      ("%10 = fadd %3, %4", "expected float, got pointer");
+      ("%10 = fadd %1, %5", "expected float, got int 3");
+      ("%10 = load.i64 %1", "expected pointer, got float 1.5");
+      ("%10 = gep %1, %2", "expected integer, got float 2.5");
+      ("%10 = gep %1, %5", "expected pointer, got float 1.5");
+      ("%10 = store %5, %2", "expected pointer, got float 2.5") ]
+
+(* a register defined later in the frame, read through each word copy *)
+let test_copies_before_definition () =
+  List.iter
+    (fun (name, body) ->
+      let m () = Parser.parse_module (ir ("define i64 @main() {\nentry:\n" ^ body ^ "\n}")) in
+      let outcome = List.hd (observe fast ~fuel:100 (m ())) in
+      checkb (name ^ ": " ^ outcome) (Obs.has_sub outcome "register %5 read before definition");
+      same name ~fuel:100 m)
+    [ ("phi source",
+       "  %1 = br next\nnext:\n  %2 = phi.i64 [entry: %5]\n  %5 = add 1, 2\n  %6 = ret %2");
+      ("store source", "  %1 = store %5, @g\n  %5 = add 1, 2\n  %6 = ret 0");
+      ("select", "  %1 = select.i64 1, %5, 0\n  %5 = add 1, 2\n  %6 = ret %1") ]
+
+(* a task of the read-modify-write section dies after writing part of
+   its range; the retry must start from the memory the section began
+   with, ints and floats alike *)
+let test_psim_retry_restores_memory () =
+  let src =
+    {|
+int main() {
+  int *a = malloc(64);
+  float *b = malloc(64);
+  for (int i = 0; i < 64; i = i + 1) { a[i] = i; b[i] = 0.5 * i; }
+  for (int i = 0; i < 64; i = i + 1) { a[i] = a[i] * 3 + i; b[i] = b[i] * 1.5 + 0.25; }
+  int s = 0;
+  float t = 0.0;
+  for (int i = 0; i < 64; i = i + 1) { s = s + a[i] * (i + 1); t = t + b[i]; }
+  print(s);
+  print_float(t);
+  return 0;
+}
+|}
+  in
+  let original = compile src in
+  let m = compile src in
+  let n = Noelle.create m in
+  let results = Ntools.Doall.run n m ~ncores:4 ~min_hotness:0.0 ~min_work:0.0 () in
+  checki "three loops parallelized" 3
+    (List.length (List.filter (fun (_, r) -> Result.is_ok r) results));
+  List.iter
+    (fun victim ->
+      let fault =
+        { Psim.Runtime.max_restarts = 2;
+          death = (fun ~tid ~attempt -> if tid = victim && attempt = 1 then Some 200L else None) }
+      in
+      let r = Psim.Runtime.run_resilient ~fault ~original m in
+      let what = Printf.sprintf "task %d dies" victim in
+      checki (what ^ ": one restart") 1 r.Psim.Runtime.rrestarts;
+      checkb (what ^ ": stayed parallel") (r.Psim.Runtime.rmode = `Parallel);
+      checks (what ^ ": output") "349440\n1528.000000\n" r.Psim.Runtime.routput;
+      check Alcotest.int64 (what ^ ": cycles") 6899L r.Psim.Runtime.rcycles)
+    [ 4; 7 ]
+
 let suite =
   [
     tc "oracle: all kernels" test_kernels;
@@ -199,4 +352,10 @@ let suite =
     tc "oracle: trap paths" test_trap_paths;
     tc "oracle: fuel exhaustion" test_fuel_exhaustion;
     tc "oracle: malloc through a helper" test_helper_malloc_site;
+    tc "words: float bits survive memory, phis and select" test_float_bits;
+    tc "words: a pointer stays a pointer" test_pointer_stays_pointer;
+    tc "words: a store retypes a word" test_retyped_words;
+    tc "words: type-confusion traps" test_mistyped_slots;
+    tc "words: copies of an undefined register trap" test_copies_before_definition;
+    tc "words: a Psim retry restores memory" test_psim_retry_restores_memory;
   ]
