@@ -8,7 +8,7 @@
       dune exec bench/main.exe -- --emit-test-script  # write run_all_tests.sh
       dune exec bench/main.exe -- --json figure3      # + BENCH_figure3.json
     Sections: table1 table2 table3 table4 figure3 figure4 iv figure5 spec
-    dead bechamel *)
+    dead construct *)
 
 let ncores = 12
 let arch = Noelle.Arch.measure ~physical_cores:ncores ()
@@ -812,53 +812,46 @@ let dead_experiment () =
   Printf.printf "  AVERAGE: -%.1f%% (paper: -6.3%%)\n" avg
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks: demand-driven construction costs           *)
+(* Abstraction construction costs (demand-driven claim)                 *)
 (* ------------------------------------------------------------------ *)
 
-let bechamel_section () =
-  banner "Bechamel: abstraction construction cost (demand-driven claim)";
-  let open Bechamel in
+(* each construction reruns for up to 200 runs or 0.5 s, timed with
+   Trace.time_ms; the mean is reported *)
+let construct_section () =
+  banner "Abstraction construction cost (demand-driven claim)";
   let k = Option.get (Bsuite.Kernels.find "dijkstra") in
   let m = Bsuite.Kernels.compile k in
   let main = Ir.Irmod.func m "main" in
   let andersen = Ir.Andersen.analyze m in
   let pdg = Noelle.Pdg.build ~stack:(Ir.Andersen.noelle_stack m) m main in
   let nest = Ir.Loopnest.compute main in
-  let tests =
-    Test.make_grouped ~name:"noelle"
-      [
-        Test.make ~name:"loopnest(LS)" (Staged.stage (fun () -> Ir.Loopnest.compute main));
-        Test.make ~name:"dominators" (Staged.stage (fun () -> Ir.Dom.compute main));
-        Test.make ~name:"pdg-baseline"
-          (Staged.stage (fun () ->
-               Noelle.Pdg.build ~stack:Ir.Andersen.baseline_stack m main));
-        Test.make ~name:"pdg-noelle"
-          (Staged.stage (fun () ->
-               Noelle.Pdg.build
-                 ~stack:[ Ir.Alias.baseline; Ir.Andersen.analysis andersen ]
-                 m main));
-        Test.make ~name:"andersen" (Staged.stage (fun () -> Ir.Andersen.analyze m));
-        Test.make ~name:"loop-dg+sccdag"
-          (Staged.stage (fun () ->
-               let l = List.hd nest.Ir.Loopnest.loops in
-               Noelle.Sccdag.build (Noelle.Pdg.loop_dg pdg nest l)));
-        Test.make ~name:"callgraph"
-          (Staged.stage (fun () -> Noelle.Callgraph.build ~pts:andersen m));
-      ]
+  let mean_ns f =
+    let runs = ref 0 and total_ms = ref 0.0 in
+    while !runs < 200 && !total_ms < 500.0 do
+      total_ms := !total_ms +. snd (Ir.Trace.time_ms f);
+      incr runs
+    done;
+    !total_ms *. 1e6 /. float_of_int !runs
   in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols (List.hd instances) raw in
-  Hashtbl.fold (fun name res acc -> (name, res) :: acc) results []
+  [
+    ("noelle/loopnest(LS)", fun () -> ignore (Ir.Loopnest.compute main));
+    ("noelle/dominators", fun () -> ignore (Ir.Dom.compute main));
+    ( "noelle/pdg-baseline",
+      fun () -> ignore (Noelle.Pdg.build ~stack:Ir.Andersen.baseline_stack m main) );
+    ( "noelle/pdg-noelle",
+      fun () ->
+        ignore
+          (Noelle.Pdg.build ~stack:[ Ir.Alias.baseline; Ir.Andersen.analysis andersen ] m main)
+    );
+    ("noelle/andersen", fun () -> ignore (Ir.Andersen.analyze m));
+    ( "noelle/loop-dg+sccdag",
+      fun () ->
+        let l = List.hd nest.Ir.Loopnest.loops in
+        ignore (Noelle.Sccdag.build (Noelle.Pdg.loop_dg pdg nest l)) );
+    ("noelle/callgraph", fun () -> ignore (Noelle.Callgraph.build ~pts:andersen m));
+  ]
   |> List.sort compare
-  |> List.iter (fun (name, res) ->
-         match Analyze.OLS.estimates res with
-         | Some [ est ] -> Printf.printf "  %-28s %12.1f ns/run\n" name est
-         | _ -> Printf.printf "  %-28s (no estimate)\n" name)
+  |> List.iter (fun (name, f) -> Printf.printf "  %-28s %12.1f ns/run\n" name (mean_ns f))
 
 (* ------------------------------------------------------------------ *)
 (* Perspective: speculation + memory-object cloning                      *)
@@ -1373,7 +1366,7 @@ let sections =
     ("bounds", bounds_section);
     ("serve", serve_section);
     ("slo", slo_section);
-    ("bechamel", bechamel_section) ]
+    ("construct", construct_section) ]
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in

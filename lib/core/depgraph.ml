@@ -125,52 +125,20 @@ let external_nodes (g : t) =
 let num_nodes (g : t) = List.length g.nodes
 let num_edges (g : t) = g.nedges
 
-(** Restrict [g] to the nodes satisfying [keep]; nodes not kept but adjacent
-    to kept nodes become external (the live-in/live-out sets of the region,
-    computed exactly as the paper describes for loop and function dependence
-    graphs).  The slice holds [g]'s own edge records. *)
-let slice (g : t) ~keep =
-  let out = create ~size:(bound g) () in
-  List.iter (fun n -> if keep n then add_node out ~internal:true n) g.nodes;
-  List.iter
-    (fun n ->
-      if keep n then
-        List.iter
-          (fun e ->
-            if not (keep e.edst) then add_node out ~internal:false e.edst;
-            add out e)
-          g.succ.(n)
-      else
-        List.iter
-          (fun e ->
-            if keep e.edst then begin
-              add_node out ~internal:false n;
-              add out e
-            end)
-          g.succ.(n))
-    g.nodes;
-  out
-
-(** Replace every edge [e] by [f e], dropping it when that is [None].
-    [f] is asked once for each edge's successor-list entry and once for
-    its predecessor-list entry. *)
-let filter_map_edges (g : t) ~f =
-  let nedges = ref 0 in
-  List.iter
-    (fun n ->
-      let es = List.filter_map f g.succ.(n) in
-      nedges := !nedges + List.length es;
-      g.succ.(n) <- es)
-    g.nodes;
-  g.nedges <- !nedges;
-  List.iter (fun n -> g.pred.(n) <- List.filter_map f g.pred.(n)) g.nodes
-
 (** Remove every edge that fails [keep_edge] (used by speculative
     refinement to drop dependences a profile says never occur).
     [keep_edge] is asked once for each edge's successor-list entry and
     once for its predecessor-list entry. *)
 let filter_edges (g : t) ~keep_edge =
-  filter_map_edges g ~f:(fun e -> if keep_edge e then Some e else None)
+  let nedges = ref 0 in
+  List.iter
+    (fun n ->
+      let es = List.filter keep_edge g.succ.(n) in
+      nedges := !nedges + List.length es;
+      g.succ.(n) <- es)
+    g.nodes;
+  g.nedges <- !nedges;
+  List.iter (fun n -> g.pred.(n) <- List.filter keep_edge g.pred.(n)) g.nodes
 
 (** Strongly connected components (Tarjan), internal nodes only, in
     reverse topological order (callees of the DAG first), and an array

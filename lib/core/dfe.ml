@@ -43,7 +43,7 @@ let solve (f : Func.t) (p : problem) : result =
     (fun b ->
       Hashtbl.replace in_ b p.init;
       Hashtbl.replace out b p.init)
-    f.Func.blocks;
+    (Func.blocks f);
   let get tbl b = try Hashtbl.find tbl b with Not_found -> p.init in
   let work = Queue.create () in
   let queued = Hashtbl.create 16 in

@@ -118,7 +118,7 @@ let clone_blocks ~(src : Func.t) ~(blocks : int list) ~(dst : Func.t)
     ~(map_value : Instr.value -> Instr.value) ~(entry_from : int)
     ~(exit_to : int -> int) : (int, int) Hashtbl.t * (int, int) Hashtbl.t =
   let bmap = Hashtbl.create 16 and imap = Hashtbl.create 64 in
-  let ordered = List.filter (fun b -> List.mem b blocks) src.Func.blocks in
+  let ordered = List.filter (fun b -> List.mem b blocks) (Func.blocks src) in
   List.iter
     (fun bid ->
       let b = Func.block src bid in

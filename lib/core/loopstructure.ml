@@ -32,7 +32,7 @@ let of_loop (f : Func.t) (l : Loopnest.loop) : t =
     header = l.Loopnest.header;
     preheader = Loopnest.preheader f l;
     latches = l.Loopnest.latches;
-    blocks = List.filter (fun b -> Loopnest.contains l b) f.Func.blocks;
+    blocks = List.filter (fun b -> Loopnest.contains l b) (Func.blocks f);
     exit_edges = Loopnest.exit_edges f l;
     exit_targets = Loopnest.exit_targets f l;
     depth = l.Loopnest.depth;

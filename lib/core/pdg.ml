@@ -89,7 +89,7 @@ let build ?budget ?(stack : Alias.stack = [ Alias.baseline ]) ?pts (m : Irmod.t)
             end
           done)
         (Func.successors f a))
-    f.Func.blocks;
+    (Func.blocks f);
   Hashtbl.iter
     (fun a xs ->
       match Func.terminator f a with
@@ -449,7 +449,8 @@ let loop_dg (t : t) (nest : Loopnest.t) (l : Loopnest.loop) : loop_dg =
           if not (in_loop e.Depgraph.esrc) then Bytes.set feeders e.Depgraph.esrc '\001')
         (Depgraph.preds fdg n))
     g.Depgraph.nodes;
-  (* copy in the node and edge order of [Depgraph.slice] over [fdg] *)
+  (* copy in the node and edge order of the oracle's slice of [fdg]
+     (test/ldg_oracle.ml) *)
   List.iter
     (fun n ->
       if in_loop n then

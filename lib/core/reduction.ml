@@ -18,11 +18,6 @@ type t = {
   chain : int list;          (** instruction ids of the update chain *)
 }
 
-let kind_to_string = function
-  | Sum -> "sum" | Prod -> "prod" | Fsum -> "fsum" | Fprod -> "fprod"
-  | Band -> "and" | Bor -> "or" | Bxor -> "xor"
-  | Min -> "min" | Max -> "max" | Fmin -> "fmin" | Fmax -> "fmax"
-
 (** Identity element of a reduction kind, used to seed per-task private
     accumulators. *)
 let identity = function

@@ -24,10 +24,6 @@ let ensure (s : t) w =
     s.words <- a
   end
 
-let mem (s : t) i =
-  let w = i / bits_per_word in
-  w < Array.length s.words && (s.words.(w) lsr (i mod bits_per_word)) land 1 = 1
-
 (** Set bit [i]; true iff it was not already set. *)
 let add (s : t) i =
   let w = i / bits_per_word and b = i mod bits_per_word in

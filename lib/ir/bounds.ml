@@ -662,7 +662,7 @@ let analyze (f : Func.t) : summary =
       (fun acc b ->
         if Hashtbl.mem nest.Loopnest.block_loop b then acc
         else acc + List.length (Func.block f b).Func.insts)
-      0 f.Func.blocks
+      0 (Func.blocks f)
   in
   let fcost =
     List.fold_left

@@ -10,22 +10,33 @@
 open Raw.Instr
 open Raw.Func
 
-(** [add_block f ~label] appends a fresh empty block to [f]. *)
+(* [f.labels] counts the blocks carrying each label *)
+let count_label (f : Func.t) l d =
+  match Option.value (Hashtbl.find_opt f.labels l) ~default:0 + d with
+  | 0 -> Hashtbl.remove f.labels l
+  | n -> Hashtbl.replace f.labels l n
+
+(** [add_block f ~label] appends a fresh empty block to [f], in O(1).  A
+    label some block already carries gets the block id as a suffix. *)
 let add_block (f : Func.t) ~label =
   let bid = Func.fresh_id f in
-  let lbl = if Func.find_label f label = None then label
-    else Printf.sprintf "%s.%d" label bid in
+  let lbl = if Hashtbl.mem f.labels label then Printf.sprintf "%s.%d" label bid else label in
   let b = { bid; label = lbl; insts = [] } in
   Hashtbl.replace f.blks bid b;
-  f.blocks <- f.blocks @ [ bid ];
+  count_label f lbl 1;
+  f.appended <- bid :: f.appended;
   b
 
 (** Rename block [bid]; the caller keeps labels unique. *)
-let set_label (f : Func.t) bid label = (Func.block f bid).label <- label
+let set_label (f : Func.t) bid label =
+  let b = Func.block f bid in
+  count_label f b.label (-1);
+  count_label f label 1;
+  b.label <- label
 
 (** Move block [bid] to the head of the layout, making it the entry. *)
 let make_entry (f : Func.t) bid =
-  f.blocks <- bid :: List.filter (fun b -> b <> bid) f.blocks
+  f.layout <- bid :: List.filter (fun b -> b <> bid) (Func.blocks f)
 
 (** Replace the operation of instruction [i] of [f]. *)
 let set_op (_ : Func.t) (i : Instr.inst) op = i.op <- op
@@ -251,7 +262,8 @@ let erase_block (f : Func.t) bid =
     (Func.successors f bid);
   List.iter (fun id -> Hashtbl.remove f.body id) b.insts;
   Hashtbl.remove f.blks bid;
-  f.blocks <- List.filter (fun x -> x <> bid) f.blocks
+  count_label f b.label (-1);
+  f.layout <- List.filter (fun x -> x <> bid) (Func.blocks f)
 
 (** Simplify trivial phis ([Phi [(p, v)]] or all-same-value phis) away.
     Returns the number of phis removed.  Used after CFG surgery. *)

@@ -11,7 +11,7 @@ let reverse_postorder (f : Func.t) =
       order := b :: !order
     end
   in
-  if f.Func.blocks <> [] then dfs (Func.entry f);
+  if Func.blocks f <> [] then dfs (Func.entry f);
   !order
 
 (** Set of blocks reachable from entry. *)
@@ -24,7 +24,7 @@ let reachable (f : Func.t) =
     the number of blocks removed. *)
 let prune_unreachable (f : Func.t) =
   let live = reachable f in
-  let dead = List.filter (fun b -> not (Hashtbl.mem live b)) f.Func.blocks in
+  let dead = List.filter (fun b -> not (Hashtbl.mem live b)) (Func.blocks f) in
   List.iter (Builder.erase_block f) dead;
   List.length dead
 
@@ -35,4 +35,4 @@ let exit_blocks (f : Func.t) =
       match Func.terminator f b with
       | Some { Instr.op = Instr.Ret _ | Instr.Unreachable; _ } -> true
       | _ -> false)
-    f.Func.blocks
+    (Func.blocks f)

@@ -74,7 +74,7 @@ let compute_generic ~(succs : int -> int list) ~(entry : int) ~(nodes : int list
 let compute (f : Func.t) =
   compute_generic
     ~succs:(fun b -> Func.successors f b)
-    ~entry:(Func.entry f) ~nodes:f.Func.blocks
+    ~entry:(Func.entry f) ~nodes:(Func.blocks f)
 
 (** Virtual exit node used by the postdominator tree when the function has
     multiple (or zero) exits. *)
@@ -89,7 +89,7 @@ let compute_post (f : Func.t) =
     if b = virtual_exit then exits
     else try Hashtbl.find preds b with Not_found -> []
   in
-  compute_generic ~succs:rsuccs ~entry:virtual_exit ~nodes:(virtual_exit :: f.Func.blocks)
+  compute_generic ~succs:rsuccs ~entry:virtual_exit ~nodes:(virtual_exit :: Func.blocks f)
 
 (** [dominates t a b]: does node [a] dominate node [b]?  Reflexive. *)
 let dominates (t : t) a b =
@@ -114,7 +114,7 @@ let idom_of (t : t) b =
     control-dependence. *)
 let frontiers (f : Func.t) (t : t) =
   let df = Hashtbl.create 16 in
-  List.iter (fun b -> Hashtbl.replace df b []) f.Func.blocks;
+  List.iter (fun b -> Hashtbl.replace df b []) (Func.blocks f);
   let preds = Func.preds f in
   List.iter
     (fun b ->
@@ -137,5 +137,5 @@ let frontiers (f : Func.t) (t : t) =
             done)
           ps
       | _ -> ())
-    f.Func.blocks;
+    (Func.blocks f);
   df

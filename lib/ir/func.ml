@@ -5,7 +5,9 @@ let make ~name ~params ~ret ~is_declaration =
     fname = name;
     params = Array.of_list params;
     ret;
-    blocks = [];
+    layout = [];
+    appended = [];
+    labels = Hashtbl.create 16;
     body = Hashtbl.create 64;
     blks = Hashtbl.create 16;
     next_id = 0;
@@ -15,11 +17,20 @@ let make ~name ~params ~ret ~is_declaration =
 let create = make ~is_declaration:false
 let declare = make ~is_declaration:true
 
+let blocks (f : t) =
+  match f.appended with
+  | [] -> f.layout
+  | pending ->
+    f.layout <- f.layout @ List.rev pending;
+    f.appended <- [];
+    f.layout
+
 let copy ?name (f : t) =
   let g = make ~name:(Option.value name ~default:f.fname)
       ~params:(Array.to_list f.params) ~ret:f.ret ~is_declaration:f.is_declaration in
   g.next_id <- f.next_id;
-  g.blocks <- f.blocks;
+  g.layout <- blocks f;
+  Hashtbl.iter (fun l n -> Hashtbl.replace g.labels l n) f.labels;
   Hashtbl.iter (fun id (i : Instr.inst) -> Hashtbl.replace g.body id { i with Raw.Instr.op = i.op }) f.body;
   Hashtbl.iter (fun id b -> Hashtbl.replace g.blks id { b with insts = b.insts }) f.blks;
   g
@@ -30,7 +41,7 @@ let fresh_id (f : t) =
   id
 
 let entry (f : t) =
-  match f.blocks with
+  match blocks f with
   | b :: _ -> b
   | [] -> invalid_arg (Printf.sprintf "Func.entry: %s has no blocks" f.fname)
 
@@ -64,7 +75,7 @@ let successors (f : t) bid =
   | Some i -> Instr.successors i.op
   | None -> []
 
-let iter_blocks fn (f : t) = List.iter (fun bid -> fn (block f bid)) f.blocks
+let iter_blocks fn (f : t) = List.iter (fun bid -> fn (block f bid)) (blocks f)
 
 let iter_insts fn (f : t) =
   iter_blocks (fun b -> List.iter (fun id -> fn (inst f id)) b.insts) f
@@ -80,18 +91,14 @@ let num_insts (f : t) = fold_insts (fun n _ -> n + 1) 0 f
 
 let insts_of_block (f : t) bid = List.map (inst f) (block f bid).insts
 
-let find_label (f : t) l =
-  let found = ref None in
-  iter_blocks (fun b -> if String.equal b.label l then found := Some b) f;
-  !found
-
 let users (f : t) r =
   fold_insts (fun acc i -> if Instr.uses_reg i.op r then i :: acc else acc) [] f
   |> List.rev
 
 let preds (f : t) =
   let tbl = Hashtbl.create 16 in
-  List.iter (fun bid -> Hashtbl.replace tbl bid []) f.blocks;
+  let layout = blocks f in
+  List.iter (fun bid -> Hashtbl.replace tbl bid []) layout;
   List.iter
     (fun bid ->
       List.iter
@@ -99,5 +106,5 @@ let preds (f : t) =
           let cur = try Hashtbl.find tbl s with Not_found -> [] in
           if not (List.mem bid cur) then Hashtbl.replace tbl s (cur @ [ bid ]))
         (successors f bid))
-    f.blocks;
+    layout;
   tbl

@@ -20,7 +20,11 @@ type t = Raw.Func.t = private {
   fname : string;
   params : (string * Ty.t) array;
   ret : Ty.t;
-  mutable blocks : int list;       (** block ids in layout order; head = entry *)
+  mutable layout : int list;
+      (** block ids in layout order, head = entry, except the newest:
+          read the layout through {!blocks} *)
+  mutable appended : int list;     (** blocks appended after [layout], newest first *)
+  labels : (string, int) Hashtbl.t;  (** label -> number of blocks carrying it *)
   body : (int, Instr.inst) Hashtbl.t;
   blks : (int, block) Hashtbl.t;
   mutable next_id : int;
@@ -37,6 +41,11 @@ val declare : name:string -> params:(string * Ty.t) list -> ret:Ty.t -> t
     with the same ids, labels and layout, under [name] (default: [f]'s
     own).  Operand values and labels are immutable and stay shared. *)
 val copy : ?name:string -> t -> t
+
+(** Block ids in layout order; the head is the entry block.  Appending
+    a block ({!Builder.add_block}) is O(1); the first read after appends
+    merges them into the layout in one pass. *)
+val blocks : t -> int list
 
 (** Draw the next id from [f]'s counter. *)
 val fresh_id : t -> int
@@ -79,9 +88,6 @@ val num_insts : t -> int
     order (terminator last).  Raises [Invalid_argument] when the block or
     one of its listed instructions does not exist. *)
 val insts_of_block : t -> int -> Instr.inst list
-
-(** [find_label f l] finds the block labelled [l]. *)
-val find_label : t -> string -> block option
 
 (** [users f r] lists instructions whose operands mention SSA register [r].
     Recomputed on demand; the IR does not maintain use lists. *)

@@ -42,7 +42,7 @@
     traps of {!as_int}/{!as_float}/{!as_ptr}; [load], [store], [select]
     and phis copy a word (tag and bits) without looking at it.  The boxed
     {!v} is the type at the boundary only: {!call} arguments and results,
-    builtins, hooks, {!load_word}/{!store_word}.  So a step allocates
+    builtins, hooks, {!load_word}.  So a step allocates
     nothing unless it calls: [clock] is an [int] (the parallel runtime
     and the tool runtimes convert at their edges), and an [alloca] or a
     direct call to [malloc] records its allocation site in
@@ -274,10 +274,6 @@ let load_word st addr =
   if addr <= 0 || addr >= st.brk then trap "load from invalid address %d" addr;
   get st.mem addr
 
-let store_word st addr v =
-  if addr <= 0 || addr >= st.brk then trap "store to invalid address %d" addr;
-  put st.mem addr v
-
 (** Does [addr] fall inside a live allocation?  Used by the CARAT runtime. *)
 let addr_is_guarded_valid st addr =
   (* linear scan over allocations is fine at our scale; allocations are
@@ -466,7 +462,7 @@ let compile (st : state) (f : Func.t) : layout =
       order := bid :: !order
     end
   in
-  List.iter add f.Func.blocks;
+  List.iter add (Func.blocks f);
   List.iter add (Func.block_ids f);
   let insts_of bid =
     match Func.insts_of_block f bid with

@@ -60,7 +60,7 @@ let compute (f : Func.t) : t =
               done
             end)
           (Func.successors f b))
-    f.Func.blocks;
+    (Func.blocks f);
   let loops = Hashtbl.fold (fun _ l acc -> l :: acc) by_header [] in
   (* nesting: parent = smallest strictly-containing loop *)
   List.iter
@@ -146,7 +146,7 @@ let preheader (f : Func.t) (l : loop) =
 let insts (f : Func.t) (l : loop) =
   List.concat_map
     (fun bid -> if IntSet.mem bid l.blocks then (Func.block f bid).Func.insts else [])
-    f.Func.blocks
+    (Func.blocks f)
   |> List.map (Func.inst f)
 
 (** Loops ordered innermost-first (deepest depth first). *)

@@ -50,7 +50,9 @@ module Func = struct
     fname : string;
     params : (string * Ty.t) array;
     ret : Ty.t;
-    mutable blocks : int list;
+    mutable layout : int list;
+    mutable appended : int list;
+    labels : (string, int) Hashtbl.t;
     body : (int, Instr.inst) Hashtbl.t;
     blks : (int, block) Hashtbl.t;
     mutable next_id : int;

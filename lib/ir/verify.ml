@@ -11,7 +11,7 @@ let failv fmt = Printf.ksprintf (fun s -> raise (Invalid s)) fmt
 let verify_func ?(m : Irmod.t option) (f : Func.t) =
   if f.Func.is_declaration then ()
   else begin
-    if f.Func.blocks = [] then failv "%s: no blocks" f.Func.fname;
+    if Func.blocks f = [] then failv "%s: no blocks" f.Func.fname;
     (* block structure; labels are unique, so the printed text names every
        branch target unambiguously *)
     let labels = Hashtbl.create 16 in
@@ -53,7 +53,7 @@ let verify_func ?(m : Irmod.t option) (f : Func.t) =
               failv "%s/%s: inst %d has wrong parent %d" f.Func.fname b.Func.label
                 id i.Instr.parent)
           b.Func.insts)
-      f.Func.blocks;
+      (Func.blocks f);
     (* operand sanity *)
     let nparams = Array.length f.Func.params in
     Func.iter_insts
@@ -103,7 +103,7 @@ let verify_func ?(m : Irmod.t option) (f : Func.t) =
                     f.Func.fname (Func.block f bid).Func.label i.Instr.id
               | _ -> ())
             (Func.insts_of_block f bid))
-      f.Func.blocks;
+      (Func.blocks f);
     (* SSA: definitions dominate uses *)
     let dt = Dom.compute f in
     let block_pos = Hashtbl.create 64 in
@@ -111,7 +111,7 @@ let verify_func ?(m : Irmod.t option) (f : Func.t) =
       (fun bid ->
         List.iteri (fun k id -> Hashtbl.replace block_pos id (bid, k))
           (Func.block f bid).Func.insts)
-      f.Func.blocks;
+      (Func.blocks f);
     Func.iter_insts
       (fun user ->
         if Hashtbl.mem reach user.Instr.parent then

@@ -242,12 +242,15 @@ let install_sink (sv : server) (mname : string) (m : Irmod.t) (mgr : Noelle.t) =
 let create ?(cfg = default_config) ~(root : string)
     (corpus : (string * Irmod.t) list) : server =
   register_counters ();
-  let t0 = Unix.gettimeofday () in
-  (* crash forensics first: a flight dump left by a killed predecessor is
-     replayed before the store's own recovery touches the root *)
-  let flight_replay = replay_flight root in
-  if flight_replay <> None then Trace.incr_m "serve.flight.replayed";
-  let store = Store.open_store root in
+  let (flight_replay, store), recovery_ms =
+    Trace.time_ms (fun () ->
+        (* crash forensics first: a flight dump left by a killed
+           predecessor is replayed before the store's own recovery
+           touches the root *)
+        let flight_replay = replay_flight root in
+        if flight_replay <> None then Trace.incr_m "serve.flight.replayed";
+        (flight_replay, Store.open_store root))
+  in
   let sv =
     {
       store;
@@ -260,7 +263,7 @@ let create ?(cfg = default_config) ~(root : string)
       sheds_checked = 0;
       shed_violations = [];
       recoveries = 0;
-      recovery_ms = (Unix.gettimeofday () -. t0) *. 1000.;
+      recovery_ms;
       sink_wrote = ref false;
       flight_replay;
     }
@@ -553,7 +556,7 @@ let summarize (sv : server) (answers : answer list) ~wall_ms ~max_backlog
     dependence queries on store miss are shed to degraded answers.
     No faults: {!Store.Killed} does not fire without {!Store.arm}. *)
 let run (sv : server) (w : Workload.t) ?(rate = 0.) () : report =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Trace.now_us () in
   let reqs = Array.of_list w.Workload.reqs in
   let n = Array.length reqs in
   let arrival i = if rate <= 0. then 0 else int_of_float (float_of_int i /. rate) in
@@ -576,7 +579,7 @@ let run (sv : server) (w : Workload.t) ?(rate = 0.) () : report =
     answers := handle_request sv i reqs.(i) :: !answers
   done;
   summarize sv (List.rev !answers)
-    ~wall_ms:((Unix.gettimeofday () -. t0) *. 1000.)
+    ~wall_ms:((Trace.now_us () -. t0) /. 1000.)
     ~max_backlog:!max_backlog ~breaker_opens:!breaker_opens
 
 (** Cold run then a "process restart": remove [root], serve [w] over a

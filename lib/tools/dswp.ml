@@ -280,172 +280,160 @@ let transform (n : Noelle.t) (m : Irmod.t) (plan : plan) : stats =
         (fun r -> (Printf.sprintf "out.%d" r, (Func.inst f r).Instr.ty))
         stored_outs
   in
-  let env, live_slots, extra_slots = Parutil.build_env c ~extra in
+  let env, live_slots, extra_slots = Parutil.build_env c ~reds:[] ~ncores:nstages ~extra in
   let slot name = List.assoc name extra_slots in
   let tname_base =
     Printf.sprintf "%s.dswp.%s" f.Func.fname (Func.block f header).Func.label
   in
   (* --- per-stage task generation --- *)
-  List.iter
-    (fun st ->
-      let tname = Printf.sprintf "%s.s%d" tname_base st.index in
-      let task, entry =
-        Task.create m ~name:tname ~env ~origin:(Printf.sprintf "DSWP stage %d" st.index)
-      in
-      let tf = task.Task.tfunc in
-      let env_ptr = Task.env_arg in
-      let subst_pairs =
-        Parutil.emit_live_in_loads f tf entry.Func.bid live_slots ~env_ptr
-      in
-      (* load the queue handles this stage touches *)
-      let qh : (int * int, Instr.value) Hashtbl.t = Hashtbl.create 8 in
-      List.iter
-        (fun (p, s) ->
-          if s = st.index || stage_of p = Some st.index then
-            qh |> fun t ->
-            Hashtbl.replace t (p, s)
-              (Env.emit_load tf entry.Func.bid ~env_ptr
-                 ~index:(slot (Printf.sprintf "q.%d.%d" p s))
-                 Ty.I64))
-        reg_queues;
-      let tokh : (int * int, Instr.value) Hashtbl.t = Hashtbl.create 8 in
-      List.iter
-        (fun (a, b) ->
-          if a = st.index || b = st.index then
-            Hashtbl.replace tokh (a, b)
-              (Env.emit_load tf entry.Func.bid ~env_ptr
-                 ~index:(slot (Printf.sprintf "tok.%d.%d" a b))
-                 Ty.I64))
-        tok_queues;
-      let done_blk = Builder.add_block tf ~label:"done" in
-      let bmap, imap =
-        Loopbuilder.clone_blocks ~src:f ~blocks:ls.Loopstructure.blocks ~dst:tf
-          ~map_value:(Parutil.subst_of subst_pairs)
-          ~entry_from:entry.Func.bid
-          ~exit_to:(fun _ -> done_blk.Func.bid)
-      in
-      let cbody = Hashtbl.find bmap c.Parutil.body_entry in
-      let clatch = Hashtbl.find bmap latch in
-      (* a dedicated comm block between header and body keeps insertion
-         simple: pops happen there, in deterministic order *)
-      let comm = Builder.add_block tf ~label:"dswp.pop" in
-      Builder.redirect tf (Hashtbl.find bmap header) ~old_succ:cbody
-        ~new_succ:comm.Func.bid;
-      ignore (Builder.set_term tf comm.Func.bid (Instr.Br cbody));
-      (* token pops: before the body *)
-      List.iter
-        (fun (a, b) ->
-          if b = st.index then
-            ignore
-              (Builder.add tf comm.Func.bid
-                 (Instr.Call (Instr.Glob "q_pop", [ Hashtbl.find tokh (a, b) ]))
-                 Ty.I64))
-        tok_queues;
-      (* value pops *)
-      let popped : (int, Instr.value) Hashtbl.t = Hashtbl.create 8 in
-      List.iter
-        (fun (p, s) ->
-          if s = st.index then begin
-            let ty = (Func.inst f p).Instr.ty in
-            let fn = if Ty.equal ty Ty.F64 then "q_pop_f" else "q_pop" in
-            let v =
-              Builder.add tf comm.Func.bid
-                (Instr.Call (Instr.Glob fn, [ Hashtbl.find qh (p, s) ]))
-                ty
-            in
-            Hashtbl.replace popped p (Instr.Reg v.Instr.id)
-          end)
-        reg_queues;
-      (* value pushes: at the end of the producing block *)
-      List.iter
-        (fun (p, s) ->
-          if stage_of p = Some st.index then begin
-            let ci = Hashtbl.find imap p in
-            let cinst = Func.inst tf ci in
-            let ty = cinst.Instr.ty in
-            let fn = if Ty.equal ty Ty.F64 then "q_push_f" else "q_push" in
-            (match Func.terminator tf cinst.Instr.parent with
-            | Some t ->
+  let tasks =
+    List.map
+      (fun st ->
+        let tname = Printf.sprintf "%s.s%d" tname_base st.index in
+        let task, entry, subst =
+          Parutil.open_task m c ~name:tname ~origin:(Printf.sprintf "DSWP stage %d" st.index)
+            env live_slots
+        in
+        let tf = task.Task.tfunc in
+        let env_ptr = Task.env_arg in
+        (* load the queue handles this stage touches *)
+        let qh : (int * int, Instr.value) Hashtbl.t = Hashtbl.create 8 in
+        List.iter
+          (fun (p, s) ->
+            if s = st.index || stage_of p = Some st.index then
+              qh |> fun t ->
+              Hashtbl.replace t (p, s)
+                (Env.emit_load tf entry ~env_ptr
+                   ~index:(slot (Printf.sprintf "q.%d.%d" p s))
+                   Ty.I64))
+          reg_queues;
+        let tokh : (int * int, Instr.value) Hashtbl.t = Hashtbl.create 8 in
+        List.iter
+          (fun (a, b) ->
+            if a = st.index || b = st.index then
+              Hashtbl.replace tokh (a, b)
+                (Env.emit_load tf entry ~env_ptr
+                   ~index:(slot (Printf.sprintf "tok.%d.%d" a b))
+                   Ty.I64))
+          tok_queues;
+        let done_, bmap, imap = Parutil.clone_body c tf ~entry subst in
+        let cbody = Hashtbl.find bmap c.Parutil.body_entry in
+        let clatch = Hashtbl.find bmap latch in
+        (* a dedicated comm block between header and body keeps insertion
+           simple: pops happen there, in deterministic order *)
+        let comm = Builder.add_block tf ~label:"dswp.pop" in
+        Builder.redirect tf (Hashtbl.find bmap header) ~old_succ:cbody
+          ~new_succ:comm.Func.bid;
+        ignore (Builder.set_term tf comm.Func.bid (Instr.Br cbody));
+        (* token pops: before the body *)
+        List.iter
+          (fun (a, b) ->
+            if b = st.index then
               ignore
-                (Builder.insert_before tf ~before:t.Instr.id
-                   (Instr.Call (Instr.Glob fn, [ Hashtbl.find qh (p, s); Instr.Reg ci ]))
-                   Ty.Void)
-            | None -> ())
-          end)
-        reg_queues;
-      (* token pushes: end of the latch *)
-      List.iter
-        (fun (a, b) ->
-          if a = st.index then
-            match Func.terminator tf clatch with
-            | Some t ->
-              ignore
-                (Builder.insert_before tf ~before:t.Instr.id
-                   (Instr.Call
-                      (Instr.Glob "q_push", [ Hashtbl.find tokh (a, b); Instr.Cint 0L ]))
-                   Ty.Void)
-            | None -> ())
-        tok_queues;
-      (* per-iteration stores of this stage's live-outs *)
-      List.iter
-        (fun r ->
-          if stage_of r = Some st.index then begin
-            (* a header phi is stored as-is from the header: the header
-               executes once more than the body, so the last store is
-               exactly the phi's exit value; a body value is stored after
-               each production, leaving the final iteration's value *)
-            let ci = Hashtbl.find imap r in
-            let cinst = Func.inst tf ci in
-            match Func.terminator tf cinst.Instr.parent with
-            | Some t ->
-              let addr =
-                Builder.insert_before tf ~before:t.Instr.id
-                  (Instr.Gep
-                     (env_ptr, Instr.Cint (Int64.of_int (slot (Printf.sprintf "out.%d" r)))))
-                  Ty.Ptr
+                (Builder.add tf comm.Func.bid
+                   (Instr.Call (Instr.Glob "q_pop", [ Hashtbl.find tokh (a, b) ]))
+                   Ty.I64))
+          tok_queues;
+        (* value pops *)
+        let popped : (int, Instr.value) Hashtbl.t = Hashtbl.create 8 in
+        List.iter
+          (fun (p, s) ->
+            if s = st.index then begin
+              let ty = (Func.inst f p).Instr.ty in
+              let fn = if Ty.equal ty Ty.F64 then "q_pop_f" else "q_pop" in
+              let v =
+                Builder.add tf comm.Func.bid
+                  (Instr.Call (Instr.Glob fn, [ Hashtbl.find qh (p, s) ]))
+                  ty
               in
-              ignore
-                (Builder.insert_before tf ~before:t.Instr.id
-                   (Instr.Store (Instr.Reg ci, Instr.Reg addr.Instr.id))
-                   Ty.Void)
-            | None -> ()
-          end)
-        stored_outs;
-      (* delete instructions owned by other stages *)
-      let deleted = ref [] in
-      List.iter
-        (fun (i : Instr.inst) ->
-          match stage_of i.Instr.id with
-          | Some s when s <> st.index -> deleted := i.Instr.id :: !deleted
-          | _ -> ())
-        (Loopstructure.insts ls);
-      (* first replace uses of deleted producers with popped values *)
-      List.iter
-        (fun p ->
-          match Hashtbl.find_opt popped p with
-          | Some v ->
+              Hashtbl.replace popped p (Instr.Reg v.Instr.id)
+            end)
+          reg_queues;
+        (* value pushes: at the end of the producing block *)
+        List.iter
+          (fun (p, s) ->
+            if stage_of p = Some st.index then begin
+              let ci = Hashtbl.find imap p in
+              let cinst = Func.inst tf ci in
+              let ty = cinst.Instr.ty in
+              let fn = if Ty.equal ty Ty.F64 then "q_push_f" else "q_push" in
+              (match Func.terminator tf cinst.Instr.parent with
+              | Some t ->
+                ignore
+                  (Builder.insert_before tf ~before:t.Instr.id
+                     (Instr.Call (Instr.Glob fn, [ Hashtbl.find qh (p, s); Instr.Reg ci ]))
+                     Ty.Void)
+              | None -> ())
+            end)
+          reg_queues;
+        (* token pushes: end of the latch *)
+        List.iter
+          (fun (a, b) ->
+            if a = st.index then
+              match Func.terminator tf clatch with
+              | Some t ->
+                ignore
+                  (Builder.insert_before tf ~before:t.Instr.id
+                     (Instr.Call
+                        (Instr.Glob "q_push", [ Hashtbl.find tokh (a, b); Instr.Cint 0L ]))
+                     Ty.Void)
+              | None -> ())
+          tok_queues;
+        (* per-iteration stores of this stage's live-outs *)
+        List.iter
+          (fun r ->
+            if stage_of r = Some st.index then begin
+              (* a header phi is stored as-is from the header: the header
+                 executes once more than the body, so the last store is
+                 exactly the phi's exit value; a body value is stored after
+                 each production, leaving the final iteration's value *)
+              let ci = Hashtbl.find imap r in
+              let cinst = Func.inst tf ci in
+              match Func.terminator tf cinst.Instr.parent with
+              | Some t ->
+                let addr =
+                  Builder.insert_before tf ~before:t.Instr.id
+                    (Instr.Gep
+                       (env_ptr, Instr.Cint (Int64.of_int (slot (Printf.sprintf "out.%d" r)))))
+                    Ty.Ptr
+                in
+                ignore
+                  (Builder.insert_before tf ~before:t.Instr.id
+                     (Instr.Store (Instr.Reg ci, Instr.Reg addr.Instr.id))
+                     Ty.Void)
+              | None -> ()
+            end)
+          stored_outs;
+        (* delete instructions owned by other stages *)
+        let deleted = ref [] in
+        List.iter
+          (fun (i : Instr.inst) ->
+            match stage_of i.Instr.id with
+            | Some s when s <> st.index -> deleted := i.Instr.id :: !deleted
+            | _ -> ())
+          (Loopstructure.insts ls);
+        (* first replace uses of deleted producers with popped values *)
+        List.iter
+          (fun p ->
+            match Hashtbl.find_opt popped p with
+            | Some v ->
+              let ci = Hashtbl.find imap p in
+              Builder.replace_uses tf ~old:ci ~by:v
+            | None -> ())
+          !deleted;
+        (* clear operands to break mutual references, then remove *)
+        List.iter
+          (fun p ->
             let ci = Hashtbl.find imap p in
-            Builder.replace_uses tf ~old:ci ~by:v
-          | None -> ())
-        !deleted;
-      (* clear operands to break mutual references, then remove *)
-      List.iter
-        (fun p ->
-          let ci = Hashtbl.find imap p in
-          Builder.set_op tf (Func.inst tf ci) (Instr.Phi []))
-        !deleted;
-      List.iter (fun p -> Builder.remove tf (Hashtbl.find imap p)) !deleted;
-      ignore (Builder.set_term tf entry.Func.bid (Instr.Br (Hashtbl.find bmap header)));
-      ignore (Builder.set_term tf done_blk.Func.bid (Instr.Ret None)))
-    stages;
+            Builder.set_op tf (Func.inst tf ci) (Instr.Phi []))
+          !deleted;
+        List.iter (fun p -> Builder.remove tf (Hashtbl.find imap p)) !deleted;
+        Parutil.close_task c tf ~entry ~done_ bmap;
+        task)
+      stages
+  in
   (* --- main rewrite --- *)
-  let start = c.Parutil.iv.Indvars.start in
-  let bound = c.Parutil.gov.Indvars.bound in
-  let niters = Parutil.emit_niters c f ph ~start ~bound in
-  let env_ptr_main = Env.emit_alloc env f ph in
-  List.iter
-    (fun (v, idx) -> Env.emit_store f ph ~env_ptr:env_ptr_main ~index:idx v)
-    live_slots;
+  let niters, env_ptr_main = Parutil.enter c ~ph env live_slots in
   List.iter
     (fun (name, idx) ->
       if String.length name > 1 && (name.[0] = 'q' || name.[0] = 't') then begin
@@ -453,21 +441,7 @@ let transform (n : Noelle.t) (m : Irmod.t) (plan : plan) : stats =
         Env.emit_store f ph ~env_ptr:env_ptr_main ~index:idx (Instr.Reg q.Instr.id)
       end)
     extra_slots;
-  List.iteri
-    (fun k _ ->
-      let tname = Printf.sprintf "%s.s%d" tname_base k in
-      ignore tname;
-      ignore
-        (Builder.add f ph
-           (Instr.Call
-              (Instr.Glob "task_submit",
-               [ Instr.Glob (Printf.sprintf "%s.s%d" tname_base k);
-                 Instr.Cint (Int64.of_int k);
-                 Instr.Cint (Int64.of_int nstages);
-                 env_ptr_main ]))
-           Ty.Void))
-    stages;
-  ignore (Builder.add f ph (Instr.Call (Instr.Glob "tasks_run", [])) Ty.Void);
+  Parutil.launch c ~ph ~env_ptr:env_ptr_main tasks;
   let out_finals =
     List.map
       (fun r ->
@@ -479,32 +453,7 @@ let transform (n : Noelle.t) (m : Irmod.t) (plan : plan) : stats =
         (r, v))
       stored_outs
   in
-  let iv_finals =
-    List.map
-      (fun (iv : Indvars.t) ->
-        let extent =
-          Builder.add f ph (Instr.Bin (Instr.Mul, niters, iv.Indvars.step)) Ty.I64
-        in
-        let final =
-          Builder.add f ph
-            (Instr.Bin (Instr.Add, iv.Indvars.start, Instr.Reg extent.Instr.id))
-            Ty.I64
-        in
-        (iv.Indvars.phi.Instr.id, Instr.Reg final.Instr.id))
-      ivs
-  in
-  let map_live_out r =
-    match List.assoc_opt r out_finals with
-    | Some v -> v
-    | None -> (
-      match List.assoc_opt r iv_finals with
-      | Some v -> v
-      | None -> Instr.Cint 0L)
-  in
-  let join = Builder.add_block f ~label:"dswp.join" in
-  Parutil.replace_loop c ~ph ~join_bid:join.Func.bid ~map_live_out;
-  Task.declare_runtime m;
-  Noelle.invalidate n;
+  Parutil.rejoin n m c ~ph ~label:"dswp.join" (out_finals @ Parutil.iv_finals c ~ph ~niters ivs);
   {
     loop_id = tname_base;
     nstages;

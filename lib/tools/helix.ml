@@ -171,96 +171,42 @@ let transform (n : Noelle.t) (m : Irmod.t) (plan : plan) ~(ncores : int) : stats
   let extra =
     List.concat
       (List.mapi
-         (fun ri (rd : Reduction.t) ->
-           List.init ncores (fun core ->
-               (Printf.sprintf "red%d.c%d" ri core, Reduction.value_ty rd.Reduction.kind)))
-         reds)
-    @ List.concat
-        (List.mapi
-           (fun si s ->
-             [ (Printf.sprintf "seg%d.slot" si, s.seq_phi.Instr.ty);
-               (Printf.sprintf "seg%d.sig" si, Ty.I64) ])
-           segments)
+         (fun si s ->
+           [ (Printf.sprintf "seg%d.slot" si, s.seq_phi.Instr.ty);
+             (Printf.sprintf "seg%d.sig" si, Ty.I64) ])
+         segments)
   in
-  let env, live_slots, extra_slots = Parutil.build_env c ~extra in
-  let red_base ri = snd (List.nth extra_slots (ri * ncores)) in
-  let seg_slot si = snd (List.nth extra_slots (List.length reds * ncores + (si * 2))) in
-  let seg_sig si = snd (List.nth extra_slots (List.length reds * ncores + (si * 2) + 1)) in
+  let env, live_slots, extra_slots = Parutil.build_env c ~reds ~ncores ~extra in
+  let seg_slot si = List.assoc (Printf.sprintf "seg%d.slot" si) extra_slots in
+  let seg_sig si = List.assoc (Printf.sprintf "seg%d.sig" si) extra_slots in
   (* --- task --- *)
   let tname =
     Printf.sprintf "%s.helix.%s" f.Func.fname
       (Func.block f ls.Loopstructure.header).Func.label
   in
-  let task, entry = Task.create m ~name:tname ~env ~origin:("HELIX " ^ tname) in
+  let task, entry, subst =
+    Parutil.open_task m c ~name:tname ~origin:("HELIX " ^ tname) env live_slots
+  in
   let tf = task.Task.tfunc in
   let env_ptr = Task.env_arg in
-  let subst_pairs = Parutil.emit_live_in_loads f tf entry.Func.bid live_slots ~env_ptr in
   (* preload segment slot addresses and signal handles *)
   let seg_info =
     List.mapi
       (fun si s ->
         let addr =
-          Builder.add tf entry.Func.bid
+          Builder.add tf entry
             (Instr.Gep (env_ptr, Instr.Cint (Int64.of_int (seg_slot si))))
             Ty.Ptr
         in
-        let sigh =
-          Env.emit_load tf entry.Func.bid ~env_ptr ~index:(seg_sig si) Ty.I64
-        in
+        let sigh = Env.emit_load tf entry ~env_ptr ~index:(seg_sig si) Ty.I64 in
         (s, Instr.Reg addr.Instr.id, sigh))
       segments
   in
-  let done_blk = Builder.add_block tf ~label:"done" in
-  let bmap, imap =
-    Loopbuilder.clone_blocks ~src:f ~blocks:ls.Loopstructure.blocks ~dst:tf
-      ~map_value:(Parutil.subst_of subst_pairs)
-      ~entry_from:entry.Func.bid
-      ~exit_to:(fun _ -> done_blk.Func.bid)
-  in
+  let done_, bmap, imap = Parutil.clone_body c tf ~entry subst in
   let cheader = Hashtbl.find bmap ls.Loopstructure.header in
   let cbody = Hashtbl.find bmap c.Parutil.body_entry in
   let clatch = Hashtbl.find bmap latch in
-  (* IVs: cyclic chunking, like DOALL *)
-  List.iter
-    (fun (iv : Indvars.t) ->
-      let phi' = Hashtbl.find imap iv.Indvars.phi.Instr.id in
-      let upd' = Hashtbl.find imap iv.Indvars.update.Instr.id in
-      let step' = Parutil.subst_of subst_pairs iv.Indvars.step in
-      let delta =
-        Builder.add tf entry.Func.bid (Instr.Bin (Instr.Mul, Task.core_arg, step')) Ty.I64
-      in
-      Ivstepper.offset_start tf ~phi_id:phi' ~pred:entry.Func.bid
-        ~delta:(Instr.Reg delta.Instr.id);
-      Ivstepper.scale_step tf ~update_id:upd' ~phi_id:phi' ~factor:Task.ncores_arg)
-    ivs;
-  (* reductions: privatize *)
-  List.iteri
-    (fun ri (rd : Reduction.t) ->
-      let phi' = Func.inst tf (Hashtbl.find imap rd.Reduction.phi.Instr.id) in
-      (match phi'.Instr.op with
-      | Instr.Phi incs ->
-        Builder.set_op tf phi'
-          (Instr.Phi
-            (List.map
-               (fun (p, v) ->
-                 if p = entry.Func.bid then (p, Reduction.identity rd.Reduction.kind)
-                 else (p, v))
-               incs))
-      | _ -> ());
-      let base = red_base ri in
-      let off =
-        Builder.add tf done_blk.Func.bid
-          (Instr.Bin (Instr.Add, Instr.Cint (Int64.of_int base), Task.core_arg))
-          Ty.I64
-      in
-      let addr =
-        Builder.add tf done_blk.Func.bid (Instr.Gep (env_ptr, Instr.Reg off.Instr.id)) Ty.Ptr
-      in
-      ignore
-        (Builder.add tf done_blk.Func.bid
-           (Instr.Store (Instr.Reg phi'.Instr.id, Instr.Reg addr.Instr.id))
-           Ty.Void))
-    reds;
+  Parutil.chunk_cyclic task ~entry ~done_ imap subst ivs reds ~ncores;
   (* global iteration counter g: local counter n (phi in cloned header,
      init 0, +1 in latch) with g = n*ncores + core *)
   let nphi = Builder.insert_front tf cheader (Instr.Phi []) Ty.I64 in
@@ -273,7 +219,7 @@ let transform (n : Noelle.t) (m : Irmod.t) (plan : plan) ~(ncores : int) : stats
     | None -> assert false
   in
   Builder.set_op tf nphi
-    (Instr.Phi [ (entry.Func.bid, Instr.Cint 0L); (clatch, Instr.Reg nupd.Instr.id) ]);
+    (Instr.Phi [ (entry, Instr.Cint 0L); (clatch, Instr.Reg nupd.Instr.id) ]);
   (* segments live in a dedicated block between the cloned header and the
      cloned body, so instruction moves cannot disturb block terminators *)
   let segb = Builder.add_block tf ~label:"helix.segments" in
@@ -312,16 +258,9 @@ let transform (n : Noelle.t) (m : Irmod.t) (plan : plan) ~(ncores : int) : stats
       Builder.replace_uses tf ~old:phi' ~by:(Instr.Reg cur.Instr.id);
       Builder.remove tf phi')
     seg_info;
-  ignore (Builder.set_term tf entry.Func.bid (Instr.Br cheader));
-  ignore (Builder.set_term tf done_blk.Func.bid (Instr.Ret None));
+  Parutil.close_task c tf ~entry ~done_ bmap;
   (* --- main rewrite --- *)
-  let start = c.Parutil.iv.Indvars.start in
-  let bound = c.Parutil.gov.Indvars.bound in
-  let niters = Parutil.emit_niters c f ph ~start ~bound in
-  let env_ptr_main = Env.emit_alloc env f ph in
-  List.iter
-    (fun (v, idx) -> Env.emit_store f ph ~env_ptr:env_ptr_main ~index:idx v)
-    live_slots;
+  let niters, env_ptr_main = Parutil.enter c ~ph env live_slots in
   (* segment slots: initial values and fresh signals *)
   List.iteri
     (fun si s ->
@@ -344,26 +283,8 @@ let transform (n : Noelle.t) (m : Irmod.t) (plan : plan) ~(ncores : int) : stats
       Env.emit_store f ph ~env_ptr:env_ptr_main ~index:(seg_sig si)
         (Instr.Reg sg.Instr.id))
     segments;
-  for core = 0 to ncores - 1 do
-    Task.emit_submit f ph task ~core:(Instr.Cint (Int64.of_int core))
-      ~ncores:(Instr.Cint (Int64.of_int ncores)) ~env_ptr:env_ptr_main
-  done;
-  Task.emit_run_all f ph;
-  let combined =
-    List.mapi
-      (fun ri (rd : Reduction.t) ->
-        let base = red_base ri in
-        let acc = ref rd.Reduction.init in
-        for core = 0 to ncores - 1 do
-          let part =
-            Env.emit_load f ph ~env_ptr:env_ptr_main ~index:(base + core)
-              (Reduction.value_ty rd.Reduction.kind)
-          in
-          acc := Reduction.emit_combine f ph rd.Reduction.kind !acc part
-        done;
-        (rd.Reduction.phi.Instr.id, !acc))
-      reds
-  in
+  Parutil.launch c ~ph ~env_ptr:env_ptr_main (List.init ncores (fun _ -> task));
+  let combined = Parutil.combine_reductions c ~ph env ~env_ptr:env_ptr_main reds ~ncores in
   let seg_finals =
     List.mapi
       (fun si s ->
@@ -374,33 +295,8 @@ let transform (n : Noelle.t) (m : Irmod.t) (plan : plan) ~(ncores : int) : stats
         (s.seq_phi.Instr.id, v))
       segments
   in
-  let iv_finals =
-    List.map
-      (fun (iv : Indvars.t) ->
-        let extent = Builder.add f ph (Instr.Bin (Instr.Mul, niters, iv.Indvars.step)) Ty.I64 in
-        let final =
-          Builder.add f ph
-            (Instr.Bin (Instr.Add, iv.Indvars.start, Instr.Reg extent.Instr.id))
-            Ty.I64
-        in
-        (iv.Indvars.phi.Instr.id, Instr.Reg final.Instr.id))
-      ivs
-  in
-  let map_live_out r =
-    match List.assoc_opt r combined with
-    | Some v -> v
-    | None -> (
-      match List.assoc_opt r seg_finals with
-      | Some v -> v
-      | None -> (
-        match List.assoc_opt r iv_finals with
-        | Some v -> v
-        | None -> Instr.Cint 0L))
-  in
-  let join = Builder.add_block f ~label:"helix.join" in
-  Parutil.replace_loop c ~ph ~join_bid:join.Func.bid ~map_live_out;
-  Task.declare_runtime m;
-  Noelle.invalidate n;
+  Parutil.rejoin n m c ~ph ~label:"helix.join"
+    (combined @ seg_finals @ Parutil.iv_finals c ~ph ~niters ivs);
   {
     loop_id = tname;
     ncores;

@@ -7,10 +7,13 @@
     through IVS, and value forwarding uses ENV + T.  {!drive} is the one
     loop driver: it walks the module to a fixpoint, orders and filters the
     loops, applies the race-detector refusal and {!candidate_of}, and
-    records every loop's outcome.  The per-technique modules only add
-    their policy — which analyses to warm per function, which loops to
-    select, in which order, and how to plan and transform a candidate —
-    which is why they fit in a few hundred lines each (Table 3). *)
+    records every loop's outcome.  The outline-and-rewrite skeleton below
+    {!emit_niters} is the one implementation of the steps DOALL, HELIX
+    and DSWP share when they turn a candidate into tasks.  The
+    per-technique modules only add their policy — which analyses to warm
+    per function, which loops to select, in which order, how to plan a
+    candidate and which IR of their own to place between the skeleton's
+    steps — which is why they fit in a few hundred lines each (Table 3). *)
 
 open Ir
 open Noelle
@@ -198,10 +201,11 @@ let drive (n : Noelle.t) (m : Irmod.t) ~tool ?(prelude = fun _ -> ())
   while round () do () done;
   List.rev !results
 
-(** Emit, in block [bid] of [f], the trip count of the candidate:
+(** Emit, in block [bid] of the candidate's function, its trip count:
     [max(0, ceil((bound - start + adj) / step))]. *)
-let emit_niters (c : candidate) (f : Func.t) bid ~start ~bound : Instr.value =
-  let stepc = c.step_const in
+let emit_niters (c : candidate) bid : Instr.value =
+  let f = c.f and stepc = c.step_const in
+  let start = c.iv.Indvars.start and bound = c.gov.Indvars.bound in
   let adj =
     match c.pred with
     | Instr.Sle -> 1L
@@ -233,57 +237,193 @@ let value_ty (f : Func.t) = function
   | Instr.Arg i -> snd f.Func.params.(i)
   | Instr.Reg r -> (Func.inst f r).Instr.ty
 
-(** Declare an entry to be looked up with {!Instr.value_equal}. *)
-let assoc_value v l =
-  List.find_map (fun (k, x) -> if Instr.value_equal k v then Some x else None) l
+(* ------------------------------------------------------------------ *)
+(* The outline-and-rewrite skeleton                                    *)
+(* ------------------------------------------------------------------ *)
 
-(** Build the environment layout for a candidate: one live-in slot per
-    live-in value, then [extra] additional named slots.  Returns the env
-    and the live-in slot assignment. *)
-let build_env (c : candidate) ~(extra : (string * Ty.t) list) :
+(* DOALL, HELIX and DSWP outline a candidate loop into tasks and rewrite
+   its function in the same order of steps; each tool calls these
+   helpers in that order and adds its own IR in between.  Task side:
+   {!build_env}, {!open_task}, {!clone_body}, {!chunk_cyclic} (DOALL and
+   HELIX only), {!close_task}.  Main side, in the preheader: {!enter},
+   {!launch}, {!combine_reductions}, {!iv_finals}, {!rejoin}. *)
+
+(** The environment layout of a candidate: one live-in slot per live-in
+    value, then [ncores] partial slots per reduction of [reds] (see
+    {!red_slot}), then the named [extra] slots.  Returns the env, the
+    live-in slot assignment and the extra slot assignment. *)
+let build_env (c : candidate) ~(reds : Reduction.t list) ~ncores
+    ~(extra : (string * Ty.t) list) :
     Env.t * (Instr.value * int) list * (string * int) list =
   let env = Env.create () in
   let live_slots =
     List.mapi
       (fun i v ->
-        let idx =
-          Env.add env
-            ~name:(Printf.sprintf "livein%d" i)
-            ~ty:(value_ty c.f v) ~role:Env.Live_in
-        in
-        (v, idx))
+        (v, Env.add env ~name:(Printf.sprintf "livein%d" i) ~ty:(value_ty c.f v)
+              ~role:Env.Live_in))
       c.live_in_values
   in
+  List.iteri
+    (fun ri (rd : Reduction.t) ->
+      for core = 0 to ncores - 1 do
+        ignore
+          (Env.add env ~name:(Printf.sprintf "red%d.c%d" ri core)
+             ~ty:(Reduction.value_ty rd.Reduction.kind) ~role:Env.Live_out)
+      done)
+    reds;
   let extra_slots =
-    List.map
-      (fun (name, ty) -> (name, Env.add env ~name ~ty ~role:Env.Live_out))
-      extra
+    List.map (fun (name, ty) -> (name, Env.add env ~name ~ty ~role:Env.Live_out)) extra
   in
   (env, live_slots, extra_slots)
 
-(** Live-in loader: emits loads in [entry] of [tf] using types
-    from the original function [src_f]; returns the substitution map. *)
-let emit_live_in_loads (src_f : Func.t) (tf : Func.t) entry
-    (live_slots : (Instr.value * int) list) ~(env_ptr : Instr.value) :
-    (Instr.value * Instr.value) list =
+(** The env slot of reduction [ri]'s core-0 partial; core [k]'s is [k]
+    slots further. *)
+let red_slot (env : Env.t) ~ncores ri = List.length (Env.live_ins env) + (ri * ncores)
+
+(** Create the task function [name] with the env layout of [env] and load
+    every live-in in its entry block.  Returns the task, its entry block
+    and the live-in substitution (original value, loaded value). *)
+let open_task (m : Irmod.t) (c : candidate) ~name ~origin (env : Env.t)
+    (live_slots : (Instr.value * int) list) =
+  let task, entry = Task.create m ~name ~env ~origin in
+  let subst =
+    List.map
+      (fun (v, idx) ->
+        ( v,
+          Env.emit_load task.Task.tfunc entry.Func.bid ~env_ptr:Task.env_arg ~index:idx
+            (value_ty c.f v) ))
+      live_slots
+  in
+  (task, entry.Func.bid, subst)
+
+(** [subst] as a value map: the substitute of a value, or the value. *)
+let subst_of (subst : (Instr.value * Instr.value) list) v =
+  Option.value ~default:v
+    (List.find_map (fun (k, x) -> if Instr.value_equal k v then Some x else None) subst)
+
+(** Clone the loop into [tf] behind block [entry], with [subst] applied
+    and every exit edge leading to a fresh [done] block.  Returns the
+    [done] block and the block and instruction maps of the clone. *)
+let clone_body (c : candidate) (tf : Func.t) ~entry subst =
+  let done_ = (Builder.add_block tf ~label:"done").Func.bid in
+  let bmap, imap =
+    Loopbuilder.clone_blocks ~src:c.f ~blocks:c.ls.Loopstructure.blocks ~dst:tf
+      ~map_value:(subst_of subst) ~entry_from:entry ~exit_to:(fun _ -> done_)
+  in
+  (done_, bmap, imap)
+
+(** Cyclic iteration chunking of a cloned loop, through IVS: every IV of
+    [ivs] starts [core * step] later and strides [ncores * step]; every
+    reduction of [reds] starts from its identity and stores its partial
+    to its {!red_slot} for the running core on reaching [done_]. *)
+let chunk_cyclic (task : Task.t) ~entry ~done_ imap subst (ivs : Indvars.t list)
+    (reds : Reduction.t list) ~ncores =
+  let tf = task.Task.tfunc in
+  List.iter
+    (fun (iv : Indvars.t) ->
+      let phi' = Hashtbl.find imap iv.Indvars.phi.Instr.id in
+      let delta =
+        Builder.add tf entry
+          (Instr.Bin (Instr.Mul, Task.core_arg, subst_of subst iv.Indvars.step))
+          Ty.I64
+      in
+      Ivstepper.offset_start tf ~phi_id:phi' ~pred:entry ~delta:(Instr.Reg delta.Instr.id);
+      Ivstepper.scale_step tf ~update_id:(Hashtbl.find imap iv.Indvars.update.Instr.id)
+        ~phi_id:phi' ~factor:Task.ncores_arg)
+    ivs;
+  List.iteri
+    (fun ri (rd : Reduction.t) ->
+      let phi' = Func.inst tf (Hashtbl.find imap rd.Reduction.phi.Instr.id) in
+      (match phi'.Instr.op with
+      | Instr.Phi incs ->
+        Builder.set_op tf phi'
+          (Instr.Phi
+            (List.map
+               (fun (p, v) ->
+                 if p = entry then (p, Reduction.identity rd.Reduction.kind) else (p, v))
+               incs))
+      | _ -> ());
+      let base = red_slot task.Task.env ~ncores ri in
+      let off =
+        Builder.add tf done_
+          (Instr.Bin (Instr.Add, Instr.Cint (Int64.of_int base), Task.core_arg))
+          Ty.I64
+      in
+      let addr =
+        Builder.add tf done_ (Instr.Gep (Task.env_arg, Instr.Reg off.Instr.id)) Ty.Ptr
+      in
+      ignore
+        (Builder.add tf done_
+           (Instr.Store (Instr.Reg phi'.Instr.id, Instr.Reg addr.Instr.id))
+           Ty.Void))
+    reds
+
+(** Terminate the task: [entry] enters the cloned header, [done_]
+    returns. *)
+let close_task (c : candidate) (tf : Func.t) ~entry ~done_ bmap =
+  ignore (Builder.set_term tf entry (Instr.Br (Hashtbl.find bmap c.ls.Loopstructure.header)));
+  ignore (Builder.set_term tf done_ (Instr.Ret None))
+
+(** Open the rewrite in the preheader [ph]: the trip count, then the env
+    allocation with every live-in stored.  Returns the trip count and
+    the env pointer. *)
+let enter (c : candidate) ~ph (env : Env.t) (live_slots : (Instr.value * int) list) =
+  let niters = emit_niters c ph in
+  let env_ptr = Env.emit_alloc env c.f ph in
+  List.iter (fun (v, idx) -> Env.emit_store c.f ph ~env_ptr ~index:idx v) live_slots;
+  (niters, env_ptr)
+
+(** Submit [tasks] (the [k]-th as core [k] of [List.length tasks]) and
+    run them all. *)
+let launch (c : candidate) ~ph ~env_ptr (tasks : Task.t list) =
+  let ncores = Instr.Cint (Int64.of_int (List.length tasks)) in
+  List.iteri
+    (fun core t ->
+      Task.emit_submit c.f ph t ~core:(Instr.Cint (Int64.of_int core)) ~ncores ~env_ptr)
+    tasks;
+  Task.emit_run_all c.f ph
+
+(** Fold every reduction's per-core partials into its initial value;
+    returns (reduction phi, combined value) pairs. *)
+let combine_reductions (c : candidate) ~ph (env : Env.t) ~env_ptr
+    (reds : Reduction.t list) ~ncores =
+  List.mapi
+    (fun ri (rd : Reduction.t) ->
+      let base = red_slot env ~ncores ri in
+      let acc = ref rd.Reduction.init in
+      for core = 0 to ncores - 1 do
+        let part =
+          Env.emit_load c.f ph ~env_ptr ~index:(base + core)
+            (Reduction.value_ty rd.Reduction.kind)
+        in
+        acc := Reduction.emit_combine c.f ph rd.Reduction.kind !acc part
+      done;
+      (rd.Reduction.phi.Instr.id, !acc))
+    reds
+
+(** Closed-form final value [start + niters * step] of every IV; returns
+    (IV phi, final value) pairs. *)
+let iv_finals (c : candidate) ~ph ~niters (ivs : Indvars.t list) =
   List.map
-    (fun (v, idx) ->
-      let ty = value_ty src_f v in
-      let loaded = Env.emit_load tf entry ~env_ptr ~index:idx ty in
-      (v, loaded))
-    live_slots
+    (fun (iv : Indvars.t) ->
+      let extent = Builder.add c.f ph (Instr.Bin (Instr.Mul, niters, iv.Indvars.step)) Ty.I64 in
+      let final =
+        Builder.add c.f ph
+          (Instr.Bin (Instr.Add, iv.Indvars.start, Instr.Reg extent.Instr.id))
+          Ty.I64
+      in
+      (iv.Indvars.phi.Instr.id, Instr.Reg final.Instr.id))
+    ivs
 
-(** The substitution used when cloning a loop body into a task. *)
-let subst_of (pairs : (Instr.value * Instr.value) list) : Instr.value -> Instr.value =
- fun v -> match assoc_value v pairs with Some x -> x | None -> v
-
-(** Rewrite the original function: the preheader now runs [emit_replacement]
-    (which must leave [ph] unterminated or terminated), then branches to a
-    fresh join block that falls through to the loop's exit target; exit
-    phis are retargeted with [map_live_out]; the old loop body becomes
-    unreachable and is pruned. *)
-let replace_loop (c : candidate) ~(ph : int) ~(join_bid : int)
-    ~(map_live_out : int -> Instr.value) =
+(** Close the rewrite: the preheader [ph] branches to a fresh join block
+    [label] that falls through to the loop's exit target, and every use
+    of a live-out after the loop (exit phis included) reads its entry in
+    [finals] (live-out register, value) instead.  The old loop becomes
+    unreachable and is pruned; the runtime is declared and [n]'s
+    analyses are invalidated. *)
+let rejoin (n : Noelle.t) (m : Irmod.t) (c : candidate) ~ph ~label finals =
+  let map_live_out r = Option.value (List.assoc_opt r finals) ~default:(Instr.Cint 0L) in
+  let join_bid = (Builder.add_block c.f ~label).Func.bid in
   let f = c.f in
   let header = c.ls.Loopstructure.header in
   (* exit phis: the incoming from the header now comes from the join block *)
@@ -325,4 +465,6 @@ let replace_loop (c : candidate) ~(ph : int) ~(join_bid : int)
   ignore (Builder.set_term f join_bid (Instr.Br c.exit_dst));
   Builder.redirect f ph ~old_succ:header ~new_succ:join_bid;
   ignore (Cfg.prune_unreachable f);
-  ignore (Builder.simplify_phis f)
+  ignore (Builder.simplify_phis f);
+  Task.declare_runtime m;
+  Noelle.invalidate n

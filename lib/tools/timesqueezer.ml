@@ -121,7 +121,7 @@ let run (n : Noelle.t) (m : Irmod.t) : stats =
               match class_of i with Fast -> 0 | Slow -> 1);
           if block_cost bid > before_cost then
             Builder.set_order f bid before_order)
-        f.Func.blocks;
+        (Func.blocks f);
       let s1, c1 = eval m f in
       sw_after := !sw_after + s1;
       cy_after := !cy_after +. c1)

@@ -233,9 +233,7 @@ let transform (n : Noelle.t) (m : Irmod.t) (plan : plan) ~(width : int)
   in
   let body = c.Parutil.body_entry in
   (* widened trip counts, in the preheader *)
-  let start = c.Parutil.iv.Indvars.start in
-  let bound = c.Parutil.gov.Indvars.bound in
-  let niters = Parutil.emit_niters c f ph ~start ~bound in
+  let niters = Parutil.emit_niters c ph in
   let w64 = Int64.of_int width in
   let groups =
     Builder.add f ph (Instr.Bin (Instr.Sdiv, niters, Instr.Cint w64)) Ty.I64

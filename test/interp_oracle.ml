@@ -5,7 +5,7 @@
     values, registers in a [Hashtbl] per frame, blocks re-read from the
     function at every entry, phis partitioned per entry.  It runs on an
     ordinary {!Ir.Interp.state} (builtins, hooks, memory through
-    {!Ir.Interp.load_word}/[store_word]), so a test can run the same
+    {!Ir.Interp.load_word} and {!store_word}), so a test can run the same
     module through both loops and compare everything observable.
     {!attach_profile} installs the profiler's former hook set
     (string-keyed [Int64] tables bumped on every event, calls through
@@ -14,6 +14,12 @@
 
 open Ir
 open Interp
+
+(** The boxed store the loop below uses, the counterpart of
+    {!Ir.Interp.load_word}. *)
+let store_word st addr v =
+  if addr <= 0 || addr >= st.brk then trap "store to invalid address %d" addr;
+  put st.mem addr v
 
 (** The interpreter's former call hook, called for every
     direct/indirect/builtin call this loop makes; the profiler now counts

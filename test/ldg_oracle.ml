@@ -1,7 +1,7 @@
 (** Differential oracle for loop dependence graphs.
 
     The {!Noelle.Pdg.loop_dg} that recomputed the loop nest, sliced every
-    edge of the function graph with {!Noelle.Depgraph.slice} and then
+    edge of the function graph with {!slice} and then
     refined the slice edge by edge, kept as a test oracle.  Edge records
     are immutable, so the refinement replaces each one with a copy that
     carries its loop-carried flag.  The library builds the same graph in one pass over the loop's
@@ -10,6 +10,46 @@
 
 open Ir
 open Noelle
+
+(** Restrict [g] to the nodes satisfying [keep]; nodes not kept but
+    adjacent to kept nodes become external (the live-in/live-out sets of
+    the region).  The slice holds [g]'s own edge records. *)
+let slice (g : Depgraph.t) ~keep =
+  let out = Depgraph.create ~size:(Depgraph.bound g) () in
+  List.iter (fun n -> if keep n then Depgraph.add_node out ~internal:true n) g.Depgraph.nodes;
+  List.iter
+    (fun n ->
+      if keep n then
+        List.iter
+          (fun (e : Depgraph.edge) ->
+            if not (keep e.Depgraph.edst) then
+              Depgraph.add_node out ~internal:false e.Depgraph.edst;
+            Depgraph.add out e)
+          (Depgraph.succs g n)
+      else
+        List.iter
+          (fun (e : Depgraph.edge) ->
+            if keep e.Depgraph.edst then begin
+              Depgraph.add_node out ~internal:false n;
+              Depgraph.add out e
+            end)
+          (Depgraph.succs g n))
+    g.Depgraph.nodes;
+  out
+
+(** Replace every edge [e] by [f e], dropping it when that is [None].
+    [f] is asked once for each edge's successor-list entry and once for
+    its predecessor-list entry. *)
+let filter_map_edges (g : Depgraph.t) ~f =
+  let nedges = ref 0 in
+  List.iter
+    (fun n ->
+      let es = List.filter_map f g.Depgraph.succ.(n) in
+      nedges := !nedges + List.length es;
+      g.Depgraph.succ.(n) <- es)
+    g.Depgraph.nodes;
+  g.Depgraph.nedges <- !nedges;
+  List.iter (fun n -> g.Depgraph.pred.(n) <- List.filter_map f g.Depgraph.pred.(n)) g.Depgraph.nodes
 
 (** Build the dependence graph of loop [l], refining memory dependences
     with loop-centric analyses exactly when the graph is requested (the
@@ -21,7 +61,7 @@ let loop_dg (t : Pdg.t) (l : Loopnest.loop) : Pdg.loop_dg =
     | Some i -> Loopnest.contains l i.Instr.parent
     | None -> false
   in
-  let g = Depgraph.slice t.Pdg.fdg ~keep:in_loop in
+  let g = slice t.Pdg.fdg ~keep:in_loop in
   let iv_phi = Pdg.refinement_phi f l in
   (* inner-loop phis with bounded spans become extra address symbols, so
      the outer loops of nested kernels (c[i*N+j]) can be disambiguated *)
@@ -82,5 +122,5 @@ let loop_dg (t : Pdg.t) (l : Loopnest.loop) : Pdg.loop_dg =
           | _ -> carried e true)
         | _ -> carried e true)
   in
-  Depgraph.filter_map_edges g ~f:refine;
+  filter_map_edges g ~f:refine;
   { Pdg.ldg = g; loop = l; pdg = t }

@@ -104,7 +104,7 @@ module Mem2reg = struct
               let cur = try Hashtbl.find dom_children p with Not_found -> [] in
               Hashtbl.replace dom_children p (cur @ [ b ])
             | None -> ())
-          f.Func.blocks;
+          (Func.blocks f);
         let cur : (int, Instr.value) Hashtbl.t = Hashtbl.create 8 in
         let value_of aid =
           match Hashtbl.find_opt cur aid with
@@ -190,7 +190,7 @@ module Mem2reg = struct
                     Builder.set_op f i (Phi (incs @ List.map (fun p -> (p, z)) missing))
                 | _ -> ())
               (Func.insts_of_block f bid))
-          f.Func.blocks;
+          (Func.blocks f);
         ignore (Builder.simplify_phis f);
         List.length allocas
       end

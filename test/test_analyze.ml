@@ -53,12 +53,34 @@ let test_long_block () =
   let f = Irmod.func m "main" in
   let ids = (Func.block f (Func.entry f)).Func.insts in
   (* alloca and store of [s]; load, add, store per statement; load, print, ret *)
-  checki "one block" 1 (List.length f.Func.blocks);
+  checki "one block" 1 (List.length (Func.blocks f));
   checki "instructions" (3 * n + 5) (List.length ids);
   checkb "laid out in creation order" (ids = List.sort compare ids);
   checkb "terminator last"
     (Instr.is_terminator (Func.inst f (List.nth ids (List.length ids - 1))));
   checks "runs" (string_of_int (n * (n + 1) / 2)) (run_src src)
+
+(* 4k blocks' worth of [if]s: adding a block is O(1), so lowering stays
+   linear in the number of blocks *)
+let test_many_ifs () =
+  let n = 4_000 and s0 = 3_000 in
+  let b = Buffer.create (n * 40) in
+  Printf.bprintf b "int main() {\n  int s = %d;\n" s0;
+  for k = 1 to n do Printf.bprintf b "  if (s > %d) { s = s - 1; }\n" k done;
+  Buffer.add_string b "  print(s);\n  return 0;\n}\n";
+  let src = Buffer.contents b in
+  let t0 = Unix.gettimeofday () in
+  let m = Minic.Lower.lower_program ~name:"ifs" (Minic.Parser.parse_program src) in
+  let secs = Unix.gettimeofday () -. t0 in
+  checkb (Printf.sprintf "lowered in %.2f s (bound 2 s)" secs) (secs < 2.);
+  let f = Irmod.func m "main" in
+  let labels = List.map (fun bid -> (Func.block f bid).Func.label) (Func.blocks f) in
+  checkb "more than 2 blocks per if" (List.length labels > 2 * n);
+  checki "labels unique" (List.length labels)
+    (List.length (List.sort_uniq compare labels));
+  let s = ref s0 in
+  for k = 1 to n do if !s > k then decr s done;
+  checks "runs" (string_of_int !s) (run_src src)
 
 (** Run the census mem2reg and the oracle on two parses of [src]; both
     must print the same function, which is returned. *)
@@ -297,6 +319,7 @@ let suite =
     tc "mem2reg: cbr to the same target" test_cbr_same_target;
     tc "frontend: printed IR matches the oracle" test_frontend_identical;
     tc "lower a 20k-statement block" test_long_block;
+    tc "lower 4k if statements" test_many_ifs;
     tc "loop graphs match the oracle" test_loop_graphs_identical;
     tc "loop graphs share the function graph's edges" test_loop_graphs_share_edges;
     tc "SCCDAGs match the oracle" test_sccdags_identical;

@@ -59,7 +59,7 @@ int main() {
   (* the reported iteration count is a real fixpoint measure: at least one
      transfer per block *)
   checkb "iterations cover the CFG"
-    (live.Dfe.iterations >= List.length f.Func.blocks)
+    (live.Dfe.iterations >= List.length (Func.blocks f))
 
 let test_dfe_reaching_stores_kill () =
   let m =

@@ -107,7 +107,7 @@ let test_scheduler () =
             (fun bid ->
               Noelle.Scheduler.schedule_block sched bid ~priority:(fun i ->
                   - i.Ir.Instr.id))
-            f.Ir.Func.blocks)
+            (Ir.Func.blocks f))
         (Ir.Irmod.defined_functions m))
 
 let test_time_squeezer () =

@@ -50,7 +50,7 @@ let test_builder_basic () =
   let b = Builder.add_block f ~label:"entry" in
   let a = Builder.add f b.Func.bid (Instr.Bin (Instr.Add, Instr.Arg 0, Instr.Cint 1L)) Ty.I64 in
   ignore (Builder.set_term f b.Func.bid (Instr.Ret (Some (Instr.Reg a.Instr.id))));
-  checki "one block" 1 (List.length f.Func.blocks);
+  checki "one block" 1 (List.length (Func.blocks f));
   checki "two insts" 2 (Func.num_insts f);
   (* add after terminator goes before it *)
   let c = Builder.add f b.Func.bid (Instr.Bin (Instr.Mul, Instr.Arg 0, Instr.Cint 2L)) Ty.I64 in
@@ -85,7 +85,7 @@ let test_builder_split () =
   let i2 = Builder.add f b.Func.bid (Instr.Bin (Instr.Mul, Instr.Reg i1.Instr.id, Instr.Cint 3L)) Ty.I64 in
   ignore (Builder.set_term f b.Func.bid (Instr.Ret (Some (Instr.Reg i2.Instr.id))));
   let nb = split_block f b.Func.bid ~at:i2.Instr.id ~label:"tail" in
-  checki "two blocks now" 2 (List.length f.Func.blocks);
+  checki "two blocks now" 2 (List.length (Func.blocks f));
   (match Func.terminator f b.Func.bid with
   | Some { Instr.op = Instr.Br t; _ } -> checki "falls through" nb.Func.bid t
   | _ -> Alcotest.fail "no fallthrough");
@@ -108,7 +108,7 @@ let test_prune_dead_chain () =
   verifies "before pruning" m;
   let before = Interp.run m in
   checki "both dead blocks pruned" 2 (Cfg.prune_unreachable f);
-  checkb "live layout kept" (f.Func.blocks = [ entry; join ]);
+  checkb "live layout kept" (Func.blocks f = [ entry; join ]);
   checkb "dead blocks erased" (Func.block_opt f head = None && Func.block_opt f tail = None);
   (match (Func.inst f phi.Instr.id).Instr.op with
   | Instr.Phi incs -> checkb "no incoming from an erased block" (List.map fst incs = [ entry ])
@@ -259,25 +259,6 @@ let test_verifier_catches () =
 (* Dominators                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(** Naive dominance: [a] dominates [b] iff removing [a] disconnects [b]
-    from the entry (or a = b = reachable). *)
-let naive_dominates ~succs ~entry a b =
-  if a = b then true
-  else begin
-    let seen = Hashtbl.create 16 in
-    let rec dfs n =
-      if n <> a && not (Hashtbl.mem seen n) then begin
-        Hashtbl.replace seen n ();
-        List.iter dfs (succs n)
-      end
-    in
-    if entry = a then not (entry = b) |> fun _ -> b = a || not true
-    else begin
-      dfs entry;
-      not (Hashtbl.mem seen b)
-    end
-  end
-
 let test_dominators_random () =
   (* random small CFGs: CHK dominators match naive removal-based check *)
   let gen = QCheck.Gen.(pair (int_range 2 8) (list_size (int_range 1 20) (pair (int_range 0 7) (int_range 0 7)))) in
@@ -337,7 +318,7 @@ int main() {
     (fun b ->
       checkb "virtual exit postdominates everything"
         (Dom.dominates pdt Dom.virtual_exit b))
-    f.Func.blocks
+    (Func.blocks f)
 
 (* ------------------------------------------------------------------ *)
 (* Mem2reg / Simplify                                                  *)

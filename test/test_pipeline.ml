@@ -150,7 +150,7 @@ let test_verifier_duplicate_label () =
      say which of them a branch targets *)
   let m = parse loop_ir in
   let f = Irmod.func m "main" in
-  Builder.set_label f (List.nth f.Func.blocks 2) "loop";
+  Builder.set_label f (List.nth (Func.blocks f) 2) "loop";
   expect_invalid ~frag:"duplicate block label loop" m
 
 (* ------------------------------------------------------------------ *)
@@ -326,7 +326,7 @@ let relabel : Noelle.Pipeline.pass =
     papply =
       (fun m ->
         let f = Irmod.func m "main" in
-        let b = Func.block f (List.nth f.Func.blocks (List.length f.Func.blocks - 1)) in
+        let b = Func.block f (List.nth (Func.blocks f) (List.length (Func.blocks f) - 1)) in
         Builder.set_label f b.Func.bid (b.Func.label ^ ".renamed");
         "renamed " ^ b.Func.label);
     plicense = Obs.Exact;

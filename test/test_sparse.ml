@@ -30,6 +30,10 @@ let corpus () =
 
 let elements s = List.rev (Ir.Bitset.fold (fun i acc -> i :: acc) s [])
 
+let mem (s : Ir.Bitset.t) i =
+  let w = i / Ir.Bitset.bits_per_word in
+  w < Array.length s.words && (s.words.(w) lsr (i mod Ir.Bitset.bits_per_word)) land 1 = 1
+
 (** Do [a] and [b] share no bit? *)
 let is_empty_inter (a : Ir.Bitset.t) (b : Ir.Bitset.t) =
   let n = min (Array.length a.words) (Array.length b.words) in
@@ -47,8 +51,8 @@ let test_bitset () =
   checkb "add 3 again is not" (not (Ir.Bitset.add s 3));
   (* force growth across several words *)
   checkb "add 200 is new" (Ir.Bitset.add s 200);
-  checkb "mem 200" (Ir.Bitset.mem s 200);
-  checkb "not mem 199" (not (Ir.Bitset.mem s 199));
+  checkb "mem 200" (mem s 200);
+  checkb "not mem 199" (not (mem s 199));
   checki "cardinal" 2 (List.length (elements s));
   checkb "elements sorted" (elements s = [ 3; 200 ]);
   let t = Ir.Bitset.create () in
@@ -58,7 +62,7 @@ let test_bitset () =
   let added = Ir.Bitset.union_into ~track:delta ~into:t s in
   checki "union adds only the fresh bit" 1 added;
   checkb "track mirrors exactly the fresh bits" (elements delta = [ 200 ]);
-  checkb "7 not disturbed" (Ir.Bitset.mem t 7);
+  checkb "7 not disturbed" (mem t 7);
   (* equality must ignore trailing zero words *)
   let a = Ir.Bitset.create () and b = Ir.Bitset.create () in
   ignore (Ir.Bitset.add a 1);
