@@ -1288,7 +1288,11 @@ let slo_section () =
   let root = "_serve/benchslo" in
   Serve.Store.remove_tree root;
   let mods = Serve.Workload.pick_modules ~seed:0 ~count:3 in
-  let w = Serve.Workload.generate ~seed:0 ~mods ~requests:150 in
+  (* 1200 requests, replayed twice, give each kind 560-618 samples: a
+     nearest-rank p99 then sits below the five slowest requests of its
+     kind, so one pause cannot set it (at 150 requests it was the
+     slowest of 58-92) *)
+  let w = Serve.Workload.generate ~seed:0 ~mods ~requests:1200 in
   (* cold run then warm restart, noelle-serve's replay: the measured
      distribution covers both the recompute-heavy and store-hit regimes *)
   let run_once sub =

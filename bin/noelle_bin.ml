@@ -10,22 +10,21 @@ open Cmdliner
 let run input args fuel cores =
   let m = Ir.Parser.parse_file input in
   let arch = Noelle.Arch.measure ~physical_cores:cores () in
-  let st = Ir.Interp.create m in
-  (match fuel with Some f -> st.Ir.Interp.fuel <- f | None -> ());
-  let _r = Psim.Runtime.install ~arch st in
-  let _trt = Ntools.Toolrt.install st in
-  match
-    Ir.Interp.call st "main" (List.map (fun x -> Ir.Interp.VI (Int64.of_int x)) args)
-  with
-  | v ->
+  let configure st =
+    ignore (Psim.Runtime.install ~arch st);
+    ignore (Ntools.Toolrt.install st)
+  in
+  match Ir.Interp.start ~args ?fuel ~configure m with
+  | st, (), Ok v ->
     print_string (Buffer.contents st.Ir.Interp.output);
     Printf.printf "[noelle-bin] exit=%s cycles=%d\n" (Ir.Interp.v_to_string v)
       st.Ir.Interp.clock;
     0
-  | exception Ir.Interp.Trap e ->
+  | st, (), Error (Ir.Interp.Trap e) ->
     print_string (Buffer.contents st.Ir.Interp.output);
     Printf.eprintf "[noelle-bin] trap: %s\n" e;
     1
+  | _, (), Error e -> raise e
 
 let input = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.ir")
 let args = Arg.(value & opt_all int [] & info [ "arg" ] ~docv:"N")

@@ -51,10 +51,11 @@ let attach (st : Interp.state) () : t =
         | Some b when n > 0 -> bump tbl (key b.Func.label) (Int64.of_int n)
         | _ -> ()
       in
-      let calls callee n =
+      let calls (t : Interp.target) =
+        let n = t.Interp.calls in
         if n > 0 then begin
-          bump p.fn_calls callee (Int64.of_int n);
-          bump p.call_pair (fname, callee) (Int64.of_int n)
+          bump p.fn_calls t.Interp.name (Int64.of_int n);
+          bump p.call_pair (fname, t.Interp.name) (Int64.of_int n)
         end
       in
       let n = lay.Interp.executed in
@@ -66,10 +67,8 @@ let attach (st : Interp.state) () : t =
           Array.iter
             (fun (s : Interp.step) ->
               match s.Interp.code with
-              | Interp.Call { callee = Interp.Direct g; calls = n; _ } -> calls g n
-              | Interp.Call { callee = Interp.Malloc; calls = n; _ } -> calls "malloc" n
-              | Interp.Call { callee = Interp.Indirect (_, targets); _ } ->
-                Hashtbl.iter (fun g n -> calls g !n) targets
+              | Interp.Call { callee = Interp.Direct t; _ } -> calls t
+              | Interp.Call { callee = Interp.Indirect { seen; _ }; _ } -> List.iter calls seen
               | Interp.Cbr (_, t, e) ->
                 let edge target n =
                   count p.edge_counts

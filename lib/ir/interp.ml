@@ -20,19 +20,34 @@
     bodies cut at the first terminator.  A call takes a frame of
     {!words} whose registers are all undefined (a copy of the layout's
     template, or a frame a returned call left in the layout's pool) and
-    runs the single step loop in {!exec_func}.  Each step counts [steps] and [clock], spends one unit
-    of [fuel] (phis count steps and clock but not fuel), counts itself in
-    the layout's [executed], calls the [on_inst] hook if one is installed,
-    then executes; a trap from a non-call instruction is re-raised with
-    the function, block and instruction attached.  Entering a block bumps
-    its [entries] counter, a conditional branch its [taken] or
-    [not_taken] counter, and a call step its own call count: the profiler
+    runs the single step loop in {!exec}.  Each step counts [steps] and
+    [clock], spends one unit of [fuel] (phis count steps and clock but
+    not fuel), counts itself in the layout's [executed], calls the
+    [on_inst] hook if one is installed, then executes; a trap from a
+    non-call instruction is re-raised with the function, block and
+    instruction attached.  Entering a block bumps its [entries] counter,
+    a conditional branch its [taken] or [not_taken] counter, and a call
+    its callee's count on the call step: the profiler
     ({!Noelle.Profiler}) reads these after the run instead of hooking
     every step.  The loop re-reads [st.hooks] at every step, because a
     builtin may swap a hook in the middle of a frame (the parallel runtime
     does).  Layouts are never shared across states: passes rewrite
     functions in place between runs, and each run starts from a fresh
     state.
+
+    Calls.  A call step resolves its callee on its first execution
+    ({!resolution}) and keeps the answer in the step: a builtin (builtins
+    shadow module functions of their name), a defined function's layout,
+    or the failure the call raises once its arguments are read (an
+    unknown function, a declaration with no builtin, an arity mismatch).
+    An indirect step keeps one such target per function address it has
+    called.  {!register_builtin} bumps the state's [stamp], and a step
+    resolved under an older stamp resolves again, so a builtin
+    registered mid-run takes effect at each step's next call.  A call of
+    a defined function copies the argument words from the caller's slots
+    into the callee's parameter slots, and the callee's [ret] leaves its
+    word in [st.ret] for the caller to copy into its destination slot:
+    no name is looked up and no value is boxed.
 
     Values are unboxed inside the loop.  Frames and memory are {!words}:
     a tag byte per word (0 undefined, 1 int, 2 float, 3 pointer), the
@@ -41,14 +56,14 @@
     an operand straight into an unboxed number and raise the conversion
     traps of {!as_int}/{!as_float}/{!as_ptr}; [load], [store], [select]
     and phis copy a word (tag and bits) without looking at it.  The boxed
-    {!v} is the type at the boundary only: {!call} arguments and results,
-    builtins, hooks, {!load_word}.  So a step allocates
-    nothing unless it calls: [clock] is an [int] (the parallel runtime
-    and the tool runtimes convert at their edges), and an [alloca] or a
-    direct call to [malloc] records its allocation site in
-    [site_fn]/[site_id] for {!allocate}, which clears it once the
-    [on_alloc] hook has seen it.  The recorder ({!Obs}) names escaping
-    heap objects from that site. *)
+    {!v} is the type at the boundary only: {!call} arguments and results
+    (the entry of a run, Psim's tasks), builtins, hooks, {!load_word}.
+    So a step allocates nothing unless it calls a builtin or allocates
+    memory: [clock] is an [int] (the parallel runtime and the tool
+    runtimes convert at their edges), and an [alloca] or a direct call
+    to [malloc] records its allocation site in [site_fn]/[site_id] for
+    {!allocate}, which clears it once the [on_alloc] hook has seen it.
+    The recorder ({!Obs}) names escaping heap objects from that site. *)
 
 type v = VI of int64 | VF of float | VP of int
 
@@ -125,9 +140,6 @@ type hooks = {
       (** called before each executed instruction *)
   mutable on_mem : (Func.t -> Instr.inst -> addr:int -> write:bool -> unit) option;
       (** called for every load/store with its resolved address *)
-  mutable on_builtin : (string -> v list -> unit) option;
-      (** called before a builtin executes, with its evaluated arguments;
-          the observable-event layer ({!Obs}) records external calls here *)
   mutable on_alloc : (base:int -> size:int -> unit) option;
       (** called after every allocation (global, alloca, malloc); the
           state's [site_fn]/[site_id] name the instruction that made it *)
@@ -156,19 +168,6 @@ type hooks = {
 (** An operand: the index of a frame slot. *)
 type opnd = int
 
-type callee =
-  | Direct of string
-  | Malloc                         (** direct call to [malloc]: an allocation site *)
-  | Indirect of opnd * (string, int ref) Hashtbl.t
-      (** the table counts the calls made through this step per callee *)
-
-type call_site = {
-  callee : callee;
-  cargs : opnd list;
-  keep : bool;                     (** the result is kept *)
-  mutable calls : int;             (** executions of a direct call, counted before it runs *)
-}
-
 type code =
   | Bin of Instr.bin * opnd * opnd
   | Fbin of Instr.fbin * opnd * opnd
@@ -186,9 +185,39 @@ type code =
   | Ret of opnd option
   | Unreachable
 
-type step = { inst : Instr.inst; dst : int; code : code }
+and call_site = {
+  callee : callee;
+  cargs : opnd array;
+  keep : bool;                     (** the result is kept *)
+  alloc_site : bool;               (** a direct call to [malloc]: an allocation site *)
+}
 
-type block_code = {
+and callee =
+  | Direct of target
+  | Indirect of { fp : opnd; mutable seen : target list }
+      (** one target per function address called through this step *)
+
+(** A callee of one call step, resolved on the step's first execution
+    and again whenever a builtin was registered since ({!resolved}). *)
+and target = {
+  name : string;
+  addr : int;                      (** its function address; [0] for a direct call *)
+  mutable calls : int;             (** calls made to it from this step, counted before they run *)
+  mutable resolved : resolved;
+  mutable resolved_at : int;       (** [st.stamp] when resolved; [-1] before the first call *)
+}
+
+and resolved =
+  | Builtin of builtin
+  | Defined of layout
+  | Fails of exn
+      (** raised when the call is reached, after its arguments are read:
+          an unknown function, a declaration with no builtin, an arity
+          mismatch or a function with no blocks *)
+
+and step = { inst : Instr.inst; dst : int; code : code }
+
+and block_code = {
   bid : int;
   mutable entries : int;           (** times control entered the block *)
   mutable taken : int;             (** executions of its [cbr] to the true target *)
@@ -206,21 +235,28 @@ type block_code = {
   body : step array;               (** non-phis, cut after the first terminator *)
 }
 
-type layout = {
+and layout = {
   func : Func.t;
   ids : int array;                 (** slot -> the register it holds, or [-1] *)
   params : int;                    (** slot of parameter 0 *)
   faults : (int * exn) list;       (** fault slot -> what reading it raises *)
   template : words;                (** a fresh frame: constants in place, the rest undefined *)
-  mutable pool : words list;
-      (** frames of returned calls, for reuse: only a register or
-          parameter slot is ever written, so a frame is fresh again once
-          its register tags are cleared *)
+  mutable pool : frame array;
+  mutable free : int;
+      (** [pool.(0 .. free-1)] are frames of returned calls, for reuse:
+          only a register or parameter slot is ever written, so a frame
+          is fresh again once its register tags are cleared *)
   blocks : block_code array;       (** index 0 is the entry block *)
   mutable executed : int;          (** steps run in this function, phis included *)
 }
 
-type state = {
+and frame = {
+  lay : layout;
+  w : words;                       (** one word per slot *)
+  mutable allocas : int list;      (** freed when the frame returns *)
+}
+
+and state = {
   m : Irmod.t;
   mutable mem : words;
   mutable brk : int;                       (** bump pointer: next free word *)
@@ -233,10 +269,12 @@ type state = {
   mutable fuel : int;                      (** remaining instruction budget *)
   mutable clock : int;                     (** per-task virtual cycles (swappable) *)
   hooks : hooks;
-  builtins : (string, builtin) Hashtbl.t;
+  builtins : (string, builtin) Hashtbl.t;  (** written through {!register_builtin} *)
+  mutable stamp : int;                     (** bumped by every {!register_builtin} *)
   mutable rng : int64;                     (** state of the default rand() *)
   user : (string, int64) Hashtbl.t;        (** scratch counters for tool runtimes *)
   layouts : (string, layout) Hashtbl.t;    (** function name -> its frame layout *)
+  ret : words;                             (** word 0: the value the last [ret] returned *)
   mutable site_fn : string;                (** function of the pending allocation site *)
   mutable site_id : int;                   (** its instruction id; [-1]: none pending *)
 }
@@ -402,14 +440,15 @@ let create (m : Irmod.t) : state =
           on_block = None;
           on_inst = None;
           on_mem = None;
-          on_builtin = None;
           on_alloc = None;
           on_store = None;
         };
       builtins = Hashtbl.create 16;
+      stamp = 0;
       rng = 88172645463325252L;
       user = Hashtbl.create 8;
       layouts = Hashtbl.create 16;
+      ret = make_words 1 tag_int;
       site_fn = "";
       site_id = -1;
     }
@@ -441,11 +480,22 @@ let create (m : Irmod.t) : state =
     (Irmod.functions m);
   st
 
-let register_builtin st name fn = Hashtbl.replace st.builtins name fn
+(** Install [fn] as builtin [name], in place of any builtin or module
+    function of that name; a call step that resolved [name] before picks
+    it up at its next execution. *)
+let register_builtin st name fn =
+  Hashtbl.replace st.builtins name fn;
+  st.stamp <- st.stamp + 1
 
 (* ------------------------------------------------------------------ *)
 (* Frame layouts                                                       *)
 (* ------------------------------------------------------------------ *)
+
+(** A call target named [name], not yet resolved: [resolved_at] is
+    below any state's stamp, so the first call resolves it ([resolved] is
+    a placeholder until then). *)
+let unresolved name addr =
+  { name; addr; calls = 0; resolved = Fails Not_found; resolved_at = -1 }
 
 (** Translate [f] into its frame layout.  Never fails: every lookup that
     would fail is deferred to the point execution reaches it, so traps and
@@ -560,14 +610,14 @@ let compile (st : state) (f : Func.t) : layout =
       | Instr.Store (x, p) -> Store (opnd x, opnd p)
       | Instr.Gep (p, idx) -> Gep (opnd p, opnd idx)
       | Instr.Call (c, args) ->
-        let c =
+        let callee =
           match c with
-          | Instr.Glob "malloc" -> Malloc
-          | Instr.Glob g -> Direct g
-          | v -> Indirect (opnd v, Hashtbl.create 1)
+          | Instr.Glob g -> Direct (unresolved g 0)
+          | v -> Indirect { fp = opnd v; seen = [] }
         in
-        Call { callee = c; cargs = List.map opnd args;
-               keep = not (Ty.equal i.Instr.ty Ty.Void); calls = 0 }
+        Call { callee; cargs = Array.of_list (List.map opnd args);
+               keep = not (Ty.equal i.Instr.ty Ty.Void);
+               alloc_site = (match c with Instr.Glob "malloc" -> true | _ -> false) }
       | Instr.Select (c, a, b) -> Select (opnd c, opnd a, opnd b)
       | Instr.Br t -> Br (target t)
       | Instr.Cbr (c, t, e) -> Cbr (opnd c, target t, target e)
@@ -630,7 +680,8 @@ let compile (st : state) (f : Func.t) : layout =
   List.iter (fun (k, r) -> ids.(k) <- r) !undefs;
   let template = make_words !nslots tag_undef in
   List.iter (fun (k, v) -> put template k v) !consts;
-  { func = f; ids; params; faults = !faults; template; pool = []; blocks; executed = 0 }
+  { func = f; ids; params; faults = !faults; template; pool = [||]; free = 0; blocks;
+    executed = 0 }
 
 (** The layout of [f] in [st], compiled on its first call in this state.
     The cache is per state, never global: passes rewrite functions in place
@@ -680,12 +731,6 @@ let[@inline] eval_cmp (cmp : Instr.cmp) c =
   | Sle -> c <= 0
   | Sgt -> c > 0
   | Sge -> c >= 0
-
-type frame = {
-  lay : layout;
-  w : words;                       (** one word per slot *)
-  mutable allocas : int list;      (** freed when the frame returns *)
-}
 
 (* The readers raise an exception that they build with these functions,
    rather than call {!trap}: a branch that raises keeps the read's
@@ -754,19 +799,18 @@ let ctx_trap (f : Func.t) (i : Instr.inst) msg =
   in
   trap "%s/%s: inst %d: %s" f.Func.fname lbl i.Instr.id msg
 
+(* the phi move row of [b] for the edge from [prev], from row [k] on *)
+let rec phi_row (b : block_code) prev k =
+  if k = Array.length b.phi_preds then b.no_row
+  else if b.phi_preds.(k) = prev then b.phi_rows.(k)
+  else phi_row b prev (k + 1)
+
 (* evaluate a block's phis against the incoming edge from [prev] into its
    scratch row, then count them, then commit: phis read the values live
    on entry *)
 let enter_phis (st : state) (fr : frame) (b : block_code) prev =
   let f = fr.lay.func in
-  let row =
-    let rec find k =
-      if k = Array.length b.phi_preds then b.no_row
-      else if b.phi_preds.(k) = prev then b.phi_rows.(k)
-      else find (k + 1)
-    in
-    find 0
-  in
+  let row = phi_row b prev 0 in
   let n = Array.length b.phis in
   for j = 0 to n - 1 do
     let o = row.(j) in
@@ -786,46 +830,97 @@ let enter_phis (st : state) (fr : frame) (b : block_code) prev =
     blit b.scratch j fr.w (Array.unsafe_get b.phi_dst j)
   done
 
-let count_target targets name =
-  match Hashtbl.find_opt targets name with
-  | Some r -> incr r
-  | None -> Hashtbl.add targets name (ref 1)
-
-(** Call the function named [fname] with [args].  Returns its return value
-    ([VI 0L] for void).  Builtins, defined functions and declarations that
-    resolve to builtins are all accepted. *)
-let rec call (st : state) (fname : string) (args : v list) : v =
-  match Hashtbl.find_opt st.builtins fname with
-  | Some b ->
-    (match st.hooks.on_builtin with Some h -> h fname args | None -> ());
-    b st args
+(** What a call of [name] on [nargs] arguments reaches in [st]: the
+    builtin of that name (builtins shadow module functions), else the
+    layout of a defined function, else the failure the call raises once
+    its arguments are read, with the text a lookup at the call gives. *)
+let resolution st name nargs =
+  match Hashtbl.find_opt st.builtins name with
+  | Some b -> Builtin b
   | None -> (
-    match Irmod.func_opt st.m fname with
-    | Some f when not f.Func.is_declaration -> exec_func st f (Array.of_list args)
-    | Some _ -> trap "call to declaration %s with no builtin" fname
-    | None -> trap "call to unknown function %s" fname)
+    match Irmod.func_opt st.m name with
+    | Some f when not f.Func.is_declaration -> (
+      let n = Array.length f.Func.params in
+      if nargs <> n then
+        Fails (Trap (Printf.sprintf "%s: expected %d arguments, got %d" name n nargs))
+      else
+        let lay = layout st f in
+        if Array.length lay.blocks > 0 then Defined lay
+        else match Func.entry f with _ -> Defined lay | exception e -> Fails e)
+    | Some _ -> Fails (Trap (Printf.sprintf "call to declaration %s with no builtin" name))
+    | None -> Fails (Trap (Printf.sprintf "call to unknown function %s" name)))
 
-(** Run [f] on [args] in a fresh frame.  The step loop reads [st.hooks]
-    at every step: a builtin may swap a hook in the middle of a frame (the
-    parallel runtime does), and the change takes effect at the next step.
+(** The target of a call step, resolved afresh when a builtin was
+    registered since it was last resolved. *)
+let[@inline] resolved st (t : target) nargs =
+  if t.resolved_at <> st.stamp then begin
+    t.resolved <- resolution st t.name nargs;
+    t.resolved_at <- st.stamp
+  end;
+  t.resolved
+
+(* what an indirect step finds for an address it has not called yet *)
+let no_target = unresolved "" 0
+
+(** The target in [seen] for function address [addr], or [no_target]. *)
+let rec find_target addr = function
+  | [] -> no_target
+  | t :: rest -> if t.addr = addr then t else find_target addr rest
+
+(** A frame for a call of [lay]: a frame its pool holds, with the
+    register tags cleared, or else a copy of the template. *)
+let take lay =
+  if lay.free > 0 then begin
+    lay.free <- lay.free - 1;
+    let fr = Array.unsafe_get lay.pool lay.free in
+    Bytes.fill fr.w.tags 0 lay.params tag_undef;
+    fr
+  end
+  else { lay; w = copy_words lay.template; allocas = [] }
+
+let rec free_allocas st = function
+  | [] -> ()
+  | base :: rest ->
+    (match Hashtbl.find st.allocs base with
+    | a -> a.alive <- false
+    | exception Not_found -> ());
+    free_allocas st rest
+
+(** Free the allocas of [fr], which returned, and put it in its pool. *)
+let release (st : state) fr =
+  if fr.allocas <> [] then begin
+    free_allocas st fr.allocas;
+    fr.allocas <- []
+  end;
+  let lay = fr.lay in
+  let n = lay.free in
+  if n = Array.length lay.pool then begin
+    let pool = Array.make (max 4 (2 * n)) fr in
+    Array.blit lay.pool 0 pool 0 n;
+    lay.pool <- pool
+  end;
+  Array.unsafe_set lay.pool n fr;
+  lay.free <- n + 1
+
+(** Arguments [args.(j..)], boxed, read left to right: the arguments
+    of a builtin. *)
+let rec boxed fr (args : opnd array) j =
+  if j = Array.length args then []
+  else
+    let v = operand fr (Array.unsafe_get args j) in
+    v :: boxed fr args (j + 1)
+
+(** Run the frame [fr], its parameters in place, and leave its result
+    in word 0 of [st.ret] ([VI 0L] for void).  A call step that reaches
+    a defined function copies its arguments from the caller's slots
+    into a frame of the callee and, once it returns, the [ret] word into
+    its own slot.  The step loop reads [st.hooks] at every step: a
+    builtin may swap a hook in the middle of a frame (the parallel
+    runtime does), and the change takes effect at the next step.
     Binary operands are read right to left. *)
-and exec_func (st : state) (f : Func.t) (args : v array) : v =
-  if Array.length args <> Array.length f.Func.params then
-    trap "%s: expected %d arguments, got %d" f.Func.fname
-      (Array.length f.Func.params) (Array.length args);
-  let lay = layout st f in
-  if Array.length lay.blocks = 0 then ignore (Func.entry f);
-  let w =
-    match lay.pool with
-    | w :: rest ->
-      lay.pool <- rest;
-      Bytes.fill w.tags 0 lay.params tag_undef;
-      w
-    | [] -> copy_words lay.template
-  in
-  Array.iteri (fun i v -> put w (lay.params + i) v) args;
-  let fr = { lay; w; allocas = [] } in
-  let result = ref (VI 0L) in
+let rec exec (st : state) (fr : frame) =
+  let lay = fr.lay and w = fr.w in
+  let f = lay.func in
   let finished = ref false in
   let cur = ref 0 in
   let prev = ref (-1) in
@@ -848,27 +943,43 @@ and exec_func (st : state) (f : Func.t) (args : v array) : v =
       lay.executed <- lay.executed + 1;
       (match st.hooks.on_inst with Some h -> h f s.inst | None -> ());
       match s.code with
-      | Call c ->
-        let name =
+      | Call c -> (
+        let t =
           match c.callee with
-          | Direct g ->
-            c.calls <- c.calls + 1;
-            g
-          | Malloc ->
-            st.site_fn <- f.Func.fname;
-            st.site_id <- s.inst.Instr.id;
-            c.calls <- c.calls + 1;
-            "malloc"
-          | Indirect (v, targets) -> (
-            let addr = rd_ptr fr v in
-            match Hashtbl.find_opt st.addr_fun addr with
-            | Some n ->
-              count_target targets n;
-              n
-            | None -> trap "%s: indirect call to non-function address %d" f.Func.fname addr)
+          | Direct t ->
+            if c.alloc_site then begin
+              st.site_fn <- f.Func.fname;
+              st.site_id <- s.inst.Instr.id
+            end;
+            t
+          | Indirect ind -> (
+            let addr = rd_ptr fr ind.fp in
+            let t = find_target addr ind.seen in
+            if t != no_target then t
+            else
+              match Hashtbl.find_opt st.addr_fun addr with
+              | Some name ->
+                let t = unresolved name addr in
+                ind.seen <- t :: ind.seen;
+                t
+              | None -> trap "%s: indirect call to non-function address %d" f.Func.fname addr)
         in
-        let r = call st name (List.map (operand fr) c.cargs) in
-        if c.keep then put w s.dst r
+        t.calls <- t.calls + 1;
+        let args = c.cargs in
+        match resolved st t (Array.length args) with
+        | Defined callee ->
+          let cf = take callee in
+          for j = 0 to Array.length args - 1 do
+            copy fr (Array.unsafe_get args j) cf.w (callee.params + j)
+          done;
+          exec st cf;
+          if c.keep then blit st.ret 0 w s.dst
+        | Builtin b ->
+          let r = b st (boxed fr args 0) in
+          if c.keep then put w s.dst r
+        | Fails e ->
+          ignore (boxed fr args 0);
+          raise e)
       | Br t ->
         prev := blk.bid;
         cur := t;
@@ -885,9 +996,9 @@ and exec_func (st : state) (f : Func.t) (args : v array) : v =
         | exception Trap msg -> ctx_trap f s.inst msg);
         k := n
       | Ret vo ->
-        (result :=
-           try match vo with Some v -> operand fr v | None -> VI 0L
-           with Trap msg -> ctx_trap f s.inst msg);
+        (match vo with
+        | Some v -> (try copy fr v st.ret 0 with Trap msg -> ctx_trap f s.inst msg)
+        | None -> put st.ret 0 (VI 0L));
         finished := true;
         k := n
       | code -> (
@@ -935,32 +1046,43 @@ and exec_func (st : state) (f : Func.t) (args : v array) : v =
     done
     (* a block with no terminator falls back into itself, [prev] unchanged *)
   done;
-  (* free frame allocas *)
-  List.iter
-    (fun base ->
-      match Hashtbl.find_opt st.allocs base with
-      | Some a -> a.alive <- false
-      | None -> ())
-    fr.allocas;
-  lay.pool <- w :: lay.pool;
-  !result
+  release st fr
 
-(** Run [main] (or [entry]) with integer arguments; returns (exit value,
-    program output). *)
-let run ?(entry = "main") ?(args = []) ?fuel (m : Irmod.t) =
-  let st = create m in
-  (match fuel with Some f -> st.fuel <- f | None -> ());
-  let r = call st entry (List.map (fun n -> VI (Int64.of_int n)) args) in
-  Trace.incr_m "interp.runs";
-  Trace.add "interp.steps" st.steps;
-  (r, Buffer.contents st.output)
+(** Call the function named [fname] with [args].  Returns its return value
+    ([VI 0L] for void).  Builtins, defined functions and declarations that
+    resolve to builtins are all accepted. *)
+let call (st : state) (fname : string) (args : v list) : v =
+  match resolution st fname (List.length args) with
+  | Builtin b -> b st args
+  | Defined lay ->
+    let fr = take lay in
+    List.iteri (fun j v -> put fr.w (lay.params + j) v) args;
+    exec st fr;
+    get st.ret 0
+  | Fails e -> raise e
 
-(** Like {!run} but returns the full state for inspection. *)
-let run_state ?(entry = "main") ?(args = []) ?fuel ?(configure = fun (_ : state) -> ()) (m : Irmod.t) =
+(** The one entry path of a run: a fresh state for [m], its [fuel] set,
+    [configure]'s setup (whose result is returned), then [entry] called
+    on integer [args].  The call's exception is returned, not raised, so
+    that the caller still has the state. *)
+let start ?(entry = "main") ?(args = []) ?fuel ~configure (m : Irmod.t) =
   let st = create m in
-  (match fuel with Some f -> st.fuel <- f | None -> ());
-  configure st;
-  let r = call st entry (List.map (fun n -> VI (Int64.of_int n)) args) in
-  Trace.incr_m "interp.runs";
-  Trace.add "interp.steps" st.steps;
-  (r, st)
+  Option.iter (fun n -> st.fuel <- n) fuel;
+  let x = configure st in
+  let args = List.map (fun n -> VI (Int64.of_int n)) args in
+  (st, x, try Ok (call st entry args) with e -> Error e)
+
+(** Run [main] (or [entry]) with integer arguments under [configure];
+    returns its exit value and the state, for inspection. *)
+let run_state ?entry ?args ?fuel ?(configure = ignore) (m : Irmod.t) =
+  match start ?entry ?args ?fuel ~configure m with
+  | st, (), Ok v ->
+    Trace.incr_m "interp.runs";
+    Trace.add "interp.steps" st.steps;
+    (v, st)
+  | _, (), Error e -> raise e
+
+(** Like {!run_state}; returns (exit value, program output). *)
+let run ?entry ?args ?fuel (m : Irmod.t) =
+  let v, st = run_state ?entry ?args ?fuel m in
+  (v, Buffer.contents st.output)

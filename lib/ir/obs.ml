@@ -185,7 +185,6 @@ type recorder = {
       (** tasks currently inside a Helix sequential segment *)
   escaped : objects;
   mutable heap_ordinal : int;
-  observable : (string, unit) Hashtbl.t;    (** builtins that count as I/O *)
 }
 
 let default_observable = [ "print"; "print_float" ]
@@ -227,8 +226,10 @@ let render r (v : Interp.v) =
       if p = base then "&" ^ name else Printf.sprintf "&%s+%d" name (p - base)
 
 (** Hook a recorder into an interpreter state: it chains the existing
-    [on_alloc], [on_store] and [on_builtin] hooks and installs no
-    per-instruction hook.  [sites] are the escaping allocation sites of
+    [on_alloc] and [on_store] hooks, installs no per-instruction hook,
+    and records I/O by wrapping each [observable] builtin in place (a
+    builtin registered later replaces the wrapper unless it calls the
+    one it replaces).  [sites] are the escaping allocation sites of
     the module being run ({!escape_sites}); an allocation is attributed to
     the site the interpreter recorded for it ([site_fn]/[site_id]).
     Globals are picked up from the state directly. *)
@@ -245,10 +246,8 @@ let attach ?(observable = default_observable) ?sites (st : Interp.state) :
       seq_tasks = Hashtbl.create 4;
       escaped = no_objects ();
       heap_ordinal = 0;
-      observable = Hashtbl.create 4;
     }
   in
-  List.iter (fun n -> Hashtbl.replace r.observable n ()) observable;
   (* globals are always observable: name their allocations *)
   Hashtbl.iter
     (fun g base ->
@@ -285,13 +284,15 @@ let attach ?(observable = default_observable) ?sites (st : Interp.state) :
             (Store
                { sobj = r.escaped.names.(k); soff = addr - base;
                  svalue = render r (Interp.load_word st addr) }));
-  let prev_builtin = h.Interp.on_builtin in
-  h.Interp.on_builtin <-
-    Some
-      (fun name args ->
-        (match prev_builtin with Some g -> g name args | None -> ());
-        if Hashtbl.mem r.observable name then
-          emit r (Call { callee = name; cargs = List.map (render r) args }));
+  List.iter
+    (fun name ->
+      match Hashtbl.find_opt st.Interp.builtins name with
+      | Some b ->
+        Interp.register_builtin st name (fun st args ->
+            emit r (Call { callee = name; cargs = List.map (render r) args });
+            b st args)
+      | None -> ())
+    observable;
   Trace.touch "obs.events";
   r
 
@@ -528,25 +529,25 @@ type behaviour = {
 (** Run [m]'s [entry] under a fresh recorder.  [install] sees the fresh
     state and its recorder before the call: the Psim runtime registers its
     builtins there and keeps the recorder to tag events with their task. *)
-let run ?(entry = "main") ?(args = []) ?fuel ?(install = fun _ _ -> ())
-    (m : Irmod.t) : behaviour =
-  let sites = escape_sites ~entry m in
-  let st = Interp.create m in
-  (match fuel with Some f -> st.Interp.fuel <- f | None -> ());
-  let r = attach ~sites st in
-  install st r;
+let run ?entry ?args ?fuel ?(install = fun _ _ -> ()) (m : Irmod.t) : behaviour =
+  let sites = escape_sites ?entry m in
+  let st, r, outcome =
+    Interp.start ?entry ?args ?fuel m ~configure:(fun st ->
+        let r = attach ~sites st in
+        install st r;
+        r)
+  in
   let result =
-    match
-      Interp.call st entry (List.map (fun n -> Interp.VI (Int64.of_int n)) args)
-    with
-    | v ->
+    match outcome with
+    | Ok v ->
       finish r (Exit (render r v));
       Ok
         (Printf.sprintf "exit=%s\n%s" (Interp.v_to_string v)
            (Buffer.contents st.Interp.output))
-    | exception Interp.Trap msg ->
+    | Error (Interp.Trap msg) ->
       finish r (terminal_of_trap msg);
       Error msg
+    | Error e -> raise e
   in
   { result; trace = events r; clock = Int64.of_int st.Interp.clock }
 

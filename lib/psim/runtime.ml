@@ -543,12 +543,10 @@ let install ?(arch : Noelle.Arch.t option) (st : Interp.state) : t =
 
 (** Run [m]'s entry under the parallel runtime.  Returns (exit value,
     output, simulated cycles, runtime stats). *)
-let run ?(entry = "main") ?(args = []) ?fuel ?arch (m : Irmod.t) =
-  let st = Interp.create m in
-  (match fuel with Some f -> st.Interp.fuel <- f | None -> ());
-  let r = install ?arch st in
-  let v = Interp.call st entry (List.map (fun n -> Interp.VI (Int64.of_int n)) args) in
-  (v, Buffer.contents st.Interp.output, Int64.of_int st.Interp.clock, r)
+let run ?entry ?args ?fuel ?arch (m : Irmod.t) =
+  match Interp.start ?entry ?args ?fuel ~configure:(install ?arch) m with
+  | st, r, Ok v -> (v, Buffer.contents st.Interp.output, Int64.of_int st.Interp.clock, r)
+  | _, _, Error e -> raise e
 
 (** Run [m]'s entry under the parallel runtime through {!Obs.run}: the
     recorder tags every event with its task and parallel section, and the
@@ -558,11 +556,10 @@ let run_traced ?entry ?args ?fuel ?arch (m : Irmod.t) : Obs.behaviour =
       (install ?arch st).recorder <- Some rc)
 
 (** Sequential reference run: simulated cycles = dynamic instructions. *)
-let run_sequential ?(entry = "main") ?(args = []) ?fuel (m : Irmod.t) =
-  let st = Interp.create m in
-  (match fuel with Some f -> st.Interp.fuel <- f | None -> ());
-  let v = Interp.call st entry (List.map (fun n -> Interp.VI (Int64.of_int n)) args) in
-  (v, Buffer.contents st.Interp.output, Int64.of_int st.Interp.clock)
+let run_sequential ?entry ?args ?fuel (m : Irmod.t) =
+  match Interp.start ?entry ?args ?fuel ~configure:ignore m with
+  | st, (), Ok v -> (v, Buffer.contents st.Interp.output, Int64.of_int st.Interp.clock)
+  | _, (), Error e -> raise e
 
 (* ------------------------------------------------------------------ *)
 (* Degraded-mode execution                                             *)
@@ -586,15 +583,15 @@ let mode_to_string = function
     exhausts its restart budget the run degrades gracefully: the pristine
     [original] module is executed sequentially instead, so the program
     always completes with correct output. *)
-let run_resilient ?(entry = "main") ?(args = []) ?fuel ?arch ?fault ~(original : Irmod.t)
-    (m : Irmod.t) : resilient_result =
-  let st = Interp.create m in
-  (match fuel with Some f -> st.Interp.fuel <- f | None -> ());
-  let r = install ?arch st in
-  r.fault <- fault;
-  let vargs = List.map (fun n -> Interp.VI (Int64.of_int n)) args in
-  match Interp.call st entry vargs with
-  | v ->
+let run_resilient ?entry ?args ?fuel ?arch ?fault ~(original : Irmod.t) (m : Irmod.t) :
+    resilient_result =
+  let configure st =
+    let r = install ?arch st in
+    r.fault <- fault;
+    r
+  in
+  match Interp.start ?entry ?args ?fuel ~configure m with
+  | st, r, Ok v ->
     {
       rvalue = v;
       routput = Buffer.contents st.Interp.output;
@@ -603,9 +600,9 @@ let run_resilient ?(entry = "main") ?(args = []) ?fuel ?arch ?fault ~(original :
       rtask_log = dispositions r;
       rrestarts = r.restarts;
     }
-  | exception Parallel_failed msg ->
+  | _, r, Error (Parallel_failed msg) ->
     let log = Section_abandoned { reason = msg } :: r.task_log in
-    let v, out, cycles = run_sequential ~entry ~args ?fuel original in
+    let v, out, cycles = run_sequential ?entry ?args ?fuel original in
     {
       rvalue = v;
       routput = out;
@@ -614,3 +611,4 @@ let run_resilient ?(entry = "main") ?(args = []) ?fuel ?arch ?fault ~(original :
       rtask_log = List.rev log;
       rrestarts = r.restarts;
     }
+  | _, _, Error e -> raise e

@@ -56,8 +56,6 @@ let same_ir a b = String.equal (Ir.Printer.module_str a) (Ir.Printer.module_str 
 (** Run [m] from [main] with the tool runtimes installed; returns (exit,
     output, simulated cycles, tool-runtime stats). *)
 let run_toolrt ?fuel (m : Ir.Irmod.t) =
-  let st = Ir.Interp.create m in
-  Option.iter (fun f -> st.Ir.Interp.fuel <- f) fuel;
-  let s = Ntools.Toolrt.install st in
-  let v = Ir.Interp.call st "main" [] in
-  (v, Buffer.contents st.Ir.Interp.output, Int64.of_int st.Ir.Interp.clock, s)
+  match Ir.Interp.start ?fuel ~configure:Ntools.Toolrt.install m with
+  | st, s, Ok v -> (v, Buffer.contents st.Ir.Interp.output, Int64.of_int st.Ir.Interp.clock, s)
+  | _, _, Error e -> raise e

@@ -31,9 +31,7 @@ let on_call : (caller:string -> callee:string -> unit) option ref = ref None
     resolve to builtins are all accepted. *)
 let rec call (st : state) (fname : string) (args : v list) : v =
   match Hashtbl.find_opt st.builtins fname with
-  | Some b ->
-    (match st.hooks.on_builtin with Some h -> h fname args | None -> ());
-    b st args
+  | Some b -> b st args
   | None -> (
     match Irmod.func_opt st.m fname with
     | Some f when not f.Func.is_declaration -> exec_func st f (Array.of_list args)

@@ -26,12 +26,13 @@ let profile_lines (p : Noelle.Profiler.t) =
 
 (* everything one run exposes, rendered for exact comparison: the
    profiler and the Obs recorder share the run, as they share hooks *)
-let observe (call, attach_profile) ~fuel m =
+let observe ?(install = ignore) (call, attach_profile) ~fuel m =
   let sites = Obs.escape_sites m in
   let st = Interp.create m in
   st.Interp.fuel <- fuel;
   let profile = attach_profile st in
   let rc = Obs.attach ~sites st in
+  install st;
   let outcome =
     match call st "main" [] with
     | v ->
@@ -57,9 +58,9 @@ let oracle =
 let fast = (Interp.call, Noelle.Profiler.attach)
 
 (* [fresh ()] gives each run its own copy of the module *)
-let same name ~fuel fresh =
+let same ?install name ~fuel fresh =
   Alcotest.(check (list string)) name
-    (observe oracle ~fuel (fresh ())) (observe fast ~fuel (fresh ()))
+    (observe ?install oracle ~fuel (fresh ())) (observe ?install fast ~fuel (fresh ()))
 
 let fuzz_fuel = 3_000_000
 
@@ -344,6 +345,123 @@ int main() {
       check Alcotest.int64 (what ^ ": cycles") 6899L r.Psim.Runtime.rcycles)
     [ 4; 7 ]
 
+(* ------------------------------------------------------------------ *)
+(* The call path                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* [main] prints 1, then reaches [call] only if [taken] *)
+let call_module ~taken call =
+  Parser.parse_module
+    (ir
+       (Printf.sprintf
+          "define i64 @two(i64 %%a, i64 %%b) {\nentry:\n  %%3 = ret %%a\n}\n\
+           define i64 @main() {\nentry:\n  %%1 = call.void @print(1)\n\
+          \  %%2 = cbr %d, bad, ok\nbad:\n  %s\n  %%4 = br ok\nok:\n  %%5 = ret 0\n}\n\
+           declare i64 @nobuiltin(i64 %%a0)"
+          (if taken then 1 else 0) call))
+
+let test_deferred_call_failures () =
+  List.iter
+    (fun (call, expected) ->
+      let untaken = observe fast ~fuel:100 (call_module ~taken:false call) in
+      checks (call ^ ": not reached") "exit 0" (List.hd untaken);
+      let outcome = List.hd (observe fast ~fuel:100 (call_module ~taken:true call)) in
+      checks (call ^ ": reached") ("trap " ^ expected) outcome;
+      same (call ^ ", reached") ~fuel:100 (fun () -> call_module ~taken:true call);
+      same (call ^ ", not reached") ~fuel:100 (fun () -> call_module ~taken:false call))
+    [ ("%3 = call.i64 @nosuch(1)", "call to unknown function nosuch");
+      ("%3 = call.i64 @nobuiltin(1)", "call to declaration nobuiltin with no builtin");
+      ("%3 = call.i64 @two(1)", "two: expected 2 arguments, got 1");
+      (* the arguments are read before the failure is raised *)
+      ("%3 = call.i64 @nosuch(%9)", "main: register %9 read before definition");
+      ("%3 = call.i64 @two(%9)", "main: register %9 read before definition") ]
+
+(* [get]'s one call site first reaches the defined [ext]; [swap]
+   registers a builtin [ext], which that site uses from its next call *)
+let late_builtin_module () =
+  Parser.parse_module
+    (ir
+       "define i64 @ext() {\nentry:\n  %1 = ret 1\n}\n\
+        define i64 @get() {\nentry:\n  %1 = call.i64 @ext()\n  %2 = ret %1\n}\n\
+        define i64 @main() {\nentry:\n  %1 = call.i64 @get()\n  %2 = call.void @print(%1)\n\
+       \  %3 = call.void @swap()\n  %4 = call.i64 @get()\n  %5 = call.void @print(%4)\n\
+       \  %6 = call.i64 @get()\n  %7 = call.void @print(%6)\n  %8 = ret 0\n}\n\
+        declare void @swap()")
+
+let install_swap st =
+  Interp.register_builtin st "swap" (fun st _ ->
+      Interp.register_builtin st "ext" (fun _ _ -> Interp.VI 2L);
+      Interp.VI 0L)
+
+let test_late_builtin () =
+  let observed = observe ~install:install_swap fast ~fuel:100 (late_builtin_module ()) in
+  checks "output" "1\n2\n2\n" (List.nth observed 3);
+  checkb "ext counted at every call" (List.mem "fncalls ext 3" observed);
+  same ~install:install_swap "late builtin" ~fuel:100 late_builtin_module
+
+(* a builtin shadows a defined function of its name, at a call step and
+   at the [Interp.call] boundary *)
+let test_builtin_shadows () =
+  let m () =
+    Parser.parse_module
+      (ir
+         "define i64 @i64_max(i64 %a, i64 %b) {\nentry:\n  %1 = ret 0\n}\n\
+          define i64 @main() {\nentry:\n  %1 = call.i64 @i64_max(3, 7)\n\
+         \  %2 = call.void @print(%1)\n  %3 = ret 0\n}")
+  in
+  checks "call step" "7\n" (List.nth (observe fast ~fuel:100 (m ())) 3);
+  (match Interp.call (Interp.create (m ())) "i64_max" [ Interp.VI 3L; Interp.VI 7L ] with
+  | Interp.VI 7L -> ()
+  | v -> Alcotest.failf "Interp.call: %s" (Interp.v_to_string v));
+  same "shadowed" ~fuel:100 m
+
+(* one indirect step reaching two callees counts each *)
+let test_indirect_counts () =
+  let src =
+    {|
+int a(int x) { return x + 1; }
+int b(int x) { return x * 2; }
+int dispatch(int x) {
+  int* t[2];
+  t[0] = (int*)a;
+  t[1] = (int*)b;
+  return t[x & 1](x);
+}
+int main() {
+  int s = 0;
+  for (int i = 0; i < 5; i++) { s += dispatch(i); }
+  print(s);
+  return 0;
+}
+|}
+  in
+  let observed = observe fast ~fuel:10_000 (compile src) in
+  List.iter
+    (fun line -> checkb line (List.mem line observed))
+    [ "fncalls a 3"; "fncalls b 2"; "callpair dispatch.a 3"; "callpair dispatch.b 2" ];
+  same "indirect" ~fuel:10_000 (fun () -> compile src)
+
+(* a call of a defined function takes a pooled frame and passes words:
+   twice the calls allocate no more than a few words more *)
+let test_calls_allocate_nothing () =
+  let src =
+    "int inc(int x) { return x + 1; }
+     int loop(int n) { int s = 0; for (int i = 0; i < n; i++) { s = inc(s); } return s; }
+     int main() { return 0; }"
+  in
+  let words n =
+    let st = Interp.create (compile src) in
+    let before = Gc.minor_words () in
+    let v = Interp.call st "loop" [ Interp.VI (Int64.of_int n) ] in
+    let after = Gc.minor_words () in
+    checks "result" (string_of_int n) (Interp.v_to_string v);
+    after -. before
+  in
+  let n = 20_000 in
+  let once = words n and twice = words (2 * n) in
+  checkb (Printf.sprintf "%.0f words for %d calls, %.0f for %d" once n twice (2 * n))
+    (twice -. once < 64.)
+
 let suite =
   [
     tc "oracle: all kernels" test_kernels;
@@ -358,4 +476,9 @@ let suite =
     tc "words: type-confusion traps" test_mistyped_slots;
     tc "words: copies of an undefined register trap" test_copies_before_definition;
     tc "words: a Psim retry restores memory" test_psim_retry_restores_memory;
+    tc "calls: deferred failures trap only when reached" test_deferred_call_failures;
+    tc "calls: a builtin registered later is used at the next call" test_late_builtin;
+    tc "calls: a builtin shadows a defined function" test_builtin_shadows;
+    tc "calls: an indirect call counts per callee" test_indirect_counts;
+    tc "calls: a defined-function call allocates nothing" test_calls_allocate_nothing;
   ]
