@@ -41,18 +41,18 @@ module Telemetry = Telemetry
 
 open Ir
 
-(** A cached per-function artifact, stamped for fingerprint-keyed
-    incremental invalidation (DESIGN.md §11): [pfp] is the function's
-    structural fingerprint at compute time, [pafp] the Andersen solution
+(** A cached per-function artifact, stamped for version-keyed
+    incremental invalidation (DESIGN.md §11): [pver] is the function's
+    {!Ir.Func.version} at compute time, [pafp] the Andersen solution
     fingerprint it was built under ([""] when it has no points-to
     dependency: baseline-stack builds and verified metadata reloads).
-    {!invalidate} keeps entries whose function fingerprint still matches,
+    {!invalidate} keeps entries whose function version still matches,
     marking them [psuspect] when the points-to facts were dropped; the
     next access revalidates [pafp] against the recomputed solution and
     rebuilds on mismatch — so a kept entry is always bit-identical to a
     from-scratch recompute. *)
 type cached_pdg = {
-  pfp : string;
+  pver : int;
   pafp : string;
   mutable psuspect : bool;
   pval : Pdg.t;
@@ -67,15 +67,15 @@ type t = {
       (** step budget for demand-driven analyses: past it Andersen degrades
           to a conservative points-to result and the PDG stops issuing
           alias queries, emitting may-deps instead (sound, less precise) *)
-  mutable andersen : (string * string * Andersen.t) option;
-      (** (module fingerprint, solution fingerprint, result) *)
+  mutable andersen : (Irmod.version * string * Andersen.t) option;
+      (** (module version, solution fingerprint, result) *)
   pdgs : (string, cached_pdg) Hashtbl.t;
-  nests : (string, string * Loopnest.t) Hashtbl.t;
-      (** function fingerprint at compute time, nest *)
-  bounds_ : (string, string * Bounds.summary) Hashtbl.t;
-      (** function fingerprint at compute time, symbolic loop bounds *)
-  mutable cg : (string * Callgraph.t) option;
-      (** module fingerprint at compute time, graph *)
+  nests : (string, int * Loopnest.t) Hashtbl.t;
+      (** function version at compute time, nest *)
+  bounds_ : (string, int * Bounds.summary) Hashtbl.t;
+      (** function version at compute time, symbolic loop bounds *)
+  mutable cg : (Irmod.version * Callgraph.t) option;
+      (** module version at compute time, graph *)
   mutable arch_ : Arch.t option;
   mutable trust_mode : Trust.mode;
       (** what a failed metadata verification does: [Degrade] quarantines
@@ -89,8 +89,9 @@ type t = {
       (** store hook (DESIGN.md §14): called once for every exact artifact
           this manager computes from scratch (PDGs that are neither
           degraded nor metadata reloads, loop-bound summaries), with the
-          canonical payload rendering — [Serve.Store] installs one to
-          persist artifacts as they are produced *)
+          function's fingerprint and the canonical payload rendering —
+          [Serve.Store] installs one to persist artifacts as they are
+          produced *)
 }
 
 let create ?(use_noelle_aa = true) ?analysis_budget ?(trust_mode = Trust.Degrade)
@@ -116,10 +117,12 @@ let create ?(use_noelle_aa = true) ?analysis_budget ?(trust_mode = Trust.Degrade
 (** Install (or clear) the artifact store hook; see {!field-artifact_sink}. *)
 let set_artifact_sink (t : t) sink = t.artifact_sink <- sink
 
-(* [payload] renders the artifact only when a sink is installed *)
+(* [fp] prints the function and [payload] renders the artifact, both only
+   when a sink is installed: what is persisted carries a fingerprint,
+   what stays in memory only a version *)
 let sink_artifact (t : t) ~kind ~fn ~fp ~payload =
   match t.artifact_sink with
-  | Some sink -> sink ~kind ~fn ~fp ~payload:(payload ())
+  | Some sink -> sink ~kind ~fn ~fp:(fp ()) ~payload:(payload ())
   | None -> ()
 
 (** Set the name of the tool issuing subsequent requests (Table 4 rows). *)
@@ -164,29 +167,29 @@ let distrust (t : t) (e : Trust.event) =
   | Trust.Strict -> raise (Trust.Tainted (Trust.event_to_string e))
   | Trust.Degrade -> Trust.quarantine t.m.Irmod.meta ~prefix:e.Trust.aprefix
 
-(** The single audited keep/quarantine decision for a fingerprint-stamped
-    artifact, shared by {!invalidate}'s per-function cache tables (PDGs,
-    loop nests, bounds) and the serve layer's on-disk store: an artifact
-    may be served only while the fingerprint of the code it was computed
-    from still matches the code as it stands now.  [current = None] means
-    the subject is gone (function removed, or demoted to a declaration) —
+(** The single audited keep/quarantine decision for a stamped artifact,
+    shared by {!invalidate}'s per-function cache tables (PDGs, loop nests,
+    bounds), stamped with {!Ir.Func.version}, and the serve layer's
+    on-disk store, stamped with a {!Ir.Fingerprint}: an artifact may be
+    served only while the stamp of the code it was computed from still
+    matches the code as it stands now.  [current = None] means the
+    subject is gone (function removed, or demoted to a declaration) —
     never keep. *)
-let reconcile_artifact ~(current : string option) ~(stamped : string) :
-    [ `Keep | `Drop ] =
-  match current with Some fp when fp = stamped -> `Keep | _ -> `Drop
+let reconcile_artifact ~(current : 'a option) ~(stamped : 'a) : [ `Keep | `Drop ] =
+  match current with Some v when v = stamped -> `Keep | _ -> `Drop
 
 (* Sweep one per-function cache table through {!reconcile_artifact}:
-   entries whose function fingerprint no longer matches are removed.
-   [entry_fp] projects the stamped fingerprint out of an entry; [on_keep]
+   entries whose function version no longer matches are removed.
+   [entry_ver] projects the stamped version out of an entry; [on_keep]
    runs for survivors (PDGs use it to mark points-to-suspect entries).
    Returns (kept, dropped). *)
-let reconcile_tbl (type v) ~(fp_of : string -> string option)
-    ~(entry_fp : v -> string) ?(on_keep = fun (_ : v) -> ())
+let reconcile_tbl (type v) ~(ver_of : string -> int option)
+    ~(entry_ver : v -> int) ?(on_keep = fun (_ : v) -> ())
     (tbl : (string, v) Hashtbl.t) : int * int =
   let kept = ref 0 and stale = ref [] in
   Hashtbl.iter
     (fun fn entry ->
-      match reconcile_artifact ~current:(fp_of fn) ~stamped:(entry_fp entry) with
+      match reconcile_artifact ~current:(ver_of fn) ~stamped:(entry_ver entry) with
       | `Keep ->
         incr kept;
         on_keep entry
@@ -197,17 +200,21 @@ let reconcile_tbl (type v) ~(fp_of : string -> string option)
 
 (** Invalidate cached analyses after a transformation mutated the module.
 
-    Fingerprint-keyed and incremental (DESIGN.md §11): instead of
-    resetting every cache, each cached artifact's stamp is compared
-    against the code as it stands now.  Module-keyed artifacts (Andersen,
-    call graph) are dropped only when the module fingerprint changed;
-    per-function artifacts (PDGs, loop nests) only when their function's
-    fingerprint changed — so a transform touching one function no longer
-    forces whole-module reanalysis.  PDGs kept across a points-to drop
-    are marked suspect and revalidated against the recomputed Andersen
-    solution fingerprint on next access, which keeps incremental results
-    bit-identical to from-scratch recomputation even when a one-function
-    edit shifts interprocedural aliasing.
+    Version-keyed and incremental (DESIGN.md §11): instead of resetting
+    every cache, each cached artifact's stamp is compared against the code
+    as it stands now.  Module-keyed artifacts (Andersen, call graph) are
+    dropped only when the module version ({!Ir.Irmod.version}) changed;
+    per-function artifacts (PDGs, loop nests, bounds) only when their
+    function's {!Ir.Func.version} changed — so a transform touching one
+    function no longer forces whole-module reanalysis.  Versions are
+    integers the IR's writers redraw; comparing them prints nothing.  (An
+    equal version means equal printed code, so every keep/drop decision
+    is the one a comparison of {!Ir.Fingerprint}s would make, as long as
+    no write redraws a stamp and leaves the code as it was.)  PDGs kept
+    across a points-to drop are marked suspect and revalidated against
+    the recomputed Andersen solution fingerprint on next access, which
+    keeps incremental results bit-identical to from-scratch recomputation
+    even when a one-function edit shifts interprocedural aliasing.
 
     Embedded PDG artifacts are reconciled too: any whose stamp no longer
     matches the transformed code is quarantined, so a re-request cannot
@@ -215,35 +222,27 @@ let reconcile_tbl (type v) ~(fp_of : string -> string option)
     legitimate bookkeeping, not a trust violation — strict mode does not
     trap on it.) *)
 let invalidate (t : t) =
-  let mfp = Fingerprint.module_fp t.m in
+  let mver = Irmod.version t.m in
   let andersen_stale =
-    match t.andersen with Some (amfp, _, _) -> amfp <> mfp | None -> false
+    match t.andersen with Some (amver, _, _) -> amver <> mver | None -> false
   in
   if andersen_stale then t.andersen <- None;
   (match t.cg with
-  | Some (cmfp, _) when cmfp <> mfp -> t.cg <- None
+  | Some (cmver, _) when cmver <> mver -> t.cg <- None
   | _ -> ());
-  let fp_cache : (string, string option) Hashtbl.t = Hashtbl.create 16 in
-  let fp_of fn =
-    match Hashtbl.find_opt fp_cache fn with
-    | Some v -> v
-    | None ->
-      let v =
-        match Irmod.func_opt t.m fn with
-        | Some f when not f.Func.is_declaration -> Some (Fingerprint.func_fp f)
-        | _ -> None
-      in
-      Hashtbl.replace fp_cache fn v;
-      v
+  let ver_of fn =
+    match Irmod.func_opt t.m fn with
+    | Some f when not f.Func.is_declaration -> Some (Func.version f)
+    | _ -> None
   in
   let k1, d1 =
-    reconcile_tbl ~fp_of
-      ~entry_fp:(fun (c : cached_pdg) -> c.pfp)
+    reconcile_tbl ~ver_of
+      ~entry_ver:(fun (c : cached_pdg) -> c.pver)
       ~on_keep:(fun c -> if andersen_stale && c.pafp <> "" then c.psuspect <- true)
       t.pdgs
   in
-  let k2, d2 = reconcile_tbl ~fp_of ~entry_fp:fst t.nests in
-  let k3, d3 = reconcile_tbl ~fp_of ~entry_fp:fst t.bounds_ in
+  let k2, d2 = reconcile_tbl ~ver_of ~entry_ver:fst t.nests in
+  let k3, d3 = reconcile_tbl ~ver_of ~entry_ver:fst t.bounds_ in
   Trace.touch "noelle.invalidate.kept";
   Trace.add "noelle.invalidate.kept" (k1 + k2 + k3);
   Trace.add "noelle.invalidate.dropped" (d1 + d2 + d3);
@@ -265,7 +264,7 @@ let andersen (t : t) =
       Trace.span ~cat:"analysis" "noelle.andersen" (fun () ->
           Andersen.analyze ?budget:t.analysis_budget t.m)
     in
-    t.andersen <- Some (Fingerprint.module_fp t.m, Andersen.solution_fp a, a);
+    t.andersen <- Some (Irmod.version t.m, Andersen.solution_fp a, a);
     a
 
 (** Solution fingerprint PDGs are stamped with: the current Andersen
@@ -352,17 +351,18 @@ let pdg (t : t) (f : Func.t) : Pdg.t =
           build ()
     in
     (* verified reloads carry no alias-stack dependency: their validity is
-       keyed on the function fingerprint alone, exactly like a
+       keyed on the function version alone, exactly like a
        from-scratch manager would reload them *)
     let pafp = if !reloaded then "" else andersen_fp t in
-    let pfp = Fingerprint.func_fp f in
-    Hashtbl.replace t.pdgs f.Func.fname { pfp; pafp; psuspect = false; pval = p };
+    Hashtbl.replace t.pdgs f.Func.fname
+      { pver = Func.version f; pafp; psuspect = false; pval = p };
     (* store hook: only exact from-scratch results may be persisted — a
        degraded graph would poison the store with a coarser answer, and a
        metadata reload is already persisted where it came from *)
     if (not p.Pdg.degraded) && not !reloaded then
-      sink_artifact t ~kind:"pdg" ~fn:f.Func.fname ~fp:pfp ~payload:(fun () ->
-          Pdg.payload p);
+      sink_artifact t ~kind:"pdg" ~fn:f.Func.fname
+        ~fp:(fun () -> Fingerprint.func_fp f)
+        ~payload:(fun () -> Pdg.payload p);
     p
 
 (** Raw natural-loop information of [f] (cached). *)
@@ -377,11 +377,11 @@ let loopnest (t : t) (f : Func.t) : Loopnest.t =
       Trace.span ~cat:"analysis" ("noelle.loopnest:" ^ f.Func.fname) (fun () ->
           Loopnest.compute f)
     in
-    Hashtbl.replace t.nests f.Func.fname (Fingerprint.func_fp f, n);
+    Hashtbl.replace t.nests f.Func.fname (Func.version f, n);
     n
 
 (** Symbolic loop-bound and cost summary of [f] (BND; demand-driven,
-    cached, fingerprint-keyed like PDGs so stale bounds cannot steer
+    cached, version-keyed like PDGs so stale bounds cannot steer
     chunking after an edit). *)
 let bounds (t : t) (f : Func.t) : Bounds.summary =
   record t "BND";
@@ -392,10 +392,10 @@ let bounds (t : t) (f : Func.t) : Bounds.summary =
   | None ->
     miss "bounds";
     let s = Bounds.analyze f in
-    let fp = Fingerprint.func_fp f in
-    Hashtbl.replace t.bounds_ f.Func.fname (fp, s);
-    sink_artifact t ~kind:"bounds" ~fn:f.Func.fname ~fp ~payload:(fun () ->
-        Bounds.summary_payload s);
+    Hashtbl.replace t.bounds_ f.Func.fname (Func.version f, s);
+    sink_artifact t ~kind:"bounds" ~fn:f.Func.fname
+      ~fp:(fun () -> Fingerprint.func_fp f)
+      ~payload:(fun () -> Bounds.summary_payload s);
     s
 
 (* the loop nest of [f] and the loop structure of each of its loops *)
@@ -429,7 +429,7 @@ let callgraph (t : t) : Callgraph.t =
       Trace.span ~cat:"analysis" "noelle.callgraph" (fun () ->
           Callgraph.build ~pts:(andersen t) t.m)
     in
-    t.cg <- Some (Fingerprint.module_fp t.m, cg);
+    t.cg <- Some (Irmod.version t.m, cg);
     cg
 
 (** The architecture description (AR), from embedded metadata when the

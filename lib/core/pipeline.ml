@@ -10,15 +10,19 @@
     for diagnosis, and the pipeline carries on from the last good module.
 
     Each distinct module is executed once.  The pipeline keeps the last
-    accepted module's exact printed text ({!Ir.Printer.module_str},
-    metadata included) next to its behaviours; a candidate (or the final
-    module) that prints byte-identical reuses them instead of running
-    again, and is still compared against the reference under the pass's
-    license, so every verdict is the one a re-execution would give.  This
-    is sound because the executors are deterministic in module, inputs and
-    fuel and read nothing the printed text leaves out.  The key is the
-    full text, never a fingerprint: {!Ir.Fingerprint} makes no collision
-    guarantee, and a collision would skip a real check.
+    accepted module's version ({!Ir.Irmod.version}) and a copy of its
+    metadata next to its behaviours; a candidate (or the final module)
+    with the same version and equal metadata reuses them instead of
+    running again, and is still compared against the reference under the
+    pass's license, so every verdict is the one a re-execution would give.
+    An equal version means equal printed code, so the key stands for the
+    module's exact printed text ({!Ir.Printer.module_str}, metadata
+    included) without printing it.  This is sound because the executors
+    are deterministic in module, inputs and fuel and read nothing the
+    printed text leaves out.  The key is never a fingerprint:
+    {!Ir.Fingerprint} makes no collision guarantee, and a collision would
+    skip a real check.  The printed-text key survives in the tests, as the
+    oracle this key must agree with.
 
     A seeded fault injector ({!Ir.Faultgen}) can corrupt pass output on
     purpose, to demonstrate that the gates catch the canonical compiler
@@ -169,9 +173,10 @@ let gate_tags ~exec (e : entry) =
     Reuse rule: the accepted module starts as the pristine one with the
     reference behaviours, and each commit replaces it with the committed
     candidate and its behaviours.  A candidate, or the final module, whose
-    {!Ir.Printer.module_str} text equals the accepted text is not executed
-    again; the accepted behaviours go through {!compare_behaviours} with
-    the pass's license in its place.  [runs] and [executed] in the report
+    version and metadata equal the accepted ones is not executed again;
+    the accepted behaviours go through {!compare_behaviours} with the
+    pass's license in its place.  Nothing is printed unless a pass rolls
+    back ({!Ir.Snapshot.diff}).  [runs] and [executed] in the report
     count the runs asked for and the ones executed; every reused run adds
     to the [pipeline.exec_reused] counter. *)
 let run ?(config = default_config) ?inject (m : Irmod.t) (passes : pass list) : report =
@@ -180,26 +185,27 @@ let run ?(config = default_config) ?inject (m : Irmod.t) (passes : pass list) : 
   Trace.touch "obs.events";
   Trace.touch "pipeline.exec_reused";
   let runs = ref 0 and executed = ref 0 in
-  (* the behaviours of [m] as it stands, with its text and whether they
-     were executed or reused from the accepted module [(text, behaviours)] *)
-  let observe (accepted_text, accepted) =
-    let text = Printer.module_str m in
+  (* the accepted module: its version, a copy of its metadata taken when
+     it was accepted, and its behaviours *)
+  let accept bs = (Irmod.version m, Meta.copy m.Irmod.meta, bs) in
+  (* the behaviours of [m] as it stands, and whether they were executed
+     or reused from the accepted module *)
+  let observe accepted =
     let n = List.length config.inputs in
     runs := !runs + n;
-    if String.equal text accepted_text then begin
+    match accepted with
+    | Some (version, meta, bs)
+      when Irmod.version m = version && Meta.equal meta m.Irmod.meta ->
       Trace.add "pipeline.exec_reused" n;
-      (text, accepted, "reused")
-    end
-    else begin
+      (bs, "reused")
+    | _ ->
       executed := !executed + n;
-      (text, behaviours config m, "ran")
-    end
+      (behaviours config m, "ran")
   in
-  let reference_text, reference, _ =
-    (* nothing is accepted yet, and no module prints as the empty text *)
-    Trace.span ~cat:"pipeline" "pipeline.reference" (fun () -> observe ("", []))
+  let reference, _ =
+    Trace.span ~cat:"pipeline" "pipeline.reference" (fun () -> observe None)
   in
-  let accepted = ref (reference_text, reference) in
+  let accepted = ref (accept reference) in
   (* the license a gate must grant grows with each committed pass: the
      candidate carries every committed commutation, so the gate compares
      under the join of those licenses and the current pass's own *)
@@ -229,7 +235,7 @@ let run ?(config = default_config) ?inject (m : Irmod.t) (passes : pass list) : 
       }
     in
     let commit summary candidate =
-      accepted := candidate;
+      accepted := accept candidate;
       (* the change is in: strip embedded artifacts it invalidated, so no
          consumer downstream of this commit can reload stale analysis *)
       let emeta =
@@ -254,9 +260,9 @@ let run ?(config = default_config) ?inject (m : Irmod.t) (passes : pass list) : 
         match Verify.check m with
         | Error msg -> (rollback (Rolled_back ("verifier: " ^ msg)), "skipped")
         | Ok () ->
-          let text, cand, exec = observe !accepted in
+          let cand, exec = observe (Some !accepted) in
           ( (match compare_behaviours ~license config reference cand with
-            | `Equal -> commit summary (text, cand)
+            | `Equal -> commit summary cand
             | `Timed_out msg -> rollback (Timed_out msg)
             | `Mismatch (msg, witness) ->
               rollback ~trace_diff:witness (Rolled_back ("differential: " ^ msg))),
@@ -272,7 +278,7 @@ let run ?(config = default_config) ?inject (m : Irmod.t) (passes : pass list) : 
   let entries = List.mapi run_pass passes in
   let final_ok =
     (match Verify.check m with Ok () -> true | Error _ -> false)
-    && (let _, final, _ = observe !accepted in
+    && (let final, _ = observe (Some !accepted) in
         compare_behaviours ~license:!committed_license config reference final = `Equal)
     && (not config.verify_meta_gate || Trust.failures (Trust.audit m) = [])
   in

@@ -26,8 +26,12 @@ let build (ldg : Pdg.loop_dg) : t =
   let comps, node_scc = Depgraph.scc_index g in
   let sccs = List.mapi (fun sid members -> { sid; members; carried_internal = false }) comps in
   let by_id = Array.of_list sccs in
-  let dag_succ = Hashtbl.create 16 in
+  let n = Array.length by_id in
+  let dag_succ = Hashtbl.create (max 16 n) in
   List.iter (fun s -> Hashtbl.replace dag_succ s.sid []) sccs;
+  (* DAG edges seen so far, as [a * n + b]: one lookup per dependence
+     edge instead of a scan of [a]'s successor list *)
+  let seen = Hashtbl.create (max 16 (Depgraph.num_edges g)) in
   Depgraph.iter_edges g (fun (e : Depgraph.edge) ->
       let a = node_scc.(e.Depgraph.esrc) and b = node_scc.(e.Depgraph.edst) in
       if a < 0 || b < 0 then ()
@@ -35,8 +39,11 @@ let build (ldg : Pdg.loop_dg) : t =
         if e.Depgraph.loop_carried then by_id.(a).carried_internal <- true
       end
       else
-        let cur = Hashtbl.find dag_succ a in
-        if not (List.mem b cur) then Hashtbl.replace dag_succ a (b :: cur));
+        let key = (a * n) + b in
+        if not (Hashtbl.mem seen key) then begin
+          Hashtbl.replace seen key ();
+          Hashtbl.replace dag_succ a (b :: Hashtbl.find dag_succ a)
+        end);
   { sccs; node_scc; dag_succ; ldg }
 
 let scc_of_inst (t : t) id =

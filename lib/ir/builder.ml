@@ -5,7 +5,13 @@
     everywhere else), and every edit takes the owning function.  It keeps
     block instruction lists, parent pointers and phi incoming lists
     consistent, playing the role of LLVM's IRBuilder plus the handful of
-    low-level CFG update utilities passes need. *)
+    low-level CFG update utilities passes need.
+
+    Every write that can change what {!Printer.func_str} shows draws the
+    function a fresh version stamp ({!Func.version}).  A call that turns
+    out to change nothing (a rewrite of a register no operand mentions, a
+    cleanup with nothing to remove) writes nothing and keeps the stamp,
+    so the caches keyed on it survive. *)
 
 open Raw.Instr
 open Raw.Func
@@ -25,34 +31,50 @@ let add_block (f : Func.t) ~label =
   Hashtbl.replace f.blks bid b;
   count_label f lbl 1;
   f.appended <- bid :: f.appended;
+  touch f;
   b
 
 (** Rename block [bid]; the caller keeps labels unique. *)
 let set_label (f : Func.t) bid label =
   let b = Func.block f bid in
-  count_label f b.label (-1);
-  count_label f label 1;
-  b.label <- label
+  if not (String.equal b.label label) then begin
+    count_label f b.label (-1);
+    count_label f label 1;
+    b.label <- label;
+    touch f
+  end
 
 (** Move block [bid] to the head of the layout, making it the entry. *)
 let make_entry (f : Func.t) bid =
-  f.layout <- bid :: List.filter (fun b -> b <> bid) (Func.blocks f)
+  match Func.blocks f with
+  | b :: _ when b = bid -> ()
+  | layout ->
+    f.layout <- bid :: List.filter (fun b -> b <> bid) layout;
+    touch f
 
 (** Replace the operation of instruction [i] of [f]. *)
-let set_op (_ : Func.t) (i : Instr.inst) op = i.op <- op
+let set_op (f : Func.t) (i : Instr.inst) op =
+  if op != i.op then begin
+    i.op <- op;
+    touch f
+  end
 
 (** Lay out block [bid]'s instructions as [ids], which must be a
     permutation of the instructions it holds. *)
 let set_order (f : Func.t) bid ids =
   let b = Func.block f bid in
   assert (List.sort compare ids = List.sort compare b.insts);
-  b.insts <- ids
+  if ids <> b.insts then begin
+    b.insts <- ids;
+    touch f
+  end
 
 (** Create an instruction record owned by [f] without inserting it. *)
 let mk_inst (f : Func.t) op ty =
   let id = Func.fresh_id f in
   let i = { id; op; ty; parent = -1 } in
   Hashtbl.replace f.body id i;
+  touch f;
   i
 
 (** The parser's and the Mini-C lowering's form of {!add}, in two halves
@@ -63,13 +85,17 @@ let mk_inst (f : Func.t) op ty =
     out the block's instructions in order. *)
 let define_with_id (f : Func.t) bid ~id op ty =
   ignore (Func.block f bid);
-  Hashtbl.replace f.body id { id; op; ty; parent = bid }
+  Hashtbl.replace f.body id { id; op; ty; parent = bid };
+  touch f
 
 (** Lay out [ids] at the end of block [bid]: in one step when the block
     is empty, by a copy of its list otherwise. *)
 let fill_block (f : Func.t) bid ids =
   let b = Func.block f bid in
-  b.insts <- (match b.insts with [] -> ids | l -> l @ ids)
+  if ids <> [] then begin
+    b.insts <- (match b.insts with [] -> ids | l -> l @ ids);
+    touch f
+  end
 
 (** Make every id below [n] unavailable to {!Func.fresh_id}. *)
 let reserve_ids (f : Func.t) n = f.next_id <- max f.next_id n
@@ -155,15 +181,18 @@ let remove (f : Func.t) id =
     let b = Func.block f i.parent in
     b.insts <- List.filter (fun x -> x <> id) b.insts
   end;
-  Hashtbl.remove f.body id
+  Hashtbl.remove f.body id;
+  touch f
 
 (** Replace every use of SSA register [old] with value [by], everywhere in
     [f]. *)
 let replace_uses (f : Func.t) ~old ~by =
   Func.iter_insts
     (fun i ->
-      i.op <-
-        Instr.map_operands (function Reg r when r = old -> by | v -> v) i.op)
+      if Instr.uses_reg i.op old then begin
+        i.op <- Instr.map_operands (function Reg r when r = old -> by | v -> v) i.op;
+        touch f
+      end)
     f
 
 (** [resolve subst v] follows [v] through a table of pending
@@ -178,18 +207,28 @@ let rec resolve subst v =
 (** Apply every pending rewrite of [subst] to the operands of [f] in one
     pass: the batched form of one {!replace_uses} call per entry. *)
 let apply_subst (f : Func.t) subst =
+  let pending = function Reg r -> Hashtbl.mem subst r | _ -> false in
   if Hashtbl.length subst > 0 then
-    Func.iter_insts (fun i -> i.op <- Instr.map_operands (resolve subst) i.op) f
+    Func.iter_insts
+      (fun i ->
+        if List.exists pending (Instr.operands i.op) then begin
+          i.op <- Instr.map_operands (resolve subst) i.op;
+          touch f
+        end)
+      f
 
 (** Delete every instruction satisfying [dead] with one filter per block.
     The caller must ensure none of them has remaining users. *)
 let remove_all (f : Func.t) dead =
   Func.iter_blocks
     (fun b ->
-      b.insts <-
-        List.filter
-          (fun id -> if dead id then (Hashtbl.remove f.body id; false) else true)
-          b.insts)
+      if List.exists dead b.insts then begin
+        b.insts <-
+          List.filter
+            (fun id -> if dead id then (Hashtbl.remove f.body id; false) else true)
+            b.insts;
+        touch f
+      end)
     f
 
 (** Move instruction [id] so it becomes the last non-terminator of block
@@ -200,7 +239,8 @@ let move_to_end (f : Func.t) id ~bid =
   src.insts <- List.filter (fun x -> x <> id) src.insts;
   i.parent <- bid;
   let b = Func.block f bid in
-  b.insts <- before_term f id b.insts
+  b.insts <- before_term f id b.insts;
+  touch f
 
 (** Move instruction [id] immediately before instruction [before] (possibly
     in a different block). *)
@@ -216,7 +256,8 @@ let move_before (f : Func.t) id ~before =
     | x :: rest -> x :: ins rest
     | [] -> [ id ]
   in
-  b.insts <- ins b.insts
+  b.insts <- ins b.insts;
+  touch f
 
 (** In every phi of block [bid], rewrite incoming edges from [old_pred] to
     come from [new_pred] instead. *)
@@ -224,8 +265,9 @@ let rewrite_phi_pred (f : Func.t) bid ~old_pred ~new_pred =
   List.iter
     (fun i ->
       match i.op with
-      | Phi incs ->
-        i.op <- Phi (List.map (fun (p, v) -> if p = old_pred then (new_pred, v) else (p, v)) incs)
+      | Phi incs when old_pred <> new_pred && List.mem_assoc old_pred incs ->
+        i.op <- Phi (List.map (fun (p, v) -> if p = old_pred then (new_pred, v) else (p, v)) incs);
+        touch f
       | _ -> ())
     (Func.insts_of_block f bid)
 
@@ -234,7 +276,9 @@ let remove_phi_incoming (f : Func.t) bid ~pred =
   List.iter
     (fun i ->
       match i.op with
-      | Phi incs -> i.op <- Phi (List.filter (fun (p, _) -> p <> pred) incs)
+      | Phi incs when List.mem_assoc pred incs ->
+        i.op <- Phi (List.filter (fun (p, _) -> p <> pred) incs);
+        touch f
       | _ -> ())
     (Func.insts_of_block f bid)
 
@@ -244,13 +288,15 @@ let redirect (f : Func.t) bid ~old_succ ~new_succ =
   match Func.terminator f bid with
   | None -> ()
   | Some t ->
-    t.op <-
-      (match t.op with
-      | Br b when b = old_succ -> Br new_succ
-      | Cbr (v, a, b) ->
-        Cbr (v, (if a = old_succ then new_succ else a),
-             if b = old_succ then new_succ else b)
-      | op -> op)
+    if old_succ <> new_succ && List.mem old_succ (Instr.successors t.op) then begin
+      let retarget b = if b = old_succ then new_succ else b in
+      t.op <-
+        (match t.op with
+        | Br b -> Br (retarget b)
+        | Cbr (v, a, b) -> Cbr (v, retarget a, retarget b)
+        | op -> op);
+      touch f
+    end
 
 (** Delete block [bid] (must be unreachable: no predecessors).  Phis of
     its successors lose their incoming from [bid]; a successor already
@@ -263,7 +309,8 @@ let erase_block (f : Func.t) bid =
   List.iter (fun id -> Hashtbl.remove f.body id) b.insts;
   Hashtbl.remove f.blks bid;
   count_label f b.label (-1);
-  f.layout <- List.filter (fun x -> x <> bid) (Func.blocks f)
+  f.layout <- List.filter (fun x -> x <> bid) (Func.blocks f);
+  touch f
 
 (** Simplify trivial phis ([Phi [(p, v)]] or all-same-value phis) away.
     Returns the number of phis removed.  Used after CFG surgery. *)
@@ -349,7 +396,7 @@ let dce_phis (f : Func.t) =
       [] f
   in
   (* dead phis may reference each other: clear operands first *)
-  List.iter (fun id -> (Func.inst f id).op <- Phi [] ) dead;
+  List.iter (fun id -> (Func.inst f id).op <- Phi []) dead;
   List.iter (fun id -> remove f id) dead;
   List.length dead
 

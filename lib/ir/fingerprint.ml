@@ -8,7 +8,13 @@
     artifact has changed since the artifact was embedded.
 
     Module fingerprints deliberately exclude metadata: embedding or
-    stamping one artifact must not invalidate another artifact's stamp. *)
+    stamping one artifact must not invalidate another artifact's stamp.
+
+    A fingerprint prints the IR, so it is computed only where it is
+    persisted and must mean the same in another process: Trust stamps
+    and the serve layer's store keys.  Caches that live in one process
+    compare version stamps instead ({!Func.version}, {!Irmod.version}),
+    which cost nothing to read. *)
 
 (* FNV-1a style over the native 63-bit int: tiny, dependency-free, and
    stable across platforms (the state is masked to 62 bits so it never

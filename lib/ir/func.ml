@@ -12,6 +12,7 @@ let make ~name ~params ~ret ~is_declaration =
     blks = Hashtbl.create 16;
     next_id = 0;
     is_declaration;
+    version = next_version ();
   }
 
 let create = make ~is_declaration:false
@@ -25,9 +26,13 @@ let blocks (f : t) =
     f.appended <- [];
     f.layout
 
+let version (f : t) = f.version
+
 let copy ?name (f : t) =
   let g = make ~name:(Option.value name ~default:f.fname)
       ~params:(Array.to_list f.params) ~ret:f.ret ~is_declaration:f.is_declaration in
+  (* same name, same content: the copy carries the stamp *)
+  if String.equal g.fname f.fname then g.version <- f.version;
   g.next_id <- f.next_id;
   g.layout <- blocks f;
   Hashtbl.iter (fun l n -> Hashtbl.replace g.labels l n) f.labels;

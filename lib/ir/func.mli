@@ -29,6 +29,7 @@ type t = Raw.Func.t = private {
   blks : (int, block) Hashtbl.t;
   mutable next_id : int;
   is_declaration : bool;           (** true for external/builtin declarations *)
+  mutable version : int;           (** see {!version} *)
 }
 
 (** A function with no blocks yet; {!Builder} fills it in. *)
@@ -37,9 +38,20 @@ val create : name:string -> params:(string * Ty.t) list -> ret:Ty.t -> t
 (** An external or builtin declaration (no body). *)
 val declare : name:string -> params:(string * Ty.t) list -> ret:Ty.t -> t
 
+(** The version stamp of [f].  Stamps come from one process-wide counter
+    that only increases: a new function draws one, and so does every
+    {!Builder} write that can change what {!Printer.func_str} shows
+    (merging appended blocks into the layout in {!blocks} is a read and
+    draws none).  A stamp stands for exactly one content, so an equal
+    stamp means an equal printed function; in-memory caches compare
+    stamps instead of printing (DESIGN.md §11). *)
+val version : t -> int
+
 (** [copy ?name f] deep-copies [f]: fresh instruction and block records
     with the same ids, labels and layout, under [name] (default: [f]'s
-    own).  Operand values and labels are immutable and stay shared. *)
+    own).  Operand values and labels are immutable and stay shared.  A
+    copy under [f]'s own name carries [f]'s version stamp; a renamed one
+    draws a fresh stamp. *)
 val copy : ?name:string -> t -> t
 
 (** Block ids in layout order; the head is the entry block.  Appending

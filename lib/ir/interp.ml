@@ -261,6 +261,7 @@ and state = {
   mutable mem : words;
   mutable brk : int;                       (** bump pointer: next free word *)
   allocs : (int, alloc) Hashtbl.t;         (** base address -> allocation *)
+  by_base : alloc_index;                   (** the same allocations, by base *)
   global_addr : (string, int) Hashtbl.t;
   fun_addr : (string, int) Hashtbl.t;
   addr_fun : (int, string) Hashtbl.t;
@@ -277,6 +278,21 @@ and state = {
   ret : words;                             (** word 0: the value the last [ret] returned *)
   mutable site_fn : string;                (** function of the pending allocation site *)
   mutable site_id : int;                   (** its instruction id; [-1]: none pending *)
+}
+
+(** Every allocation of [allocs] in increasing base order, dead ones
+    included: the first [n] entries of [bases] and [recs], two parallel
+    arrays so that a search reads only ints.  The bump pointer puts each
+    allocation at or past the end of every one below it, so the greatest
+    base at or below an address is the only allocation that can cover
+    it, and a new allocation lands at the end without a search.  A base
+    at or below the last one (a Psim section retry rewinds the bump
+    pointer) is inserted in order, or replaces the allocation with that
+    base, as [Hashtbl.replace] does in [allocs]. *)
+and alloc_index = {
+  mutable n : int;
+  mutable bases : int array;
+  mutable recs : alloc array;
 }
 
 and builtin = state -> v list -> v
@@ -296,13 +312,53 @@ let ensure_capacity st n =
     st.mem <- nm
   end
 
+(* index of the greatest base <= addr in [ix], or -1 *)
+let floor_alloc ix addr =
+  let lo = ref 0 and hi = ref (ix.n - 1) in
+  while !lo <= !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if Array.unsafe_get ix.bases mid <= addr then lo := mid + 1 else hi := mid - 1
+  done;
+  !hi
+
+(* enter [a] into [allocs] and its index *)
+let record_alloc st (a : alloc) =
+  Hashtbl.replace st.allocs a.base a;
+  let ix = st.by_base in
+  let k =
+    if ix.n > 0 && ix.bases.(ix.n - 1) < a.base then ix.n - 1 else floor_alloc ix a.base
+  in
+  if k >= 0 && ix.bases.(k) = a.base then ix.recs.(k) <- a
+  else begin
+    if ix.n = Array.length ix.recs then begin
+      let cap = max 16 (2 * ix.n) in
+      ix.bases <- Array.append ix.bases (Array.make (cap - ix.n) 0);
+      ix.recs <- Array.append ix.recs (Array.make (cap - ix.n) a)
+    end;
+    let at = k + 1 in
+    Array.blit ix.bases at ix.bases (at + 1) (ix.n - at);
+    Array.blit ix.recs at ix.recs (at + 1) (ix.n - at);
+    ix.bases.(at) <- a.base;
+    ix.recs.(at) <- a;
+    ix.n <- ix.n + 1
+  end
+
+(** Replace every allocation by a copy of those in [allocs], index
+    included: how a Psim section retry puts the allocation table back. *)
+let restore_allocs st (allocs : (int, alloc) Hashtbl.t) =
+  Hashtbl.reset st.allocs;
+  st.by_base.n <- 0;
+  Hashtbl.fold (fun _ a acc -> a :: acc) allocs []
+  |> List.sort (fun (a : alloc) b -> compare a.base b.base)
+  |> List.iter (fun a -> record_alloc st { a with alive = a.alive })
+
 (** Allocate [size] words; returns the base address. *)
 let allocate st size =
   if size < 0 then trap "negative allocation size %d" size;
   let base = st.brk in
   st.brk <- st.brk + max size 1;
   ensure_capacity st st.brk;
-  Hashtbl.replace st.allocs base { base; size; alive = true };
+  record_alloc st { base; size; alive = true };
   (match st.hooks.on_alloc with Some h -> h ~base ~size | None -> ());
   st.site_id <- -1;
   base
@@ -312,13 +368,14 @@ let load_word st addr =
   if addr <= 0 || addr >= st.brk then trap "load from invalid address %d" addr;
   get st.mem addr
 
-(** Does [addr] fall inside a live allocation?  Used by the CARAT runtime. *)
+(** Does [addr] fall inside a live allocation?  Used by the CARAT runtime.
+    One binary search over the allocations by base; allocates nothing. *)
 let addr_is_guarded_valid st addr =
-  (* linear scan over allocations is fine at our scale; allocations are
-     keyed by base so find the one covering addr *)
-  Hashtbl.fold
-    (fun _ a ok -> ok || (a.alive && addr >= a.base && addr < a.base + a.size))
-    st.allocs false
+  let k = floor_alloc st.by_base addr in
+  k >= 0
+  &&
+  let a = Array.unsafe_get st.by_base.recs k in
+  a.alive && addr < a.base + a.size
 
 let[@inline] as_int = function
   | VI n -> n
@@ -428,6 +485,7 @@ let create (m : Irmod.t) : state =
       mem = make_words 4096 tag_int;
       brk = 16;
       allocs = Hashtbl.create 64;
+      by_base = { n = 0; bases = [||]; recs = [||] };
       global_addr = Hashtbl.create 16;
       fun_addr = Hashtbl.create 16;
       addr_fun = Hashtbl.create 16;

@@ -19,7 +19,20 @@ type t = private {
   mutable gorder : string list;        (** globals in declaration order *)
   mutable forder : string list;        (** functions in declaration order *)
   meta : Meta.t;
+  mutable stamp : int;
+      (** the module's own version stamp: redrawn by every change of its
+          globals or its function list (see {!version}) *)
 }
+
+(** The version of a module: its own stamp and the name and
+    {!Func.version} of each function, in declaration order.  Stamps stand
+    for exactly one content, so two equal versions mean the same printed
+    module up to metadata ({!Printer.module_str} minus its [meta] lines;
+    metadata is not versioned).  Compare versions with [=]: they are
+    small and never hashed. *)
+type version = { own : int; funcs : (string * int) list }
+
+val version : t -> version
 
 val create : ?name:string -> unit -> t
 
@@ -53,7 +66,8 @@ val total_insts : t -> int
 (** [assign m ~from] makes [m] a deep copy of [from], in place: fresh
     function records ({!Func.copy}), fresh global initializers and a fresh
     metadata table.  [m] keeps its name, and every handle to [m] stays
-    valid. *)
+    valid.  The function copies carry their originals' stamps, and [m]
+    takes over [from]'s own stamp when the two share a name. *)
 val assign : t -> from:t -> unit
 
 (** A deep copy of a module, as {!assign} makes it. *)

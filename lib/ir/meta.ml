@@ -10,6 +10,17 @@ type t = (string, string) Hashtbl.t
 
 let create () : t = Hashtbl.create 64
 
+(** A fresh table with the same bindings. *)
+let copy (t : t) : t = Hashtbl.copy t
+
+(** Same keys, same values. *)
+let equal (a : t) (b : t) =
+  Hashtbl.length a = Hashtbl.length b
+  && Hashtbl.fold
+       (fun k v ok ->
+         ok && match Hashtbl.find_opt b k with Some w -> String.equal v w | None -> false)
+       a true
+
 let set (t : t) k v = Hashtbl.replace t k v
 let get (t : t) k = Hashtbl.find_opt t k
 let get_int (t : t) k = Option.bind (get t k) int_of_string_opt

@@ -5,8 +5,9 @@
     [lib/ir] the compiler rejects a field write; inside [lib/ir] only
     [func.ml] and [builder.ml] write through it.  Every edit of the IR
     therefore goes through a {!Func} or {!Builder} function that takes the
-    owning function.  The types are documented where they are
-    re-exported. *)
+    owning function, and each such edit draws the function a fresh
+    version stamp ({!Func.version}).  The types are documented where they
+    are re-exported. *)
 
 module Instr = struct
   type bin = Add | Sub | Mul | Sdiv | Srem | And | Or | Xor | Shl | Ashr
@@ -57,5 +58,18 @@ module Func = struct
     blks : (int, block) Hashtbl.t;
     mutable next_id : int;
     is_declaration : bool;
+    mutable version : int;
   }
+
+  (* one counter for every function: a stamp is never drawn twice, so
+     two functions carry the same stamp only when one was copied from
+     the other and neither was written since *)
+  let clock = ref 0
+
+  let next_version () =
+    incr clock;
+    !clock
+
+  (* every write that can change what the printer shows calls this *)
+  let touch (f : t) = f.version <- next_version ()
 end

@@ -197,11 +197,7 @@ let restore_section (r : t) (s : section_snap) =
   let st = r.st in
   st.Interp.mem <- Interp.copy_words s.s_mem;
   st.Interp.brk <- s.s_brk;
-  Hashtbl.reset st.Interp.allocs;
-  Hashtbl.iter
-    (fun k (a : Interp.alloc) ->
-      Hashtbl.replace st.Interp.allocs k { a with Interp.alive = a.Interp.alive })
-    s.s_allocs;
+  Interp.restore_allocs st s.s_allocs;
   Buffer.truncate st.Interp.output s.s_out_len;
   st.Interp.steps <- s.s_steps;
   st.Interp.fuel <- s.s_fuel;

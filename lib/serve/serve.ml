@@ -297,8 +297,8 @@ let nth_fn (m : Irmod.t) (i : int) : Func.t =
   List.nth fns (i mod List.length fns)
 
 (** Benign edit: a dead [add seed, 0] planted at the function entry —
-    changes the fingerprint (forcing invalidation) without changing
-    behaviour, calls, or loop structure. *)
+    changes the version and the fingerprint (forcing invalidation)
+    without changing behaviour, calls, or loop structure. *)
 let apply_edit (m : Irmod.t) ~(efn : int) ~(eseed : int) : Func.t =
   let f = nth_fn m efn in
   let b = Func.block f (Func.entry f) in

@@ -3,7 +3,8 @@
     printed IR must be byte-identical from both frontends, and every loop
     dependence graph identical node for node and edge for edge, in order,
     with the same flags.  Every SCCDAG must match the hash-table one kept
-    in {!Sccdag_oracle}.  Plus unit cases for mem2reg's use census. *)
+    in {!Sccdag_oracle}, the widened loops the vectorizer leaves behind
+    included.  Plus unit cases for mem2reg's use census. *)
 
 open Ir
 open Helpers
@@ -311,6 +312,40 @@ let test_sccdags_identical () =
         (oracle_sccdag_str l) (sccdag_str l));
   checkb "loops compared" (!loops > 100)
 
+(* the loops of every kernel the vectorizer widens, after it ran: the
+   widened loops are the largest graphs the parallelizers see *)
+let test_sccdags_widened () =
+  let loops = ref 0 and largest = ref 0 in
+  List.iter
+    (fun (k : Bsuite.Kernels.kernel) ->
+      let m = Bsuite.Kernels.compile k in
+      let widened =
+        List.exists
+          (fun (_, r) -> Result.is_ok r)
+          (Ntools.Vec.run (Noelle.create m) m ~ncores:4 ~min_work:0.0 ())
+      in
+      if widened then begin
+        let n = Noelle.create m in
+        List.iter
+          (fun f ->
+            List.iter
+              (fun l ->
+                incr loops;
+                if k.Bsuite.Kernels.kname = "blackscholes" then begin
+                  let g = (Noelle.Loop.dep_graph l).Noelle.Pdg.ldg in
+                  let nodes = List.filter (Noelle.Depgraph.is_internal g) g.Noelle.Depgraph.nodes in
+                  largest := max !largest (List.length nodes)
+                end;
+                checks
+                  (Printf.sprintf "%s after vec: loop %s" k.Bsuite.Kernels.kname (Noelle.Loop.id l))
+                  (oracle_sccdag_str l) (sccdag_str l))
+              (Noelle.loops n f))
+          (Irmod.defined_functions m)
+      end)
+    Bsuite.Kernels.all;
+  checkb "widened loops compared" (!loops > 100);
+  checkb (Printf.sprintf "blackscholes' widened loop: %d nodes" !largest) (!largest > 600)
+
 let suite =
   [
     tc "mem2reg: stored address escapes" test_stored_address_escapes;
@@ -323,4 +358,5 @@ let suite =
     tc "loop graphs match the oracle" test_loop_graphs_identical;
     tc "loop graphs share the function graph's edges" test_loop_graphs_share_edges;
     tc "SCCDAGs match the oracle" test_sccdags_identical;
+    tc "SCCDAGs of widened loops match the oracle" test_sccdags_widened;
   ]

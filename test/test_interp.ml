@@ -346,6 +346,69 @@ int main() {
     [ 4; 7 ]
 
 (* ------------------------------------------------------------------ *)
+(* CARAT guards                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* the guard as it was: a scan over every allocation ever made *)
+let guard_oracle (st : Interp.state) addr =
+  Hashtbl.fold
+    (fun _ (a : Interp.alloc) ok ->
+      ok || (a.Interp.alive && addr >= a.Interp.base && addr < a.Interp.base + a.Interp.size))
+    st.Interp.allocs false
+
+let same_guard_verdicts what (st : Interp.state) =
+  let bad = ref [] in
+  for addr = -1 to st.Interp.brk + 1 do
+    if Interp.addr_is_guarded_valid st addr <> guard_oracle st addr then bad := addr :: !bad
+  done;
+  checks (what ^ ": addresses where the guard and the scan disagree") ""
+    (String.concat " " (List.rev_map string_of_int !bad))
+
+(* 3000 calls each leave a dead alloca behind, among live, freed and
+   empty mallocs; then a Psim-style retry puts the first half of the
+   table back, rewinds the bump pointer and allocates again *)
+let test_guard_lookup () =
+  let m =
+    compile
+      {|
+int touch(int k) { int a[3]; a[0] = k; a[1] = k + 1; a[2] = k + 2; return a[0] + a[2]; }
+int main() {
+  int s = 0;
+  int *keep = malloc(5);
+  for (int i = 0; i < 3000; i = i + 1) {
+    s = s + touch(i);
+    if (i % 300 == 0) { int *p = malloc(i % 7); free(p); }
+  }
+  int *empty = malloc(0);
+  keep[0] = s;
+  print(keep[0]);
+  return 0;
+}
+|}
+  in
+  let _, st = Interp.run_state m in
+  let dead =
+    Hashtbl.fold
+      (fun _ (a : Interp.alloc) n -> if a.Interp.alive then n else n + 1)
+      st.Interp.allocs 0
+  in
+  checkb (Printf.sprintf "%d dead allocations" dead) (dead > 3000);
+  same_guard_verdicts "after the run" st;
+  let cut = st.Interp.brk / 2 in
+  let kept = Hashtbl.create 16 in
+  Hashtbl.iter
+    (fun base (a : Interp.alloc) -> if base < cut then Hashtbl.replace kept base a)
+    st.Interp.allocs;
+  let rewind = Hashtbl.fold (fun base _ b -> max base b) kept 0 in
+  Interp.restore_allocs st kept;
+  (* the newest kept allocation is rewound over and allocated again,
+     with another size: it is replaced, not duplicated *)
+  st.Interp.brk <- rewind;
+  List.iter (fun size -> ignore (Interp.allocate st size)) [ 2; 0; 7; 1 ];
+  same_guard_verdicts "after a retry" st;
+  checkb "the rewound base is live again" (Interp.addr_is_guarded_valid st (rewind + 1))
+
+(* ------------------------------------------------------------------ *)
 (* The call path                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -476,6 +539,7 @@ let suite =
     tc "words: type-confusion traps" test_mistyped_slots;
     tc "words: copies of an undefined register trap" test_copies_before_definition;
     tc "words: a Psim retry restores memory" test_psim_retry_restores_memory;
+    tc "carat: the guard finds the covering allocation by base" test_guard_lookup;
     tc "calls: deferred failures trap only when reached" test_deferred_call_failures;
     tc "calls: a builtin registered later is used at the next call" test_late_builtin;
     tc "calls: a builtin shadows a defined function" test_builtin_shadows;
