@@ -2,15 +2,18 @@
 
     Executes a module with a word-granularity memory model.  The interpreter
     is the substrate that replaces native execution in this reproduction:
-    NOELLE's profilers ({!Noelle.Profiler} in [lib/core]) hook instruction /
-    block / call / memory events; the parallel runtime ([lib/psim]) registers
-    extra builtins (queues, signals, task spawning) and drives task functions
-    as effect-based fibers with per-core virtual clocks; CARAT and COOS
-    register their runtime entry points the same way.
+    NOELLE's profiler ({!Noelle.Profiler} in [lib/core]) reads the
+    layouts' execution counters after a run; the parallel runtime
+    ([lib/psim]) registers extra builtins (queues, signals, task spawning)
+    and drives task functions as effect-based fibers with per-core virtual
+    clocks; CARAT and COOS register their runtime entry points the same
+    way.
 
     Addresses are plain integers (words).  Address 0 is the null pointer and
     never allocated.  Every allocation (global, alloca, malloc) is recorded
-    in an allocation table so that guard runtimes can validate accesses.
+    in one index by base address ({!alloc_index}): the CARAT guard
+    validates accesses against it, and the recorder ({!Obs}) names the
+    observable allocations in it.
 
     Execution model.  On its first call in a {!state}, a function is
     compiled into a frame layout ({!compile}, cached in [state.layouts]):
@@ -63,7 +66,7 @@
     runtimes convert at their edges), and an [alloca] or a direct call
     to [malloc] records its allocation site in [site_fn]/[site_id] for
     {!allocate}, which clears it once the [on_alloc] hook has seen it.
-    The recorder ({!Obs}) names escaping heap objects from that site. *)
+    The recorder ({!Obs}) names escaping heap allocations from that site. *)
 
 type v = VI of int64 | VF of float | VP of int
 
@@ -76,7 +79,9 @@ let v_to_string = function
   | VF f -> Printf.sprintf "%.6g" f
   | VP p -> Printf.sprintf "&%d" p
 
-type alloc = { base : int; size : int; mutable alive : bool }
+(** An allocation.  [name] is [""] unless the recorder ({!Obs}) named
+    it observable: a global ([@g]) or an escaping heap object ([heap#0]). *)
+type alloc = { base : int; size : int; mutable alive : bool; mutable name : string }
 
 (** {2 Words}
 
@@ -140,9 +145,10 @@ type hooks = {
       (** called before each executed instruction *)
   mutable on_mem : (Func.t -> Instr.inst -> addr:int -> write:bool -> unit) option;
       (** called for every load/store with its resolved address *)
-  mutable on_alloc : (base:int -> size:int -> unit) option;
-      (** called after every allocation (global, alloca, malloc); the
-          state's [site_fn]/[site_id] name the instruction that made it *)
+  mutable on_alloc : (alloc -> unit) option;
+      (** called after every allocation (global, alloca, malloc) with its
+          record; the state's [site_fn]/[site_id] name the instruction
+          that made it *)
   mutable on_store : (Func.t -> Instr.inst -> addr:int -> unit) option;
       (** called after a store commits; {!load_word} reads the value *)
 }
@@ -260,8 +266,7 @@ and state = {
   m : Irmod.t;
   mutable mem : words;
   mutable brk : int;                       (** bump pointer: next free word *)
-  allocs : (int, alloc) Hashtbl.t;         (** base address -> allocation *)
-  by_base : alloc_index;                   (** the same allocations, by base *)
+  by_base : alloc_index;                   (** every allocation, by base *)
   global_addr : (string, int) Hashtbl.t;
   fun_addr : (string, int) Hashtbl.t;
   addr_fun : (int, string) Hashtbl.t;
@@ -280,15 +285,16 @@ and state = {
   mutable site_id : int;                   (** its instruction id; [-1]: none pending *)
 }
 
-(** Every allocation of [allocs] in increasing base order, dead ones
-    included: the first [n] entries of [bases] and [recs], two parallel
-    arrays so that a search reads only ints.  The bump pointer puts each
-    allocation at or past the end of every one below it, so the greatest
-    base at or below an address is the only allocation that can cover
-    it, and a new allocation lands at the end without a search.  A base
-    at or below the last one (a Psim section retry rewinds the bump
-    pointer) is inserted in order, or replaces the allocation with that
-    base, as [Hashtbl.replace] does in [allocs]. *)
+(** Every allocation in increasing base order, dead ones included: the
+    first [n] entries of [bases] and [recs], two parallel arrays so that
+    a search reads only ints.  The bump pointer puts each allocation at
+    or past the end of every one below it, so the greatest base at or
+    below an address is the only allocation that can cover it, and a new
+    allocation lands at the end without a search.  A base at or below
+    the last one (a caller rewound the bump pointer) is inserted in
+    order, or replaces the allocation with that base.  A Psim section
+    retry puts back a copy of the index with {!restore_allocs}, so a
+    record may be replaced: hold a base, not a record, across a call. *)
 and alloc_index = {
   mutable n : int;
   mutable bases : int array;
@@ -312,7 +318,8 @@ let ensure_capacity st n =
     st.mem <- nm
   end
 
-(* index of the greatest base <= addr in [ix], or -1 *)
+(* index of the greatest base <= addr in [ix], or -1: the one search
+   over allocations *)
 let floor_alloc ix addr =
   let lo = ref 0 and hi = ref (ix.n - 1) in
   while !lo <= !hi do
@@ -321,9 +328,19 @@ let floor_alloc ix addr =
   done;
   !hi
 
-(* enter [a] into [allocs] and its index *)
+(** The index in [ix] of the allocation whose base is [base], or [-1]. *)
+let alloc_at ix base =
+  let k = floor_alloc ix base in
+  if k >= 0 && Array.unsafe_get ix.bases k = base then k else -1
+
+(** The index in [ix] of the allocation covering [addr], live or dead,
+    or [-1].  Allocates nothing. *)
+let covering ix addr =
+  let k = floor_alloc ix addr in
+  if k >= 0 && addr < (let a = Array.unsafe_get ix.recs k in a.base + a.size) then k else -1
+
+(* enter [a] into the index *)
 let record_alloc st (a : alloc) =
-  Hashtbl.replace st.allocs a.base a;
   let ix = st.by_base in
   let k =
     if ix.n > 0 && ix.bases.(ix.n - 1) < a.base then ix.n - 1 else floor_alloc ix a.base
@@ -343,14 +360,23 @@ let record_alloc st (a : alloc) =
     ix.n <- ix.n + 1
   end
 
-(** Replace every allocation by a copy of those in [allocs], index
-    included: how a Psim section retry puts the allocation table back. *)
-let restore_allocs st (allocs : (int, alloc) Hashtbl.t) =
-  Hashtbl.reset st.allocs;
-  st.by_base.n <- 0;
-  Hashtbl.fold (fun _ a acc -> a :: acc) allocs []
-  |> List.sort (fun (a : alloc) b -> compare a.base b.base)
-  |> List.iter (fun a -> record_alloc st { a with alive = a.alive })
+(* a copy of [ix] with copies of its records, whose [alive] and [name]
+   are mutable *)
+let copy_index ix =
+  { n = ix.n; bases = Array.sub ix.bases 0 ix.n;
+    recs = Array.init ix.n (fun k -> let a = ix.recs.(k) in { a with alive = a.alive }) }
+
+(** A copy of every allocation: what a Psim section saves so that a
+    retry can put the allocations back with {!restore_allocs}. *)
+let save_allocs st = copy_index st.by_base
+
+(** Replace every allocation by a copy of those [saved] holds; [saved]
+    stays as it is, for the next retry. *)
+let restore_allocs st saved =
+  let c = copy_index saved in
+  st.by_base.n <- c.n;
+  st.by_base.bases <- c.bases;
+  st.by_base.recs <- c.recs
 
 (** Allocate [size] words; returns the base address. *)
 let allocate st size =
@@ -358,8 +384,9 @@ let allocate st size =
   let base = st.brk in
   st.brk <- st.brk + max size 1;
   ensure_capacity st st.brk;
-  record_alloc st { base; size; alive = true };
-  (match st.hooks.on_alloc with Some h -> h ~base ~size | None -> ());
+  let a = { base; size; alive = true; name = "" } in
+  record_alloc st a;
+  (match st.hooks.on_alloc with Some h -> h a | None -> ());
   st.site_id <- -1;
   base
 
@@ -371,11 +398,14 @@ let load_word st addr =
 (** Does [addr] fall inside a live allocation?  Used by the CARAT runtime.
     One binary search over the allocations by base; allocates nothing. *)
 let addr_is_guarded_valid st addr =
-  let k = floor_alloc st.by_base addr in
+  let k = covering st.by_base addr in
+  k >= 0 && (Array.unsafe_get st.by_base.recs k).alive
+
+(* mark the allocation with base [base] dead; [false] if there is none *)
+let kill st base =
+  let k = alloc_at st.by_base base in
+  if k >= 0 then (Array.unsafe_get st.by_base.recs k).alive <- false;
   k >= 0
-  &&
-  let a = Array.unsafe_get st.by_base.recs k in
-  a.alive && addr < a.base + a.size
 
 let[@inline] as_int = function
   | VI n -> n
@@ -426,9 +456,7 @@ let default_builtins () : (string * builtin) list =
        (match args with
        | [ p ] -> (
          let base = as_ptr p in
-         match Hashtbl.find_opt st.allocs base with
-         | Some a -> a.alive <- false
-         | None -> trap "free: %d is not an allocation base" base)
+         if not (kill st base) then trap "free: %d is not an allocation base" base)
        | _ -> trap "free: expected 1 argument");
        VI 0L);
     ("srand",
@@ -484,7 +512,6 @@ let create (m : Irmod.t) : state =
       m;
       mem = make_words 4096 tag_int;
       brk = 16;
-      allocs = Hashtbl.create 64;
       by_base = { n = 0; bases = [||]; recs = [||] };
       global_addr = Hashtbl.create 16;
       fun_addr = Hashtbl.create 16;
@@ -936,12 +963,11 @@ let take lay =
   end
   else { lay; w = copy_words lay.template; allocas = [] }
 
+(* by base, not by record: a Psim retry may have replaced the records *)
 let rec free_allocas st = function
   | [] -> ()
   | base :: rest ->
-    (match Hashtbl.find st.allocs base with
-    | a -> a.alive <- false
-    | exception Not_found -> ());
+    ignore (kill st base);
     free_allocas st rest
 
 (** Free the allocas of [fr], which returned, and put it in its pool. *)

@@ -112,68 +112,6 @@ let escape_sites ?(entry = "main") (m : Irmod.t) : sites =
 (* Recorder                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(** Escaped objects in increasing base order: [(base, end, name)] in
-    three parallel arrays, of which the first [n] entries are live.  The
-    interpreter allocates with a bump pointer, so each object starts at or
-    past the end of every object below it, the greatest base at or below
-    an address is the only object that can cover it, and a new heap object
-    normally lands at the end.  A base at or below the last one (a
-    Psim section retry rewinds the bump pointer) is inserted in order, or
-    replaces the object with that base. *)
-type objects = {
-  mutable n : int;
-  mutable bases : int array;
-  mutable ends : int array;
-  mutable names : string array;
-}
-
-let no_objects () = { n = 0; bases = [||]; ends = [||]; names = [||] }
-
-(* index of the greatest base <= addr, or -1 *)
-let floor_index o addr =
-  let lo = ref 0 and hi = ref (o.n - 1) in
-  while !lo <= !hi do
-    let mid = (!lo + !hi) lsr 1 in
-    if Array.unsafe_get o.bases mid <= addr then lo := mid + 1 else hi := mid - 1
-  done;
-  !hi
-
-let add_object o ~base ~size name =
-  let k = floor_index o base in
-  if k >= 0 && o.bases.(k) = base then begin
-    o.ends.(k) <- base + size;
-    o.names.(k) <- name
-  end
-  else begin
-    if o.n = Array.length o.bases then begin
-      let cap = max 16 (2 * o.n) in
-      let grow a fill = Array.append a (Array.make (cap - o.n) fill) in
-      o.bases <- grow o.bases 0;
-      o.ends <- grow o.ends 0;
-      o.names <- grow o.names ""
-    end;
-    let at = k + 1 in
-    let shift a = Array.blit a at a (at + 1) (o.n - at) in
-    shift o.bases;
-    shift o.ends;
-    shift o.names;
-    o.bases.(at) <- base;
-    o.ends.(at) <- base + size;
-    o.names.(at) <- name;
-    o.n <- o.n + 1
-  end
-
-(** The index of the object covering [addr], or [-1]: an address below
-    the lowest base or at or past the last object's end is rejected
-    without a search, any other costs one binary search.  Allocates
-    nothing. *)
-let covering o addr =
-  if o.n = 0 || addr < Array.unsafe_get o.bases 0 || addr >= Array.unsafe_get o.ends (o.n - 1)
-  then -1
-  else
-    let k = floor_index o addr in
-    if addr < Array.unsafe_get o.ends k then k else -1
-
 type recorder = {
   mutable rev : event list;   (** newest first *)
   mutable count : int;
@@ -183,11 +121,13 @@ type recorder = {
   mutable section : int;
   seq_tasks : (int, unit) Hashtbl.t;
       (** tasks currently inside a Helix sequential segment *)
-  escaped : objects;
+  allocs : Interp.alloc_index;
+      (** the state's allocations; a named one is observable *)
   mutable heap_ordinal : int;
 }
 
-let default_observable = [ "print"; "print_float" ]
+(* the builtins whose calls are events *)
+let observable = [ "print"; "print_float" ]
 
 let emit r act =
   if r.count >= r.cap then begin
@@ -211,6 +151,11 @@ let emit r act =
     r.count <- r.count + 1
   end
 
+(* the index of the named allocation covering [addr], or -1 *)
+let observed r addr =
+  let k = Interp.covering r.allocs addr in
+  if k >= 0 && r.allocs.Interp.recs.(k).Interp.name <> "" then k else -1
+
 (** Render a value for an event.  Pointers are object-relative so traces
     compare across modules with different allocation order. *)
 let render r (v : Interp.v) =
@@ -219,22 +164,25 @@ let render r (v : Interp.v) =
   | Interp.VF f -> Printf.sprintf "%.6g" f
   | Interp.VP 0 -> "null"
   | Interp.VP p ->
-    let k = covering r.escaped p in
+    let k = observed r p in
     if k < 0 then "&_"
     else
-      let base = r.escaped.bases.(k) and name = r.escaped.names.(k) in
+      let { Interp.base; name; _ } = r.allocs.Interp.recs.(k) in
       if p = base then "&" ^ name else Printf.sprintf "&%s+%d" name (p - base)
 
 (** Hook a recorder into an interpreter state: it chains the existing
     [on_alloc] and [on_store] hooks, installs no per-instruction hook,
     and records I/O by wrapping each [observable] builtin in place (a
     builtin registered later replaces the wrapper unless it calls the
-    one it replaces).  [sites] are the escaping allocation sites of
-    the module being run ({!escape_sites}); an allocation is attributed to
-    the site the interpreter recorded for it ([site_fn]/[site_id]).
-    Globals are picked up from the state directly. *)
-let attach ?(observable = default_observable) ?sites (st : Interp.state) :
-    recorder =
+    one it replaces).  Observable memory is named on the interpreter's
+    own allocation records ({!Interp.alloc}): each global by its name,
+    found by base, and each allocation that [sites] lists by a heap
+    ordinal as it is made.  [sites] are the escaping allocation sites of
+    the module being run ({!escape_sites}); an allocation is attributed
+    to the site the interpreter recorded for it ([site_fn]/[site_id]).
+    A store into a named allocation is an event; a pointer into an
+    unnamed one renders as [&_]. *)
+let attach ~(sites : sites) (st : Interp.state) : recorder =
   let r =
     {
       rev = [];
@@ -244,45 +192,39 @@ let attach ?(observable = default_observable) ?sites (st : Interp.state) :
       task = -1;
       section = -1;
       seq_tasks = Hashtbl.create 4;
-      escaped = no_objects ();
+      allocs = st.Interp.by_base;
       heap_ordinal = 0;
     }
   in
-  (* globals are always observable: name their allocations *)
+  (* globals are always observable *)
   Hashtbl.iter
     (fun g base ->
-      let size =
-        match Hashtbl.find_opt st.Interp.allocs base with
-        | Some (a : Interp.alloc) -> a.Interp.size
-        | None -> 1
-      in
-      add_object r.escaped ~base ~size ("@" ^ g))
+      let k = Interp.alloc_at r.allocs base in
+      if k >= 0 then r.allocs.Interp.recs.(k).Interp.name <- "@" ^ g)
     st.Interp.global_addr;
-  let sites = match sites with Some s -> s | None -> (Hashtbl.create 1 : sites) in
   let h = st.Interp.hooks in
   (* escaping heap objects get stable ordinal names *)
   let prev_alloc = h.Interp.on_alloc in
   h.Interp.on_alloc <-
     Some
-      (fun ~base ~size ->
-        (match prev_alloc with Some g -> g ~base ~size | None -> ());
+      (fun a ->
+        (match prev_alloc with Some g -> g a | None -> ());
         if st.Interp.site_id >= 0 && Hashtbl.mem sites (st.Interp.site_fn, st.Interp.site_id)
         then begin
-          let name = Printf.sprintf "heap#%d" r.heap_ordinal in
-          r.heap_ordinal <- r.heap_ordinal + 1;
-          add_object r.escaped ~base ~size name
+          a.Interp.name <- Printf.sprintf "heap#%d" r.heap_ordinal;
+          r.heap_ordinal <- r.heap_ordinal + 1
         end);
   let prev_store = h.Interp.on_store in
   h.Interp.on_store <-
     Some
       (fun f i ~addr ->
         (match prev_store with Some g -> g f i ~addr | None -> ());
-        let k = covering r.escaped addr in
+        let k = observed r addr in
         if k >= 0 then
-          let base = r.escaped.bases.(k) in
+          let { Interp.base; name; _ } = r.allocs.Interp.recs.(k) in
           emit r
             (Store
-               { sobj = r.escaped.names.(k); soff = addr - base;
+               { sobj = name; soff = addr - base;
                  svalue = render r (Interp.load_word st addr) }));
   List.iter
     (fun name ->

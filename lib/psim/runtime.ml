@@ -151,7 +151,7 @@ type status =
 type section_snap = {
   s_mem : Interp.words;
   s_brk : int;
-  s_allocs : (int, Interp.alloc) Hashtbl.t;
+  s_allocs : Interp.alloc_index;
   s_out_len : int;
   s_steps : int;
   s_fuel : int;
@@ -167,10 +167,6 @@ type section_snap = {
 
 let snapshot_section (r : t) : section_snap =
   let st = r.st in
-  let allocs = Hashtbl.create (Hashtbl.length st.Interp.allocs) in
-  Hashtbl.iter
-    (fun k (a : Interp.alloc) -> Hashtbl.replace allocs k { a with Interp.alive = a.Interp.alive })
-    st.Interp.allocs;
   let user = Hashtbl.copy st.Interp.user in
   let queues = Hashtbl.create (Hashtbl.length r.queues) in
   Hashtbl.iter (fun k q -> Hashtbl.replace queues k (Queue.copy q)) r.queues;
@@ -179,7 +175,7 @@ let snapshot_section (r : t) : section_snap =
   {
     s_mem = Interp.copy_words st.Interp.mem;
     s_brk = st.Interp.brk;
-    s_allocs = allocs;
+    s_allocs = Interp.save_allocs st;
     s_out_len = Buffer.length st.Interp.output;
     s_steps = st.Interp.steps;
     s_fuel = st.Interp.fuel;

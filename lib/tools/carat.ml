@@ -9,7 +9,7 @@
     loop, and SCD to place guards.
 
     The runtime ({!Toolrt}) implements [carat_guard]/[carat_guard_range]
-    against the interpreter's allocation table — the same check the real
+    against the interpreter's allocation index — the same check the real
     CARAT performs against its kernel allocation map. *)
 
 open Ir

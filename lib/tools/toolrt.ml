@@ -1,8 +1,9 @@
 (** Runtimes of the custom tools, registered on an interpreter state.
 
     - CARAT: [carat_guard]/[carat_guard_range] validate accesses against
-      the interpreter's live-allocation table (the stand-in for CARAT's
-      kernel allocation map) and count dynamic guard executions.
+      the live allocations of the interpreter's allocation index (the
+      stand-in for CARAT's kernel allocation map) and count dynamic
+      guard executions.
     - COOS: [os_callback] tracks the maximum dynamic-instruction gap
       between consecutive callbacks — the property the tool must bound.
     - PRVJeeves: a costed PRVG family.  [rand] is re-registered to model a

@@ -191,12 +191,7 @@ and exec_func (st : state) (f : Func.t) (args : v array) : v =
       rest
   done;
   (* free frame allocas *)
-  List.iter
-    (fun base ->
-      match Hashtbl.find_opt st.allocs base with
-      | Some a -> a.alive <- false
-      | None -> ())
-    !frame_allocs;
+  List.iter (fun base -> ignore (kill st base)) !frame_allocs;
   !result
 
 (** The profiler's former hooks, installed on [st]: the returned profile

@@ -35,25 +35,17 @@ let sanitize ?(entry = "main") ?(args = []) ?fuel (m : Irmod.t) :
        (Interp.run_state ~entry ~args ?fuel m ~configure:(fun st ->
             (* globals are initialized by [create]; mark their words *)
             let written = Hashtbl.create 256 in
+            let ix = st.Interp.by_base in
             Hashtbl.iter
               (fun _ base ->
-                match Hashtbl.find_opt st.Interp.allocs base with
-                | Some a ->
-                  for w = a.Interp.base to a.Interp.base + a.Interp.size - 1 do
+                let k = Interp.alloc_at ix base in
+                if k >= 0 then
+                  for w = base to base + ix.Interp.recs.(k).Interp.size - 1 do
                     Hashtbl.replace written w ()
-                  done
-                | None -> ())
+                  done)
               st.Interp.global_addr;
             let covering addr =
-              Hashtbl.fold
-                (fun _ (a : Interp.alloc) acc ->
-                  match acc with
-                  | Some _ -> acc
-                  | None ->
-                    if addr >= a.Interp.base && addr < a.Interp.base + a.Interp.size
-                    then Some a
-                    else None)
-                st.Interp.allocs None
+              match Interp.covering ix addr with -1 -> None | k -> Some ix.Interp.recs.(k)
             in
             st.Interp.hooks.Interp.on_mem <-
               Some

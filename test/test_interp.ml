@@ -351,10 +351,14 @@ int main() {
 
 (* the guard as it was: a scan over every allocation ever made *)
 let guard_oracle (st : Interp.state) addr =
-  Hashtbl.fold
-    (fun _ (a : Interp.alloc) ok ->
-      ok || (a.Interp.alive && addr >= a.Interp.base && addr < a.Interp.base + a.Interp.size))
-    st.Interp.allocs false
+  let ix = st.Interp.by_base in
+  let ok = ref false in
+  for k = 0 to ix.Interp.n - 1 do
+    let a = ix.Interp.recs.(k) in
+    if a.Interp.alive && addr >= a.Interp.base && addr < a.Interp.base + a.Interp.size then
+      ok := true
+  done;
+  !ok
 
 let same_guard_verdicts what (st : Interp.state) =
   let bad = ref [] in
@@ -365,8 +369,9 @@ let same_guard_verdicts what (st : Interp.state) =
     (String.concat " " (List.rev_map string_of_int !bad))
 
 (* 3000 calls each leave a dead alloca behind, among live, freed and
-   empty mallocs; then a Psim-style retry puts the first half of the
-   table back, rewinds the bump pointer and allocates again *)
+   empty mallocs; the allocations are saved Psim-style halfway through
+   the run, and after it a retry puts them back, rewinds the bump
+   pointer and allocates again *)
 let test_guard_lookup () =
   let m =
     compile
@@ -386,27 +391,71 @@ int main() {
 }
 |}
   in
-  let _, st = Interp.run_state m in
-  let dead =
-    Hashtbl.fold
-      (fun _ (a : Interp.alloc) n -> if a.Interp.alive then n else n + 1)
-      st.Interp.allocs 0
+  let made = ref 0 and saved = ref None in
+  let _, st =
+    Interp.run_state m ~configure:(fun st ->
+        st.Interp.hooks.Interp.on_alloc <-
+          Some
+            (fun a ->
+              incr made;
+              if !made = 1500 then saved := Some (Interp.save_allocs st, a.Interp.base)))
   in
-  checkb (Printf.sprintf "%d dead allocations" dead) (dead > 3000);
+  let ix = st.Interp.by_base in
+  let dead = ref 0 in
+  for k = 0 to ix.Interp.n - 1 do
+    if not ix.Interp.recs.(k).Interp.alive then incr dead
+  done;
+  checkb (Printf.sprintf "%d dead allocations" !dead) (!dead > 3000);
   same_guard_verdicts "after the run" st;
-  let cut = st.Interp.brk / 2 in
-  let kept = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun base (a : Interp.alloc) -> if base < cut then Hashtbl.replace kept base a)
-    st.Interp.allocs;
-  let rewind = Hashtbl.fold (fun base _ b -> max base b) kept 0 in
-  Interp.restore_allocs st kept;
-  (* the newest kept allocation is rewound over and allocated again,
+  let snap, rewind = Option.get !saved in
+  Interp.restore_allocs st snap;
+  (* the newest saved allocation is rewound over and allocated again,
      with another size: it is replaced, not duplicated *)
   st.Interp.brk <- rewind;
   List.iter (fun size -> ignore (Interp.allocate st size)) [ 2; 0; 7; 1 ];
   same_guard_verdicts "after a retry" st;
-  checkb "the rewound base is live again" (Interp.addr_is_guarded_valid st (rewind + 1))
+  checkb "the rewound base is live again" (Interp.addr_is_guarded_valid st (rewind + 1));
+  checki "the saved copy is untouched" 1500 snap.Interp.n
+
+(* [outer]'s frame holds an alloca while a Psim-style save, a callee's
+   alloca and a restore happen under it: the restore replaces every
+   record with a copy, and the frame's return must still kill the
+   alloca, so the frame looks its allocations up by base *)
+let test_release_after_restore () =
+  let m =
+    compile
+      {|
+void save(int *p);
+void restore();
+int inner() { int b[2]; b[0] = 4; b[1] = 5; return b[0] + b[1]; }
+int outer() {
+  int a[3];
+  a[0] = 1;
+  save(a);
+  int r = inner();
+  restore();
+  return a[0] + r;
+}
+int main() { print(outer()); return 0; }
+|}
+  in
+  let base = ref 0 and snap = ref None in
+  let v, st =
+    Interp.run_state m ~configure:(fun st ->
+        Interp.register_builtin st "save" (fun st args ->
+            base := Interp.as_ptr (List.hd args);
+            snap := Some (Interp.save_allocs st, st.Interp.brk);
+            Interp.VI 0L);
+        Interp.register_builtin st "restore" (fun st _ ->
+            let allocs, brk = Option.get !snap in
+            Interp.restore_allocs st allocs;
+            st.Interp.brk <- brk;
+            Interp.VI 0L))
+  in
+  checks "result" "0 10\n" (Interp.v_to_string v ^ " " ^ Buffer.contents st.Interp.output);
+  checkb "the scan finds the alloca dead" (not (guard_oracle st !base));
+  checkb "the guard finds the alloca dead" (not (Interp.addr_is_guarded_valid st !base));
+  same_guard_verdicts "after the return" st
 
 (* ------------------------------------------------------------------ *)
 (* The call path                                                       *)
@@ -540,6 +589,7 @@ let suite =
     tc "words: copies of an undefined register trap" test_copies_before_definition;
     tc "words: a Psim retry restores memory" test_psim_retry_restores_memory;
     tc "carat: the guard finds the covering allocation by base" test_guard_lookup;
+    tc "carat: a frame frees its allocas after a restore" test_release_after_restore;
     tc "calls: deferred failures trap only when reached" test_deferred_call_failures;
     tc "calls: a builtin registered later is used at the next call" test_late_builtin;
     tc "calls: a builtin shadows a defined function" test_builtin_shadows;

@@ -350,31 +350,42 @@ let test_counters_registered () =
     (fun c -> checkb (c ^ " registered") (List.mem c names))
     [ "obs.events"; "obs.trace_compares" ]
 
-(* The recorder's escaped-object lookup against the linear scan it
-   replaced: a hash table of base -> (name, size), folded over in full.  On
-   bump-allocated objects (each starts at or past the end of the one
-   below) both must agree at every address, zero-size objects included. *)
-let linear_covering tbl addr =
-  Hashtbl.fold
-    (fun base (name, size) acc ->
-      match acc with
-      | Some _ -> acc
-      | None -> if addr >= base && addr < base + size then Some (base, name) else None)
-    tbl None
+(* The recorder's lookup on the interpreter's allocation index against
+   the linear scan it replaced: a hash table of base -> (name, size),
+   folded over in full, where an unnamed record is not observable.  On
+   bump-allocated records (each starts at or past the end of the one
+   below) both must render every address alike, zero-size records
+   included. *)
+let linear_render tbl addr =
+  let hit =
+    Hashtbl.fold
+      (fun base (name, size) acc ->
+        match acc with
+        | Some _ -> acc
+        | None ->
+          if name <> "" && addr >= base && addr < base + size then Some (base, name) else None)
+      tbl None
+  in
+  match hit with
+  | _ when addr = 0 -> "null"
+  | None -> "&_"
+  | Some (base, name) when addr = base -> "&" ^ name
+  | Some (base, name) -> Printf.sprintf "&%s+%d" name (addr - base)
 
+(* each record is allocated at its base, by rewinding the bump pointer,
+   then named *)
 let check_lookup label objs =
   let tbl = Hashtbl.create 16 in
-  let o = Obs.no_objects () in
+  let st = Interp.create (Irmod.create ()) in
+  let r = Obs.attach ~sites:(Hashtbl.create 1) st in
+  let ix = st.Interp.by_base in
   List.iter
     (fun (base, name, size) ->
       Hashtbl.replace tbl base (name, size);
-      Obs.add_object o ~base ~size name)
+      st.Interp.brk <- base;
+      ignore (Interp.allocate st size);
+      ix.Interp.recs.(Interp.alloc_at ix base).Interp.name <- name)
     objs;
-  let covering addr =
-    match Obs.covering o addr with
-    | -1 -> None
-    | k -> Some (o.Obs.bases.(k), o.Obs.names.(k))
-  in
   let top = List.fold_left (fun t (b, _, s) -> max t (b + s)) 0 objs in
   let probes =
     List.concat_map (fun (b, _, s) -> [ b - 1; b; b + s - 1; b + s ]) objs
@@ -382,8 +393,9 @@ let check_lookup label objs =
   in
   List.iter
     (fun addr ->
-      if covering addr <> linear_covering tbl addr then
-        Alcotest.failf "%s: lookups disagree at address %d" label addr)
+      let got = Obs.render r (Interp.VP addr) and want = linear_render tbl addr in
+      if got <> want then
+        Alcotest.failf "%s: address %d renders %s, the scan says %s" label addr got want)
     probes
 
 let test_object_lookup () =
@@ -392,15 +404,18 @@ let test_object_lookup () =
   check_lookup "zero-size objects"
     [ (16, "z0", 0); (17, "a", 3); (20, "z1", 0); (21, "z2", 0); (22, "b", 1) ];
   check_lookup "zero-size object replaces" [ (16, "a", 4); (16, "z", 0); (20, "b", 2) ];
-  (* randomized: bump-allocated bases with gaps, sizes 0-5, inserted in
-     shuffled order *)
+  check_lookup "unnamed between named" [ (16, "a", 2); (18, "", 3); (21, "", 0); (22, "b", 2) ];
+  check_lookup "unnamed replaces named" [ (16, "a", 4); (16, "", 4); (20, "b", 1) ];
+  (* randomized: bump-allocated bases with gaps, sizes 0-5, a third of
+     them unnamed, inserted in shuffled order *)
   for seed = 1 to 200 do
     let rng = Random.State.make [| seed |] in
     let base = ref (16 + Random.State.int rng 4) in
     let objs =
       List.init (Random.State.int rng 12) (fun k ->
           let size = Random.State.int rng 6 in
-          let o = (!base, Printf.sprintf "o%d" k, size) in
+          let name = if Random.State.int rng 3 = 0 then "" else Printf.sprintf "o%d" k in
+          let o = (!base, name, size) in
           base := !base + max size 1 + Random.State.int rng 3;
           o)
       |> List.map (fun o -> (Random.State.bits rng, o))
@@ -408,6 +423,33 @@ let test_object_lookup () =
     in
     check_lookup (Printf.sprintf "seed %d" seed) objs
   done
+
+(* a non-escaping array allocated between two escaping mallocs: stores
+   into it are no events, a pointer into it renders as [&_], and the
+   mallocs are still heap#0 and heap#1 *)
+let test_private_array () =
+  let src =
+    {|
+int *g;
+int *h;
+int *l;
+int main() {
+  g = malloc(3);
+  int local[4];
+  h = malloc(2);
+  for (int i = 0; i < 4; i++) { local[i] = i * 3; }
+  g[0] = local[2];
+  h[1] = local[3];
+  l = (int*)((int)local + 1);
+  return 0;
+}
+|}
+  in
+  let b = Obs.run ~fuel:100_000 (compile src) in
+  checks "trace"
+    "store @g[0] = &heap#0 | store @h[0] = &heap#1 | store heap#0[0] = 6 \
+     | store heap#1[1] = 9 | store @l[0] = &_ | exit 0"
+    (String.concat " | " (keys b.Obs.trace))
 
 let suite =
   [
@@ -427,4 +469,5 @@ let suite =
     tc "obs: compare reports a trapping candidate" test_compare_trapping_candidate;
     tc "obs: telemetry counters registered" test_counters_registered;
     tc "obs: ordered object lookup matches the linear scan" test_object_lookup;
+    tc "obs: a private array between escaping mallocs" test_private_array;
   ]
