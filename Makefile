@@ -33,9 +33,12 @@ faultcheck: build
 # 50 seeds (DESIGN.md §12); bounds = static trips vs measured, decision
 # parity >= 80% and speedup geomean within 10% (DESIGN.md §13); vec =
 # every widened kernel verifies and clears the trace gate, with the
-# must-vectorize and if-conversion assertions (DESIGN.md §16)
+# must-vectorize and if-conversion assertions (DESIGN.md §16).  The report
+# lines land in _gates/report.txt (compare it across commits with cmp);
+# failures go to stderr and make the target fail
 gates: build
-	dune exec bin/noelle_gate.exe -- -q
+	@mkdir -p _gates
+	dune exec bin/noelle_gate.exe > _gates/report.txt
 
 # telemetry smoke: run the standard stack under tracing on a parallelizable
 # kernel; the trace must round-trip through the repo's own JSON parser and

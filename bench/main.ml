@@ -647,8 +647,9 @@ let iv_experiment () =
 let speedup_of (k : Bsuite.Kernels.kernel) apply =
   let fuel = k.Bsuite.Kernels.fuel in
   let m = Bsuite.Kernels.compile k in
-  let _, ref_out, seq = Psim.Runtime.run_sequential ~fuel m in
-  let p, _ = Noelle.Profiler.run ~fuel m in
+  (* the profiled run is the sequential run: its instruction total is
+     the sequential cycle count *)
+  let p, ref_out = Noelle.Profiler.run ~fuel m in
   Noelle.Profiler.embed p m;
   let n = Noelle.create m in
   let transformed = apply n m in
@@ -656,7 +657,8 @@ let speedup_of (k : Bsuite.Kernels.kernel) apply =
   else begin
     Ir.Verify.verify_module m;
     let _, out, par, _ = Psim.Runtime.run ~fuel:(4 * fuel) ~arch m in
-    (Int64.to_float seq /. Int64.to_float par, String.equal out ref_out)
+    ( Int64.to_float p.Noelle.Profiler.total_insts /. Int64.to_float par,
+      String.equal out ref_out )
   end
 
 let any_ok results = List.exists (fun (_, r) -> Result.is_ok r) results
@@ -863,10 +865,8 @@ let pers_experiment () =
     (fun name ->
       let k = Option.get (Bsuite.Kernels.find name) in
       let fuel = k.Bsuite.Kernels.fuel in
-      let m0 = Bsuite.Kernels.compile k in
-      let _, ref_out, seq = Psim.Runtime.run_sequential ~fuel m0 in
       let m = Bsuite.Kernels.compile k in
-      let p, _ = Noelle.Profiler.run ~fuel m in
+      let p, ref_out = Noelle.Profiler.run ~fuel m in
       Noelle.Profiler.embed p m;
       Ntools.Perspective.profile_conflicts ~fuel m;
       let n = Noelle.create m in
@@ -882,7 +882,7 @@ let pers_experiment () =
         Printf.printf
           "  %-12s speedup %5.2f  (speculated %d edges, cloned objects: %s)%s\n"
           name
-          (Int64.to_float seq /. Int64.to_float par)
+          (Int64.to_float p.Noelle.Profiler.total_insts /. Int64.to_float par)
           spec
           (if cloned = [] then "none" else String.concat " " cloned)
           (if String.equal out ref_out then "" else "  [OUTPUT MISMATCH]")

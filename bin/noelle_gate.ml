@@ -15,16 +15,23 @@
       pass never rolls back, and every planted [Effect_reorder] is
       rejected with an event-diff witness (no plantable site at all is a
       vacuous sweep, a failure).
-    - [bounds] (DESIGN.md §13): interpreter-measured trips never exceed
-      the static {!Ir.Bounds} (exactly equal on affine loops) over every
-      kernel and 50 fuzz seeds; profile-free decisions agree with
-      profile-driven ones on >= 80% of corpus loops; the Psim speedup
-      geomean of the two plans stays within 10%, and each plan's parallel
-      run clears {!Ir.Obs.compare} against the reference.
+    - [bounds] (DESIGN.md §13): measured trips never exceed the static
+      {!Ir.Bounds} (exactly equal on affine loops) over every kernel and
+      50 fuzz seeds; the trips are the profile's
+      {!Noelle.Profiler.loop_iterations} and
+      {!Noelle.Profiler.loop_invocations}, the queries the profiled
+      planner reads.  Profile-free decisions agree with profile-driven
+      ones on >= 80% of corpus loops; the Psim speedup geomean of the two
+      plans stays within 10%, and each plan's parallel run clears
+      {!Ir.Obs.compare} against the reference.
     - [vec] (DESIGN.md §16): every widened kernel verifies, clears
       {!Ir.Obs.compare} against the reference, and adds no noelle-check
       errors; jpeg-dct, lbm and blackscholes vectorize; at least one
       kernel if-converts.
+
+    A kernel's profile comes from the harness's one pristine run of it
+    ({!Bsuite.Harness.observe}), which also yields the reference
+    behaviour: no gate runs the pristine kernel itself.
 
     Each gate's coverage is a constant; [--limit] and [--seeds] only cap
     it. *)
@@ -68,8 +75,7 @@ let meta_kernel (ctx : H.ctx) (k : H.kernel) =
   let fuel = k.H.kernel.Bsuite.Kernels.fuel in
   let m = H.compile k in
   (* embed every artifact class, stamped *)
-  let prof, _ = Noelle.Profiler.run ~fuel m in
-  Noelle.Profiler.embed prof m;
+  Noelle.Profiler.embed (H.profile k) m;
   let n = Noelle.create m in
   let fns = Ir.Irmod.defined_functions m in
   List.iter (fun f -> Noelle.Pdg.embed (Noelle.pdg n f)) fns;
@@ -191,101 +197,54 @@ let ncores = 12
 let min_hotness = 0.05
 let min_work = 20000.0
 
-(** Does [f] textually call itself?  Recursive activations interleave
-    blocks of the same function name, which confuses the last-block
-    invocation detector below — such functions are skipped, not checked. *)
-let self_recursive (f : Ir.Func.t) =
-  Ir.Func.fold_insts
-    (fun acc (i : Ir.Instr.inst) ->
-      acc
-      ||
-      match i.Ir.Instr.op with
-      | Ir.Instr.Call (Ir.Instr.Glob g, _) -> g = f.Ir.Func.fname
-      | _ -> false)
-    false f
-
-type measured = { mutable headx : int64; mutable invocations : int64 }
-
-(** Run [m] under an [on_block] hook, counting per-loop header executions
-    and loop invocations (a header execution entered from outside the
-    loop's blocks).  Returns the counts even if the run trapped (e.g. ran
-    out of fuel) — the boolean says whether it completed. *)
-let measure (m : Ir.Irmod.t) ~fuel =
+(** Check the static trips of [m], which carries an embedded profile,
+    against the profile's header executions and loop invocations.
+    [completed] says whether the profiled run ended without a trap (e.g.
+    running out of fuel).  [affine_hit] counts exercised affine
+    (exact-bound) loops across the sweep for the vacuity gate;
+    [upper_hit] likewise for diffcon upper bounds. *)
+let check_bounds (ctx : H.ctx) ~affine_hit ~upper_hit ~completed (m : Ir.Irmod.t) =
   let open Ir in
-  let loops = Hashtbl.create 32 in
   List.iter
     (fun (f : Func.t) ->
-      if not (self_recursive f) then
-        List.iter
-          (fun (l : Loopnest.loop) ->
-            Hashtbl.replace loops
-              (f.Func.fname, l.Loopnest.header)
-              (l.Loopnest.blocks, { headx = 0L; invocations = 0L }))
-          (Loopnest.compute f).Loopnest.loops)
-    (Irmod.defined_functions m);
-  let last = Hashtbl.create 8 in
-  let on_block (f : Func.t) bid =
-    (match Hashtbl.find_opt loops (f.Func.fname, bid) with
-    | None -> ()
-    | Some (blocks, c) ->
-      c.headx <- Int64.succ c.headx;
-      match Hashtbl.find_opt last f.Func.fname with
-      | Some prev when Loopnest.IntSet.mem prev blocks -> ()
-      | _ -> c.invocations <- Int64.succ c.invocations);
-    Hashtbl.replace last f.Func.fname bid
-  in
-  let completed =
-    match
-      Interp.run_state ~fuel m ~configure:(fun st ->
-          st.Interp.hooks.Interp.on_block <- Some on_block)
-    with
-    | _ -> true
-    | exception Interp.Trap _ -> false
-  in
-  (loops, completed)
-
-(** Check one module's bounds against its measured trips.  [affine_hit]
-    counts exercised affine (exact-bound) loops across the sweep for the
-    vacuity gate; [upper_hit] likewise for diffcon upper bounds. *)
-let check_bounds (ctx : H.ctx) ~affine_hit ~upper_hit (m : Ir.Irmod.t) ~fuel =
-  let open Ir in
-  let counts, completed = measure m ~fuel in
-  List.iter
-    (fun (f : Func.t) ->
+      let loops = Hashtbl.create 8 in
+      List.iter
+        (fun l -> Hashtbl.replace loops l.Loopnest.header (Noelle.Loopstructure.of_loop f l))
+        (Loopnest.compute f).Loopnest.loops;
       List.iter
         (fun (lb : Bounds.loop_bound) ->
-          match Hashtbl.find_opt counts (f.Func.fname, lb.Bounds.lheader) with
-          | None -> () (* never measured: a self-recursive function *)
-          | Some (_, c) -> (
-            match lb.Bounds.lheadx with
-            | Bounds.Unbounded ->
-              if completed && Int64.compare c.headx 0L > 0 then
+          let ls = Hashtbl.find loops lb.Bounds.lheader in
+          let headx = Noelle.Profiler.loop_iterations m ls
+          and invocations = Noelle.Profiler.loop_invocations m ls in
+          match lb.Bounds.lheadx with
+          | Bounds.Unbounded ->
+            if completed && Int64.compare headx 0L > 0 then
+              ctx.H.fail
+                "%s: loop claimed Unbounded yet the program entered it \
+                 (%Ld header executions) and terminated"
+                lb.Bounds.lkey headx
+          | Bounds.Unknown -> ()
+          | (Bounds.Exact _ | Bounds.Upper _) as trip -> (
+            match Bounds.trip_const trip with
+            | None -> () (* symbolic: no concrete value to compare *)
+            | Some b ->
+              let budget = Int64.mul b invocations in
+              if Int64.compare headx budget > 0 then
                 ctx.H.fail
-                  "%s: loop claimed Unbounded yet the program entered it \
-                   (%Ld header executions) and terminated"
-                  lb.Bounds.lkey c.headx
-            | Bounds.Unknown -> ()
-            | (Bounds.Exact _ | Bounds.Upper _) as trip -> (
-              match Bounds.trip_const trip with
-              | None -> () (* symbolic: no concrete value to compare *)
-              | Some b ->
-                let budget = Int64.mul b c.invocations in
-                if Int64.compare c.headx budget > 0 then
-                  ctx.H.fail
-                    "%s: UNSOUND bound: measured %Ld header executions over \
-                     %Ld invocations, static bound %Ld per invocation"
-                    lb.Bounds.lkey c.headx c.invocations b
-                else if Int64.compare c.invocations 0L > 0 then
-                  if Bounds.trip_is_exact trip then begin
-                    incr affine_hit;
-                    if completed && not (Int64.equal c.headx budget) then
-                      ctx.H.fail
-                        "%s: IMPRECISE affine bound: measured %Ld header \
-                         executions over %Ld invocations, exact claim was %Ld \
-                         per invocation"
-                        lb.Bounds.lkey c.headx c.invocations b
-                  end
-                  else incr upper_hit)))
+                  "%s: UNSOUND bound: measured %Ld header executions over \
+                   %Ld invocations, static bound %Ld per invocation"
+                  lb.Bounds.lkey headx invocations b
+              else if Int64.compare invocations 0L > 0 then
+                if Bounds.trip_is_exact trip then begin
+                  incr affine_hit;
+                  if completed && not (Int64.equal headx budget) then
+                    ctx.H.fail
+                      "%s: IMPRECISE affine bound: measured %Ld header \
+                       executions over %Ld invocations, exact claim was %Ld \
+                       per invocation"
+                      lb.Bounds.lkey headx invocations b
+                end
+                else incr upper_hit))
         (Bounds.analyze f).Bounds.floops)
     (Irmod.defined_functions m)
 
@@ -293,12 +252,9 @@ let check_bounds (ctx : H.ctx) ~affine_hit ~upper_hit (m : Ir.Irmod.t) ~fuel =
     ([no_profile]) or from an embedded profile, and whether the parallel
     run kept the reference behaviour. *)
 let arm (k : H.kernel) ~no_profile =
-  let r = Lazy.force k.H.reference in
+  let r = H.reference k in
   let m = H.compile k in
-  if not no_profile then begin
-    let p, _ = Noelle.Profiler.run ~fuel:k.H.kernel.Bsuite.Kernels.fuel m in
-    Noelle.Profiler.embed p m
-  end;
+  if not no_profile then Noelle.Profiler.embed (H.profile k) m;
   ignore
     (Ntools.Passes.run_standard ~fuel:k.H.fuel ~ncores ~min_hotness ~min_work
        ~no_profile m);
@@ -312,12 +268,12 @@ let bounds () =
   let total = ref 0 and agreed = ref 0 and mismatches = ref [] in
   let log_sum = ref 0.0 and arms = ref 0 in
   let on_kernel (ctx : H.ctx) (k : H.kernel) =
-    (* soundness / precision of the static trips *)
-    check_bounds ctx ~affine_hit ~upper_hit (H.compile k) ~fuel:k.H.fuel;
-    (* technique/chunk decision parity *)
     let m = H.compile k in
-    let p, _ = Noelle.Profiler.run ~fuel:k.H.kernel.Bsuite.Kernels.fuel m in
-    Noelle.Profiler.embed p m;
+    Noelle.Profiler.embed (H.profile k) m;
+    (* soundness / precision of the static trips *)
+    check_bounds ctx ~affine_hit ~upper_hit
+      ~completed:(Result.is_ok (H.reference k).Ir.Obs.result) m;
+    (* technique/chunk decision parity *)
     List.iter
       (fun (id, prof, stat) ->
         incr total;
@@ -350,8 +306,10 @@ let bounds () =
     end
   in
   let on_seed (ctx : H.ctx) seed =
-    check_bounds ctx ~affine_hit ~upper_hit (snd (fuzz_module seed))
-      ~fuel:fuzz_fuel
+    let _, m = fuzz_module seed in
+    let b, p = H.observe m ~fuel:fuzz_fuel in
+    Noelle.Profiler.embed p m;
+    check_bounds ctx ~affine_hit ~upper_hit ~completed:(Result.is_ok b.Ir.Obs.result) m
   in
   let at_end (ctx : H.ctx) =
     if !affine_hit = 0 then
@@ -397,7 +355,7 @@ let vec_kernel (ctx : H.ctx) (k : H.kernel) =
     | Error e -> ctx.H.fail "verifier: %s" e);
     (match
        Ir.Obs.compare ~license:Ir.Obs.Permute_iterations
-         (Lazy.force k.H.reference) (Ir.Obs.run ~fuel:k.H.fuel m)
+         (H.reference k) (Ir.Obs.run ~fuel:k.H.fuel m)
      with
     | `Equal -> ()
     | `Timed_out msg -> ctx.H.fail "behaviour gate: %s" msg

@@ -3,18 +3,21 @@
     A gate is a {!gate} record: a per-kernel check, an optional
     per-fuzz-seed check and a sweep-end assertion.  The harness owns the
     loop every gate used to repeat: kernel selection, fresh mutable
-    copies of each kernel, the pristine reference run, failure
-    collection, report lines and the exit status.
+    copies of each kernel, the pristine run, failure collection, report
+    lines and the exit status.
 
     The sweep is kernel-major: every selected gate checks kernel [i]
-    before the harness moves on to kernel [i+1].  A kernel's reference is
-    computed on first use and shared, so it runs at most once however
-    many gates read it, and only one kernel's reference is alive at a
-    time.  Because gates interleave, counter deltas are accumulated
-    around each gate's own calls: a sweep-end assertion over a telemetry
-    counter never sees another gate's increments. *)
+    before the harness moves on to kernel [i+1].  A kernel's pristine
+    run ({!observe}) yields both its reference behaviour and its profile
+    (NOELLE's profilers, PRO §2.2, folded from the same interpreter
+    state); it is computed on first use and shared, so it runs at most
+    once however many gates read either, and only one kernel's run is
+    alive at a time.  Because gates interleave, counter deltas are
+    accumulated around each gate's own calls: a sweep-end assertion over
+    a telemetry counter never sees another gate's increments. *)
 
 open Ir
+module Profiler = Noelle.Profiler
 
 type kernel = {
   kernel : Kernels.kernel;
@@ -22,17 +25,25 @@ type kernel = {
   fuel : int;
       (** 4x the kernel's own budget: widened bodies and parallel runs
           burn more fuel than the sequential program *)
-  reference : Obs.behaviour Lazy.t;
-      (** the pristine kernel's behaviour at the gate fuel; its [clock]
-          is the dynamic instruction count = sequential Psim cycles *)
+  pristine : (Obs.behaviour * Profiler.t) Lazy.t;
 }
 
 (** A fresh mutable copy of the kernel's module. *)
 let compile k = Kernels.compile k.kernel
 
-let run_reference m ~fuel =
-  Trace.incr_m "harness.reference_runs";
-  Obs.run ~fuel m
+(** One run of [m] under the recorder and the profilers: its behaviour
+    and the profile of the same execution, counted up to a trap. *)
+let observe m ~fuel =
+  let prof = ref Profiler.fresh in
+  let b = Obs.run ~fuel ~install:(fun st _ -> prof := Profiler.attach st) m in
+  (b, !prof ())
+
+(** The pristine kernel's behaviour at the gate fuel; its [clock] is the
+    dynamic instruction count = sequential Psim cycles. *)
+let reference k = fst (Lazy.force k.pristine)
+
+(** The pristine kernel's profile, ready for {!Profiler.embed}. *)
+let profile k = snd (Lazy.force k.pristine)
 
 let kernel (k : Kernels.kernel) =
   let fuel = 4 * k.Kernels.fuel in
@@ -40,7 +51,10 @@ let kernel (k : Kernels.kernel) =
     kernel = k;
     name = k.Kernels.kname;
     fuel;
-    reference = lazy (run_reference (Kernels.compile k) ~fuel);
+    pristine =
+      lazy
+        (Trace.incr_m "harness.reference_runs";
+         observe (Kernels.compile k) ~fuel);
   }
 
 type ctx = {

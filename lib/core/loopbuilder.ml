@@ -12,15 +12,11 @@ open Ir
 (** Give loop [l] a dedicated preheader (no-op if one exists).  Returns the
     preheader block id. *)
 let ensure_preheader (f : Func.t) (l : Loopnest.loop) : int =
-  match Loopnest.preheader f l with
+  let outside = Loopnest.entering f l in
+  match Loopnest.preheader ~entering:outside f l with
   | Some ph -> ph
   | None ->
     let header = l.Loopnest.header in
-    let preds = Func.preds f in
-    let outside =
-      (try Hashtbl.find preds header with Not_found -> [])
-      |> List.filter (fun p -> not (Loopnest.contains l p))
-    in
     let ph = Builder.add_block f ~label:"preheader" in
     (* steal the outside-incoming phi entries *)
     List.iter

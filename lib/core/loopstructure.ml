@@ -18,6 +18,7 @@ type t = {
   raw : Loopnest.loop;
   header : int;
   preheader : int option;
+  entering : int list;  (** the header's predecessors outside the loop *)
   latches : int list;
   blocks : int list;                  (** in function layout order *)
   exit_edges : (int * int) list;      (** (inside block, outside target) *)
@@ -26,11 +27,13 @@ type t = {
 }
 
 let of_loop (f : Func.t) (l : Loopnest.loop) : t =
+  let entering = Loopnest.entering f l in
   {
     f;
     raw = l;
     header = l.Loopnest.header;
-    preheader = Loopnest.preheader f l;
+    preheader = Loopnest.preheader ~entering f l;
+    entering;
     latches = l.Loopnest.latches;
     blocks = List.filter (fun b -> Loopnest.contains l b) (Func.blocks f);
     exit_edges = Loopnest.exit_edges f l;

@@ -158,19 +158,22 @@ let loop_hotness (m : Irmod.t) (ls : Loopstructure.t) =
 let loop_iterations (m : Irmod.t) (ls : Loopstructure.t) =
   block_count m ls.Loopstructure.f ls.Loopstructure.header
 
-(** Invocations of the loop (entries from outside; executions of the
-    preheader when one exists). *)
+(** Invocations of the loop: executions of its entry edges, the edges
+    into the header from the blocks outside the loop.  A [cbr] entry
+    counts its edge counter towards the header, any other entry its
+    block count.  (A header that is its function's entry block is also
+    entered by each call, which no edge counts.) *)
 let loop_invocations (m : Irmod.t) (ls : Loopstructure.t) =
-  match ls.Loopstructure.preheader with
-  | Some ph -> block_count m ls.Loopstructure.f ph
-  | None ->
-    (* fall back: iterations minus back-edge executions *)
-    let latch_execs =
-      List.fold_left
-        (fun acc l -> Int64.add acc (block_count m ls.Loopstructure.f l))
-        0L ls.Loopstructure.latches
-    in
-    Int64.max 1L (Int64.sub (loop_iterations m ls) latch_execs)
+  let f = ls.Loopstructure.f in
+  let header = (Func.block f ls.Loopstructure.header).Func.label in
+  List.fold_left
+    (fun acc p ->
+      Int64.add acc
+        (match Func.terminator f p with
+        | Some ({ Instr.op = Instr.Cbr _; _ } as br) ->
+          get64 m (Printf.sprintf "prof.edge.%s.%d.%s" f.Func.fname br.Instr.id header)
+        | _ -> block_count m f p))
+    0L ls.Loopstructure.entering
 
 (** Average iterations per invocation. *)
 let loop_avg_iterations (m : Irmod.t) (ls : Loopstructure.t) =

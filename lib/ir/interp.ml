@@ -290,11 +290,10 @@ and state = {
     a search reads only ints.  The bump pointer puts each allocation at
     or past the end of every one below it, so the greatest base at or
     below an address is the only allocation that can cover it, and a new
-    allocation lands at the end without a search.  A base at or below
-    the last one (a caller rewound the bump pointer) is inserted in
-    order, or replaces the allocation with that base.  A Psim section
-    retry puts back a copy of the index with {!restore_allocs}, so a
-    record may be replaced: hold a base, not a record, across a call. *)
+    allocation is appended.  Whoever rewinds the bump pointer puts the
+    index back with it: a Psim section retry restores [brk] together
+    with a copy of the index ({!restore_allocs}), so a record may be
+    replaced: hold a base, not a record, across a call. *)
 and alloc_index = {
   mutable n : int;
   mutable bases : int array;
@@ -339,26 +338,17 @@ let covering ix addr =
   let k = floor_alloc ix addr in
   if k >= 0 && addr < (let a = Array.unsafe_get ix.recs k in a.base + a.size) then k else -1
 
-(* enter [a] into the index *)
+(* append [a], whose base is past every base in the index *)
 let record_alloc st (a : alloc) =
   let ix = st.by_base in
-  let k =
-    if ix.n > 0 && ix.bases.(ix.n - 1) < a.base then ix.n - 1 else floor_alloc ix a.base
-  in
-  if k >= 0 && ix.bases.(k) = a.base then ix.recs.(k) <- a
-  else begin
-    if ix.n = Array.length ix.recs then begin
-      let cap = max 16 (2 * ix.n) in
-      ix.bases <- Array.append ix.bases (Array.make (cap - ix.n) 0);
-      ix.recs <- Array.append ix.recs (Array.make (cap - ix.n) a)
-    end;
-    let at = k + 1 in
-    Array.blit ix.bases at ix.bases (at + 1) (ix.n - at);
-    Array.blit ix.recs at ix.recs (at + 1) (ix.n - at);
-    ix.bases.(at) <- a.base;
-    ix.recs.(at) <- a;
-    ix.n <- ix.n + 1
-  end
+  if ix.n = Array.length ix.recs then begin
+    let cap = max 16 (2 * ix.n) in
+    ix.bases <- Array.append ix.bases (Array.make (cap - ix.n) 0);
+    ix.recs <- Array.append ix.recs (Array.make (cap - ix.n) a)
+  end;
+  ix.bases.(ix.n) <- a.base;
+  ix.recs.(ix.n) <- a;
+  ix.n <- ix.n + 1
 
 (* a copy of [ix] with copies of its records, whose [alive] and [name]
    are mutable *)

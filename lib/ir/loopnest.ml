@@ -130,14 +130,16 @@ let exit_edges (f : Func.t) (l : loop) =
 let exit_targets f l =
   exit_edges f l |> List.map snd |> List.sort_uniq compare
 
-(** The unique preheader: the only predecessor of the header outside the
-    loop, provided the header is its only successor. *)
-let preheader (f : Func.t) (l : loop) =
-  let preds = Func.preds f in
-  let outside =
-    (try Hashtbl.find preds l.header with Not_found -> [])
-    |> List.filter (fun p -> not (IntSet.mem p l.blocks))
-  in
+(** The header's predecessors outside the loop: the sources of the
+    loop's entry edges. *)
+let entering (f : Func.t) (l : loop) =
+  (try Hashtbl.find (Func.preds f) l.header with Not_found -> [])
+  |> List.filter (fun p -> not (IntSet.mem p l.blocks))
+
+(** The unique preheader: the only entering block, provided the header
+    is its only successor.  [entering] defaults to {!entering}[ f l]. *)
+let preheader ?entering:outside (f : Func.t) (l : loop) =
+  let outside = match outside with Some o -> o | None -> entering f l in
   match outside with
   | [ p ] when Func.successors f p = [ l.header ] -> Some p
   | _ -> None

@@ -1,6 +1,6 @@
 (** Ir.Bounds: symbolic loop-bound and cost analysis (DESIGN.md §13).
 
-    The full soundness sweep (interpreter-measured trips vs static bounds
+    The full soundness sweep (profiled trips vs static bounds
     over 50 fuzz seeds + the kernel corpus, decision parity, Psim
     head-to-head) is [noelle-gate --gate bounds] in [bin/noelle_gate.ml];
     these are the unit-level guarantees: exact closed forms for the
@@ -298,30 +298,30 @@ int main() {
   let m = compile src in
   let f = Irmod.func m "main" in
   let s = Bounds.analyze f in
-  let counts = Hashtbl.create 8 in
-  let on_block (g : Func.t) bid =
-    if g.Func.fname = "main" then
-      Hashtbl.replace counts bid
-        (1 + Option.value ~default:0 (Hashtbl.find_opt counts bid))
+  (* the trips the bounds gate reads: the embedded profile's queries *)
+  let p, _ = Noelle.Profiler.run m in
+  Noelle.Profiler.embed p m;
+  let structure header =
+    Noelle.Loopstructure.of_loop f
+      (List.find
+         (fun l -> l.Loopnest.header = header)
+         (Loopnest.compute f).Loopnest.loops)
   in
-  ignore
-    (Interp.run_state m ~configure:(fun st ->
-         st.Interp.hooks.Interp.on_block <- Some on_block));
   checki "two loops analyzed" 2 (List.length s.Bounds.floops);
   List.iter
     (fun (lb : Bounds.loop_bound) ->
-      let measured =
-        Option.value ~default:0 (Hashtbl.find_opt counts lb.Bounds.lheader)
-      in
+      let ls = structure lb.Bounds.lheader in
+      let measured = Noelle.Profiler.loop_iterations m ls in
+      check Alcotest.int64 (lb.Bounds.lkey ^ ": one invocation") 1L
+        (Noelle.Profiler.loop_invocations m ls);
       match Bounds.trip_const lb.Bounds.lheadx with
       | Some b ->
         checkb
-          (Printf.sprintf "%s: static bound %Ld >= measured %d" lb.Bounds.lkey
+          (Printf.sprintf "%s: static bound %Ld >= measured %Ld" lb.Bounds.lkey
              b measured)
-          (Int64.compare b (Int64.of_int measured) >= 0);
+          (Int64.compare b measured >= 0);
         if Bounds.trip_is_exact lb.Bounds.lheadx then
-          checki (lb.Bounds.lkey ^ ": exact bound met") (Int64.to_int b)
-            measured
+          check Alcotest.int64 (lb.Bounds.lkey ^ ": exact bound met") b measured
       | None -> Alcotest.failf "%s: expected a constant bound" lb.Bounds.lkey)
     s.Bounds.floops
 

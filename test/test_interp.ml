@@ -369,9 +369,9 @@ let same_guard_verdicts what (st : Interp.state) =
     (String.concat " " (List.rev_map string_of_int !bad))
 
 (* 3000 calls each leave a dead alloca behind, among live, freed and
-   empty mallocs; the allocations are saved Psim-style halfway through
-   the run, and after it a retry puts them back, rewinds the bump
-   pointer and allocates again *)
+   empty mallocs; the allocations and the bump pointer are saved
+   Psim-style halfway through the run, and after it a retry puts both
+   back and allocates again *)
 let test_guard_lookup () =
   let m =
     compile
@@ -396,9 +396,9 @@ int main() {
     Interp.run_state m ~configure:(fun st ->
         st.Interp.hooks.Interp.on_alloc <-
           Some
-            (fun a ->
+            (fun _ ->
               incr made;
-              if !made = 1500 then saved := Some (Interp.save_allocs st, a.Interp.base)))
+              if !made = 1500 then saved := Some (Interp.save_allocs st, st.Interp.brk)))
   in
   let ix = st.Interp.by_base in
   let dead = ref 0 in
@@ -407,14 +407,15 @@ int main() {
   done;
   checkb (Printf.sprintf "%d dead allocations" !dead) (!dead > 3000);
   same_guard_verdicts "after the run" st;
-  let snap, rewind = Option.get !saved in
+  let snap, brk = Option.get !saved in
   Interp.restore_allocs st snap;
-  (* the newest saved allocation is rewound over and allocated again,
-     with another size: it is replaced, not duplicated *)
-  st.Interp.brk <- rewind;
+  st.Interp.brk <- brk;
+  (* the allocations made after the save are gone, and the retry's land
+     where the first of them was *)
   List.iter (fun size -> ignore (Interp.allocate st size)) [ 2; 0; 7; 1 ];
   same_guard_verdicts "after a retry" st;
-  checkb "the rewound base is live again" (Interp.addr_is_guarded_valid st (rewind + 1));
+  checki "the saved allocations plus the retry's" 1504 st.Interp.by_base.Interp.n;
+  checkb "the retry's first allocation is live" (Interp.addr_is_guarded_valid st (brk + 1));
   checki "the saved copy is untouched" 1500 snap.Interp.n
 
 (* [outer]'s frame holds an alloca while a Psim-style save, a callee's

@@ -810,6 +810,44 @@ int main() {
   check (Alcotest.int64) "one invocation" 1L (Noelle.Profiler.loop_invocations m ls);
   checkb "loop is hot" (Noelle.Profiler.loop_hotness m ls > 0.5)
 
+(* a self-latching inner loop with no preheader (the outer header enters
+   it by a [cbr]), entered 3 times for 4 iterations each: its
+   invocations are the entry edge's executions, not a latch difference *)
+let test_loop_invocations_no_preheader () =
+  let m =
+    Parser.parse_module
+      {|module "t"
+define i64 @main() {
+entry:
+  %1 = br outer
+outer:
+  %2 = phi.i64 [entry: 0] [inner: %7]
+  %3 = icmp.slt %2, 3
+  %4 = cbr %3, inner, done
+inner:
+  %5 = phi.i64 [outer: 0] [inner: %6]
+  %6 = add %5, 1
+  %7 = add %2, 1
+  %8 = icmp.slt %6, 4
+  %9 = cbr %8, inner, outer
+done:
+  %10 = ret %2
+}
+|}
+  in
+  let p, _ = Noelle.Profiler.run m in
+  Noelle.Profiler.embed p m;
+  let f = Irmod.func m "main" in
+  let inner =
+    List.find
+      (fun l -> (Func.block f l.Loopnest.header).Func.label = "inner")
+      (Loopnest.compute f).Loopnest.loops
+  in
+  let ls = Noelle.Loopstructure.of_loop f inner in
+  checkb "no preheader" (ls.Noelle.Loopstructure.preheader = None);
+  check Alcotest.int64 "iterations" 12L (Noelle.Profiler.loop_iterations m ls);
+  check Alcotest.int64 "invocations" 3L (Noelle.Profiler.loop_invocations m ls)
+
 let test_branch_profile () =
   let m =
     compile
@@ -919,6 +957,7 @@ let suite =
     tc "env" test_env;
     tc "arch" test_arch;
     tc "profiler counts" test_profiler_counts;
+    tc "loop invocations without a preheader" test_loop_invocations_no_preheader;
     tc "branch profile" test_branch_profile;
     tc "usage log (table 4)" test_usage_log;
     tc "iv stepper" test_ivstepper;
