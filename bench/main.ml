@@ -474,6 +474,15 @@ let table3 () =
       licm_llvm licm_noelle
       (100.0 *. float_of_int (licm_llvm - licm_noelle) /. float_of_int licm_llvm)
 
+(** Kernel [k] compiled and profiled, with the profile embedded; also
+    the profile and the program's output.  The profiled run is the
+    sequential run: its instruction total is the sequential cycle count. *)
+let profiled (k : Bsuite.Kernels.kernel) =
+  let m = Bsuite.Kernels.compile k in
+  let p, out = Noelle.Profiler.run ~fuel:k.Bsuite.Kernels.fuel m in
+  Noelle.Profiler.embed p m;
+  (m, p, out)
+
 (* ------------------------------------------------------------------ *)
 (* Table 4: abstraction-usage matrix, measured                          *)
 (* ------------------------------------------------------------------ *)
@@ -483,9 +492,7 @@ let table4 () =
   (* run every tool over a representative module under one manager *)
   let k = Option.get (Bsuite.Kernels.find "ferret") in
   let mk () =
-    let m = Bsuite.Kernels.compile k in
-    let p, _ = Noelle.Profiler.run ~fuel:k.Bsuite.Kernels.fuel m in
-    Noelle.Profiler.embed p m;
+    let m, _, _ = profiled k in
     m
   in
   let usage : (string * string, unit) Hashtbl.t = Hashtbl.create 64 in
@@ -646,11 +653,7 @@ let iv_experiment () =
 
 let speedup_of (k : Bsuite.Kernels.kernel) apply =
   let fuel = k.Bsuite.Kernels.fuel in
-  let m = Bsuite.Kernels.compile k in
-  (* the profiled run is the sequential run: its instruction total is
-     the sequential cycle count *)
-  let p, ref_out = Noelle.Profiler.run ~fuel m in
-  Noelle.Profiler.embed p m;
+  let m, p, ref_out = profiled k in
   let n = Noelle.create m in
   let transformed = apply n m in
   if not transformed then (1.0, true)
@@ -671,10 +674,7 @@ let any_ok results = List.exists (fun (_, r) -> Result.is_ok r) results
     speedups through Amdahl over each loop's profiled hotness.  Returns
     (speedup, any loop needed if-conversion). *)
 let vec_speedup_of (k : Bsuite.Kernels.kernel) =
-  let fuel = k.Bsuite.Kernels.fuel in
-  let m = Bsuite.Kernels.compile k in
-  let p, _ = Noelle.Profiler.run ~fuel m in
-  Noelle.Profiler.embed p m;
+  let m, _, _ = profiled k in
   let n = Noelle.create m in
   (* per-loop profile of the pristine module, keyed by loop id: the
      transform reshapes the loops, the profile describes the originals *)
@@ -865,9 +865,7 @@ let pers_experiment () =
     (fun name ->
       let k = Option.get (Bsuite.Kernels.find name) in
       let fuel = k.Bsuite.Kernels.fuel in
-      let m = Bsuite.Kernels.compile k in
-      let p, ref_out = Noelle.Profiler.run ~fuel m in
-      Noelle.Profiler.embed p m;
+      let m, p, ref_out = profiled k in
       Ntools.Perspective.profile_conflicts ~fuel m;
       let n = Noelle.create m in
       let results = Ntools.Perspective.run n m ~ncores () in
@@ -901,13 +899,11 @@ let ablation_helix_latency () =
   banner "Ablation: HELIX speedup vs core-to-core latency (swaptions)";
   let k = Option.get (Bsuite.Kernels.find "swaptions") in
   let fuel = k.Bsuite.Kernels.fuel in
-  let m0 = Bsuite.Kernels.compile k in
-  let _, _, seq = Psim.Runtime.run_sequential ~fuel m0 in
+  let m0, p, _ = profiled k in
+  let seq = p.Noelle.Profiler.total_insts in
   List.iter
     (fun lat ->
-      let m = Bsuite.Kernels.compile k in
-      let p, _ = Noelle.Profiler.run ~fuel m in
-      Noelle.Profiler.embed p m;
+      let m = Ir.Irmod.copy m0 in
       let n = Noelle.create m in
       ignore (Ntools.Helix.run n m ~ncores ());
       let a = Noelle.Arch.measure ~physical_cores:ncores () in
@@ -939,13 +935,11 @@ let ablation_doall_cores () =
   banner "Ablation: DOALL speedup vs core count (blackscholes)";
   let k = Option.get (Bsuite.Kernels.find "blackscholes") in
   let fuel = k.Bsuite.Kernels.fuel in
-  let m0 = Bsuite.Kernels.compile k in
-  let _, _, seq = Psim.Runtime.run_sequential ~fuel m0 in
+  let m0, p, _ = profiled k in
+  let seq = p.Noelle.Profiler.total_insts in
   List.iter
     (fun cores ->
-      let m = Bsuite.Kernels.compile k in
-      let p, _ = Noelle.Profiler.run ~fuel m in
-      Noelle.Profiler.embed p m;
+      let m = Ir.Irmod.copy m0 in
       let n = Noelle.create m in
       ignore (Ntools.Doall.run n m ~ncores:cores ());
       let a = Noelle.Arch.measure ~physical_cores:cores () in
@@ -961,12 +955,9 @@ let ablation_aa () =
   banner "Ablation: DOALL with baseline AA only (ties Figure 3 to Figure 5)";
   List.iter
     (fun name ->
-      let k = Option.get (Bsuite.Kernels.find name) in
-      let fuel = k.Bsuite.Kernels.fuel in
+      let m0, _, _ = profiled (Option.get (Bsuite.Kernels.find name)) in
       let count use_noelle_aa =
-        let m = Bsuite.Kernels.compile k in
-        let p, _ = Noelle.Profiler.run ~fuel m in
-        Noelle.Profiler.embed p m;
+        let m = Ir.Irmod.copy m0 in
         let n = Noelle.create ~use_noelle_aa m in
         List.length
           (List.filter (fun (_, r) -> Result.is_ok r) (Ntools.Doall.run n m ~ncores ()))
@@ -1154,9 +1145,7 @@ let bounds_section () =
   List.iter
     (fun (k : Bsuite.Kernels.kernel) ->
       bench_row ("plan-" ^ k.Bsuite.Kernels.kname) @@ fun () ->
-      let m = Bsuite.Kernels.compile k in
-      let p, _ = Noelle.Profiler.run ~fuel:k.Bsuite.Kernels.fuel m in
-      Noelle.Profiler.embed p m;
+      let m, _, _ = profiled k in
       let n = Noelle.create m in
       let exact = ref 0 and upper = ref 0 and unk = ref 0 in
       List.iter

@@ -25,18 +25,32 @@
     template, or a frame a returned call left in the layout's pool) and
     runs the single step loop in {!exec}.  Each step counts [steps] and
     [clock], spends one unit of [fuel] (phis count steps and clock but
-    not fuel), counts itself in the layout's [executed], calls the
-    [on_inst] hook if one is installed, then executes; a trap from a
-    non-call instruction is re-raised with the function, block and
-    instruction attached.  Entering a block bumps its [entries] counter,
-    a conditional branch its [taken] or [not_taken] counter, and a call
-    its callee's count on the call step: the profiler
-    ({!Noelle.Profiler}) reads these after the run instead of hooking
-    every step.  The loop re-reads [st.hooks] at every step, because a
-    builtin may swap a hook in the middle of a frame (the parallel runtime
-    does).  Layouts are never shared across states: passes rewrite
-    functions in place between runs, and each run starts from a fresh
-    state.
+    not fuel) and counts itself in the layout's [executed]; the
+    [on_inst] hook, if one is installed, sees it before it executes; a
+    trap from a non-call instruction is re-raised with the function,
+    block and instruction attached.  Entering a block bumps its
+    [entries] counter, a conditional branch its [taken] or [not_taken]
+    counter, and a call its callee's count on the call step: the
+    profiler ({!Noelle.Profiler}) reads these after the run instead of
+    hooking every step.  Layouts are never shared across states: passes
+    rewrite functions in place between runs, and each run starts from a
+    fresh state.
+
+    Segments.  The counting is paid per segment, not per step: a
+    segment is a run of body steps up to and including the first call
+    or terminator, and at its start the loop charges all its steps to
+    [steps], [clock], [fuel] and [executed] at once (a block's phis
+    likewise), then runs them with no bookkeeping ({!exec}).  So the
+    counters are exact at every call step (a builtin reads them
+    there: [clock ()], the tool runtimes, Psim), at every trap (the
+    steps charged but not run are given back) and at the end of a
+    run; an [on_mem], [on_store] or [on_alloc] hook, which runs in the
+    middle of a segment, sees the whole segment already counted.  No
+    library hook reads the counters.  An installed [on_inst] hook
+    shortens every charge to one step and so sees exact counters.
+    The loop reads the hook at every segment start: a builtin may swap
+    it in the middle of a frame (the parallel runtime does), and only
+    a call step, which ends a segment, can.
 
     Calls.  A call step resolves its callee on its first execution
     ({!resolution}) and keeps the answer in the step: a builtin (builtins
@@ -175,8 +189,14 @@ type hooks = {
 type opnd = int
 
 type code =
-  | Bin of Instr.bin * opnd * opnd
-  | Fbin of Instr.fbin * opnd * opnd
+  | Add of opnd * opnd
+  | Sub of opnd * opnd
+  | Mul of opnd * opnd
+  | Bin of Instr.bin * opnd * opnd       (** every other integer op *)
+  | Fadd of opnd * opnd
+  | Fsub of opnd * opnd
+  | Fmul of opnd * opnd
+  | Fdiv of opnd * opnd
   | Icmp of Instr.cmp * opnd * opnd
   | Fcmp of Instr.cmp * opnd * opnd
   | Cast of Instr.cast * opnd
@@ -239,6 +259,9 @@ and block_code = {
       (** the phis' values between their reads and their commit; no call
           runs in between, so one row per block serves every frame *)
   body : step array;               (** non-phis, cut after the first terminator *)
+  seg : int array;
+      (** per body step: one past the end of its segment, the steps up to
+          and including the first call or terminator from it on *)
 }
 
 and layout = {
@@ -675,8 +698,14 @@ let compile (st : state) (f : Func.t) : layout =
   let step (i : Instr.inst) =
     let code =
       match i.Instr.op with
+      | Instr.Bin (Instr.Add, a, b) -> Add (opnd a, opnd b)
+      | Instr.Bin (Instr.Sub, a, b) -> Sub (opnd a, opnd b)
+      | Instr.Bin (Instr.Mul, a, b) -> Mul (opnd a, opnd b)
       | Instr.Bin (op, a, b) -> Bin (op, opnd a, opnd b)
-      | Instr.Fbin (op, a, b) -> Fbin (op, opnd a, opnd b)
+      | Instr.Fbin (Instr.Fadd, a, b) -> Fadd (opnd a, opnd b)
+      | Instr.Fbin (Instr.Fsub, a, b) -> Fsub (opnd a, opnd b)
+      | Instr.Fbin (Instr.Fmul, a, b) -> Fmul (opnd a, opnd b)
+      | Instr.Fbin (Instr.Fdiv, a, b) -> Fdiv (opnd a, opnd b)
       | Instr.Icmp (c, a, b) -> Icmp (c, opnd a, opnd b)
       | Instr.Fcmp (c, a, b) -> Fcmp (c, opnd a, opnd b)
       | Instr.Cast (k, a) -> Cast (k, opnd a)
@@ -707,7 +736,7 @@ let compile (st : state) (f : Func.t) : layout =
     | Error e ->
       { bid; entries = 0; taken = 0; not_taken = 0; fault = Some e; phis = [||];
         phi_dst = [||]; phi_preds = [||]; phi_rows = [||]; no_row = [||];
-        scratch = make_words 0 tag_undef; body = [||] }
+        scratch = make_words 0 tag_undef; body = [||]; seg = [||] }
     | Ok l ->
       let phis, rest =
         List.partition (fun i -> match i.Instr.op with Instr.Phi _ -> true | _ -> false) l
@@ -730,6 +759,14 @@ let compile (st : state) (f : Func.t) : layout =
              incs)
       in
       let phis = Array.of_list phis in
+      let body = Array.of_list (List.map step (cut rest)) in
+      let n = Array.length body in
+      let seg = Array.make n n in
+      for j = n - 1 downto 0 do
+        match body.(j).code with
+        | Call _ | Br _ | Cbr _ | Ret _ | Unreachable -> seg.(j) <- j + 1
+        | _ -> if j + 1 < n then seg.(j) <- seg.(j + 1)
+      done;
       {
         bid;
         entries = 0;
@@ -742,7 +779,8 @@ let compile (st : state) (f : Func.t) : layout =
         phi_rows = Array.of_list (List.map row preds);
         no_row = Array.make (Array.length phis) (-1);
         scratch = make_words (Array.length phis) tag_undef;
-        body = Array.of_list (List.map step (cut rest));
+        body;
+        seg;
       }
   in
   let compiled = List.map block listed in
@@ -881,26 +919,38 @@ let rec phi_row (b : block_code) prev k =
   else phi_row b prev (k + 1)
 
 (* evaluate a block's phis against the incoming edge from [prev] into its
-   scratch row, then count them, then commit: phis read the values live
-   on entry *)
+   scratch row, then count them (all at once unless an [on_inst] hook
+   wants each), then commit: phis read the values live on entry *)
 let enter_phis (st : state) (fr : frame) (b : block_code) prev =
   let f = fr.lay.func in
   let row = phi_row b prev 0 in
   let n = Array.length b.phis in
   for j = 0 to n - 1 do
     let o = row.(j) in
-    if o >= 0 then (try copy fr o b.scratch j with Trap msg -> ctx_trap f b.phis.(j) msg)
-    else
+    if o < 0 then begin
       let i = b.phis.(j) in
       ctx_trap f i
         (Printf.sprintf "phi %%%d has no incoming value for block %d" i.Instr.id prev)
+    end;
+    if Bytes.unsafe_get fr.w.tags o = tag_undef then begin
+      match undefined fr o with
+      | Trap msg -> ctx_trap f b.phis.(j) msg
+      | e -> raise e
+    end;
+    blit fr.w o b.scratch j
   done;
-  for j = 0 to n - 1 do
-    st.steps <- st.steps + 1;
-    fr.lay.executed <- fr.lay.executed + 1;
-    st.clock <- st.clock + 1;
-    match st.hooks.on_inst with Some h -> h f b.phis.(j) | None -> ()
-  done;
+  (match st.hooks.on_inst with
+  | None ->
+    st.steps <- st.steps + n;
+    fr.lay.executed <- fr.lay.executed + n;
+    st.clock <- st.clock + n
+  | Some _ ->
+    for j = 0 to n - 1 do
+      st.steps <- st.steps + 1;
+      fr.lay.executed <- fr.lay.executed + 1;
+      st.clock <- st.clock + 1;
+      match st.hooks.on_inst with Some h -> h f b.phis.(j) | None -> ()
+    done);
   for j = 0 to n - 1 do
     blit b.scratch j fr.w (Array.unsafe_get b.phi_dst j)
   done
@@ -988,10 +1038,23 @@ let rec boxed fr (args : opnd array) j =
     in word 0 of [st.ret] ([VI 0L] for void).  A call step that reaches
     a defined function copies its arguments from the caller's slots
     into a frame of the callee and, once it returns, the [ret] word into
-    its own slot.  The step loop reads [st.hooks] at every step: a
-    builtin may swap a hook in the middle of a frame (the parallel
-    runtime does), and the change takes effect at the next step.
-    Binary operands are read right to left. *)
+    its own slot.
+
+    Steps are paid for a segment at a time ([block_code.seg]): at a
+    segment start the whole segment is charged to [steps], [clock],
+    [fuel] and [executed] at once, and its steps then run with no
+    bookkeeping.  The charge stops one step short of an empty tank, so
+    the step that runs out of fuel is charged alone at the next start
+    (steps, clock and fuel, not [executed]) and traps there; and an
+    installed [on_inst] hook shortens every charge to one step, after
+    which the hook sees that step.  A builtin can swap the hook only
+    at a call step, which ends a segment, so reading it at each start
+    sees every swap at the next step.  One handler per block entry
+    gives back the charged steps that did not run when anything
+    raises, and attaches the function, block and instruction to a
+    [Trap] from a non-call step; a trap from the fuel check is already
+    attached, and one from the hook or a call passes as it is.  Binary
+    operands are read right to left. *)
 let rec exec (st : state) (fr : frame) =
   let lay = fr.lay and w = fr.w in
   let f = lay.func in
@@ -1004,121 +1067,161 @@ let rec exec (st : state) (fr : frame) =
     (match st.hooks.on_block with Some h -> h f blk.bid | None -> ());
     (match blk.fault with Some e -> raise e | None -> ());
     if Array.length blk.phis > 0 then enter_phis st fr blk !prev;
-    let body = blk.body in
+    let body = blk.body and seg = blk.seg in
     let n = Array.length body in
     let k = ref 0 in
-    while !k < n do
-      let s = body.(!k) in
-      incr k;
-      st.steps <- st.steps + 1;
-      st.clock <- st.clock + 1;
-      st.fuel <- st.fuel - 1;
-      if st.fuel <= 0 then ctx_trap f s.inst "out of fuel (infinite loop?)";
-      lay.executed <- lay.executed + 1;
-      (match st.hooks.on_inst with Some h -> h f s.inst | None -> ());
-      match s.code with
-      | Call c -> (
-        let t =
-          match c.callee with
-          | Direct t ->
-            if c.alloc_site then begin
-              st.site_fn <- f.Func.fname;
-              st.site_id <- s.inst.Instr.id
-            end;
-            t
-          | Indirect ind -> (
-            let addr = rd_ptr fr ind.fp in
-            let t = find_target addr ind.seen in
-            if t != no_target then t
-            else
-              match Hashtbl.find_opt st.addr_fun addr with
-              | Some name ->
-                let t = unresolved name addr in
-                ind.seen <- t :: ind.seen;
-                t
-              | None -> trap "%s: indirect call to non-function address %d" f.Func.fname addr)
-        in
-        t.calls <- t.calls + 1;
-        let args = c.cargs in
-        match resolved st t (Array.length args) with
-        | Defined callee ->
-          let cf = take callee in
-          for j = 0 to Array.length args - 1 do
-            copy fr (Array.unsafe_get args j) cf.w (callee.params + j)
-          done;
-          exec st cf;
-          if c.keep then blit st.ret 0 w s.dst
-        | Builtin b ->
-          let r = b st (boxed fr args 0) in
-          if c.keep then put w s.dst r
-        | Fails e ->
-          ignore (boxed fr args 0);
-          raise e)
-      | Br t ->
-        prev := blk.bid;
-        cur := t;
-        k := n
-      | Cbr (c, t, e) ->
-        prev := blk.bid;
-        (match Int64.equal (rd_int fr c) 0L with
-        | true ->
-          blk.not_taken <- blk.not_taken + 1;
-          cur := e
-        | false ->
-          blk.taken <- blk.taken + 1;
-          cur := t
-        | exception Trap msg -> ctx_trap f s.inst msg);
-        k := n
-      | Ret vo ->
-        (match vo with
-        | Some v -> (try copy fr v st.ret 0 with Trap msg -> ctx_trap f s.inst msg)
-        | None -> put st.ret 0 (VI 0L));
-        finished := true;
-        k := n
-      | code -> (
-        let i = s.inst in
-        try
-          match code with
-          | Bin (op, a, b) -> set_int fr s.dst (eval_bin op (rd_int fr a) (rd_int fr b))
-          | Fbin (op, a, b) -> set_flt fr s.dst (eval_fbin op (rd_flt fr a) (rd_flt fr b))
-          | Icmp (c, a, b) ->
-            let x = rd_int fr a and y = rd_int fr b in
-            set_int fr s.dst (if eval_cmp c (Int64.compare x y) then 1L else 0L)
-          | Fcmp (c, a, b) ->
-            let x = rd_flt fr a and y = rd_flt fr b in
-            set_int fr s.dst (if eval_cmp c (Float.compare x y) then 1L else 0L)
-          | Cast (kind, a) -> (
-            match kind with
-            | Instr.Sitofp -> set_flt fr s.dst (Int64.to_float (rd_int fr a))
-            | Instr.Fptosi -> set_int fr s.dst (Int64.of_float (rd_flt fr a))
-            | Instr.Ptrtoint -> set_int fr s.dst (Int64.of_int (rd_ptr fr a))
-            | Instr.Inttoptr -> set_ptr fr s.dst (Int64.to_int (rd_int fr a)))
-          | Alloca n ->
-            st.site_fn <- f.Func.fname;
-            st.site_id <- i.Instr.id;
-            let base = allocate st (Int64.to_int (rd_int fr n)) in
-            fr.allocas <- base :: fr.allocas;
-            set_ptr fr s.dst base
-          | Load p ->
-            let addr = rd_ptr fr p in
-            (match st.hooks.on_mem with Some h -> h f i ~addr ~write:false | None -> ());
-            if addr <= 0 || addr >= st.brk then trap "load from invalid address %d" addr;
-            blit st.mem addr w s.dst
-          | Store (x, p) ->
-            let addr = rd_ptr fr p in
-            (match st.hooks.on_mem with Some h -> h f i ~addr ~write:true | None -> ());
-            if Bytes.unsafe_get w.tags x = tag_undef then raise (undefined fr x);
-            if addr <= 0 || addr >= st.brk then trap "store to invalid address %d" addr;
-            blit w x st.mem addr;
-            (match st.hooks.on_store with Some h -> h f i ~addr | None -> ())
-          | Gep (p, idx) -> set_ptr fr s.dst (rd_ptr fr p + Int64.to_int (rd_int fr idx))
-          | Select (c, a, b) ->
-            if Int64.equal (rd_int fr c) 0L then copy fr b w s.dst else copy fr a w s.dst
-          | Unreachable -> trap "reached unreachable"
-          | Call _ | Br _ | Cbr _ | Ret _ -> assert false
-        with Trap msg -> ctx_trap f i msg)
-    done
-    (* a block with no terminator falls back into itself, [prev] unchanged *)
+    let paid = ref 0 in          (* steps [k, paid) are charged and not run yet *)
+    let stepping = ref false in  (* false while a segment start charges *)
+    (try
+       while !k < n do
+         stepping := false;
+         let hook = st.hooks.on_inst in
+         let len = match hook with None -> seg.(!k) - !k | Some _ -> 1 in
+         let c = if len < st.fuel - 1 then len else st.fuel - 1 in
+         if c <= 0 then begin
+           st.steps <- st.steps + 1;
+           st.clock <- st.clock + 1;
+           st.fuel <- st.fuel - 1;
+           ctx_trap f body.(!k).inst "out of fuel (infinite loop?)"
+         end;
+         st.steps <- st.steps + c;
+         st.clock <- st.clock + c;
+         st.fuel <- st.fuel - c;
+         lay.executed <- lay.executed + c;
+         paid := !k + c;
+         (match hook with Some h -> h f body.(!k).inst | None -> ());
+         stepping := true;
+         while !k < !paid do
+           let s = Array.unsafe_get body !k in
+           incr k;
+           match s.code with
+           | Add (a, b) ->
+             let y = rd_int fr b in
+             set_int fr s.dst (Int64.add (rd_int fr a) y)
+           | Sub (a, b) ->
+             let y = rd_int fr b in
+             set_int fr s.dst (Int64.sub (rd_int fr a) y)
+           | Mul (a, b) ->
+             let y = rd_int fr b in
+             set_int fr s.dst (Int64.mul (rd_int fr a) y)
+           | Bin (op, a, b) -> set_int fr s.dst (eval_bin op (rd_int fr a) (rd_int fr b))
+           | Fadd (a, b) ->
+             let y = rd_flt fr b in
+             set_flt fr s.dst (rd_flt fr a +. y)
+           | Fsub (a, b) ->
+             let y = rd_flt fr b in
+             set_flt fr s.dst (rd_flt fr a -. y)
+           | Fmul (a, b) ->
+             let y = rd_flt fr b in
+             set_flt fr s.dst (rd_flt fr a *. y)
+           | Fdiv (a, b) ->
+             let y = rd_flt fr b in
+             set_flt fr s.dst (rd_flt fr a /. y)
+           | Icmp (c, a, b) ->
+             let x = rd_int fr a and y = rd_int fr b in
+             set_int fr s.dst (if eval_cmp c (Int64.compare x y) then 1L else 0L)
+           | Fcmp (c, a, b) ->
+             let x = rd_flt fr a and y = rd_flt fr b in
+             set_int fr s.dst (if eval_cmp c (Float.compare x y) then 1L else 0L)
+           | Cast (kind, a) -> (
+             match kind with
+             | Instr.Sitofp -> set_flt fr s.dst (Int64.to_float (rd_int fr a))
+             | Instr.Fptosi -> set_int fr s.dst (Int64.of_float (rd_flt fr a))
+             | Instr.Ptrtoint -> set_int fr s.dst (Int64.of_int (rd_ptr fr a))
+             | Instr.Inttoptr -> set_ptr fr s.dst (Int64.to_int (rd_int fr a)))
+           | Alloca n ->
+             st.site_fn <- f.Func.fname;
+             st.site_id <- s.inst.Instr.id;
+             let base = allocate st (Int64.to_int (rd_int fr n)) in
+             fr.allocas <- base :: fr.allocas;
+             set_ptr fr s.dst base
+           | Load p ->
+             let addr = rd_ptr fr p in
+             (match st.hooks.on_mem with Some h -> h f s.inst ~addr ~write:false | None -> ());
+             if addr <= 0 || addr >= st.brk then trap "load from invalid address %d" addr;
+             blit st.mem addr w s.dst
+           | Store (x, p) ->
+             let addr = rd_ptr fr p in
+             (match st.hooks.on_mem with Some h -> h f s.inst ~addr ~write:true | None -> ());
+             if Bytes.unsafe_get w.tags x = tag_undef then raise (undefined fr x);
+             if addr <= 0 || addr >= st.brk then trap "store to invalid address %d" addr;
+             blit w x st.mem addr;
+             (match st.hooks.on_store with Some h -> h f s.inst ~addr | None -> ())
+           | Gep (p, idx) -> set_ptr fr s.dst (rd_ptr fr p + Int64.to_int (rd_int fr idx))
+           | Select (c, a, b) ->
+             if Int64.equal (rd_int fr c) 0L then copy fr b w s.dst else copy fr a w s.dst
+           | Call c -> (
+             let t =
+               match c.callee with
+               | Direct t ->
+                 if c.alloc_site then begin
+                   st.site_fn <- f.Func.fname;
+                   st.site_id <- s.inst.Instr.id
+                 end;
+                 t
+               | Indirect ind -> (
+                 let addr = rd_ptr fr ind.fp in
+                 let t = find_target addr ind.seen in
+                 if t != no_target then t
+                 else
+                   match Hashtbl.find_opt st.addr_fun addr with
+                   | Some name ->
+                     let t = unresolved name addr in
+                     ind.seen <- t :: ind.seen;
+                     t
+                   | None -> trap "%s: indirect call to non-function address %d" f.Func.fname addr)
+             in
+             t.calls <- t.calls + 1;
+             let args = c.cargs in
+             match resolved st t (Array.length args) with
+             | Defined callee ->
+               let cf = take callee in
+               for j = 0 to Array.length args - 1 do
+                 copy fr (Array.unsafe_get args j) cf.w (callee.params + j)
+               done;
+               exec st cf;
+               if c.keep then blit st.ret 0 w s.dst
+             | Builtin b ->
+               let r = b st (boxed fr args 0) in
+               if c.keep then put w s.dst r
+             | Fails e ->
+               ignore (boxed fr args 0);
+               raise e)
+           | Br t ->
+             prev := blk.bid;
+             cur := t
+           | Cbr (c, t, e) ->
+             prev := blk.bid;
+             if Int64.equal (rd_int fr c) 0L then begin
+               blk.not_taken <- blk.not_taken + 1;
+               cur := e
+             end
+             else begin
+               blk.taken <- blk.taken + 1;
+               cur := t
+             end
+           | Ret vo ->
+             (match vo with
+             | Some v -> copy fr v st.ret 0
+             | None -> put st.ret 0 (VI 0L));
+             finished := true
+           | Unreachable -> trap "reached unreachable"
+         done
+       done
+       (* a block with no terminator falls back into itself, [prev] unchanged *)
+     with e ->
+       if !stepping then begin
+         let unrun = !paid - !k in
+         st.steps <- st.steps - unrun;
+         st.clock <- st.clock - unrun;
+         st.fuel <- st.fuel + unrun;
+         lay.executed <- lay.executed - unrun
+       end;
+       match e with
+       | Trap msg when !stepping -> (
+         let s = body.(!k - 1) in
+         match s.code with Call _ -> raise e | _ -> ctx_trap f s.inst msg)
+       | e -> raise e)
   done;
   release st fr
 

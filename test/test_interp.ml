@@ -554,26 +554,130 @@ int main() {
     [ "fncalls a 3"; "fncalls b 2"; "callpair dispatch.a 3"; "callpair dispatch.b 2" ];
   same "indirect" ~fuel:10_000 (fun () -> compile src)
 
-(* a call of a defined function takes a pooled frame and passes words:
-   twice the calls allocate no more than a few words more *)
-let test_calls_allocate_nothing () =
-  let src =
-    "int inc(int x) { return x + 1; }
-     int loop(int n) { int s = 0; for (int i = 0; i < n; i++) { s = inc(s); } return s; }
-     int main() { return 0; }"
-  in
+(* [loop n] of [src] for 20,000 and 40,000 trips allocates no more
+   than a few words more the second time; [check] sees each result *)
+let loop_allocates_nothing ?(check = fun _ _ -> ()) what src =
   let words n =
     let st = Interp.create (compile src) in
     let before = Gc.minor_words () in
     let v = Interp.call st "loop" [ Interp.VI (Int64.of_int n) ] in
     let after = Gc.minor_words () in
-    checks "result" (string_of_int n) (Interp.v_to_string v);
+    check n v;
     after -. before
   in
   let n = 20_000 in
   let once = words n and twice = words (2 * n) in
-  checkb (Printf.sprintf "%.0f words for %d calls, %.0f for %d" once n twice (2 * n))
+  checkb (Printf.sprintf "%.0f words for %d %s, %.0f for %d" once n what twice (2 * n))
     (twice -. once < 64.)
+
+(* a call of a defined function takes a pooled frame and passes words *)
+let test_calls_allocate_nothing () =
+  loop_allocates_nothing "calls"
+    ~check:(fun n v -> checks "result" (string_of_int n) (Interp.v_to_string v))
+    "int inc(int x) { return x + 1; }
+     int loop(int n) { int s = 0; for (int i = 0; i < n; i++) { s = inc(s); } return s; }
+     int main() { return 0; }"
+
+(* ------------------------------------------------------------------ *)
+(* Segments: steps charged a call-free run at a time                    *)
+(* ------------------------------------------------------------------ *)
+
+(* segments that end at a direct call, at a builtin and at a loop
+   header's back edge, with an alloca inside one and phis on entry *)
+let segments_src =
+  "int sq(int x) { int t[2]; t[0] = x; t[1] = x * x; return t[0] + t[1]; }
+   int main() {
+     int s = 0;
+     for (int i = 0; i < 3; i++) {
+       int a[2];
+       a[1] = i + 1;
+       s = s + sq(a[1]) * 2 - 1;
+       print(s);
+       s = s + 3;
+     }
+     return s;
+   }"
+
+(* every fuel value up to the full run, so that the step that runs out
+   lands on every position of every segment *)
+let test_fuel_sweep () =
+  let m () = compile segments_src in
+  let st = Interp.create (m ()) in
+  ignore (Interp.call st "main" []);
+  let full = st.Interp.steps in
+  checkb (Printf.sprintf "%d steps" full) (full > 50 && full < 400);
+  for fuel = 1 to full do
+    same (Printf.sprintf "fuel %d" fuel) ~fuel m
+  done
+
+(* a hook on every step that writes the instruction id to the output,
+   so the order of the hook's calls is compared too; it raises at the
+   [stop]th call *)
+let id_hook ?(stop = max_int) st =
+  let prev = st.Interp.hooks.Interp.on_inst and calls = ref 0 in
+  st.Interp.hooks.Interp.on_inst <-
+    Some
+      (fun f i ->
+        (match prev with Some g -> g f i | None -> ());
+        incr calls;
+        if !calls = stop then raise (Interp.Trap "hook stops");
+        Buffer.add_string st.Interp.output (string_of_int i.Instr.id ^ " "))
+
+let boom st =
+  Interp.register_builtin st "boom" (fun _ _ -> raise (Interp.Trap "boom: builtin trap"))
+
+(* a long call-free segment after a call, with one faulty step in its
+   middle; [@boom] is a builtin that traps, [@clock] reads the step
+   count between segments *)
+let mid_segment body =
+  ir
+    (Printf.sprintf
+       "define i64 @main() {\nentry:\n  %%1 = call.i64 @clock()\n  %%2 = add %%1, 1\n\
+        \  %%3 = mul %%2, 3\n  %%4 = gep @g, 1\n  %%5 = fadd 1.5, 2.5\n  %s\n  %%11 = sub %%3, 1\n\
+        \  %%12 = add %%11, %%2\n  %%13 = call.i64 @clock()\n  %%14 = call.void @print(%%13)\n\
+        \  %%15 = ret %%12\n}\ndeclare i64 @clock()\ndeclare i64 @boom()"
+       body)
+
+let test_mid_segment_traps () =
+  let cases =
+    [ ("%10 = sdiv %3, 0", "main/entry: inst 10: division by zero");
+      ("%10 = load.i64 123456", "main/entry: inst 10: load from invalid address 123456");
+      ("%10 = add %3, %5", "main/entry: inst 10: expected integer, got float 4");
+      ("%10 = fmul %5, %4", "main/entry: inst 10: expected float, got pointer");
+      ("%10 = call.i64 @boom()", "trap boom: builtin trap");
+      ("%10 = add %3, 1", "exit 7") ]
+  in
+  List.iter
+    (fun (body, expected) ->
+      let m () = Parser.parse_module (mid_segment body) in
+      List.iter
+        (fun (hooked, install) ->
+          let what = body ^ hooked in
+          let outcome = List.hd (observe ~install fast ~fuel:100 (m ())) in
+          checkb (Printf.sprintf "%s: %s in %S" what expected outcome)
+            (Obs.has_sub outcome expected);
+          same ~install what ~fuel:100 m)
+        [ ("", boom); (", hooked", fun st -> boom st; id_hook st) ])
+    cases;
+  (* the hook's own trap, at each step of the block, is not annotated *)
+  for stop = 1 to 11 do
+    let install st = boom st; id_hook ~stop st in
+    let m () = Parser.parse_module (mid_segment "%10 = add %3, 1") in
+    let outcome = List.hd (observe ~install fast ~fuel:100 (m ())) in
+    checks (Printf.sprintf "hook stops at %d" stop) "trap hook stops" outcome;
+    same ~install (Printf.sprintf "hook stops at %d" stop) ~fuel:100 m
+  done
+
+(* a call-free loop's integer and float steps allocate nothing *)
+let test_loop_allocates_nothing () =
+  loop_allocates_nothing "trips"
+    "int loop(int n) {
+       int s = 0; float x = 0.0;
+       for (int i = 0; i < n; i++) { s = s + i * 3 - (i & 7); x = x * 0.5 + 1.0; }
+       if (x > 2.0) { s = s + 1; }
+       return s;
+     }
+     int main() { return 0; }"
 
 let suite =
   [
@@ -596,4 +700,7 @@ let suite =
     tc "calls: a builtin shadows a defined function" test_builtin_shadows;
     tc "calls: an indirect call counts per callee" test_indirect_counts;
     tc "calls: a defined-function call allocates nothing" test_calls_allocate_nothing;
+    tc "segments: the fuel trap lands on every step" test_fuel_sweep;
+    tc "segments: a trap mid-segment, hooked and not" test_mid_segment_traps;
+    tc "segments: a call-free loop allocates nothing" test_loop_allocates_nothing;
   ]
