@@ -20,8 +20,8 @@ let compile input output =
       (List.length (Ir.Irmod.defined_functions m))
       (Ir.Irmod.total_insts m);
     0
-  | exception Minic.Lower.Error e | exception Minic.Parser.Error e ->
-    Printf.eprintf "minicc: %s: %s\n" input e;
+  | exception Minic.Ast.Error { line; msg } ->
+    Printf.eprintf "minicc: %s: %s\n" input (Minic.Ast.error_to_string line msg);
     1
 
 let input = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.mc")

@@ -14,17 +14,17 @@ let run input args fuel cores =
     ignore (Psim.Runtime.install ~arch st);
     ignore (Ntools.Toolrt.install st)
   in
-  match Ir.Interp.start ~args ?fuel ~configure m with
-  | st, (), Ok v ->
-    print_string (Buffer.contents st.Ir.Interp.output);
-    Printf.printf "[noelle-bin] exit=%s cycles=%d\n" (Ir.Interp.v_to_string v)
-      st.Ir.Interp.clock;
+  let r = Ir.Interp.start ~args ?fuel ~configure m in
+  print_string (Ir.Interp.output r);
+  match r.Ir.Interp.outcome with
+  | Ok v ->
+    Printf.printf "[noelle-bin] exit=%s cycles=%Ld\n" (Ir.Interp.v_to_string v)
+      (Ir.Interp.clock r);
     0
-  | st, (), Error (Ir.Interp.Trap e) ->
-    print_string (Buffer.contents st.Ir.Interp.output);
+  | Error (Ir.Interp.Trap e) ->
     Printf.eprintf "[noelle-bin] trap: %s\n" e;
     1
-  | _, (), Error e -> raise e
+  | Error e -> raise e
 
 let input = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.ir")
 let args = Arg.(value & opt_all int [] & info [ "arg" ] ~docv:"N")

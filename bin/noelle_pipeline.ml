@@ -37,13 +37,14 @@ let run input fuzz_seed inputs fuel inject_seed psim_fault_seed persistent_tid
     let r =
       Psim.Runtime.run_resilient ~args:(List.hd inputs) ~fuel ~fault ~original m
     in
+    let rt = r.Psim.Runtime.rrun.Ir.Interp.setup in
     Printf.printf "resilient run: mode=%s restarts=%d exit=%s\n"
       (Psim.Runtime.mode_to_string r.Psim.Runtime.rmode)
-      r.Psim.Runtime.rrestarts
-      (Ir.Interp.v_to_string r.Psim.Runtime.rvalue);
-    if r.Psim.Runtime.rtask_log <> [] then
-      print_endline (Psim.Runtime.dispositions_to_string r.Psim.Runtime.rtask_log);
-    if not quiet then print_string r.Psim.Runtime.routput);
+      rt.Psim.Runtime.restarts
+      (Ir.Interp.v_to_string (Ir.Interp.value r.Psim.Runtime.rrun));
+    if rt.Psim.Runtime.task_log <> [] then
+      print_endline (Psim.Runtime.dispositions_to_string (Psim.Runtime.dispositions rt));
+    if not quiet then print_string (Ir.Interp.output r.Psim.Runtime.rrun));
   (match output with Some o -> Ir.Printer.to_file m o | None -> ());
   if report.Noelle.Pipeline.final_ok then 0 else 1
 

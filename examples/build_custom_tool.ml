@@ -74,12 +74,12 @@ let redundant_load_elim (n : Noelle.t) (m : Ir.Irmod.t) : int =
 
 let () =
   let m = Minic.Lower.compile ~name:"custom" source in
-  let _, out_before = Ir.Interp.run m in
+  let out_before = Ir.Interp.(output (start ~configure:ignore m)) in
   let before = Ir.Irmod.total_insts m in
   let n = Noelle.create m in
   let removed = redundant_load_elim n m in
   Ir.Verify.verify_module m;
-  let _, out_after = Ir.Interp.run m in
+  let out_after = Ir.Interp.(output (start ~configure:ignore m)) in
   Printf.printf "removed %d redundant loads (%d -> %d instructions)\n" removed
     before (Ir.Irmod.total_insts m);
   Printf.printf "outputs identical: %b (%s)" (out_before = out_after)

@@ -55,5 +55,5 @@ let () =
   Ir.Verify.verify_module m;
 
   (* 4. execute the transformed program *)
-  let _, output = Ir.Interp.run m in
-  Printf.printf "program output: %s" output
+  let run = Ir.Interp.start ~configure:ignore m in
+  Printf.printf "program output: %s" (Ir.Interp.output run)

@@ -83,12 +83,12 @@ let attach (st : Interp.state) () : t =
     st.Interp.layouts;
   p
 
-(** Run the program under the profilers.  Returns the profile and the
-    program output. *)
-let run ?(entry = "main") ?(args = []) ?fuel (m : Irmod.t) : t * string =
-  let profile = ref fresh in
-  let _, st = Interp.run_state ~entry ~args ?fuel ~configure:(fun st -> profile := attach st) m in
-  (!profile (), Buffer.contents st.Interp.output)
+(** Run the program under the profilers, booked in [interp.runs] and
+    [interp.steps].  Returns the profile and the program output. *)
+let run ?entry ?args ?fuel (m : Irmod.t) : t * string =
+  let r = Interp.start ?entry ?args ?fuel ~configure:attach m in
+  Interp.book r;
+  (r.Interp.setup (), Interp.output r)
 
 (* ------------------------------------------------------------------ *)
 (* Embedding (noelle-meta-prof-embed) and queries                      *)

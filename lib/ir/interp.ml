@@ -1238,28 +1238,30 @@ let call (st : state) (fname : string) (args : v list) : v =
     get st.ret 0
   | Fails e -> raise e
 
+(** A finished run ({!start}): the state it left, [configure]'s result
+    and the entry's exit value or exception.  Every way of running a
+    module is a projection of it. *)
+type 'a run = { state : state; setup : 'a; outcome : (v, exn) result }
+
 (** The one entry path of a run: a fresh state for [m], its [fuel] set,
-    [configure]'s setup (whose result is returned), then [entry] called
-    on integer [args].  The call's exception is returned, not raised, so
-    that the caller still has the state. *)
+    [configure]'s setup, then [entry] called on integer [args].  The
+    call's exception is kept, not raised, so the state can still be
+    read. *)
 let start ?(entry = "main") ?(args = []) ?fuel ~configure (m : Irmod.t) =
   let st = create m in
   Option.iter (fun n -> st.fuel <- n) fuel;
-  let x = configure st in
+  let setup = configure st in
   let args = List.map (fun n -> VI (Int64.of_int n)) args in
-  (st, x, try Ok (call st entry args) with e -> Error e)
+  { state = st; setup; outcome = (try Ok (call st entry args) with e -> Error e) }
 
-(** Run [main] (or [entry]) with integer arguments under [configure];
-    returns its exit value and the state, for inspection. *)
-let run_state ?entry ?args ?fuel ?(configure = ignore) (m : Irmod.t) =
-  match start ?entry ?args ?fuel ~configure m with
-  | st, (), Ok v ->
-    Trace.incr_m "interp.runs";
-    Trace.add "interp.steps" st.steps;
-    (v, st)
-  | _, (), Error e -> raise e
+let value r = match r.outcome with Ok v -> v | Error e -> raise e
+let output r = Buffer.contents r.state.output
+let clock r = Int64.of_int r.state.clock
 
-(** Like {!run_state}; returns (exit value, program output). *)
-let run ?entry ?args ?fuel (m : Irmod.t) =
-  let v, st = run_state ?entry ?args ?fuel m in
-  (v, Buffer.contents st.output)
+(** Book [r] in [interp.runs] and [interp.steps], or raise its
+    exception.  Only the profiling runs are booked, not the Psim and
+    recorder runs. *)
+let book r =
+  ignore (value r);
+  Trace.incr_m "interp.runs";
+  Trace.add "interp.steps" r.state.steps

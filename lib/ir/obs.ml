@@ -473,25 +473,24 @@ type behaviour = {
     builtins there and keeps the recorder to tag events with their task. *)
 let run ?entry ?args ?fuel ?(install = fun _ _ -> ()) (m : Irmod.t) : behaviour =
   let sites = escape_sites ?entry m in
-  let st, r, outcome =
+  let run =
     Interp.start ?entry ?args ?fuel m ~configure:(fun st ->
         let r = attach ~sites st in
         install st r;
         r)
   in
+  let r = run.Interp.setup in
   let result =
-    match outcome with
+    match run.Interp.outcome with
     | Ok v ->
       finish r (Exit (render r v));
-      Ok
-        (Printf.sprintf "exit=%s\n%s" (Interp.v_to_string v)
-           (Buffer.contents st.Interp.output))
+      Ok (Printf.sprintf "exit=%s\n%s" (Interp.v_to_string v) (Interp.output run))
     | Error (Interp.Trap msg) ->
       finish r (terminal_of_trap msg);
       Error msg
     | Error e -> raise e
   in
-  { result; trace = events r; clock = Int64.of_int st.Interp.clock }
+  { result; trace = events r; clock = Interp.clock run }
 
 let fuel_exhausted b =
   match b.result with Error msg -> has_sub msg "out of fuel" | Ok _ -> false

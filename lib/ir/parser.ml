@@ -98,8 +98,12 @@ let tokenize (src : string) : (tok * int) array =
         else continue_ := false
       done;
       let s = String.sub src start (!i - start) in
-      if !isfloat then push (FLOAT (float_of_string s))
-      else push (INT (Int64.of_string s))
+      match
+        if !isfloat then Option.map (fun x -> FLOAT x) (float_of_string_opt s)
+        else Option.map (fun k -> INT k) (Int64.of_string_opt s)
+      with
+      | Some t -> push t
+      | None -> fail !line ("malformed or out-of-range literal " ^ s)
     end
     else if is_id_char c then begin
       let start = !i in
@@ -426,6 +430,7 @@ let parse_module ?(name = "module") (src : string) : Irmod.t =
       | ID l when fst st.toks.(st.pos + 1) = COLON ->
         ignore (next st); ignore (next st);
         cur_block := bid_of_label l
+      | (REG _ | ID _) when !cur_block < 0 -> fail (line st) "instruction before any label"
       | REG r when is_all_digits r && fst st.toks.(st.pos + 1) = EQ ->
         ignore (next st); ignore (next st);
         let mnem = expect_id st in

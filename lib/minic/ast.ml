@@ -7,6 +7,15 @@
     zoo.  Structs are modelled with word-indexed arrays, as the IR memory
     model is word-granular. *)
 
+(** The frontend's one error, raised by the lexer, the parser and the
+    lowering alike: a source line ([0] from the lowering, whose syntax
+    tree carries no lines) and a message. *)
+exception Error of { line : int; msg : string }
+
+let fail line fmt = Printf.ksprintf (fun msg -> raise (Error { line; msg })) fmt
+
+let error_to_string line msg = if line > 0 then Printf.sprintf "line %d: %s" line msg else msg
+
 type ty = Tint | Tfloat | Tptr of ty | Tvoid
 
 let rec ty_to_string = function

@@ -1,7 +1,5 @@
 (** Lexer for Mini-C. *)
 
-exception Error of string
-
 type tok =
   | TID of string
   | TINT of int64
@@ -45,7 +43,7 @@ let tokenize (src : string) : (tok * int) array =
       i := !i + 2;
       let fin = ref false in
       while not !fin do
-        if !i + 1 >= n then raise (Error (Printf.sprintf "line %d: unterminated comment" !line));
+        if !i + 1 >= n then Ast.fail !line "unterminated comment";
         if src.[!i] = '\n' then incr line;
         if src.[!i] = '*' && src.[!i + 1] = '/' then (fin := true; i := !i + 2)
         else incr i
@@ -67,8 +65,12 @@ let tokenize (src : string) : (tok * int) array =
         while !i < n && is_digit src.[!i] do incr i done
       end;
       let s = String.sub src start (!i - start) in
-      if !isfloat then push (TFLOAT (float_of_string s))
-      else push (TINT (Int64.of_string s))
+      match
+        if !isfloat then Option.map (fun f -> TFLOAT f) (float_of_string_opt s)
+        else Option.map (fun k -> TINT k) (Int64.of_string_opt s)
+      with
+      | Some t -> push t
+      | None -> Ast.fail !line "malformed or out-of-range literal %s" s
     end
     else if is_id_start c then begin
       let start = !i in
@@ -88,7 +90,7 @@ let tokenize (src : string) : (tok * int) array =
         push (TPUNCT p);
         i := !i + String.length p
       | None ->
-        raise (Error (Printf.sprintf "line %d: unexpected character %C" !line c))
+        Ast.fail !line "unexpected character %C" c
     end
   done;
   push TEOF;

@@ -10,9 +10,7 @@ module Cparser = Parser
 open Ir
 open Ast
 
-exception Error of string
-
-let faill fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
+let faill fmt = fail 0 fmt
 
 (* Builtin signatures: name -> (param types, return type) *)
 let builtins : (string * (ty list * ty)) list =

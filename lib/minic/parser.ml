@@ -2,13 +2,11 @@
 
 open Ast
 
-exception Error of string
-
 type st = { toks : (Lexer.tok * int) array; mutable pos : int }
 
 let fail st msg =
   let i = min st.pos (Array.length st.toks - 1) in
-  raise (Error (Printf.sprintf "line %d: %s" (snd st.toks.(i)) msg))
+  raise (Error { line = snd st.toks.(i); msg })
 
 let peek st = fst st.toks.(st.pos)
 let peek2 st = if st.pos + 1 < Array.length st.toks then fst st.toks.(st.pos + 1) else Lexer.TEOF

@@ -536,9 +536,8 @@ let install ?(arch : Noelle.Arch.t option) (st : Interp.state) : t =
 (** Run [m]'s entry under the parallel runtime.  Returns (exit value,
     output, simulated cycles, runtime stats). *)
 let run ?entry ?args ?fuel ?arch (m : Irmod.t) =
-  match Interp.start ?entry ?args ?fuel ~configure:(install ?arch) m with
-  | st, r, Ok v -> (v, Buffer.contents st.Interp.output, Int64.of_int st.Interp.clock, r)
-  | _, _, Error e -> raise e
+  let r = Interp.start ?entry ?args ?fuel ~configure:(install ?arch) m in
+  (Interp.value r, Interp.output r, Interp.clock r, r.Interp.setup)
 
 (** Run [m]'s entry under the parallel runtime through {!Obs.run}: the
     recorder tags every event with its task and parallel section, and the
@@ -549,22 +548,18 @@ let run_traced ?entry ?args ?fuel ?arch (m : Irmod.t) : Obs.behaviour =
 
 (** Sequential reference run: simulated cycles = dynamic instructions. *)
 let run_sequential ?entry ?args ?fuel (m : Irmod.t) =
-  match Interp.start ?entry ?args ?fuel ~configure:ignore m with
-  | st, (), Ok v -> (v, Buffer.contents st.Interp.output, Int64.of_int st.Interp.clock)
-  | _, (), Error e -> raise e
+  let r = Interp.start ?entry ?args ?fuel ~configure:ignore m in
+  (Interp.value r, Interp.output r, Interp.clock r)
 
 (* ------------------------------------------------------------------ *)
 (* Degraded-mode execution                                             *)
 (* ------------------------------------------------------------------ *)
 
-type resilient_result = {
-  rvalue : Interp.v;
-  routput : string;
-  rcycles : int64;
-  rmode : [ `Parallel | `Sequential_fallback ];
-  rtask_log : task_event list; (** chronological dispositions *)
-  rrestarts : int;
-}
+(** A degraded-mode run: [rrun] is the run whose value, output and
+    cycles stand, the parallel run or the pristine module's sequential
+    run.  Either way its setup is the parallel attempt's runtime, which
+    holds the restarts and the dispositions ({!dispositions}). *)
+type resilient_result = { rrun : t Interp.run; rmode : [ `Parallel | `Sequential_fallback ] }
 
 let mode_to_string = function
   | `Parallel -> "parallel"
@@ -582,25 +577,12 @@ let run_resilient ?entry ?args ?fuel ?arch ?fault ~(original : Irmod.t) (m : Irm
     r.fault <- fault;
     r
   in
-  match Interp.start ?entry ?args ?fuel ~configure m with
-  | st, r, Ok v ->
-    {
-      rvalue = v;
-      routput = Buffer.contents st.Interp.output;
-      rcycles = Int64.of_int st.Interp.clock;
-      rmode = `Parallel;
-      rtask_log = dispositions r;
-      rrestarts = r.restarts;
-    }
-  | _, r, Error (Parallel_failed msg) ->
-    let log = Section_abandoned { reason = msg } :: r.task_log in
-    let v, out, cycles = run_sequential ?entry ?args ?fuel original in
-    {
-      rvalue = v;
-      routput = out;
-      rcycles = cycles;
-      rmode = `Sequential_fallback;
-      rtask_log = List.rev log;
-      rrestarts = r.restarts;
-    }
-  | _, _, Error e -> raise e
+  let run = Interp.start ?entry ?args ?fuel ~configure m in
+  match run.Interp.outcome with
+  | Ok _ -> { rrun = run; rmode = `Parallel }
+  | Error (Parallel_failed reason) ->
+    let r = run.Interp.setup in
+    r.task_log <- Section_abandoned { reason } :: r.task_log;
+    let rrun = Interp.start ?entry ?args ?fuel ~configure:(fun _ -> r) original in
+    { rrun; rmode = `Sequential_fallback }
+  | Error e -> raise e

@@ -147,7 +147,7 @@ let profile_conflicts ?(entry = "main") ?(args = []) ?fuel (m : Irmod.t) =
                 end)
               nest.Loopnest.loops)
   in
-  ignore (Interp.run_state ~entry ~args ?fuel ~configure m);
+  Interp.book (Interp.start ~entry ~args ?fuel ~configure m);
   (* embed results *)
   Hashtbl.iter
     (fun (fn, header) (s : lprof) ->

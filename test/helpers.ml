@@ -9,14 +9,15 @@ let checks = Alcotest.check Alcotest.string
 let compile ?(name = "t") src =
   try Minic.Lower.compile ~name src
   with
-  | Minic.Lower.Error e -> Alcotest.failf "compile error: %s" e
-  | Minic.Parser.Error e -> Alcotest.failf "parse error: %s" e
-  | Minic.Lexer.Error e -> Alcotest.failf "lex error: %s" e
+  | Minic.Ast.Error { line; msg } ->
+    Alcotest.failf "frontend error: %s" (Minic.Ast.error_to_string line msg)
 
-(** Run a module and return its printed output (trimmed). *)
+(** Run a module and return its printed output (trimmed); a trap is
+    raised. *)
 let output ?fuel m =
-  let _, out = Ir.Interp.run ?fuel m in
-  String.trim out
+  let r = Ir.Interp.start ?fuel ~configure:ignore m in
+  ignore (Ir.Interp.value r);
+  String.trim (Ir.Interp.output r)
 
 (** Compile and run, returning output. *)
 let run_src ?fuel src = output ?fuel (compile src)
@@ -56,6 +57,5 @@ let same_ir a b = String.equal (Ir.Printer.module_str a) (Ir.Printer.module_str 
 (** Run [m] from [main] with the tool runtimes installed; returns (exit,
     output, simulated cycles, tool-runtime stats). *)
 let run_toolrt ?fuel (m : Ir.Irmod.t) =
-  match Ir.Interp.start ?fuel ~configure:Ntools.Toolrt.install m with
-  | st, s, Ok v -> (v, Buffer.contents st.Ir.Interp.output, Int64.of_int st.Ir.Interp.clock, s)
-  | _, _, Error e -> raise e
+  let r = Ir.Interp.start ?fuel ~configure:Ntools.Toolrt.install m in
+  (Ir.Interp.value r, Ir.Interp.output r, Ir.Interp.clock r, r.Ir.Interp.setup)

@@ -29,36 +29,40 @@ let sanitize ?(entry = "main") ?(args = []) ?fuel (m : Irmod.t) :
   let record ekind (f : Func.t) (i : Instr.inst) addr =
     events := { ekind; efunc = f.Func.fname; einst = i.Instr.id; eaddr = addr } :: !events
   in
-  let trap_msg = ref None in
-  (try
-     ignore
-       (Interp.run_state ~entry ~args ?fuel m ~configure:(fun st ->
-            (* globals are initialized by [create]; mark their words *)
-            let written = Hashtbl.create 256 in
-            let ix = st.Interp.by_base in
-            Hashtbl.iter
-              (fun _ base ->
-                let k = Interp.alloc_at ix base in
-                if k >= 0 then
-                  for w = base to base + ix.Interp.recs.(k).Interp.size - 1 do
-                    Hashtbl.replace written w ()
-                  done)
-              st.Interp.global_addr;
-            let covering addr =
-              match Interp.covering ix addr with -1 -> None | k -> Some ix.Interp.recs.(k)
-            in
-            st.Interp.hooks.Interp.on_mem <-
-              Some
-                (fun f i ~addr ~write ->
-                  (match covering addr with
-                  | Some a when not a.Interp.alive -> record Use_after_free f i addr
-                  | Some _ ->
-                    if not write && not (Hashtbl.mem written addr) then
-                      record Uninit_read f i addr
-                  | None -> record Out_of_bounds f i addr);
-                  if write then Hashtbl.replace written addr ())))
-   with Interp.Trap msg -> trap_msg := Some msg);
-  (List.rev !events, !trap_msg)
+  let run =
+    Interp.start ~entry ~args ?fuel m ~configure:(fun st ->
+        (* globals are initialized by [create]; mark their words *)
+        let written = Hashtbl.create 256 in
+        let ix = st.Interp.by_base in
+        Hashtbl.iter
+          (fun _ base ->
+            let k = Interp.alloc_at ix base in
+            if k >= 0 then
+              for w = base to base + ix.Interp.recs.(k).Interp.size - 1 do
+                Hashtbl.replace written w ()
+              done)
+          st.Interp.global_addr;
+        let covering addr =
+          match Interp.covering ix addr with -1 -> None | k -> Some ix.Interp.recs.(k)
+        in
+        st.Interp.hooks.Interp.on_mem <-
+          Some
+            (fun f i ~addr ~write ->
+              (match covering addr with
+              | Some a when not a.Interp.alive -> record Use_after_free f i addr
+              | Some _ ->
+                if not write && not (Hashtbl.mem written addr) then
+                  record Uninit_read f i addr
+              | None -> record Out_of_bounds f i addr);
+              if write then Hashtbl.replace written addr ()))
+  in
+  let trap_msg =
+    match run.Interp.outcome with
+    | Ok _ -> None
+    | Error (Interp.Trap msg) -> Some msg
+    | Error e -> raise e
+  in
+  (List.rev !events, trap_msg)
 
 (** Does the dynamic oracle confirm a sanitizer-visible bug at instruction
     [inst] of [func]?  (A trap while executing that instruction counts: the

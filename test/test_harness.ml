@@ -49,14 +49,33 @@ let tables (p : Noelle.Profiler.t) =
     (sorted p.fn_insts, sorted p.fn_calls, sorted p.call_pair),
     p.total_insts )
 
+(* the kernels perfbench's compile workload draws from *)
+let compile_kernels = [ "patricia"; "basicmath"; "blackscholes"; "swaptions"; "namd" ]
+
+(* Profiler.run is the record's projection: the same profile as the
+   harness's pristine run, the record's output, and the only run entry
+   booked in interp.runs and interp.steps *)
 let test_profile_is_profiler_run () =
   List.iter
     (fun name ->
       let k = Option.get (Bsuite.Kernels.find name) in
-      let p, _ = Noelle.Profiler.run ~fuel:k.Bsuite.Kernels.fuel (Bsuite.Kernels.compile k) in
+      let fuel = k.Bsuite.Kernels.fuel in
+      Ir.Trace.enable ();
+      let p, out = Noelle.Profiler.run ~fuel (Bsuite.Kernels.compile k) in
+      let runs = Ir.Trace.counter "interp.runs" and steps = Ir.Trace.counter "interp.steps" in
+      ignore (Psim.Runtime.run ~fuel (Bsuite.Kernels.compile k));
+      ignore (Ir.Obs.run ~fuel (Bsuite.Kernels.compile k));
+      let booked = (Ir.Trace.counter "interp.runs", Ir.Trace.counter "interp.steps") in
+      Ir.Trace.disable ();
       checkb (name ^ ": the harness profile is Profiler.run's")
-        (tables (H.profile (H.kernel k)) = tables p))
-    [ "crc32"; "histogram" ]
+        (tables (H.profile (H.kernel k)) = tables p);
+      let r = Ir.Interp.start ~fuel ~configure:ignore (Bsuite.Kernels.compile k) in
+      checks (name ^ ": Profiler.run's output is the record's") (Ir.Interp.output r) out;
+      check Alcotest.(pair int64 int64) (name ^ ": one run booked, its steps")
+        (1L, Ir.Interp.clock r) (runs, steps);
+      check Alcotest.(pair int64 int64) (name ^ ": Psim and Obs runs book nothing")
+        (runs, steps) booked)
+    ([ "crc32"; "histogram" ] @ compile_kernels)
 
 let test_per_gate_deltas () =
   let seen = ref [] in
@@ -89,14 +108,36 @@ let test_per_gate_deltas () =
   check Alcotest.(list string) "another gate's increments do not count"
     [ "reads: never if-converted" ] fails
 
+(* the harness reference and every Psim entry agree with the record of
+   one plain run of the pristine kernel at the gate fuel *)
 let test_reference_is_obs_run () =
-  let k = List.hd Bsuite.Kernels.all in
-  let hk = H.kernel k in
-  let r = H.reference hk in
-  checkb "the reference is Obs.run at the gate fuel"
-    (r = Ir.Obs.run ~fuel:hk.H.fuel (Bsuite.Kernels.compile k));
-  let _, _, seq = Psim.Runtime.run_sequential ~fuel:hk.H.fuel (H.compile hk) in
-  check Alcotest.int64 "its clock is the sequential cycle count" seq r.Ir.Obs.clock
+  List.iter
+    (fun (k : Bsuite.Kernels.kernel) ->
+      let hk = H.kernel k and name = k.Bsuite.Kernels.kname in
+      let fuel = hk.H.fuel in
+      let r = H.reference hk in
+      checkb (name ^ ": the reference is Obs.run at the gate fuel")
+        (r = Ir.Obs.run ~fuel (Bsuite.Kernels.compile k));
+      let run = Ir.Interp.start ~fuel ~configure:ignore (H.compile hk) in
+      let v = Ir.Interp.value run and out = Ir.Interp.output run in
+      let clock = Ir.Interp.clock run in
+      check Alcotest.(result string string) (name ^ ": the reference result is the record's")
+        (Ok (Printf.sprintf "exit=%s\n%s" (Ir.Interp.v_to_string v) out)) r.Ir.Obs.result;
+      check Alcotest.int64 (name ^ ": its clock is the record's") clock r.Ir.Obs.clock;
+      let v', out', seq = Psim.Runtime.run_sequential ~fuel (H.compile hk) in
+      checkb (name ^ ": run_sequential is the record's value, output and clock")
+        ((v', out', seq) = (v, out, clock));
+      let v', out', cycles, _ = Psim.Runtime.run ~fuel (H.compile hk) in
+      checkb (name ^ ": Runtime.run's value and output are the record's") ((v', out') = (v, out));
+      check Alcotest.int64 (name ^ ": its cycles are the sequential clock") seq cycles;
+      let res = Psim.Runtime.run_resilient ~fuel ~original:(H.compile hk) (H.compile hk) in
+      let rr = res.Psim.Runtime.rrun in
+      checkb (name ^ ": run_resilient with no fault stays parallel, unrestarted")
+        (res.Psim.Runtime.rmode = `Parallel && res.Psim.Runtime.rrun.Ir.Interp.setup.Psim.Runtime.restarts = 0);
+      checkb (name ^ ": and its run is the record's value, output and clock")
+        ((Ir.Interp.value rr, Ir.Interp.output rr, Ir.Interp.clock rr) = (v, out, clock)))
+    (List.hd Bsuite.Kernels.all
+    :: List.map (fun n -> Option.get (Bsuite.Kernels.find n)) compile_kernels)
 
 let suite =
   [

@@ -339,10 +339,10 @@ int main() {
       in
       let r = Psim.Runtime.run_resilient ~fault ~original m in
       let what = Printf.sprintf "task %d dies" victim in
-      checki (what ^ ": one restart") 1 r.Psim.Runtime.rrestarts;
+      checki (what ^ ": one restart") 1 r.Psim.Runtime.rrun.Interp.setup.Psim.Runtime.restarts;
       checkb (what ^ ": stayed parallel") (r.Psim.Runtime.rmode = `Parallel);
-      checks (what ^ ": output") "349440\n1528.000000\n" r.Psim.Runtime.routput;
-      check Alcotest.int64 (what ^ ": cycles") 6899L r.Psim.Runtime.rcycles)
+      checks (what ^ ": output") "349440\n1528.000000\n" (Interp.output r.Psim.Runtime.rrun);
+      check Alcotest.int64 (what ^ ": cycles") 6899L (Interp.clock r.Psim.Runtime.rrun))
     [ 4; 7 ]
 
 (* ------------------------------------------------------------------ *)
@@ -392,14 +392,16 @@ int main() {
 |}
   in
   let made = ref 0 and saved = ref None in
-  let _, st =
-    Interp.run_state m ~configure:(fun st ->
+  let run =
+    Interp.start m ~configure:(fun st ->
         st.Interp.hooks.Interp.on_alloc <-
           Some
             (fun _ ->
               incr made;
               if !made = 1500 then saved := Some (Interp.save_allocs st, st.Interp.brk)))
   in
+  ignore (Interp.value run);
+  let st = run.Interp.state in
   let ix = st.Interp.by_base in
   let dead = ref 0 in
   for k = 0 to ix.Interp.n - 1 do
@@ -441,8 +443,8 @@ int main() { print(outer()); return 0; }
 |}
   in
   let base = ref 0 and snap = ref None in
-  let v, st =
-    Interp.run_state m ~configure:(fun st ->
+  let run =
+    Interp.start m ~configure:(fun st ->
         Interp.register_builtin st "save" (fun st args ->
             base := Interp.as_ptr (List.hd args);
             snap := Some (Interp.save_allocs st, st.Interp.brk);
@@ -453,7 +455,8 @@ int main() { print(outer()); return 0; }
             st.Interp.brk <- brk;
             Interp.VI 0L))
   in
-  checks "result" "0 10\n" (Interp.v_to_string v ^ " " ^ Buffer.contents st.Interp.output);
+  let st = run.Interp.state in
+  checks "result" "0 10\n" (Interp.v_to_string (Interp.value run) ^ " " ^ Interp.output run);
   checkb "the scan finds the alloca dead" (not (guard_oracle st !base));
   checkb "the guard finds the alloca dead" (not (Interp.addr_is_guarded_valid st !base));
   same_guard_verdicts "after the return" st

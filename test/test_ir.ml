@@ -106,7 +106,8 @@ let test_prune_dead_chain () =
   let phi = Builder.add f join (Instr.Phi [ (entry, Instr.Cint 7L); (tail, Instr.Cint 9L) ]) Ty.I64 in
   ignore (Builder.set_term f join (Instr.Ret (Some (Instr.Reg phi.Instr.id))));
   verifies "before pruning" m;
-  let before = Interp.run m in
+  let result () = Interp.(let r = start ~configure:ignore m in (value r, output r)) in
+  let before = result () in
   checki "both dead blocks pruned" 2 (Cfg.prune_unreachable f);
   checkb "live layout kept" (Func.blocks f = [ entry; join ]);
   checkb "dead blocks erased" (Func.block_opt f head = None && Func.block_opt f tail = None);
@@ -114,7 +115,7 @@ let test_prune_dead_chain () =
   | Instr.Phi incs -> checkb "no incoming from an erased block" (List.map fst incs = [ entry ])
   | _ -> Alcotest.fail "phi lost");
   verifies "after pruning" m;
-  checkb "same result" (Interp.run m = before)
+  checkb "same result" (result () = before)
 
 let test_dce_phis () =
   (* dead phi cycles rotating a value around nested loops get removed *)
@@ -191,16 +192,25 @@ let test_metadata_roundtrip () =
   check Alcotest.(option int) "int value" (Some 42) (Meta.get_int m2.Irmod.meta "answer")
 
 let test_parser_errors () =
-  let bad s =
+  let bad ?line s =
     match Parser.parse_module s with
-    | exception Parser.Parse_error _ -> ()
+    | exception Parser.Parse_error msg -> (
+      match line with
+      | Some l ->
+        let at = Printf.sprintf "line %d: " l in
+        checkb (Printf.sprintf "%S names %s" msg at) (String.starts_with ~prefix:at msg)
+      | None -> ())
     | _ -> Alcotest.failf "expected parse error on %S" s
   in
   bad "define i64 @f( {";
   bad "define i64 @f() { entry: br nowhere }";
   bad "global @g = ";
   bad "meta \"unterminated";
-  bad "define i64 @f() { entry: %1 = frobnicate 1, 2 }"
+  bad "define i64 @f() { entry: %1 = frobnicate 1, 2 }";
+  bad ~line:2 "define i64 @main() {\nret 0\n}";
+  bad ~line:3 "define i64 @main() {\nentry:\n%1 = add i64 99999999999999999999, 1\nret %1\n}";
+  bad ~line:3 "define f64 @main() {\nentry:\n%1 = fadd 1.5e+, 0.0\nret %1\n}";
+  bad ~line:2 "define f64 @main() {\nentry: %1 = fadd 1.5.5, 0.0\nret %1\n}"
 
 let test_float_literals () =
   let vals = [ 0.0; 1.5; -3.25; 1e100; 1.0000000000000002; 6.02e23 ] in
@@ -337,9 +347,8 @@ let test_mem2reg_semantics () =
     (fun src ->
       let prog = Minic.Parser.parse_program src in
       let raw = Minic.Lower.lower_program ~name:"raw" prog in
-      let _, out_raw = Interp.run raw in
       let cooked = compile src in
-      checks "mem2reg preserves semantics" (String.trim out_raw) (output cooked))
+      checks "mem2reg preserves semantics" (output raw) (output cooked))
     srcs
 
 let test_mem2reg_promotes () =
@@ -398,8 +407,8 @@ let test_interp_arith () =
 let test_interp_traps () =
   let expect_trap src =
     let m = compile src in
-    match Interp.run m with
-    | exception Interp.Trap _ -> ()
+    match (Interp.start ~configure:ignore m).Interp.outcome with
+    | Error (Interp.Trap _) -> ()
     | _ -> Alcotest.failf "expected trap: %s" src
   in
   expect_trap "int main() { int x = 0; print(1 / x); return 0; }";

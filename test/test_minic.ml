@@ -74,9 +74,10 @@ let test_float_int_mixing () =
   checks "float div" "2" (run_src "int main() { print((int)(5.0 / 2.0)); return 0; }")
 
 let test_frontend_errors () =
-  let expect_err src =
+  (* every stage raises the one error; the lowering's carries line 0 *)
+  let expect_err ?(line = 0) src =
     match Minic.Lower.compile ~name:"e" src with
-    | exception (Minic.Lower.Error _ | Minic.Parser.Error _ | Minic.Lexer.Error _) -> ()
+    | exception Minic.Ast.Error e -> checki ("error line of " ^ src) line e.line
     | _ -> Alcotest.failf "expected frontend error: %s" src
   in
   expect_err "int main() { return x; }";
@@ -84,8 +85,13 @@ let test_frontend_errors () =
   expect_err "int main() { break; }";
   expect_err "int main() { int x = 1; x[0] = 2; return 0; }";
   expect_err "int main() { float f = 0.0; print(~f); return 0; }";
-  expect_err "int main() { if (1) { return 0; }";
-  expect_err "void x; int main() { return 0; }"
+  expect_err ~line:1 "int main() { if (1) { return 0; }";
+  expect_err "void x; int main() { return 0; }";
+  expect_err ~line:2 "int main() {\n  return 1 @ 2;\n}";
+  expect_err ~line:3 "int main() {\n\n  return 99999999999999999999;\n}";
+  expect_err ~line:2 "int main() {\n  float f = 1e;\n  return 0;\n}";
+  expect_err ~line:2 "int main() {\n  float f = 2.5e+;\n  return 0;\n}";
+  expect_err ~line:2 "int main() { return 0; }\n/* unterminated"
 
 (* ------------------------------------------------------------------ *)
 (* Differential testing: random expressions                            *)

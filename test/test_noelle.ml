@@ -765,7 +765,7 @@ let test_env () =
   let trunc = Builder.add f b.Func.bid (Instr.Cast (Instr.Fptosi, v)) Ty.I64 in
   ignore (Builder.set_term f b.Func.bid (Instr.Ret (Some (Instr.Reg trunc.Instr.id))));
   Verify.verify_module m;
-  let r, _ = Interp.run m in
+  let r = Interp.(value (start ~configure:ignore m)) in
   checks "env round trip" "2" (Interp.v_to_string r)
 
 let test_arch () =
@@ -1123,7 +1123,7 @@ let test_build_counted_loop () =
   let final = Builder.add f exit.Func.bid (Instr.Load (Instr.Glob "acc")) Ty.I64 in
   ignore (Builder.set_term f exit.Func.bid (Instr.Ret (Some (Instr.Reg final.Instr.id))));
   Verify.verify_module m;
-  let r, _ = Interp.run m in
+  let r = Interp.(value (start ~configure:ignore m)) in
   checks "synthesized loop sums 0..9" "45" (Interp.v_to_string r);
   (* and the created loop is recognized by the abstractions *)
   let n = Noelle.create m in

@@ -468,8 +468,8 @@ let test_psim_no_fault () =
   let m = parallelized_copy loopy_src in
   let r = Psim.Runtime.run_resilient ~original m in
   checkb "parallel mode" (r.Psim.Runtime.rmode = `Parallel);
-  checki "no restarts" 0 r.Psim.Runtime.rrestarts;
-  checks "output" expected (String.trim r.Psim.Runtime.routput)
+  checki "no restarts" 0 r.Psim.Runtime.rrun.Interp.setup.Psim.Runtime.restarts;
+  checks "output" expected (String.trim (Interp.output r.Psim.Runtime.rrun))
 
 let test_psim_retry () =
   let original = compile loopy_src in
@@ -485,8 +485,8 @@ let test_psim_retry () =
       checkb (Printf.sprintf "seed %d: stayed parallel" seed)
         (r.Psim.Runtime.rmode = `Parallel);
       checks (Printf.sprintf "seed %d: output" seed) expected
-        (String.trim r.Psim.Runtime.routput);
-      restarts := !restarts + r.Psim.Runtime.rrestarts;
+        (String.trim (Interp.output r.Psim.Runtime.rrun));
+      restarts := !restarts + r.Psim.Runtime.rrun.Interp.setup.Psim.Runtime.restarts;
       List.iter
         (fun (ev : Psim.Runtime.task_event) ->
           match ev with
@@ -499,9 +499,9 @@ let test_psim_retry () =
                    | Psim.Runtime.Task_ok { tid = tid'; attempt = a' } ->
                      tid' = tid && a' > attempt
                    | _ -> false)
-                 r.Psim.Runtime.rtask_log)
+                 (Psim.Runtime.dispositions r.Psim.Runtime.rrun.Interp.setup))
           | _ -> ())
-        r.Psim.Runtime.rtask_log)
+        (Psim.Runtime.dispositions r.Psim.Runtime.rrun.Interp.setup))
     [ 1; 2; 3; 4; 5; 6 ];
   checkb "the sweep exercised at least one restart" (!restarts > 0)
 
@@ -512,18 +512,18 @@ let test_psim_sequential_fallback () =
   let fault = Psim.Runtime.persistent_fault ~max_restarts:2 ~tid:0 () in
   let r = Psim.Runtime.run_resilient ~fault ~original m in
   checkb "fell back to sequential" (r.Psim.Runtime.rmode = `Sequential_fallback);
-  checki "used the whole restart budget" 2 r.Psim.Runtime.rrestarts;
+  checki "used the whole restart budget" 2 r.Psim.Runtime.rrun.Interp.setup.Psim.Runtime.restarts;
   checks "fallback output is the original's" expected
-    (String.trim r.Psim.Runtime.routput);
+    (String.trim (Interp.output r.Psim.Runtime.rrun));
   checki "three failed attempts logged" 3
     (List.length
        (List.filter
           (function Psim.Runtime.Task_died { tid = 0; _ } -> true | _ -> false)
-          r.Psim.Runtime.rtask_log));
+          (Psim.Runtime.dispositions r.Psim.Runtime.rrun.Interp.setup)));
   checkb "abandonment recorded"
     (List.exists
        (function Psim.Runtime.Section_abandoned _ -> true | _ -> false)
-       r.Psim.Runtime.rtask_log)
+       (Psim.Runtime.dispositions r.Psim.Runtime.rrun.Interp.setup))
 
 let suite =
   [

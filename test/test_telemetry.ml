@@ -425,7 +425,7 @@ let test_psim_events () =
   checkb "every task eventually ok"
     (List.exists
        (function Psim.Runtime.Task_ok _ -> true | _ -> false)
-       r.Psim.Runtime.rtask_log);
+       (Psim.Runtime.dispositions r.Psim.Runtime.rrun.Ir.Interp.setup));
   checkb "psim sections counted" (Int64.compare (Trace.counter "psim.sections") 0L > 0);
   let task_events =
     List.filter
