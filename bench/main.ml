@@ -100,10 +100,7 @@ let load_baseline section : row list option =
   if not (Sys.file_exists file) then None
   else begin
     let module J = Ir.Trace.Json in
-    let ic = open_in_bin file in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    let doc = J.parse s in
+    let doc = J.parse (In_channel.with_open_bin file In_channel.input_all) in
     let rows =
       Option.bind (J.member "benchmarks" doc) J.to_list
       |> Option.value ~default:[]

@@ -8,10 +8,9 @@ let run input output cores numa =
   let arch = Noelle.Arch.measure ~physical_cores:cores ~numa_nodes:numa () in
   (match input with
   | Some path ->
-    let m = Ir.Parser.parse_file path in
+    let m = Input_program.read ~tool:"noelle-arch" path in
     Noelle.Arch.to_meta arch m.Ir.Irmod.meta;
-    let out = match output with Some o -> o | None -> path in
-    Ir.Printer.to_file m out;
+    let out = Input_program.write path output m in
     Printf.printf "noelle-arch: embedded into %s\n" out
   | None ->
     Printf.printf "cores=%d smt=%d numa=%d\n" arch.Noelle.Arch.physical_cores
@@ -20,14 +19,12 @@ let run input output cores numa =
     Printf.printf "avg core-to-core latency: %.1f cycles\n" (Noelle.Arch.avg_latency arch));
   0
 
-let input = Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE.ir")
-let output = Arg.(value & opt (some string) None & info [ "o" ] ~docv:"OUT.ir")
 let cores = Arg.(value & opt int 12 & info [ "cores" ] ~docv:"N")
 let numa = Arg.(value & opt int 1 & info [ "numa" ] ~docv:"N")
 
 let cmd =
   Cmd.v
     (Cmd.info "noelle-arch" ~doc:"Measure and embed the architecture description")
-    Term.(const run $ input $ output $ cores $ numa)
+    Term.(const run $ Input_program.file $ Input_program.output $ cores $ numa)
 
 let () = exit (Cmd.eval' cmd)

@@ -8,7 +8,7 @@
 open Cmdliner
 
 let run input args fuel cores =
-  let m = Ir.Parser.parse_file input in
+  let m = Input_program.read ~tool:"noelle-bin" input in
   let arch = Noelle.Arch.measure ~physical_cores:cores () in
   let configure st =
     ignore (Psim.Runtime.install ~arch st);
@@ -26,7 +26,6 @@ let run input args fuel cores =
     1
   | Error e -> raise e
 
-let input = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.ir")
 let args = Arg.(value & opt_all int [] & info [ "arg" ] ~docv:"N")
 let fuel = Arg.(value & opt (some int) None & info [ "fuel" ] ~docv:"N")
 let cores = Arg.(value & opt int 12 & info [ "cores" ] ~docv:"N")
@@ -34,6 +33,6 @@ let cores = Arg.(value & opt int 12 & info [ "cores" ] ~docv:"N")
 let cmd =
   Cmd.v
     (Cmd.info "noelle-bin" ~doc:"Run an IR program (the simulated binary)")
-    Term.(const run $ input $ args $ fuel $ cores)
+    Term.(const run $ Input_program.input $ args $ fuel $ cores)
 
 let () = exit (Cmd.eval' cmd)

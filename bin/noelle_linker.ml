@@ -4,15 +4,10 @@
 open Cmdliner
 
 let run inputs output =
-  match Ir.Linker.link ~name:"linked" (List.map Ir.Parser.parse_file inputs) with
-  | m ->
-    Ir.Verify.verify_module m;
-    Ir.Printer.to_file m output;
-    Printf.printf "noelle-linker: %d files -> %s\n" (List.length inputs) output;
-    0
-  | exception Ir.Linker.Link_error e ->
-    Printf.eprintf "noelle-linker: %s\n" e;
-    1
+  let m = Input_program.link ~tool:"noelle-linker" ~name:"linked" inputs in
+  Ir.Printer.to_file m output;
+  Printf.printf "noelle-linker: %d files -> %s\n" (List.length inputs) output;
+  0
 
 let inputs = Arg.(non_empty & pos_all file [] & info [] ~docv:"FILES")
 let output = Arg.(value & opt string "linked.ir" & info [ "o" ] ~docv:"OUT.ir")

@@ -84,28 +84,26 @@ let tools : (string * (Noelle.t -> Ir.Irmod.t -> unit)) list =
   ]
 
 let run input tools output usage =
-  let m = Ir.Parser.parse_file input in
+  let m = Input_program.read ~tool:"noelle-load" input in
   let n = Noelle.create m in
   List.iter (fun run -> run n m) tools;
   Ir.Verify.verify_module m;
-  (match output with Some o -> Ir.Printer.to_file m o | None -> ());
+  Option.iter (Ir.Printer.to_file m) output;
   if usage then begin
     Printf.printf "abstractions requested (tool, abstraction):\n";
     List.iter (fun (t, a) -> Printf.printf "  %s %s\n" t a) (Noelle.usage_pairs n)
   end;
   0
 
-let input = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.ir")
 let tools =
   Arg.(value & opt_all (enum tools) [] & info [ "tool"; "t" ] ~docv:"TOOL"
          ~doc:(Printf.sprintf "custom tool to run (%s)"
                  (String.concat ", " (List.map fst tools))))
-let output = Arg.(value & opt (some string) None & info [ "o" ] ~docv:"OUT.ir")
 let usage = Arg.(value & flag & info [ "usage" ] ~doc:"print the abstraction-usage log")
 
 let cmd =
   Cmd.v
     (Cmd.info "noelle-load" ~doc:"Run NOELLE custom tools over an IR file")
-    Term.(const run $ input $ tools $ output $ usage)
+    Term.(const run $ Input_program.input $ tools $ Input_program.output $ usage)
 
 let () = exit (Cmd.eval' cmd)

@@ -4,22 +4,19 @@
 open Cmdliner
 
 let run input output prefixes =
-  let m = Ir.Parser.parse_file input in
+  let m = Input_program.read ~tool:"noelle-meta-clean" input in
   let prefixes = if prefixes = [] then [ "prof."; "pdg."; "arch."; "memprof." ] else prefixes in
   List.iter (Ir.Meta.clear_prefix m.Ir.Irmod.meta) prefixes;
-  let out = match output with Some o -> o | None -> input in
-  Ir.Printer.to_file m out;
+  let out = Input_program.write input output m in
   Printf.printf "noelle-meta-clean: %s -> %s (cleared %s)\n" input out
     (String.concat " " prefixes);
   0
 
-let input = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.ir")
-let output = Arg.(value & opt (some string) None & info [ "o" ] ~docv:"OUT.ir")
 let prefixes = Arg.(value & opt_all string [] & info [ "prefix" ] ~docv:"P")
 
 let cmd =
   Cmd.v
     (Cmd.info "noelle-meta-clean" ~doc:"Strip NOELLE metadata from an IR file")
-    Term.(const run $ input $ output $ prefixes)
+    Term.(const run $ Input_program.input $ Input_program.output $ prefixes)
 
 let () = exit (Cmd.eval' cmd)

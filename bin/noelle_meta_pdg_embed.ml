@@ -6,7 +6,7 @@
 open Cmdliner
 
 let run input output baseline =
-  let m = Ir.Parser.parse_file input in
+  let m = Input_program.read ~tool:"noelle-meta-pdg-embed" input in
   let n = Noelle.create ~use_noelle_aa:(not baseline) m in
   Noelle.set_tool n "noelle-meta-pdg-embed";
   List.iter
@@ -14,19 +14,16 @@ let run input output baseline =
       let pdg = Noelle.pdg n f in
       Noelle.Pdg.embed pdg)
     (Ir.Irmod.defined_functions m);
-  let out = match output with Some o -> o | None -> input in
-  Ir.Printer.to_file m out;
+  let out = Input_program.write input output m in
   Printf.printf "noelle-meta-pdg-embed: %s -> %s\n" input out;
   0
 
-let input = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.ir")
-let output = Arg.(value & opt (some string) None & info [ "o" ] ~docv:"OUT.ir")
 let baseline =
   Arg.(value & flag & info [ "baseline-aa" ] ~doc:"use only the baseline alias analysis")
 
 let cmd =
   Cmd.v
     (Cmd.info "noelle-meta-pdg-embed" ~doc:"Compute and embed the PDG")
-    Term.(const run $ input $ output $ baseline)
+    Term.(const run $ Input_program.input $ Input_program.output $ baseline)
 
 let () = exit (Cmd.eval' cmd)

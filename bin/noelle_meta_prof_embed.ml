@@ -4,7 +4,7 @@
 open Cmdliner
 
 let run input profile output =
-  let m = Ir.Parser.parse_file input in
+  let m = Input_program.read ~tool:"noelle-meta-prof-embed" input in
   Ir.Meta.clear_prefix m.Ir.Irmod.meta "prof.";
   let ic = open_in profile in
   (try
@@ -21,18 +21,15 @@ let run input profile output =
   (* stamp the freshly written payload so consumers can verify it *)
   Noelle.Trust.stamp m.Ir.Irmod.meta ~prefix:"prof." ~tool:"noelle-meta-prof-embed"
     ~fp:(Ir.Fingerprint.module_fp m);
-  let out = match output with Some o -> o | None -> input in
-  Ir.Printer.to_file m out;
+  let out = Input_program.write input output m in
   Printf.printf "noelle-meta-prof-embed: %s + %s -> %s\n" input profile out;
   0
 
-let input = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.ir")
 let profile = Arg.(required & pos 1 (some file) None & info [] ~docv:"PROFILE")
-let output = Arg.(value & opt (some string) None & info [ "o" ] ~docv:"OUT.ir")
 
 let cmd =
   Cmd.v
     (Cmd.info "noelle-meta-prof-embed" ~doc:"Embed profile metadata into IR")
-    Term.(const run $ input $ profile $ output)
+    Term.(const run $ Input_program.input $ profile $ Input_program.output)
 
 let () = exit (Cmd.eval' cmd)

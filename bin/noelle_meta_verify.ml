@@ -26,7 +26,7 @@ let event_json (e : Trust.event) =
 (* ------------------------------------------------------------------ *)
 
 let audit_file input quarantine json output =
-  let m = Ir.Parser.parse_file input in
+  let m = Input_program.read ~tool:"noelle-meta-verify" input in
   let events = Trust.audit m in
   let failures = Trust.failures events in
   if json then
@@ -45,25 +45,22 @@ let audit_file input quarantine json output =
     List.iter
       (fun (e : Trust.event) -> Trust.quarantine m.Ir.Irmod.meta ~prefix:e.Trust.aprefix)
       failures;
-    let out = match output with Some o -> o | None -> input in
-    Ir.Printer.to_file m out;
+    let out = Input_program.write input output m in
     if not json then
       Printf.printf "quarantined %d artifacts -> %s\n" (List.length failures) out
   end;
   if failures = [] then 0 else 1
 
-let input = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.ir")
 let quarantine =
   Arg.(value & flag & info [ "quarantine" ]
          ~doc:"move failing artifacts into the quarantine namespace and \
                rewrite the file (or $(b,-o))")
 let json = Arg.(value & flag & info [ "json" ] ~doc:"emit the audit as JSON")
-let output = Arg.(value & opt (some string) None & info [ "o" ] ~docv:"OUT.ir")
 
 let cmd =
   Cmd.v
     (Cmd.info "noelle-meta-verify"
        ~doc:"Verify embedded analysis metadata against the IR it describes")
-    Term.(const audit_file $ input $ quarantine $ json $ output)
+    Term.(const audit_file $ Input_program.input $ quarantine $ json $ Input_program.output)
 
 let () = exit (Cmd.eval' cmd)

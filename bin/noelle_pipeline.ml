@@ -45,7 +45,7 @@ let run input fuzz_seed inputs fuel inject_seed psim_fault_seed persistent_tid
     if rt.Psim.Runtime.task_log <> [] then
       print_endline (Psim.Runtime.dispositions_to_string (Psim.Runtime.dispositions rt));
     if not quiet then print_string (Ir.Interp.output r.Psim.Runtime.rrun));
-  (match output with Some o -> Ir.Printer.to_file m o | None -> ());
+  Option.iter (Ir.Printer.to_file m) output;
   if report.Noelle.Pipeline.final_ok then 0 else 1
 
 let inputs =
@@ -91,7 +91,6 @@ let trace_diff =
   Arg.(value & flag & info [ "trace-diff" ]
          ~doc:"print the minimal event-diff witness of every trace-gate \
                rollback after the report")
-let output = Arg.(value & opt (some string) None & info [ "o" ] ~docv:"OUT.ir")
 let quiet = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"suppress program output")
 
 let cmd =
@@ -101,6 +100,6 @@ let cmd =
     Term.(const run $ Input_program.file $ Input_program.fuzz_seed $ inputs
           $ fuel $ inject_seed $ psim_fault_seed $ persistent_tid
           $ analysis_budget $ check_races $ no_profile $ vec $ verify_meta
-          $ trace_diff $ output $ quiet)
+          $ trace_diff $ Input_program.output $ quiet)
 
 let () = exit (Cmd.eval' cmd)

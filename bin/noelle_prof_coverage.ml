@@ -5,8 +5,12 @@
 open Cmdliner
 
 let run input args output =
-  let m = Ir.Parser.parse_file input in
-  let p, _out = Noelle.Profiler.run ~args m in
+  let tool = "noelle-prof-coverage" in
+  let m = Input_program.read ~tool input in
+  let p, _out =
+    try Noelle.Profiler.run ~args m
+    with Ir.Interp.Trap e -> Input_program.fail ~tool input ("trap: " ^ e)
+  in
   (* write through a scratch module's metadata, in printable form *)
   let scratch = Ir.Irmod.create () in
   Noelle.Profiler.embed p scratch;
@@ -21,7 +25,6 @@ let run input args output =
     |> Option.map Int64.of_string |> Option.value ~default:0L);
   0
 
-let input = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.ir")
 let args =
   Arg.(value & opt_all int [] & info [ "arg" ] ~docv:"N" ~doc:"program argument")
 let output = Arg.(value & opt string "prof.out" & info [ "o" ] ~docv:"PROFILE")
@@ -29,6 +32,6 @@ let output = Arg.(value & opt string "prof.out" & info [ "o" ] ~docv:"PROFILE")
 let cmd =
   Cmd.v
     (Cmd.info "noelle-prof-coverage" ~doc:"Profile an IR file")
-    Term.(const run $ input $ args $ output)
+    Term.(const run $ Input_program.input $ args $ output)
 
 let () = exit (Cmd.eval' cmd)

@@ -25,7 +25,7 @@ let carried_edges (n : Noelle.t) (m : Ir.Irmod.t) =
     (Ir.Irmod.defined_functions m)
 
 let run input output peel =
-  let m = Ir.Parser.parse_file input in
+  let m = Input_program.read ~tool:"noelle-rm-lc-dependences" input in
   let n = Noelle.create m in
   Noelle.set_tool n "noelle-rm-lc-dependences";
   let before = carried_edges n m in
@@ -43,21 +43,18 @@ let run input output peel =
       (Ir.Irmod.defined_functions m);
   Ir.Verify.verify_module m;
   let after = carried_edges n m in
-  let out = match output with Some o -> o | None -> input in
-  Ir.Printer.to_file m out;
+  let out = Input_program.write input output m in
   Printf.printf
     "noelle-rm-lc-dependences: %s -> %s (hoisted %d; carried deps %d -> %d)\n"
     input out licm.Ntools.Licm.hoisted before after;
   0
 
-let input = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.ir")
-let output = Arg.(value & opt (some string) None & info [ "o" ] ~docv:"OUT.ir")
 let peel = Arg.(value & flag & info [ "peel" ] ~doc:"also peel first iterations")
 
 let cmd =
   Cmd.v
     (Cmd.info "noelle-rm-lc-dependences"
        ~doc:"Reduce loop-carried data dependences")
-    Term.(const run $ input $ output $ peel)
+    Term.(const run $ Input_program.input $ Input_program.output $ peel)
 
 let () = exit (Cmd.eval' cmd)

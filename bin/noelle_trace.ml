@@ -22,12 +22,9 @@ let trace_cmd input fuzz_seed kernel inputs fuel out metrics_out check quiet =
   Noelle.Telemetry.save_metrics metrics_out;
   (* round-trip the file we just wrote through the repo's own JSON parser
      and summarize which layers produced spans *)
-  let contents =
-    let ic = open_in_bin out in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic; s
+  let triples =
+    Noelle.Telemetry.validate_chrome_json (In_channel.with_open_bin out In_channel.input_all)
   in
-  let triples = Noelle.Telemetry.validate_chrome_json contents in
   let layers = Noelle.Telemetry.layers_of triples in
   Printf.printf "wrote %s (%d events) and %s (%d metrics)\n" out (List.length triples)
     metrics_out

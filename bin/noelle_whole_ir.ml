@@ -8,33 +8,14 @@
 open Cmdliner
 
 let run inputs output opts =
-  let modules =
-    List.map
-      (fun path ->
-        if Filename.check_suffix path ".mc" then begin
-          let ic = open_in path in
-          let src = really_input_string ic (in_channel_length ic) in
-          close_in ic;
-          Minic.Lower.compile
-            ~name:(Filename.remove_extension (Filename.basename path))
-            src
-        end
-        else Ir.Parser.parse_file path)
-      inputs
-  in
-  match Ir.Linker.link ~name:"whole" modules with
-  | whole ->
-    List.iteri
-      (fun i o -> Ir.Meta.set whole.Ir.Irmod.meta (Printf.sprintf "option.%d" i) o)
-      opts;
-    Ir.Verify.verify_module whole;
-    Ir.Printer.to_file whole output;
-    Printf.printf "noelle-whole-ir: %d modules -> %s (%d instructions)\n"
-      (List.length modules) output (Ir.Irmod.total_insts whole);
-    0
-  | exception Ir.Linker.Link_error e ->
-    Printf.eprintf "noelle-whole-ir: %s\n" e;
-    1
+  let whole = Input_program.link ~tool:"noelle-whole-ir" ~name:"whole" inputs in
+  List.iteri
+    (fun i o -> Ir.Meta.set whole.Ir.Irmod.meta (Printf.sprintf "option.%d" i) o)
+    opts;
+  Ir.Printer.to_file whole output;
+  Printf.printf "noelle-whole-ir: %d modules -> %s (%d instructions)\n"
+    (List.length inputs) output (Ir.Irmod.total_insts whole);
+  0
 
 let inputs = Arg.(non_empty & pos_all file [] & info [] ~docv:"FILES")
 let output = Arg.(value & opt string "whole.ir" & info [ "o" ] ~docv:"OUT.ir")

@@ -131,13 +131,7 @@ let delta_to_string (d : delta) =
 (** Human-readable comparison of two metric-dump files; returns the
     rendered report and the number of differing keys. *)
 let compare_files patha pathb =
-  let read p =
-    let ic = open_in p in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  in
+  let read p = In_channel.with_open_bin p In_channel.input_all in
   let da = parse_metrics (read patha) and db = parse_metrics (read pathb) in
   let ds = diff_metrics da db in
   let b = Buffer.create 256 in

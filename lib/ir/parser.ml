@@ -30,6 +30,13 @@ let tok_str = function
 
 let fail line msg = raise (Parse_error (Printf.sprintf "line %d: %s" line msg))
 
+(* the one reader of numbers in the text: [read s], or a parse error at
+   [line] naming [s] *)
+let checked line what read s =
+  match read s with
+  | Some k -> k
+  | None -> fail line (Printf.sprintf "malformed or out-of-range %s %s" what s)
+
 (* ------------------------------------------------------------------ *)
 (* Lexer                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -98,12 +105,9 @@ let tokenize (src : string) : (tok * int) array =
         else continue_ := false
       done;
       let s = String.sub src start (!i - start) in
-      match
-        if !isfloat then Option.map (fun x -> FLOAT x) (float_of_string_opt s)
-        else Option.map (fun k -> INT k) (Int64.of_string_opt s)
-      with
-      | Some t -> push t
-      | None -> fail !line ("malformed or out-of-range literal " ^ s)
+      push
+        (if !isfloat then FLOAT (checked !line "literal" float_of_string_opt s)
+         else INT (checked !line "literal" Int64.of_string_opt s))
     end
     else if is_id_char c then begin
       let start = !i in
@@ -157,6 +161,9 @@ let ty_of_tag l = function
 
 let is_all_digits s =
   s <> "" && String.for_all (fun c -> c >= '0' && c <= '9') s
+
+(* a register id: the digits of an [is_all_digits] name *)
+let reg_id line r = checked line "register id" int_of_string_opt r
 
 (* ------------------------------------------------------------------ *)
 (* Instruction parsing                                                *)
@@ -291,7 +298,7 @@ let parse_module ?(name = "module") (src : string) : Irmod.t =
       | EOF -> fail (snd st.toks.(!j)) "unterminated function body"
       | REG r when is_all_digits r && !j + 1 < Array.length st.toks
                    && fst st.toks.(!j + 1) = EQ ->
-        max_id := max !max_id (int_of_string r)
+        max_id := max !max_id (reg_id (snd st.toks.(!j)) r)
       | ID l when !j + 1 < Array.length st.toks && fst st.toks.(!j + 1) = COLON
                   && (!j = start || fst st.toks.(!j - 1) <> LBRACK) ->
         labels := l :: !labels
@@ -323,7 +330,7 @@ let parse_module ?(name = "module") (src : string) : Irmod.t =
       | FLOAT x -> Instr.Cfloat x
       | ID "null" -> Instr.Null
       | GLOB g -> Instr.Glob g
-      | REG r -> if is_all_digits r then Instr.Reg (int_of_string r) else Instr.Arg (param_idx r)
+      | REG r -> if is_all_digits r then Instr.Reg (reg_id (line st) r) else Instr.Arg (param_idx r)
       | t -> fail (line st) (Printf.sprintf "expected value, got %s" (tok_str t))
     in
     let parse_args () =
@@ -432,10 +439,11 @@ let parse_module ?(name = "module") (src : string) : Irmod.t =
         cur_block := bid_of_label l
       | (REG _ | ID _) when !cur_block < 0 -> fail (line st) "instruction before any label"
       | REG r when is_all_digits r && fst st.toks.(st.pos + 1) = EQ ->
+        let id = reg_id (line st) r in
         ignore (next st); ignore (next st);
         let mnem = expect_id st in
         let op, ty = parse_op mnem in
-        append_inst (int_of_string r) op ty
+        append_inst id op ty
       | ID _ ->
         let mnem = expect_id st in
         let op, ty = parse_op mnem in
@@ -448,8 +456,5 @@ let parse_module ?(name = "module") (src : string) : Irmod.t =
 
 (** Parse a module from a file. *)
 let parse_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
+  let s = In_channel.with_open_bin path In_channel.input_all in
   parse_module ~name:(Filename.remove_extension (Filename.basename path)) s

@@ -209,8 +209,63 @@ let test_parser_errors () =
   bad "define i64 @f() { entry: %1 = frobnicate 1, 2 }";
   bad ~line:2 "define i64 @main() {\nret 0\n}";
   bad ~line:3 "define i64 @main() {\nentry:\n%1 = add i64 99999999999999999999, 1\nret %1\n}";
+  bad ~line:3
+    "define i64 @main() {\nentry:\n%99999999999999999999 = add i64 1, 1\nret %99999999999999999999\n}";
   bad ~line:3 "define f64 @main() {\nentry:\n%1 = fadd 1.5e+, 0.0\nret %1\n}";
   bad ~line:2 "define f64 @main() {\nentry: %1 = fadd 1.5.5, 0.0\nret %1\n}"
+
+(* Seeded byte mutants of every kernel, as Mini-C source and as printed
+   IR: each must load or end in its frontend's own error, never in any
+   other exception.  A mutant deletes, duplicates or replaces up to 8
+   bytes, or inserts a 20-digit run. *)
+let test_frontend_mutants () =
+  let mutants_per_frontend = 100 in
+  let mutate rs s =
+    let n = String.length s in
+    let pos = Random.State.int rs (n + 1) in
+    let len = min (1 + Random.State.int rs 8) (n - pos) in
+    let before = String.sub s 0 pos and after = String.sub s pos (n - pos) in
+    let cut k = String.sub after k (String.length after - k) in
+    match Random.State.int rs 4 with
+    | 0 -> before ^ cut len
+    | 1 -> before ^ String.sub after 0 len ^ after
+    | 2 ->
+      let pick _ =
+        let alphabet = "0123456789%@=,:;()[]{}.-+ \n\"\\abcdefxyzi" in
+        if Random.State.int rs 4 = 0 then Char.chr (Random.State.int rs 256)
+        else alphabet.[Random.State.int rs (String.length alphabet)]
+      in
+      before ^ String.init len pick ^ cut len
+    | _ -> before ^ String.init 20 (fun _ -> Char.chr (48 + Random.State.int rs 10)) ^ after
+  in
+  let escapes = ref [] in
+  let sweep frontend (k : Bsuite.Kernels.kernel) text load =
+    let rs = Random.State.make [| Hashtbl.hash (frontend, k.Bsuite.Kernels.kname) |] in
+    for i = 1 to mutants_per_frontend do
+      let s = mutate rs text in
+      try load s
+      with e ->
+        escapes :=
+          Printf.sprintf "%s %s mutant %d: %s" frontend k.Bsuite.Kernels.kname i
+            (Printexc.to_string e)
+          :: !escapes
+    done
+  in
+  List.iter
+    (fun (k : Bsuite.Kernels.kernel) ->
+      sweep "minic" k k.Bsuite.Kernels.src (fun s ->
+          match Minic.Lower.compile ~name:"mutant" s with
+          | _ | (exception Minic.Ast.Error _) -> ());
+      sweep "ir" k (Printer.module_str (Bsuite.Kernels.compile k)) (fun s ->
+          match Parser.parse_module s with
+          | m -> ignore (Verify.check m)
+          | exception Parser.Parse_error _ -> ()))
+    Bsuite.Kernels.all;
+  match List.rev !escapes with
+  | [] -> ()
+  | first :: _ as all ->
+    Alcotest.failf "%d mutants escaped their frontend's error, first: %s"
+      (List.length all) first
 
 let test_float_literals () =
   let vals = [ 0.0; 1.5; -3.25; 1e100; 1.0000000000000002; 6.02e23 ] in
@@ -790,6 +845,7 @@ let suite =
     tc "round-trip a 20k-instruction block" test_roundtrip_long_block;
     tc "metadata round-trip" test_metadata_roundtrip;
     tc "parser errors" test_parser_errors;
+    tc "frontend mutants" test_frontend_mutants;
     tc "float literals" test_float_literals;
     tc "verifier catches" test_verifier_catches;
     tc "dominators random" test_dominators_random;

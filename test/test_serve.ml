@@ -58,9 +58,7 @@ let test_store_roundtrip () =
   Store.close st
 
 let corrupt_file path f =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
+  let s = In_channel.with_open_bin path In_channel.input_all in
   let oc = open_out_bin path in
   output_string oc (f s);
   close_out oc

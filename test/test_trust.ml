@@ -437,12 +437,7 @@ let test_torn_artifact_never_verifies () =
   let payload = "0 1 mem true false\n2 3 ctrl true false" in
   Sstore.write st key ~fp:"abcd" ~afp:"eeff" ~payload;
   let path = Filename.concat root "m/s/f.pdg.art" in
-  let full =
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  in
+  let full = In_channel.with_open_bin path In_channel.input_all in
   let n = String.length full in
   let corrupt = ref 0 in
   for cut = 0 to n - 1 do
