@@ -2,7 +2,10 @@
 
     Unlike LLVM's call graph, NOELLE's is {e complete}: indirect calls are
     resolved to their possible callees using the points-to analysis that
-    powers the PDG, and every edge is tagged must (proved) or may.
+    powers the PDG, and every edge is tagged must (proved) or may.  A
+    defined function passed by address to a declared one (a runtime entry
+    such as the parallelizers' [task_submit]) is a may-callee of the
+    caller, since the runtime calls it on the caller's behalf.
     Completeness is what lets DeadFunctionElimination treat a missing edge
     as proof that one function can never invoke another. *)
 
@@ -34,12 +37,24 @@ let build ?(pts : Andersen.t option) (m : Irmod.t) : t =
     let cur = try Hashtbl.find acc key with Not_found -> [] in
     Hashtbl.replace acc key (site :: cur)
   in
+  let defined g =
+    match Irmod.func_opt m g with
+    | Some fn -> not fn.Func.is_declaration
+    | None -> false
+  in
   List.iter
     (fun (f : Func.t) ->
       Func.iter_insts
         (fun i ->
           match i.Instr.op with
-          | Instr.Call (Instr.Glob g, _) -> add f.Func.fname g true i.Instr.id
+          | Instr.Call (Instr.Glob g, args) ->
+            add f.Func.fname g true i.Instr.id;
+            if not (defined g) then
+              List.iter
+                (function
+                  | Instr.Glob h when defined h -> add f.Func.fname h false i.Instr.id
+                  | _ -> ())
+                args
           | Instr.Call (v, _) -> (
             match pts with
             | None -> unresolved := (f.Func.fname, i.Instr.id) :: !unresolved

@@ -527,12 +527,6 @@ let oob : checker =
                       match Loopnest.innermost nest i.Instr.parent with
                       | None -> ()
                       | Some l -> (
-                        let header_phis =
-                          List.filter
-                            (fun (j : Instr.inst) ->
-                              match j.Instr.op with Instr.Phi _ -> true | _ -> false)
-                            (Func.insts_of_block f l.Loopnest.header)
-                        in
                         let bound =
                           List.find_map
                             (fun (phi : Instr.inst) ->
@@ -543,14 +537,14 @@ let oob : checker =
                                 when (not (Int64.equal scale 0L))
                                      && Alias.base_of f bv = base
                                      && Alias.const_offset f bv = Some 0L -> (
-                                match Scev.phi_range f nest phi with
+                                match Bounds.phi_range f l phi with
                                 | Some (lo, hi) ->
                                   let a = Int64.add offset (Int64.mul scale lo)
                                   and b = Int64.add offset (Int64.mul scale hi) in
                                   Some (phi, scale, min a b, max a b)
                                 | None -> None)
                               | _ -> None)
-                            header_phis
+                            (Bounds.header_phis f l)
                         in
                         match bound with
                         | Some (phi, scale, lo, hi) ->

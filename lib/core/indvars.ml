@@ -150,22 +150,3 @@ let derived (ls : Loopstructure.t) (ivs : t list) : derived list =
             ivs
         | _ -> None)
     (Loopstructure.insts ls)
-
-(** Trip count of a governed loop as a closed-form function of start,
-    bound, and step, when all three are compile-time constants. *)
-let const_trip_count (iv : t) =
-  match (iv.governing, iv.start, iv.step) with
-  | Some g, Instr.Cint s, Instr.Cint st when not (Int64.equal st 0L) -> (
-    match g.bound with
-    | Instr.Cint b ->
-      let diff =
-        match g.pred with
-        | Instr.Slt | Instr.Sgt -> Int64.sub b s
-        | Instr.Sle -> Int64.add (Int64.sub b s) 1L
-        | Instr.Sge -> Int64.sub (Int64.sub b s) (-1L)
-        | _ -> 0L
-      in
-      let q = Int64.div (Int64.add diff (Int64.sub st (if st > 0L then 1L else -1L))) st in
-      if q < 0L then Some 0L else Some q
-    | _ -> None)
-  | _ -> None

@@ -328,11 +328,6 @@ type loop_dg = {
     sequence for SCEV refinement (first header phi with an add/sub update
     inside the loop). *)
 let refinement_phi (f : Func.t) (l : Loopnest.loop) =
-  let header_phis =
-    List.filter
-      (fun (i : Instr.inst) -> match i.Instr.op with Instr.Phi _ -> true | _ -> false)
-      (Func.insts_of_block f l.Loopnest.header)
-  in
   List.find_opt
     (fun (p : Instr.inst) ->
       match p.Instr.op with
@@ -348,7 +343,87 @@ let refinement_phi (f : Func.t) (l : Loopnest.loop) =
             | _ -> false)
           incs
       | _ -> false)
-    header_phis
+    (Bounds.header_phis f l)
+
+(** The edge refinement of loop [l]'s graph: the loop-carried flag of an
+    edge of the function graph, [None] when the loop's address symbols
+    disprove it.  [in_loop] tells the loop's nodes.
+
+    Inner-loop phis with exact ranges ({!Bounds.phi_range}) become extra
+    address symbols, so the outer loops of nested kernels (c[i*N+j]) can
+    be disambiguated.  A phi's span holds only at an access inside its
+    loop and outside that loop's header: the header also sees the exit
+    value, and code after the loop sees only that. *)
+let refinement (f : Func.t) (nest : Loopnest.t) (l : Loopnest.loop)
+    ~(in_loop : int -> bool) : Depgraph.edge -> bool option =
+  let iv_phi = refinement_phi f l in
+  let inner_syms =
+    List.concat_map
+      (fun (sl : Loopnest.loop) ->
+        if sl.Loopnest.header <> l.Loopnest.header
+           && Loopnest.contains l sl.Loopnest.header
+        then
+          List.filter_map
+            (fun (i : Instr.inst) ->
+              Option.map
+                (fun (lo, hi) -> (i.Instr.id, Int64.sub hi lo, sl))
+                (Bounds.phi_range f sl i))
+            (Bounds.header_phis f sl)
+        else [])
+      nest.Loopnest.loops
+  in
+  let symbols =
+    (match iv_phi with Some p -> [ p.Instr.id ] | None -> [])
+    @ List.map (fun (id, _, _) -> id) inner_syms
+  in
+  (* the spans that hold at accesses in blocks [b1] and [b2] *)
+  let spans_at b1 b2 =
+    List.filter_map
+      (fun (id, span, (sl : Loopnest.loop)) ->
+        let holds b = b <> sl.Loopnest.header && Loopnest.contains sl b in
+        if holds b1 && holds b2 then Some (id, span) else None)
+      inner_syms
+  in
+  let polys = Hashtbl.create 16 in
+  let poly_of p =
+    match Hashtbl.find_opt polys p with
+    | Some a -> a
+    | None ->
+      let a = Scev.poly_of f l ~symbols p in
+      Hashtbl.replace polys p a;
+      a
+  in
+  let access id =
+    Option.bind (Func.inst_opt f id) (fun (i : Instr.inst) ->
+        Option.map (fun p -> (i.Instr.parent, p)) (Alias.pointer_operand i))
+  in
+  fun (e : Depgraph.edge) ->
+    match e.Depgraph.kind with
+    | Depgraph.Control -> Some false
+    | Depgraph.Register _ ->
+      (* a register dep is loop-carried iff it feeds a header phi from
+         inside the loop (the back-edge value) *)
+      Some
+        (in_loop e.Depgraph.esrc
+        &&
+        match Func.inst_opt f e.Depgraph.edst with
+        | Some { Instr.op = Instr.Phi _; parent; _ } -> parent = l.Loopnest.header
+        | _ -> false)
+    | Depgraph.Memory _ -> (
+      if not (in_loop e.Depgraph.esrc && in_loop e.Depgraph.edst) then Some false
+      else
+        match (iv_phi, access e.Depgraph.esrc, access e.Depgraph.edst) with
+        | Some phi, Some (b1, p1), Some (b2, p2) -> (
+          match (poly_of p1, poly_of p2) with
+          | Some a1, Some a2 -> (
+            match
+              Scev.classify_pair ~outer:phi.Instr.id ~spans:(spans_at b1 b2) a1 a2
+            with
+            | `No_dep -> None
+            | `Intra -> Some false
+            | `Unknown -> Some true)
+          | _ -> Some true)
+        | _ -> Some true)
 
 (** Build the dependence graph of loop [l] of the loop nest [nest],
     refining memory dependences with loop-centric analyses exactly when
@@ -370,70 +445,7 @@ let loop_dg (t : t) (nest : Loopnest.t) (l : Loopnest.loop) : loop_dg =
       | _ -> ())
     fdg.Depgraph.nodes;
   let in_loop = Depgraph.is_internal g in
-  let iv_phi = refinement_phi f l in
-  (* inner-loop phis with bounded spans become extra address symbols, so
-     the outer loops of nested kernels (c[i*N+j]) can be disambiguated *)
-  let inner_syms =
-    List.concat_map
-      (fun (sl : Loopnest.loop) ->
-        if sl.Loopnest.header <> l.Loopnest.header
-           && Loopnest.contains l sl.Loopnest.header
-        then
-          List.filter_map
-            (fun (i : Instr.inst) ->
-              match i.Instr.op with
-              | Instr.Phi _ ->
-                Option.map (fun span -> (i.Instr.id, span)) (Scev.phi_span f nest i)
-              | _ -> None)
-            (Func.insts_of_block f sl.Loopnest.header)
-        else [])
-      nest.Loopnest.loops
-  in
-  let symbols =
-    (match iv_phi with Some p -> [ p.Instr.id ] | None -> [])
-    @ List.map fst inner_syms
-  in
-  let polys = Hashtbl.create 16 in
-  let poly_of p =
-    match Hashtbl.find_opt polys p with
-    | Some a -> a
-    | None ->
-      let a = Scev.poly_of f l ~symbols p in
-      Hashtbl.replace polys p a;
-      a
-  in
-  (* the loop-carried flag of a kept edge, [None] for a disproved one *)
-  let refine (e : Depgraph.edge) =
-    match e.Depgraph.kind with
-    | Depgraph.Control -> Some false
-    | Depgraph.Register _ ->
-      (* a register dep is loop-carried iff it feeds a header phi from
-         inside the loop (the back-edge value) *)
-      Some
-        (in_loop e.Depgraph.esrc
-        &&
-        match Func.inst_opt f e.Depgraph.edst with
-        | Some { Instr.op = Instr.Phi _; parent; _ } -> parent = l.Loopnest.header
-        | _ -> false)
-    | Depgraph.Memory _ -> (
-      if not (in_loop e.Depgraph.esrc && in_loop e.Depgraph.edst) then Some false
-      else
-        let addr_of id =
-          Option.bind (Func.inst_opt f id) Alias.pointer_operand
-        in
-        match (iv_phi, addr_of e.Depgraph.esrc, addr_of e.Depgraph.edst) with
-        | Some phi, Some p1, Some p2 -> (
-          match (poly_of p1, poly_of p2) with
-          | Some a1, Some a2 -> (
-            match
-              Scev.classify_pair ~outer:phi.Instr.id ~spans:inner_syms a1 a2
-            with
-            | `No_dep -> None
-            | `Intra -> Some false
-            | `Unknown -> Some true)
-          | _ -> Some true)
-        | _ -> Some true)
-  in
+  let refine = refinement f nest l ~in_loop in
   let copy (e : Depgraph.edge) =
     match refine e with
     | Some loop_carried when loop_carried = e.Depgraph.loop_carried -> Depgraph.add g e

@@ -6,8 +6,8 @@
 
     - a {e trip bound}: how many times the loop header executes per loop
       invocation, as a symbolic affine expression over one loop-invariant
-      symbol.  Exact for canonically counted loops (the {!Scev} shapes,
-      generalized to symbolic invariant bounds and do-while tests); for
+      symbol.  Exact for canonically counted loops (a constant-step header
+      phi tested against an invariant bound, while or do-while); for
       everything else a Looper/Loopus-style difference-constraint
       abstraction derives per-iteration progress intervals
       ([x' <= x + c] joined over all paths through the body) and turns
@@ -363,13 +363,40 @@ let exact_trips (f : Func.t) (l : Loopnest.loop) : (trip * trip) option =
             | true, `Phi ->
               (* do-while testing the pre-update value: q+1 bodies *)
               Some (Exact (plus_one q), Exact (plus_one q))
-            | true, `Update ->
-              (* do-while testing the updated value: max(1, q) bodies *)
-              Some (Exact (clamp_one q), Exact (clamp_one q))
+            | true, `Update -> (
+              (* do-while testing the updated value: one body, then the
+                 count from start + step.  That is max(1, q) for an
+                 ordered test, but not for [eq]/[ne]: a [ne] loop that
+                 starts on its bound never meets it again *)
+              match (cont, g.cstart) with
+              | (Instr.Eq | Instr.Ne), Instr.Cint s ->
+                Option.map
+                  (fun q1 -> (Exact (plus_one q1), Exact (plus_one q1)))
+                  (count_sym f l ~start:(Instr.Cint (Int64.add s g.cstep))
+                     ~step:g.cstep ~cont ~bnd)
+              | _ -> Some (Exact (clamp_one q), Exact (clamp_one q)))
             | false, `Update ->
               (* rotated form: leave to the difference-constraint path *)
               None)))
       | _ -> None)
+    | _ -> None)
+  | _ -> None
+
+(** Inclusive range of the values counted header phi [phi] of [l] takes
+    while the body runs: [start + k*step] for each of the loop's body
+    iterations [k], when the start is a constant and {!exact_trips} gives a
+    constant, nonzero body count.  Exact, not an over-approximation, so a
+    definite-error verdict (oob-gep) may rest on it.  The header of a
+    while-shaped loop also sees the exit value, and code after the loop
+    sees only that: the range holds inside the body. *)
+let phi_range (f : Func.t) (l : Loopnest.loop) (phi : Instr.inst) :
+    (int64 * int64) option =
+  match (counted_phi f l phi, exact_trips f l) with
+  | Some { cstart = Instr.Cint s; cstep; _ }, Some (Exact q, _) -> (
+    match sym_value q with
+    | Some n when Int64.compare n 0L > 0 ->
+      let last = Int64.add s (Int64.mul (Int64.pred n) cstep) in
+      Some (Int64.min s last, Int64.max s last)
     | _ -> None)
   | _ -> None
 

@@ -17,7 +17,6 @@ type loop = {
 
 type t = {
   loops : loop list;                (** all loops, outermost first *)
-  by_header : (int, loop) Hashtbl.t;
   block_loop : (int, loop) Hashtbl.t;  (** innermost loop containing a block *)
 }
 
@@ -107,9 +106,7 @@ let compute (f : Func.t) : t =
         else compare a.header b.header)
       loops
   in
-  { loops = ordered; by_header; block_loop }
-
-let loop_of_header (t : t) h = Hashtbl.find_opt t.by_header h
+  { loops = ordered; block_loop }
 
 (** Innermost loop containing block [b], if any. *)
 let innermost (t : t) b = Hashtbl.find_opt t.block_loop b

@@ -101,7 +101,8 @@ let affine_of f l ~iv_phi v =
 (** Polynomial (multivariate affine) address form over a set of symbol
     phis.  Needed to disambiguate the outer loop of nested kernels:
     [c[i*N + j]] is not affine in [i] alone, but is affine in [{i, j}]
-    with the inner phi [j]'s value span bounded by its trip count. *)
+    with the inner phi [j]'s value span bounded by its range while its own
+    loop's body runs ({!Bounds.phi_range}). *)
 type poly = {
   pbase : (Instr.value * int64) list;
       (** linear combination of invariant symbolic values (e.g. a pointer
@@ -220,61 +221,9 @@ let rec poly_of (f : Func.t) (l : Loopnest.loop) ~(symbols : int list)
       | _ -> None))
   | _ -> None
 
-(** Value span of a phi over a loop execution: [(trip-1) * |step|], when
-    the phi is a simple counted recurrence with constant start/step and a
-    constant exit bound in its own (sub)loop.  Used to bound how far an
-    inner index can move addresses between outer iterations. *)
-let phi_span (f : Func.t) (nest : Loopnest.t) (phi : Instr.inst) : int64 option =
-  match Loopnest.loop_of_header nest phi.Instr.parent with
-  | None -> None
-  | Some sl -> (
-    match phi.Instr.op with
-    | Instr.Phi incs -> (
-      let outside, inside =
-        List.partition (fun (p, _) -> not (Loopnest.contains sl p)) incs
-      in
-      match (outside, inside) with
-      | [ (_, Instr.Cint start) ], [ (_, Instr.Reg u) ] -> (
-        match Func.inst_opt f u with
-        | Some { Instr.op = Instr.Bin (Instr.Add, a, Instr.Cint step); _ }
-          when Instr.value_equal a (Instr.Reg phi.Instr.id)
-               && not (Int64.equal step 0L) -> (
-          (* find a constant exit bound on phi or its update; remember
-             whether the test is on the update (phi reaches one more value) *)
-          let bound =
-            List.concat_map
-              (fun (b, _) ->
-                match Func.terminator f b with
-                | Some { Instr.op = Instr.Cbr (Instr.Reg c, _, _); _ } -> (
-                  match Func.inst_opt f c with
-                  | Some { Instr.op = Instr.Icmp (pred, x, Instr.Cint bnd); _ }
-                    when Instr.value_equal x (Instr.Reg phi.Instr.id)
-                         || Instr.value_equal x (Instr.Reg u) ->
-                    [ (pred, bnd, Instr.value_equal x (Instr.Reg u)) ]
-                  | _ -> [])
-                | _ -> [])
-              (Loopnest.exit_edges f sl)
-          in
-          match bound with
-          | (pred, bnd, on_update) :: _ ->
-            let adj =
-              match pred with Instr.Sle -> 1L | Instr.Sge -> -1L | _ -> 0L
-            in
-            let sign = if step > 0L then 1L else -1L in
-            let diff = Int64.add (Int64.sub bnd start) adj in
-            let trips = Int64.div (Int64.add diff (Int64.sub step sign)) step in
-            if trips <= 0L then Some 0L
-            else
-              let span = Int64.mul (Int64.sub trips 1L) (Int64.abs step) in
-              Some (if on_update then Int64.add span (Int64.abs step) else span)
-          | [] -> None)
-        | _ -> None)
-      | _ -> None)
-    | _ -> None)
-
 (** Dependence classification of two polynomial addresses with respect to
     the outer symbol phi [outer].  [spans] bounds the value span of every
-    other symbol.  Returns [`No_dep] (addresses never equal), [`Intra]
+    other symbol, and must hold at both accesses.  Returns [`No_dep] (addresses never equal), [`Intra]
     (may only collide within an iteration of [outer]), or [`Unknown]. *)
 let classify_pair ~(outer : int) ~(spans : (int * int64) list) (a : poly) (b : poly) =
   let bases_equal =
@@ -314,78 +263,3 @@ let classify_pair ~(outer : int) ~(spans : (int * int64) list) (a : poly) (b : p
         if Int64.abs d > other_span then `No_dep else `Intra
       else `Unknown
     end
-
-(** Value range [(lo, hi)] (inclusive) a counted header phi takes {e while
-    the loop body executes}: the bound query behind out-of-bounds checking.
-    Unlike {!phi_span} (an over-approximation that is conservative for
-    dependence disproof), this must be exact — a bound query feeding a
-    definite-error verdict cannot over-approximate — so it only answers for
-    the canonical counted shape: single exit edge leaving from the phi's own
-    header, whose branch tests an [icmp] of the phi against a constant, with
-    a constant start and constant additive step. *)
-let phi_range (f : Func.t) (nest : Loopnest.t) (phi : Instr.inst) :
-    (int64 * int64) option =
-  Trace.incr_m "scev.range_queries";
-  match Loopnest.loop_of_header nest phi.Instr.parent with
-  | None -> None
-  | Some sl -> (
-    match (Loopnest.exit_edges f sl, phi.Instr.op) with
-    | [ (eb, edst) ], Instr.Phi incs when eb = phi.Instr.parent -> (
-      let outside, inside =
-        List.partition (fun (p, _) -> not (Loopnest.contains sl p)) incs
-      in
-      match (outside, inside) with
-      | [ (_, Instr.Cint start) ], [ (_, Instr.Reg u) ] -> (
-        match Func.inst_opt f u with
-        | Some { Instr.op = Instr.Bin (Instr.Add, a, Instr.Cint step); _ }
-          when Instr.value_equal a (Instr.Reg phi.Instr.id)
-               && not (Int64.equal step 0L) -> (
-          match Func.terminator f eb with
-          | Some { Instr.op = Instr.Cbr (Instr.Reg c, tdst, fdst); _ }
-            when tdst <> fdst -> (
-            match Func.inst_opt f c with
-            | Some { Instr.op = Instr.Icmp (pred, x, Instr.Cint bnd); _ }
-              when Instr.value_equal x (Instr.Reg phi.Instr.id) -> (
-              (* normalize to the predicate under which the body executes *)
-              let negate = function
-                | Instr.Slt -> Instr.Sge | Instr.Sge -> Instr.Slt
-                | Instr.Sle -> Instr.Sgt | Instr.Sgt -> Instr.Sle
-                | Instr.Eq -> Instr.Ne | Instr.Ne -> Instr.Eq
-              in
-              let cont = if fdst = edst then pred else negate pred in
-              let last_below b =
-                (* largest start + k*step <= b reachable with step > 0 *)
-                if start > b then None
-                else Some (Int64.add start (Int64.mul (Int64.div (Int64.sub b start) step) step))
-              in
-              let last_above b =
-                (* smallest start + k*step >= b reachable with step < 0 *)
-                if start < b then None
-                else Some (Int64.add start (Int64.mul (Int64.div (Int64.sub b start) step) step))
-              in
-              match (cont, step > 0L) with
-              | Instr.Slt, true ->
-                Option.map (fun hi -> (start, hi)) (last_below (Int64.sub bnd 1L))
-              | Instr.Sle, true ->
-                Option.map (fun hi -> (start, hi)) (last_below bnd)
-              | Instr.Sgt, false ->
-                Option.map (fun lo -> (lo, start)) (last_above (Int64.add bnd 1L))
-              | Instr.Sge, false ->
-                Option.map (fun lo -> (lo, start)) (last_above bnd)
-              | Instr.Ne, true ->
-                (* terminates iff the lattice hits bnd exactly *)
-                if bnd > start && Int64.equal (Int64.rem (Int64.sub bnd start) step) 0L
-                then Some (start, Int64.sub bnd step)
-                else None
-              | Instr.Ne, false ->
-                if bnd < start && Int64.equal (Int64.rem (Int64.sub bnd start) step) 0L
-                then Some (Int64.sub bnd step, start)
-                else None
-              | Instr.Eq, _ ->
-                if Int64.equal start bnd then Some (start, start) else None
-              | _ -> None)
-            | _ -> None)
-          | _ -> None)
-        | _ -> None)
-      | _ -> None)
-    | _ -> None)

@@ -61,8 +61,8 @@ let run (n : Noelle.t) (m : Irmod.t) : stats =
       ignore sched;
       let loops = Noelle.loops n f in
       (* loop-merged guards: accesses whose address is affine in the
-         governing IV of a constant-trip loop get one range guard in the
-         preheader *)
+         governing IV of a loop with an exact constant trip count get one
+         range guard in the preheader, over the IV's range (Bounds) *)
       let merged : (int, unit) Hashtbl.t = Hashtbl.create 16 in
       List.iter
         (fun lp ->
@@ -70,46 +70,49 @@ let run (n : Noelle.t) (m : Irmod.t) : stats =
           let ivs = Noelle.induction_variables n lp in
           ignore (Noelle.invariants n lp);
           ignore (Noelle.aSCCDAG n lp);
-          match Indvars.governing_iv ivs with
-          | Some iv -> (
-            match Indvars.const_trip_count iv with
-            | Some trips when trips > 0L ->
-              let raw = ls.Loopstructure.raw in
-              List.iter
-                (fun (i : Instr.inst) ->
-                  match Alias.pointer_operand i with
-                  | Some p when not (provably_safe m f p) -> (
-                    match
-                      Scev.affine_of f raw ~iv_phi:iv.Indvars.phi.Instr.id p
-                    with
-                    | Some a
-                      when (not (Int64.equal a.Scev.scale 0L)) && a.Scev.base <> None ->
-                      if not (Hashtbl.mem merged i.Instr.id) then begin
-                        (* range = [base+offset, base+offset+scale*(trips-1)] *)
-                        let ph = Loopbuilder.ensure_preheader f raw in
-                        let base = Option.get a.Scev.base in
-                        let lo =
-                          if Int64.equal a.Scev.offset 0L then base
-                          else
-                            Instr.Reg
-                              (Builder.add f ph (Instr.Gep (base, Instr.Cint a.Scev.offset)) Ty.Ptr)
-                                .Instr.id
-                        in
-                        let len =
-                          Int64.add (Int64.mul (Int64.abs a.Scev.scale) (Int64.sub trips 1L)) 1L
-                        in
-                        ignore
-                          (Builder.add f ph
-                             (Instr.Call
-                                (Instr.Glob "carat_guard_range", [ lo; Instr.Cint len ]))
-                             Ty.I64);
-                        Hashtbl.replace merged i.Instr.id ();
-                        incr ranges
-                      end
-                    | _ -> ())
+          let raw = ls.Loopstructure.raw in
+          match
+            Option.bind (Indvars.governing_iv ivs) (fun iv ->
+                Option.map (fun r -> (iv, r)) (Bounds.phi_range f raw iv.Indvars.phi))
+          with
+          | Some (iv, (plo, phi_hi)) ->
+            List.iter
+              (fun (i : Instr.inst) ->
+                match Alias.pointer_operand i with
+                | Some p when not (provably_safe m f p) -> (
+                  match Scev.affine_of f raw ~iv_phi:iv.Indvars.phi.Instr.id p with
+                  | Some a
+                    when (not (Int64.equal a.Scev.scale 0L)) && a.Scev.base <> None ->
+                    if not (Hashtbl.mem merged i.Instr.id) then begin
+                      (* range = base + offset + scale*[plo, phi_hi] *)
+                      let ph = Loopbuilder.ensure_preheader f raw in
+                      let base = Option.get a.Scev.base in
+                      let first =
+                        Int64.add a.Scev.offset
+                          (Int64.min (Int64.mul a.Scev.scale plo)
+                             (Int64.mul a.Scev.scale phi_hi))
+                      in
+                      let lo =
+                        if Int64.equal first 0L then base
+                        else
+                          Instr.Reg
+                            (Builder.add f ph (Instr.Gep (base, Instr.Cint first)) Ty.Ptr)
+                              .Instr.id
+                      in
+                      let len =
+                        Int64.succ (Int64.mul (Int64.abs a.Scev.scale) (Int64.sub phi_hi plo))
+                      in
+                      ignore
+                        (Builder.add f ph
+                           (Instr.Call
+                              (Instr.Glob "carat_guard_range", [ lo; Instr.Cint len ]))
+                           Ty.I64);
+                      Hashtbl.replace merged i.Instr.id ();
+                      incr ranges
+                    end
                   | _ -> ())
-                (Loopstructure.insts ls)
-            | _ -> ())
+                | _ -> ())
+              (Loopstructure.insts ls)
           | None -> ())
         loops;
       (* redundancy elimination with the DFE: a guard for pointer [p] makes

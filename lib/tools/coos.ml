@@ -87,12 +87,15 @@ let run (n : Noelle.t) (m : Irmod.t) ?(budget = 500) () : stats =
               let ls = Loop.structure lp in
               let body_size = Loopstructure.size ls in
               let bounded =
-                match Indvars.governing_iv (Noelle.induction_variables n lp) with
-                | Some iv -> (
-                  match Indvars.const_trip_count iv with
+                match
+                  ( Indvars.governing_iv (Noelle.induction_variables n lp),
+                    Bounds.exact_trips f raw )
+                with
+                | Some _, Some ((Bounds.Exact _ as body), _) -> (
+                  match Bounds.trip_const body with
                   | Some t -> Int64.to_int t * body_size <= budget
                   | None -> false)
-                | None -> false
+                | _ -> false
               in
               let already =
                 List.exists

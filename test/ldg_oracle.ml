@@ -6,7 +6,8 @@
     are immutable, so the refinement replaces each one with a copy that
     carries its loop-carried flag.  The library builds the same graph in one pass over the loop's
     edges; a test compares the two node for node and edge for edge, in
-    order, with the same flags. *)
+    order, with the same flags.  Both apply the one refinement rule,
+    {!Noelle.Pdg.refinement}. *)
 
 open Ir
 open Noelle
@@ -51,9 +52,10 @@ let filter_map_edges (g : Depgraph.t) ~f =
   g.Depgraph.nedges <- !nedges;
   List.iter (fun n -> g.Depgraph.pred.(n) <- List.filter_map f g.Depgraph.pred.(n)) g.Depgraph.nodes
 
-(** Build the dependence graph of loop [l], refining memory dependences
-    with loop-centric analyses exactly when the graph is requested (the
-    demand-driven refinement of §2.2). *)
+(** Build the dependence graph of loop [l]: slice the function graph,
+    then refine the slice edge by edge with the library's rule
+    ({!Noelle.Pdg.refinement}), so what this checks is the slicing, the
+    order and the sharing of the one-pass build. *)
 let loop_dg (t : Pdg.t) (l : Loopnest.loop) : Pdg.loop_dg =
   let f = t.Pdg.f in
   let in_loop id =
@@ -62,65 +64,7 @@ let loop_dg (t : Pdg.t) (l : Loopnest.loop) : Pdg.loop_dg =
     | None -> false
   in
   let g = slice t.Pdg.fdg ~keep:in_loop in
-  let iv_phi = Pdg.refinement_phi f l in
-  (* inner-loop phis with bounded spans become extra address symbols, so
-     the outer loops of nested kernels (c[i*N+j]) can be disambiguated *)
-  let nest = Loopnest.compute f in
-  let inner_syms =
-    List.concat_map
-      (fun (sl : Loopnest.loop) ->
-        if sl.Loopnest.header <> l.Loopnest.header
-           && Loopnest.contains l sl.Loopnest.header
-        then
-          List.filter_map
-            (fun (i : Instr.inst) ->
-              match i.Instr.op with
-              | Instr.Phi _ ->
-                Option.map (fun span -> (i.Instr.id, span)) (Scev.phi_span f nest i)
-              | _ -> None)
-            (Func.insts_of_block f sl.Loopnest.header)
-        else [])
-      nest.Loopnest.loops
-  in
-  let symbols =
-    (match iv_phi with Some p -> [ p.Instr.id ] | None -> [])
-    @ List.map fst inner_syms
-  in
-  (* classify / refine every edge into a copy with its loop-carried flag *)
-  let carried (e : Depgraph.edge) c = Some { e with Depgraph.loop_carried = c } in
-  let refine (e : Depgraph.edge) =
-    match e.Depgraph.kind with
-    | Depgraph.Control -> carried e false
-    | Depgraph.Register _ ->
-      (* a register dep is loop-carried iff it feeds a header phi from
-         inside the loop (the back-edge value) *)
-      carried e
-        (Depgraph.is_internal g e.Depgraph.esrc
-        &&
-        match Func.inst_opt f e.Depgraph.edst with
-        | Some { Instr.op = Instr.Phi _; parent; _ } -> parent = l.Loopnest.header
-        | _ -> false)
-    | Depgraph.Memory _ -> (
-      if not (Depgraph.is_internal g e.Depgraph.esrc && Depgraph.is_internal g e.Depgraph.edst)
-      then carried e false
-      else
-        let addr_of id =
-          Option.bind (Func.inst_opt f id) Alias.pointer_operand
-        in
-        match (iv_phi, addr_of e.Depgraph.esrc, addr_of e.Depgraph.edst) with
-        | Some phi, Some p1, Some p2 -> (
-          let a1 = Scev.poly_of f l ~symbols p1 in
-          let a2 = Scev.poly_of f l ~symbols p2 in
-          match (a1, a2) with
-          | Some a1, Some a2 -> (
-            match
-              Scev.classify_pair ~outer:phi.Instr.id ~spans:inner_syms a1 a2
-            with
-            | `No_dep -> None (* fully disproved: drop edge *)
-            | `Intra -> carried e false
-            | `Unknown -> carried e true)
-          | _ -> carried e true)
-        | _ -> carried e true)
-  in
-  filter_map_edges g ~f:refine;
+  let refine = Pdg.refinement f (Loopnest.compute f) l ~in_loop:(Depgraph.is_internal g) in
+  filter_map_edges g ~f:(fun e ->
+      Option.map (fun loop_carried -> { e with Depgraph.loop_carried }) (refine e));
   { Pdg.ldg = g; loop = l; pdg = t }

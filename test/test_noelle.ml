@@ -316,7 +316,8 @@ int main() {
 let test_trip_count () =
   let cases =
     [ ("i = 0; i < 10; i++", 10L); ("i = 0; i <= 10; i++", 11L);
-      ("i = 3; i < 10; i += 2", 4L); ("i = 10; i > 0; i -= 3", 4L) ]
+      ("i = 3; i < 10; i += 2", 4L); ("i = 10; i > 0; i -= 3", 4L);
+      ("i = 10; i >= 0; i--", 11L) ]
   in
   List.iter
     (fun (hdr, expected) ->
@@ -324,17 +325,19 @@ let test_trip_count () =
         (Printf.sprintf
            {| int main() { int s = 0; for (int %s) { s += 1; } print(s); return 0; } |}
            hdr)
-        (fun m n _main lp ->
-          match Noelle.Indvars.governing_iv (Noelle.induction_variables n lp) with
-          | Some iv -> (
-            match Noelle.Indvars.const_trip_count iv with
+        (fun m n main lp ->
+          checkb (Printf.sprintf "governing IV of (%s)" hdr)
+            (Noelle.Indvars.governing_iv (Noelle.induction_variables n lp) <> None);
+          match Bounds.exact_trips main (Noelle.Loop.structure lp).Noelle.Loopstructure.raw with
+          | Some (body, _) -> (
+            match Bounds.trip_const body with
             | Some t ->
-              checkb (Printf.sprintf "trip count of (%s) = %Ld" hdr expected)
+              checkb (Printf.sprintf "trip count of (%s) = %Ld, got %Ld" hdr expected t)
                 (Int64.equal t expected);
               (* and the dynamic count agrees *)
               checks "dynamic agrees" (Int64.to_string expected) (output m)
             | None -> Alcotest.failf "no const trip count for %s" hdr)
-          | None -> Alcotest.failf "no governing IV for %s" hdr))
+          | None -> Alcotest.failf "no exact trips for %s" hdr))
     cases
 
 let test_derived_ivs () =

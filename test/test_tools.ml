@@ -83,6 +83,35 @@ let test_deadfunc () =
     (List.mem "dead_via_ptr" s.Ntools.Deadfunc.removed);
   checkb "binary size shrank (4.5)" (Ntools.Deadfunc.reduction s > 0.0)
 
+(* a parallelizer's task functions are named only as arguments of the
+   declared [task_submit]; the call graph's may-edge keeps them alive *)
+let test_deadfunc_after_doall () =
+  let k = Option.get (Bsuite.Kernels.find "histogram") in
+  let m = Bsuite.Kernels.compile k in
+  let expected = output ~fuel:k.Bsuite.Kernels.fuel m in
+  let n = Noelle.create m in
+  checkb "DOALL parallelized a loop"
+    (List.exists (fun (_, r) -> Result.is_ok r) (Ntools.Doall.run n m ~ncores:12 ()));
+  let tasks =
+    List.filter
+      (fun (f : Func.t) -> f.Func.fname <> "main")
+      (Irmod.defined_functions m)
+  in
+  checkb "task functions emitted" (tasks <> []);
+  List.iter
+    (fun (f : Func.t) ->
+      checkb (f.Func.fname ^ " is a may-callee of main")
+        (List.exists
+           (fun (e : Noelle.Callgraph.edge) ->
+             e.Noelle.Callgraph.callee = f.Func.fname && not e.Noelle.Callgraph.must)
+           (Noelle.Callgraph.callees (Noelle.callgraph n) "main")))
+    tasks;
+  let s = Ntools.Deadfunc.run n m () in
+  checkb "no task function removed" (s.Ntools.Deadfunc.removed = []);
+  verifies "dead after doall" m;
+  let got, _ = run_parallel ~fuel:(3 * k.Bsuite.Kernels.fuel) m in
+  checks "output preserved" expected got
+
 (* ------------------------------------------------------------------ *)
 (* Parallelizers: semantics on the whole corpus                        *)
 (* ------------------------------------------------------------------ *)
@@ -320,10 +349,25 @@ int main() {
       (String.length msg >= 5 && String.sub msg 0 5 = "CARAT")
   | _ -> Alcotest.fail "expected a CARAT guard fault"
 
+(* the length argument of every merged guard, in module order *)
+let range_guard_lengths m =
+  List.concat_map
+    (fun f ->
+      Func.fold_insts
+        (fun acc (i : Instr.inst) ->
+          match i.Instr.op with
+          | Instr.Call (Instr.Glob "carat_guard_range", [ _; Instr.Cint len ]) -> len :: acc
+          | _ -> acc)
+        [] f
+      |> List.rev)
+    (Irmod.defined_functions m)
+
+(* each merged guard spans exactly the words its loop touches: an index
+   offset from the IV, a count-down loop, and the plain count-up case *)
 let test_carat_merges_range_guards () =
-  let m =
-    compile
-      {|
+  let cases =
+    [
+      ( {|
 int main() {
   int *buf = malloc(1000);
   int s = 0;
@@ -336,15 +380,47 @@ int main() {
   print(s);
   return 0;
 }
-|}
+|},
+        "499500", [ 1000L; 1000L ] );
+      ( {|
+int a[10];
+int main() {
+  int s = 0;
+  for (int i = 5; i < 15; i = i + 1) a[i - 5] = i;
+  for (int k = 0; k < 10; k = k + 1) s = s + a[k];
+  print(s);
+  return 0;
+}
+|},
+        "95", [ 10L; 10L ] );
+      ( {|
+int a[11];
+int main() {
+  int s = 0;
+  for (int i = 10; i >= 0; i = i - 1) a[i] = i;
+  for (int k = 0; k < 11; k = k + 1) s = s + a[k];
+  print(s);
+  return 0;
+}
+|},
+        "55", [ 11L; 11L ] );
+    ]
   in
-  let n = Noelle.create m in
-  let s = Ntools.Carat.run n m in
-  checkb "loop guards merged into range guards" (s.Ntools.Carat.range_guards >= 2);
-  let _, out, _, rt = run_toolrt m in
-  checks "output" "499500" (String.trim out);
-  (* merged guards: dynamic count should be tiny compared to 2000 accesses *)
-  checkb "few dynamic guards" (rt.Ntools.Toolrt.guards_executed < 100L)
+  List.iter
+    (fun (src, expected, lens) ->
+      let m = compile src in
+      let n = Noelle.create m in
+      let s = Ntools.Carat.run n m in
+      checki (expected ^ ": loop guards merged into range guards") (List.length lens)
+        s.Ntools.Carat.range_guards;
+      check
+        Alcotest.(list int64)
+        (expected ^ ": range guard lengths") lens (range_guard_lengths m);
+      let _, out, _, rt = run_toolrt m in
+      checks "output" expected (String.trim out);
+      (* merged guards: dynamic count should be tiny compared to the accesses *)
+      checkb "few dynamic guards" (rt.Ntools.Toolrt.guards_executed < 100L))
+    cases
 
 (* ------------------------------------------------------------------ *)
 (* COOS                                                                *)
@@ -459,6 +535,7 @@ let suite =
     tc "LICM beats baseline (fig 4)" test_licm_hoists_more_than_baseline;
     tc "LICM-llvm corpus" test_licm_llvm_all_kernels;
     tc "DEAD (4.5)" test_deadfunc;
+    tc "DEAD after DOALL keeps the task functions" test_deadfunc_after_doall;
     tc "DOALL corpus semantics" test_doall_corpus;
     tc "HELIX corpus semantics" test_helix_corpus;
     tc "DSWP corpus semantics" test_dswp_corpus;
