@@ -233,14 +233,6 @@ let cost_to_string = function
 (* Exact trip counts for counted loops                                 *)
 (* ------------------------------------------------------------------ *)
 
-let negate = function
-  | Instr.Slt -> Instr.Sge
-  | Instr.Sge -> Instr.Slt
-  | Instr.Sle -> Instr.Sgt
-  | Instr.Sgt -> Instr.Sle
-  | Instr.Eq -> Instr.Ne
-  | Instr.Ne -> Instr.Eq
-
 let header_phis (f : Func.t) (l : Loopnest.loop) =
   List.filter
     (fun (i : Instr.inst) ->
@@ -278,6 +270,41 @@ let counted_phi (f : Func.t) (l : Loopnest.loop) (phi : Instr.inst) :
         | _ -> None)
       | _ -> None)
     | _ -> None)
+  | _ -> None
+
+(** Which value of a counted recurrence an exit compare reads. *)
+type tested = Phi | Update
+
+(** An exit edge's test, read with the recurrence on the left: the loop
+    goes on while [tested cont bound]. *)
+type exit_test = {
+  tested : tested;
+  cont : Instr.cmp;       (** continue predicate *)
+  bound : Instr.value;    (** loop-invariant *)
+}
+
+(** The one reader of loop exit compares: exit edge [(src, dst)] of [l]
+    as [(x, cont, bound)], the loop going on while [x cont bound], for a
+    loop-invariant [bound] on either side of [src]'s branch compare. *)
+let exit_compare (f : Func.t) (l : Loopnest.loop) (src, dst) :
+    (Instr.value * Instr.cmp * Instr.value) option =
+  match Func.terminator f src with
+  | Some { Instr.op = Instr.Cbr (Instr.Reg c, tdst, fdst); _ } when tdst <> fdst -> (
+    let read p x bound = Some (x, (if tdst = dst then Instr.negate_cmp p else p), bound) in
+    match Func.inst_opt f c with
+    | Some { Instr.op = Instr.Icmp (pred, a, b); _ } ->
+      if Scev.is_invariant_value f l b then read pred a b
+      else if Scev.is_invariant_value f l a then read (Instr.swap_cmp pred) b a
+      else None
+    | _ -> None)
+  | _ -> None
+
+(** The {!exit_compare} of exit edge [e] when it tests header phi [phi]
+    or its update [update] (register ids). *)
+let exit_test (f : Func.t) (l : Loopnest.loop) ~phi ~update e : exit_test option =
+  match exit_compare f l e with
+  | Some (Instr.Reg r, cont, bound) when r = phi -> Some { tested = Phi; cont; bound }
+  | Some (Instr.Reg r, cont, bound) when r = update -> Some { tested = Update; cont; bound }
   | _ -> None
 
 (** Number of [k >= 0] with [cont (start + k*step, bnd)], the continue
@@ -325,61 +352,48 @@ let count_sym (f : Func.t) (l : Loopnest.loop) ~(start : Instr.value)
 
 (** Exact [(body iterations, header executions)] for canonically counted
     loops: a single exit edge leaving from the header or the unique latch,
-    testing a counted header phi (or its update) against an invariant
-    bound. *)
+    whose {!exit_test} reads a counted header phi (or its update). *)
 let exact_trips (f : Func.t) (l : Loopnest.loop) : (trip * trip) option =
   match Loopnest.exit_edges f l with
-  | [ (eb, _) ]
+  | [ ((eb, _) as e) ]
     when eb = l.Loopnest.header || l.Loopnest.latches = [ eb ] -> (
-    match Func.terminator f eb with
-    | Some { Instr.op = Instr.Cbr (Instr.Reg c, tdst, fdst); _ }
-      when tdst <> fdst -> (
-      match Func.inst_opt f c with
-      | Some { Instr.op = Instr.Icmp (pred, Instr.Reg x, bnd); _ }
-        when Scev.is_invariant_value f l bnd -> (
-        let cont =
-          if Loopnest.contains l tdst then pred else negate pred
-        in
-        let cand =
-          List.find_map
-            (fun phi ->
-              match counted_phi f l phi with
-              | Some g when x = phi.Instr.id -> Some (g, `Phi)
-              | Some g when x = g.cupdate -> Some (g, `Update)
-              | _ -> None)
-            (header_phis f l)
-        in
-        match cand with
-        | None -> None
-        | Some (g, tested) -> (
-          match count_sym f l ~start:g.cstart ~step:g.cstep ~cont ~bnd with
-          | None -> None
-          | Some q -> (
-            let latch_test = List.mem eb l.Loopnest.latches in
-            match (latch_test, tested) with
-            | false, `Phi ->
-              (* while-shape: q bodies, q+1 header executions *)
-              Some (Exact q, Exact (plus_one q))
-            | true, `Phi ->
-              (* do-while testing the pre-update value: q+1 bodies *)
-              Some (Exact (plus_one q), Exact (plus_one q))
-            | true, `Update -> (
-              (* do-while testing the updated value: one body, then the
-                 count from start + step.  That is max(1, q) for an
-                 ordered test, but not for [eq]/[ne]: a [ne] loop that
-                 starts on its bound never meets it again *)
-              match (cont, g.cstart) with
-              | (Instr.Eq | Instr.Ne), Instr.Cint s ->
-                Option.map
-                  (fun q1 -> (Exact (plus_one q1), Exact (plus_one q1)))
-                  (count_sym f l ~start:(Instr.Cint (Int64.add s g.cstep))
-                     ~step:g.cstep ~cont ~bnd)
-              | _ -> Some (Exact (clamp_one q), Exact (clamp_one q)))
-            | false, `Update ->
-              (* rotated form: leave to the difference-constraint path *)
-              None)))
-      | _ -> None)
-    | _ -> None)
+    let cand =
+      List.find_map
+        (fun phi ->
+          Option.bind (counted_phi f l phi) (fun g ->
+              Option.map (fun t -> (g, t))
+                (exit_test f l ~phi:phi.Instr.id ~update:g.cupdate e)))
+        (header_phis f l)
+    in
+    match cand with
+    | None -> None
+    | Some (g, { tested; cont; bound = bnd }) -> (
+      match count_sym f l ~start:g.cstart ~step:g.cstep ~cont ~bnd with
+      | None -> None
+      | Some q -> (
+        let latch_test = List.mem eb l.Loopnest.latches in
+        match (latch_test, tested) with
+        | false, Phi ->
+          (* while-shape: q bodies, q+1 header executions *)
+          Some (Exact q, Exact (plus_one q))
+        | true, Phi ->
+          (* do-while testing the pre-update value: q+1 bodies *)
+          Some (Exact (plus_one q), Exact (plus_one q))
+        | true, Update -> (
+          (* do-while testing the updated value: one body, then the
+             count from start + step.  That is max(1, q) for an
+             ordered test, but not for [eq]/[ne]: a [ne] loop that
+             starts on its bound never meets it again *)
+          match (cont, g.cstart) with
+          | (Instr.Eq | Instr.Ne), Instr.Cint s ->
+            Option.map
+              (fun q1 -> (Exact (plus_one q1), Exact (plus_one q1)))
+              (count_sym f l ~start:(Instr.Cint (Int64.add s g.cstep))
+                 ~step:g.cstep ~cont ~bnd)
+          | _ -> Some (Exact (clamp_one q), Exact (clamp_one q)))
+        | false, Update ->
+          (* rotated form: leave to the difference-constraint path *)
+          None)))
   | _ -> None
 
 (** Inclusive range of the values counted header phi [phi] of [l] takes
@@ -477,113 +491,109 @@ let mono_of = function
     iteration). *)
 let diffcon_exit_bound (f : Func.t) (l : Loopnest.loop)
     ~(deltas : (Instr.inst * (int64 * int64) option) list) (dom : Dom.t)
-    (eb : int) : sym option =
+    ((eb, _) as e) : sym option =
   if
     not
       (List.for_all (fun la -> Dom.dominates dom eb la) l.Loopnest.latches)
   then None
   else
-    match Func.terminator f eb with
-    | Some { Instr.op = Instr.Cbr (Instr.Reg c, tdst, fdst); _ }
-      when tdst <> fdst -> (
-      match Func.inst_opt f c with
-      | Some { Instr.op = Instr.Icmp (pred, xv, bnd); _ }
-        when Scev.is_invariant_value f l bnd ->
-        let cont = if Loopnest.contains l tdst then pred else negate pred in
-        List.find_map
-          (fun ((phi : Instr.inst), delta) ->
-            match delta with
-            | None -> None
-            | Some (dlo, dhi) -> (
-              match Scev.affine_of f l ~iv_phi:phi.Instr.id xv with
-              | Some { Scev.base = None; scale; offset }
-                when not (Int64.equal scale 0L) -> (
-                (* tested value y = scale*phi + offset; its per-iteration
-                   progress interval is scale * [dlo, dhi] *)
-                let ylo, yhi =
-                  if Int64.compare scale 0L > 0 then
-                    (Int64.mul scale dlo, Int64.mul scale dhi)
-                  else (Int64.mul scale dhi, Int64.mul scale dlo)
+    match exit_compare f l e with
+    | Some (xv, cont, bnd) ->
+      List.find_map
+        (fun ((phi : Instr.inst), delta) ->
+          match delta with
+          | None -> None
+          | Some (dlo, dhi) -> (
+            match Scev.affine_of f l ~iv_phi:phi.Instr.id xv with
+            | Some { Scev.base = None; scale; offset }
+              when not (Int64.equal scale 0L) -> (
+              (* tested value y = scale*phi + offset; its per-iteration
+                 progress interval is scale * [dlo, dhi] *)
+              let ylo, yhi =
+                if Int64.compare scale 0L > 0 then
+                  (Int64.mul scale dlo, Int64.mul scale dhi)
+                else (Int64.mul scale dhi, Int64.mul scale dlo)
+              in
+              (* start of phi (outside incoming) *)
+              let start =
+                match phi.Instr.op with
+                | Instr.Phi incs ->
+                  List.find_map
+                    (fun (p, v) ->
+                      if Loopnest.contains l p then None else Some v)
+                    incs
+                | _ -> None
+              in
+              match start with
+              | None -> None
+              | Some start -> (
+                let adj =
+                  match cont with
+                  | Instr.Sle | Instr.Sge -> 1L
+                  | _ -> 0L
                 in
-                (* start of phi (outside incoming) *)
-                let start =
-                  match phi.Instr.op with
-                  | Instr.Phi incs ->
-                    List.find_map
-                      (fun (p, v) ->
-                        if Loopnest.contains l p then None else Some v)
-                      incs
-                  | _ -> None
+                let upward =
+                  match cont with
+                  | Instr.Slt | Instr.Sle -> true
+                  | Instr.Sgt | Instr.Sge -> false
+                  | _ -> raise Exit
                 in
-                match start with
-                | None -> None
-                | Some start -> (
-                  let adj =
-                    match cont with
-                    | Instr.Sle | Instr.Sge -> 1L
-                    | _ -> 0L
-                  in
-                  let upward =
-                    match cont with
-                    | Instr.Slt | Instr.Sle -> true
-                    | Instr.Sgt | Instr.Sge -> false
-                    | _ -> raise Exit
-                  in
-                  let dmin =
-                    if upward then ylo else Int64.neg yhi
-                  in
-                  if Int64.compare dmin 1L < 0 then None
-                  else
-                    (* continue holds at most
-                       ceil((bnd + adj - y0) / dmin) times going up,
-                       ceil((y0 - bnd + adj) / dmin) going down *)
-                    match (start, bnd) with
-                    | Instr.Cint s, Instr.Cint b ->
-                      let y0 =
-                        Int64.add (Int64.mul scale s) offset
-                      in
-                      let numer =
-                        if upward then Int64.add (Int64.sub b y0) adj
-                        else Int64.add (Int64.sub y0 b) adj
-                      in
-                      Some { sv = None; snum = 0L; soff = numer;
+                let dmin =
+                  if upward then ylo else Int64.neg yhi
+                in
+                if Int64.compare dmin 1L < 0 then None
+                else
+                  (* continue holds at most
+                     ceil((bnd + adj - y0) / dmin) times going up,
+                     ceil((y0 - bnd + adj) / dmin) going down *)
+                  match (start, bnd) with
+                  | Instr.Cint s, Instr.Cint b ->
+                    let y0 =
+                      Int64.add (Int64.mul scale s) offset
+                    in
+                    let numer =
+                      if upward then Int64.add (Int64.sub b y0) adj
+                      else Int64.add (Int64.sub y0 b) adj
+                    in
+                    Some { sv = None; snum = 0L; soff = numer;
+                           sden = dmin; slo = 0L }
+                  | Instr.Cint s, v when Scev.is_invariant_value f l v ->
+                    let y0 = Int64.add (Int64.mul scale s) offset in
+                    if upward then
+                      Some { sv = Some v; snum = 1L;
+                             soff = Int64.add (Int64.neg y0) adj;
                              sden = dmin; slo = 0L }
-                    | Instr.Cint s, v when Scev.is_invariant_value f l v ->
-                      let y0 = Int64.add (Int64.mul scale s) offset in
-                      if upward then
-                        Some { sv = Some v; snum = 1L;
-                               soff = Int64.add (Int64.neg y0) adj;
-                               sden = dmin; slo = 0L }
-                      else
-                        Some { sv = Some v; snum = -1L;
-                               soff = Int64.add y0 adj;
-                               sden = dmin; slo = 0L }
-                    | v, Instr.Cint b when Scev.is_invariant_value f l v ->
-                      (* y0 = scale*v + offset *)
-                      if upward then
-                        Some { sv = Some v; snum = Int64.neg scale;
-                               soff = Int64.add (Int64.sub b offset) adj;
-                               sden = dmin; slo = 0L }
-                      else
-                        Some { sv = Some v; snum = scale;
-                               soff = Int64.add (Int64.sub offset b) adj;
-                               sden = dmin; slo = 0L }
-                    | _ -> None))
-              | _ -> None))
-          deltas
-      | _ -> None)
-    | _ -> None
+                    else
+                      Some { sv = Some v; snum = -1L;
+                             soff = Int64.add y0 adj;
+                             sden = dmin; slo = 0L }
+                  | v, Instr.Cint b when Scev.is_invariant_value f l v ->
+                    (* y0 = scale*v + offset *)
+                    if upward then
+                      Some { sv = Some v; snum = Int64.neg scale;
+                             soff = Int64.add (Int64.sub b offset) adj;
+                             sden = dmin; slo = 0L }
+                    else
+                      Some { sv = Some v; snum = scale;
+                             soff = Int64.add (Int64.sub offset b) adj;
+                             sden = dmin; slo = 0L }
+                  | _ -> None))
+            | _ -> None))
+        deltas
+    | None -> None
 
 (** Difference-constraint upper bound over all exit edges: smallest
     constant candidate wins, else the first symbolic one. *)
 let diffcon_trips (f : Func.t) (l : Loopnest.loop)
     ~(deltas : (Instr.inst * (int64 * int64) option) list) (dom : Dom.t) :
     (trip * trip) option =
-  let exits = Loopnest.exit_edges f l |> List.map fst |> List.sort_uniq compare in
+  (* one edge per exiting block: its branch has one target outside *)
+  let exits =
+    Loopnest.exit_edges f l |> List.sort_uniq (fun (a, _) (b, _) -> compare a b)
+  in
   let cands =
     List.filter_map
-      (fun eb ->
-        try diffcon_exit_bound f l ~deltas dom eb with Exit -> None)
+      (fun e -> try diffcon_exit_bound f l ~deltas dom e with Exit -> None)
       exits
   in
   let best =

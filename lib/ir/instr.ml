@@ -60,6 +60,12 @@ let bin_to_string = function
 let fbin_to_string = function
   | Fadd -> "fadd" | Fsub -> "fsub" | Fmul -> "fmul" | Fdiv -> "fdiv"
 
+let negate_cmp = function
+  | Eq -> Ne | Ne -> Eq | Slt -> Sge | Sge -> Slt | Sle -> Sgt | Sgt -> Sle
+
+let swap_cmp = function
+  | Slt -> Sgt | Sgt -> Slt | Sle -> Sge | Sge -> Sle | (Eq | Ne) as p -> p
+
 let cmp_to_string = function
   | Eq -> "eq" | Ne -> "ne" | Slt -> "slt" | Sle -> "sle" | Sgt -> "sgt" | Sge -> "sge"
 

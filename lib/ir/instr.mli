@@ -71,6 +71,13 @@ val uses_reg : op -> int -> bool
 val is_memory_op : op -> bool
 
 val value_equal : value -> value -> bool
+
+(** [negate_cmp p] holds exactly where [p] does not: [a p b = not (a (negate_cmp p) b)]. *)
+val negate_cmp : cmp -> cmp
+
+(** [swap_cmp p] compares with the operands exchanged: [a p b = b (swap_cmp p) a]. *)
+val swap_cmp : cmp -> cmp
+
 val bin_to_string : bin -> string
 val fbin_to_string : fbin -> string
 val cmp_to_string : cmp -> string

@@ -2,7 +2,9 @@
     and Perspective on top of DOALL).
 
     Everything here is a thin composition of NOELLE abstractions: candidate
-    selection reads L / aSCCDAG / IV, live-ins come from the PDG, the task
+    selection reads L / aSCCDAG / IV, and plans the loop from the exit
+    test {!Bounds.exit_test} reads (the one reading {!Bounds.exact_trips}
+    counts), live-ins come from the PDG, the task
     bodies are produced with LB's cloning, the iteration-space changes go
     through IVS, and value forwarding uses ENV + T.  {!drive} is the one
     loop driver: it walks the module to a fixpoint, orders and filters the
@@ -23,23 +25,13 @@ type candidate = {
   lp : Loop.t;
   ls : Loopstructure.t;
   ascc : Ascc.t;
-  iv : Indvars.t;
-  gov : Indvars.governing;
-  step_const : int64;            (** constant step, nonzero *)
-  pred : Instr.cmp;              (** normalized: loop continues while pred *)
+  iv : Bounds.counted;           (** the governing IV: start, constant step *)
+  test : Bounds.exit_test;       (** its exit test on the single exit edge *)
   exit_dst : int;
   body_entry : int;              (** unique in-loop successor of the header *)
   live_in_values : Instr.value list;
   live_out_regs : int list;
 }
-
-let negate_pred = function
-  | Instr.Slt -> Instr.Sge
-  | Instr.Sle -> Instr.Sgt
-  | Instr.Sgt -> Instr.Sle
-  | Instr.Sge -> Instr.Slt
-  | Instr.Eq -> Instr.Ne
-  | Instr.Ne -> Instr.Eq
 
 (** Profile-driven loop selection shared by the parallelizers: the loop
     must be hot enough, and its work per invocation must dwarf the
@@ -87,29 +79,30 @@ let static_chunk (n : Noelle.t) (f : Func.t) (ls : Loopstructure.t) ~ncores =
 
 (** Structural requirements shared by all three parallelizers: while-shaped
     loop, unique exit edge leaving from the header, governing IV with a
-    constant nonzero step consistent with the exit predicate. *)
+    constant nonzero step ({!Bounds.counted_phi}) consistent with the
+    continue predicate its {!Bounds.exit_test} reads. *)
 let candidate_of (n : Noelle.t) (f : Func.t) (lp : Loop.t) : (candidate, string) result =
   let ls = Loop.structure lp in
   if Loopstructure.shape ls <> Loopstructure.While_shape then
     Error "loop is not while-shaped"
   else
     match ls.Loopstructure.exit_edges with
-    | [ (src, dst) ] when src = ls.Loopstructure.header -> (
+    | [ ((src, dst) as e) ] when src = ls.Loopstructure.header -> (
       let ascc = Noelle.aSCCDAG n lp in
       match Indvars.governing_iv (Noelle.induction_variables n lp) with
       | None -> Error "no governing induction variable"
-      | Some iv -> (
-        let gov = Option.get iv.Indvars.governing in
-        match iv.Indvars.step with
-        | Instr.Cint c when not (Int64.equal c 0L) -> (
-          let pred =
-            if gov.Indvars.exit_on_false then gov.Indvars.pred
-            else negate_pred gov.Indvars.pred
-          in
+      | Some gov -> (
+        let raw = ls.Loopstructure.raw in
+        match
+          ( Bounds.counted_phi f raw gov.Indvars.phi,
+            Bounds.exit_test f raw ~phi:gov.Indvars.phi.Instr.id
+              ~update:gov.Indvars.update.Instr.id e )
+        with
+        | Some iv, Some test -> (
           let dir_ok =
-            match pred with
-            | Instr.Slt | Instr.Sle -> c > 0L
-            | Instr.Sgt | Instr.Sge -> c < 0L
+            match test.Bounds.cont with
+            | Instr.Slt | Instr.Sle -> iv.Bounds.cstep > 0L
+            | Instr.Sgt | Instr.Sge -> iv.Bounds.cstep < 0L
             | _ -> false
           in
           if not dir_ok then Error "exit predicate inconsistent with step direction"
@@ -127,9 +120,7 @@ let candidate_of (n : Noelle.t) (f : Func.t) (lp : Loop.t) : (candidate, string)
                   ls;
                   ascc;
                   iv;
-                  gov;
-                  step_const = c;
-                  pred;
+                  test;
                   exit_dst = dst;
                   body_entry;
                   live_in_values = Loop.live_ins lp;
@@ -202,19 +193,28 @@ let drive (n : Noelle.t) (m : Irmod.t) ~tool ?(prelude = fun _ -> ())
   List.rev !results
 
 (** Emit, in block [bid] of the candidate's function, its trip count:
-    [max(0, ceil((bound - start + adj) / step))]. *)
+    [max(0, ceil((bound - first + adj) / step))], where [first], the
+    first value the exit test reads, is the start, or [start + step] for
+    a test on the update. *)
 let emit_niters (c : candidate) bid : Instr.value =
-  let f = c.f and stepc = c.step_const in
-  let start = c.iv.Indvars.start and bound = c.gov.Indvars.bound in
+  let f = c.f and stepc = c.iv.Bounds.cstep in
   let adj =
-    match c.pred with
+    match c.test.Bounds.cont with
     | Instr.Sle -> 1L
     | Instr.Sge -> -1L
     | _ -> 0L
   in
   let sign = if stepc > 0L then 1L else -1L in
-  let k = Int64.add adj (Int64.sub stepc sign) in
-  let range = Builder.add f bid (Instr.Bin (Instr.Sub, bound, start)) Ty.I64 in
+  (* [ceil (x / step)] as [(x + step - sign) / step]; a test on the
+     update takes [step] off [x] *)
+  let k =
+    match c.test.Bounds.tested with
+    | Bounds.Phi -> Int64.add adj (Int64.sub stepc sign)
+    | Bounds.Update -> Int64.sub adj sign
+  in
+  let range =
+    Builder.add f bid (Instr.Bin (Instr.Sub, c.test.Bounds.bound, c.iv.Bounds.cstart)) Ty.I64
+  in
   let numer =
     if Int64.equal k 0L then Instr.Reg range.Instr.id
     else
@@ -315,21 +315,39 @@ let clone_body (c : candidate) (tf : Func.t) ~entry subst =
 (** Cyclic iteration chunking of a cloned loop, through IVS: every IV of
     [ivs] starts [core * step] later and strides [ncores * step]; every
     reduction of [reds] starts from its identity and stores its partial
-    to its {!red_slot} for the running core on reaching [done_]. *)
+    to its {!red_slot} for the running core on reaching [done_].  Only
+    the phi reads the scaled update: any other reader of an IV's update
+    (an exit test on the update, a body that uses [i + 1]) reads a fresh
+    [phi' + step], the next iteration's value. *)
 let chunk_cyclic (task : Task.t) ~entry ~done_ imap subst (ivs : Indvars.t list)
     (reds : Reduction.t list) ~ncores =
   let tf = task.Task.tfunc in
   List.iter
     (fun (iv : Indvars.t) ->
       let phi' = Hashtbl.find imap iv.Indvars.phi.Instr.id in
+      let upd' = Hashtbl.find imap iv.Indvars.update.Instr.id in
+      (match List.filter (fun (u : Instr.inst) -> u.Instr.id <> phi') (Func.users tf upd') with
+      | [] -> ()
+      | readers ->
+        let next =
+          Builder.insert_before tf ~before:upd'
+            (Instr.Bin (Instr.Add, Instr.Reg phi', subst_of subst iv.Indvars.step))
+            Ty.I64
+        in
+        List.iter
+          (fun (u : Instr.inst) ->
+            Builder.set_op tf u
+              (Instr.map_operands
+                 (function Instr.Reg r when r = upd' -> Instr.Reg next.Instr.id | v -> v)
+                 u.Instr.op))
+          readers);
       let delta =
         Builder.add tf entry
           (Instr.Bin (Instr.Mul, Task.core_arg, subst_of subst iv.Indvars.step))
           Ty.I64
       in
       Ivstepper.offset_start tf ~phi_id:phi' ~pred:entry ~delta:(Instr.Reg delta.Instr.id);
-      Ivstepper.scale_step tf ~update_id:(Hashtbl.find imap iv.Indvars.update.Instr.id)
-        ~phi_id:phi' ~factor:Task.ncores_arg)
+      Ivstepper.scale_step tf ~update_id:upd' ~phi_id:phi' ~factor:Task.ncores_arg)
     ivs;
   List.iteri
     (fun ri (rd : Reduction.t) ->

@@ -91,7 +91,7 @@ let run (n : Noelle.t) (m : Irmod.t) : stats =
         (fun i ->
           match i.Instr.op with
           | Instr.Icmp (pred, Instr.Cint c, b) ->
-            Builder.set_op f i (Instr.Icmp (Indvars.swap_pred pred, b, Instr.Cint c));
+            Builder.set_op f i (Instr.Icmp (Instr.swap_cmp pred, b, Instr.Cint c));
             incr swapped
           | _ -> ())
         f;

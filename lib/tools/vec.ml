@@ -148,7 +148,7 @@ let plan_of (c : Parutil.candidate) : (plan, string) result =
 let mem_profile (c : Parutil.candidate) =
   let f = c.Parutil.f in
   let raw = c.Parutil.ls.Loopstructure.raw in
-  let ivp = c.Parutil.iv.Indvars.phi.Instr.id in
+  let ivp = c.Parutil.iv.Bounds.cphi.Instr.id in
   let smo = ref 0 and stride = ref 1 in
   List.iter
     (fun b ->

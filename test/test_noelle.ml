@@ -338,7 +338,22 @@ let test_trip_count () =
               checks "dynamic agrees" (Int64.to_string expected) (output m)
             | None -> Alcotest.failf "no const trip count for %s" hdr)
           | None -> Alcotest.failf "no exact trips for %s" hdr))
-    cases
+    cases;
+  (* the corpus loops where a governing IV has no exact trips: the
+     early return of stringsearch's match_at loop is a second exit edge,
+     and qsort's partition loop starts and ends on symbols *)
+  List.iter
+    (fun (kname, fname, id) ->
+      let m = Bsuite.Kernels.compile (Option.get (Bsuite.Kernels.find kname)) in
+      let n = Noelle.create m in
+      let f = Irmod.func m fname in
+      let lp = List.find (fun lp -> Noelle.Loop.id lp = id) (Noelle.loops n f) in
+      checkb (Printf.sprintf "governing IV of (%s)" id)
+        (Noelle.Indvars.governing_iv (Noelle.induction_variables n lp) <> None);
+      checkb (Printf.sprintf "no exact trips for %s" id)
+        (Bounds.exact_trips f (Noelle.Loop.structure lp).Noelle.Loopstructure.raw = None))
+    [ ("stringsearch", "match_at", "match_at.for.header");
+      ("qsort", "partition", "partition.for.header") ]
 
 let test_derived_ivs () =
   with_loop

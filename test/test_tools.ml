@@ -848,6 +848,95 @@ let test_driver_skip_all () =
       checki "VEC: vectorized + rejected = outcomes" outcomes
         (count "vec.vectorized" + count "vec.rejected"))
 
+(* ------------------------------------------------------------------ *)
+(* The small counted-loop family through the parallelizers             *)
+(* ------------------------------------------------------------------ *)
+
+(* Every terminating member of the small counted-loop family
+   (Smallscope, IV on the left of its exit compare), with the store body
+   and its checksum loop, through DOALL (profile and profile-free),
+   HELIX, DSWP and VEC with 4 cores and no hotness or work floor.  A
+   member whose loop transforms must print the interpreter's checksum
+   under Psim; a refusal is always allowed, but each technique must
+   transform at least as many members as when the case was written
+   (1,568 for DOALL and HELIX, 136 for VEC, none for DSWP), so a planner
+   that refuses what it used to plan fails here. *)
+let test_family_keeps_checksum () =
+  let fuel = 20_000 in
+  let members =
+    List.filter_map
+      (fun mb ->
+        let src = Smallscope.ir ~body:Smallscope.Store mb in
+        match output ~fuel (Parser.parse_module src) with
+        | expected -> Some (mb, src, expected)
+        | exception Interp.Trap _ -> None)
+      (Smallscope.members ~orientations:[ false ])
+  in
+  checki "terminating members" 9852 (List.length members);
+  let oks results =
+    List.filter_map (fun (id, r) -> if Result.is_ok r then Some id else None) results
+  in
+  let min_hotness = 0.0 and min_work = 0.0 and ncores = 4 in
+  let techniques =
+    [
+      ("DOALL", 1568, true, fun n m ->
+          oks (Ntools.Doall.run n m ~ncores ~min_hotness ~min_work ()));
+      ("DOALL profile-free", 1568, false, fun n m ->
+          oks (Ntools.Doall.run n m ~ncores ~min_hotness ~min_work ~profile_free:true ()));
+      ("HELIX", 1568, true, fun n m ->
+          oks (Ntools.Helix.run n m ~ncores ~min_hotness ~min_work ()));
+      ("DSWP", 0, true, fun n m -> oks (Ntools.Dswp.run n m ~min_hotness ~min_work ()));
+      ("VEC", 136, false, fun n m ->
+          oks (Ntools.Vec.run n m ~ncores ~min_work ~only_best:false ()));
+    ]
+  in
+  List.iter
+    (fun (name, floor, profiled, run) ->
+      let transformed = ref 0 and wrong = ref [] and per_shape = Hashtbl.create 8 in
+      List.iter
+        (fun ((mb : Smallscope.member), src, expected) ->
+          let m = Parser.parse_module src in
+          if profiled then begin
+            let p, _ = Noelle.Profiler.run ~fuel m in
+            Noelle.Profiler.embed p m
+          end;
+          if List.mem "main.header" (run (Noelle.create m) m) then begin
+            incr transformed;
+            let shape =
+              Printf.sprintf "%s/%s"
+                (Smallscope.shape_to_string mb.Smallscope.shape)
+                (if mb.Smallscope.on_update then "update" else "phi")
+            in
+            Hashtbl.replace per_shape shape
+              (1 + Option.value ~default:0 (Hashtbl.find_opt per_shape shape));
+            let got =
+              match run_parallel ~fuel:(10 * fuel) m with
+              | got, _ -> got
+              | exception Interp.Trap e -> "trap: " ^ e
+            in
+            if got <> expected then
+              wrong :=
+                Printf.sprintf "%s (%s, expected %s):\n%s"
+                  (Smallscope.shape_to_string mb.Smallscope.shape) got expected src
+                :: !wrong
+          end)
+        members;
+      (* the per-shape counts land in the case's output file *)
+      Printf.printf "%s: %d transformed (%s), %d wrong\n" name !transformed
+        (String.concat ", "
+           (List.sort compare
+              (Hashtbl.fold (fun k n acc -> Printf.sprintf "%s %d" k n :: acc) per_shape [])))
+        (List.length !wrong);
+      (match List.rev !wrong with
+      | [] -> ()
+      | first :: _ ->
+        Alcotest.failf "%s: %d of %d transformed members print a wrong checksum; first: %s"
+          name (List.length !wrong) !transformed first);
+      checkb
+        (Printf.sprintf "%s transforms %d members, at least %d" name !transformed floor)
+        (!transformed >= floor))
+    techniques
+
 let suite_extra =
   [
     tc "PERS memory-object cloning" test_perspective_privatization;
@@ -860,4 +949,6 @@ let suite_extra =
     tc "VEC rejects recurrences" test_vec_rejects_sequential;
     tc "VEC trace-exact" test_vec_trace_exact;
     tc "loop driver: skip-all refusals" test_driver_skip_all;
+    tc "small counted loops keep their checksum under DOALL, HELIX, DSWP and VEC"
+      test_family_keeps_checksum;
   ]
